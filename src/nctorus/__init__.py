@@ -69,6 +69,8 @@ from .matrices import (
     shift_matrix,
     weyl_element,
     q_commutation_residual,
+    weyl_cocycle_residual,
+    holonomy_residual,
     dual_matrices,
     sine_structure_residual,
     commutant_dimension,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -53,11 +54,12 @@ from .matrices import (
     clock_matrix,
     commutant_dimension,
     dual_matrices,
+    holonomy_residual,
     q_commutation_residual,
     shift_matrix,
     sine_structure_residual,
     uq_sl2_generators,
-    weyl_element,
+    weyl_cocycle_residual,
     weyl_span_dimension,
 )
 from .partition import QuadratureSpec, modular_invariance_report, z_tilde, z_tilde_character_route
@@ -271,18 +273,6 @@ def cmd_matrices(cfg: RunConfig) -> int:
     clock = clock_matrix(m, n, angles.alpha1)
     shift = shift_matrix(m, angles.alpha2)
     dual_clock, dual_shift = dual_matrices(m, n, angles)
-    cocycle_worst = 0.0
-    for a1 in range(-2, 3):
-        for a2 in range(-2, 3):
-            for b1 in range(-2, 3):
-                for b2 in range(-2, 3):
-                    wa, wb = WeylWord(a1, a2), WeylWord(b1, b2)
-                    lhs = (weyl_element(wa, m, n) @ weyl_element(wb, m, n)).entries
-                    rhs = (
-                        cmath.exp(1j * math.pi * n * wa.cross(wb) / m)
-                        * weyl_element(wa + wb, m, n).entries
-                    )
-                    cocycle_worst = max(cocycle_worst, float(np.max(np.abs(lhs - rhs))))
     report = {
         "clock": clock.entries,
         "shift": shift.entries,
@@ -292,7 +282,7 @@ def cmd_matrices(cfg: RunConfig) -> int:
             "dual_q_commutation": q_commutation_residual(n, m, angles),
             "q_commutation": q_commutation_residual(m, n, angles),
             "sine_structure": sine_structure_residual(m, n, WeylWord(1, 0), WeylWord(0, 1)),
-            "weyl_cocycle": cocycle_worst,
+            "weyl_cocycle": weyl_cocycle_residual(m, n),
         },
         "commutant_dimension": commutant_dimension([clock, shift]),
         "weyl_span_dimension": weyl_span_dimension(m, n),
@@ -387,28 +377,12 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
         return worst, 1e-10
 
     def q_commutation_matrix():
-        c = clock_matrix(m, n, angles.alpha1).entries
-        s = shift_matrix(m, angles.alpha2).entries
-        sign = -1.0 if inject_fault else 1.0
-        q = cmath.exp(sign * 2j * math.pi * (n % m) / m)
-        res = float(np.max(np.abs(c @ s - q * (s @ c))))
+        res = q_commutation_residual(m, n, angles, inject_fault=inject_fault)
         note = "cocycle sign deliberately flipped" if inject_fault else None
         return res, 1e-13, note
 
     def weyl_cocycle_matrix():
-        worst = 0.0
-        for a1 in range(-2, 3):
-            for a2 in range(-2, 3):
-                for b1 in range(-2, 3):
-                    for b2 in range(-2, 3):
-                        wa, wb = WeylWord(a1, a2), WeylWord(b1, b2)
-                        lhs = (weyl_element(wa, m, n) @ weyl_element(wb, m, n)).entries
-                        rhs = (
-                            cmath.exp(1j * math.pi * n * wa.cross(wb) / m)
-                            * weyl_element(wa + wb, m, n).entries
-                        )
-                        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst, 1e-12
+        return weyl_cocycle_residual(m, n), 1e-12
 
     def sine_algebra_matrix():
         worst = max(
@@ -429,19 +403,11 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
         return res, 1e-10
 
     def holonomy_matrix():
-        c = clock_matrix(m, n, angles.alpha1)
-        s = shift_matrix(m, angles.alpha2)
-        hol = (c @ s @ c.adjoint() @ s.adjoint()).entries
-        return float(
-            np.max(np.abs(hol - cmath.exp(2j * math.pi * n / m) * np.eye(m)))
-        ), 1e-10
+        return holonomy_residual(m, n, angles), 1e-10
 
-    basis_holder = {}
-
+    @functools.cache
     def _basis():
-        if "b" not in basis_holder:
-            basis_holder["b"] = build_basis(flux, tau, angles, policy)
-        return basis_holder["b"]
+        return build_basis(flux, tau, angles, policy)
 
     def center_eigenvalues():
         basis = _basis()
@@ -488,14 +454,9 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
         worst = max(orthogonality_residual(m * n), orthogonality_residual(24))
         return worst, 1e-12
 
-    invariance_holder = {}
-
+    @functools.cache
     def _invariance():
-        if "r" not in invariance_holder:
-            invariance_holder["r"] = modular_invariance_report(
-                flux, VacuumAngles(), tau, quad, policy
-            )
-        return invariance_holder["r"]
+        return modular_invariance_report(flux, VacuumAngles(), tau, quad, policy)
 
     def partition_t_invariance():
         return _invariance().t_residual, 1e-5

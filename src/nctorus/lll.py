@@ -231,7 +231,7 @@ def boundary_residual(basis: LLLBasis, j, k, grid=None, state=None) -> float:
     )
     r1 = float(np.max(np.abs(lhs1 - rhs1)))
     r2 = float(np.max(np.abs(lhs2 - rhs2)))
-    return max(r1, r2)
+    return float(np.max([r1, r2]))
 
 
 def elementary_translation(basis: LLLBasis, index, dual=False):

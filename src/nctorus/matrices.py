@@ -44,6 +44,8 @@ __all__ = [
     "shift_power",
     "weyl_element",
     "q_commutation_residual",
+    "weyl_cocycle_residual",
+    "holonomy_residual",
     "dual_matrices",
     "sine_structure_residual",
     "commutant_dimension",
@@ -136,12 +138,42 @@ def weyl_element(word: WeylWord, m, n, angles: VacuumAngles = _NO_ANGLES) -> CSM
     return CSMatrix(pref * (c.entries @ s.entries))
 
 
-def q_commutation_residual(m, n, angles: VacuumAngles = _NO_ANGLES) -> float:
-    """Max-entry residual of C S = e^{2 pi i N/M} S C."""
+def q_commutation_residual(m, n, angles: VacuumAngles = _NO_ANGLES, *,
+                           inject_fault=False) -> float:
+    """Max-entry residual of C S = e^{2 pi i N/M} S C.  With
+    ``inject_fault`` the sign of the phase is flipped (compared against
+    -q), so the residual is 2 for every M: a check that must fail."""
     c = clock_matrix(m, n, angles.alpha1).entries
     s = shift_matrix(m, angles.alpha2).entries
     q = cmath.exp(2j * math.pi * (n % m) / m)
+    if inject_fault:
+        q = -q
     return float(np.max(np.abs(c @ s - q * (s @ c))))
+
+
+def weyl_cocycle_residual(m, n) -> float:
+    """Worst max-entry residual of W(a) W(b) = e^{i pi kappa (a x b)} W(a + b)
+    over all words a, b with entries in [-2, 2] (angles 0)."""
+    words = [WeylWord(a1, a2) for a1 in range(-2, 3) for a2 in range(-2, 3)]
+    worst = 0.0
+    for wa in words:
+        for wb in words:
+            lhs = (weyl_element(wa, m, n) @ weyl_element(wb, m, n)).entries
+            rhs = (
+                cmath.exp(1j * math.pi * n * wa.cross(wb) / m)
+                * weyl_element(wa + wb, m, n).entries
+            )
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def holonomy_residual(m, n, angles: VacuumAngles = _NO_ANGLES) -> float:
+    """Max-entry residual of the plaquette holonomy
+    C S C^+ S^+ = e^{2 pi i N/M} I."""
+    c = clock_matrix(m, n, angles.alpha1)
+    s = shift_matrix(m, angles.alpha2)
+    hol = (c @ s @ c.adjoint() @ s.adjoint()).entries
+    return float(np.max(np.abs(hol - cmath.exp(2j * math.pi * n / m) * np.eye(m))))
 
 
 def dual_matrices(m, n, angles: VacuumAngles = _NO_ANGLES):

@@ -16,18 +16,11 @@ per-state route sums :func:`state_norm` over the basis, while the
 character route evaluates a single integrand containing the full
 residue sum of thetas over eta directly; their agreement is a
 consistency check, so the two code paths are kept separate.
-
-Node evaluation is chunked; set the environment variable
-``NCTORUS_THREADS`` to evaluate chunks in a thread pool.  The reduction
-is an ordered sum over fixed chunks, so results are bit-identical for
-any thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,36 +72,18 @@ def quadrature_nodes(quad: QuadratureSpec):
     return np.arange(n) / n, np.full(n, 1.0 / n)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NCTORUS_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
 def _cell_integral(integrand, quad: QuadratureSpec) -> float:
     """Integrate ``integrand(x, y) -> real ndarray`` over the unit
-    square with a fixed chunked, ordered reduction (bit-reproducible
-    for any NCTORUS_THREADS)."""
+    square: nodes are evaluated in fixed chunks of ``_CHUNK`` points and
+    the chunk sums reduced with ``math.fsum``."""
     x1, w1 = quadrature_nodes(quad)
     xs = np.repeat(x1, x1.size)
     ys = np.tile(x1, x1.size)
     wts = np.repeat(w1, w1.size) * np.tile(w1, w1.size)
-    spans = [(i, min(i + _CHUNK, xs.size)) for i in range(0, xs.size, _CHUNK)]
-
-    def part(span):
-        i0, i1 = span
-        return float(np.dot(wts[i0:i1], integrand(xs[i0:i1], ys[i0:i1])))
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(part, spans))
-    else:
-        parts = [part(span) for span in spans]
-    return math.fsum(parts)
+    return math.fsum(
+        float(np.dot(wts[i:i + _CHUNK], integrand(xs[i:i + _CHUNK], ys[i:i + _CHUNK])))
+        for i in range(0, xs.size, _CHUNK)
+    )
 
 
 def state_norm(basis: LLLBasis, j, k, quad: QuadratureSpec = QuadratureSpec()) -> float:

@@ -32,6 +32,7 @@ from nctorus import (
     displacement_cocycle_residual,
     eigenphase_table,
     gram_rank,
+    holonomy_residual,
     in_fundamental_domain,
     modular_invariance_report,
     orthogonality_residual,
@@ -43,7 +44,7 @@ from nctorus import (
     squeeze_roundtrip_residual,
     theta,
     uq_sl2_generators,
-    weyl_element,
+    weyl_cocycle_residual,
     weyl_span_dimension,
 )
 from nctorus.errors import DegenerateDeformationError
@@ -125,18 +126,8 @@ def test_criterion_03_quantum_torus_relations():
     )
     matrix_worst = 0.0
     for m, n in _coprime_pairs(12):
-        matrix_worst = max(matrix_worst, q_commutation_residual(m, n))
-        for a1 in range(-2, 3):
-            for a2 in range(-2, 3):
-                for b1 in range(-2, 3):
-                    for b2 in range(-2, 3):
-                        wa, wb = WeylWord(a1, a2), WeylWord(b1, b2)
-                        lhs = (weyl_element(wa, m, n)
-                               @ weyl_element(wb, m, n)).entries
-                        rhs = (cmath.exp(1j * math.pi * n * wa.cross(wb) / m)
-                               * weyl_element(wa + wb, m, n).entries)
-                        res = float(np.max(np.abs(lhs - rhs)))
-                        matrix_worst = max(matrix_worst, res)
+        matrix_worst = max(matrix_worst, q_commutation_residual(m, n),
+                           weyl_cocycle_residual(m, n))
         for wa, wb in word_pairs:
             matrix_worst = max(matrix_worst, sine_structure_residual(m, n, wa, wb))
     tau = 0.3 + 1.1j
@@ -171,10 +162,7 @@ def test_criterion_04_plaquette_holonomy():
         for tau in (1j, 0.3 + 1.1j):
             phase, spread = plaquette_phase(flux, tau)
             worst = max(worst, abs(phase - q), spread)
-        c = clock_matrix(m, n)
-        s = shift_matrix(m)
-        comm = (c @ s @ c.adjoint() @ s.adjoint()).entries
-        worst = max(worst, float(np.max(np.abs(comm - q * np.eye(m)))))
+        worst = max(worst, holonomy_residual(m, n))
     _report(4, "plaquette holonomy e^{2 pi i N/M}", worst < 1e-10,
             "worst=%.3e tol=1e-10" % worst)
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from nctorus.cli import RunConfig, UsageError, main, parse_complex
+from nctorus.core import VacuumAngles
+from nctorus.matrices import holonomy_residual, q_commutation_residual, weyl_cocycle_residual
 
 ETA_I = 0.7682254223260566590025942  # 50-digit oracle
 THETA_1_0_AT_I = 1.0864348112133080145  # sqrt(2) * eta(i)
@@ -142,12 +144,28 @@ def test_verify_defaults_pass(capsys):
         assert check["pass"] is True
 
 
-def test_verify_injected_fault_fails(capsys):
-    code, rep = run_json(capsys, ["verify", "--inject-fault"])
+@pytest.mark.parametrize("m, n", [(3, 2), (2, 1), (1, 1)])
+def test_verify_injected_fault_fails(capsys, m, n):
+    # M <= 2 makes q = e^{2 pi i N/M} real, so the fault must not be a
+    # complex conjugation
+    code, rep = run_json(capsys, ["verify", "--inject-fault", "--M", str(m), "--N", str(n)])
     assert code == 1
     assert rep["pass"] is False
     failing = [c["name"] for c in rep["checks"] if not c["pass"]]
     assert failing == ["q_commutation_matrix"]
+
+
+def test_reported_residuals_are_the_library_values(capsys):
+    m, n, angles = 5, 3, VacuumAngles(0.7, -1.3)
+    flags = ["--M", str(m), "--N", str(n), "--alpha1", "0.7", "--alpha2", "-1.3"]
+    _, mat = run_json(capsys, ["matrices"] + flags)
+    assert mat["residuals"]["weyl_cocycle"] == weyl_cocycle_residual(m, n)
+    assert mat["residuals"]["q_commutation"] == q_commutation_residual(m, n, angles)
+    _, ver = run_json(capsys, ["verify"] + flags)
+    residual = {c["name"]: c["residual"] for c in ver["checks"]}
+    assert residual["weyl_cocycle_matrix"] == weyl_cocycle_residual(m, n)
+    assert residual["holonomy_matrix"] == holonomy_residual(m, n, angles)
+    assert residual["q_commutation_matrix"] == q_commutation_residual(m, n, angles)
 
 
 def test_verify_rejects_non_coprime(capsys):

@@ -93,6 +93,15 @@ def test_boundary_conditions(tau, mn):
             assert boundary_residual(basis, j, k) < 1e-12
 
 
+def test_boundary_residual_propagates_nonfinite_samples():
+    # at K = 35, tau = 3i the tau-shifted samples overflow; the residual
+    # must not fold that away into a finite (passing) number
+    basis = build_basis(Flux(5, 7), 3j)
+    with np.errstate(all="ignore"):
+        res = boundary_residual(basis, 0, 0, grid=unit_cell_grid(3j, n=12))
+    assert not math.isfinite(res)
+
+
 def test_translation_prefactor_formula():
     # D1 f = exp(2i a1/M) exp(pi N (w - wbar)/(2 b)) f(w - 1/M, wbar - 1/M)
     flux = Flux(2, 3)

@@ -15,11 +15,13 @@ from nctorus.matrices import (
     clock_power,
     commutant_dimension,
     dual_matrices,
+    holonomy_residual,
     q_commutation_residual,
     shift_matrix,
     shift_power,
     sine_structure_residual,
     uq_sl2_generators,
+    weyl_cocycle_residual,
     weyl_element,
     weyl_span_dimension,
 )
@@ -128,11 +130,26 @@ def test_weyl_cocycle_all_small_words(mn):
                     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("mn", [(2, 1), (3, 2), (5, 3), (7, 2)])
+def test_weyl_cocycle_residual(mn):
+    assert weyl_cocycle_residual(*mn) < 1e-12
+
+
+@pytest.mark.parametrize("mn", [(2, 1), (3, 2), (5, 3), (7, 2)])
+def test_holonomy_residual(mn):
+    assert holonomy_residual(*mn) < 1e-10
+    assert holonomy_residual(*mn, ANGLES) < 1e-10
+
+
 def test_q_commutation_residuals():
     assert q_commutation_residual(1, 1) == 0.0
     assert q_commutation_residual(2, 1) < 1e-15
     assert q_commutation_residual(5, 3) < 1e-13
     assert q_commutation_residual(5, 3, ANGLES) < 1e-13
+    # the injected fault compares against -q, so it is seen also where
+    # q = +-1 is real (M <= 2)
+    for m, n in ((1, 1), (2, 1), (5, 3)):
+        assert abs(q_commutation_residual(m, n, ANGLES, inject_fault=True) - 2.0) < 1e-13
 
 
 def test_dual_matrices():

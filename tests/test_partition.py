@@ -128,14 +128,3 @@ def test_refinement_decreases_s_residual():
     assert seq[1] < seq[0] + 1e-10
     assert seq[2] < seq[1] + 1e-10
     assert seq[-1] < 1e-3
-
-
-def test_threaded_reduction_is_bit_identical(monkeypatch):
-    basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES)
-    monkeypatch.delenv("NCTORUS_THREADS", raising=False)
-    single = z_tilde(basis)
-    monkeypatch.setenv("NCTORUS_THREADS", "4")
-    threaded = z_tilde(basis)
-    assert threaded == single
-    monkeypatch.setenv("NCTORUS_THREADS", "not-a-number")
-    assert z_tilde(basis) == single

@@ -271,8 +271,21 @@ def elementary_translation(basis: LLLBasis, index, dual=False):
 def _masked_ratio(out, base):
     mask = np.abs(base) >= 0.05 * np.max(np.abs(base))
     phase = complex(np.sum(np.conjugate(base) * out) / np.sum(np.abs(base) ** 2))
+    if not mask.any():  # no finite sample to compare against
+        return phase, math.nan
     spread = float(np.max(np.abs(out[mask] / base[mask] - phase)))
     return phase, spread
+
+
+def _fit_samples(basis: LLLBasis, grid=None):
+    """Sample grid and state matrix of the sampled fits; the default grid is
+    the smallest n-by-n one with n >= 6 and n*n >= K, so K coefficients fit."""
+    n = max(6, math.isqrt(basis.level - 1) + 1)
+    w, wbar = grid if grid is not None else unit_cell_grid(basis.tau, n=n)
+    if w.size < basis.level:
+        raise ValueError("need at least %d sample points, got %d" % (basis.level, w.size))
+    a = np.stack([basis.states[lb].evaluate(w, wbar) for lb in basis.labels()])
+    return w, wbar, a
 
 
 def coefficient_matrix(basis: LLLBasis, op, grid=None) -> np.ndarray:
@@ -280,9 +293,8 @@ def coefficient_matrix(basis: LLLBasis, op, grid=None) -> np.ndarray:
     ``op(Psi_i) = sum_i' L[i', i] Psi_i'`` with the flattening order of
     :meth:`LLLBasis.labels` (so composition is an algebra homomorphism:
     L(A B) = L(A) L(B))."""
-    w, wbar = grid if grid is not None else unit_cell_grid(basis.tau, n=6)
+    w, wbar, a = _fit_samples(basis, grid)
     labels = basis.labels()
-    a = np.stack([basis.states[lb].evaluate(w, wbar) for lb in labels])  # (MN, P)
     dim = len(labels)
     l_mat = np.zeros((dim, dim), dtype=complex)
     for i, lb in enumerate(labels):
@@ -298,26 +310,27 @@ def eigenphase_table(basis: LLLBasis, grid=None, spread_tol=1e-5) -> dict:
     For the diagonal operators (D1 and dual D1) the entry records the
     pointwise-constant eigenphase and its spread; for the cycling
     operators (D2 and dual D2) it records the target state label, the
-    transition phase, and the largest off-target mixing coefficient.
+    transition phase and the largest off-target mixing coefficient of
+    its :func:`coefficient_matrix` column.
 
     Raises :class:`ConventionMismatchError` when a would-be eigenstate
     ratio has spread beyond ``spread_tol``.
     """
-    w, wbar = grid if grid is not None else unit_cell_grid(basis.tau, n=6)
+    w, wbar, a = _fit_samples(basis, grid)
     labels = basis.labels()
-    a = np.stack([basis.states[lb].evaluate(w, wbar) for lb in labels])
     d1 = elementary_translation(basis, 1)
     d2 = elementary_translation(basis, 2)
     d1d = elementary_translation(basis, 1, dual=True)
     d2d = elementary_translation(basis, 2, dual=True)
+    fits = {"d2": coefficient_matrix(basis, d2, (w, wbar)),
+            "dual2": coefficient_matrix(basis, d2d, (w, wbar))}
     table = {}
-    for lb in labels:
+    for i, lb in enumerate(labels):
         st = basis.states[lb]
-        base = st.evaluate(w, wbar)
         entry = {}
         for name, op in (("d1", d1), ("dual1", d1d)):
             out = op(st).evaluate(w, wbar)
-            phase, spread = _masked_ratio(out, base)
+            phase, spread = _masked_ratio(out, a[i])
             if spread > spread_tol:
                 raise ConventionMismatchError(
                     "%s ratio on state %s has spread %.3e > %.1e"
@@ -325,9 +338,8 @@ def eigenphase_table(basis: LLLBasis, grid=None, spread_tol=1e-5) -> dict:
                 )
             entry[name + "_phase"] = phase
             entry[name + "_spread"] = spread
-        for name, op in (("d2", d2), ("dual2", d2d)):
-            out = op(st).evaluate(w, wbar)
-            coeffs, *_ = np.linalg.lstsq(a.T, out, rcond=None)
+        for name, l_mat in fits.items():
+            coeffs = l_mat[:, i]
             tgt = int(np.argmax(np.abs(coeffs)))
             off = np.delete(np.abs(coeffs), tgt)
             entry[name + "_target"] = labels[tgt]
@@ -358,17 +370,7 @@ def center_eigen_residual(basis: LLLBasis, j, k, grid=None) -> float:
 def gram_rank(basis: LLLBasis, grid=None, threshold=1e-8) -> int:
     """Numerical rank of the state sample matrix: number of singular
     values above ``threshold`` times the largest."""
-    if grid is None:
-        n = max(6, math.isqrt(4 * basis.level) + 1)
-        grid = unit_cell_grid(basis.tau, n=n)
-    w, wbar = grid
-    if w.size < basis.level:
-        raise ValueError(
-            "need at least %d sample points for rank %d, got %d"
-            % (basis.level, basis.level, w.size)
-        )
-    a = np.stack([basis.states[lb].evaluate(w, wbar) for lb in basis.labels()])
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(_fit_samples(basis, grid)[2], compute_uv=False)
     return int(np.sum(s > threshold * s[0]))
 
 

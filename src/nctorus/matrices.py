@@ -286,7 +286,7 @@ def _relabel_permutation(m, n):
     return p
 
 
-def bimodule_consistency(basis: LLLBasis, grid=None, tol=1e-6) -> dict:
+def bimodule_consistency(basis: LLLBasis, tol=1e-6) -> dict:
     """Check that the sampled ground states, viewed as an M x N array,
     carry the left clock/shift action of the M-dimensional pair and the
     right action of the N-dimensional dual pair, and that the two matrix
@@ -321,7 +321,7 @@ def bimodule_consistency(basis: LLLBasis, grid=None, tol=1e-6) -> dict:
     deviations = {}
     mismatches = []
     for name, op in ops.items():
-        measured = p @ coefficient_matrix(basis, op, grid=grid) @ p.T
+        measured = p @ coefficient_matrix(basis, op) @ p.T
         dev = np.abs(measured - predicted[name])
         deviations[name] = float(dev.max())
         if deviations[name] > tol:

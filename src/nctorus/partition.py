@@ -20,6 +20,7 @@ consistency check, so the two code paths are kept separate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -72,14 +73,24 @@ def quadrature_nodes(quad: QuadratureSpec):
     return np.arange(n) / n, np.full(n, 1.0 / n)
 
 
-def _cell_integral(integrand, quad: QuadratureSpec) -> float:
-    """Integrate ``integrand(x, y) -> real ndarray`` over the unit
-    square: nodes are evaluated in fixed chunks of ``_CHUNK`` points and
-    the chunk sums reduced with ``math.fsum``."""
+@functools.cache
+def _cell_nodes(quad: QuadratureSpec):
+    """Read-only tensor-product nodes ``xs, ys`` and weights ``wts`` of
+    the unit square, built once per spec."""
     x1, w1 = quadrature_nodes(quad)
     xs = np.repeat(x1, x1.size)
     ys = np.tile(x1, x1.size)
     wts = np.repeat(w1, w1.size) * np.tile(w1, w1.size)
+    for arr in (xs, ys, wts):
+        arr.flags.writeable = False
+    return xs, ys, wts
+
+
+def _cell_integral(integrand, quad: QuadratureSpec) -> float:
+    """Integrate ``integrand(x, y) -> real ndarray`` over the unit
+    square: nodes are evaluated in fixed chunks of ``_CHUNK`` points and
+    the chunk sums reduced with ``math.fsum``."""
+    xs, ys, wts = _cell_nodes(quad)
     return math.fsum(
         float(np.dot(wts[i:i + _CHUNK], integrand(xs[i:i + _CHUNK], ys[i:i + _CHUNK])))
         for i in range(0, xs.size, _CHUNK)

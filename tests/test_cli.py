@@ -155,6 +155,32 @@ def test_verify_injected_fault_fails(capsys, m, n):
     assert failing == ["q_commutation_matrix"]
 
 
+def test_verify_passes_beyond_the_six_by_six_grid(capsys):
+    # K = 39 > 36: the fits must size their own sample grid
+    code, rep = run_json(capsys, ["verify", "--M", "13", "--N", "3"])
+    assert code == 0
+    assert rep["pass"] is True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_fails_checks_that_cannot_compute(capsys):
+    # at tau = 50i theta overflows on the sample grids: the fits raise
+    # LinAlgError and the quadratures return NaN, and each of these is
+    # its own check's failure rather than a usage error
+    code = main(["verify", "--M", "3", "--N", "2", "--tau=50i"])
+    out = capsys.readouterr().out
+    assert code == 1
+    rep = json.loads(out.replace(":nan", ":NaN"))
+    assert rep["pass"] is False
+    checks = {c["name"]: c for c in rep["checks"]}
+    failing = {name for name, c in checks.items() if not c["pass"]}
+    fits = {"lemma_eigenphases": 1e-7, "gram_rank": 0.5, "bimodule_consistency": 1e-6}
+    assert failing >= set(fits) | {"partition_t_invariance", "partition_s_invariance"}
+    for name, tol in fits.items():
+        assert checks[name]["tolerance"] == tol
+        assert checks[name]["note"].startswith("LinAlgError: ")
+
+
 def test_reported_residuals_are_the_library_values(capsys):
     m, n, angles = 5, 3, VacuumAngles(0.7, -1.3)
     flags = ["--M", str(m), "--N", str(n), "--alpha1", "0.7", "--alpha2", "-1.3"]

@@ -125,7 +125,7 @@ def test_elementary_translation_rejects_bad_index():
 
 
 @pytest.mark.parametrize("tau", [1j, TAU_GEN])
-@pytest.mark.parametrize("mn", [(3, 2), (2, 5)])
+@pytest.mark.parametrize("mn", [(3, 2), (2, 5), (13, 3)])
 def test_eigenphase_structure(tau, mn):
     m, n = mn
     a1, a2 = ANGLES.alpha1, ANGLES.alpha2
@@ -216,10 +216,19 @@ def test_gram_rank_full(mn):
         assert gram_rank(basis) == m * n
 
 
-def test_gram_rank_needs_enough_points():
+@pytest.mark.parametrize(
+    "fit",
+    [
+        gram_rank,
+        lambda basis, grid: coefficient_matrix(basis, elementary_translation(basis, 2), grid),
+        eigenphase_table,
+    ],
+    ids=["gram_rank", "coefficient_matrix", "eigenphase_table"],
+)
+def test_gram_rank_needs_enough_points(fit):
     basis = build_basis(Flux(2, 3), 1j)
     with pytest.raises(ValueError):
-        gram_rank(basis, grid=unit_cell_grid(1j, n=2))
+        fit(basis, grid=unit_cell_grid(1j, n=2))
 
 
 def test_coefficient_matrix_is_homomorphism():

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctorus.core import Flux, VacuumAngles
 from nctorus.errors import DegenerateDeformationError
-from nctorus.lll import build_basis
+from nctorus.lll import build_basis, eigenphase_table
 from nctorus.matrices import (
     CSMatrix,
     WeylWord,
@@ -210,7 +212,7 @@ def test_uq_sl2_dual_copy():
     assert max(gens.residuals.values()) < 1e-11
 
 
-@pytest.mark.parametrize("mn", [(1, 1), (2, 1), (3, 2)])
+@pytest.mark.parametrize("mn", [(1, 1), (2, 1), (3, 2), (13, 3)])
 def test_bimodule_consistency_passes(mn):
     m, n = mn
     basis = build_basis(Flux(n, m), 0.3 + 1.1j, ANGLES)
@@ -219,6 +221,31 @@ def test_bimodule_consistency_passes(mn):
     assert report["mismatches"] == []
     assert report["left_right_commutator"] == 0.0
     assert max(report["deviations"].values()) < 1e-6
+
+
+_COPRIME_UP_TO_100 = [
+    (m, n) for m in range(1, 101) for n in range(1, 100 // m + 1) if math.gcd(m, n) == 1
+]
+_ANGLE = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    mn=st.sampled_from(_COPRIME_UP_TO_100),
+    re_tau=st.floats(-0.5, 0.5),
+    im_tau=st.floats(0.8, 2.0),
+    alpha1=_ANGLE,
+    alpha2=_ANGLE,
+)
+def test_fits_hold_for_any_flux(mn, re_tau, im_tau, alpha1, alpha2):
+    # the sampled fits size their own grid, so they stay determined at
+    # every level K = M*N
+    m, n = mn
+    basis = build_basis(Flux(n, m), complex(re_tau, im_tau), VacuumAngles(alpha1, alpha2))
+    for (j, k), entry in eigenphase_table(basis).items():
+        assert entry["d2_target"] == ((j - 1) % m, k)
+        assert entry["dual2_target"] == (j, (k - 1) % n)
+    assert bimodule_consistency(basis)["pass"]
 
 
 def test_bimodule_left_action_small_case():

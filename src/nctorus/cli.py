@@ -2,8 +2,9 @@ r"""Command-line front end.
 
 Subcommands: ``theta``, ``eta``, ``lll``, ``matrices``, ``partition``,
 ``squeeze``, ``verify``.  All reports are JSON on stdout (sorted keys,
-floats rendered with 17 significant digits, complex values as
-``{"im": ..., "re": ...}``, LF line endings); the ``lll`` subcommand
+floats rendered with 17 significant digits and non-finite ones as
+``NaN``/``Infinity``/``-Infinity``, as :mod:`json` writes them, complex
+values as ``{"im": ..., "re": ...}``, LF line endings); the ``lll`` subcommand
 additionally writes per-state CSV grids and an eigenphase table into
 the output directory.  Identical configurations produce byte-identical
 output (the per-check wall times inside ``verify`` reports are the one
@@ -156,6 +157,8 @@ def _render(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return json.dumps(obj)  # NaN, Infinity, -Infinity
         return format(obj, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
@@ -408,7 +411,7 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
 
     def center_eigenvalues():
         basis = _basis()
-        return max(center_eigen_residual(basis, j, k) for (j, k) in basis.labels())
+        return float(np.max([center_eigen_residual(basis, j, k) for (j, k) in basis.labels()]))
 
     def lemma_eigenphases():
         devs = []

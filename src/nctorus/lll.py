@@ -35,6 +35,7 @@ all derivatives (and the raising operator) stay analytic.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -175,6 +176,18 @@ class LLLBasis:
         m, n = self.flux.denominator, self.flux.numerator
         return [(j, k) for j in range(m) for k in range(n)]
 
+    @functools.cached_property
+    def _default_fit_samples(self):
+        """Default grid and state matrix of the sampled fits, stacked once
+        per basis and read-only (``states`` must not change after the first
+        fit).  The grid is the smallest n-by-n one with n >= 6 and n*n >= K,
+        so K coefficients fit."""
+        n = max(6, math.isqrt(self.level - 1) + 1)
+        samples = _fit_samples(self, unit_cell_grid(self.tau, n=n))
+        for arr in samples:
+            arr.setflags(write=False)
+        return samples
+
 
 def build_basis(flux: Flux, tau, angles: VacuumAngles = VacuumAngles(),
                 policy: TruncationPolicy = _DEFAULT_POLICY) -> LLLBasis:
@@ -278,10 +291,11 @@ def _masked_ratio(out, base):
 
 
 def _fit_samples(basis: LLLBasis, grid=None):
-    """Sample grid and state matrix of the sampled fits; the default grid is
-    the smallest n-by-n one with n >= 6 and n*n >= K, so K coefficients fit."""
-    n = max(6, math.isqrt(basis.level - 1) + 1)
-    w, wbar = grid if grid is not None else unit_cell_grid(basis.tau, n=n)
+    """Sample grid and state matrix of the sampled fits (the basis's cached
+    default when ``grid`` is None)."""
+    if grid is None:
+        return basis._default_fit_samples
+    w, wbar = grid
     if w.size < basis.level:
         raise ValueError("need at least %d sample points, got %d" % (basis.level, w.size))
     a = np.stack([basis.states[lb].evaluate(w, wbar) for lb in basis.labels()])
@@ -322,8 +336,8 @@ def eigenphase_table(basis: LLLBasis, grid=None, spread_tol=1e-5) -> dict:
     d2 = elementary_translation(basis, 2)
     d1d = elementary_translation(basis, 1, dual=True)
     d2d = elementary_translation(basis, 2, dual=True)
-    fits = {"d2": coefficient_matrix(basis, d2, (w, wbar)),
-            "dual2": coefficient_matrix(basis, d2d, (w, wbar))}
+    fits = {"d2": coefficient_matrix(basis, d2, grid),
+            "dual2": coefficient_matrix(basis, d2d, grid)}
     table = {}
     for i, lb in enumerate(labels):
         st = basis.states[lb]
@@ -356,15 +370,14 @@ def center_eigen_residual(basis: LLLBasis, j, k, grid=None) -> float:
     st = basis.state(j, k)
     base = st.evaluate(w, wbar)
     m = basis.flux.denominator
-    out = 0.0
+    res = []
     for index, alpha in ((1, basis.angles.alpha1), (2, basis.angles.alpha2)):
         op = elementary_translation(basis, index)
         f = st
         for _ in range(m):
             f = op(f)
-        res = np.max(np.abs(f.evaluate(w, wbar) - cmath.exp(1j * alpha) * base))
-        out = max(out, float(res))
-    return out
+        res.append(np.max(np.abs(f.evaluate(w, wbar) - cmath.exp(1j * alpha) * base)))
+    return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 
 def gram_rank(basis: LLLBasis, grid=None, threshold=1e-8) -> int:

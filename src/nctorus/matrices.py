@@ -17,7 +17,10 @@ half-angle root ``q^{1/2} = e^{i*pi*N/M}``, which makes the cocycle
 
     W(m) W(n) = e^{i*pi*kappa*(m x n)} W(m + n)
 
-exact for all winding numbers.  The dual pair is the N-dimensional
+exact for all winding numbers.  Every Weyl element is monomial, a phase
+vector times a cyclic shift, ``W(m)[(j + m2) % M, j] = phases[j]``; the
+cocycle and span diagnostics work on that form, and dense matrices are
+built only where a caller takes one.  The dual pair is the N-dimensional
 clock/shift at parameter ``e^{2*pi*i*M/N}``.
 """
 
@@ -103,20 +106,29 @@ class WeylWord:
         return WeylWord(self.m1 + other.m1, self.m2 + other.m2)
 
 
+def _clock_phases(m, n, alpha1, p) -> np.ndarray:
+    """Diagonal of the p-th clock power."""
+    j = np.arange(m)
+    return np.exp(2j * math.pi * n * p * j / m) * cmath.exp(1j * alpha1 * p / m)
+
+
+def _scatter(phases, shift) -> np.ndarray:
+    """Dense monomial matrix with ``e[(j + shift) % M, j] = phases[j]``."""
+    m = phases.size
+    j = np.arange(m)
+    e = np.zeros((m, m), dtype=complex)
+    e[(j + shift) % m, j] = phases
+    return e
+
+
 def clock_power(m, n, alpha1, p) -> CSMatrix:
     """Closed-form p-th power of the clock matrix (any integer p)."""
-    j = np.arange(m)
-    phases = np.exp(2j * math.pi * n * p * j / m) * cmath.exp(1j * alpha1 * p / m)
-    return CSMatrix(np.diag(phases))
+    return CSMatrix(np.diag(_clock_phases(m, n, alpha1, p)))
 
 
 def shift_power(m, alpha2, p) -> CSMatrix:
     """Closed-form p-th power of the shift matrix (any integer p)."""
-    e = np.zeros((m, m), dtype=complex)
-    phase = cmath.exp(1j * alpha2 * p / m)
-    for j in range(m):
-        e[(j + p) % m, j] = phase
-    return CSMatrix(e)
+    return CSMatrix(_scatter(np.full(m, cmath.exp(1j * alpha2 * p / m)), p))
 
 
 def clock_matrix(m, n, alpha1=0.0) -> CSMatrix:
@@ -129,13 +141,28 @@ def shift_matrix(m, alpha2=0.0) -> CSMatrix:
     return shift_power(m, alpha2, 1)
 
 
+def _weyl_monomial(word: WeylWord, m, n, angles: VacuumAngles = _NO_ANGLES):
+    """Phase vector and cyclic shift of the Weyl element W(word), which is
+    monomial: ``W[(j + shift) % M, j] = phases[j]``.
+
+    Raises ``ValueError`` when a phase is off the unit circle by more than
+    1e-12 (or is NaN): the unitarity guarantee of :class:`CSMatrix`, in O(M).
+    """
+    shift = word.m2 % m
+    rows = (np.arange(m) + shift) % m
+    pref = cmath.exp(-1j * math.pi * n * word.m1 * word.m2 / m)
+    s_phase = cmath.exp(1j * angles.alpha2 * word.m2 / m)
+    phases = pref * (_clock_phases(m, n, angles.alpha1, word.m1)[rows] * s_phase)
+    dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
+    if not dev <= 1e-12:
+        raise ValueError("Weyl word is not unitary (deviation %.3e)" % dev)
+    return phases, shift
+
+
 def weyl_element(word: WeylWord, m, n, angles: VacuumAngles = _NO_ANGLES) -> CSMatrix:
     """Weyl element W(m1, m2) = q^{-m1 m2/2} C^{m1} S^{m2} with the
     fixed root q^{1/2} = e^{i pi N/M}."""
-    pref = cmath.exp(-1j * math.pi * n * word.m1 * word.m2 / m)
-    c = clock_power(m, n, angles.alpha1, word.m1)
-    s = shift_power(m, angles.alpha2, word.m2)
-    return CSMatrix(pref * (c.entries @ s.entries))
+    return CSMatrix(_scatter(*_weyl_monomial(word, m, n, angles)))
 
 
 def q_commutation_residual(m, n, angles: VacuumAngles = _NO_ANGLES, *,
@@ -153,18 +180,25 @@ def q_commutation_residual(m, n, angles: VacuumAngles = _NO_ANGLES, *,
 
 def weyl_cocycle_residual(m, n) -> float:
     """Worst max-entry residual of W(a) W(b) = e^{i pi kappa (a x b)} W(a + b)
-    over all words a, b with entries in [-2, 2] (angles 0)."""
-    words = [WeylWord(a1, a2) for a1 in range(-2, 3) for a2 in range(-2, 3)]
-    worst = 0.0
-    for wa in words:
-        for wb in words:
-            lhs = (weyl_element(wa, m, n) @ weyl_element(wb, m, n)).entries
-            rhs = (
-                cmath.exp(1j * math.pi * n * wa.cross(wb) / m)
-                * weyl_element(wa + wb, m, n).entries
-            )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    over all words a, b with entries in [-2, 2] (angles 0).
+
+    Both sides are monomial with shift sa + sb: W(a) W(b) has phases
+    ``pa[(j + sb) % M] * pb[j]``, so the 25 x 25 pairs compare phase
+    vectors, and every other entry is zero on both sides."""
+    # table[a1 + 4, a2 + 4]: phases of W(a1, a2), every word and every sum a + b
+    span = range(-4, 5)
+    table = np.array([[_weyl_monomial(WeylWord(a1, a2), m, n)[0] for a2 in span]
+                      for a1 in span])
+    u1, u2 = np.array([(a1, a2) for a1 in range(-2, 3) for a2 in range(-2, 3)]).T
+    pa = table[u1 + 4, u2 + 4]
+    cols = (np.arange(m) + u2[:, None]) % m
+    lhs = pa[:, cols] * pa  # [a, b, j] = pa[a, (j + sb) % M] * pb[j]
+    cross = u1[:, None] * u2 - u2[:, None] * u1
+    # real argument: numpy's complex division by m rounds unlike the scalar
+    # cmath phase of the cocycle law, and would move the residual by ulps
+    rhs = (np.exp(1j * (math.pi * n * cross / m))[:, :, None]
+           * table[u1[:, None] + u1 + 4, u2[:, None] + u2 + 4])
+    return float(np.max(np.abs(lhs - rhs)))  # np.max, unlike max, keeps a NaN
 
 
 def holonomy_residual(m, n, angles: VacuumAngles = _NO_ANGLES) -> float:
@@ -213,14 +247,16 @@ def commutant_dimension(generators) -> int:
 
 def weyl_span_dimension(m, n) -> int:
     """Dimension of the linear span of the Weyl words W(m1, m2) with
-    0 <= m1, m2 < M (equals M^2 exactly when gcd(M, N) = 1)."""
-    rows = [
-        weyl_element(WeylWord(m1, m2), m, n).entries.ravel()
-        for m1 in range(m)
-        for m2 in range(m)
-    ]
-    s = np.linalg.svd(np.stack(rows), compute_uv=False)
-    return int(np.sum(s > 1e-10 * s[0]))
+    0 <= m1, m2 < M (equals M^2 exactly when gcd(M, N) = 1).
+
+    Words of different shift fill disjoint entries, so the M^2 x M^2 rank
+    splits into M blocks; block m2 stacks the phase vectors of W(., m2).
+    The singular values are those of the full matrix, counted above
+    1e-10 times the largest."""
+    blocks = np.array([[_weyl_monomial(WeylWord(m1, m2), m, n)[0] for m1 in range(m)]
+                       for m2 in range(m)])
+    s = np.linalg.svd(blocks, compute_uv=False)
+    return int(np.sum(s > 1e-10 * np.max(s)))
 
 
 class UqSl2Generators(NamedTuple):

@@ -1,8 +1,10 @@
+import io
 import json
+import math
 
 import pytest
 
-from nctorus.cli import RunConfig, UsageError, main, parse_complex
+from nctorus.cli import RunConfig, UsageError, emit_json, main, parse_complex
 from nctorus.core import VacuumAngles
 from nctorus.matrices import holonomy_residual, q_commutation_residual, weyl_cocycle_residual
 
@@ -165,20 +167,33 @@ def test_verify_passes_beyond_the_six_by_six_grid(capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_fails_checks_that_cannot_compute(capsys):
     # at tau = 50i theta overflows on the sample grids: the fits raise
-    # LinAlgError and the quadratures return NaN, and each of these is
-    # its own check's failure rather than a usage error
+    # LinAlgError, the center relations and the quadratures return NaN,
+    # and each of these is its own check's failure rather than a usage
+    # error or a pass
     code = main(["verify", "--M", "3", "--N", "2", "--tau=50i"])
     out = capsys.readouterr().out
     assert code == 1
-    rep = json.loads(out.replace(":nan", ":NaN"))
+    rep = json.loads(out)
     assert rep["pass"] is False
     checks = {c["name"]: c for c in rep["checks"]}
     failing = {name for name, c in checks.items() if not c["pass"]}
     fits = {"lemma_eigenphases": 1e-7, "gram_rank": 0.5, "bimodule_consistency": 1e-6}
-    assert failing >= set(fits) | {"partition_t_invariance", "partition_s_invariance"}
+    assert failing >= set(fits) | {
+        "center_eigenvalues", "partition_t_invariance", "partition_s_invariance"
+    }
+    assert math.isnan(checks["center_eigenvalues"]["residual"])
     for name, tol in fits.items():
         assert checks[name]["tolerance"] == tol
         assert checks[name]["note"].startswith("LinAlgError: ")
+
+
+def test_non_finite_floats_render_as_json_reads_them():
+    stream = io.StringIO()
+    text = emit_json({"a": [math.nan, math.inf, -math.inf, 0.5]}, stream)
+    assert text == '{"a":[NaN,Infinity,-Infinity,0.5]}\n'
+    assert stream.getvalue() == text
+    values = json.loads(text)["a"]
+    assert math.isnan(values[0]) and values[1:] == [math.inf, -math.inf, 0.5]
 
 
 def test_reported_residuals_are_the_library_values(capsys):

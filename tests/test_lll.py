@@ -9,6 +9,7 @@ from nctorus.errors import ConventionMismatchError
 from nctorus.fields import Field, ladder_apply
 from nctorus.lll import (
     ThetaField,
+    _fit_samples,
     boundary_residual,
     build_basis,
     center_eigen_residual,
@@ -206,6 +207,24 @@ def test_center_eigen_residual(mn):
         for j in range(m):
             for k in range(n):
                 assert center_eigen_residual(basis, j, k) < 1e-12
+
+
+def test_center_eigen_residual_propagates_nonfinite_samples():
+    # at K = 6, tau = 50i theta overflows on the unit-cell grid; a NaN
+    # sample must give a NaN residual, not a small (passing) one
+    basis = build_basis(Flux(2, 3), 50j)
+    with np.errstate(all="ignore"):
+        res = center_eigen_residual(basis, 0, 0)
+    assert math.isnan(res)
+
+
+def test_default_fit_samples_are_stacked_once():
+    basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
+    w, wbar, a = _fit_samples(basis)
+    assert _fit_samples(basis)[2] is a
+    assert not (w.flags.writeable or wbar.flags.writeable or a.flags.writeable)
+    # an explicit grid equal to the default one gives the same matrix
+    assert np.array_equal(_fit_samples(basis, grid=(w.copy(), wbar.copy()))[2], a)
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (5, 2)])

@@ -137,6 +137,62 @@ def test_weyl_cocycle_residual(mn):
     assert weyl_cocycle_residual(*mn) < 1e-12
 
 
+def _dense_cocycle_residual(m, n):
+    # reference: the dense 5^4 loop over products of CSMatrix Weyl elements
+    words = [WeylWord(a1, a2) for a1 in range(-2, 3) for a2 in range(-2, 3)]
+    worst = 0.0
+    for wa in words:
+        for wb in words:
+            lhs = (weyl_element(wa, m, n) @ weyl_element(wb, m, n)).entries
+            rhs = (
+                cmath.exp(1j * math.pi * n * wa.cross(wb) / m)
+                * weyl_element(wa + wb, m, n).entries
+            )
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+@pytest.mark.parametrize("mn", [(2, 1), (3, 2), (7, 3), (16, 3), (23, 2)])
+def test_weyl_cocycle_residual_matches_dense_reference(mn):
+    # the phase-vector products round differently from BLAS products of
+    # the dense matrices, by at most a few ulp of the unit-modulus phases
+    monomial = weyl_cocycle_residual(*mn)
+    dense = _dense_cocycle_residual(*mn)
+    assert abs(monomial - dense) <= 1e-15
+    assert monomial < 1e-12 and dense < 1e-12
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 1), (3, 2), (4, 2), (6, 4), (7, 3)])
+def test_weyl_span_dimension_matches_dense_rank(mn):
+    m, n = mn
+    rows = [
+        weyl_element(WeylWord(m1, m2), m, n).entries.ravel()
+        for m1 in range(m)
+        for m2 in range(m)
+    ]
+    s = np.linalg.svd(np.stack(rows), compute_uv=False)
+    assert weyl_span_dimension(m, n) == int(np.sum(s > 1e-10 * s[0]))
+
+
+def test_weyl_element_matches_dense_product():
+    # reference: W(m) = q^{-m1 m2/2} C^{m1} S^{m2} as a dense product,
+    # at nonzero angles and for words outside [0, M)
+    m, n = 7, 3
+    for word in (WeylWord(0, 0), WeylWord(2, 5), WeylWord(-3, -1), WeylWord(4, 9)):
+        want = (
+            cmath.exp(-1j * math.pi * n * word.m1 * word.m2 / m)
+            * clock_power(m, n, ANGLES.alpha1, word.m1).entries
+            @ shift_power(m, ANGLES.alpha2, word.m2).entries
+        )
+        assert np.max(np.abs(weyl_element(word, m, n, ANGLES).entries - want)) < 1e-15
+
+
+def test_weyl_element_rejects_non_unitary_phases():
+    # a NaN phase is not unitary: it raises rather than build a NaN matrix
+    with pytest.raises(ValueError, match="not unitary"):
+        weyl_element(WeylWord(1, 1), 3, 2, VacuumAngles(math.nan, 0.0))
+
+
 @pytest.mark.parametrize("mn", [(2, 1), (3, 2), (5, 3), (7, 2)])
 def test_holonomy_residual(mn):
     assert holonomy_residual(*mn) < 1e-10

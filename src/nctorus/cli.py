@@ -10,8 +10,8 @@ the output directory.  Identical configurations produce byte-identical
 output (the per-check wall times inside ``verify`` reports are the one
 documented exception).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O
-error.
+Exit codes: 0 success, 1 verification failure (or a non-finite
+partition value), 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -103,6 +103,9 @@ class RunConfig:
         TruncationPolicy(epsilon=self.epsilon)
         if self.grid < 2:
             raise UsageError("--grid must be at least 2")
+        for flag, value in (("--alpha1", self.alpha1), ("--alpha2", self.alpha2)):
+            if not math.isfinite(value):
+                raise UsageError("%s must be finite, got %r" % (flag, value))
         QuadratureSpec(nodes_per_axis=self.quad_nodes)
 
     @property
@@ -312,7 +315,8 @@ def cmd_partition(cfg: RunConfig) -> int:
             "z_tilde_character_route": zb,
         }
     )
-    return 0
+    # a non-finite value is a failed computation, as a failed check is in verify
+    return 0 if all(map(math.isfinite, (za, zb, inv.s_residual, inv.t_residual))) else 1
 
 
 # -------------------------------------------------------------- squeeze
@@ -430,7 +434,7 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
 
     def bimodule_check():
         report = bimodule_consistency(_basis())
-        return max(max(report["deviations"].values()), report["left_right_commutator"])
+        return float(np.max([*report["deviations"].values(), report["left_right_commutator"]]))
 
     def commutant_check():
         dim = commutant_dimension(

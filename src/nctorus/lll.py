@@ -177,16 +177,17 @@ class LLLBasis:
         return [(j, k) for j in range(m) for k in range(n)]
 
     @functools.cached_property
-    def _default_fit_samples(self):
-        """Default grid and state matrix of the sampled fits, stacked once
-        per basis and read-only (``states`` must not change after the first
-        fit).  The grid is the smallest n-by-n one with n >= 6 and n*n >= K,
-        so K coefficients fit."""
+    def _fit_samples(self):
+        """Grid ``(w, wbar)`` and state matrix ``a`` (one row per label) of
+        the sampled fits, stacked once per basis and read-only (``states``
+        must not change after the first fit).  The grid is the smallest
+        n-by-n one with n >= 6 and n*n >= K, so K coefficients fit."""
         n = max(6, math.isqrt(self.level - 1) + 1)
-        samples = _fit_samples(self, unit_cell_grid(self.tau, n=n))
-        for arr in samples:
+        w, wbar = unit_cell_grid(self.tau, n=n)
+        a = np.stack([self.states[lb].evaluate(w, wbar) for lb in self.labels()])
+        for arr in (w, wbar, a):
             arr.setflags(write=False)
-        return samples
+        return w, wbar, a
 
 
 def build_basis(flux: Flux, tau, angles: VacuumAngles = VacuumAngles(),
@@ -290,54 +291,42 @@ def _masked_ratio(out, base):
     return phase, spread
 
 
-def _fit_samples(basis: LLLBasis, grid=None):
-    """Sample grid and state matrix of the sampled fits (the basis's cached
-    default when ``grid`` is None)."""
-    if grid is None:
-        return basis._default_fit_samples
-    w, wbar = grid
-    if w.size < basis.level:
-        raise ValueError("need at least %d sample points, got %d" % (basis.level, w.size))
-    a = np.stack([basis.states[lb].evaluate(w, wbar) for lb in basis.labels()])
-    return w, wbar, a
-
-
-def coefficient_matrix(basis: LLLBasis, op, grid=None) -> np.ndarray:
+def coefficient_matrix(basis: LLLBasis, op) -> np.ndarray:
     """Matrix ``L`` of an operator in the basis, defined by
     ``op(Psi_i) = sum_i' L[i', i] Psi_i'`` with the flattening order of
     :meth:`LLLBasis.labels` (so composition is an algebra homomorphism:
-    L(A B) = L(A) L(B))."""
-    w, wbar, a = _fit_samples(basis, grid)
-    labels = basis.labels()
-    dim = len(labels)
-    l_mat = np.zeros((dim, dim), dtype=complex)
-    for i, lb in enumerate(labels):
-        out = op(basis.states[lb]).evaluate(w, wbar)
-        coeffs, *_ = np.linalg.lstsq(a.T, out, rcond=None)
-        l_mat[:, i] = coeffs
-    return l_mat
+    L(A B) = L(A) L(B)).
+
+    The K images ``op(Psi_i)``, sampled on the basis's own fit grid, are
+    the columns of one right-hand side, so ``L`` is one least-squares
+    solve against the state sample matrix."""
+    w, wbar, a = basis._fit_samples
+    images = np.stack([op(basis.states[lb]).evaluate(w, wbar) for lb in basis.labels()],
+                      axis=1)
+    return np.linalg.lstsq(a.T, images, rcond=None)[0]
 
 
-def eigenphase_table(basis: LLLBasis, grid=None, spread_tol=1e-5) -> dict:
-    """Measured action of the four elementary translations on each state.
+def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
+    """Measured action of the four elementary translations on each state,
+    sampled on the basis's own fit grid.
 
     For the diagonal operators (D1 and dual D1) the entry records the
     pointwise-constant eigenphase and its spread; for the cycling
     operators (D2 and dual D2) it records the target state label, the
     transition phase and the largest off-target mixing coefficient of
-    its :func:`coefficient_matrix` column.
+    its :func:`coefficient_matrix` column (one least-squares solve per
+    operator).
 
     Raises :class:`ConventionMismatchError` when a would-be eigenstate
     ratio has spread beyond ``spread_tol``.
     """
-    w, wbar, a = _fit_samples(basis, grid)
+    w, wbar, a = basis._fit_samples
     labels = basis.labels()
     d1 = elementary_translation(basis, 1)
     d2 = elementary_translation(basis, 2)
     d1d = elementary_translation(basis, 1, dual=True)
     d2d = elementary_translation(basis, 2, dual=True)
-    fits = {"d2": coefficient_matrix(basis, d2, grid),
-            "dual2": coefficient_matrix(basis, d2d, grid)}
+    fits = {"d2": coefficient_matrix(basis, d2), "dual2": coefficient_matrix(basis, d2d)}
     table = {}
     for i, lb in enumerate(labels):
         st = basis.states[lb]
@@ -380,10 +369,11 @@ def center_eigen_residual(basis: LLLBasis, j, k, grid=None) -> float:
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 
-def gram_rank(basis: LLLBasis, grid=None, threshold=1e-8) -> int:
-    """Numerical rank of the state sample matrix: number of singular
-    values above ``threshold`` times the largest."""
-    s = np.linalg.svd(_fit_samples(basis, grid)[2], compute_uv=False)
+def gram_rank(basis: LLLBasis, threshold=1e-8) -> int:
+    """Numerical rank of the state sample matrix on the basis's own fit
+    grid: number of singular values above ``threshold`` times the
+    largest."""
+    s = np.linalg.svd(basis._fit_samples[2], compute_uv=False)
     return int(np.sum(s > threshold * s[0]))
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from nctorus import cli
 from nctorus.cli import RunConfig, UsageError, emit_json, main, parse_complex
 from nctorus.core import VacuumAngles
 from nctorus.matrices import holonomy_residual, q_commutation_residual, weyl_cocycle_residual
@@ -39,6 +40,14 @@ def test_run_config_validation():
         RunConfig(grid=1)
     with pytest.raises(ValueError):
         RunConfig(tau=1.0 + 0j)
+
+
+def test_run_config_rejects_non_finite_angles(capsys):
+    for flag in ("--alpha1", "--alpha2"):
+        with pytest.raises(UsageError, match=flag):
+            RunConfig(**{flag[2:]: math.nan})
+        assert main(["matrices", "--M", "2", "--N", "1", flag, "inf"]) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_theta_subcommand(capsys):
@@ -99,6 +108,19 @@ def test_partition_subcommand(capsys):
     assert abs(rep["z_tilde"] - rep["z_tilde_character_route"]) < 1e-12
     assert rep["t_residual"] < 1e-5
     assert rep["s_residual"] < 1e-3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_partition_fails_on_non_finite_values(capsys, monkeypatch):
+    # at tau = 50i theta overflows on the quadrature nodes: the report is
+    # still written, and the run fails like a failed verify check
+    assert main(["partition", "--M", "3", "--N", "2", "--tau=50i"]) == 1
+    assert math.isnan(json.loads(capsys.readouterr().out)["z_tilde"])
+    # one non-finite value is enough
+    monkeypatch.setattr(cli, "z_tilde_character_route", lambda *args: math.inf)
+    assert main(["partition", "--M", "1", "--N", "1"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["z_tilde_character_route"] == math.inf and math.isfinite(rep["z_tilde"])
 
 
 def test_lll_subcommand_writes_grids(tmp_path, capsys):

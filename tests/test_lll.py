@@ -9,7 +9,6 @@ from nctorus.errors import ConventionMismatchError
 from nctorus.fields import Field, ladder_apply
 from nctorus.lll import (
     ThetaField,
-    _fit_samples,
     boundary_residual,
     build_basis,
     center_eigen_residual,
@@ -220,11 +219,9 @@ def test_center_eigen_residual_propagates_nonfinite_samples():
 
 def test_default_fit_samples_are_stacked_once():
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
-    w, wbar, a = _fit_samples(basis)
-    assert _fit_samples(basis)[2] is a
+    w, wbar, a = basis._fit_samples
+    assert basis._fit_samples[2] is a
     assert not (w.flags.writeable or wbar.flags.writeable or a.flags.writeable)
-    # an explicit grid equal to the default one gives the same matrix
-    assert np.array_equal(_fit_samples(basis, grid=(w.copy(), wbar.copy()))[2], a)
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (5, 2)])
@@ -235,19 +232,48 @@ def test_gram_rank_full(mn):
         assert gram_rank(basis) == m * n
 
 
-@pytest.mark.parametrize(
-    "fit",
-    [
-        gram_rank,
-        lambda basis, grid: coefficient_matrix(basis, elementary_translation(basis, 2), grid),
-        eigenphase_table,
-    ],
-    ids=["gram_rank", "coefficient_matrix", "eigenphase_table"],
-)
-def test_gram_rank_needs_enough_points(fit):
-    basis = build_basis(Flux(2, 3), 1j)
-    with pytest.raises(ValueError):
-        fit(basis, grid=unit_cell_grid(1j, n=2))
+def _per_column_coefficient_matrix(basis, op):
+    """Reference fit: one least-squares solve per basis state."""
+    w, wbar, a = basis._fit_samples
+    labels = basis.labels()
+    l_mat = np.zeros((len(labels), len(labels)), dtype=complex)
+    for i, lb in enumerate(labels):
+        out = op(basis.states[lb]).evaluate(w, wbar)
+        coeffs, *_ = np.linalg.lstsq(a.T, out, rcond=None)
+        l_mat[:, i] = coeffs
+    return l_mat
+
+
+def _translations(basis):
+    return [elementary_translation(basis, index, dual=dual)
+            for dual in (False, True) for index in (1, 2)]
+
+
+def test_coefficient_matrix_matches_per_column_fit():
+    basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
+    for op in _translations(basis):
+        assert np.array_equal(coefficient_matrix(basis, op),
+                              _per_column_coefficient_matrix(basis, op))
+    for m, n in ((7, 5), (11, 7)):
+        basis = build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES)
+        for op in _translations(basis):
+            ref = _per_column_coefficient_matrix(basis, op)
+            assert np.max(np.abs(coefficient_matrix(basis, op) - ref)) < 1e-14
+
+
+def test_coefficient_matrix_is_one_solve(monkeypatch):
+    basis = build_basis(Flux(3, 5), TAU_GEN, ANGLES)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    for count, op in enumerate(_translations(basis), start=1):
+        coefficient_matrix(basis, op)
+        assert len(calls) == count
 
 
 def test_coefficient_matrix_is_homomorphism():

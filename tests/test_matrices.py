@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nctorus.core import Flux, VacuumAngles
 from nctorus.errors import DegenerateDeformationError
+from nctorus.fields import Field
 from nctorus.lll import build_basis, eigenphase_table
 from nctorus.matrices import (
     CSMatrix,
@@ -36,6 +37,8 @@ def test_csmatrix_validation():
         CSMatrix(np.ones((2, 3)))
     with pytest.raises(ValueError):
         CSMatrix(2.0 * np.eye(2))
+    with pytest.raises(ValueError):
+        CSMatrix(np.array([[np.nan]]))
     m = CSMatrix(np.eye(3))
     assert m.dim == 3
     with pytest.raises(ValueError):
@@ -321,3 +324,20 @@ def test_bimodule_reports_mismatch_without_raising():
     assert report["mismatches"]
     entry = report["mismatches"][0]
     assert {"operator", "index", "measured", "predicted"} <= set(entry)
+
+
+def test_bimodule_consistency_fails_on_nan_images():
+    # state (1, 0) is exact on the fit grid and NaN off it: the samples
+    # stay finite, its translated images hold NaN, and that must not pass
+    basis = build_basis(Flux(2, 3), 0.3 + 1.1j)
+    w = basis._fit_samples[0]
+    state = basis.states[(1, 0)]
+    basis.states[(1, 0)] = Field(
+        lambda z, zbar: np.where(np.isin(z, w), state.evaluate(z, zbar), np.nan),
+        state.tau, state.im_tau_weight,
+    )
+    with np.errstate(invalid="ignore"):
+        report = bimodule_consistency(basis)
+    assert all(math.isnan(dev) for dev in report["deviations"].values())
+    assert {entry["operator"] for entry in report["mismatches"]} == set(report["deviations"])
+    assert not report["pass"]

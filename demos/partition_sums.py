@@ -1,6 +1,6 @@
 import numpy as np
 
-from nctorus import Flux, VacuumAngles, build_basis
+from nctorus import Flux, build_basis
 from nctorus import QuadratureSpec, state_norm, z_tilde, z_tilde_character_route
 from nctorus import modular_invariance_report
 
@@ -25,7 +25,7 @@ print("difference     :", abs(za - zb))
 
 # tau -> tau+1 and tau -> -1/tau relabel the same torus, so the sum is
 # unchanged; residuals sit at quadrature accuracy.
-rep = modular_invariance_report(flux, VacuumAngles(), tau)
+rep = modular_invariance_report(basis)
 print("T residual:", rep.t_residual)
 print("S residual:", rep.s_residual)
 
@@ -33,6 +33,6 @@ print("S residual:", rep.s_residual)
 # they hit the rounding floor (kappa = 2/3 needs a few more nodes than
 # the kappa = 1/2 sum above).
 for nodes in (8, 16, 32, 64):
-    rep = modular_invariance_report(Flux(2, 3), VacuumAngles(), 0.4 + 1.2j,
+    rep = modular_invariance_report(build_basis(Flux(2, 3), 0.4 + 1.2j),
                                     QuadratureSpec(nodes_per_axis=nodes))
     print("nodes %2d: t residual %.3e" % (nodes, rep.t_residual))

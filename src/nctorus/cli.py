@@ -11,7 +11,8 @@ output (the per-check wall times inside ``verify`` reports are the one
 documented exception).
 
 Exit codes: 0 success, 1 verification failure (or a non-finite
-partition value), 2 usage error, 3 I/O error.
+partition value, or an ``lll`` eigenphase fit that cannot compute),
+2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .matrices import (
     weyl_cocycle_residual,
     weyl_span_dimension,
 )
-from .partition import QuadratureSpec, modular_invariance_report, z_tilde, z_tilde_character_route
+from .partition import QuadratureSpec, modular_invariance_report, z_tilde_character_route
 from .theta import ThetaSpec, TruncationPolicy, dedekind_eta, orthogonality_residual, theta, truncation_bound
 
 __all__ = ["RunConfig", "main", "parse_complex"]
@@ -70,6 +71,10 @@ __all__ = ["RunConfig", "main", "parse_complex"]
 
 class UsageError(ValueError):
     pass
+
+
+# a computation on valid arguments that cannot finish: overflow, a failed fit or convention
+_COMPUTE_ERRORS = (ArithmeticError, np.linalg.LinAlgError, ConventionMismatchError)
 
 
 def parse_complex(text: str) -> complex:
@@ -226,6 +231,16 @@ def _write_text(path, text):
 
 def cmd_lll(cfg: RunConfig) -> int:
     basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy)
+    try:
+        table = eigenphase_table(basis)
+    except _COMPUTE_ERRORS as exc:
+        # a failed run, not bad arguments; fitted first, so no file is half written
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 1
+    report = {
+        "config": cfg.as_report(),
+        "eigenphases": {"%d,%d" % lb: entry for lb, entry in table.items()},
+    }
     n = cfg.grid
     s = np.arange(n) / n
     x = np.repeat(s, n)
@@ -249,16 +264,6 @@ def cmd_lll(cfg: RunConfig) -> int:
             name = "psi_%d_%d.csv" % (j, k)
             _write_text(os.path.join(cfg.output_dir, name), "\n".join(lines) + "\n")
             files.append(name)
-        table = eigenphase_table(basis)
-        report = {
-            "config": cfg.as_report(),
-            "eigenphases": {
-                "%d,%d" % lb: entry for lb, entry in table.items()
-            },
-        }
-        for entry in report["eigenphases"].values():
-            entry["d2_target"] = list(entry["d2_target"])
-            entry["dual2_target"] = list(entry["dual2_target"])
         text = _render(_jsonable(report)) + "\n"
         _write_text(os.path.join(cfg.output_dir, "eigenphases.json"), text)
         files.append("eigenphases.json")
@@ -303,20 +308,19 @@ def cmd_matrices(cfg: RunConfig) -> int:
 def cmd_partition(cfg: RunConfig) -> int:
     quad = QuadratureSpec(nodes_per_axis=cfg.quad_nodes)
     basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy)
-    za = z_tilde(basis, quad, cfg.policy)
-    zb = z_tilde_character_route(basis, quad, cfg.policy)
-    inv = modular_invariance_report(cfg.flux, cfg.angles, cfg.tau, quad, cfg.policy)
+    inv = modular_invariance_report(basis, quad)
+    zb = z_tilde_character_route(basis, quad)
     emit_json(
         {
             "config": cfg.as_report(),
             "s_residual": inv.s_residual,
             "t_residual": inv.t_residual,
-            "z_tilde": za,
+            "z_tilde": inv.z_tilde,
             "z_tilde_character_route": zb,
         }
     )
     # a non-finite value is a failed computation, as a failed check is in verify
-    return 0 if all(map(math.isfinite, (za, zb, inv.s_residual, inv.t_residual))) else 1
+    return 0 if all(map(math.isfinite, (inv.z_tilde, zb, inv.s_residual, inv.t_residual))) else 1
 
 
 # -------------------------------------------------------------- squeeze
@@ -455,7 +459,7 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
 
     @functools.cache
     def _invariance():
-        return modular_invariance_report(flux, VacuumAngles(), tau, quad, policy)
+        return modular_invariance_report(build_basis(flux, tau, VacuumAngles(), policy), quad)
 
     def partition_t_invariance():
         return _invariance().t_residual
@@ -492,7 +496,7 @@ def cmd_verify(cfg: RunConfig, inject_fault: bool = False) -> int:
         t0 = time.perf_counter()
         try:
             out = fn()
-        except (ArithmeticError, np.linalg.LinAlgError, ConventionMismatchError) as exc:
+        except _COMPUTE_ERRORS as exc:
             # a check that cannot compute fails; it does not end the run
             out = math.nan, "%s: %s" % (type(exc).__name__, exc)
         dt = time.perf_counter() - t0

@@ -318,7 +318,7 @@ def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
     operator).
 
     Raises :class:`ConventionMismatchError` when a would-be eigenstate
-    ratio has spread beyond ``spread_tol``.
+    ratio has spread beyond ``spread_tol`` or a spread that is NaN.
     """
     w, wbar, a = basis._fit_samples
     labels = basis.labels()
@@ -334,7 +334,7 @@ def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
         for name, op in (("d1", d1), ("dual1", d1d)):
             out = op(st).evaluate(w, wbar)
             phase, spread = _masked_ratio(out, a[i])
-            if spread > spread_tol:
+            if not spread <= spread_tol:  # a NaN spread fails too
                 raise ConventionMismatchError(
                     "%s ratio on state %s has spread %.3e > %.1e"
                     % (name, lb, spread, spread_tol)

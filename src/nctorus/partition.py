@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Flux, VacuumAngles, as_tau
 from .lll import LLLBasis, build_basis
-from .theta import ThetaSpec, TruncationPolicy, dedekind_eta, theta
+from .theta import ThetaSpec, dedekind_eta, theta
 
 __all__ = [
     "QuadratureSpec",
@@ -41,7 +40,6 @@ __all__ = [
     "modular_invariance_report",
 ]
 
-_DEFAULT_POLICY = TruncationPolicy()
 _SCHEMES = ("gauss-legendre", "uniform-trapezoid")
 _CHUNK = 1024
 
@@ -109,36 +107,35 @@ def state_norm(basis: LLLBasis, j, k, quad: QuadratureSpec = QuadratureSpec()) -
     return _cell_integral(integrand, quad)
 
 
-def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec(),
-            policy: TruncationPolicy = None) -> float:
-    """Eta-normalized state sum, per-state route."""
-    pol = policy if policy is not None else basis.policy
-    eta = dedekind_eta(basis.tau, pol)
+def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
+    """Eta-normalized state sum, per-state route: the :func:`state_norm`
+    of every state of ``basis`` over ``|eta|^2``, both truncated by the
+    basis's own policy."""
+    eta = dedekind_eta(basis.tau, basis.policy)
     total = math.fsum(
         state_norm(basis, j, k, quad) for (j, k) in basis.labels()
     )
     return total / abs(eta) ** 2
 
 
-def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec(),
-                            policy: TruncationPolicy = None) -> float:
+def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Eta-normalized state sum, single-integrand character route: the
     residue sum of |theta|^2 over |eta|^2 is evaluated pointwise from
-    the series directly (no Field machinery)."""
-    pol = policy if policy is not None else basis.policy
+    the series directly (no Field machinery), at the level, angles and
+    truncation policy of ``basis``."""
     t = basis.tau
     tau = t.value
     b = t.im
     klev = basis.level
     a1 = basis.angles.alpha1
     gamma = basis.gamma
-    eta2 = abs(dedekind_eta(t, pol)) ** 2
+    eta2 = abs(dedekind_eta(t, basis.policy)) ** 2
     specs = [ThetaSpec(klev, r) for r in range(klev)]
 
     def integrand(x, y):
         w = x + tau * y
         gauss = np.exp(-2.0 * math.pi * klev * b * y**2 - 2.0 * a1 * b * y)
-        chi2 = sum(np.abs(theta(s, w + gamma, t, pol)) ** 2 for s in specs)
+        chi2 = sum(np.abs(theta(s, w + gamma, t, basis.policy)) ** 2 for s in specs)
         return gauss * chi2 / eta2
 
     return _cell_integral(integrand, quad)
@@ -147,20 +144,18 @@ def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSp
 class ModularInvariance(NamedTuple):
     t_residual: float
     s_residual: float
+    z_tilde: float
 
 
-def modular_invariance_report(flux: Flux, angles: VacuumAngles, tau,
-                              quad: QuadratureSpec = QuadratureSpec(),
-                              policy: TruncationPolicy = _DEFAULT_POLICY) -> ModularInvariance:
-    """Relative deviation of Z~ under tau -> tau+1 and tau -> -1/tau,
-    all three values computed with identical quadrature and truncation
-    specs."""
-    t = as_tau(tau)
-    z0 = z_tilde(build_basis(flux, t, angles, policy), quad, policy)
-    zt = z_tilde(
-        build_basis(flux, t.value + 1.0, angles, policy), quad, policy
-    )
-    zs = z_tilde(
-        build_basis(flux, -1.0 / t.value, angles, policy), quad, policy
-    )
-    return ModularInvariance(abs(zt - z0) / z0, abs(zs - z0) / z0)
+def modular_invariance_report(basis: LLLBasis,
+                              quad: QuadratureSpec = QuadratureSpec()) -> ModularInvariance:
+    """Relative deviation of Z~ under tau -> tau+1 and tau -> -1/tau.
+
+    ``z_tilde`` is the per-state Z~ of ``basis`` itself; the two
+    transformed bases are built from its flux, angles and truncation
+    policy, so all three values share one quadrature and one policy."""
+    tau = basis.tau.value
+    z0 = z_tilde(basis, quad)
+    zt = z_tilde(build_basis(basis.flux, tau + 1.0, basis.angles, basis.policy), quad)
+    zs = z_tilde(build_basis(basis.flux, -1.0 / tau, basis.angles, basis.policy), quad)
+    return ModularInvariance(abs(zt - z0) / z0, abs(zs - z0) / z0, z0)

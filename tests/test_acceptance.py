@@ -259,12 +259,12 @@ def test_criterion_09_partition_modular_invariance():
     worst_t = worst_s = 0.0
     for m, n in _coprime_pairs(6):
         for tau in (0.3 + 1.1j, 2j):
-            rep = modular_invariance_report(Flux(n, m), angles, tau)
+            rep = modular_invariance_report(build_basis(Flux(n, m), tau, angles))
             worst_t = max(worst_t, rep.t_residual)
             worst_s = max(worst_s, rep.s_residual)
     history = []
     for nodes in (12, 24, 48):
-        rep = modular_invariance_report(Flux(1, 1), angles, 2j,
+        rep = modular_invariance_report(build_basis(Flux(1, 1), 2j, angles),
                                         QuadratureSpec(nodes_per_axis=nodes))
         history.append(rep.s_residual)
     monotone = all(b <= a + 1e-10 for a, b in zip(history, history[1:]))

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
-from nctorus import cli
+from nctorus import cli, partition
 from nctorus.cli import RunConfig, UsageError, emit_json, main, parse_complex
-from nctorus.core import VacuumAngles
+from nctorus.core import Flux, VacuumAngles
+from nctorus.lll import build_basis
 from nctorus.matrices import holonomy_residual, q_commutation_residual, weyl_cocycle_residual
+from nctorus.partition import z_tilde
 
 ETA_I = 0.7682254223260566590025942  # 50-digit oracle
 THETA_1_0_AT_I = 1.0864348112133080145  # sqrt(2) * eta(i)
@@ -110,6 +112,19 @@ def test_partition_subcommand(capsys):
     assert rep["s_residual"] < 1e-3
 
 
+def test_partition_computes_each_z_tilde_once(capsys, monkeypatch):
+    # the per-state route runs at tau, tau+1 and -1/tau only: K state
+    # norms each, and the printed z_tilde is the one at tau
+    calls = []
+    state_norm = partition.state_norm
+    monkeypatch.setattr(partition, "state_norm", lambda *a, **kw: calls.append(a) or state_norm(*a, **kw))
+    code, rep = run_json(capsys, ["partition", "--M", "3", "--N", "2"])
+    assert code == 0
+    assert len(calls) == 3 * 6
+    monkeypatch.undo()
+    assert rep["z_tilde"] == z_tilde(build_basis(Flux(2, 3), 0.3 + 1.1j))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_partition_fails_on_non_finite_values(capsys, monkeypatch):
     # at tau = 50i theta overflows on the quadrature nodes: the report is
@@ -146,6 +161,22 @@ def test_lll_subcommand_writes_grids(tmp_path, capsys):
     capsys.readouterr()
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lll_failed_fit_writes_nothing(tmp_path, capsys):
+    # at tau = 50i the fit samples overflow: the fit cannot compute, which
+    # is a failed run (exit 1), not bad arguments, and no file is written
+    out = tmp_path / "dump"
+    assert main(["lll", "--M", "3", "--N", "2", "--tau=50i", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: LinAlgError: ")
+    assert not out.exists()
+    # the same run at the default tau writes all seven files
+    code, rep = run_json(capsys, ["lll", "--M", "3", "--N", "2", "--out", str(out)])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(rep["files"])
+    assert len(rep["files"]) == 3 * 2 + 1
 
 
 def test_lll_unwritable_output_dir(tmp_path, capsys):

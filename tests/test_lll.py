@@ -172,6 +172,20 @@ def test_eigenphase_mismatch_raises():
         eigenphase_table(basis)
 
 
+def test_eigenphase_nan_spread_raises():
+    # state (1, 0) is exact on the fit grid and NaN off it, so its D1
+    # ratio has a NaN spread: that is a mismatch, not a pass
+    basis = build_basis(Flux(2, 3), TAU_GEN)
+    w = basis._fit_samples[0]
+    state = basis.states[(1, 0)]
+    basis.states[(1, 0)] = Field(
+        lambda z, zbar: np.where(np.isin(z, w), state.evaluate(z, zbar), np.nan),
+        state.tau, state.im_tau_weight,
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(ConventionMismatchError, match="nan"):
+        eigenphase_table(basis)
+
+
 def test_translations_q_commute():
     # D1 D2 = exp(2 pi i N/M) D2 D1
     for m, n in ((3, 2), (2, 5)):

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -106,25 +109,44 @@ def test_self_convergence_under_node_doubling():
 
 
 def test_invariance_at_s_fixed_point():
-    report = modular_invariance_report(Flux(1, 1), VacuumAngles(), 1j)
+    report = modular_invariance_report(build_basis(Flux(1, 1), 1j))
     assert isinstance(report, ModularInvariance)
     assert report.s_residual < 1e-12
 
 
 @pytest.mark.parametrize("flux", [Flux(1, 1), Flux(2, 3), Flux(1, 3)])
 def test_invariance_residuals(flux):
-    report = modular_invariance_report(flux, VacuumAngles(), 0.3 + 1.1j)
+    report = modular_invariance_report(build_basis(flux, 0.3 + 1.1j))
     assert report.t_residual < 1e-5
     assert report.s_residual < 1e-3
 
 
 def test_refinement_decreases_s_residual():
     seq = [
-        modular_invariance_report(
-            Flux(1, 1), VacuumAngles(), 2j, QuadratureSpec(n)
-        ).s_residual
+        modular_invariance_report(build_basis(Flux(1, 1), 2j), QuadratureSpec(n)).s_residual
         for n in (12, 24, 48)
     ]
     assert seq[1] < seq[0] + 1e-10
     assert seq[2] < seq[1] + 1e-10
     assert seq[-1] < 1e-3
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (3, 2), (2, 5)])
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.2 + 1.7j])
+@pytest.mark.parametrize("angles", [VacuumAngles(), ANGLES])
+def test_invariance_report_matches_closed_form(mn, tau, angles):
+    # Parseval in x collapses the cell integral to a full Gaussian:
+    # Z~ = sqrt(K/(2b)) exp(b a1^2/(2 pi K)) / |eta|^2 with b = Im tau, so
+    # the S residual is |exp((b' - b) a1^2/(2 pi K)) - 1| with b' = Im(-1/tau);
+    # mpmath.eta is an eta independent of the library's
+    m, n = mn
+    k = m * n
+    b, b_s, a1 = tau.imag, (-1.0 / tau).imag, angles.alpha1
+    eta = float(abs(mpmath.eta(mpmath.mpc(tau.real, tau.imag))))
+    want = math.sqrt(k / (2.0 * b)) * math.exp(b * a1**2 / (2.0 * math.pi * k)) / eta**2
+    basis = build_basis(Flux(n, m), tau, angles)
+    report = modular_invariance_report(basis)
+    assert abs(report.z_tilde - want) <= 1e-11 * want
+    assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
+    ratio = math.exp((b_s - b) * a1**2 / (2.0 * math.pi * k))
+    assert abs(report.s_residual - abs(ratio - 1.0)) <= 1e-11 * ratio

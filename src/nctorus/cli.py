@@ -139,23 +139,13 @@ class RunConfig:
         }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"im": float(obj.imag), "re": float(obj.real)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _render(obj) -> str:
+    """JSON text of ``obj`` in one pass: numpy scalars and arrays as their
+    Python values, tuples as lists, dict keys as ``str`` and sorted."""
+    if isinstance(obj, float):  # first: the common case, np.float64 included
+        if not math.isfinite(obj):
+            return json.dumps(obj)  # NaN, Infinity, -Infinity
+        return format(obj, ".17g")
     if obj is None:
         return "null"
     if obj is True:
@@ -164,23 +154,27 @@ def _render(obj) -> str:
         return "false"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return json.dumps(obj)  # NaN, Infinity, -Infinity
-        return format(obj, ".17g")
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return _render(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, list):
+    if isinstance(obj, complex):
+        return '{"im":%s,"re":%s}' % (_render(float(obj.imag)), _render(float(obj.real)))
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render(v) for v in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return _render(obj.tolist())
     if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        return "{" + ",".join(json.dumps(k) + ":" + _render(v) for k, v in items) + "}"
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _render(v) for k, v in items) + "}"
     raise TypeError("cannot render %r" % type(obj))
 
 
 def emit_json(obj, stream=None) -> str:
     """Serialize deterministically (sorted keys, %.17g floats) and print."""
-    text = _render(_jsonable(obj)) + "\n"
+    text = _render(obj) + "\n"
     out = stream if stream is not None else sys.stdout
     out.write(text)
     return text
@@ -264,8 +258,9 @@ def cmd_lll(cfg: RunConfig) -> int:
             name = "psi_%d_%d.csv" % (j, k)
             _write_text(os.path.join(cfg.output_dir, name), "\n".join(lines) + "\n")
             files.append(name)
-        text = _render(_jsonable(report)) + "\n"
-        _write_text(os.path.join(cfg.output_dir, "eigenphases.json"), text)
+        with open(os.path.join(cfg.output_dir, "eigenphases.json"), "w",
+                  encoding="utf-8", newline="\n") as fh:
+            emit_json(report, fh)
         files.append("eigenphases.json")
     except OSError as exc:
         print("I/O error: %s" % exc, file=sys.stderr)
@@ -360,18 +355,18 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
         # tau-shift factor has modulus e^{pi K b}, so absolute residuals
         # would be meaningless at higher level)
         rng = np.random.default_rng(0)
-        worst = 0.0
+        res = []
         for level in (1, 2, 3, 6, 12):
             spec = ThetaSpec(level, level // 2)
             zs = rng.random(25) + tau.value * rng.random(25)
             f = theta(spec, zs, tau, policy)
             r1 = np.max(np.abs(theta(spec, zs + 1.0, tau, policy) - f))
-            worst = max(worst, float(r1 / np.max(np.abs(f))))
+            res.append(float(r1 / np.max(np.abs(f))))
             factor = np.exp(-1j * math.pi * level * tau.value - 2j * math.pi * level * zs)
             rhs = factor * f
             r2 = np.max(np.abs(theta(spec, zs + tau.value, tau, policy) - rhs))
-            worst = max(worst, float(r2 / np.max(np.abs(rhs))))
-        return worst
+            res.append(float(r2 / np.max(np.abs(rhs))))
+        return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
     def eta_functional_equations():
         rng = np.random.default_rng(0)

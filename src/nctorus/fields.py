@@ -96,11 +96,6 @@ class Field:
         self.d_z = d_z
         self.d_zbar = d_zbar
 
-    def __call__(self, z, zbar=None):
-        if zbar is None:
-            zbar = np.conjugate(z)
-        return self.evaluate(z, zbar)
-
 
 @dataclass(frozen=True)
 class Displacement:
@@ -208,10 +203,10 @@ def gaussian_field(tau) -> Field:
     return coherent_state(0.0, tau)
 
 
-def plane_sample_grid(tau, n=7, extent=1.2):
-    """Default evaluation grid for operator residuals: Cartesian points
-    ``z = x + i*y`` with ``x, y`` uniform in ``[-extent, extent]``."""
-    xs = np.linspace(-extent, extent, n)
+def plane_sample_grid(tau, n=7):
+    """Evaluation grid of the operator residual probes: Cartesian points
+    ``z = x + i*y`` with ``x, y`` on ``n`` uniform points of ``[-1.2, 1.2]``."""
+    xs = np.linspace(-1.2, 1.2, n)
     z = (xs[:, None] + 1j * xs[None, :]).ravel()
     return z, np.conjugate(z)
 
@@ -220,40 +215,35 @@ def _cross(m, n):
     return m[0] * n[1] - m[1] * n[0]
 
 
-def _sup_diff(f, g, grid):
-    z, zbar = grid
-    return float(np.max(np.abs(f.evaluate(z, zbar) - g.evaluate(z, zbar))))
-
-
-def displacement_cocycle_residual(m, n, flux, tau, testfield=None, grid=None) -> float:
+def displacement_cocycle_residual(m, n, flux, tau) -> float:
     """Sup-norm residual of D(m) D(n) = exp(i*pi*kappa*(m x n)) D(m+n)
-    on lattice displacements, measured on a sample grid."""
+    on lattice displacements applied to the centred Gaussian, measured on
+    :func:`plane_sample_grid`."""
     t = as_tau(tau)
-    f = testfield if testfield is not None else gaussian_field(t)
-    grid = grid if grid is not None else plane_sample_grid(t)
+    f = gaussian_field(t)
     dm = lattice_displacement(flux, t, m)
     dn = lattice_displacement(flux, t, n)
     dmn = lattice_displacement(flux, t, (m[0] + n[0], m[1] + n[1]))
     lhs = displacement_apply(dm, displacement_apply(dn, f))
     phase = cmath.exp(1j * math.pi * flux.kappa * _cross(m, n))
     rhs = displacement_apply(dmn, f)
-    z, zbar = grid
+    z, zbar = plane_sample_grid(t)
     return float(np.max(np.abs(lhs.evaluate(z, zbar) - phase * rhs.evaluate(z, zbar))))
 
 
-def sine_bracket_residual(m, n, flux, tau, testfield=None, grid=None) -> float:
+def sine_bracket_residual(m, n, flux, tau) -> float:
     """Sup-norm residual of the sine bracket
 
         [D(m), D(n)] = 2i sin(pi*kappa*(m x n)) D(m+n)
 
-    on lattice displacements applied to a test field."""
+    on lattice displacements applied to the centred Gaussian, measured on
+    :func:`plane_sample_grid`."""
     t = as_tau(tau)
-    f = testfield if testfield is not None else gaussian_field(t)
-    grid = grid if grid is not None else plane_sample_grid(t)
+    f = gaussian_field(t)
     dm = lattice_displacement(flux, t, m)
     dn = lattice_displacement(flux, t, n)
     dmn = lattice_displacement(flux, t, (m[0] + n[0], m[1] + n[1]))
-    z, zbar = grid
+    z, zbar = plane_sample_grid(t)
     lhs = (
         displacement_apply(dm, displacement_apply(dn, f)).evaluate(z, zbar)
         - displacement_apply(dn, displacement_apply(dm, f)).evaluate(z, zbar)
@@ -263,34 +253,34 @@ def sine_bracket_residual(m, n, flux, tau, testfield=None, grid=None) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def dual_commutation_residual(m, n_dual, flux, tau, testfield=None, grid=None) -> float:
+def dual_commutation_residual(m, n_dual, flux, tau) -> float:
     """Sup-norm residual of [D(m), D~(n*)] = 0: lattice displacements
-    commute exactly with dual-lattice displacements."""
+    commute exactly with dual-lattice displacements (on the centred
+    Gaussian, measured on :func:`plane_sample_grid`)."""
     t = as_tau(tau)
-    f = testfield if testfield is not None else gaussian_field(t)
-    grid = grid if grid is not None else plane_sample_grid(t)
+    f = gaussian_field(t)
     dm = lattice_displacement(flux, t, m)
     dn = lattice_displacement(flux, t, n_dual, dual=True)
-    z, zbar = grid
+    z, zbar = plane_sample_grid(t)
     lhs = displacement_apply(dm, displacement_apply(dn, f)).evaluate(z, zbar)
     rhs = displacement_apply(dn, displacement_apply(dm, f)).evaluate(z, zbar)
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def plaquette_phase(flux, tau, testfield=None, grid=None, dual=False):
+def plaquette_phase(flux, tau, dual=False):
     """Measured holonomy of the elementary plaquette
-    D(e1) D(e2) D(e1)^{-1} D(e2)^{-1} (or its dual), as
-    ``(phase, spread)``: the mean pointwise ratio to the input field and
-    the largest deviation from it over the grid."""
+    D(e1) D(e2) D(e1)^{-1} D(e2)^{-1} (or its dual) on the centred
+    Gaussian, as ``(phase, spread)``: the mean pointwise ratio to the
+    Gaussian and the largest deviation from it over
+    :func:`plane_sample_grid`."""
     t = as_tau(tau)
-    f = testfield if testfield is not None else gaussian_field(t)
-    grid = grid if grid is not None else plane_sample_grid(t)
+    f = gaussian_field(t)
     e1 = lattice_displacement(flux, t, (1, 0), dual=dual)
     e2 = lattice_displacement(flux, t, (0, 1), dual=dual)
     g = displacement_apply(
         e1, displacement_apply(e2, displacement_apply(-e1, displacement_apply(-e2, f)))
     )
-    z, zbar = grid
+    z, zbar = plane_sample_grid(t)
     base = f.evaluate(z, zbar)
     out = g.evaluate(z, zbar)
     mask = np.abs(base) >= 0.05 * np.max(np.abs(base))

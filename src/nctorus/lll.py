@@ -181,10 +181,15 @@ class LLLBasis:
         """Grid ``(w, wbar)`` and state matrix ``a`` (one row per label) of
         the sampled fits, stacked once per basis and read-only (``states``
         must not change after the first fit).  The grid is the smallest
-        n-by-n one with n >= 6 and n*n >= K, so K coefficients fit."""
+        n-by-n one with n >= 6 and n*n >= K, so K coefficients fit.
+
+        Raises ``LinAlgError`` when a sample is not finite, before LAPACK
+        sees it (LAPACK would print its own complaint on stdout)."""
         n = max(6, math.isqrt(self.level - 1) + 1)
         w, wbar = unit_cell_grid(self.tau, n=n)
         a = np.stack([self.states[lb].evaluate(w, wbar) for lb in self.labels()])
+        if not np.isfinite(a).all():
+            raise np.linalg.LinAlgError("state samples on the fit grid are not finite")
         for arr in (w, wbar, a):
             arr.setflags(write=False)
         return w, wbar, a
@@ -352,10 +357,11 @@ def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
     return table
 
 
-def center_eigen_residual(basis: LLLBasis, j, k, grid=None) -> float:
+def center_eigen_residual(basis: LLLBasis, j, k) -> float:
     """Max-grid residual of the central relations
-    D1^M Psi = e^{i*alpha1} Psi and D2^M Psi = e^{i*alpha2} Psi."""
-    w, wbar = grid if grid is not None else unit_cell_grid(basis.tau)
+    D1^M Psi = e^{i*alpha1} Psi and D2^M Psi = e^{i*alpha2} Psi on the
+    5-by-5 :func:`unit_cell_grid`."""
+    w, wbar = unit_cell_grid(basis.tau)
     st = basis.state(j, k)
     base = st.evaluate(w, wbar)
     m = basis.flux.denominator
@@ -369,12 +375,11 @@ def center_eigen_residual(basis: LLLBasis, j, k, grid=None) -> float:
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 
-def gram_rank(basis: LLLBasis, threshold=1e-8) -> int:
+def gram_rank(basis: LLLBasis) -> int:
     """Numerical rank of the state sample matrix on the basis's own fit
-    grid: number of singular values above ``threshold`` times the
-    largest."""
+    grid: number of singular values above 1e-8 times the largest."""
     s = np.linalg.svd(basis._fit_samples[2], compute_uv=False)
-    return int(np.sum(s > threshold * s[0]))
+    return int(np.sum(s > 1e-8 * s[0]))
 
 
 def raise_level(basis: LLLBasis, j, k, n=1) -> ThetaField:

@@ -311,15 +311,16 @@ def uq_sl2_generators(m, n) -> UqSl2Generators:
     return UqSl2Generators(j_plus, j_minus, q_j3, res)
 
 
-def bimodule_consistency(basis: LLLBasis, tol=1e-6) -> dict:
+def bimodule_consistency(basis: LLLBasis) -> dict:
     """Check that the sampled ground states, viewed as an M x N array,
     carry the left clock/shift action of the M-dimensional pair and the
     right action of the N-dimensional dual pair, and that the two matrix
     actions commute exactly.
 
-    Returns a report dict; individual mismatches beyond ``tol`` are
-    listed (measured vs. predicted entries) rather than raised.
+    Returns a report dict; individual mismatches beyond the tolerance
+    1e-6 are listed (measured vs. predicted entries) rather than raised.
     """
+    tol = 1e-6
     flux = basis.flux
     m, n = flux.denominator, flux.numerator
     angles = basis.angles
@@ -332,10 +333,8 @@ def bimodule_consistency(basis: LLLBasis, tol=1e-6) -> dict:
         "d1": clock_matrix(m, n, angles.alpha1).entries,
         "d2": shift_matrix(m, angles.alpha2).entries,
     }
-    right_factors = {
-        "dual1": clock_matrix(n, m, angles.alpha1).entries,
-        "dual2": shift_matrix(n, angles.alpha2).entries,
-    }
+    dual_clock, dual_shift = dual_matrices(m, n, angles)
+    right_factors = {"dual1": dual_clock.entries, "dual2": dual_shift.entries}
     predicted = {name: np.kron(x, eye_n) for name, x in left_factors.items()}
     predicted.update(
         {name: np.kron(eye_m, y) for name, y in right_factors.items()}

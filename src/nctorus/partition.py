@@ -10,11 +10,11 @@ is
 
 where the integrand (for vacuum angles ``(a1, a2)``) is the doubly
 periodic function ``exp(-2*pi*K*b*y^2 - 2*a1*b*y) |theta^K_r(w+gamma)|^2``
-with ``b = Im tau``.  Both quadrature schemes are spectrally accurate on
-it.  ``Z~`` is computed by two deliberately independent routes: the
-per-state route sums :func:`state_norm` over the basis, while the
-character route evaluates a single integrand containing the full
-residue sum of thetas over eta directly; their agreement is a
+with ``b = Im tau``.  The tensor-product Gauss-Legendre rule is
+spectrally accurate on it.  ``Z~`` is computed by two deliberately
+independent routes: the per-state route sums :func:`state_norm` over the
+basis, while the character route evaluates a single integrand containing
+the full residue sum of thetas over eta directly; their agreement is a
 consistency check, so the two code paths are kept separate.
 """
 
@@ -40,35 +40,25 @@ __all__ = [
     "modular_invariance_report",
 ]
 
-_SCHEMES = ("gauss-legendre", "uniform-trapezoid")
 _CHUNK = 1024
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor-product quadrature of the unit square."""
+    """Tensor-product Gauss-Legendre quadrature of the unit square."""
 
     nodes_per_axis: int = 64
-    scheme: str = "gauss-legendre"
 
     def __post_init__(self):
         object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
         if self.nodes_per_axis < 8:
             raise ValueError("nodes_per_axis must be at least 8")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(
-                "scheme must be one of %s, got %r" % (_SCHEMES, self.scheme)
-            )
 
 
 def quadrature_nodes(quad: QuadratureSpec):
-    """1D nodes and weights on [0, 1] for the requested scheme."""
-    n = quad.nodes_per_axis
-    if quad.scheme == "gauss-legendre":
-        x, w = np.polynomial.legendre.leggauss(n)
-        return 0.5 * (x + 1.0), 0.5 * w
-    # left-endpoint uniform rule == trapezoid for periodic integrands
-    return np.arange(n) / n, np.full(n, 1.0 / n)
+    """1D Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(quad.nodes_per_axis)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 @functools.cache

@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nctorus import cli, partition
@@ -238,6 +239,23 @@ def test_verify_fails_checks_that_cannot_compute(capsys):
     for name, tol in fits.items():
         assert checks[name]["tolerance"] == tol
         assert checks[name]["note"].startswith("LinAlgError: ")
+    # most per-level theta residuals are NaN here; a NaN must not fold into a pass
+    assert not checks["theta_quasi_periodicity"]["pass"]
+    assert math.isnan(checks["theta_quasi_periodicity"]["residual"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_fits_print_nothing_but_json(tmp_path, capfd):
+    # capfd reads file descriptors 1 and 2, so it also sees text that
+    # LAPACK prints on non-finite input, which sys.stdout never carries
+    assert main(["verify", "--M", "3", "--N", "2", "--tau=50i"]) == 1
+    out, _ = capfd.readouterr()
+    assert json.loads(out)["pass"] is False  # one JSON document and nothing else
+    out_dir = tmp_path / "dump"
+    assert main(["lll", "--M", "3", "--N", "2", "--tau=50i", "--out", str(out_dir)]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("error: LinAlgError: ")
 
 
 def test_non_finite_floats_render_as_json_reads_them():
@@ -247,6 +265,25 @@ def test_non_finite_floats_render_as_json_reads_them():
     assert stream.getvalue() == text
     values = json.loads(text)["a"]
     assert math.isnan(values[0]) and values[1:] == [math.inf, -math.inf, 0.5]
+
+
+def test_render_covers_numpy_complex_and_non_finite_values():
+    obj = {
+        "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
+        "neg_zero": -0.0, "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
+        "z": complex(1.5, -math.inf), "z64": np.complex128(complex(-0.0, 2.0)),
+        "tuple": (1, 2.5, None, True, False, "\u00e9"),
+        "array": np.array([[1 + 2j, -0.0 + 0j], [complex(math.nan, 1.0), 3 - 1j]]),
+        3: "int key", 2.5: [], (1, 2): {}, "k\u00e9": np.float64(math.nan),
+    }
+    assert emit_json(obj, io.StringIO()) == (
+        '{"(1, 2)":{},"2.5":[],"3":"int key",'
+        '"array":[[{"im":2,"re":1},{"im":0,"re":0}],[{"im":1,"re":NaN},{"im":-1,"re":3}]],'
+        '"f32":0.10000000149011612,"f64":0.10000000000000001,"i64":-7,"inf":Infinity,'
+        '"k\\u00e9":NaN,"nan":NaN,"neg_zero":-0,"ninf":-Infinity,'
+        '"tuple":[1,2.5,null,true,false,"\u00e9"],'
+        '"z":{"im":-Infinity,"re":1.5},"z64":{"im":2,"re":-0}}\n'
+    )
 
 
 def test_reported_residuals_are_the_library_values(capsys):

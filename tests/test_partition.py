@@ -27,19 +27,16 @@ Z_GEN = 1.1985492230536032894
 
 def test_quadrature_spec_validation():
     spec = QuadratureSpec()
-    assert spec.nodes_per_axis == 64 and spec.scheme == "gauss-legendre"
+    assert spec.nodes_per_axis == 64
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_axis=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(scheme="simpson")
 
 
 def test_quadrature_nodes():
-    for scheme in ("gauss-legendre", "uniform-trapezoid"):
-        x, w = quadrature_nodes(QuadratureSpec(16, scheme))
-        assert x.size == 16 and w.size == 16
-        assert np.all((x >= 0.0) & (x < 1.0))
-        assert abs(w.sum() - 1.0) < 1e-14
+    x, w = quadrature_nodes(QuadratureSpec(16))
+    assert x.size == 16 and w.size == 16
+    assert np.all((x >= 0.0) & (x < 1.0))
+    assert abs(w.sum() - 1.0) < 1e-14
 
 
 def test_state_norm_frozen_values():
@@ -92,13 +89,6 @@ def test_two_routes_agree():
         a = z_tilde(basis)
         b = z_tilde_character_route(basis)
         assert abs(a - b) / a < 1e-10
-
-
-def test_schemes_agree():
-    basis = build_basis(Flux(2, 3), 0.3 + 1.1j)
-    a = z_tilde(basis, QuadratureSpec(64, "gauss-legendre"))
-    b = z_tilde(basis, QuadratureSpec(64, "uniform-trapezoid"))
-    assert abs(a - b) / a < 1e-12
 
 
 def test_self_convergence_under_node_doubling():

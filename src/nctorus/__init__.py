@@ -35,6 +35,7 @@ from .theta import (
     t_transform_residual,
     s_transform_residual,
     orthogonality_residual,
+    quasi_periodicity_residual,
 )
 from .fields import (
     Field,

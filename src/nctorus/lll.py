@@ -65,10 +65,13 @@ _DEFAULT_POLICY = TruncationPolicy()
 
 def _eval_terms(terms, level, residue, tau, alpha1, gamma, policy, w, wbar):
     b = tau.imag
-    g = np.exp(math.pi * level * w * (w - wbar) / (2.0 * b) + 1j * alpha1 * w)
+    # G rides in each theta series as its log-scale: exp(G) and theta are
+    # never formed apart, so neither overflows where their product is tame
+    g = math.pi * level * w * (w - wbar) / (2.0 * b) + 1j * alpha1 * w
     spec = ThetaSpec(level, residue)
     orders = sorted({p for (_, _, p) in terms})
-    th = {p: theta_derivative(spec, w + gamma, tau, policy, order=p) for p in orders}
+    th = {p: theta_derivative(spec, w + gamma, tau, policy, order=p, log_scale=g)
+          for p in orders}
     out = None
     for (a, c, p), coeff in sorted(terms.items()):
         piece = coeff * th[p]
@@ -77,7 +80,7 @@ def _eval_terms(terms, level, residue, tau, alpha1, gamma, policy, w, wbar):
         if c:
             piece = piece * wbar**c
         out = piece if out is None else out + piece
-    return g * out
+    return out
 
 
 def _dw_terms(terms, level, b, alpha1):

@@ -124,9 +124,11 @@ def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSp
 
     def integrand(x, y):
         w = x + tau * y
-        gauss = np.exp(-2.0 * math.pi * klev * b * y**2 - 2.0 * a1 * b * y)
-        chi2 = sum(np.abs(theta(s, w + gamma, t, basis.policy)) ** 2 for s in specs)
-        return gauss * chi2 / eta2
+        # half the Gaussian rides in each series, so |theta|^2 never overflows
+        half = -math.pi * klev * b * y**2 - a1 * b * y
+        chi2 = sum(np.abs(theta(s, w + gamma, t, basis.policy, log_scale=half)) ** 2
+                   for s in specs)
+        return chi2 / eta2
 
     return _cell_integral(integrand, quad)
 

@@ -8,6 +8,7 @@ import pytest
 from nctorus import cli, partition
 from nctorus.cli import RunConfig, UsageError, emit_json, main, parse_complex
 from nctorus.core import Flux, VacuumAngles
+from nctorus.fields import Field
 from nctorus.lll import build_basis
 from nctorus.matrices import holonomy_residual, q_commutation_residual, weyl_cocycle_residual
 from nctorus.partition import z_tilde
@@ -20,6 +21,23 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def nan_states(monkeypatch):
+    """Every basis the CLI builds holds ground states that evaluate to
+    NaN, so each sample, fit and quadrature of them is non-finite."""
+    build = cli.build_basis
+
+    def build_nan(*args, **kwargs):
+        basis = build(*args, **kwargs)
+        for label, state in basis.states.items():
+            basis.states[label] = Field(
+                lambda w, wbar: np.full(np.shape(w), np.nan, dtype=complex),
+                state.tau, state.im_tau_weight,
+            )
+        return basis
+
+    monkeypatch.setattr(cli, "build_basis", build_nan)
 
 
 def test_parse_complex():
@@ -128,15 +146,27 @@ def test_partition_computes_each_z_tilde_once(capsys, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_partition_fails_on_non_finite_values(capsys, monkeypatch):
-    # at tau = 50i theta overflows on the quadrature nodes: the report is
+    # with NaN states the per-state quadratures are NaN: the report is
     # still written, and the run fails like a failed verify check
-    assert main(["partition", "--M", "3", "--N", "2", "--tau=50i"]) == 1
+    nan_states(monkeypatch)
+    assert main(["partition", "--M", "3", "--N", "2"]) == 1
     assert math.isnan(json.loads(capsys.readouterr().out)["z_tilde"])
+    monkeypatch.undo()
     # one non-finite value is enough
     monkeypatch.setattr(cli, "z_tilde_character_route", lambda *args: math.inf)
     assert main(["partition", "--M", "1", "--N", "1"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["z_tilde_character_route"] == math.inf and math.isfinite(rep["z_tilde"])
+
+
+def test_partition_at_large_im_tau_is_finite(capsys):
+    # K * Im tau = 300: the raw theta values on the cell leave double
+    # range, the Gaussian-scaled series do not
+    code, rep = run_json(capsys, ["partition", "--M", "3", "--N", "2", "--tau=50i"])
+    assert code == 0
+    values = [rep[key] for key in ("z_tilde", "z_tilde_character_route", "s_residual", "t_residual")]
+    assert all(map(math.isfinite, values))
+    assert abs(rep["z_tilde_character_route"] - rep["z_tilde"]) <= 1e-12 * rep["z_tilde"]
 
 
 def test_lll_subcommand_writes_grids(tmp_path, capsys):
@@ -165,14 +195,17 @@ def test_lll_subcommand_writes_grids(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_lll_failed_fit_writes_nothing(tmp_path, capsys):
-    # at tau = 50i the fit samples overflow: the fit cannot compute, which
-    # is a failed run (exit 1), not bad arguments, and no file is written
+def test_lll_failed_fit_writes_nothing(tmp_path, capsys, monkeypatch):
+    # with NaN states the fit samples are not finite: the fit cannot
+    # compute, which is a failed run (exit 1), not bad arguments, and no
+    # file is written
     out = tmp_path / "dump"
-    assert main(["lll", "--M", "3", "--N", "2", "--tau=50i", "--out", str(out)]) == 1
+    nan_states(monkeypatch)
+    assert main(["lll", "--M", "3", "--N", "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: LinAlgError: ")
     assert not out.exists()
+    monkeypatch.undo()
     # the same run at the default tau writes all seven files
     code, rep = run_json(capsys, ["lll", "--M", "3", "--N", "2", "--out", str(out)])
     assert code == 0
@@ -219,11 +252,12 @@ def test_verify_passes_beyond_the_six_by_six_grid(capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_verify_fails_checks_that_cannot_compute(capsys):
-    # at tau = 50i theta overflows on the sample grids: the fits raise
-    # LinAlgError, the center relations and the quadratures return NaN,
-    # and each of these is its own check's failure rather than a usage
-    # error or a pass
+def test_verify_fails_checks_that_cannot_compute(capsys, monkeypatch):
+    # with NaN states the fits raise LinAlgError, the center relations and
+    # the quadratures return NaN, and at tau = 50i the raw theta series
+    # leaves double range; each of these is its own check's failure rather
+    # than a usage error or a pass
+    nan_states(monkeypatch)
     code = main(["verify", "--M", "3", "--N", "2", "--tau=50i"])
     out = capsys.readouterr().out
     assert code == 1
@@ -245,9 +279,28 @@ def test_verify_fails_checks_that_cannot_compute(capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_failed_fits_print_nothing_but_json(tmp_path, capfd):
+def test_verify_at_large_im_tau_fails_only_the_raw_theta_check(capsys):
+    code, rep = run_json(capsys, ["verify", "--M", "3", "--N", "2", "--tau=50i"])
+    assert code == 1
+    failing = [c for c in rep["checks"] if not c["pass"]]
+    assert [c["name"] for c in failing] == ["theta_quasi_periodicity"]
+    assert "exceeds double range" in failing[0]["note"]
+
+
+def test_partition_checks_report_their_angles(capsys):
+    code, rep = run_json(capsys, ["verify", "--alpha1", "0.7", "--alpha2", "-1.3"])
+    assert code == 0
+    notes = {c["name"]: c.get("note") for c in rep["checks"]}
+    for name in ("partition_t_invariance", "partition_s_invariance"):
+        assert "alpha1 = alpha2 = 0" in notes[name]
+    assert notes["theta_quasi_periodicity"] is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_fits_print_nothing_but_json(tmp_path, capfd, monkeypatch):
     # capfd reads file descriptors 1 and 2, so it also sees text that
     # LAPACK prints on non-finite input, which sys.stdout never carries
+    nan_states(monkeypatch)
     assert main(["verify", "--M", "3", "--N", "2", "--tau=50i"]) == 1
     out, _ = capfd.readouterr()
     assert json.loads(out)["pass"] is False  # one JSON document and nothing else

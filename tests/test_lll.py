@@ -93,13 +93,28 @@ def test_boundary_conditions(tau, mn):
             assert boundary_residual(basis, j, k) < 1e-12
 
 
+def _nan_off_row(state):
+    """``state`` where ``0 <= Im z < Im tau`` and NaN elsewhere: samples on
+    the unit cell and their real shifts are finite, and shifts along
+    ``tau`` are not, so only one of two folded residuals is NaN."""
+    b = state.tau.imag
+    return Field(
+        lambda z, zbar: np.where((z.imag >= 0) & (z.imag < b), state.evaluate(z, zbar), np.nan),
+        state.tau, state.im_tau_weight,
+    )
+
+
 def test_boundary_residual_propagates_nonfinite_samples():
-    # at K = 35, tau = 3i the tau-shifted samples overflow; the residual
-    # must not fold that away into a finite (passing) number
+    # the tau-shifted samples of this state are NaN; the residual must not
+    # fold that away into a finite (passing) number
     basis = build_basis(Flux(5, 7), 3j)
+    grid = unit_cell_grid(3j, n=12)
+    state = _nan_off_row(basis.state(0, 0))
     with np.errstate(all="ignore"):
-        res = boundary_residual(basis, 0, 0, grid=unit_cell_grid(3j, n=12))
+        res = boundary_residual(basis, 0, 0, grid=grid, state=state)
     assert not math.isfinite(res)
+    # the true state stays finite where its raw theta factor overflows
+    assert boundary_residual(basis, 0, 0, grid=grid) < 1e-12
 
 
 def test_translation_prefactor_formula():
@@ -223,9 +238,10 @@ def test_center_eigen_residual(mn):
 
 
 def test_center_eigen_residual_propagates_nonfinite_samples():
-    # at K = 6, tau = 50i theta overflows on the unit-cell grid; a NaN
-    # sample must give a NaN residual, not a small (passing) one
-    basis = build_basis(Flux(2, 3), 50j)
+    # the D2 images of this state are NaN; a NaN sample must give a NaN
+    # residual, not a small (passing) one
+    basis = build_basis(Flux(2, 3), TAU_GEN)
+    basis.states[(0, 0)] = _nan_off_row(basis.states[(0, 0)])
     with np.errstate(all="ignore"):
         res = center_eigen_residual(basis, 0, 0)
     assert math.isnan(res)

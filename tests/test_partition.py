@@ -121,22 +121,43 @@ def test_refinement_decreases_s_residual():
     assert seq[-1] < 1e-3
 
 
+def closed_form_z_tilde(k, tau, alpha1):
+    """Parseval in x collapses the cell integral to a full Gaussian:
+    Z~ = sqrt(K/(2b)) exp(b a1^2/(2 pi K)) / |eta|^2 with b = Im tau;
+    mpmath.eta is an eta independent of the library's."""
+    b = tau.imag
+    eta = float(abs(mpmath.eta(mpmath.mpc(tau.real, tau.imag))))
+    return math.sqrt(k / (2.0 * b)) * math.exp(b * alpha1**2 / (2.0 * math.pi * k)) / eta**2
+
+
 @pytest.mark.parametrize("mn", [(1, 1), (3, 2), (2, 5)])
 @pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.2 + 1.7j])
 @pytest.mark.parametrize("angles", [VacuumAngles(), ANGLES])
 def test_invariance_report_matches_closed_form(mn, tau, angles):
-    # Parseval in x collapses the cell integral to a full Gaussian:
-    # Z~ = sqrt(K/(2b)) exp(b a1^2/(2 pi K)) / |eta|^2 with b = Im tau, so
-    # the S residual is |exp((b' - b) a1^2/(2 pi K)) - 1| with b' = Im(-1/tau);
-    # mpmath.eta is an eta independent of the library's
+    # the S residual is |exp((b' - b) a1^2/(2 pi K)) - 1| with b' = Im(-1/tau)
     m, n = mn
     k = m * n
     b, b_s, a1 = tau.imag, (-1.0 / tau).imag, angles.alpha1
-    eta = float(abs(mpmath.eta(mpmath.mpc(tau.real, tau.imag))))
-    want = math.sqrt(k / (2.0 * b)) * math.exp(b * a1**2 / (2.0 * math.pi * k)) / eta**2
+    want = closed_form_z_tilde(k, tau, a1)
     basis = build_basis(Flux(n, m), tau, angles)
     report = modular_invariance_report(basis)
     assert abs(report.z_tilde - want) <= 1e-11 * want
     assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
     ratio = math.exp((b_s - b) * a1**2 / (2.0 * math.pi * k))
     assert abs(report.s_residual - abs(ratio - 1.0)) <= 1e-11 * ratio
+
+
+@pytest.mark.parametrize("mn, tau, nodes", [((9, 8), 1.9j, 64), ((13, 7), 1.95j, 64),
+                                            ((3, 2), 50j, 128)])
+def test_both_routes_match_closed_form_where_raw_theta_overflows(mn, tau, nodes):
+    # K * Im tau is 137, 177 and 300: |theta|^2 alone leaves double range
+    # on the cell, and only the Gaussian folded into each series keeps
+    # both routes finite.  At 50i the integrand's peaks are 0.023 wide in
+    # y, which 64 nodes per axis do not resolve (both routes sit 1.5e-5
+    # below the closed form there) and 128 do.
+    m, n = mn
+    want = closed_form_z_tilde(m * n, tau, ANGLES.alpha1)
+    basis = build_basis(Flux(n, m), tau, ANGLES)
+    quad = QuadratureSpec(nodes)
+    assert abs(z_tilde(basis, quad) - want) <= 1e-11 * want
+    assert abs(z_tilde_character_route(basis, quad) - want) <= 1e-11 * want

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,9 @@ from nctorus.theta import (
     TruncationPolicy,
     character,
     dedekind_eta,
+    _peak_window,
     orthogonality_residual,
+    quasi_periodicity_residual,
     s_transform_residual,
     t_transform_residual,
     theta,
@@ -163,6 +166,93 @@ def test_theta_derivative_orders():
     h = 1e-6
     fd = (theta(spec, z + h, tau) - theta(spec, z - h, tau)) / (2 * h)
     assert abs(theta_dz(spec, z, tau) - fd) < 1e-7 * max(1.0, abs(fd))
+
+
+# --- peak-centred scaled evaluation -------------------------------------------
+
+def mp_scaled_theta(level, residue, z, tau, log_scale, order=0):
+    """``exp(log_scale) * theta^(order)(z)`` summed in 30-digit arithmetic
+    over the 51 terms around the peak ``a* = -Im z / Im tau``."""
+    with mpmath.workdps(30):
+        z, tau, log_scale = mpmath.mpc(z), mpmath.mpc(tau), mpmath.mpc(log_scale)
+        centre = int(mpmath.nint(-z.imag / tau.imag))
+        total = mpmath.mpc(0)
+        for n in range(centre - 25, centre + 26):
+            a = n + mpmath.mpf(residue) / level
+            expo = 1j * mpmath.pi * level * (tau * a * a + 2 * z * a) + log_scale
+            total += mpmath.exp(expo) * (2j * mpmath.pi * level * a) ** order
+        return complex(total)
+
+
+def unit_envelope(level, z, tau):
+    """A log-scale whose envelope ``exp(Re L + pi*K*(Im z)**2/Im tau)`` is
+    1, with a phase so that its imaginary part is exercised too."""
+    return -math.pi * level * z.imag**2 / tau.imag + 0.3j * z.real
+
+
+# K * Im tau of about 2, 50, 200 and 300; the last lies beyond the benchmark
+# box (Im tau <= 2, K <= 100), and at y = 2.7 the raw value is exp(6870)
+@pytest.mark.parametrize("level, tau", [(1, 0.3 + 2.0j), (25, -0.2 + 2.0j),
+                                        (100, 0.45 + 2.0j), (6, 0.1 + 50.0j)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_scaled_theta_matches_high_precision_series(level, tau, order):
+    y = np.array([-2.6, -0.4, 0.0, 0.37, 1.0, 2.7])
+    z = np.linspace(-0.8, 0.9, y.size) + tau * y
+    log_scale = unit_envelope(level, z, tau)
+    spec = ThetaSpec(level, level // 3)
+    got = theta_derivative(spec, z, tau, order=order, log_scale=log_scale)
+    want = [mp_scaled_theta(level, spec.residue, zi, tau, li, order)
+            for zi, li in zip(z, log_scale)]
+    weight = (2.0 * math.pi * level * (np.abs(y) + 1.0)) ** order
+    assert np.all(np.abs(got - want) <= 1e-11 * weight)
+    if order == 0:
+        assert np.array_equal(theta(spec, z, tau, log_scale=log_scale), got)
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-5, 1e-9])
+@pytest.mark.parametrize("level, tau", [(1, 0.2 + 0.7j), (3, -0.4 + 1.3j), (20, 0.1 + 1.1j)])
+@pytest.mark.parametrize("order", [0, 2])
+def test_peak_window_tail_stays_below_its_stated_bound(epsilon, level, tau, order):
+    # the stated bound for the window the kernel picked, relative to
+    # (2 pi K)^p times the envelope: 2 p! c^p exp(-pi K b W^2) /
+    # (1 - exp(-2 pi K b W))^(p+1), W = T/2, c = max|a*| + W + 1
+    b = tau.imag
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-1.0, 1.0, 12) + tau * rng.uniform(-3.0, 3.0, 12)
+    log_scale = unit_envelope(level, z, tau)
+    spec = ThetaSpec(level, level // 2)
+    got = theta_derivative(spec, z, tau, TruncationPolicy(epsilon=epsilon), order=order,
+                           log_scale=log_scale)
+    want = [mp_scaled_theta(level, spec.residue, zi, tau, li, order)
+            for zi, li in zip(z, log_scale)]
+    peak = float(np.max(np.abs(z.imag / b)))
+    half = 0.5 * _peak_window(level, b, peak, epsilon, order)
+    bound = (2.0 * math.factorial(order) * (peak + half + 1.0) ** order
+             * math.exp(-math.pi * level * b * half**2)
+             / (1.0 - math.exp(-2.0 * math.pi * level * b * half)) ** (order + 1))
+    assert bound < epsilon
+    # plus the rounding of exponents up to pi*K*b*(max|a*| + 1)**2, about 600 here
+    rounding = 1e-12 * (peak + 1.0) ** order
+    assert np.max(np.abs(got - want)) / (2.0 * math.pi * level) ** order <= bound + rounding
+
+
+def test_peak_window_counts_and_cap():
+    # one term per point once K*b >= 37, two once K*b >= 9.1 (eps = 1e-12)
+    assert [_peak_window(k, 1.0, 0.5, 1e-12) for k in (37, 36, 10, 9)] == [1, 2, 2, 3]
+    with pytest.raises(TruncationError):
+        theta(ThetaSpec(1, 0), 0.1j, 0.05j, TruncationPolicy(max_terms=3), log_scale=0.0)
+
+
+def test_quasi_periodicity_residual_covers_level_k():
+    assert quasi_periodicity_residual(6, 0.3 + 1.1j) < 1e-9
+    # K * Im tau = 182: the raw level-91 series overflows on the
+    # tau-shifted samples, the scaled one does not
+    assert quasi_periodicity_residual(91, 0.3 + 2.0j) < 1e-9
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(theta(ThetaSpec(91, 45), 0.5 + 3.9j, 0.3 + 2.0j))
+    # at tau = 50i the raw series of the fixed levels leaves double range
+    with np.errstate(all="ignore"):
+        assert math.isnan(quasi_periodicity_residual(6, 50j))
 
 
 # --- Dedekind eta ------------------------------------------------------------

@@ -137,22 +137,13 @@ class ThetaField(Field):
         self.policy = policy
         tv = t.value
 
-        def ev(w, wbar, _terms=self.terms):
-            return _eval_terms(_terms, self.level, self.residue, tv,
-                               self.alpha1, self.gamma, policy, w, wbar)
+        def evaluator(terms):
+            return lambda w, wbar: _eval_terms(terms, self.level, self.residue, tv,
+                                               self.alpha1, self.gamma, policy, w, wbar)
 
-        dz_terms = _dw_terms(self.terms, self.level, t.im, self.alpha1)
-        dzbar_terms = _dwbar_terms(self.terms, self.level, t.im)
-
-        def dz(w, wbar, _terms=dz_terms):
-            return _eval_terms(_terms, self.level, self.residue, tv,
-                               self.alpha1, self.gamma, policy, w, wbar)
-
-        def dzbar(w, wbar, _terms=dzbar_terms):
-            return _eval_terms(_terms, self.level, self.residue, tv,
-                               self.alpha1, self.gamma, policy, w, wbar)
-
-        super().__init__(ev, t, t.im / (2.0 * math.pi * self.level), d_z=dz, d_zbar=dzbar)
+        super().__init__(evaluator(self.terms), t, t.im / (2.0 * math.pi * self.level),
+                         d_z=evaluator(_dw_terms(self.terms, self.level, t.im, self.alpha1)),
+                         d_zbar=evaluator(_dwbar_terms(self.terms, self.level, t.im)))
 
 
 @dataclass(frozen=True)
@@ -196,6 +187,20 @@ class LLLBasis:
         for arr in (w, wbar, a):
             arr.setflags(write=False)
         return w, wbar, a
+
+    @functools.cached_property
+    def translations(self):
+        """The four elementary translations measured once: for each of
+        ``d1``, ``d2``, ``dual1`` and ``dual2``, the K images on the fit grid
+        (one column per label) and their least-squares matrix.  Read-only,
+        with the contract of ``_fit_samples``."""
+        out = {}
+        for name, index, dual in (("d1", 1, False), ("d2", 2, False),
+                                  ("dual1", 1, True), ("dual2", 2, True)):
+            out[name] = _fit(self, elementary_translation(self, index, dual=dual))
+            for arr in out[name]:
+                arr.setflags(write=False)
+        return out
 
 
 def build_basis(flux: Flux, tau, angles: VacuumAngles = VacuumAngles(),
@@ -299,6 +304,15 @@ def _masked_ratio(out, base):
     return phase, spread
 
 
+def _fit(basis: LLLBasis, op):
+    """Images ``op(Psi_i)`` on the basis's fit grid (one column per label)
+    and their one least-squares solve against the state sample matrix."""
+    w, wbar, a = basis._fit_samples
+    images = np.stack([op(basis.states[lb]).evaluate(w, wbar) for lb in basis.labels()],
+                      axis=1)
+    return images, np.linalg.lstsq(a.T, images, rcond=None)[0]
+
+
 def coefficient_matrix(basis: LLLBasis, op) -> np.ndarray:
     """Matrix ``L`` of an operator in the basis, defined by
     ``op(Psi_i) = sum_i' L[i', i] Psi_i'`` with the flattening order of
@@ -308,40 +322,30 @@ def coefficient_matrix(basis: LLLBasis, op) -> np.ndarray:
     The K images ``op(Psi_i)``, sampled on the basis's own fit grid, are
     the columns of one right-hand side, so ``L`` is one least-squares
     solve against the state sample matrix."""
-    w, wbar, a = basis._fit_samples
-    images = np.stack([op(basis.states[lb]).evaluate(w, wbar) for lb in basis.labels()],
-                      axis=1)
-    return np.linalg.lstsq(a.T, images, rcond=None)[0]
+    return _fit(basis, op)[1]
 
 
 def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
     """Measured action of the four elementary translations on each state,
-    sampled on the basis's own fit grid.
+    read from :attr:`LLLBasis.translations`.
 
     For the diagonal operators (D1 and dual D1) the entry records the
-    pointwise-constant eigenphase and its spread; for the cycling
-    operators (D2 and dual D2) it records the target state label, the
-    transition phase and the largest off-target mixing coefficient of
-    its :func:`coefficient_matrix` column (one least-squares solve per
-    operator).
+    pointwise-constant eigenphase and its spread on the fit grid; for the
+    cycling operators (D2 and dual D2) it records the target state label,
+    the transition phase and the largest off-target mixing coefficient of
+    its fitted matrix column.
 
     Raises :class:`ConventionMismatchError` when a would-be eigenstate
     ratio has spread beyond ``spread_tol`` or a spread that is NaN.
     """
-    w, wbar, a = basis._fit_samples
+    a = basis._fit_samples[2]
     labels = basis.labels()
-    d1 = elementary_translation(basis, 1)
-    d2 = elementary_translation(basis, 2)
-    d1d = elementary_translation(basis, 1, dual=True)
-    d2d = elementary_translation(basis, 2, dual=True)
-    fits = {"d2": coefficient_matrix(basis, d2), "dual2": coefficient_matrix(basis, d2d)}
+    measured = basis.translations
     table = {}
     for i, lb in enumerate(labels):
-        st = basis.states[lb]
         entry = {}
-        for name, op in (("d1", d1), ("dual1", d1d)):
-            out = op(st).evaluate(w, wbar)
-            phase, spread = _masked_ratio(out, a[i])
+        for name in ("d1", "dual1"):
+            phase, spread = _masked_ratio(measured[name][0][:, i], a[i])
             if not spread <= spread_tol:  # a NaN spread fails too
                 raise ConventionMismatchError(
                     "%s ratio on state %s has spread %.3e > %.1e"
@@ -349,8 +353,8 @@ def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
                 )
             entry[name + "_phase"] = phase
             entry[name + "_spread"] = spread
-        for name, l_mat in fits.items():
-            coeffs = l_mat[:, i]
+        for name in ("d2", "dual2"):
+            coeffs = measured[name][1][:, i]
             tgt = int(np.argmax(np.abs(coeffs)))
             off = np.delete(np.abs(coeffs), tgt)
             entry[name + "_target"] = labels[tgt]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import VacuumAngles
 from .errors import DegenerateDeformationError
-from .lll import LLLBasis, coefficient_matrix, elementary_translation
+from .lll import LLLBasis
 
 __all__ = [
     "CSMatrix",
@@ -315,7 +315,8 @@ def bimodule_consistency(basis: LLLBasis) -> dict:
     """Check that the sampled ground states, viewed as an M x N array,
     carry the left clock/shift action of the M-dimensional pair and the
     right action of the N-dimensional dual pair, and that the two matrix
-    actions commute exactly.
+    actions commute exactly.  The measured matrices are the basis's one
+    measurement, ``LLLBasis.translations``.
 
     Returns a report dict; individual mismatches beyond the tolerance
     1e-6 are listed (measured vs. predicted entries) rather than raised.
@@ -339,16 +340,10 @@ def bimodule_consistency(basis: LLLBasis) -> dict:
     predicted.update(
         {name: np.kron(eye_m, y) for name, y in right_factors.items()}
     )
-    ops = {
-        "d1": elementary_translation(basis, 1),
-        "d2": elementary_translation(basis, 2),
-        "dual1": elementary_translation(basis, 1, dual=True),
-        "dual2": elementary_translation(basis, 2, dual=True),
-    }
     deviations = {}
     mismatches = []
-    for name, op in ops.items():
-        measured = coefficient_matrix(basis, op)[np.ix_(perm, perm)]
+    for name, (_, fit) in basis.translations.items():
+        measured = fit[np.ix_(perm, perm)]
         dev = np.abs(measured - predicted[name])
         deviations[name] = float(dev.max())
         if not deviations[name] <= tol:  # a NaN deviation is a mismatch

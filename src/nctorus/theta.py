@@ -24,8 +24,9 @@ With ``b = Im tau > 0`` and ``h = |Im z|``, each tail term at offset
     (b)  4 * exp(phi(n)) < eps               (both geometric tails summed)
 
 which certifies ``|sum_{|n'|>n}| < eps`` for every residue ``r``
-simultaneously.  Condition (a) + (b) are solved in closed form, then
-verified and nudged, so no scan over ``n`` is needed.
+simultaneously.  Once (a) holds it holds for every larger ``n`` and the
+bound of (b) falls, so ``n_max`` is a scan up from the order-0 roots of
+(a) and (b) to the first certified ``n``, as for the peak-centred count.
 
 The ``z``-derivative series carries an extra factor ``2*pi*K|n + r/K|``
 per term; its certificate uses the same ``phi`` with a polynomial
@@ -128,11 +129,8 @@ _DEFAULT_POLICY = TruncationPolicy()
 
 
 def _nmax_certified(level, im_tau, im_z, eps, deriv_order=0):
-    """Smallest certified symmetric cutoff for the theta tail bound.
-
-    Closed-form solve of the two certificate conditions followed by a
-    verification step (guards the float rounding of the quadratic root).
-    """
+    """Smallest certified symmetric cutoff for the theta tail bound;
+    :class:`TruncationError` when ``|Im z|`` puts it past 2**52 terms."""
     k = float(level)
     b = float(im_tau)
     h = abs(float(im_z))
@@ -145,31 +143,21 @@ def _nmax_certified(level, im_tau, im_z, eps, deriv_order=0):
     ratio_log = _LOG2 if deriv_order == 0 else math.log(4.0 / 3.0)
     tail_factor = 4.0 if deriv_order == 0 else 8.0
 
-    def certified(n):
-        decay = pkb * (2 * n + 1) - c
-        if deriv_order:
-            # weight ratio (n+2)/(n+1) <= 2 is absorbed in ratio_log margin
-            decay -= deriv_order * math.log((n + 2.0) / (n + 1.0))
-        log_term = -pkb * n * n + c * n
-        if deriv_order:
-            log_term += deriv_order * math.log(2.0 * math.pi * k * (n + 1.0))
+    def certified(n):  # the weight ratio (n+2)/(n+1) <= 2 rides in the ratio_log margin
+        decay = pkb * (2 * n + 1) - c - deriv_order * math.log((n + 2.0) / (n + 1.0))
+        log_term = -pkb * n * n + c * n + deriv_order * math.log(2.0 * math.pi * k * (n + 1.0))
         return decay >= ratio_log and math.log(tail_factor) + log_term < log_eps
 
-    # closed-form candidates for the two conditions (order-0 shape)
-    n_ratio = (ratio_log + c) / (2.0 * pkb) + 0.5
-    disc = c * c + 4.0 * pkb * (math.log(tail_factor) - log_eps)
-    n_bound = (c + math.sqrt(disc)) / (2.0 * pkb)
-    n = max(1, math.ceil(n_ratio), math.ceil(n_bound))
-    if deriv_order:
-        # polynomial weight enters the bound; fixed-point bump
-        for _ in range(64):
-            if certified(n):
-                break
-            n += max(1, n // 8)
-    while n > 1 and certified(n - 1):
-        n -= 1
-    if not certified(n):
-        n += 1  # guard the rounding of the quadratic root
+    # neither condition holds below its order-0 root (a derivative's weight
+    # only tightens both), so the scan starts at or below the first certified n
+    n_ratio = (ratio_log + c) / (2.0 * pkb) - 0.5
+    n_bound = (c + math.sqrt(c * c + 4.0 * pkb * (math.log(tail_factor) - log_eps))) / (2.0 * pkb)
+    start = max(n_ratio, n_bound)
+    if not start < 2.0**52:  # no series that long is summable; a NaN start fails too
+        raise TruncationError("theta cutoff exceeds 2**52 terms at |Im z| = %r" % h, bound=eps)
+    n = max(1, math.floor(start))
+    while not certified(n):
+        n += 1
     return n
 
 

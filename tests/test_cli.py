@@ -91,6 +91,29 @@ def test_theta_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "--level", "1", "--tau=1e-9i"],
+    ["theta", "--level", "3", "--tau=1i", "--z=1e300i"],
+    ["eta", "--tau=1e-9i"],
+    ["partition", "--tau=1e-7i"],
+])
+def test_computations_that_cannot_finish_fail_with_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: TruncationError: ")
+
+
+@pytest.mark.parametrize("z", ["nan", "nani", "1e400i"])
+def test_theta_rejects_non_finite_z(capsys, z):
+    assert main(["theta", "--level", "3", "--tau=1i", "--z=" + z]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--z" in captured.err
+
+
 def test_eta_subcommand(capsys):
     code, rep = run_json(capsys, ["eta", "--tau", "i"])
     assert code == 0
@@ -294,6 +317,19 @@ def test_partition_checks_report_their_angles(capsys):
     for name in ("partition_t_invariance", "partition_s_invariance"):
         assert "alpha1 = alpha2 = 0" in notes[name]
     assert notes["theta_quasi_periodicity"] is None
+
+
+def test_checks_that_hold_by_construction_say_so(capsys):
+    code, rep = run_json(capsys, ["verify"])
+    assert code == 0
+    notes = {c["name"]: c.get("note") or "" for c in rep["checks"]}
+    assert "DFT matrix is unitary" in notes["orthogonality"]
+    assert "ideal clock/shift matrices" in notes["commutant_and_span"]
+    t_note = notes["partition_t_invariance"]
+    assert t_note.startswith("at vacuum angles")  # the angles note stays first
+    assert "only through Im tau and |eta|" in t_note
+    held = [name for name, note in notes.items() if "holds by construction" in note]
+    assert sorted(held) == ["commutant_and_span", "orthogonality", "partition_t_invariance"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

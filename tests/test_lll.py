@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from nctorus import lll
 from nctorus.core import Flux, VacuumAngles, as_tau
 from nctorus.errors import ConventionMismatchError
 from nctorus.fields import Field, ladder_apply
 from nctorus.lll import (
+    _masked_ratio,
     ThetaField,
     boundary_residual,
     build_basis,
@@ -19,6 +21,7 @@ from nctorus.lll import (
     raise_level,
     unit_cell_grid,
 )
+from nctorus.matrices import bimodule_consistency
 from nctorus.theta import ThetaSpec, TruncationPolicy, theta
 
 TAU_GEN = 0.3 + 1.1j
@@ -319,6 +322,65 @@ def test_coefficient_matrix_is_homomorphism():
     mags = np.abs(l2)
     assert np.allclose(np.sort(mags.ravel())[-6:], 1.0, atol=1e-12)
     assert np.max(np.sort(mags.ravel())[:-6]) < 1e-12
+
+
+def _separately_measured_eigenphase_table(basis):
+    """Reference table: each diagonal translation evaluated per state on
+    the fit grid, each cycling one fitted on its own."""
+    w, wbar, a = basis._fit_samples
+    labels = basis.labels()
+    fits = {name: coefficient_matrix(basis, elementary_translation(basis, 2, dual=dual))
+            for name, dual in (("d2", False), ("dual2", True))}
+    table = {}
+    for i, lb in enumerate(labels):
+        entry = {}
+        for name, dual in (("d1", False), ("dual1", True)):
+            out = elementary_translation(basis, 1, dual=dual)(basis.states[lb]).evaluate(w, wbar)
+            entry[name + "_phase"], entry[name + "_spread"] = _masked_ratio(out, a[i])
+        for name, l_mat in fits.items():
+            coeffs = l_mat[:, i]
+            tgt = int(np.argmax(np.abs(coeffs)))
+            off = np.delete(np.abs(coeffs), tgt)
+            entry[name + "_target"] = labels[tgt]
+            entry[name + "_phase"] = complex(coeffs[tgt])
+            entry[name + "_leak"] = float(off.max()) if off.size else 0.0
+        table[lb] = entry
+    return table
+
+
+@pytest.mark.parametrize("mn", [(3, 2), (7, 5), (13, 3)])
+def test_eigenphase_table_reads_the_one_measurement(mn):
+    m, n = mn
+    basis = build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES)
+    want = _separately_measured_eigenphase_table(build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES))
+    assert eigenphase_table(basis) == want
+    for name, (images, fit) in basis.translations.items():
+        assert images.shape == (basis._fit_samples[0].size, m * n)
+        assert not (images.flags.writeable or fit.flags.writeable)
+        op = elementary_translation(basis, int(name[-1]), dual=name.startswith("dual"))
+        assert np.array_equal(fit, coefficient_matrix(basis, op))
+
+
+def test_module_is_measured_once_per_basis(monkeypatch):
+    # the eigenphase table and the bimodule check share one set of images and fits
+    basis = build_basis(Flux(5, 3), TAU_GEN, ANGLES)
+    calls = {"lstsq": 0, "translation": 0}
+    lstsq = np.linalg.lstsq
+    build = lll.elementary_translation
+
+    def counted_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    def counted_translation(*args, **kwargs):
+        calls["translation"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(lll, "elementary_translation", counted_translation)
+    eigenphase_table(basis)
+    assert bimodule_consistency(basis)["pass"]
+    assert calls == {"lstsq": 4, "translation": 4}
 
 
 def test_raise_level_roundtrip_and_covariance():

@@ -11,6 +11,7 @@ from nctorus.theta import (
     TruncationPolicy,
     character,
     dedekind_eta,
+    _nmax_certified,
     _peak_window,
     orthogonality_residual,
     quasi_periodicity_residual,
@@ -69,6 +70,63 @@ def test_truncation_bound_monotone_and_honest():
         v = theta(spec, 0.3 + 0.4j, 0.3 + 1.1j, pol)
         v_ref = naive_theta(2, 1, 0.3 + 0.4j, 0.3 + 1.1j, n_range=80)
         assert abs(v - v_ref) < eps
+
+
+def _closed_form_nmax(level, im_tau, im_z, eps, deriv_order=0):
+    """Reference cutoff: closed-form candidates, a bump loop for the
+    derivative weight, a walk down and a rounding guard."""
+    k, b, h = float(level), float(im_tau), abs(float(im_z))
+    c = 2.0 * math.pi * k * h
+    pkb = math.pi * k * b
+    log_eps = math.log(eps)
+    ratio_log = math.log(2.0) if deriv_order == 0 else math.log(4.0 / 3.0)
+    tail_factor = 4.0 if deriv_order == 0 else 8.0
+
+    def certified(n):
+        decay = pkb * (2 * n + 1) - c
+        if deriv_order:
+            decay -= deriv_order * math.log((n + 2.0) / (n + 1.0))
+        log_term = -pkb * n * n + c * n
+        if deriv_order:
+            log_term += deriv_order * math.log(2.0 * math.pi * k * (n + 1.0))
+        return decay >= ratio_log and math.log(tail_factor) + log_term < log_eps
+
+    n_ratio = (ratio_log + c) / (2.0 * pkb) + 0.5
+    disc = c * c + 4.0 * pkb * (math.log(tail_factor) - log_eps)
+    n_bound = (c + math.sqrt(disc)) / (2.0 * pkb)
+    n = max(1, math.ceil(n_ratio), math.ceil(n_bound))
+    if deriv_order:
+        for _ in range(64):
+            if certified(n):
+                break
+            n += max(1, n // 8)
+    while n > 1 and certified(n - 1):
+        n -= 1
+    if not certified(n):
+        n += 1
+    return n
+
+
+def test_scanned_cutoff_matches_closed_form_reference():
+    got, want = [], []
+    for level in (1, 2, 3, 6, 35, 77, 300):
+        for b in np.geomspace(3e-3, 100.0, 9):
+            for h in (0.0, 0.4 * b, 3.0 * b):
+                for eps in (0.5, 1e-12, 1e-300):
+                    for order in range(4):
+                        got.append(_nmax_certified(level, b, h, eps, order))
+                        want.append(_closed_form_nmax(level, b, h, eps, order))
+    assert got == want
+    # a tiny Im tau needs ~1e8 terms: the scan starts next to them
+    assert _nmax_certified(1, 1e-9, 0.0, 1e-12) == _closed_form_nmax(1, 1e-9, 0.0, 1e-12)
+
+
+@pytest.mark.parametrize("im_z", [1e300, math.inf, math.nan])
+def test_unbounded_cutoff_raises_truncation_error(im_z):
+    with pytest.raises(TruncationError):
+        truncation_bound(3, complex(0.0, im_z), 1j, 1e-12)
+    with pytest.raises(TruncationError):
+        theta(ThetaSpec(3, 0), complex(0.0, im_z), 1j)
 
 
 def test_truncation_cap_raises():

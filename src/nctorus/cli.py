@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def parse_complex(text: str) -> complex:
         raise UsageError("cannot parse complex literal %r" % text) from None
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters shared by the subcommands."""
 
@@ -105,9 +105,9 @@ class RunConfig:
     tau: complex = 0.3 + 1.1j
     alpha1: float = 0.0
     alpha2: float = 0.0
-    epsilon: float = 1e-12
+    epsilon: float = TruncationPolicy.epsilon
     grid: int = 6
-    quad_nodes: int = 64
+    quad_nodes: int = QuadratureSpec.nodes_per_axis
     output_dir: str = "."
 
     def __post_init__(self):
@@ -132,6 +132,10 @@ class RunConfig:
     @property
     def policy(self) -> TruncationPolicy:
         return TruncationPolicy(epsilon=self.epsilon)
+
+    @property
+    def quad(self) -> QuadratureSpec:
+        return QuadratureSpec(nodes_per_axis=self.quad_nodes)
 
     def as_report(self) -> dict:
         return {
@@ -306,10 +310,9 @@ def cmd_matrices(cfg: RunConfig) -> int:
 
 
 def cmd_partition(cfg: RunConfig) -> int:
-    quad = QuadratureSpec(nodes_per_axis=cfg.quad_nodes)
     basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy)
-    inv = modular_invariance_report(basis, quad)
-    zb = z_tilde_character_route(basis, quad)
+    inv = modular_invariance_report(basis, cfg.quad)
+    zb = z_tilde_character_route(basis, cfg.quad)
     emit_json(
         {
             "config": cfg.as_report(),
@@ -353,14 +356,9 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
     tau = ModularParameter(cfg.tau.real, cfg.tau.imag)
     angles = cfg.angles
     policy = cfg.policy
-    quad = QuadratureSpec(nodes_per_axis=cfg.quad_nodes)
 
     def theta_quasi_periodicity():
-        res = quasi_periodicity_residual(flux.level, tau, policy)
-        if not math.isfinite(res):
-            return res, ("the raw theta series of levels 1, 2, 3, 6, 12 exceeds double "
-                         "range at this tau; level K is evaluated scaled")
-        return res
+        return quasi_periodicity_residual(flux.level, tau, policy)
 
     def eta_functional_equations():
         rng = np.random.default_rng(0)
@@ -451,17 +449,23 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
 
     @functools.cache
     def _invariance():
-        return modular_invariance_report(build_basis(flux, tau, VacuumAngles(), policy), quad)
-
-    angles_note = "at vacuum angles alpha1 = alpha2 = 0, not the configured angles"
+        return modular_invariance_report(_basis(), cfg.quad)
 
     def partition_t_invariance():
-        return _invariance().t_residual, angles_note + (
-            "; holds by construction: Z~ depends on tau only through Im tau and |eta|, "
-            "so the residual is round-off")
+        return _invariance().t_residual, (
+            "holds by construction where the quadrature resolves the integrand: Z~ depends "
+            "on tau only through Im tau and |eta|, so the residual is round-off")
 
     def partition_s_invariance():
-        return _invariance().s_residual, angles_note
+        # Z~ = sqrt(K/(2b)) * exp(b*alpha1**2/(2*pi*K)) / |eta|**2 with b = Im tau;
+        # sqrt(b)*|eta|**2 is S-invariant, so S moves only the Gaussian factor
+        s_residual = _invariance().s_residual
+        b_s = (-1.0 / tau.value).imag
+        predicted = abs(math.expm1((b_s - tau.im) * angles.alpha1**2 / (2 * math.pi * flux.level)))
+        return abs(s_residual - predicted), (
+            "s_residual %s against the closed-form S factor of Z~, "
+            "|expm1((Im(-1/tau) - Im tau)*alpha1**2/(2*pi*K))| = %s"
+            % (_fmt17(s_residual), _fmt17(predicted)))
 
     return [
         ("theta_quasi_periodicity", theta_quasi_periodicity, 1e-9),
@@ -517,33 +521,28 @@ def cmd_verify(cfg: RunConfig, inject_fault: bool = False) -> int:
 
 
 def _add_common(parser, with_out=False):
-    parser.add_argument("--M", type=int, default=3, dest="m")
-    parser.add_argument("--N", type=int, default=2, dest="n")
-    parser.add_argument("--tau", type=parse_complex, default=0.3 + 1.1j)
-    parser.add_argument("--alpha1", type=float, default=0.0)
-    parser.add_argument("--alpha2", type=float, default=0.0)
-    parser.add_argument("--eps", type=float, default=1e-12)
+    """RunConfig flags: each ``dest`` names a RunConfig field, whose default it takes."""
+    parser.add_argument("--M", type=int, default=RunConfig.m, dest="m")
+    parser.add_argument("--N", type=int, default=RunConfig.n, dest="n")
+    parser.add_argument("--tau", type=parse_complex, default=RunConfig.tau)
+    parser.add_argument("--alpha1", type=float, default=RunConfig.alpha1)
+    parser.add_argument("--alpha2", type=float, default=RunConfig.alpha2)
+    parser.add_argument("--eps", type=float, default=RunConfig.epsilon, dest="epsilon",
+                        metavar="EPS")
     parser.add_argument(
-        "--grid", type=int, default=6,
+        "--grid", type=int, default=RunConfig.grid,
         help="points per axis of the lll CSV grids (the sampled fits size their own grid)",
     )
-    parser.add_argument("--quad", type=int, default=64)
+    parser.add_argument("--quad", type=int, default=RunConfig.quad_nodes, dest="quad_nodes",
+                        metavar="QUAD")
     if with_out:
-        parser.add_argument("--out", default=".")
+        parser.add_argument("--out", default=RunConfig.output_dir, dest="output_dir",
+                            metavar="OUT")
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(
-        m=args.m,
-        n=args.n,
-        tau=args.tau,
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        epsilon=args.eps,
-        grid=args.grid,
-        quad_nodes=args.quad,
-        output_dir=getattr(args, "out", "."),
-    )
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,11 +558,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("--residue", type=int, default=0)
     p_theta.add_argument("--z", type=parse_complex, default=0j)
     p_theta.add_argument("--tau", type=parse_complex, required=True)
-    p_theta.add_argument("--eps", type=float, default=1e-12)
+    p_theta.add_argument("--eps", type=float, default=TruncationPolicy.epsilon)
 
     p_eta = sub.add_parser("eta", help="evaluate the eta function")
     p_eta.add_argument("--tau", type=parse_complex, required=True)
-    p_eta.add_argument("--eps", type=float, default=1e-12)
+    p_eta.add_argument("--eps", type=float, default=TruncationPolicy.epsilon)
 
     p_lll = sub.add_parser("lll", help="export ground-state grids and eigenphases")
     _add_common(p_lll, with_out=True)

@@ -272,13 +272,16 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> complex:
     *not* as a 24th root of ``q`` -- so the functional equations hold on
     the whole upper half-plane rather than only for ``|Re tau| < 1/2``.
     Truncation after ``F`` factors is certified by
-    ``|q|**(F+1) / (1 - |q|) < eps/2``.
+    ``|q|**(F+1) / (1 - |q|) < eps/2``.  A value that underflows to 0
+    or to a subnormal (``Im tau`` below about 3.7e-4 or above about 2700)
+    raises :class:`FloatingPointError`, since eta has no zero.
     """
     t = as_tau(tau)
     q = cmath.exp(2j * math.pi * t.value)
     aq = abs(q)
-    # smallest F with aq**(F+1)/(1-aq) < eps/2
-    nfac = max(1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - aq)) / math.log(aq)))
+    # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0 the product is 1
+    nfac = 0 if aq == 0.0 else max(
+        1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - aq)) / math.log(aq)))
     if nfac > policy.max_terms:
         raise TruncationError(
             "eta product needs %d factors, cap is %d" % (nfac, policy.max_terms),
@@ -288,7 +291,10 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> complex:
         )
     lead = cmath.exp(1j * math.pi * t.value / 12.0)
     factors = 1.0 - q ** np.arange(1, nfac + 1)
-    return lead * complex(np.prod(factors))
+    value = lead * complex(np.prod(factors))
+    if abs(value) < np.finfo(float).tiny:  # eta has no zero: a 0 or subnormal value underflowed
+        raise FloatingPointError("eta(%r) underflows double range" % (t.value,))
+    return value
 
 
 def character(spec: ThetaSpec, z, tau, policy: TruncationPolicy = _DEFAULT_POLICY):
@@ -342,31 +348,25 @@ def quasi_periodicity_residual(level, tau, policy=_DEFAULT_POLICY) -> float:
         theta(z + tau) = exp(-i*pi*K*tau - 2*pi*i*K*z) * theta(z),
 
     each over 25 seeded points ``z = x + tau*y`` of the cell, residue
-    ``K // 2``.  Levels 1, 2, 3, 6 and 12 use the raw series, whose values
-    reach ``exp(pi*K*(Im z)**2/Im tau)`` and leave double range once
-    ``K*Im tau`` is large (NaN then, never a pass).  Level ``level`` uses
+    ``K // 2``, at levels 1, 2, 3, 6, 12 and ``level``.  Every level uses
     the peak-centred series scaled by the inverse envelope
-    ``exp(-pi*K*(Im z)**2/Im tau)``, as the ground states do; the tau-shift
-    factor is then a pure phase."""
+    ``exp(-pi*K*(Im z)**2/Im tau)``, as the ground states do, so the values
+    stay in double range at any ``tau`` and the tau-shift factor is the
+    pure phase ``exp(-i*pi*K*Re tau - 2*pi*i*K*Re z)``."""
     t = as_tau(tau)
     b = t.im
     rng = np.random.default_rng(0)
     res = []
-    for k, scaled in ((1, False), (2, False), (3, False), (6, False), (12, False), (level, True)):
+    for k in (1, 2, 3, 6, 12, level):
         spec = ThetaSpec(k, k // 2)
         zs = rng.random(25) + t.value * rng.random(25)
 
         def ev(z):
-            return theta(spec, z, t, policy,
-                         log_scale=-math.pi * k * z.imag**2 / b if scaled else None)
+            return theta(spec, z, t, policy, log_scale=-math.pi * k * z.imag**2 / b)
 
-        if scaled:  # the two inverse envelopes leave a pure phase
-            factor = np.exp(-1j * math.pi * k * t.re - 2j * math.pi * k * zs.real)
-        else:
-            factor = np.exp(-1j * math.pi * k * t.value - 2j * math.pi * k * zs)
         f = ev(zs)
         res.append(float(np.max(np.abs(ev(zs + 1.0) - f)) / np.max(np.abs(f))))
-        rhs = factor * f
+        rhs = np.exp(-1j * math.pi * k * t.re - 2j * math.pi * k * zs.real) * f
         res.append(float(np.max(np.abs(ev(zs + t.value) - rhs)) / np.max(np.abs(rhs))))
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 

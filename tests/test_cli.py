@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,43 @@ def test_computations_that_cannot_finish_fail_with_one_error_line(capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: TruncationError: ")
+
+
+@pytest.mark.parametrize("tau", ["1e-4i", "3000i"])
+def test_eta_underflow_fails_with_one_error_line(capsys, tau):
+    assert main(["eta", "--tau=" + tau]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: FloatingPointError: ")
+
+
+def test_q_underflow_computes(capsys):
+    # exp(2*pi*i*tau) underflows to 0 at Im tau = 120: the eta product is 1
+    code, rep = run_json(capsys, ["eta", "--tau=120i"])
+    assert code == 0
+    value = complex(rep["value"]["re"], rep["value"]["im"])
+    assert abs(value - math.exp(-10 * math.pi)) < 1e-27
+    code, rep = run_json(capsys, ["partition", "--tau=120i"])
+    assert code == 0
+    values = [rep[key] for key in ("z_tilde", "z_tilde_character_route", "s_residual", "t_residual")]
+    assert all(map(math.isfinite, values))
+
+
+def test_verify_reaches_eta_beyond_q_underflow(capsys):
+    # -1/tau = 1000i: the S-transformed Z~ needs eta where q underflows;
+    # the run reports every check and fails only the small-Im-tau ones
+    code, rep = run_json(capsys, ["verify", "--tau=1e-3i"])
+    assert code == 1
+    failing = {c["name"] for c in rep["checks"] if not c["pass"]}
+    assert "partition_s_invariance" not in failing
+    assert failing <= {"lemma_eigenphases", "bimodule_consistency", "partition_t_invariance"}
+
+
+@pytest.mark.parametrize("command", ["lll", "matrices", "partition", "verify"])
+def test_flag_defaults_are_the_run_config_defaults(command):
+    assert cli._config_from(cli.build_parser().parse_args([command])) == RunConfig()
 
 
 @pytest.mark.parametrize("z", ["nan", "nani", "1e400i"])
@@ -274,13 +312,12 @@ def test_verify_passes_beyond_the_six_by_six_grid(capsys):
     assert rep["pass"] is True
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_fails_checks_that_cannot_compute(capsys, monkeypatch):
     # with NaN states the fits raise LinAlgError, the center relations and
-    # the quadratures return NaN, and at tau = 50i the raw theta series
-    # leaves double range; each of these is its own check's failure rather
-    # than a usage error or a pass
+    # the quadratures return NaN, and the theta residual is made NaN; each
+    # of these is its own check's failure rather than a usage error or a pass
     nan_states(monkeypatch)
+    monkeypatch.setattr(cli, "quasi_periodicity_residual", lambda *args: math.nan)
     code = main(["verify", "--M", "3", "--N", "2", "--tau=50i"])
     out = capsys.readouterr().out
     assert code == 1
@@ -296,18 +333,55 @@ def test_verify_fails_checks_that_cannot_compute(capsys, monkeypatch):
     for name, tol in fits.items():
         assert checks[name]["tolerance"] == tol
         assert checks[name]["note"].startswith("LinAlgError: ")
-    # most per-level theta residuals are NaN here; a NaN must not fold into a pass
+    # a NaN theta residual must not fold into a pass
     assert not checks["theta_quasi_periodicity"]["pass"]
     assert math.isnan(checks["theta_quasi_periodicity"]["residual"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_at_large_im_tau_fails_only_the_raw_theta_check(capsys):
     code, rep = run_json(capsys, ["verify", "--M", "3", "--N", "2", "--tau=50i"])
-    assert code == 1
+    assert code == 0
     failing = [c for c in rep["checks"] if not c["pass"]]
-    assert [c["name"] for c in failing] == ["theta_quasi_periodicity"]
-    assert "exceeds double range" in failing[0]["note"]
+    assert failing == []
+
+
+@pytest.mark.parametrize("tau", ["20i", "50i"])
+def test_verify_at_large_im_tau_passes_silently(capsys, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--M", "3", "--N", "2", "--tau=" + tau])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert json.loads(captured.out)["pass"] is True
+
+
+def test_partition_checks_catch_a_wrong_angle_map(capsys, monkeypatch):
+    # the transformed bases drop alpha1: Z~ at tau + 1 and at -1/tau then
+    # misses the Gaussian factor exp(Im tau*alpha1**2/(2*pi*K)) of the run
+    build = partition.build_basis
+
+    def build_without_alpha1(flux, tau, angles, policy):
+        return build(flux, tau, VacuumAngles(0.0, angles.alpha2), policy)
+
+    monkeypatch.setattr(partition, "build_basis", build_without_alpha1)
+    code, rep = run_json(capsys, ["verify", "--alpha1", "2.0"])
+    assert code == 1
+    failing = [c["name"] for c in rep["checks"] if not c["pass"]]
+    assert failing == ["partition_t_invariance", "partition_s_invariance"]
+
+
+def test_partition_s_check_compares_with_the_closed_form_factor(capsys):
+    argv = ["--M", "3", "--N", "2", "--tau", "0.3+1.1i", "--alpha1", "2.0", "--alpha2", "-1.3"]
+    _, part = run_json(capsys, ["partition", *argv])
+    code, rep = run_json(capsys, ["verify", *argv])
+    assert code == 0
+    check = {c["name"]: c for c in rep["checks"]}["partition_s_invariance"]
+    tau = 0.3 + 1.1j
+    exponent = ((-1.0 / tau).imag - tau.imag) * 2.0**2 / (2 * math.pi * 6)
+    predicted = abs(math.expm1(exponent))
+    assert predicted > check["tolerance"]  # the raw s_residual would fail
+    assert check["residual"] == abs(part["s_residual"] - predicted)
 
 
 def test_partition_checks_report_their_angles(capsys):
@@ -315,7 +389,7 @@ def test_partition_checks_report_their_angles(capsys):
     assert code == 0
     notes = {c["name"]: c.get("note") for c in rep["checks"]}
     for name in ("partition_t_invariance", "partition_s_invariance"):
-        assert "alpha1 = alpha2 = 0" in notes[name]
+        assert "alpha1 = alpha2 = 0" not in notes[name]
     assert notes["theta_quasi_periodicity"] is None
 
 
@@ -326,13 +400,12 @@ def test_checks_that_hold_by_construction_say_so(capsys):
     assert "DFT matrix is unitary" in notes["orthogonality"]
     assert "ideal clock/shift matrices" in notes["commutant_and_span"]
     t_note = notes["partition_t_invariance"]
-    assert t_note.startswith("at vacuum angles")  # the angles note stays first
+    assert t_note.startswith("holds by construction where the quadrature resolves")
     assert "only through Im tau and |eta|" in t_note
     held = [name for name, note in notes.items() if "holds by construction" in note]
     assert sorted(held) == ["commutant_and_span", "orthogonality", "partition_t_invariance"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_fits_print_nothing_but_json(tmp_path, capfd, monkeypatch):
     # capfd reads file descriptors 1 and 2, so it also sees text that
     # LAPACK prints on non-finite input, which sys.stdout never carries

@@ -308,9 +308,9 @@ def test_quasi_periodicity_residual_covers_level_k():
     assert quasi_periodicity_residual(91, 0.3 + 2.0j) < 1e-9
     with np.errstate(all="ignore"):
         assert not np.isfinite(theta(ThetaSpec(91, 45), 0.5 + 3.9j, 0.3 + 2.0j))
-    # at tau = 50i the raw series of the fixed levels leaves double range
-    with np.errstate(all="ignore"):
-        assert math.isnan(quasi_periodicity_residual(6, 50j))
+    # at tau = 50i the scaled series of every level stays in double range
+    res = quasi_periodicity_residual(6, 50j)
+    assert math.isfinite(res) and res < 1e-9
 
 
 # --- Dedekind eta ------------------------------------------------------------
@@ -351,6 +351,20 @@ def test_eta_shift_equation_beyond_principal_strip():
     lhs = dedekind_eta(tau)
     rhs = cmath.exp(1j * math.pi / 12.0) * dedekind_eta(tau - 1.0)
     assert abs(lhs - rhs) < 1e-13
+
+
+@pytest.mark.parametrize("tau", [120j, 0.3 + 500j])
+def test_eta_where_q_underflows(tau):
+    # exp(2*pi*i*tau) underflows to 0 once Im tau > 118.5: the product is 1
+    with mpmath.workdps(30):
+        want = complex(mpmath.eta(mpmath.mpc(tau)))
+    assert abs(dedekind_eta(tau) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("tau", [1e-4j, 3000j])
+def test_eta_underflow_raises(tau):
+    with pytest.raises(FloatingPointError):
+        dedekind_eta(tau)
 
 
 def test_eta_inversion_equation():

@@ -29,9 +29,9 @@ rep = modular_invariance_report(basis)
 print("T residual:", rep.t_residual)
 print("S residual:", rep.s_residual)
 
-# Refining the quadrature drives the residuals down exponentially until
-# they hit the rounding floor (kappa = 2/3 needs a few more nodes than
-# the kappa = 1/2 sum above).
+# The cell rule sizes itself from (K, Im tau), so the residuals already
+# sit at the rounding floor; raising the per-axis floor only adds nodes
+# and leaves them there.
 for nodes in (8, 16, 32, 64):
     rep = modular_invariance_report(build_basis(Flux(2, 3), 0.4 + 1.2j),
                                     QuadratureSpec(nodes_per_axis=nodes))

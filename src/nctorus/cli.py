@@ -63,7 +63,13 @@ from .matrices import (
     weyl_cocycle_residual,
     weyl_span_dimension,
 )
-from .partition import QuadratureSpec, modular_invariance_report, z_tilde_character_route
+from .partition import (
+    QuadratureSpec,
+    cell_node_counts,
+    modular_invariance_report,
+    z_tilde_character_route,
+    z_tilde_closed_form,
+)
 from .theta import (
     ThetaSpec,
     TruncationPolicy,
@@ -309,17 +315,28 @@ def cmd_matrices(cfg: RunConfig) -> int:
 # ------------------------------------------------------------ partition
 
 
+def _cell_nodes(cfg: RunConfig) -> dict:
+    """Cell-rule nodes ``[n_x, n_y]`` at ``tau`` (and ``tau+1``, which has
+    the same ``Im tau``) and at ``-1/tau``."""
+    return {
+        label: list(cell_node_counts(cfg.flux.level, im_tau, cfg.epsilon, cfg.quad))
+        for label, im_tau in (("tau", cfg.tau.imag), ("-1/tau", (-1.0 / cfg.tau).imag))
+    }
+
+
 def cmd_partition(cfg: RunConfig) -> int:
     basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy)
     inv = modular_invariance_report(basis, cfg.quad)
     zb = z_tilde_character_route(basis, cfg.quad)
     emit_json(
         {
+            "cell_nodes": _cell_nodes(cfg),
             "config": cfg.as_report(),
             "s_residual": inv.s_residual,
             "t_residual": inv.t_residual,
             "z_tilde": inv.z_tilde,
             "z_tilde_character_route": zb,
+            "z_tilde_closed_form": z_tilde_closed_form(basis),
         }
     )
     # a non-finite value is a failed computation, as a failed check is in verify
@@ -452,9 +469,11 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
         return modular_invariance_report(_basis(), cfg.quad)
 
     def partition_t_invariance():
+        nx, ny = _cell_nodes(cfg)["tau"]
         return _invariance().t_residual, (
             "holds by construction where the quadrature resolves the integrand: Z~ depends "
-            "on tau only through Im tau and |eta|, so the residual is round-off")
+            "on tau only through Im tau and |eta|, so the residual is round-off; "
+            "cell nodes (n_x, n_y) = (%d, %d) at tau and tau+1" % (nx, ny))
 
     def partition_s_invariance():
         # Z~ = sqrt(K/(2b)) * exp(b*alpha1**2/(2*pi*K)) / |eta|**2 with b = Im tau;
@@ -462,10 +481,12 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
         s_residual = _invariance().s_residual
         b_s = (-1.0 / tau.value).imag
         predicted = abs(math.expm1((b_s - tau.im) * angles.alpha1**2 / (2 * math.pi * flux.level)))
+        nodes = _cell_nodes(cfg)
         return abs(s_residual - predicted), (
             "s_residual %s against the closed-form S factor of Z~, "
-            "|expm1((Im(-1/tau) - Im tau)*alpha1**2/(2*pi*K))| = %s"
-            % (_fmt17(s_residual), _fmt17(predicted)))
+            "|expm1((Im(-1/tau) - Im tau)*alpha1**2/(2*pi*K))| = %s; "
+            "cell nodes (n_x, n_y) = (%d, %d) at tau, (%d, %d) at -1/tau"
+            % (_fmt17(s_residual), _fmt17(predicted), *nodes["tau"], *nodes["-1/tau"]))
 
     return [
         ("theta_quasi_periodicity", theta_quasi_periodicity, 1e-9),
@@ -533,8 +554,11 @@ def _add_common(parser, with_out=False):
         "--grid", type=int, default=RunConfig.grid,
         help="points per axis of the lll CSV grids (the sampled fits size their own grid)",
     )
-    parser.add_argument("--quad", type=int, default=RunConfig.quad_nodes, dest="quad_nodes",
-                        metavar="QUAD")
+    parser.add_argument(
+        "--quad", type=int, default=RunConfig.quad_nodes, dest="quad_nodes", metavar="QUAD",
+        help="floor on the cell-quadrature nodes per axis; each axis takes more where "
+        "K and Im tau need them (partition, verify)",
+    )
     if with_out:
         parser.add_argument("--out", default=RunConfig.output_dir, dest="output_dir",
                             metavar="OUT")
@@ -545,8 +569,33 @@ def _config_from(args) -> RunConfig:
                         for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)})
 
 
+# flags whose values are parse_complex literals, which may begin with a minus
+_COMPLEX_FLAGS = ("--tau", "--z")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--tau -0.4+2i`` as ``--tau=-0.4+2i``: argparse takes a
+    value that starts with ``-`` for a flag unless it is a plain negative
+    real number.  Subparsers are built with the same class."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        joined = []
+        for arg in args:
+            if joined and joined[-1] in _COMPLEX_FLAGS and arg.startswith("-"):
+                try:
+                    parse_complex(arg)
+                except UsageError:
+                    pass
+                else:
+                    joined[-1] += "=" + arg
+                    continue
+            joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nctorus",
         description="Magnetic Bloch states, quantum-torus matrices, and "
         "modular invariance checks at rational flux.",

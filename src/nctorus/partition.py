@@ -10,17 +10,35 @@ is
 
 where the integrand (for vacuum angles ``(a1, a2)``) is the doubly
 periodic function ``exp(-2*pi*K*b*y^2 - 2*a1*b*y) |theta^K_r(w+gamma)|^2``
-with ``b = Im tau``.  The tensor-product Gauss-Legendre rule is
-spectrally accurate on it.  ``Z~`` is computed by two deliberately
-independent routes: the per-state route sums :func:`state_norm` over the
-basis, while the character route evaluates a single integrand containing
-the full residue sum of thetas over eta directly; their agreement is a
-consistency check, so the two code paths are kept separate.
+with ``b = Im tau``.  It is integrated by the tensor midpoint rule (the
+periodic trapezoid rule): ``n_x`` by ``n_y`` equally weighted nodes
+``((i + 1/2)/n_x, (j + 1/2)/n_y)``.  On a periodic integrand that rule
+is exact up to the Fourier modes it aliases onto the mean, and here
+those are known in closed form: in ``x`` the only modes are multiples
+``m*K`` of the level, of relative size ``exp(-pi*K*b*m^2/2)``; in ``y``
+the peaks are Gaussians of variance ``1/(4*pi*K*b)``, whose mode ``k``
+has relative size ``exp(-pi*k^2/(2*K*b))``.  So
+
+    n_x = ceil(sqrt(2*K*ln(2/eps)/(pi*b))),
+    n_y = ceil(sqrt(2*K*b*ln(2/eps)/pi))
+
+bound the relative aliasing error by ``eps``, the truncation
+``epsilon`` of the basis, as the theta cutoffs are bounded
+(:func:`cell_node_counts`).  ``n_x*n_y`` is about ``(2/pi)*K*ln(2/eps)``
+whatever ``b``, and each axis takes at least
+``QuadratureSpec.nodes_per_axis`` nodes.
+
+``Z~`` is computed by two deliberately independent routes: the
+per-state route sums :func:`state_norm` over the basis, while the
+character route evaluates a single integrand containing the full
+residue sum of thetas over eta directly; their agreement is a
+consistency check, so the two code paths are kept separate.  Parseval
+in ``x`` collapses the cell integral to a full Gaussian in ``y``, which
+gives :func:`z_tilde_closed_form`; neither route reads it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,10 +50,12 @@ from .theta import ThetaSpec, dedekind_eta, theta
 
 __all__ = [
     "QuadratureSpec",
+    "cell_node_counts",
     "quadrature_nodes",
     "state_norm",
     "z_tilde",
     "z_tilde_character_route",
+    "z_tilde_closed_form",
     "ModularInvariance",
     "modular_invariance_report",
 ]
@@ -45,9 +65,10 @@ _CHUNK = 1024
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tensor-product Gauss-Legendre quadrature of the unit square."""
+    """Per-axis floor on the nodes of the cell's tensor midpoint rule,
+    which otherwise sizes itself (:func:`cell_node_counts`)."""
 
-    nodes_per_axis: int = 64
+    nodes_per_axis: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
@@ -55,34 +76,40 @@ class QuadratureSpec:
             raise ValueError("nodes_per_axis must be at least 8")
 
 
-def quadrature_nodes(quad: QuadratureSpec):
-    """1D Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(quad.nodes_per_axis)
-    return 0.5 * (x + 1.0), 0.5 * w
+def cell_node_counts(level: int, im_tau: float, epsilon: float,
+                     quad: QuadratureSpec = QuadratureSpec()) -> tuple[int, int]:
+    """Nodes ``(n_x, n_y)`` of the midpoint rule whose aliasing error on
+    a level-``level`` norm integrand at ``Im tau = im_tau`` is below
+    ``epsilon`` relative to the integral, each at least
+    ``quad.nodes_per_axis``."""
+    log = math.log(2.0 / epsilon)
+    k, b = float(level), float(im_tau)
+    n_x = math.ceil(math.sqrt(2.0 * k * log / (math.pi * b)))
+    n_y = math.ceil(math.sqrt(2.0 * k * b * log / math.pi))
+    return max(n_x, quad.nodes_per_axis), max(n_y, quad.nodes_per_axis)
 
 
-@functools.cache
-def _cell_nodes(quad: QuadratureSpec):
-    """Read-only tensor-product nodes ``xs, ys`` and weights ``wts`` of
-    the unit square, built once per spec."""
-    x1, w1 = quadrature_nodes(quad)
-    xs = np.repeat(x1, x1.size)
-    ys = np.tile(x1, x1.size)
-    wts = np.repeat(w1, w1.size) * np.tile(w1, w1.size)
-    for arr in (xs, ys, wts):
-        arr.flags.writeable = False
-    return xs, ys, wts
+def quadrature_nodes(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
+    """Midpoint nodes ``x, y`` on [0, 1) of the cell rule for ``basis``,
+    sized from its level, ``Im tau`` and truncation ``epsilon``; each
+    of the ``x.size * y.size`` tensor nodes has the same weight."""
+    n_x, n_y = cell_node_counts(basis.level, basis.tau.im, basis.policy.epsilon, quad)
+    return (np.arange(n_x) + 0.5) / n_x, (np.arange(n_y) + 0.5) / n_y
 
 
-def _cell_integral(integrand, quad: QuadratureSpec) -> float:
+def _cell_integral(integrand, basis: LLLBasis, quad: QuadratureSpec) -> float:
     """Integrate ``integrand(x, y) -> real ndarray`` over the unit
-    square: nodes are evaluated in fixed chunks of ``_CHUNK`` points and
-    the chunk sums reduced with ``math.fsum``."""
-    xs, ys, wts = _cell_nodes(quad)
-    return math.fsum(
-        float(np.dot(wts[i:i + _CHUNK], integrand(xs[i:i + _CHUNK], ys[i:i + _CHUNK])))
+    square by the midpoint rule of ``basis``: nodes are evaluated in
+    fixed chunks of ``_CHUNK`` points and the chunk sums reduced with
+    ``math.fsum``."""
+    x, y = quadrature_nodes(basis, quad)
+    xs = np.repeat(x, y.size)
+    ys = np.tile(y, x.size)
+    total = math.fsum(
+        float(np.sum(integrand(xs[i:i + _CHUNK], ys[i:i + _CHUNK])))
         for i in range(0, xs.size, _CHUNK)
     )
+    return total / xs.size
 
 
 def state_norm(basis: LLLBasis, j, k, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -94,7 +121,7 @@ def state_norm(basis: LLLBasis, j, k, quad: QuadratureSpec = QuadratureSpec()) -
         w = x + tau * y
         return np.abs(st.evaluate(w, np.conjugate(w))) ** 2
 
-    return _cell_integral(integrand, quad)
+    return _cell_integral(integrand, basis, quad)
 
 
 def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -130,7 +157,21 @@ def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSp
                    for s in specs)
         return chi2 / eta2
 
-    return _cell_integral(integrand, quad)
+    return _cell_integral(integrand, basis, quad)
+
+
+def z_tilde_closed_form(basis: LLLBasis) -> float:
+    """``Z~`` without quadrature: Parseval in ``x`` leaves a full
+    Gaussian in ``y``, so ``Z~ = sqrt(K/(2b)) exp(b a1^2/(2 pi K)) /
+    |eta|^2`` with ``b = Im tau`` and eta truncated by the basis's
+    policy."""
+    k, b, a1 = basis.level, basis.tau.im, basis.angles.alpha1
+    eta2 = abs(dedekind_eta(basis.tau, basis.policy)) ** 2
+    try:
+        gauss = math.exp(b * a1**2 / (2.0 * math.pi * k))
+    except OverflowError:  # Z~ itself leaves double range, as both routes do
+        gauss = math.inf
+    return math.sqrt(k / (2.0 * b)) * gauss / eta2
 
 
 class ModularInvariance(NamedTuple):
@@ -145,7 +186,8 @@ def modular_invariance_report(basis: LLLBasis,
 
     ``z_tilde`` is the per-state Z~ of ``basis`` itself; the two
     transformed bases are built from its flux, angles and truncation
-    policy, so all three values share one quadrature and one policy."""
+    policy, so all three values share one node floor and one policy,
+    and each sizes its cell rule from its own ``Im tau``."""
     tau = basis.tau.value
     z0 = z_tilde(basis, quad)
     zt = z_tilde(build_basis(basis.flux, tau + 1.0, basis.angles, basis.policy), quad)

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -222,12 +224,84 @@ def test_partition_fails_on_non_finite_values(capsys, monkeypatch):
 
 def test_partition_at_large_im_tau_is_finite(capsys):
     # K * Im tau = 300: the raw theta values on the cell leave double
-    # range, the Gaussian-scaled series do not
+    # range, the Gaussian-scaled series do not; the peaks are 0.023 wide
+    # in y, and the default floor leaves the rule to size itself (8 x 74)
     code, rep = run_json(capsys, ["partition", "--M", "3", "--N", "2", "--tau=50i"])
     assert code == 0
     values = [rep[key] for key in ("z_tilde", "z_tilde_character_route", "s_residual", "t_residual")]
     assert all(map(math.isfinite, values))
     assert abs(rep["z_tilde_character_route"] - rep["z_tilde"]) <= 1e-12 * rep["z_tilde"]
+    want = math.sqrt(6 / 100.0) / float(abs(mpmath.eta(mpmath.mpc(0, 50)))) ** 2
+    for key in ("z_tilde", "z_tilde_character_route", "z_tilde_closed_form"):
+        assert abs(rep[key] - want) <= 1e-11 * want, key
+    assert rep["cell_nodes"] == {"tau": [8, 74], "-1/tau": [74, 8]}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_partition_reports_an_overflowing_closed_form(capsys):
+    # exp(b*alpha1**2/(2*pi*K)) = exp(1108): Z~ leaves double range, and
+    # the report still says so next to the two routes
+    assert main(["partition", "--M", "1", "--N", "1", "--tau=200i", "--alpha1", "5.9"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["z_tilde_closed_form"] == math.inf
+    assert not math.isfinite(rep["z_tilde"])
+
+
+def test_partition_reports_closed_form_and_cell_nodes(capsys):
+    argv = ["--M", "3", "--N", "2", "--tau", "0.3+1.1i", "--alpha1", "0.7"]
+    code, rep = run_json(capsys, ["partition", *argv])
+    assert code == 0
+    want = (math.sqrt(6 / 2.2) * math.exp(1.1 * 0.49 / (12 * math.pi))
+            / float(abs(mpmath.eta(mpmath.mpc(0.3, 1.1)))) ** 2)
+    assert abs(rep["z_tilde_closed_form"] - want) <= 1e-13 * want
+    for key in ("z_tilde", "z_tilde_character_route"):
+        assert abs(rep[key] - rep["z_tilde_closed_form"]) <= 1e-12 * want
+    assert rep["cell_nodes"] == {"tau": [10, 11], "-1/tau": [12, 10]}
+    code, rep = run_json(capsys, ["partition", *argv, "--quad", "16"])
+    assert code == 0
+    assert rep["cell_nodes"] == {"tau": [16, 16], "-1/tau": [16, 16]}
+    code, ver = run_json(capsys, ["verify", *argv])
+    assert code == 0
+    notes = {c["name"]: c.get("note") for c in ver["checks"]}
+    assert notes["partition_t_invariance"].endswith("(n_x, n_y) = (10, 11) at tau and tau+1")
+    assert notes["partition_s_invariance"].endswith(
+        "(n_x, n_y) = (10, 11) at tau, (12, 10) at -1/tau")
+
+
+@pytest.mark.parametrize("tau", ["0.01i", "50i"])
+def test_verify_passes_at_small_and_large_im_tau(capsys, tau):
+    # at 0.01i the cell integrand has x-modes up to about 100: a fixed
+    # 64-node axis left Z~ 8.8e-3 off and failed partition_t_invariance
+    code, rep = run_json(capsys, ["verify", "--tau=" + tau])
+    assert code == 0, [c for c in rep["checks"] if not c["pass"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--level", "3", "--z", "-0.2-0.1i", "--tau", "-0.3+1.1i"],
+    ["eta", "--tau", "-0.4+2i"],
+    ["lll", "--M", "2", "--N", "1", "--grid", "3", "--tau", "-0.4+2i"],
+    ["matrices", "--M", "2", "--N", "1", "--tau", "-0.4+2i"],
+    ["partition", "--M", "2", "--N", "1", "--tau", "-0.2+1.7i"],
+    ["squeeze", "--tau", "-0.4+2i"],
+    ["verify", "--M", "2", "--N", "1", "--tau", "-0.2+1.7i"],
+], ids=lambda argv: argv[0])
+def test_complex_flag_values_may_start_with_a_minus(tmp_path, capsys, argv):
+    # "--tau -0.4+2i" is the same run as "--tau=-0.4+2i"
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--tau", "--z"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    outputs = []
+    for args in (argv, joined):
+        if args[0] == "lll":
+            args = args + ["--out", str(tmp_path / "dump")]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(re.sub(r'"wall_time":[^,}]*', "", captured.out))
+    assert outputs[0] == outputs[1]
 
 
 def test_lll_subcommand_writes_grids(tmp_path, capsys):

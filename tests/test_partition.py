@@ -1,19 +1,25 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nctorus import partition
 from nctorus.core import Flux, VacuumAngles
 from nctorus.lll import build_basis
 from nctorus.partition import (
     ModularInvariance,
     QuadratureSpec,
+    cell_node_counts,
     modular_invariance_report,
     quadrature_nodes,
     state_norm,
     z_tilde,
     z_tilde_character_route,
+    z_tilde_closed_form,
 )
 
 ANGLES = VacuumAngles(0.7, -1.3)
@@ -27,16 +33,49 @@ Z_GEN = 1.1985492230536032894
 
 def test_quadrature_spec_validation():
     spec = QuadratureSpec()
-    assert spec.nodes_per_axis == 64
+    assert spec.nodes_per_axis == 8
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_axis=4)
 
 
 def test_quadrature_nodes():
-    x, w = quadrature_nodes(QuadratureSpec(16))
-    assert x.size == 16 and w.size == 16
-    assert np.all((x >= 0.0) & (x < 1.0))
-    assert abs(w.sum() - 1.0) < 1e-14
+    # midpoints of the sized rule: (10, 11) at this basis, the floor where it is larger
+    basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES)
+    x, y = quadrature_nodes(basis)
+    assert (x.size, y.size) == (10, 11)
+    assert np.array_equal(x, (np.arange(10) + 0.5) / 10)
+    assert np.array_equal(y, (np.arange(11) + 0.5) / 11)
+    x, y = quadrature_nodes(basis, QuadratureSpec(16))
+    assert (x.size, y.size) == (16, 16)
+    assert np.all((x > 0.0) & (x < 1.0))
+
+
+@pytest.mark.parametrize("level, im_tau, counts", [
+    (6, 1.1, (10, 11)),       # (3,2) at 0.3+1.1i: 110 points
+    (72, 1.57, (29, 46)),     # 1334 points
+    (6, 0.01, (105, 8)),
+    (6, 50.0, (8, 74)),
+    (1, 1.0, (8, 8)),
+])
+def test_cell_rule_size_is_pinned(level, im_tau, counts):
+    # n_x * n_y is about 18 K at the default epsilon whatever Im tau
+    assert cell_node_counts(level, im_tau, 1e-12) == counts
+
+
+def test_cell_integral_integrates_the_sized_rule():
+    # a fall-back to a fixed 64 x 64 cell would show here first
+    basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES)
+    points = []
+    partition._cell_integral(lambda x, y: points.append(x.size) or np.ones_like(x),
+                             basis, QuadratureSpec())
+    assert sum(points) == 10 * 11
+
+
+def test_one_quadrature_rule_in_the_library():
+    src = Path(partition.__file__).parent
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        assert "legendre" not in text and "leggauss" not in text, path.name
 
 
 def test_state_norm_frozen_values():
@@ -152,12 +191,41 @@ def test_invariance_report_matches_closed_form(mn, tau, angles):
 def test_both_routes_match_closed_form_where_raw_theta_overflows(mn, tau, nodes):
     # K * Im tau is 137, 177 and 300: |theta|^2 alone leaves double range
     # on the cell, and only the Gaussian folded into each series keeps
-    # both routes finite.  At 50i the integrand's peaks are 0.023 wide in
-    # y, which 64 nodes per axis do not resolve (both routes sit 1.5e-5
-    # below the closed form there) and 128 do.
+    # both routes finite.  ``nodes`` is the per-axis floor; the 128 case
+    # integrates more points than the rule asks for at 50i (8 x 74).
     m, n = mn
     want = closed_form_z_tilde(m * n, tau, ANGLES.alpha1)
     basis = build_basis(Flux(n, m), tau, ANGLES)
     quad = QuadratureSpec(nodes)
     assert abs(z_tilde(basis, quad) - want) <= 1e-11 * want
     assert abs(z_tilde_character_route(basis, quad) - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("mn", [(3, 2), (7, 5), (13, 7)])
+@pytest.mark.parametrize("im_tau", [0.01, 0.03, 10.0, 50.0, 200.0])
+def test_both_routes_match_closed_form_over_im_tau(mn, im_tau):
+    # the rule sizes itself from (K, Im tau): no floor beyond the default
+    m, n = mn
+    tau = complex(0.2, im_tau)
+    want = closed_form_z_tilde(m * n, tau, ANGLES.alpha1)
+    basis = build_basis(Flux(n, m), tau, ANGLES)
+    assert abs(z_tilde(basis) - want) <= 1e-11 * want
+    assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
+    assert abs(z_tilde_closed_form(basis) - want) <= 1e-11 * want
+
+
+_BOX_FLUXES = [(m, n) for m in range(1, 14) for n in range(1, 14)
+               if math.gcd(m, n) == 1 and 2 <= m * n <= 100]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(mn=st.sampled_from(_BOX_FLUXES),
+       re=st.floats(-0.5, 0.5), im=st.floats(0.8, 2.0),
+       a1=st.floats(0.0, 2.0 * math.pi), a2=st.floats(0.0, 2.0 * math.pi))
+def test_both_routes_match_closed_form_in_the_sweep_box(mn, re, im, a1, a2):
+    m, n = mn
+    tau = complex(re, im)
+    want = closed_form_z_tilde(m * n, tau, a1)
+    basis = build_basis(Flux(n, m), tau, VacuumAngles(a1, a2))
+    assert abs(z_tilde(basis) - want) <= 1e-11 * want
+    assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want

@@ -34,8 +34,9 @@ for label in basis.labels():
           % (label, entry["d1_phase"], entry["d2_target"], entry["dual2_target"]))
 
 # M applications of a translation come back to the same state, up to
-# the vacuum angle: that pins the angles as central eigenvalues.
-print("center residual (0,0):", center_eigen_residual(basis, 0, 0))
+# the vacuum angle: that pins the angles as central eigenvalues.  The
+# residual is the worst over all six states, translated at once.
+print("worst center residual:", center_eigen_residual(basis))
 
 # The Gram matrix of samples has full numerical rank M*N: the six
 # orbitals really are linearly independent.

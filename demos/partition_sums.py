@@ -11,8 +11,9 @@ flux = Flux(1, 2)
 tau = 0.4 + 1.2j
 basis = build_basis(flux, tau)
 
-for j, k in basis.labels():
-    print("norm^2 of state (%d, %d): %.12f" % (j, k, state_norm(basis, j, k)))
+# state_norm integrates all M*N states at once, in basis.labels() order.
+for (j, k), norm in zip(basis.labels(), state_norm(basis)):
+    print("norm^2 of state (%d, %d): %.12f" % (j, k, norm))
 
 # Two independent routes: integrate the states themselves, or integrate
 # the explicit theta-square density.  They must agree to quadrature

@@ -30,6 +30,14 @@ actions on the basis are exact operator identities:
 States are stored as exact term families
 ``sum_t c_t * w^a * wbar^c * exp(G) * theta^{(p)}(w + gamma)`` so that
 all derivatives (and the raising operator) stay analytic.
+
+The K states share the level, ``tau``, ``gamma``, ``G`` and every
+translation prefactor, and differ only in the residue ``r_jk``, so the
+basis holds them as one stacked :class:`ThetaField` whose residues are
+the ``r_jk`` in :meth:`LLLBasis.labels` order: one evaluation sums one
+theta series for all K residues and returns the K states on a leading
+axis.  The translations act on it unchanged, since their prefactors
+broadcast over that axis.
 """
 
 from __future__ import annotations
@@ -123,6 +131,9 @@ class ThetaField(Field):
 
     ``terms`` maps ``(a, c, p) -> coeff`` for the summand
     ``coeff * w^a * wbar^c * exp(G) * theta^{(p)}_{residue}(w + gamma)``.
+    A sequence of residues (as in :class:`~nctorus.theta.ThetaSpec`)
+    stacks one field per residue: ``evaluate(w, wbar)`` and both
+    derivatives return shape ``(len(residue),) + w.shape``.
     """
 
     __slots__ = ("terms", "level", "residue", "alpha1", "gamma", "policy")
@@ -131,7 +142,7 @@ class ThetaField(Field):
         t = as_tau(tau)
         self.terms = dict(terms)
         self.level = int(level)
-        self.residue = int(residue) % int(level)
+        self.residue = ThetaSpec(self.level, residue).residue
         self.alpha1 = float(alpha1)
         self.gamma = complex(gamma)
         self.policy = policy
@@ -148,22 +159,28 @@ class ThetaField(Field):
 
 @dataclass(frozen=True)
 class LLLBasis:
-    """Ground-space basis ``states[(j, k)]`` at flux N/M on ``tau``."""
+    """Ground-space basis at flux N/M on ``tau``: ``field`` is the stacked
+    :class:`ThetaField` of the K states, one row per label of
+    :meth:`labels`."""
 
     flux: Flux
     tau: ModularParameter
     angles: VacuumAngles
     gamma: complex
     policy: TruncationPolicy
-    states: dict = dataclass_field(repr=False, default=None)
+    field: ThetaField = dataclass_field(repr=False, default=None)
 
     @property
     def level(self) -> int:
         return self.flux.level
 
     def state(self, j, k) -> ThetaField:
+        """The single state Psi_jk (indices mod M and N), built from the
+        stacked field's row of that label."""
         m, n = self.flux.denominator, self.flux.numerator
-        return self.states[(j % m, k % n)]
+        f = self.field
+        return ThetaField(f.terms, f.level, f.residue[(j % m) * n + k % n], self.tau,
+                          f.alpha1, f.gamma, f.policy)
 
     def labels(self):
         """Index pairs in the fixed flattening order (j major, k minor)."""
@@ -173,7 +190,7 @@ class LLLBasis:
     @functools.cached_property
     def _fit_samples(self):
         """Grid ``(w, wbar)`` and state matrix ``a`` (one row per label) of
-        the sampled fits, stacked once per basis and read-only (``states``
+        the sampled fits, evaluated once per basis and read-only (``field``
         must not change after the first fit).  The grid is the smallest
         n-by-n one with n >= 6 and n*n >= K, so K coefficients fit.
 
@@ -181,7 +198,7 @@ class LLLBasis:
         sees it (LAPACK would print its own complaint on stdout)."""
         n = max(6, math.isqrt(self.level - 1) + 1)
         w, wbar = unit_cell_grid(self.tau, n=n)
-        a = np.stack([self.states[lb].evaluate(w, wbar) for lb in self.labels()])
+        a = self.field.evaluate(w, wbar)
         if not np.isfinite(a).all():
             raise np.linalg.LinAlgError("state samples on the fit grid are not finite")
         for arr in (w, wbar, a):
@@ -210,15 +227,11 @@ def build_basis(flux: Flux, tau, angles: VacuumAngles = VacuumAngles(),
     t = as_tau(tau)
     k_level = flux.level
     gamma = (t.value * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * k_level)
-    states = {}
-    for j in range(flux.denominator):
-        for k in range(flux.numerator):
-            r = (j * flux.numerator + k * flux.denominator) % k_level
-            states[(j, k)] = ThetaField(
-                {(0, 0, 0): 1.0}, k_level, r, t, angles.alpha1, gamma, policy
-            )
+    residues = tuple((j * flux.numerator + k * flux.denominator) % k_level
+                     for j in range(flux.denominator) for k in range(flux.numerator))
+    field = ThetaField({(0, 0, 0): 1.0}, k_level, residues, t, angles.alpha1, gamma, policy)
     return LLLBasis(flux=flux, tau=t, angles=angles, gamma=gamma,
-                    policy=policy, states=states)
+                    policy=policy, field=field)
 
 
 def unit_cell_grid(tau, n=5):
@@ -305,11 +318,11 @@ def _masked_ratio(out, base):
 
 
 def _fit(basis: LLLBasis, op):
-    """Images ``op(Psi_i)`` on the basis's fit grid (one column per label)
-    and their one least-squares solve against the state sample matrix."""
+    """Images ``op(Psi_i)`` on the basis's fit grid (one column per label),
+    from one evaluation of the stacked states, and their one
+    least-squares solve against the state sample matrix."""
     w, wbar, a = basis._fit_samples
-    images = np.stack([op(basis.states[lb]).evaluate(w, wbar) for lb in basis.labels()],
-                      axis=1)
+    images = op(basis.field).evaluate(w, wbar).T
     return images, np.linalg.lstsq(a.T, images, rcond=None)[0]
 
 
@@ -364,18 +377,19 @@ def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
     return table
 
 
-def center_eigen_residual(basis: LLLBasis, j, k) -> float:
+def center_eigen_residual(basis: LLLBasis) -> float:
     """Max-grid residual of the central relations
     D1^M Psi = e^{i*alpha1} Psi and D2^M Psi = e^{i*alpha2} Psi on the
-    5-by-5 :func:`unit_cell_grid`."""
+    5-by-5 :func:`unit_cell_grid`, for the worst of the K states (all
+    evaluated at once through the stacked field)."""
     w, wbar = unit_cell_grid(basis.tau)
-    st = basis.state(j, k)
-    base = st.evaluate(w, wbar)
+    states = basis.field
+    base = states.evaluate(w, wbar)
     m = basis.flux.denominator
     res = []
     for index, alpha in ((1, basis.angles.alpha1), (2, basis.angles.alpha2)):
         op = elementary_translation(basis, index)
-        f = st
+        f = states
         for _ in range(m):
             f = op(f)
         res.append(np.max(np.abs(f.evaluate(w, wbar) - cmath.exp(1j * alpha) * base)))

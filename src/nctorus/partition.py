@@ -29,10 +29,12 @@ whatever ``b``, and each axis takes at least
 ``QuadratureSpec.nodes_per_axis`` nodes.
 
 ``Z~`` is computed by two deliberately independent routes: the
-per-state route sums :func:`state_norm` over the basis, while the
-character route evaluates a single integrand containing the full
-residue sum of thetas over eta directly; their agreement is a
-consistency check, so the two code paths are kept separate.  Parseval
+per-state route sums the K norms of :func:`state_norm`, which integrates
+the basis's stacked states (one theta series for all K residues) row by
+row, while the character route evaluates a single integrand containing
+the full residue sum of thetas over eta directly, one residue at a time
+through :func:`~nctorus.theta.theta`; their agreement is a consistency
+check, so the two code paths are kept separate.  Parseval
 in ``x`` collapses the cell integral to a full Gaussian in ``y``, which
 gives :func:`z_tilde_closed_form`; neither route reads it.
 """
@@ -46,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lll import LLLBasis, build_basis
-from .theta import ThetaSpec, dedekind_eta, theta
+from .theta import ThetaSpec, _peak_window, dedekind_eta, theta
 
 __all__ = [
     "QuadratureSpec",
@@ -61,6 +63,10 @@ __all__ = [
 ]
 
 _CHUNK = 1024
+# elements of one (K, points, terms) series array in a state_norm evaluation;
+# a larger budget raised the traced peak memory of a K = 90 partition run
+# (1.8 MB at 2**13, 3.2 MB at 2**15) and was no faster
+_BLOCK_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -97,29 +103,43 @@ def quadrature_nodes(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
     return (np.arange(n_x) + 0.5) / n_x, (np.arange(n_y) + 0.5) / n_y
 
 
-def _cell_integral(integrand, basis: LLLBasis, quad: QuadratureSpec) -> float:
+def _cell_integral(integrand, basis: LLLBasis, quad: QuadratureSpec):
     """Integrate ``integrand(x, y) -> real ndarray`` over the unit
     square by the midpoint rule of ``basis``: nodes are evaluated in
     fixed chunks of ``_CHUNK`` points and the chunk sums reduced with
-    ``math.fsum``."""
+    ``math.fsum``.  The integrand's last axis runs over the points; a
+    2-d integrand is one integrand per row, and its integrals come back
+    as a list of floats, one per row."""
     x, y = quadrature_nodes(basis, quad)
     xs = np.repeat(x, y.size)
     ys = np.tile(y, x.size)
-    total = math.fsum(
-        float(np.sum(integrand(xs[i:i + _CHUNK], ys[i:i + _CHUNK])))
+    sums = np.array([
+        np.sum(integrand(xs[i:i + _CHUNK], ys[i:i + _CHUNK]), axis=-1)
         for i in range(0, xs.size, _CHUNK)
-    )
-    return total / xs.size
+    ])
+    totals = [math.fsum(row) / xs.size for row in sums.reshape(len(sums), -1).T]
+    return totals if sums.ndim > 1 else totals[0]
 
 
-def state_norm(basis: LLLBasis, j, k, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Squared cell norm of the ground state (j, k)."""
-    st = basis.state(j, k)
+def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:
+    """Squared cell norms of the K ground states, in the order of
+    :meth:`LLLBasis.labels`.  The stacked states are evaluated in blocks
+    of points, each small enough (but at least one point) that its
+    ``(K, points, terms)`` series array, with the peak-window term count
+    of the basis, holds at most ``_BLOCK_ELEMENTS`` elements."""
+    states = basis.field
     tau = basis.tau.value
+    klev = basis.level
+    terms = _peak_window(klev, basis.tau.im, 0.0, basis.policy.epsilon)
+    block = max(1, _BLOCK_ELEMENTS // (klev * terms))
 
     def integrand(x, y):
         w = x + tau * y
-        return np.abs(st.evaluate(w, np.conjugate(w))) ** 2
+        rows = np.empty((klev, w.size))
+        for i in range(0, w.size, block):
+            wb = w[i:i + block]
+            rows[:, i:i + block] = np.abs(states.evaluate(wb, np.conjugate(wb))) ** 2
+        return rows
 
     return _cell_integral(integrand, basis, quad)
 
@@ -129,10 +149,7 @@ def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
     of every state of ``basis`` over ``|eta|^2``, both truncated by the
     basis's own policy."""
     eta = dedekind_eta(basis.tau, basis.policy)
-    total = math.fsum(
-        state_norm(basis, j, k, quad) for (j, k) in basis.labels()
-    )
-    return total / abs(eta) ** 2
+    return math.fsum(state_norm(basis, quad)) / abs(eta) ** 2
 
 
 def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:

@@ -58,6 +58,10 @@ per point once ``K*b >= 37`` and two once ``K*b >= 9.1`` at
 and is relative to ``(2*pi*K)**p`` times the envelope.  The symmetric
 ``n_max`` rule stays the certificate whenever no ``log_scale`` is given;
 the one summation routine serves both.
+
+Neither count depends on the residue, so a :class:`ThetaSpec` with a
+tuple of residues sums all of them in one series: ``r/K`` rides on a
+leading axis, and each row is the single-residue value bit for bit.
 """
 
 from __future__ import annotations
@@ -91,15 +95,22 @@ _LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class ThetaSpec:
-    """Level and residue of a theta function; residue is reduced mod level."""
+    """Level and residue of a theta function; residue is reduced mod level.
+
+    A sequence of residues stacks their series: :func:`theta` and its
+    derivatives then return one row per residue, shape
+    ``(len(residue),) + z.shape``, from one evaluation of the series."""
 
     level: int
-    residue: int
+    residue: int | tuple[int, ...]
 
     def __post_init__(self):
         try:
             level = operator.index(self.level)
-            residue = operator.index(self.residue)
+            if np.ndim(self.residue):
+                residue = tuple(operator.index(r) for r in self.residue)
+            else:
+                residue = operator.index(self.residue)
         except TypeError:
             raise ValueError(
                 "level and residue must be integers, got %r, %r"
@@ -108,7 +119,8 @@ class ThetaSpec:
         if level < 1:
             raise ValueError("level must be a positive integer, got %r" % (level,))
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "residue", residue % level)
+        object.__setattr__(self, "residue", tuple(r % level for r in residue)
+                           if isinstance(residue, tuple) else residue % level)
 
 
 @dataclass(frozen=True)
@@ -202,6 +214,10 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
     scalar = zz.ndim == 0
     zz = np.atleast_1d(zz)
     k = spec.level
+    residue = np.asarray(spec.residue)
+    # r/K on the leading (residue) axis, ahead of z's axes and the terms axis;
+    # a single residue adds no axis
+    r_k = residue.reshape(residue.shape + (1,) * (zz.ndim + 1)) / k
     if log_scale is None:
         h = float(np.max(np.abs(zz.imag))) if zz.size else 0.0
         n_max = _nmax_certified(k, t.im, h, policy.epsilon, deriv_order)
@@ -213,7 +229,7 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
         peak = float(np.max(np.abs(a_star), initial=0.0, where=finite))
         count = _peak_window(k, t.im, peak, policy.epsilon, deriv_order)
         # the first of the count terms n + r/K at or above a* - count/2
-        start = np.ceil(a_star - spec.residue / k - 0.5 * count)[..., None]
+        start = np.ceil(a_star - r_k[..., 0] - 0.5 * count)[..., None]
     if count > policy.max_terms:
         raise TruncationError(
             "theta truncation needs %d terms, cap is %d (tail bound %.3e)"
@@ -222,7 +238,7 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
             cap=policy.max_terms,
             bound=policy.epsilon,
         )
-    a = (start + np.arange(count, dtype=float)) + spec.residue / k
+    a = (start + np.arange(count, dtype=float)) + r_k
     # combine every exponent before exponentiating: the individual factors
     # can overflow even when the product is tame.
     expo = (1j * math.pi * t.value * k) * (a * a) + (2j * math.pi * k) * (zz[..., None] * a)
@@ -232,8 +248,8 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
     if deriv_order:
         terms = terms * (2j * math.pi * k * a) ** deriv_order
     out = terms.sum(axis=-1)
-    out = out.reshape(np.shape(z))
-    return complex(out[()]) if scalar else out
+    out = out.reshape(residue.shape + np.shape(z))
+    return complex(out[()]) if scalar and not residue.ndim else out
 
 
 def theta(spec: ThetaSpec, z, tau, policy: TruncationPolicy = _DEFAULT_POLICY,

@@ -10,11 +10,12 @@ import pytest
 
 from nctorus import cli, partition
 from nctorus.cli import RunConfig, UsageError, emit_json, main, parse_complex
-from nctorus.core import Flux, VacuumAngles
+from nctorus.core import Flux, VacuumAngles, as_tau
 from nctorus.fields import Field
 from nctorus.lll import build_basis
 from nctorus.matrices import holonomy_residual, q_commutation_residual, weyl_cocycle_residual
 from nctorus.partition import z_tilde
+from state_faults import with_states
 
 ETA_I = 0.7682254223260566590025942  # 50-digit oracle
 THETA_1_0_AT_I = 1.0864348112133080145  # sqrt(2) * eta(i)
@@ -33,12 +34,9 @@ def nan_states(monkeypatch):
 
     def build_nan(*args, **kwargs):
         basis = build(*args, **kwargs)
-        for label, state in basis.states.items():
-            basis.states[label] = Field(
-                lambda w, wbar: np.full(np.shape(w), np.nan, dtype=complex),
-                state.tau, state.im_tau_weight,
-            )
-        return basis
+        nan = Field(lambda w, wbar: np.full(np.shape(w), np.nan, dtype=complex),
+                    basis.tau, basis.field.im_tau_weight)
+        return with_states(basis, dict.fromkeys(basis.labels(), nan))
 
     monkeypatch.setattr(cli, "build_basis", build_nan)
 
@@ -195,14 +193,14 @@ def test_partition_subcommand(capsys):
 
 
 def test_partition_computes_each_z_tilde_once(capsys, monkeypatch):
-    # the per-state route runs at tau, tau+1 and -1/tau only: K state
-    # norms each, and the printed z_tilde is the one at tau
+    # the per-state route runs at tau, tau+1 and -1/tau only: one call
+    # for the K state norms each, and the printed z_tilde is the one at tau
     calls = []
     state_norm = partition.state_norm
     monkeypatch.setattr(partition, "state_norm", lambda *a, **kw: calls.append(a) or state_norm(*a, **kw))
     code, rep = run_json(capsys, ["partition", "--M", "3", "--N", "2"])
     assert code == 0
-    assert len(calls) == 3 * 6
+    assert len(calls) == 3
     monkeypatch.undo()
     assert rep["z_tilde"] == z_tilde(build_basis(Flux(2, 3), 0.3 + 1.1j))
 
@@ -274,6 +272,30 @@ def test_verify_passes_at_small_and_large_im_tau(capsys, tau):
     # 64-node axis left Z~ 8.8e-3 off and failed partition_t_invariance
     code, rep = run_json(capsys, ["verify", "--tau=" + tau])
     assert code == 0, [c for c in rep["checks"] if not c["pass"]]
+
+
+def test_eta_check_sees_the_run_tau(capsys, monkeypatch):
+    # a relative eta fault of 1e-6 confined to Im tau < 0.05 misses the 20
+    # seeded points (Im tau in [1, 2.5], their -1/tau above 0.15), and at
+    # 0.01i, where |eta| is 4e-11, it is 4e-17 in absolute terms: only a
+    # residual relative to |eta| at the run's own tau and -1/tau sees it
+    eta = cli.dedekind_eta
+
+    def faulty(tau, *args, **kwargs):
+        value = eta(tau, *args, **kwargs)
+        return value * (1.0 + 1e-6) if as_tau(tau).im < 0.05 else value
+
+    monkeypatch.setattr(cli, "dedekind_eta", faulty)
+    code, rep = run_json(capsys, ["verify", "--tau=0.01i"])
+    assert code == 1
+    failing = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
+    assert list(failing) == ["eta_functional_equations"]
+    assert failing["eta_functional_equations"] > 9e-7
+    # the true eta passes at the run's tau, relative to |eta|
+    monkeypatch.undo()
+    code, rep = run_json(capsys, ["verify", "--tau=0.01i"])
+    check = next(c for c in rep["checks"] if c["name"] == "eta_functional_equations")
+    assert code == 0 and check["residual"] < 1e-12
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nctorus import lll
+from nctorus import cli, lll, partition
 from nctorus.core import Flux, VacuumAngles, as_tau
 from nctorus.errors import ConventionMismatchError
 from nctorus.fields import Field, ladder_apply
@@ -23,6 +23,7 @@ from nctorus.lll import (
 )
 from nctorus.matrices import bimodule_consistency
 from nctorus.theta import ThetaSpec, TruncationPolicy, theta
+from state_faults import with_states
 
 TAU_GEN = 0.3 + 1.1j
 ANGLES = VacuumAngles(0.7, -1.3)
@@ -48,8 +49,7 @@ def test_unit_cell_grid_is_physical_slice():
 
 def test_build_basis_residues_exhaust_level():
     basis = build_basis(Flux(2, 3), 1j)
-    residues = {st.residue for st in basis.states.values()}
-    assert residues == set(range(6))
+    assert sorted(basis.field.residue) == list(range(6))
     assert basis.labels() == [(j, k) for j in range(3) for k in range(2)]
 
 
@@ -72,7 +72,10 @@ def test_states_match_defining_formula():
 
 def test_state_index_wraps_modulo():
     basis = build_basis(Flux(2, 3), 1j)
-    assert basis.state(4, 3) is basis.state(1, 1)
+    wrapped, state = basis.state(4, 3), basis.state(1, 1)
+    assert wrapped.residue == state.residue == basis.field.residue[basis.labels().index((1, 1))]
+    w, wbar = unit_cell_grid(1j, n=3)
+    assert np.array_equal(wrapped.evaluate(w, wbar), state.evaluate(w, wbar))
 
 
 def test_theta_field_derivatives_match_finite_differences():
@@ -185,9 +188,8 @@ def test_eigenphase_mismatch_raises():
         1j,
         basis.state(0, 0).im_tau_weight,
     )
-    basis.states[(0, 0)] = bad
     with pytest.raises(ConventionMismatchError):
-        eigenphase_table(basis)
+        eigenphase_table(with_states(basis, {(0, 0): bad}))
 
 
 def test_eigenphase_nan_spread_raises():
@@ -195,11 +197,11 @@ def test_eigenphase_nan_spread_raises():
     # ratio has a NaN spread: that is a mismatch, not a pass
     basis = build_basis(Flux(2, 3), TAU_GEN)
     w = basis._fit_samples[0]
-    state = basis.states[(1, 0)]
-    basis.states[(1, 0)] = Field(
+    state = basis.state(1, 0)
+    basis = with_states(basis, {(1, 0): Field(
         lambda z, zbar: np.where(np.isin(z, w), state.evaluate(z, zbar), np.nan),
         state.tau, state.im_tau_weight,
-    )
+    )})
     with np.errstate(invalid="ignore"), pytest.raises(ConventionMismatchError, match="nan"):
         eigenphase_table(basis)
 
@@ -235,19 +237,32 @@ def test_center_eigen_residual(mn):
     m, n = mn
     for tau in (1j, TAU_GEN):
         basis = build_basis(Flux(n, m), tau, ANGLES)
-        for j in range(m):
-            for k in range(n):
-                assert center_eigen_residual(basis, j, k) < 1e-12
+        assert center_eigen_residual(basis) < 1e-12
 
 
 def test_center_eigen_residual_propagates_nonfinite_samples():
     # the D2 images of this state are NaN; a NaN sample must give a NaN
     # residual, not a small (passing) one
     basis = build_basis(Flux(2, 3), TAU_GEN)
-    basis.states[(0, 0)] = _nan_off_row(basis.states[(0, 0)])
+    basis = with_states(basis, {(0, 0): _nan_off_row(basis.state(0, 0))})
     with np.errstate(all="ignore"):
-        res = center_eigen_residual(basis, 0, 0)
+        res = center_eigen_residual(basis)
     assert math.isnan(res)
+
+
+@pytest.mark.parametrize("mn", [(3, 2), (7, 5), (13, 3), (9, 11)])
+def test_stacked_rows_equal_the_single_state_loop(mn):
+    # the reference is the per-label loop over single-residue fields
+    m, n = mn
+    for tau in (TAU_GEN, -0.2 + 1.7j, 0.01j, 50j):
+        for angles in (VacuumAngles(), ANGLES):
+            basis = build_basis(Flux(n, m), tau, angles)
+            w, wbar = unit_cell_grid(tau, n=5)
+            for slot in ("evaluate", "d_z", "d_zbar"):
+                rows = getattr(basis.field, slot)(w, wbar)
+                assert rows.shape == (m * n, w.size)
+                for row, (j, k) in zip(rows, basis.labels()):
+                    assert np.array_equal(row, getattr(basis.state(j, k), slot)(w, wbar))
 
 
 def test_default_fit_samples_are_stacked_once():
@@ -271,7 +286,7 @@ def _per_column_coefficient_matrix(basis, op):
     labels = basis.labels()
     l_mat = np.zeros((len(labels), len(labels)), dtype=complex)
     for i, lb in enumerate(labels):
-        out = op(basis.states[lb]).evaluate(w, wbar)
+        out = op(basis.state(*lb)).evaluate(w, wbar)
         coeffs, *_ = np.linalg.lstsq(a.T, out, rcond=None)
         l_mat[:, i] = coeffs
     return l_mat
@@ -335,7 +350,7 @@ def _separately_measured_eigenphase_table(basis):
     for i, lb in enumerate(labels):
         entry = {}
         for name, dual in (("d1", False), ("dual1", True)):
-            out = elementary_translation(basis, 1, dual=dual)(basis.states[lb]).evaluate(w, wbar)
+            out = elementary_translation(basis, 1, dual=dual)(basis.state(*lb)).evaluate(w, wbar)
             entry[name + "_phase"], entry[name + "_spread"] = _masked_ratio(out, a[i])
         for name, l_mat in fits.items():
             coeffs = l_mat[:, i]
@@ -361,26 +376,37 @@ def test_eigenphase_table_reads_the_one_measurement(mn):
         assert np.array_equal(fit, coefficient_matrix(basis, op))
 
 
-def test_module_is_measured_once_per_basis(monkeypatch):
-    # the eigenphase table and the bimodule check share one set of images and fits
-    basis = build_basis(Flux(5, 3), TAU_GEN, ANGLES)
-    calls = {"lstsq": 0, "translation": 0}
+def test_module_is_measured_once_per_basis(monkeypatch, capsys):
+    # the eigenphase table and the bimodule check share one set of images
+    # and fits, and the samples and the four translations evaluate the
+    # stacked states once each, whatever K (one call per state would be 5K)
+    calls = {"lstsq": 0, "translation": 0, "eval": 0, "state_norm": 0}
     lstsq = np.linalg.lstsq
     build = lll.elementary_translation
+    eval_terms = lll._eval_terms
+    state_norm = partition.state_norm
 
-    def counted_lstsq(*args, **kwargs):
-        calls["lstsq"] += 1
-        return lstsq(*args, **kwargs)
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def counted_translation(*args, **kwargs):
-        calls["translation"] += 1
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-    monkeypatch.setattr(lll, "elementary_translation", counted_translation)
-    eigenphase_table(basis)
-    assert bimodule_consistency(basis)["pass"]
-    assert calls == {"lstsq": 4, "translation": 4}
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", lstsq))
+    monkeypatch.setattr(lll, "elementary_translation", counted("translation", build))
+    monkeypatch.setattr(lll, "_eval_terms", counted("eval", eval_terms))
+    for mn in ((3, 5), (1, 1), (7, 5)):
+        calls.update(dict.fromkeys(calls, 0))
+        basis = build_basis(Flux(mn[1], mn[0]), TAU_GEN, ANGLES)
+        eigenphase_table(basis)
+        assert bimodule_consistency(basis)["pass"]
+        assert calls == {"lstsq": 4, "translation": 4, "eval": 5, "state_norm": 0}, mn
+    # partition --M 3 --N 2 integrates each of its three bases in one call
+    monkeypatch.setattr(partition, "state_norm", counted("state_norm", state_norm))
+    calls.update(dict.fromkeys(calls, 0))
+    assert cli.main(["partition", "--M", "3", "--N", "2"]) == 0
+    capsys.readouterr()
+    assert calls["state_norm"] == 3
 
 
 def test_raise_level_roundtrip_and_covariance():

@@ -28,6 +28,7 @@ from nctorus.matrices import (
     weyl_element,
     weyl_span_dimension,
 )
+from state_faults import with_states
 
 ANGLES = VacuumAngles(0.7, -1.3)
 
@@ -317,8 +318,7 @@ def test_bimodule_left_action_small_case():
 
 def test_bimodule_reports_mismatch_without_raising():
     basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES)
-    a, b = basis.states[(0, 0)], basis.states[(1, 0)]
-    basis.states[(0, 0)], basis.states[(1, 0)] = b, a
+    basis = with_states(basis, {(0, 0): basis.state(1, 0), (1, 0): basis.state(0, 0)})
     report = bimodule_consistency(basis)
     assert not report["pass"]
     assert report["mismatches"]
@@ -331,11 +331,11 @@ def test_bimodule_consistency_fails_on_nan_images():
     # stay finite, its translated images hold NaN, and that must not pass
     basis = build_basis(Flux(2, 3), 0.3 + 1.1j)
     w = basis._fit_samples[0]
-    state = basis.states[(1, 0)]
-    basis.states[(1, 0)] = Field(
+    state = basis.state(1, 0)
+    basis = with_states(basis, {(1, 0): Field(
         lambda z, zbar: np.where(np.isin(z, w), state.evaluate(z, zbar), np.nan),
         state.tau, state.im_tau_weight,
-    )
+    )})
     with np.errstate(invalid="ignore"):
         report = bimodule_consistency(basis)
     assert all(math.isnan(dev) for dev in report["deviations"].values())

@@ -1,3 +1,4 @@
+import importlib
 import math
 from pathlib import Path
 
@@ -23,6 +24,8 @@ from nctorus.partition import (
 )
 
 ANGLES = VacuumAngles(0.7, -1.3)
+# by module path: the package namespace re-exports a function named theta
+theta_module = importlib.import_module("nctorus.theta")
 
 # 50-digit quadrature oracle values for the single-state case.
 NORM_I = 0.7071067811865475244
@@ -79,10 +82,62 @@ def test_one_quadrature_rule_in_the_library():
 
 
 def test_state_norm_frozen_values():
-    assert abs(state_norm(build_basis(Flux(1, 1), 1j), 0, 0) - NORM_I) < 1e-12
-    assert abs(
-        state_norm(build_basis(Flux(1, 1), 0.3 + 1.1j), 0, 0) - NORM_GEN
-    ) < 1e-12
+    [norm] = state_norm(build_basis(Flux(1, 1), 1j))
+    assert abs(norm - NORM_I) < 1e-12
+    [norm] = state_norm(build_basis(Flux(1, 1), 0.3 + 1.1j))
+    assert abs(norm - NORM_GEN) < 1e-12
+
+
+def _per_label_state_norms(basis, quad=QuadratureSpec()):
+    """Reference: one cell integral per single-residue state."""
+    tau = basis.tau.value
+
+    def norm(st):
+        def integrand(x, y):
+            w = x + tau * y
+            return np.abs(st.evaluate(w, np.conjugate(w))) ** 2
+        return partition._cell_integral(integrand, basis, quad)
+
+    return [norm(basis.state(j, k)) for (j, k) in basis.labels()]
+
+
+@pytest.mark.parametrize("mn, tau, nodes", [
+    ((3, 2), 0.3 + 1.1j, 8),
+    ((3, 2), 0.3 + 1.1j, 128),   # 16384 points, 16 chunks
+    ((7, 5), 0.01j, 8),          # blocks of fewer points than a chunk
+    ((13, 3), -0.2 + 1.7j, 8),
+    ((3, 2), 50j, 8),
+])
+def test_state_norm_equals_the_per_label_loop(mn, tau, nodes):
+    m, n = mn
+    basis = build_basis(Flux(n, m), tau, ANGLES)
+    quad = QuadratureSpec(nodes)
+    assert state_norm(basis, quad) == _per_label_state_norms(basis, quad)
+
+
+def test_state_norm_blocks_stay_within_the_element_budget(monkeypatch):
+    # at (7,5), 0.01i each point needs 11 peak-window terms: one 1024-point
+    # chunk of all 35 states would be 394240 elements in one series call
+    basis = build_basis(Flux(5, 7), 0.01j, ANGLES)
+    windows, sizes = [], []
+    peak_window, theta_sum = theta_module._peak_window, theta_module._theta_sum
+
+    def recorded_window(*args, **kwargs):
+        windows.append(peak_window(*args, **kwargs))
+        return windows[-1]
+
+    def recorded_sum(spec, z, *args, **kwargs):
+        out = theta_sum(spec, z, *args, **kwargs)
+        sizes.append(np.size(spec.residue) * np.size(z) * windows[-1])
+        return out
+
+    monkeypatch.setattr(theta_module, "_peak_window", recorded_window)
+    monkeypatch.setattr(theta_module, "_theta_sum", recorded_sum)
+    norms = state_norm(basis)
+    assert len(norms) == 35 and all(map(math.isfinite, norms))
+    assert windows[-1] == 11
+    assert len(sizes) > 1
+    assert max(sizes) <= partition._BLOCK_ELEMENTS
 
 
 def test_z_tilde_frozen_values():
@@ -92,9 +147,9 @@ def test_z_tilde_frozen_values():
 
 def test_state_norms_positive():
     basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES)
-    for j in range(3):
-        for k in range(2):
-            assert state_norm(basis, j, k) > 0.0
+    norms = state_norm(basis)
+    assert len(norms) == 6
+    assert all(norm > 0.0 for norm in norms)
     assert z_tilde(basis) > 0.0
 
 

@@ -161,6 +161,31 @@ def test_array_evaluation_matches_scalar_loop():
         assert abs(arr[idx] - theta(spec, complex(zs[idx]), tau)) == 0.0
 
 
+def test_stacked_residues_equal_the_single_residue_loop():
+    # a tuple of residues stacks the series on a leading axis; each row is
+    # the single-residue value bit for bit, in both summation modes
+    rng = np.random.default_rng(3)
+    for level in (1, 6, 35, 99):
+        residues = tuple(int(r) for r in rng.permutation(level)) + (level + 1,)
+        stacked = ThetaSpec(level, residues)
+        assert stacked.residue == residues[:-1] + (1 % level,)
+        for tau in (0.3 + 1.1j, -0.2 + 1.7j, 0.01j, 50j):
+            # raw values stay in range near the real axis; scaled ones on the cell
+            z_raw = rng.random((2, 3)) + 0.01j * rng.random((2, 3))
+            z_cell = rng.random(7) + tau * rng.random(7)
+            scale = -math.pi * level * z_cell.imag**2 / tau.imag
+            for z, log_scale in ((z_raw, None), (z_cell, scale), (0.3 + 0.001j, None)):
+                for order in (0, 1, 2):
+                    rows = theta_derivative(stacked, z, tau, order=order, log_scale=log_scale)
+                    assert rows.shape == (len(residues),) + np.shape(z)
+                    for r, row in zip(stacked.residue, rows):
+                        single = theta_derivative(ThetaSpec(level, r), z, tau,
+                                                  order=order, log_scale=log_scale)
+                        assert np.array_equal(row, single)
+    with pytest.raises(ValueError):
+        ThetaSpec(3, (1, 1.5))
+
+
 def test_frozen_value_at_lattice_point():
     # theta_0^1(0, i) = sqrt(2) * eta(i); both factors from the 50-digit oracle
     val = theta(ThetaSpec(1, 0), 0.0, 1j)

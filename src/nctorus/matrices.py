@@ -22,6 +22,12 @@ vector times a cyclic shift, ``W(m)[(j + m2) % M, j] = phases[j]``; the
 cocycle and span diagnostics work on that form, and dense matrices are
 built only where a caller takes one.  The dual pair is the N-dimensional
 clock/shift at parameter ``e^{2*pi*i*M/N}``.
+
+The commutant of a set of unitaries is found in the first generator's
+eigenbasis, where commuting with it leaves only the entries between equal
+eigenvalues free: for the clock that is the diagonal, so the clock/shift
+commutant is the nullity of an ``M^2 x M`` system, not of the dense
+``2M^2 x M^2`` one.
 """
 
 from __future__ import annotations
@@ -227,22 +233,48 @@ def sine_structure_residual(m, n, word_a, word_b) -> float:
 
 
 def commutant_dimension(generators) -> int:
-    """Dimension of {X : X G = G X for every generator G}, via the
-    nullity of the stacked linear system on the d^2 matrix entries."""
+    """Dimension of {X : X G = G X for every generator G}, for
+    :class:`CSMatrix` generators of one dimension d.
+
+    The commutant is taken in the first generator's eigenbasis,
+    ``G_0 = V diag(lam) V^-1`` (a unitary is diagonalizable).  ``X``
+    commutes with ``G_0`` exactly when ``Y = V^-1 X V`` vanishes at every
+    entry ``(a, b)`` with ``lam_a != lam_b``, so the p free entries are the
+    pairs with ``|lam_a - lam_b| <= 1e-10``.  Each other generator
+    ``G' = V^-1 G V`` restricts ``Y G' - G' Y = 0`` to those entries, a
+    d^2 x p block whose column ``(a, b)`` holds ``G'[b, :]`` in row ``a``
+    minus ``G'[:, a]`` in column ``b``; the dimension is p minus the number
+    of singular values of the stacked blocks above 1e-10.  For the clock,
+    V = I and p = M, so the system is M^2 x M.
+
+    Both thresholds are absolute: the generators are unitary, so every
+    eigenvalue gap lies in [0, 2] and, for a unitary V (the clock, or any
+    unitary with distinct eigenvalues), every singular value of the
+    stacked blocks of k generators lies in [0, 2 sqrt(k)].  A generator that is scalar
+    up to round-off therefore has all d^2 entries free.
+    """
     if not generators:
         raise ValueError("need at least one generator")
-    mats = [g.entries if isinstance(g, CSMatrix) else np.asarray(g, dtype=complex)
-            for g in generators]
-    d = mats[0].shape[0]
-    if any(g.shape != (d, d) for g in mats):
+    if not all(isinstance(g, CSMatrix) for g in generators):
+        raise TypeError("generators must be CSMatrix instances")
+    d = generators[0].dim
+    if any(g.dim != d for g in generators):
         raise ValueError("generators must share one dimension")
-    eye = np.eye(d)
-    blocks = [np.kron(g.T, eye) - np.kron(eye, g) for g in mats]
+    lam, v = np.linalg.eig(generators[0].entries)
+    a, b = np.nonzero(np.abs(lam[:, None] - lam) <= 1e-10)
+    p = a.size
+    if len(generators) == 1:
+        return p
+    cols = np.arange(p)
+    blocks = []
+    for g in generators[1:]:
+        gv = np.linalg.solve(v, g.entries @ v)
+        block = np.zeros((p, d, d), dtype=complex)
+        block[cols, a, :] = gv[b, :]
+        block[cols, :, b] -= gv[:, a].T
+        blocks.append(block.reshape(p, d * d).T)
     s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return d * d
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return d * d - rank
+    return p - int(np.sum(s > 1e-10))
 
 
 def weyl_span_dimension(m, n) -> int:

@@ -1,11 +1,13 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nctorus import cli
 from nctorus.core import Flux, VacuumAngles
 from nctorus.errors import DegenerateDeformationError
 from nctorus.fields import Field
@@ -244,6 +246,101 @@ def test_commutant_dimension():
         commutant_dimension([])
     with pytest.raises(ValueError):
         commutant_dimension([clock_matrix(3, 2), shift_matrix(4)])
+    with pytest.raises(TypeError):
+        commutant_dimension([np.eye(3)])
+    with pytest.raises(TypeError):
+        commutant_dimension([clock_matrix(3, 2), shift_matrix(3).entries])
+
+
+@pytest.mark.parametrize("mn", [(3, 2), (5, 3), (7, 4)])
+def test_commutant_of_a_scalar_up_to_round_off_is_everything(mn):
+    # C C^+ and the plaquette holonomy C S C^+ S^+ are scalar up to
+    # round-off: every d x d matrix commutes with them
+    m, n = mn
+    c, s = clock_matrix(m, n), shift_matrix(m)
+    assert commutant_dimension([c @ c.adjoint()]) == m * m
+    assert commutant_dimension([c @ s @ c.adjoint() @ s.adjoint()]) == m * m
+
+
+def _dense_commutant_dimension(generators):
+    """Nullity of the stacked 2d^2 x d^2 system kron(G^T, I) - kron(I, G),
+    counted above 1e-10 times the largest singular value."""
+    mats = [g.entries for g in generators]
+    d = mats[0].shape[0]
+    eye = np.eye(d)
+    s = np.linalg.svd(np.vstack([np.kron(g.T, eye) - np.kron(eye, g) for g in mats]),
+                      compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return d * d
+    return d * d - int(np.sum(s > 1e-10 * s[0]))
+
+
+def _random_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _is_scalar(g):
+    return np.max(np.abs(g.entries - g.entries[0, 0] * np.eye(g.dim))) <= 1e-12
+
+
+@pytest.mark.parametrize("angles", [VacuumAngles(), ANGLES])
+def test_commutant_dimension_matches_dense_reference_on_clock_shift(angles):
+    for m in range(1, 13):
+        for n in range(1, 9):
+            pair = [clock_matrix(m, n, angles.alpha1), shift_matrix(m, angles.alpha2)]
+            for gens in (pair, pair[::-1]):
+                assert commutant_dimension(gens) == _dense_commutant_dimension(gens), (m, n)
+
+
+def test_commutant_dimension_matches_dense_reference_on_random_unitaries():
+    rng = np.random.default_rng(20260)
+    for d in (1, 2, 3, 5, 8):
+        for k in (1, 2, 3):
+            gens = [CSMatrix(_random_unitary(rng, d)) for _ in range(k)]
+            assert commutant_dimension(gens) == _dense_commutant_dimension(gens), (d, k)
+
+
+def test_commutant_dimension_matches_dense_reference_on_degenerate_spectra():
+    # Q kron(diag(ph), I_r) Q^+ has k distinct phases, each r-fold, in a
+    # rotated basis; the companions Q kron(I_k, R) Q^+ cut its commutant down
+    rng = np.random.default_rng(7)
+    compared = 0
+    for k in range(1, 5):
+        for r in range(1, 7):
+            d = k * r
+            q = _random_unitary(rng, d)
+            ph = np.exp(2j * np.pi * (np.arange(k) + rng.uniform(0, 0.5, k)) / k)
+            first = q @ np.kron(np.diag(ph), np.eye(r)) @ q.conj().T
+            companions = [q @ np.kron(np.eye(k), _random_unitary(rng, r)) @ q.conj().T
+                          for _ in range(2)]
+            for extra in range(3):
+                gens = [CSMatrix(g) for g in (first, *companions[:extra])]
+                if all(_is_scalar(g) for g in gens):
+                    assert commutant_dimension(gens) == d * d
+                    continue
+                assert commutant_dimension(gens) == _dense_commutant_dimension(gens), (k, r, extra)
+                compared += 1
+    assert compared > 50
+
+
+def test_matrices_command_rank_systems_stay_small(monkeypatch, capsys):
+    # a structural guard, not a timing: the commutant system in the clock's
+    # eigenbasis is M^2 x M, where the dense stacked system had 2 M^4 entries
+    m = 24
+    sizes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "nctorus.matrices":
+            sizes.append(np.size(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert cli.main(["matrices", "--M", str(m), "--N", "7"]) == 0
+    capsys.readouterr()
+    assert sizes and max(sizes) <= m**3
 
 
 def test_weyl_span_dimension():

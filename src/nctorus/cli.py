@@ -596,7 +596,11 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nctorus`` parser, built once per process: ``parse_args`` keeps
+    no state between calls, and each ``main`` call would otherwise rebuild
+    the whole tree."""
     parser = _Parser(
         prog="nctorus",
         description="Magnetic Bloch states, quantum-torus matrices, and "

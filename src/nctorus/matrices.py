@@ -20,7 +20,10 @@ half-angle root ``q^{1/2} = e^{i*pi*N/M}``, which makes the cocycle
 exact for all winding numbers.  Every Weyl element is monomial, a phase
 vector times a cyclic shift, ``W(m)[(j + m2) % M, j] = phases[j]``; the
 cocycle and span diagnostics work on that form, and dense matrices are
-built only where a caller takes one.  The dual pair is the N-dimensional
+built only where a caller takes one.  One phase routine builds them all:
+it evaluates any array of words in one numpy pass, the clock and its
+powers being the words ``(p, 0)``, so the span's ``M^2`` words and the
+cocycle table each cost one call.  The dual pair is the N-dimensional
 clock/shift at parameter ``e^{2*pi*i*M/N}``.
 
 The commutant of a set of unitaries is found in the first generator's
@@ -112,12 +115,6 @@ class WeylWord:
         return WeylWord(self.m1 + other.m1, self.m2 + other.m2)
 
 
-def _clock_phases(m, n, alpha1, p) -> np.ndarray:
-    """Diagonal of the p-th clock power."""
-    j = np.arange(m)
-    return np.exp(2j * math.pi * n * p * j / m) * cmath.exp(1j * alpha1 * p / m)
-
-
 def _scatter(phases, shift) -> np.ndarray:
     """Dense monomial matrix with ``e[(j + shift) % M, j] = phases[j]``."""
     m = phases.size
@@ -128,8 +125,10 @@ def _scatter(phases, shift) -> np.ndarray:
 
 
 def clock_power(m, n, alpha1, p) -> CSMatrix:
-    """Closed-form p-th power of the clock matrix (any integer p)."""
-    return CSMatrix(np.diag(_clock_phases(m, n, alpha1, p)))
+    """Closed-form p-th power of the clock matrix (any integer p): the
+    Weyl word (p, 0) at angles (alpha1, 0)."""
+    phases, _ = _weyl_phases([p], [0], m, n, VacuumAngles(alpha1, 0.0))
+    return CSMatrix(np.diag(phases[0]))
 
 
 def shift_power(m, alpha2, p) -> CSMatrix:
@@ -147,28 +146,46 @@ def shift_matrix(m, alpha2=0.0) -> CSMatrix:
     return shift_power(m, alpha2, 1)
 
 
-def _weyl_monomial(word: WeylWord, m, n, angles: VacuumAngles = _NO_ANGLES):
-    """Phase vector and cyclic shift of the Weyl element W(word), which is
-    monomial: ``W[(j + shift) % M, j] = phases[j]``.
+def _weyl_phases(m1, m2, m, n, angles: VacuumAngles = _NO_ANGLES):
+    """Phase vectors and cyclic shifts of the Weyl elements W(m1[w], m2[w])
+    for integer arrays of words, which are monomial:
+    ``W[(j + shifts[w]) % M, j] = phases[w, j]``; returns ``(phases,
+    shifts)`` of shapes ``(W, M)`` and ``(W,)``.
+
+    Each word takes the float operations of its scalar form, in the same
+    order, so a word's phases carry the same bits whether it is built alone
+    or among others: the arguments ``2 pi i N m1 j / M`` (a complex
+    division), ``-pi N m1 m2 / M`` and ``alpha m / M`` (real divisions),
+    the exponential of each pure phase, and the product
+    ``q^{-m1 m2/2} * (C^{m1}[rows] * S-phase)``.  The clock diagonals are
+    computed once per distinct ``m1``.
 
     Raises ``ValueError`` when a phase is off the unit circle by more than
-    1e-12 (or is NaN): the unitarity guarantee of :class:`CSMatrix`, in O(M).
+    1e-12 (or is NaN): the unitarity guarantee of :class:`CSMatrix`, in
+    O(W M).
     """
-    shift = word.m2 % m
-    rows = (np.arange(m) + shift) % m
-    pref = cmath.exp(-1j * math.pi * n * word.m1 * word.m2 / m)
-    s_phase = cmath.exp(1j * angles.alpha2 * word.m2 / m)
-    phases = pref * (_clock_phases(m, n, angles.alpha1, word.m1)[rows] * s_phase)
+    m1 = np.asarray(m1)
+    m2 = np.asarray(m2)
+    j = np.arange(m)
+    shifts = m2 % m
+    powers, which = np.unique(m1, return_inverse=True)
+    clock = (np.exp((2j * math.pi * n * powers)[:, None] * j / m)
+             * np.exp(1j * (angles.alpha1 * powers / m))[:, None])
+    pref = np.exp(1j * (-math.pi * n * m1 * m2 / m))
+    s_phase = np.exp(1j * (angles.alpha2 * m2 / m))
+    rows = (j + shifts[:, None]) % m
+    phases = pref[:, None] * (clock[which[:, None], rows] * s_phase[:, None])
     dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
     if not dev <= 1e-12:
         raise ValueError("Weyl word is not unitary (deviation %.3e)" % dev)
-    return phases, shift
+    return phases, shifts
 
 
 def weyl_element(word: WeylWord, m, n, angles: VacuumAngles = _NO_ANGLES) -> CSMatrix:
     """Weyl element W(m1, m2) = q^{-m1 m2/2} C^{m1} S^{m2} with the
     fixed root q^{1/2} = e^{i pi N/M}."""
-    return CSMatrix(_scatter(*_weyl_monomial(word, m, n, angles)))
+    phases, shifts = _weyl_phases([word.m1], [word.m2], m, n, angles)
+    return CSMatrix(_scatter(phases[0], shifts[0]))
 
 
 def q_commutation_residual(m, n, angles: VacuumAngles = _NO_ANGLES, *,
@@ -192,10 +209,9 @@ def weyl_cocycle_residual(m, n) -> float:
     ``pa[(j + sb) % M] * pb[j]``, so the 25 x 25 pairs compare phase
     vectors, and every other entry is zero on both sides."""
     # table[a1 + 4, a2 + 4]: phases of W(a1, a2), every word and every sum a + b
-    span = range(-4, 5)
-    table = np.array([[_weyl_monomial(WeylWord(a1, a2), m, n)[0] for a2 in span]
-                      for a1 in span])
-    u1, u2 = np.array([(a1, a2) for a1 in range(-2, 3) for a2 in range(-2, 3)]).T
+    a1, a2 = np.array(np.divmod(np.arange(81), 9)) - 4
+    table = _weyl_phases(a1, a2, m, n)[0].reshape(9, 9, m)
+    u1, u2 = np.array(np.divmod(np.arange(25), 5)) - 2  # a, b in [-2, 2]^2
     pa = table[u1 + 4, u2 + 4]
     cols = (np.arange(m) + u2[:, None]) % m
     lhs = pa[:, cols] * pa  # [a, b, j] = pa[a, (j + sb) % M] * pb[j]
@@ -285,8 +301,8 @@ def weyl_span_dimension(m, n) -> int:
     splits into M blocks; block m2 stacks the phase vectors of W(., m2).
     The singular values are those of the full matrix, counted above
     1e-10 times the largest."""
-    blocks = np.array([[_weyl_monomial(WeylWord(m1, m2), m, n)[0] for m1 in range(m)]
-                       for m2 in range(m)])
+    m2, m1 = np.divmod(np.arange(m * m), m)
+    blocks = _weyl_phases(m1, m2, m, n)[0].reshape(m, m, m)
     s = np.linalg.svd(blocks, compute_uv=False)
     return int(np.sum(s > 1e-10 * np.max(s)))
 

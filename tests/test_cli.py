@@ -139,6 +139,35 @@ def test_verify_reaches_eta_beyond_q_underflow(capsys):
     assert failing <= {"lemma_eigenphases", "bimodule_consistency", "partition_t_invariance"}
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    builds = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("prog") == "nctorus":  # the top level, not a subparser
+                builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["matrices", "--M", "24", "--N", "7"]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    capsys.readouterr()
+    assert builds == [1]
+
+
+def test_parse_state_does_not_leak_between_calls(capsys):
+    # the parser is shared between calls: a flag given once is not set on
+    # the next call's arguments
+    code, rep = run_json(capsys, ["verify", "--M", "2", "--N", "1", "--inject-fault"])
+    assert (code, rep["pass"]) == (1, False)
+    code, rep = run_json(capsys, ["verify", "--M", "2", "--N", "1"])
+    assert (code, rep["pass"]) == (0, True)
+
+
 @pytest.mark.parametrize("command", ["lll", "matrices", "partition", "verify"])
 def test_flag_defaults_are_the_run_config_defaults(command):
     assert cli._config_from(cli.build_parser().parse_args([command])) == RunConfig()

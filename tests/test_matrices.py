@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import cli
+from nctorus import cli, matrices
 from nctorus.core import Flux, VacuumAngles
 from nctorus.errors import DegenerateDeformationError
 from nctorus.fields import Field
@@ -199,6 +199,58 @@ def test_weyl_element_rejects_non_unitary_phases():
         weyl_element(WeylWord(1, 1), 3, 2, VacuumAngles(math.nan, 0.0))
 
 
+def test_weyl_span_dimension_rejects_non_unitary_phases(monkeypatch):
+    # the span's words go through the same guard: a NaN angle raises
+    weyl_phases = matrices._weyl_phases
+
+    def nan_angle(m1, m2, m, n, angles=VacuumAngles()):
+        return weyl_phases(m1, m2, m, n, VacuumAngles(math.nan, 0.0))
+
+    monkeypatch.setattr(matrices, "_weyl_phases", nan_angle)
+    with pytest.raises(ValueError, match="not unitary"):
+        weyl_span_dimension(3, 2)
+
+
+def _scalar_clock_phases(m, n, alpha1, p):
+    """Diagonal of C^p, one power at a time: the scalar form whose float
+    operations ``matrices._weyl_phases`` keeps."""
+    j = np.arange(m)
+    return np.exp(2j * math.pi * n * p * j / m) * cmath.exp(1j * alpha1 * p / m)
+
+
+def _scalar_weyl_monomial(word, m, n, angles):
+    """Phase vector and shift of W(word), one word at a time."""
+    shift = word.m2 % m
+    rows = (np.arange(m) + shift) % m
+    pref = cmath.exp(-1j * math.pi * n * word.m1 * word.m2 / m)
+    s_phase = cmath.exp(1j * angles.alpha2 * word.m2 / m)
+    return pref * (_scalar_clock_phases(m, n, angles.alpha1, word.m1)[rows] * s_phase), shift
+
+
+def _bits(a):
+    # bits, not values: a signed zero prints as "-0" in the JSON
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 12, 13, 23, 24, 30])
+def test_weyl_phases_are_bitwise_the_scalar_form(m):
+    # every word in [-4, max(M, 5))^2 at once against each word alone, so a
+    # numpy or libm change that would move printed residuals shows here
+    r = np.arange(-4, max(m, 5))
+    m1, m2 = (a.ravel() for a in np.meshgrid(r, r, indexing="ij"))
+    words = list(map(WeylWord, m1.tolist(), m2.tolist()))
+    powers = range(-6, m + 6)
+    for n in (1, 2, 3, 5, 7, 13):
+        for angles in (VacuumAngles(), ANGLES, VacuumAngles(5.9, 3.3)):
+            phases, shifts = matrices._weyl_phases(m1, m2, m, n, angles)
+            want, want_shifts = zip(*(_scalar_weyl_monomial(w, m, n, angles) for w in words))
+            assert np.array_equal(shifts, want_shifts)
+            assert np.array_equal(_bits(phases), _bits(np.array(want))), (m, n, angles)
+            clocks = [np.diag(clock_power(m, n, angles.alpha1, p).entries) for p in powers]
+            want = [_scalar_clock_phases(m, n, angles.alpha1, p) for p in powers]
+            assert np.array_equal(_bits(np.array(clocks)), _bits(np.array(want))), (m, n, angles)
+
+
 @pytest.mark.parametrize("mn", [(2, 1), (3, 2), (5, 3), (7, 2)])
 def test_holonomy_residual(mn):
     assert holonomy_residual(*mn) < 1e-10
@@ -341,6 +393,24 @@ def test_matrices_command_rank_systems_stay_small(monkeypatch, capsys):
     assert cli.main(["matrices", "--M", str(m), "--N", "7"]) == 0
     capsys.readouterr()
     assert sizes and max(sizes) <= m**3
+
+
+def test_weyl_words_are_built_in_one_call_per_check(monkeypatch):
+    # a structural guard, not a timing: the span's M^2 words and the
+    # cocycle's 9 x 9 table are each one evaluation of the phase routine
+    sizes = []
+    weyl_phases = matrices._weyl_phases
+
+    def counting(m1, *args, **kwargs):
+        sizes.append(np.size(m1))
+        return weyl_phases(m1, *args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_weyl_phases", counting)
+    weyl_span_dimension(24, 7)
+    assert sizes == [24 * 24]
+    sizes.clear()
+    weyl_cocycle_residual(24, 7)
+    assert sizes == [81]
 
 
 def test_weyl_span_dimension():

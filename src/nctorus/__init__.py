@@ -31,6 +31,7 @@ from .theta import (
     theta_dz,
     truncation_bound,
     dedekind_eta,
+    eta_functional_residual,
     character,
     t_transform_residual,
     s_transform_residual,
@@ -49,6 +50,7 @@ from .fields import (
     sine_bracket_residual,
     dual_commutation_residual,
     plaquette_phase,
+    plaquette_residual,
 )
 from .lll import (
     LLLBasis,
@@ -58,6 +60,7 @@ from .lll import (
     boundary_residual,
     elementary_translation,
     eigenphase_table,
+    lemma_eigenphase_residual,
     center_eigen_residual,
     gram_rank,
     coefficient_matrix,
@@ -76,6 +79,7 @@ from .matrices import (
     sine_structure_residual,
     commutant_dimension,
     weyl_span_dimension,
+    commutant_and_span_residual,
     bimodule_consistency,
     uq_sl2_generators,
 )
@@ -85,6 +89,8 @@ from .partition import (
     z_tilde,
     z_tilde_character_route,
     modular_invariance_report,
+    t_invariance_residual,
+    s_invariance_residual,
 )
 
 __version__ = "0.1.0"

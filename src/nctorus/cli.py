@@ -40,7 +40,7 @@ from .core import (
 from .errors import ConventionMismatchError, DegenerateDeformationError
 from .fields import (
     dual_commutation_residual,
-    plaquette_phase,
+    plaquette_residual,
     sine_bracket_residual,
 )
 from .lll import (
@@ -48,11 +48,13 @@ from .lll import (
     center_eigen_residual,
     eigenphase_table,
     gram_rank,
+    lemma_eigenphase_residual,
 )
 from .matrices import (
     WeylWord,
     bimodule_consistency,
     clock_matrix,
+    commutant_and_span_residual,
     commutant_dimension,
     dual_matrices,
     holonomy_residual,
@@ -65,8 +67,9 @@ from .matrices import (
 )
 from .partition import (
     QuadratureSpec,
-    cell_node_counts,
     modular_invariance_report,
+    s_invariance_residual,
+    t_invariance_residual,
     z_tilde_character_route,
     z_tilde_closed_form,
 )
@@ -74,6 +77,7 @@ from .theta import (
     ThetaSpec,
     TruncationPolicy,
     dedekind_eta,
+    eta_functional_residual,
     orthogonality_residual,
     quasi_periodicity_residual,
     theta,
@@ -198,10 +202,6 @@ def emit_json(obj, stream=None) -> str:
     return text
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------- theta
 
 
@@ -265,7 +265,7 @@ def cmd_lll(cfg: RunConfig) -> int:
                 v = values[i]
                 lines.append(
                     ",".join(
-                        _fmt17(t)
+                        format(t, ".17g")
                         for t in (x[i], y[i], v.real, v.imag, abs(v) ** 2)
                     )
                 )
@@ -314,22 +314,13 @@ def cmd_matrices(cfg: RunConfig) -> int:
 # ------------------------------------------------------------ partition
 
 
-def _cell_nodes(cfg: RunConfig) -> dict:
-    """Cell-rule nodes ``[n_x, n_y]`` at ``tau`` (and ``tau+1``, which has
-    the same ``Im tau``) and at ``-1/tau``."""
-    return {
-        label: list(cell_node_counts(cfg.flux.level, im_tau, cfg.epsilon, cfg.quad))
-        for label, im_tau in (("tau", cfg.tau.imag), ("-1/tau", (-1.0 / cfg.tau).imag))
-    }
-
-
 def cmd_partition(cfg: RunConfig) -> int:
     basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy)
     inv = modular_invariance_report(basis, cfg.quad)
     zb = z_tilde_character_route(basis, cfg.quad)
     emit_json(
         {
-            "cell_nodes": _cell_nodes(cfg),
+            "cell_nodes": {label: inv.cell_nodes[label] for label in ("tau", "-1/tau")},
             "config": cfg.as_report(),
             "s_residual": inv.s_residual,
             "t_residual": inv.t_residual,
@@ -364,151 +355,58 @@ def cmd_squeeze(args) -> int:
 # --------------------------------------------------------------- verify
 
 
+def _bimodule_residual(basis) -> float:
+    report = bimodule_consistency(basis)
+    return float(np.max([*report["deviations"].values(), report["left_right_commutator"]]))
+
+
+def _uq_sl2_residual(m, n):
+    try:
+        gens = uq_sl2_generators(m, n)
+    except DegenerateDeformationError:
+        return 0.0, "skipped: degenerate deformation parameter"
+    return max(gens.residuals.values())
+
+
 def _verify_checks(cfg: RunConfig, inject_fault: bool):
-    """List (name, callable, tolerance) triples; each callable returns
-    its residual or (residual, note)."""
-    flux = cfg.flux
-    m, n = cfg.m, cfg.n
+    """Rows (name, call, tolerance); each call returns its residual or
+    (residual, note).  The basis and the invariance report are built on
+    first use and once, so a failed build fails each check that needs it."""
+    flux, m, n = cfg.flux, cfg.m, cfg.n
     tau = ModularParameter(cfg.tau.real, cfg.tau.imag)
-    angles = cfg.angles
-    policy = cfg.policy
-
-    def theta_quasi_periodicity():
-        return quasi_periodicity_residual(flux.level, tau, policy)
-
-    def eta_functional_equations():
-        # relative to |eta|, which is 4e-11 at 0.01i: an absolute residual
-        # there would pass any eta
-        rng = np.random.default_rng(0)
-        seeded = [ModularParameter(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5))
-                  for _ in range(20)]
-        inv_tau = -1.0 / tau.value
-        worst = 0.0
-        for t in seeded + [tau, ModularParameter(inv_tau.real, inv_tau.imag)]:
-            e = dedekind_eta(t, policy)
-            shifted = dedekind_eta(ModularParameter(t.re + 1.0, t.im), policy)
-            worst = max(worst, abs(shifted - cmath.exp(1j * math.pi / 12.0) * e) / abs(shifted))
-            inv = -1.0 / t.value
-            e_inv = dedekind_eta(ModularParameter(inv.real, inv.imag), policy)
-            worst = max(worst, abs(e_inv - cmath.sqrt(-1j * t.value) * e) / abs(e_inv))
-        return worst
-
-    def q_commutation_matrix():
-        res = q_commutation_residual(m, n, angles, inject_fault=inject_fault)
-        note = "cocycle sign deliberately flipped" if inject_fault else None
-        return res, note
-
-    def weyl_cocycle_matrix():
-        return weyl_cocycle_residual(m, n)
-
-    def sine_algebra_matrix():
-        return max(
-            sine_structure_residual(m, n, WeylWord(1, 0), WeylWord(0, 1)),
-            sine_structure_residual(m, n, WeylWord(1, 1), WeylWord(2, -1)),
-        )
-
-    def sine_algebra_operator():
-        return sine_bracket_residual((1, 0), (0, 1), flux, tau)
-
-    def dual_commutation_operator():
-        return dual_commutation_residual((1, 0), (0, 1), flux, tau)
-
-    def holonomy_operator():
-        phase, spread = plaquette_phase(flux, tau)
-        return max(abs(phase - cmath.exp(2j * math.pi * n / m)), spread)
-
-    def holonomy_matrix():
-        return holonomy_residual(m, n, angles)
-
-    @functools.cache
-    def _basis():
-        return build_basis(flux, tau, angles, policy)
-
-    def center_eigenvalues():
-        return center_eigen_residual(_basis())
-
-    def lemma_eigenphases():
-        devs = []
-        for (j, k), entry in eigenphase_table(_basis()).items():
-            want1 = cmath.exp(1j * (angles.alpha1 - 2 * math.pi * j * n) / m)
-            devs += [
-                abs(entry["d1_phase"] - want1),
-                entry["d1_spread"],
-                0.0 if entry["d2_target"] == ((j - 1) % m, k) else 1.0,
-                abs(entry["d2_phase"] - cmath.exp(1j * angles.alpha2 / m)),
-            ]
-        return float(np.max(devs))  # np.max, unlike max, keeps a NaN
-
-    def gram_rank_check():
-        return float(abs(gram_rank(_basis()) - m * n))
-
-    def bimodule_check():
-        report = bimodule_consistency(_basis())
-        return float(np.max([*report["deviations"].values(), report["left_right_commutator"]]))
-
-    def commutant_check():
-        dim = commutant_dimension(
-            [clock_matrix(m, n, angles.alpha1), shift_matrix(m, angles.alpha2)]
-        )
-        span = weyl_span_dimension(m, n)
-        return float(abs(dim - 1) + abs(span - m * m)), (
-            "holds by construction: the ideal clock/shift matrices have commutant "
-            "dimension 1 and Weyl span M^2 for every coprime (M, N)")
-
-    def uq_sl2_check():
-        try:
-            gens = uq_sl2_generators(m, n)
-        except DegenerateDeformationError:
-            return 0.0, "skipped: degenerate deformation parameter"
-        return max(gens.residuals.values())
-
-    def orthogonality_check():
-        return max(orthogonality_residual(m * n), orthogonality_residual(24)), (
-            "holds by construction: the DFT matrix is unitary, so the residual is round-off")
-
-    @functools.cache
-    def _invariance():
-        return modular_invariance_report(_basis(), cfg.quad)
-
-    def partition_t_invariance():
-        nx, ny = _cell_nodes(cfg)["tau"]
-        return _invariance().t_residual, (
-            "holds by construction where the quadrature resolves the integrand: Z~ depends "
-            "on tau only through Im tau and |eta|, so the residual is round-off; "
-            "cell nodes (n_x, n_y) = (%d, %d) at tau and tau+1" % (nx, ny))
-
-    def partition_s_invariance():
-        # Z~ = sqrt(K/(2b)) * exp(b*alpha1**2/(2*pi*K)) / |eta|**2 with b = Im tau;
-        # sqrt(b)*|eta|**2 is S-invariant, so S moves only the Gaussian factor
-        s_residual = _invariance().s_residual
-        b_s = (-1.0 / tau.value).imag
-        predicted = abs(math.expm1((b_s - tau.im) * angles.alpha1**2 / (2 * math.pi * flux.level)))
-        nodes = _cell_nodes(cfg)
-        return abs(s_residual - predicted), (
-            "s_residual %s against the closed-form S factor of Z~, "
-            "|expm1((Im(-1/tau) - Im tau)*alpha1**2/(2*pi*K))| = %s; "
-            "cell nodes (n_x, n_y) = (%d, %d) at tau, (%d, %d) at -1/tau"
-            % (_fmt17(s_residual), _fmt17(predicted), *nodes["tau"], *nodes["-1/tau"]))
-
+    angles, policy = cfg.angles, cfg.policy
+    basis = functools.cache(lambda: build_basis(flux, tau, angles, policy))
+    invariance = functools.cache(lambda: modular_invariance_report(basis(), cfg.quad))
+    fault_note = "cocycle sign deliberately flipped" if inject_fault else None
     return [
-        ("theta_quasi_periodicity", theta_quasi_periodicity, 1e-9),
-        ("eta_functional_equations", eta_functional_equations, 1e-10),
-        ("q_commutation_matrix", q_commutation_matrix, 1e-13),
-        ("weyl_cocycle_matrix", weyl_cocycle_matrix, 1e-12),
-        ("sine_algebra_matrix", sine_algebra_matrix, 1e-12),
-        ("sine_algebra_operator", sine_algebra_operator, 1e-9),
-        ("dual_commutation_operator", dual_commutation_operator, 1e-9),
-        ("holonomy_operator", holonomy_operator, 1e-10),
-        ("holonomy_matrix", holonomy_matrix, 1e-10),
-        ("center_eigenvalues", center_eigenvalues, 1e-10),
-        ("lemma_eigenphases", lemma_eigenphases, 1e-7),
-        ("gram_rank", gram_rank_check, 0.5),
-        ("bimodule_consistency", bimodule_check, 1e-6),
-        ("commutant_and_span", commutant_check, 0.5),
-        ("uq_sl2_relations", uq_sl2_check, 1e-11),
-        ("orthogonality", orthogonality_check, 1e-12),
-        ("partition_t_invariance", partition_t_invariance, 1e-5),
-        ("partition_s_invariance", partition_s_invariance, 1e-3),
+        ("theta_quasi_periodicity", lambda: quasi_periodicity_residual(flux.level, tau, policy),
+         1e-9),
+        ("eta_functional_equations", lambda: eta_functional_residual(tau, policy), 1e-10),
+        ("q_commutation_matrix",
+         lambda: (q_commutation_residual(m, n, angles, inject_fault=inject_fault), fault_note),
+         1e-13),
+        ("weyl_cocycle_matrix", lambda: weyl_cocycle_residual(m, n), 1e-12),
+        ("sine_algebra_matrix",
+         lambda: max(sine_structure_residual(m, n, WeylWord(1, 0), WeylWord(0, 1)),
+                     sine_structure_residual(m, n, WeylWord(1, 1), WeylWord(2, -1))),
+         1e-12),
+        ("sine_algebra_operator", lambda: sine_bracket_residual((1, 0), (0, 1), flux, tau), 1e-9),
+        ("dual_commutation_operator",
+         lambda: dual_commutation_residual((1, 0), (0, 1), flux, tau), 1e-9),
+        ("holonomy_operator", lambda: plaquette_residual(flux, tau), 1e-10),
+        ("holonomy_matrix", lambda: holonomy_residual(m, n, angles), 1e-10),
+        ("center_eigenvalues", lambda: center_eigen_residual(basis()), 1e-10),
+        ("lemma_eigenphases", lambda: lemma_eigenphase_residual(basis()), 1e-7),
+        ("gram_rank", lambda: float(abs(gram_rank(basis()) - m * n)), 0.5),
+        ("bimodule_consistency", lambda: _bimodule_residual(basis()), 1e-6),
+        ("commutant_and_span", lambda: commutant_and_span_residual(m, n, angles), 0.5),
+        ("uq_sl2_relations", lambda: _uq_sl2_residual(m, n), 1e-11),
+        ("orthogonality",
+         lambda: (max(orthogonality_residual(m * n), orthogonality_residual(24)),
+                  "holds by construction: the DFT matrix is unitary, so the residual is round-off"),
+         1e-12),
+        ("partition_t_invariance", lambda: t_invariance_residual(invariance()), 1e-5),
+        ("partition_s_invariance", lambda: s_invariance_residual(basis(), invariance()), 1e-3),
     ]
 
 

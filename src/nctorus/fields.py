@@ -55,6 +55,7 @@ __all__ = [
     "sine_bracket_residual",
     "dual_commutation_residual",
     "plaquette_phase",
+    "plaquette_residual",
     "plane_sample_grid",
 ]
 
@@ -288,3 +289,10 @@ def plaquette_phase(flux, tau, dual=False):
     phase = complex(np.mean(ratios))
     spread = float(np.max(np.abs(ratios - phase)))
     return phase, spread
+
+
+def plaquette_residual(flux, tau) -> float:
+    """Larger of the :func:`plaquette_phase` deviation from the flux phase
+    ``e^{2 pi i N/M}`` and its pointwise spread."""
+    phase, spread = plaquette_phase(flux, tau)
+    return max(abs(phase - cmath.exp(2j * math.pi * flux.numerator / flux.denominator)), spread)

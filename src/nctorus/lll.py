@@ -62,6 +62,7 @@ __all__ = [
     "boundary_residual",
     "elementary_translation",
     "eigenphase_table",
+    "lemma_eigenphase_residual",
     "center_eigen_residual",
     "gram_rank",
     "coefficient_matrix",
@@ -377,11 +378,29 @@ def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
     return table
 
 
+def lemma_eigenphase_residual(basis: LLLBasis) -> float:
+    """Largest deviation of :func:`eigenphase_table` from the D1 and D2
+    actions of the module docstring: phases, D1 spread, and 1 for a D2
+    target other than Psi_{j-1,k}."""
+    m, n = basis.flux.denominator, basis.flux.numerator
+    angles = basis.angles
+    devs = []
+    for (j, k), entry in eigenphase_table(basis).items():
+        want1 = cmath.exp(1j * (angles.alpha1 - 2 * math.pi * j * n) / m)
+        devs += [
+            abs(entry["d1_phase"] - want1),
+            entry["d1_spread"],
+            0.0 if entry["d2_target"] == ((j - 1) % m, k) else 1.0,
+            abs(entry["d2_phase"] - cmath.exp(1j * angles.alpha2 / m)),
+        ]
+    return float(np.max(devs))  # np.max, unlike max, keeps a NaN
+
+
 def center_eigen_residual(basis: LLLBasis) -> float:
     """Max-grid residual of the central relations
     D1^M Psi = e^{i*alpha1} Psi and D2^M Psi = e^{i*alpha2} Psi on the
-    5-by-5 :func:`unit_cell_grid`, for the worst of the K states (all
-    evaluated at once through the stacked field)."""
+    5-by-5 :func:`unit_cell_grid` for the worst of the K states, relative
+    to the largest ``|Psi|`` there (hundreds at large ``Im tau``)."""
     w, wbar = unit_cell_grid(basis.tau)
     states = basis.field
     base = states.evaluate(w, wbar)
@@ -393,7 +412,7 @@ def center_eigen_residual(basis: LLLBasis) -> float:
         for _ in range(m):
             f = op(f)
         res.append(np.max(np.abs(f.evaluate(w, wbar) - cmath.exp(1j * alpha) * base)))
-    return float(np.max(res))  # np.max, unlike max, keeps a NaN
+    return float(np.max(res) / np.max(np.abs(base)))  # np.max, unlike max, keeps a NaN
 
 
 def gram_rank(basis: LLLBasis) -> int:

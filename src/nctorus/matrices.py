@@ -62,6 +62,7 @@ __all__ = [
     "sine_structure_residual",
     "commutant_dimension",
     "weyl_span_dimension",
+    "commutant_and_span_residual",
     "bimodule_consistency",
     "UqSl2Generators",
     "uq_sl2_generators",
@@ -305,6 +306,16 @@ def weyl_span_dimension(m, n) -> int:
     blocks = _weyl_phases(m1, m2, m, n)[0].reshape(m, m, m)
     s = np.linalg.svd(blocks, compute_uv=False)
     return int(np.sum(s > 1e-10 * np.max(s)))
+
+
+def commutant_and_span_residual(m, n, angles: VacuumAngles):
+    """``(residual, note)``: how far the clock/shift commutant dimension is
+    from 1 plus how far the Weyl span dimension is from M^2."""
+    dim = commutant_dimension([clock_matrix(m, n, angles.alpha1), shift_matrix(m, angles.alpha2)])
+    span = weyl_span_dimension(m, n)
+    return float(abs(dim - 1) + abs(span - m * m)), (
+        "holds by construction: the ideal clock/shift matrices have commutant "
+        "dimension 1 and Weyl span M^2 for every coprime (M, N)")
 
 
 class UqSl2Generators(NamedTuple):

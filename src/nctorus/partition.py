@@ -60,6 +60,8 @@ __all__ = [
     "z_tilde_closed_form",
     "ModularInvariance",
     "modular_invariance_report",
+    "t_invariance_residual",
+    "s_invariance_residual",
 ]
 
 _CHUNK = 1024
@@ -177,6 +179,11 @@ def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSp
     return _cell_integral(integrand, basis, quad)
 
 
+def _gaussian_exponent(level, im_tau, alpha1) -> float:
+    """Exponent ``b a1^2/(2 pi K)`` of the Gaussian factor of ``Z~``."""
+    return im_tau * alpha1**2 / (2.0 * math.pi * level)
+
+
 def z_tilde_closed_form(basis: LLLBasis) -> float:
     """``Z~`` without quadrature: Parseval in ``x`` leaves a full
     Gaussian in ``y``, so ``Z~ = sqrt(K/(2b)) exp(b a1^2/(2 pi K)) /
@@ -185,16 +192,20 @@ def z_tilde_closed_form(basis: LLLBasis) -> float:
     k, b, a1 = basis.level, basis.tau.im, basis.angles.alpha1
     eta2 = abs(dedekind_eta(basis.tau, basis.policy)) ** 2
     try:
-        gauss = math.exp(b * a1**2 / (2.0 * math.pi * k))
+        gauss = math.exp(_gaussian_exponent(k, b, a1))
     except OverflowError:  # Z~ itself leaves double range, as both routes do
         gauss = math.inf
     return math.sqrt(k / (2.0 * b)) * gauss / eta2
 
 
 class ModularInvariance(NamedTuple):
+    """``cell_nodes``: the ``(n_x, n_y)`` each ``Z~`` ran on, keyed
+    ``"tau"``, ``"tau+1"`` and ``"-1/tau"``."""
+
     t_residual: float
     s_residual: float
     z_tilde: float
+    cell_nodes: dict
 
 
 def modular_invariance_report(basis: LLLBasis,
@@ -206,7 +217,33 @@ def modular_invariance_report(basis: LLLBasis,
     policy, so all three values share one node floor and one policy,
     and each sizes its cell rule from its own ``Im tau``."""
     tau = basis.tau.value
-    z0 = z_tilde(basis, quad)
-    zt = z_tilde(build_basis(basis.flux, tau + 1.0, basis.angles, basis.policy), quad)
-    zs = z_tilde(build_basis(basis.flux, -1.0 / tau, basis.angles, basis.policy), quad)
-    return ModularInvariance(abs(zt - z0) / z0, abs(zs - z0) / z0, z0)
+    bases = {"tau": basis,
+             "tau+1": build_basis(basis.flux, tau + 1.0, basis.angles, basis.policy),
+             "-1/tau": build_basis(basis.flux, -1.0 / tau, basis.angles, basis.policy)}
+    z0, zt, zs = (z_tilde(b, quad) for b in bases.values())
+    nodes = {label: cell_node_counts(b.level, b.tau.im, b.policy.epsilon, quad)
+             for label, b in bases.items()}
+    return ModularInvariance(abs(zt - z0) / z0, abs(zs - z0) / z0, z0, nodes)
+
+
+def t_invariance_residual(report: ModularInvariance):
+    """``(residual, note)`` of ``Z~`` under tau -> tau+1."""
+    return report.t_residual, (
+        "holds by construction where the quadrature resolves the integrand: Z~ depends "
+        "on tau only through Im tau and |eta|, so the residual is round-off; "
+        "cell nodes (n_x, n_y) = (%d, %d) at tau and tau+1" % report.cell_nodes["tau"])
+
+
+def s_invariance_residual(basis: LLLBasis, report: ModularInvariance):
+    """``(residual, note)`` of ``Z~`` under tau -> -1/tau, against the
+    closed form: ``sqrt(b)*|eta|^2`` is S-invariant, so S moves only the
+    Gaussian factor of :func:`z_tilde_closed_form`."""
+    b_s = (-1.0 / basis.tau.value).imag
+    predicted = abs(math.expm1(
+        _gaussian_exponent(basis.level, b_s - basis.tau.im, basis.angles.alpha1)))
+    return abs(report.s_residual - predicted), (
+        "s_residual %s against the closed-form S factor of Z~, "
+        "|expm1((Im(-1/tau) - Im tau)*alpha1**2/(2*pi*K))| = %s; "
+        "cell nodes (n_x, n_y) = (%d, %d) at tau, (%d, %d) at -1/tau"
+        % (format(report.s_residual, ".17g"), format(predicted, ".17g"),
+           *report.cell_nodes["tau"], *report.cell_nodes["-1/tau"]))

@@ -1,11 +1,13 @@
 """The benchmark's tracer wraps nctorus functions by name: each name it
 lists must exist, a traced ``verify`` run must record the fits, and a
 traced ``partition`` run must record state evaluation and the theta
-series through the names the tracer wraps."""
+series through the names the tracer wraps.  ``BENCHMARK.json`` counts
+failures per ``verify`` check under the check's name."""
 
 import contextlib
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import numpy as np
 from nctorus import cli
 
 TRACING = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+BENCHMARK = Path(__file__).parents[1] / "BENCHMARK.json"
 
 
 def _load_tracing():
@@ -56,3 +59,11 @@ def test_traced_partition_records_states_and_series():
         assert spans[name][0] > 0, name
     # counted through theta.truncation_bound
     assert tracer.counters["theta.series_terms"] > tracer.counters["theta.points"] > 0
+
+
+def test_verify_checks_are_the_benchmark_failure_counters():
+    # the benchmark counts failures per check under these names, in this order
+    prefix = "cli.checks_failed."
+    per_layer = json.loads(BENCHMARK.read_text())["per_layer"]
+    counted = [m["name"][len(prefix):] for m in per_layer if m["name"].startswith(prefix)]
+    assert [name for name, _, _ in cli._verify_checks(cli.RunConfig(), False)] == counted

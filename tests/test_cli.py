@@ -1,3 +1,5 @@
+import contextlib
+import importlib
 import io
 import json
 import math
@@ -11,11 +13,34 @@ import pytest
 from nctorus import cli, partition
 from nctorus.cli import RunConfig, UsageError, emit_json, main, parse_complex
 from nctorus.core import Flux, VacuumAngles, as_tau
-from nctorus.fields import Field
-from nctorus.lll import build_basis
-from nctorus.matrices import holonomy_residual, q_commutation_residual, weyl_cocycle_residual
-from nctorus.partition import z_tilde
+from nctorus.fields import (
+    Field,
+    dual_commutation_residual,
+    plaquette_residual,
+    sine_bracket_residual,
+)
+from nctorus.lll import build_basis, center_eigen_residual, gram_rank, lemma_eigenphase_residual
+from nctorus.matrices import (
+    WeylWord,
+    bimodule_consistency,
+    commutant_and_span_residual,
+    holonomy_residual,
+    q_commutation_residual,
+    sine_structure_residual,
+    uq_sl2_generators,
+    weyl_cocycle_residual,
+)
+from nctorus.partition import (
+    modular_invariance_report,
+    s_invariance_residual,
+    t_invariance_residual,
+    z_tilde,
+)
+from nctorus.theta import eta_functional_residual, orthogonality_residual, quasi_periodicity_residual
 from state_faults import with_states
+
+# by module path: the package namespace re-exports a function named theta
+theta_module = importlib.import_module("nctorus.theta")
 
 ETA_I = 0.7682254223260566590025942  # 50-digit oracle
 THETA_1_0_AT_I = 1.0864348112133080145  # sqrt(2) * eta(i)
@@ -295,11 +320,14 @@ def test_partition_reports_closed_form_and_cell_nodes(capsys):
         "(n_x, n_y) = (10, 11) at tau, (12, 10) at -1/tau")
 
 
-@pytest.mark.parametrize("tau", ["0.01i", "50i"])
-def test_verify_passes_at_small_and_large_im_tau(capsys, tau):
+@pytest.mark.parametrize("tau, alpha1", [("0.01i", "0"), ("50i", "0"), ("1e3i", "0.7")],
+                         ids=["0.01i", "50i", "1e3i-alpha1"])
+def test_verify_passes_at_small_and_large_im_tau(capsys, tau, alpha1):
     # at 0.01i the cell integrand has x-modes up to about 100: a fixed
-    # 64-node axis left Z~ 8.8e-3 off and failed partition_t_invariance
-    code, rep = run_json(capsys, ["verify", "--tau=" + tau])
+    # 64-node axis left Z~ 8.8e-3 off and failed partition_t_invariance;
+    # at 1e3i with alpha1 = 0.7 the states reach 235 on the center grid,
+    # where an absolute center residual read 2.1e-10
+    code, rep = run_json(capsys, ["verify", "--tau=" + tau, "--alpha1", alpha1])
     assert code == 0, [c for c in rep["checks"] if not c["pass"]]
 
 
@@ -308,13 +336,13 @@ def test_eta_check_sees_the_run_tau(capsys, monkeypatch):
     # seeded points (Im tau in [1, 2.5], their -1/tau above 0.15), and at
     # 0.01i, where |eta| is 4e-11, it is 4e-17 in absolute terms: only a
     # residual relative to |eta| at the run's own tau and -1/tau sees it
-    eta = cli.dedekind_eta
+    eta = theta_module.dedekind_eta
 
     def faulty(tau, *args, **kwargs):
         value = eta(tau, *args, **kwargs)
         return value * (1.0 + 1e-6) if as_tau(tau).im < 0.05 else value
 
-    monkeypatch.setattr(cli, "dedekind_eta", faulty)
+    monkeypatch.setattr(theta_module, "dedekind_eta", faulty)
     code, rep = run_json(capsys, ["verify", "--tau=0.01i"])
     assert code == 1
     failing = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
@@ -573,17 +601,85 @@ def test_render_covers_numpy_complex_and_non_finite_values():
     )
 
 
-def test_reported_residuals_are_the_library_values(capsys):
-    m, n, angles = 5, 3, VacuumAngles(0.7, -1.3)
-    flags = ["--M", str(m), "--N", str(n), "--alpha1", "0.7", "--alpha2", "-1.3"]
-    _, mat = run_json(capsys, ["matrices"] + flags)
-    assert mat["residuals"]["weyl_cocycle"] == weyl_cocycle_residual(m, n)
-    assert mat["residuals"]["q_commutation"] == q_commutation_residual(m, n, angles)
-    _, ver = run_json(capsys, ["verify"] + flags)
-    residual = {c["name"]: c["residual"] for c in ver["checks"]}
-    assert residual["weyl_cocycle_matrix"] == weyl_cocycle_residual(m, n)
-    assert residual["holonomy_matrix"] == holonomy_residual(m, n, angles)
-    assert residual["q_commutation_matrix"] == q_commutation_residual(m, n, angles)
+_RUN = ["--M", "5", "--N", "3", "--alpha1", "0.7", "--alpha2", "-1.3"]
+_FLUX, _ANGLES, _TAU = Flux(3, 5), VacuumAngles(0.7, -1.3), as_tau(RunConfig.tau)
+
+
+def _basis():
+    return build_basis(_FLUX, _TAU, _ANGLES)
+
+
+def _s_invariance():
+    basis = _basis()
+    return s_invariance_residual(basis, modular_invariance_report(basis))
+
+
+def _bimodule():
+    report = bimodule_consistency(_basis())
+    return max(*report["deviations"].values(), report["left_right_commutator"])
+
+
+# every residual that matrices and verify report for _RUN, from the library
+_LIBRARY = [
+    ("matrices", "dual_q_commutation", lambda: q_commutation_residual(3, 5, _ANGLES)),
+    ("matrices", "q_commutation", lambda: q_commutation_residual(5, 3, _ANGLES)),
+    ("matrices", "sine_structure",
+     lambda: sine_structure_residual(5, 3, WeylWord(1, 0), WeylWord(0, 1))),
+    ("matrices", "weyl_cocycle", lambda: weyl_cocycle_residual(5, 3)),
+    ("verify", "theta_quasi_periodicity", lambda: quasi_periodicity_residual(15, _TAU)),
+    ("verify", "eta_functional_equations", lambda: eta_functional_residual(_TAU)),
+    ("verify", "q_commutation_matrix", lambda: q_commutation_residual(5, 3, _ANGLES)),
+    ("verify", "weyl_cocycle_matrix", lambda: weyl_cocycle_residual(5, 3)),
+    ("verify", "sine_algebra_matrix",
+     lambda: max(sine_structure_residual(5, 3, WeylWord(1, 0), WeylWord(0, 1)),
+                 sine_structure_residual(5, 3, WeylWord(1, 1), WeylWord(2, -1)))),
+    ("verify", "sine_algebra_operator",
+     lambda: sine_bracket_residual((1, 0), (0, 1), _FLUX, _TAU)),
+    ("verify", "dual_commutation_operator",
+     lambda: dual_commutation_residual((1, 0), (0, 1), _FLUX, _TAU)),
+    ("verify", "holonomy_operator", lambda: plaquette_residual(_FLUX, _TAU)),
+    ("verify", "holonomy_matrix", lambda: holonomy_residual(5, 3, _ANGLES)),
+    ("verify", "center_eigenvalues", lambda: center_eigen_residual(_basis())),
+    ("verify", "lemma_eigenphases", lambda: lemma_eigenphase_residual(_basis())),
+    ("verify", "gram_rank", lambda: abs(gram_rank(_basis()) - 15)),
+    ("verify", "bimodule_consistency", _bimodule),
+    ("verify", "commutant_and_span", lambda: commutant_and_span_residual(5, 3, _ANGLES)),
+    ("verify", "uq_sl2_relations", lambda: max(uq_sl2_generators(5, 3).residuals.values())),
+    ("verify", "orthogonality",
+     lambda: max(orthogonality_residual(15), orthogonality_residual(24))),
+    ("verify", "partition_t_invariance",
+     lambda: t_invariance_residual(modular_invariance_report(_basis()))),
+    ("verify", "partition_s_invariance", _s_invariance),
+]
+
+
+@pytest.fixture(scope="module")
+def reported():
+    """``(command, name) -> (residual, note)`` of one matrices and one
+    verify run at _RUN."""
+    out = {}
+    for command in ("matrices", "verify"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([command, *_RUN]) == 0
+        rep = json.loads(buf.getvalue())
+        if command == "matrices":
+            out.update({(command, k): (v, None) for k, v in rep["residuals"].items()})
+        else:
+            out.update({(command, c["name"]): (c["residual"], c.get("note"))
+                        for c in rep["checks"]})
+    return out
+
+
+@pytest.mark.parametrize("command, name, library", _LIBRARY,
+                         ids=["%s.%s" % row[:2] for row in _LIBRARY])
+def test_reported_residuals_are_the_library_values(reported, command, name, library):
+    assert sorted(reported) == sorted(row[:2] for row in _LIBRARY)
+    want = library()
+    residual, note = want if isinstance(want, tuple) else (want, None)
+    assert reported[command, name][0] == residual
+    if note is not None:  # a bare library residual may get its note from the CLI
+        assert reported[command, name][1] == note
 
 
 def test_verify_rejects_non_coprime(capsys):

@@ -41,7 +41,7 @@ def test_quadrature_spec_validation():
         QuadratureSpec(nodes_per_axis=4)
 
 
-def test_quadrature_nodes():
+def test_quadrature_nodes(monkeypatch):
     # midpoints of the sized rule: (10, 11) at this basis, the floor where it is larger
     basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES)
     x, y = quadrature_nodes(basis)
@@ -51,6 +51,14 @@ def test_quadrature_nodes():
     x, y = quadrature_nodes(basis, QuadratureSpec(16))
     assert (x.size, y.size) == (16, 16)
     assert np.all((x > 0.0) & (x < 1.0))
+    # the invariance report carries the nodes each of its three Z~ ran on
+    ran = []
+    nodes = partition.quadrature_nodes
+    monkeypatch.setattr(partition, "quadrature_nodes",
+                        lambda *a: ran.append(tuple(map(len, nodes(*a)))) or nodes(*a))
+    report = modular_invariance_report(basis)
+    assert ran == list(report.cell_nodes.values()) == [(10, 11), (10, 11), (12, 10)]
+    assert list(report.cell_nodes) == ["tau", "tau+1", "-1/tau"]
 
 
 @pytest.mark.parametrize("level, im_tau, counts", [

@@ -81,7 +81,9 @@ from .matrices import (
     weyl_span_dimension,
     commutant_and_span_residual,
     bimodule_consistency,
+    bimodule_residual,
     uq_sl2_generators,
+    uq_sl2_residual,
 )
 from .partition import (
     QuadratureSpec,

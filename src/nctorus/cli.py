@@ -37,7 +37,7 @@ from .core import (
     squeeze_from_tau,
     squeeze_roundtrip_residual,
 )
-from .errors import ConventionMismatchError, DegenerateDeformationError
+from .errors import ConventionMismatchError
 from .fields import (
     dual_commutation_residual,
     plaquette_residual,
@@ -52,7 +52,7 @@ from .lll import (
 )
 from .matrices import (
     WeylWord,
-    bimodule_consistency,
+    bimodule_residual,
     clock_matrix,
     commutant_and_span_residual,
     commutant_dimension,
@@ -61,7 +61,7 @@ from .matrices import (
     q_commutation_residual,
     shift_matrix,
     sine_structure_residual,
-    uq_sl2_generators,
+    uq_sl2_residual,
     weyl_cocycle_residual,
     weyl_span_dimension,
 )
@@ -355,19 +355,6 @@ def cmd_squeeze(args) -> int:
 # --------------------------------------------------------------- verify
 
 
-def _bimodule_residual(basis) -> float:
-    report = bimodule_consistency(basis)
-    return float(np.max([*report["deviations"].values(), report["left_right_commutator"]]))
-
-
-def _uq_sl2_residual(m, n):
-    try:
-        gens = uq_sl2_generators(m, n)
-    except DegenerateDeformationError:
-        return 0.0, "skipped: degenerate deformation parameter"
-    return max(gens.residuals.values())
-
-
 def _verify_checks(cfg: RunConfig, inject_fault: bool):
     """Rows (name, call, tolerance); each call returns its residual or
     (residual, note).  The basis and the invariance report are built on
@@ -387,8 +374,8 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
          1e-13),
         ("weyl_cocycle_matrix", lambda: weyl_cocycle_residual(m, n), 1e-12),
         ("sine_algebra_matrix",
-         lambda: max(sine_structure_residual(m, n, WeylWord(1, 0), WeylWord(0, 1)),
-                     sine_structure_residual(m, n, WeylWord(1, 1), WeylWord(2, -1))),
+         lambda: float(np.max([sine_structure_residual(m, n, WeylWord(1, 0), WeylWord(0, 1)),
+                               sine_structure_residual(m, n, WeylWord(1, 1), WeylWord(2, -1))])),
          1e-12),
         ("sine_algebra_operator", lambda: sine_bracket_residual((1, 0), (0, 1), flux, tau), 1e-9),
         ("dual_commutation_operator",
@@ -398,11 +385,11 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
         ("center_eigenvalues", lambda: center_eigen_residual(basis()), 1e-10),
         ("lemma_eigenphases", lambda: lemma_eigenphase_residual(basis()), 1e-7),
         ("gram_rank", lambda: float(abs(gram_rank(basis()) - m * n)), 0.5),
-        ("bimodule_consistency", lambda: _bimodule_residual(basis()), 1e-6),
+        ("bimodule_consistency", lambda: bimodule_residual(basis()), 1e-6),
         ("commutant_and_span", lambda: commutant_and_span_residual(m, n, angles), 0.5),
-        ("uq_sl2_relations", lambda: _uq_sl2_residual(m, n), 1e-11),
+        ("uq_sl2_relations", lambda: uq_sl2_residual(m, n), 1e-11),
         ("orthogonality",
-         lambda: (max(orthogonality_residual(m * n), orthogonality_residual(24)),
+         lambda: (float(np.max([orthogonality_residual(m * n), orthogonality_residual(24)])),
                   "holds by construction: the DFT matrix is unitary, so the residual is round-off"),
          1e-12),
         ("partition_t_invariance", lambda: t_invariance_residual(invariance()), 1e-5),

@@ -97,6 +97,15 @@ class Field:
         self.d_z = d_z
         self.d_zbar = d_zbar
 
+    def cell_density(self, x, y):
+        """``|f|^2`` on the physical slice at the tensor grid
+        ``w = x[i] + tau*y[j]`` of real node axes ``x`` and ``y``: shape
+        ``(..., x.size, y.size)``, any leading axes being those of
+        ``evaluate``.  This default evaluates every node; a field that
+        knows its structure may sum the grid faster."""
+        w = x[:, None] + self.tau * y
+        return np.abs(self.evaluate(w, np.conjugate(w))) ** 2
+
 
 @dataclass(frozen=True)
 class Displacement:
@@ -295,4 +304,5 @@ def plaquette_residual(flux, tau) -> float:
     """Larger of the :func:`plaquette_phase` deviation from the flux phase
     ``e^{2 pi i N/M}`` and its pointwise spread."""
     phase, spread = plaquette_phase(flux, tau)
-    return max(abs(phase - cmath.exp(2j * math.pi * flux.numerator / flux.denominator)), spread)
+    dev = abs(phase - cmath.exp(2j * math.pi * flux.numerator / flux.denominator))
+    return float(np.max([dev, spread]))  # np.max, unlike max, keeps a NaN

@@ -52,7 +52,7 @@ import numpy as np
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
 from .errors import ConventionMismatchError
 from .fields import Displacement, Field, displacement_apply
-from .theta import ThetaSpec, TruncationPolicy, theta_derivative
+from .theta import ThetaSpec, TruncationPolicy, _theta_grid_sum, theta_derivative
 
 __all__ = [
     "LLLBasis",
@@ -78,12 +78,21 @@ def _eval_terms(terms, level, residue, tau, alpha1, gamma, policy, w, wbar):
     # never formed apart, so neither overflows where their product is tame
     g = math.pi * level * w * (w - wbar) / (2.0 * b) + 1j * alpha1 * w
     spec = ThetaSpec(level, residue)
-    orders = sorted({p for (_, _, p) in terms})
     th = {p: theta_derivative(spec, w + gamma, tau, policy, order=p, log_scale=g)
-          for p in orders}
+          for p in _orders(terms)}
+    return _combine(terms, th, w, wbar)
+
+
+def _orders(terms):
+    return sorted({p for (_, _, p) in terms})
+
+
+def _combine(terms, th, w, wbar):
+    """``sum_t c_t * w^a * wbar^c * th[p]`` over the terms ``(a, c, p) -> c_t``."""
     out = None
     for (a, c, p), coeff in sorted(terms.items()):
-        piece = coeff * th[p]
+        # a unit coefficient (every ground state) costs no copy of th[p]
+        piece = th[p] if coeff == 1 else coeff * th[p]
         if a:
             piece = piece * w**a
         if c:
@@ -137,13 +146,14 @@ class ThetaField(Field):
     derivatives return shape ``(len(residue),) + w.shape``.
     """
 
-    __slots__ = ("terms", "level", "residue", "alpha1", "gamma", "policy")
+    __slots__ = ("terms", "level", "residue", "spec", "alpha1", "gamma", "policy")
 
     def __init__(self, terms, level, residue, tau, alpha1, gamma, policy=_DEFAULT_POLICY):
         t = as_tau(tau)
         self.terms = dict(terms)
         self.level = int(level)
-        self.residue = ThetaSpec(self.level, residue).residue
+        self.spec = ThetaSpec(self.level, residue)
+        self.residue = self.spec.residue
         self.alpha1 = float(alpha1)
         self.gamma = complex(gamma)
         self.policy = policy
@@ -156,6 +166,28 @@ class ThetaField(Field):
         super().__init__(evaluator(self.terms), t, t.im / (2.0 * math.pi * self.level),
                          d_z=evaluator(_dw_terms(self.terms, self.level, t.im, self.alpha1)),
                          d_zbar=evaluator(_dwbar_terms(self.terms, self.level, t.im)))
+
+    def cell_density(self, x, y):
+        """:meth:`Field.cell_density` from the theta series summed on the
+        grid (``theta._theta_grid_sum``).  On the slice ``w = x + tau*y``,
+        with ``c = tau*y + gamma`` and ``2*pi*K*gamma = tau*alpha1 - alpha2``,
+
+            G = i*(pi*K*y + alpha1)*x + i*alpha2*y
+                + i*pi*K*c**2/tau - i*pi*K*gamma**2/tau:
+
+        the first two parts are a phase common to every term, which
+        ``|.|^2`` drops, the third is the grid sum's own scale, and the
+        constant last part is its log-scale.  No exponent is larger than
+        the terms it scales, so none loses digits to cancellation."""
+        tau, k = self.tau, self.level
+        log_scale = -1j * math.pi * k * self.gamma**2 / tau
+        th = {p: _theta_grid_sum(self.spec, x, tau * y + self.gamma, tau, self.policy, p,
+                                 log_scale)
+              for p in _orders(self.terms)}
+        w = x[:, None] + tau * y
+        density = np.abs(_combine(self.terms, th, w, np.conjugate(w)))
+        density *= density
+        return density
 
 
 @dataclass(frozen=True)

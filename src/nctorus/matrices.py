@@ -64,8 +64,10 @@ __all__ = [
     "weyl_span_dimension",
     "commutant_and_span_residual",
     "bimodule_consistency",
+    "bimodule_residual",
     "UqSl2Generators",
     "uq_sl2_generators",
+    "uq_sl2_residual",
 ]
 
 _NO_ANGLES = VacuumAngles()
@@ -370,6 +372,16 @@ def uq_sl2_generators(m, n) -> UqSl2Generators:
     return UqSl2Generators(j_plus, j_minus, q_j3, res)
 
 
+def uq_sl2_residual(m, n):
+    """Largest relation residual of :func:`uq_sl2_generators`, or
+    ``(0.0, note)`` when ``q^2 = 1`` leaves no deformation to check."""
+    try:
+        gens = uq_sl2_generators(m, n)
+    except DegenerateDeformationError:
+        return 0.0, "skipped: degenerate deformation parameter"
+    return float(np.max(list(gens.residuals.values())))  # np.max, unlike max, keeps a NaN
+
+
 def bimodule_consistency(basis: LLLBasis) -> dict:
     """Check that the sampled ground states, viewed as an M x N array,
     carry the left clock/shift action of the M-dimensional pair and the
@@ -420,12 +432,13 @@ def bimodule_consistency(basis: LLLBasis) -> dict:
     # forms the scalar products directly, without BLAS FMA contraction);
     # scalar complex products commute bitwise, so the exact-commutation
     # claim is checkable as == 0.0.
-    left_right = 0.0
+    commutators = []
     for x in left_factors.values():
         for y in right_factors.values():
             lr = np.einsum("ac,bd->abcd", x, y).reshape(m * n, m * n)
             rl = np.einsum("bd,ac->abcd", y, x).reshape(m * n, m * n)
-            left_right = max(left_right, float(np.max(np.abs(lr - rl))))
+            commutators.append(np.max(np.abs(lr - rl)))
+    left_right = float(np.max(commutators))  # np.max, unlike max, keeps a NaN
     return {
         "deviations": deviations,
         "mismatches": mismatches,
@@ -434,3 +447,10 @@ def bimodule_consistency(basis: LLLBasis) -> dict:
         "tolerance": tol,
         "pass": not mismatches and left_right == 0.0,
     }
+
+
+def bimodule_residual(basis: LLLBasis) -> float:
+    """Largest of the :func:`bimodule_consistency` deviations and its
+    left-right commutator."""
+    report = bimodule_consistency(basis)
+    return float(np.max([*report["deviations"].values(), report["left_right_commutator"]]))

@@ -29,12 +29,15 @@ whatever ``b``, and each axis takes at least
 ``QuadratureSpec.nodes_per_axis`` nodes.
 
 ``Z~`` is computed by two deliberately independent routes: the
-per-state route sums the K norms of :func:`state_norm`, which integrates
-the basis's stacked states (one theta series for all K residues) row by
-row, while the character route evaluates a single integrand containing
-the full residue sum of thetas over eta directly, one residue at a time
-through :func:`~nctorus.theta.theta`; their agreement is a consistency
-check, so the two code paths are kept separate.  Parseval
+per-state route sums the K norms of :func:`state_norm`, which takes the
+densities of the basis's stacked states tile by tile from their
+:meth:`~nctorus.fields.Field.cell_density` (for the ground states, one
+theta series for all K residues summed on the tile's tensor grid as a
+phase table in ``x`` times a window table in ``y``), while the character
+route evaluates a single integrand containing the full residue sum of
+thetas over eta pointwise, one residue at a time through
+:func:`~nctorus.theta.theta`; their agreement is a consistency check of
+both summations, so the two code paths are kept separate.  Parseval
 in ``x`` collapses the cell integral to a full Gaussian in ``y``, which
 gives :func:`z_tilde_closed_form`; neither route reads it.
 """
@@ -48,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lll import LLLBasis, build_basis
-from .theta import ThetaSpec, _peak_window, dedekind_eta, theta
+from .theta import ThetaSpec, dedekind_eta, theta
 
 __all__ = [
     "QuadratureSpec",
@@ -65,10 +68,15 @@ __all__ = [
 ]
 
 _CHUNK = 1024
-# elements of one (K, points, terms) series array in a state_norm evaluation;
-# a larger budget raised the traced peak memory of a K = 90 partition run
-# (1.8 MB at 2**13, 3.2 MB at 2**15) and was no faster
-_BLOCK_ELEMENTS = 1 << 13
+# state values in one (K, rows, columns) tile of a state_norm evaluation.
+# A tile costs rows + columns exponentials per term, so small tiles lose
+# the grid sum's saving at large K: the ops of a partition-sweep cycle
+# took 13% longer at 2**13 than at 2**14.  A large tile grows the heap
+# past glibc's trim threshold, which then hands the pages back after
+# every tile: at 2**15 a tile's tables, product and density reach 0.84 MB
+# and a (24, 37, 36) tile faulted in 140-280 fresh pages, a cost that
+# moves with the host; at 2**14 they stay under 0.45 MB.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -105,45 +113,43 @@ def quadrature_nodes(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
     return (np.arange(n_x) + 0.5) / n_x, (np.arange(n_y) + 0.5) / n_y
 
 
-def _cell_integral(integrand, basis: LLLBasis, quad: QuadratureSpec):
-    """Integrate ``integrand(x, y) -> real ndarray`` over the unit
-    square by the midpoint rule of ``basis``: nodes are evaluated in
-    fixed chunks of ``_CHUNK`` points and the chunk sums reduced with
-    ``math.fsum``.  The integrand's last axis runs over the points; a
-    2-d integrand is one integrand per row, and its integrals come back
-    as a list of floats, one per row."""
+def _cell_integral(integrand, basis: LLLBasis, quad: QuadratureSpec) -> float:
+    """Integrate ``integrand(x, y) -> real ndarray`` (one value per
+    point) over the unit square by the midpoint rule of ``basis``: nodes
+    are evaluated in fixed chunks of ``_CHUNK`` points and the chunk sums
+    reduced with ``math.fsum``."""
     x, y = quadrature_nodes(basis, quad)
     xs = np.repeat(x, y.size)
     ys = np.tile(y, x.size)
-    sums = np.array([
-        np.sum(integrand(xs[i:i + _CHUNK], ys[i:i + _CHUNK]), axis=-1)
-        for i in range(0, xs.size, _CHUNK)
-    ])
-    totals = [math.fsum(row) / xs.size for row in sums.reshape(len(sums), -1).T]
-    return totals if sums.ndim > 1 else totals[0]
+    return math.fsum(np.sum(integrand(xs[i:i + _CHUNK], ys[i:i + _CHUNK]))
+                     for i in range(0, xs.size, _CHUNK)) / xs.size
+
+
+def _tile_shape(level, n_x, n_y):
+    """``(rows, columns)`` of a cell tile whose ``(level, rows, columns)``
+    density array holds at most ``_BLOCK_ELEMENTS`` elements (but at least
+    one node), as near square as the axes allow: a tile costs
+    ``rows + columns`` exponentials per term for ``rows * columns`` nodes."""
+    nodes = max(1, _BLOCK_ELEMENTS // level)
+    columns = min(n_y, math.isqrt(nodes))
+    rows = min(n_x, nodes // columns)
+    return rows, min(n_y, nodes // rows)
 
 
 def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:
     """Squared cell norms of the K ground states, in the order of
-    :meth:`LLLBasis.labels`.  The stacked states are evaluated in blocks
-    of points, each small enough (but at least one point) that its
-    ``(K, points, terms)`` series array, with the peak-window term count
-    of the basis, holds at most ``_BLOCK_ELEMENTS`` elements."""
-    states = basis.field
-    tau = basis.tau.value
-    klev = basis.level
-    terms = _peak_window(klev, basis.tau.im, 0.0, basis.policy.epsilon)
-    block = max(1, _BLOCK_ELEMENTS // (klev * terms))
-
-    def integrand(x, y):
-        w = x + tau * y
-        rows = np.empty((klev, w.size))
-        for i in range(0, w.size, block):
-            wb = w[i:i + block]
-            rows[:, i:i + block] = np.abs(states.evaluate(wb, np.conjugate(wb))) ** 2
-        return rows
-
-    return _cell_integral(integrand, basis, quad)
+    :meth:`LLLBasis.labels`.  The cell's tensor grid is cut into tiles of
+    at most ``_BLOCK_ELEMENTS`` state values (:func:`_tile_shape`); the
+    stacked states give each tile's densities in one call of their
+    :meth:`~nctorus.fields.Field.cell_density`, and the tile sums of each
+    state are reduced with ``math.fsum``."""
+    x, y = quadrature_nodes(basis, quad)
+    rows, columns = _tile_shape(basis.level, x.size, y.size)
+    sums = np.array([
+        np.sum(basis.field.cell_density(x[i:i + rows], y[j:j + columns]), axis=(-2, -1))
+        for i in range(0, x.size, rows) for j in range(0, y.size, columns)
+    ])
+    return [math.fsum(tiles) / (x.size * y.size) for tiles in sums.T]
 
 
 def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:

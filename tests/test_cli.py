@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import importlib
 import io
@@ -10,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nctorus import cli, partition
+from nctorus import cli, fields, matrices, partition
 from nctorus.cli import RunConfig, UsageError, emit_json, main, parse_complex
 from nctorus.core import Flux, VacuumAngles, as_tau
 from nctorus.fields import (
@@ -22,12 +23,12 @@ from nctorus.fields import (
 from nctorus.lll import build_basis, center_eigen_residual, gram_rank, lemma_eigenphase_residual
 from nctorus.matrices import (
     WeylWord,
-    bimodule_consistency,
+    bimodule_residual,
     commutant_and_span_residual,
     holonomy_residual,
     q_commutation_residual,
     sine_structure_residual,
-    uq_sl2_generators,
+    uq_sl2_residual,
     weyl_cocycle_residual,
 )
 from nctorus.partition import (
@@ -614,11 +615,6 @@ def _s_invariance():
     return s_invariance_residual(basis, modular_invariance_report(basis))
 
 
-def _bimodule():
-    report = bimodule_consistency(_basis())
-    return max(*report["deviations"].values(), report["left_right_commutator"])
-
-
 # every residual that matrices and verify report for _RUN, from the library
 _LIBRARY = [
     ("matrices", "dual_q_commutation", lambda: q_commutation_residual(3, 5, _ANGLES)),
@@ -642,9 +638,9 @@ _LIBRARY = [
     ("verify", "center_eigenvalues", lambda: center_eigen_residual(_basis())),
     ("verify", "lemma_eigenphases", lambda: lemma_eigenphase_residual(_basis())),
     ("verify", "gram_rank", lambda: abs(gram_rank(_basis()) - 15)),
-    ("verify", "bimodule_consistency", _bimodule),
+    ("verify", "bimodule_consistency", lambda: bimodule_residual(_basis())),
     ("verify", "commutant_and_span", lambda: commutant_and_span_residual(5, 3, _ANGLES)),
-    ("verify", "uq_sl2_relations", lambda: max(uq_sl2_generators(5, 3).residuals.values())),
+    ("verify", "uq_sl2_relations", lambda: uq_sl2_residual(5, 3)),
     ("verify", "orthogonality",
      lambda: max(orthogonality_residual(15), orthogonality_residual(24))),
     ("verify", "partition_t_invariance",
@@ -680,6 +676,61 @@ def test_reported_residuals_are_the_library_values(reported, command, name, libr
     assert reported[command, name][0] == residual
     if note is not None:  # a bare library residual may get its note from the CLI
         assert reported[command, name][1] == note
+
+
+def _nan_eta_at_the_first_point(monkeypatch):
+    eta, calls = theta_module.dedekind_eta, []
+
+    def first_nan(*args):
+        calls.append(args)
+        return complex("nan") if len(calls) == 1 else eta(*args)
+
+    monkeypatch.setattr(theta_module, "dedekind_eta", first_nan)
+
+
+def _nan_plaquette_spread(monkeypatch):
+    flux = RunConfig().flux
+    exact = cmath.exp(2j * math.pi * flux.numerator / flux.denominator)
+    monkeypatch.setattr(fields, "plaquette_phase", lambda *args, **kwargs: (exact, math.nan))
+
+
+def _nan_second_sine_word(monkeypatch):
+    residual = cli.sine_structure_residual
+    monkeypatch.setattr(cli, "sine_structure_residual", lambda m, n, a, b: (
+        math.nan if a == WeylWord(1, 1) else residual(m, n, a, b)))
+
+
+def _nan_level_24_orthogonality(monkeypatch):
+    residual = cli.orthogonality_residual
+    monkeypatch.setattr(cli, "orthogonality_residual",
+                        lambda level: math.nan if level == 24 else residual(level))
+
+
+def _nan_last_uq_relation(monkeypatch):
+    generators = matrices.uq_sl2_generators
+
+    def last_nan(m, n):
+        gens = generators(m, n)
+        return gens._replace(residuals={**gens.residuals, list(gens.residuals)[-1]: math.nan})
+
+    monkeypatch.setattr(matrices, "uq_sl2_generators", last_nan)
+
+
+@pytest.mark.parametrize("name, inject", [
+    ("eta_functional_equations", _nan_eta_at_the_first_point),
+    ("holonomy_operator", _nan_plaquette_spread),
+    ("sine_algebra_matrix", _nan_second_sine_word),
+    ("orthogonality", _nan_level_24_orthogonality),
+    ("uq_sl2_relations", _nan_last_uq_relation),
+])
+def test_one_nan_fails_its_verify_check(monkeypatch, name, inject):
+    # a builtin max(x, nan) returns x: each of these folds once passed a NaN
+    inject(monkeypatch)
+    [(run, tol)] = [(fn, tol) for row, fn, tol in cli._verify_checks(RunConfig(), False)
+                    if row == name]
+    out = run()
+    residual = out[0] if isinstance(out, tuple) else out
+    assert math.isnan(residual) and not residual <= tol
 
 
 def test_verify_rejects_non_coprime(capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -263,6 +264,81 @@ def test_stacked_rows_equal_the_single_state_loop(mn):
                 assert rows.shape == (m * n, w.size)
                 for row, (j, k) in zip(rows, basis.labels()):
                     assert np.array_equal(row, getattr(basis.state(j, k), slot)(w, wbar))
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(want))
+
+
+def _rounding_allowance(level, im_tau):
+    """Ulps the pointwise states lose where ``exp`` takes exponents of
+    size ``pi*K*Im tau`` that cancel: several parts in 1e10 at (11,7),
+    1e3i, against the basis epsilon in the benchmark box."""
+    return 8.0 * math.pi * level * im_tau * 2.0**-52
+
+
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.5 + 2j, 0.003j, 0.01j, 50j, 1e3j])
+@pytest.mark.parametrize("mn", [(3, 2), (7, 5), (11, 7), (13, 3)])
+def test_cell_density_matches_the_pointwise_states(mn, tau):
+    # the grid sum against |evaluate|^2 at every node of the cell rule
+    m, n = mn
+    basis = build_basis(Flux(n, m), tau, ANGLES)
+    x, y = partition.quadrature_nodes(basis)
+    got = basis.field.cell_density(x, y)
+    want = Field.cell_density(basis.field, x, y)
+    assert got.shape == want.shape == (m * n, x.size, y.size)
+    tol = basis.policy.epsilon + _rounding_allowance(m * n, basis.tau.im)
+    assert _relative_gap(got, want) <= tol
+
+
+def _mp_density(basis, r, x, y):
+    """``|Psi|^2`` of residue ``r`` at ``w = x + tau*y``, summed at 30
+    digits over the 17 terms nearest the peak."""
+    with mpmath.workdps(30):
+        k, tau = basis.level, mpmath.mpc(basis.tau.value)
+        a1, a2 = basis.angles.alpha1, basis.angles.alpha2
+        w = x + tau * y
+        z = w + (tau * a1 - a2) / (2 * mpmath.pi * k)
+        g = mpmath.pi * k * w * (w - mpmath.conj(w)) / (2 * tau.imag) + 1j * a1 * w
+        centre = int(mpmath.floor(-z.imag / tau.imag))
+        series = mpmath.fsum(
+            mpmath.exp(1j * mpmath.pi * tau * k * a * a + 2j * mpmath.pi * k * z * a)
+            for a in (n + mpmath.mpf(r) / k for n in range(centre - 8, centre + 9)))
+        return float(abs(mpmath.exp(g) * series) ** 2)
+
+
+def test_cell_density_is_accurate_where_pointwise_exponents_round():
+    # at 1e3i the grid sum, which completes the square, holds the basis
+    # epsilon against 30 digits on the nodes near the peaks in y
+    basis = build_basis(Flux(2, 3), 1e3j, ANGLES)
+    x, y = partition.quadrature_nodes(basis)
+    x, y = x[::3], y[::7]
+    got = basis.field.cell_density(x, y)
+    near = np.flatnonzero(np.max(got, axis=(0, 1)) > 1e-3 * np.max(got))
+    want = np.array([[[_mp_density(basis, r, xi, y[j]) for j in near] for xi in x]
+                     for r in basis.field.residue])
+    assert near.size >= 3
+    assert _relative_gap(got[..., near], want) <= basis.policy.epsilon
+
+
+@pytest.mark.parametrize("tau", [TAU_GEN, 50j])
+def test_raised_cell_density_matches_the_pointwise_field(tau):
+    # every term family: derivative orders 0 to 2 and powers of w, wbar
+    basis = build_basis(Flux(2, 3), tau, ANGLES)
+    f = raise_level(basis, 1, 1, n=2)
+    assert {p for (_, _, p) in f.terms} == {0, 1, 2}
+    x, y = partition.quadrature_nodes(basis)
+    assert _relative_gap(f.cell_density(x, y), Field.cell_density(f, x, y)) \
+        <= basis.policy.epsilon
+
+
+def test_unit_coefficient_term_is_not_copied():
+    # the ground states' one term (0, 0, 0) -> 1.0 passes its series on:
+    # a copy per state_norm tile would grow the heap on every tile
+    th = {0: np.ones((3, 4, 5), dtype=complex)}
+    w = np.zeros((4, 5), dtype=complex)
+    assert lll._combine({(0, 0, 0): 1.0}, th, w, w) is th[0]
+    assert np.array_equal(lll._combine({(0, 0, 0): 2.0}, th, w, w), 2.0 * th[0])
 
 
 def test_default_fit_samples_are_stacked_once():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nctorus.matrices import (
     CSMatrix,
     WeylWord,
     bimodule_consistency,
+    bimodule_residual,
     clock_matrix,
     clock_power,
     commutant_dimension,
@@ -26,6 +28,7 @@ from nctorus.matrices import (
     shift_power,
     sine_structure_residual,
     uq_sl2_generators,
+    uq_sl2_residual,
     weyl_cocycle_residual,
     weyl_element,
     weyl_span_dimension,
@@ -508,3 +511,28 @@ def test_bimodule_consistency_fails_on_nan_images():
     assert all(math.isnan(dev) for dev in report["deviations"].values())
     assert {entry["operator"] for entry in report["mismatches"]} == set(report["deviations"])
     assert not report["pass"]
+
+
+def test_bimodule_left_right_commutator_keeps_a_nan(monkeypatch):
+    # one NaN entry in the dual clock reaches every left-right commutator
+    # it enters; a builtin max fold over them returned 0.0
+    basis = build_basis(Flux(2, 3), 0.3 + 1.1j)
+    dual = matrices.dual_matrices
+
+    def nan_dual_clock(*args):
+        clock, shift = dual(*args)
+        entries = clock.entries.copy()
+        entries[0, 0] = np.nan
+        return types.SimpleNamespace(entries=entries), shift
+
+    monkeypatch.setattr(matrices, "dual_matrices", nan_dual_clock)
+    with np.errstate(invalid="ignore"):
+        report = bimodule_consistency(basis)
+        residual = bimodule_residual(basis)
+    assert math.isnan(report["left_right_commutator"]) and not report["pass"]
+    assert math.isnan(residual)
+
+
+def test_uq_sl2_residual_is_the_worst_relation_or_a_skip():
+    assert uq_sl2_residual(5, 3) == max(uq_sl2_generators(5, 3).residuals.values())
+    assert uq_sl2_residual(2, 1) == (0.0, "skipped: degenerate deformation parameter")

@@ -1,4 +1,3 @@
-import importlib
 import math
 from pathlib import Path
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import partition
+from nctorus import lll, partition
 from nctorus.core import Flux, VacuumAngles
 from nctorus.lll import build_basis
 from nctorus.partition import (
@@ -24,8 +23,6 @@ from nctorus.partition import (
 )
 
 ANGLES = VacuumAngles(0.7, -1.3)
-# by module path: the package namespace re-exports a function named theta
-theta_module = importlib.import_module("nctorus.theta")
 
 # 50-digit quadrature oracle values for the single-state case.
 NORM_I = 0.7071067811865475244
@@ -112,40 +109,41 @@ def _per_label_state_norms(basis, quad=QuadratureSpec()):
 @pytest.mark.parametrize("mn, tau, nodes", [
     ((3, 2), 0.3 + 1.1j, 8),
     ((3, 2), 0.3 + 1.1j, 128),   # 16384 points, 16 chunks
-    ((7, 5), 0.01j, 8),          # blocks of fewer points than a chunk
+    ((7, 5), 0.01j, 8),          # 252 x 8 nodes in three tiles
     ((13, 3), -0.2 + 1.7j, 8),
     ((3, 2), 50j, 8),
 ])
 def test_state_norm_equals_the_per_label_loop(mn, tau, nodes):
+    # the grid sum factors each term's exponential, and exp(u + v) is not
+    # bitwise exp(u) * exp(v): the norms agree to the basis epsilon
     m, n = mn
     basis = build_basis(Flux(n, m), tau, ANGLES)
     quad = QuadratureSpec(nodes)
-    assert state_norm(basis, quad) == _per_label_state_norms(basis, quad)
+    got = np.array(state_norm(basis, quad))
+    want = np.array(_per_label_state_norms(basis, quad))
+    assert np.max(np.abs(got - want) / want) <= basis.policy.epsilon
 
 
 def test_state_norm_blocks_stay_within_the_element_budget(monkeypatch):
-    # at (7,5), 0.01i each point needs 11 peak-window terms: one 1024-point
-    # chunk of all 35 states would be 394240 elements in one series call
+    # at (7,5), 0.01i the cell rule has 252 x 8 nodes: all 35 states on
+    # the whole grid would be 70560 values in one grid sum
     basis = build_basis(Flux(5, 7), 0.01j, ANGLES)
-    windows, sizes = [], []
-    peak_window, theta_sum = theta_module._peak_window, theta_module._theta_sum
+    assert cell_node_counts(35, 0.01, 1e-12) == (252, 8)
+    shapes = []
+    grid_sum = lll._theta_grid_sum
 
-    def recorded_window(*args, **kwargs):
-        windows.append(peak_window(*args, **kwargs))
-        return windows[-1]
-
-    def recorded_sum(spec, z, *args, **kwargs):
-        out = theta_sum(spec, z, *args, **kwargs)
-        sizes.append(np.size(spec.residue) * np.size(z) * windows[-1])
+    def recorded(spec, x, c, *args):
+        out = grid_sum(spec, x, c, *args)
+        assert out.shape == (np.size(spec.residue), x.size, c.size)
+        shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(theta_module, "_peak_window", recorded_window)
-    monkeypatch.setattr(theta_module, "_theta_sum", recorded_sum)
+    monkeypatch.setattr(lll, "_theta_grid_sum", recorded)
     norms = state_norm(basis)
     assert len(norms) == 35 and all(map(math.isfinite, norms))
-    assert windows[-1] == 11
-    assert len(sizes) > 1
-    assert max(sizes) <= partition._BLOCK_ELEMENTS
+    assert len(shapes) > 1 and {k for k, _, _ in shapes} == {35}
+    assert sum(n_x * columns for _, n_x, columns in shapes) == 252 * 8  # each node once
+    assert max(math.prod(shape) for shape in shapes) <= partition._BLOCK_ELEMENTS
 
 
 def test_z_tilde_frozen_values():

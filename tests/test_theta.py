@@ -13,6 +13,7 @@ from nctorus.theta import (
     dedekind_eta,
     _nmax_certified,
     _peak_window,
+    _theta_grid_sum,
     orthogonality_residual,
     quasi_periodicity_residual,
     s_transform_residual,
@@ -317,6 +318,26 @@ def test_peak_window_tail_stays_below_its_stated_bound(epsilon, level, tau, orde
     # plus the rounding of exponents up to pi*K*b*(max|a*| + 1)**2, about 600 here
     rounding = 1e-12 * (peak + 1.0) ** order
     assert np.max(np.abs(got - want)) / (2.0 * math.pi * level) ** order <= bound + rounding
+
+
+@pytest.mark.parametrize("level, tau", [(1, 0.3 + 2.0j), (6, -0.4 + 1.3j), (35, 0.01j),
+                                        (12, 0.1 + 5.0j)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
+    # columns reach past the cell, so each residue's window union spans
+    # two peaks; every residue rides in one stacked call
+    x = np.random.default_rng(5).uniform(0.0, 1.0, 7)
+    c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
+    z = x[:, None] + c
+    log_scale = unit_envelope(level, c, tau)
+    spec = ThetaSpec(level, tuple(range(level)))
+    got = _theta_grid_sum(spec, x, c, tau, TruncationPolicy(), order,
+                          log_scale - 1j * math.pi * level * c**2 / tau)
+    want = theta_derivative(spec, z, tau, order=order,
+                            log_scale=np.broadcast_to(log_scale, z.shape))
+    assert got.shape == want.shape == (level, 7, 5)
+    gap = np.max(np.abs(got - want)) / (2.0 * math.pi * level) ** order
+    assert gap <= 1e-12 * (np.max(np.abs(c.imag)) / tau.imag + 1.0) ** order
 
 
 def test_peak_window_counts_and_cap():

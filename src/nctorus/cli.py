@@ -187,11 +187,35 @@ def _render(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_render(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
+        if obj.ndim and obj.size and obj.dtype.kind in "fc":
+            return _render_array(obj)
         return _render(obj.tolist())
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         return "{" + ",".join(json.dumps(str(k)) + ":" + _render(v) for k, v in items) + "}"
     raise TypeError("cannot render %r" % type(obj))
+
+
+def _render_array(arr) -> str:
+    """:func:`_render` of a real or complex array, one ``%``-format per
+    row instead of one call per value: the rows' ``%.17g`` text is that of
+    their Python floats, and ``nan``/``inf`` are respelled as JSON's
+    ``NaN``/``Infinity`` (no finite ``%.17g`` text holds either)."""
+    if arr.dtype.kind == "c":
+        cell = '{"im":%.17g,"re":%.17g}'
+        arr = np.stack([arr.imag, arr.real], axis=-1).reshape(arr.shape[:-1] + (-1,))
+        columns = arr.shape[-1] // 2
+    else:
+        cell = "%.17g"
+        columns = arr.shape[-1]
+    row = "[" + ",".join([cell] * columns) + "]"
+    rows = [row % tuple(values) for values in arr.reshape(-1, arr.shape[-1]).tolist()]
+    for size in reversed(arr.shape[:-1]):
+        rows = ["[" + ",".join(rows[i:i + size]) + "]" for i in range(0, len(rows), size)]
+    [text] = rows
+    if not np.isfinite(arr).all():
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def emit_json(obj, stream=None) -> str:

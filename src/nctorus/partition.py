@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lll import LLLBasis, build_basis
-from .theta import ThetaSpec, dedekind_eta, theta
+from .theta import _theta_residue_norms, dedekind_eta
 
 __all__ = [
     "QuadratureSpec",
@@ -172,15 +172,12 @@ def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSp
     a1 = basis.angles.alpha1
     gamma = basis.gamma
     eta2 = abs(dedekind_eta(t, basis.policy)) ** 2
-    specs = [ThetaSpec(klev, r) for r in range(klev)]
 
     def integrand(x, y):
         w = x + tau * y
         # half the Gaussian rides in each series, so |theta|^2 never overflows
         half = -math.pi * klev * b * y**2 - a1 * b * y
-        chi2 = sum(np.abs(theta(s, w + gamma, t, basis.policy, log_scale=half)) ** 2
-                   for s in specs)
-        return chi2 / eta2
+        return _theta_residue_norms(klev, w + gamma, t, basis.policy, half) / eta2
 
     return _cell_integral(integrand, basis, quad)
 

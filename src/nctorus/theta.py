@@ -108,6 +108,8 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+# terms in one (run, points) block of _theta_residue_norms
+_RESIDUE_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -316,6 +318,53 @@ def _theta_grid_sum(spec, x, c, tau, policy, deriv_order, log_scale):
         window = window * ((2j * math.pi * k) * a[..., None]) ** deriv_order
     out = phase @ window
     return out if residue.ndim else out[0]
+
+
+def _theta_residue_norms(level, z, tau, policy, log_scale):
+    """``sum_r |exp(log_scale) * theta_r^K(z)|**2`` over all ``K``
+    residues, pointwise, on the peak-centred certificate.
+
+    The residues are the classes mod ``K`` of one series over ``m = K*a``,
+    whose term ``exp(i*pi*tau*m**2/K + 2*pi*i*z*m + L)`` peaks at
+    ``m_p = rint(K*a*)``.  The run of ``K*count + 1`` consecutive ``m``
+    centred on ``m_p`` holds every residue's certified window of ``count``
+    terms, and from the peak term each neighbour follows by a step
+    ``s1 * g**(l-1)`` forward (``b1 * g**(l-1)`` backward) of modulus at
+    most 1, so the run costs 3 exponentials per point, not ``K*count``,
+    and its partial products only fall.  Its first ``K*count`` terms
+    reshaped to ``(count, K)`` sum to one theta per residue, in an order
+    that rotates with ``m_p`` and that the sum of squares ignores; the
+    last term is in the first column's class."""
+    t = as_tau(tau)
+    k = level
+    zz = np.asarray(z, dtype=complex).ravel()
+    scale = np.broadcast_to(np.asarray(log_scale, dtype=complex), np.shape(z)).ravel()
+    count = _peak_window(k, t.im, 0.0, policy.epsilon)
+    _check_cap(count, policy)
+    run = k * count + 1
+    back = run // 2
+    # g**(l-1) for the steps on either side of the peak
+    powers = np.exp((2j * math.pi * t.value / k) * np.arange(back))
+    lead = 1j * math.pi * t.value / k
+    block = max(1, _RESIDUE_BLOCK_ELEMENTS // run)
+    out = np.empty(zz.size)
+    for i in range(0, zz.size, block):
+        zb = zz[i:i + block]
+        a = np.rint(-k * zb.imag / t.im) / k  # m_p / K
+        # the peak term as _theta_sum forms a term, so the exponents'
+        # cancellation at large Im tau costs no more digits than there
+        terms = np.empty((run, zb.size), dtype=complex)
+        terms[back] = np.exp((1j * math.pi * t.value * k) * (a * a)
+                             + (2j * math.pi * k) * (zb * a) + scale[i:i + block])
+        step = (2j * math.pi) * (t.value * a + zb)
+        np.multiply(np.exp(step + lead), powers[:run - 1 - back, None], out=terms[back + 1:])
+        np.multiply(np.exp(lead - step), powers[:, None], out=terms[back - 1::-1])
+        np.cumprod(terms[back:], axis=0, out=terms[back:])
+        np.cumprod(terms[back::-1], axis=0, out=terms[back::-1])
+        per_residue = terms[:-1].reshape(count, k, zb.size).sum(axis=0)
+        per_residue[0] += terms[-1]
+        out[i:i + block] = np.sum(per_residue.real**2 + per_residue.imag**2, axis=0)
+    return out.reshape(np.shape(z))
 
 
 def theta(spec: ThetaSpec, z, tau, policy: TruncationPolicy = _DEFAULT_POLICY,

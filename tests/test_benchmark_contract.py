@@ -1,8 +1,8 @@
 """The benchmark's tracer wraps nctorus functions by name: each name it
 lists must exist, a traced ``verify`` run must record the fits and the
-pointwise state evaluation behind them, and a traced ``partition`` run
-must record both partition routes and the theta series through the
-names the tracer wraps.  ``BENCHMARK.json`` counts failures per
+pointwise state evaluation behind them and the theta series through the
+names the tracer wraps, and a traced ``partition`` run must record both
+partition routes.  ``BENCHMARK.json`` counts failures per
 ``verify`` check under the check's name."""
 
 import contextlib
@@ -50,19 +50,26 @@ def test_tracer_wraps_every_listed_function():
 
 def test_traced_partition_records_states_and_series():
     tracing = _load_tracing()
-    tracer = tracing.Tracer()
-    uninstall = tracing.install(tracer)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["partition", "--M", "3", "--N", "2"]) == 0
-    finally:
-        uninstall()
-    spans = tracer.summary()
-    # the state norms sum their series on the cell grid, a private theta
-    # routine the tracer does not wrap; the character route calls theta
-    for name in ("theta.theta", "partition.state_norm", "partition.z_tilde_character_route"):
+
+    def traced(argv):
+        tracer = tracing.Tracer()
+        uninstall = tracing.install(tracer)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+        finally:
+            uninstall()
+        return tracer
+
+    # both partition routes sum their series in private theta routines the
+    # tracer does not wrap: the states on the cell grid, the character
+    # route all K residues in one run
+    spans = traced(["partition", "--M", "3", "--N", "2"]).summary()
+    for name in ("partition.state_norm", "partition.z_tilde_character_route"):
         assert spans[name][0] > 0, name
-    # counted through theta.truncation_bound
+    # verify's theta check calls theta, counted through theta.truncation_bound
+    tracer = traced(["verify", "--M", "3", "--N", "2"])
+    assert tracer.summary()["theta.theta"][0] > 0
     assert tracer.counters["theta.series_terms"] > tracer.counters["theta.points"] > 0
 
 

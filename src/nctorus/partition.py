@@ -35,9 +35,11 @@ densities of the basis's stacked states tile by tile from their
 theta series for all K residues summed on the tile's tensor grid as a
 phase table in ``x`` times a window table in ``y``), while the character
 route evaluates a single integrand containing the full residue sum of
-thetas over eta pointwise, one residue at a time through
-:func:`~nctorus.theta.theta`; their agreement is a consistency check of
-both summations, so the two code paths are kept separate.  Parseval
+``|theta|^2`` over ``|eta|^2`` pointwise, all K residues from one run of
+the level-K series around each point's peak (``theta``'s private residue
+sum, which never touches ``Field`` or the grid sum); their agreement is a
+consistency check of both summations, so the two code paths are kept
+separate.  Parseval
 in ``x`` collapses the cell integral to a full Gaussian in ``y``, which
 gives :func:`z_tilde_closed_form`; neither route reads it.
 """
@@ -163,8 +165,9 @@ def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
 def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Eta-normalized state sum, single-integrand character route: the
     residue sum of |theta|^2 over |eta|^2 is evaluated pointwise from
-    the series directly (no Field machinery), at the level, angles and
-    truncation policy of ``basis``."""
+    the series directly (no Field machinery), all K residues from one run
+    of consecutive terms around each point's peak, at the level, angles
+    and truncation policy of ``basis``."""
     t = basis.tau
     tau = t.value
     b = t.im

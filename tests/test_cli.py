@@ -602,6 +602,44 @@ def test_render_covers_numpy_complex_and_non_finite_values():
     )
 
 
+def _as_lists(obj):
+    """``obj`` with every array replaced by its ``tolist()``, which
+    :func:`cli._render` renders value by value."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("array", [
+    np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 1.0 / 3.0, -2.5e-310, 5e-324]),
+    np.array([[complex(-0.0, -0.0), complex(math.nan, -math.inf)],
+              [complex(math.inf, -0.0), complex(0.1, -1e-300)]]),
+    np.arange(24.0).reshape(2, 3, 4) - 5.5,
+    (np.arange(12.0) - 0.5j).reshape(2, 3, 2),
+    np.float32([1.1, -0.0, math.nan]),
+    np.zeros((2, 0)),
+    np.array([[1, -2], [3, 4]]),
+])
+def test_arrays_render_as_their_lists(array):
+    assert cli._render(array) == cli._render(array.tolist())
+
+
+@pytest.mark.parametrize("m, n", [(23, 2), (13, 4)])
+def test_matrices_json_renders_as_its_lists(monkeypatch, m, n):
+    reports = []
+    render = cli.emit_json
+    monkeypatch.setattr(cli, "emit_json", lambda obj, stream=None: reports.append(obj) or render(obj, stream))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["matrices", "--M", str(m), "--N", str(n)]) == 0
+    [report] = reports
+    assert isinstance(report["clock"], np.ndarray) and report["clock"].shape == (m, m)
+    assert out.getvalue() == cli._render(_as_lists(report)) + "\n"
+
+
 _RUN = ["--M", "5", "--N", "3", "--alpha1", "0.7", "--alpha2", "-1.3"]
 _FLUX, _ANGLES, _TAU = Flux(3, 5), VacuumAngles(0.7, -1.3), as_tau(RunConfig.tau)
 

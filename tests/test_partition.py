@@ -1,3 +1,4 @@
+import importlib
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import lll, partition
+from nctorus import fields, lll, partition
 from nctorus.core import Flux, VacuumAngles
 from nctorus.lll import build_basis
 from nctorus.partition import (
@@ -273,6 +274,29 @@ def test_both_routes_match_closed_form_over_im_tau(mn, im_tau):
     assert abs(z_tilde(basis) - want) <= 1e-11 * want
     assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
     assert abs(z_tilde_closed_form(basis) - want) <= 1e-11 * want
+
+
+def test_the_two_routes_share_no_summation(monkeypatch):
+    # the character route sums its residues in theta._theta_residue_norms,
+    # the per-state route on the cell grid through Field.cell_density:
+    # each still matches the closed form with the other's summation gone
+    theta_module = importlib.import_module("nctorus.theta")
+    tau = -0.2 + 1.7j
+    basis = build_basis(Flux(5, 7), tau, ANGLES)
+    want = closed_form_z_tilde(35, tau, ANGLES.alpha1)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("one partition route called the other's summation")
+
+    with monkeypatch.context() as patch:
+        for owner in (theta_module, lll):
+            patch.setattr(owner, "_theta_grid_sum", unreachable)
+        for owner in (fields.Field, lll.ThetaField):
+            patch.setattr(owner, "cell_density", unreachable)
+        assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
+    for owner in (theta_module, partition):
+        monkeypatch.setattr(owner, "_theta_residue_norms", unreachable)
+    assert abs(z_tilde(basis) - want) <= 1e-11 * want
 
 
 _BOX_FLUXES = [(m, n) for m in range(1, 14) for n in range(1, 14)

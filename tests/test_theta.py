@@ -1,5 +1,7 @@
 import cmath
+import importlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ from nctorus.theta import (
     _nmax_certified,
     _peak_window,
     _theta_grid_sum,
+    _theta_residue_norms,
     orthogonality_residual,
     quasi_periodicity_residual,
     s_transform_residual,
@@ -28,6 +31,9 @@ from nctorus.theta import (
 ETA_I = 0.7682254223260566590025942
 # eta at a generic interior point, same oracle
 ETA_GEN = 0.7477521995829028217942392 + 0.05813720405228364264377134j
+
+# the module, which the package's ``theta`` function shadows
+theta_module = importlib.import_module("nctorus.theta")
 
 TAUS = [1j, 0.3 + 1.1j, 2j]
 
@@ -338,6 +344,65 @@ def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
     assert got.shape == want.shape == (level, 7, 5)
     gap = np.max(np.abs(got - want)) / (2.0 * math.pi * level) ** order
     assert gap <= 1e-12 * (np.max(np.abs(c.imag)) / tau.imag + 1.0) ** order
+
+
+@pytest.mark.parametrize("level", [1, 2, 6, 35, 77])
+@pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.5 + 2.0j, 0.45 + 0.3j, 0.003j, 0.01j,
+                                 50j, 1e3j])
+@pytest.mark.parametrize("epsilon", [1e-6, 1e-12, 1e-15])
+def test_residue_norms_are_the_per_residue_loop(level, tau, epsilon):
+    # points a little beyond the cell; each residue's terms have modulus
+    # sum ``size[r]``, the series at (i Im z, i Im tau) with log-scale Re L
+    rng = np.random.default_rng(level)
+    z = rng.uniform(0.0, 1.0, 24) + 0.05 + tau * rng.uniform(-0.3, 1.3, 24)
+    log_scale = unit_envelope(level, z, tau)
+    policy = TruncationPolicy(epsilon=epsilon)
+    specs = [ThetaSpec(level, r) for r in range(level)]
+    want = sum(np.abs(theta(s, z, tau, policy, log_scale=log_scale)) ** 2 for s in specs)
+    size = np.array([theta(s, 1j * z.imag, 1j * tau.imag, policy, log_scale=log_scale.real).real
+                     for s in specs])
+    got = _theta_residue_norms(level, z, tau, policy, log_scale)
+    # each side leaves out terms of modulus sum below epsilon (the envelope
+    # is 1), the same terms or fewer on the kernel's side; and each term's
+    # exponent, up to ``expo`` in size, rounds to an ulp of it on both sides
+    reach = np.abs(z.imag / tau.imag) + 0.5 * _peak_window(level, tau.imag, 0.0, epsilon) + 1.0
+    expo = (math.pi * level * abs(tau) * reach**2 + 2.0 * math.pi * level * np.abs(z) * reach
+            + np.abs(log_scale))
+    truncation = 2.0 * epsilon * size.sum(axis=0) + level * epsilon**2
+    rounding = 2.0 * np.finfo(float).eps * expo * np.sum(size**2, axis=0)
+    assert got.shape == z.shape
+    assert np.all(np.abs(got - want) <= truncation + rounding)
+
+
+def test_residue_norms_blocks_keep_each_point(monkeypatch):
+    # a NaN scale spoils its own point only, and is not summed to 0, at
+    # any block size (exp warns of the NaN, as theta's does)
+    tau = 0.1 + 1.3j
+    z = np.linspace(0.0, 1.0, 30) + tau * np.linspace(0.0, 1.0, 30)
+    log_scale = unit_envelope(6, z, tau)
+    log_scale[7] = np.nan
+    with np.errstate(invalid="ignore"):
+        whole = _theta_residue_norms(6, z, tau, TruncationPolicy(), log_scale)
+        monkeypatch.setattr(theta_module, "_RESIDUE_BLOCK_ELEMENTS", 40)
+        blocked = _theta_residue_norms(6, z.reshape(5, 6), tau, TruncationPolicy(),
+                                       log_scale.reshape(5, 6))
+    assert np.isnan(whole[7]) and np.all(np.isfinite(np.delete(whole, 7)))
+    assert np.array_equal(blocked.ravel(), whole, equal_nan=True)
+
+
+@pytest.mark.parametrize("level", [1, 6, 77])
+def test_residue_norms_stay_in_range_at_large_im_tau(level):
+    # the partition integrand's scale at 1e3i, with the raw series near
+    # exp(pi K 1e3): the steps away from the peak only fall, so nothing
+    # overflows and no 0 * inf appears
+    tau = 0.2 + 1e3j
+    rng = np.random.default_rng(2)
+    x, y = rng.uniform(0.0, 1.0, (2, 64))
+    half = -math.pi * level * tau.imag * y**2 - 0.7 * tau.imag * y
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _theta_residue_norms(level, x + tau * y + 0.01, tau, TruncationPolicy(), half)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
 
 
 def test_peak_window_counts_and_cap():

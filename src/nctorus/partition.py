@@ -39,9 +39,9 @@ route evaluates a single integrand containing the full residue sum of
 the level-K series around each point's peak (``theta``'s private residue
 sum, which never touches ``Field`` or the grid sum); their agreement is a
 consistency check of both summations, so the two code paths are kept
-separate.  Parseval
-in ``x`` collapses the cell integral to a full Gaussian in ``y``, which
-gives :func:`z_tilde_closed_form`; neither route reads it.
+separate.  Parseval in ``x`` collapses the cell integral to a full
+Gaussian in ``y``, which gives :func:`z_tilde_closed_form`; neither
+route reads it.
 """
 
 from __future__ import annotations

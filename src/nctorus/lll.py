@@ -228,7 +228,8 @@ class LLLBasis:
         n-by-n one with n >= 6 and n*n >= K, so K coefficients fit.
 
         Raises ``LinAlgError`` when a sample is not finite, before LAPACK
-        sees it (LAPACK would print its own complaint on stdout)."""
+        sees it in :attr:`_fit_svd` (LAPACK would print its own complaint
+        on stdout)."""
         n = max(6, math.isqrt(self.level - 1) + 1)
         w, wbar = unit_cell_grid(self.tau, n=n)
         a = self.field.evaluate(w, wbar)
@@ -239,11 +240,29 @@ class LLLBasis:
         return w, wbar, a
 
     @functools.cached_property
+    def _fit_svd(self):
+        """The one factorization of the fit: the thin SVD ``u, s, vh`` of
+        the ``(n*n, K)`` sample matrix ``a.T``, every fit's and
+        :func:`gram_rank`'s.  ``s`` holds all K singular values; ``u`` and
+        ``vh`` keep only the ``r`` directions with ``s > eps*max(n*n, K)*s[0]``,
+        numpy's default least-squares cut, so a rank-deficient basis still
+        fits its minimum-norm solution.  Read-only, with the contract
+        of :attr:`_fit_samples`."""
+        a = self._fit_samples[2].T
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        r = int(np.sum(s > np.finfo(float).eps * max(a.shape) * s[0]))
+        out = u[:, :r], s, vh[:r]
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
+    @functools.cached_property
     def translations(self):
         """The four elementary translations measured once: for each of
         ``d1``, ``d2``, ``dual1`` and ``dual2``, the K images on the fit grid
-        (one column per label) and their least-squares matrix.  Read-only,
-        with the contract of ``_fit_samples``."""
+        (one column per label) and their least-squares matrix, all four
+        applied from the one :attr:`_fit_svd`.  Read-only, with the
+        contract of ``_fit_samples``."""
         out = {}
         for name, index, dual in (("d1", 1, False), ("d2", 2, False),
                                   ("dual1", 1, True), ("dual2", 2, True)):
@@ -341,22 +360,17 @@ def elementary_translation(basis: LLLBasis, index, dual=False):
     return op
 
 
-def _masked_ratio(out, base):
-    mask = np.abs(base) >= 0.05 * np.max(np.abs(base))
-    phase = complex(np.sum(np.conjugate(base) * out) / np.sum(np.abs(base) ** 2))
-    if not mask.any():  # no finite sample to compare against
-        return phase, math.nan
-    spread = float(np.max(np.abs(out[mask] / base[mask] - phase)))
-    return phase, spread
-
-
 def _fit(basis: LLLBasis, op):
     """Images ``op(Psi_i)`` on the basis's fit grid (one column per label),
-    from one evaluation of the stacked states, and their one
-    least-squares solve against the state sample matrix."""
-    w, wbar, a = basis._fit_samples
+    from one evaluation of the stacked states, and their least-squares
+    matrix ``V diag(1/s) U^H images`` from the basis's one
+    :attr:`~LLLBasis._fit_svd`: the minimum-norm least-squares
+    solution."""
+    w, wbar, _ = basis._fit_samples
+    u, s, vh = basis._fit_svd
     images = op(basis.field).evaluate(w, wbar).T
-    return images, np.linalg.lstsq(a.T, images, rcond=None)[0]
+    scaled = (np.conjugate(u.T) @ images) / s[:len(vh), None]
+    return images, np.conjugate(vh.T) @ scaled
 
 
 def coefficient_matrix(basis: LLLBasis, op) -> np.ndarray:
@@ -367,7 +381,8 @@ def coefficient_matrix(basis: LLLBasis, op) -> np.ndarray:
 
     The K images ``op(Psi_i)``, sampled on the basis's own fit grid, are
     the columns of one right-hand side, so ``L`` is one least-squares
-    solve against the state sample matrix."""
+    solve against the state sample matrix, applied from its SVD, which
+    the basis factors once for every fit."""
     return _fit(basis, op)[1]
 
 
@@ -376,36 +391,57 @@ def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
     read from :attr:`LLLBasis.translations`.
 
     For the diagonal operators (D1 and dual D1) the entry records the
-    pointwise-constant eigenphase and its spread on the fit grid; for the
+    eigenphase ``<Psi, D Psi>/<Psi, Psi>`` on the fit grid and its spread,
+    the largest deviation of the pointwise ratio ``D Psi / Psi`` from it
+    where ``|Psi|`` is at least 0.05 of its largest sample; for the
     cycling operators (D2 and dual D2) it records the target state label,
     the transition phase and the largest off-target mixing coefficient of
-    its fitted matrix column.
+    its fitted matrix column.  Every quantity is one array reduction over
+    the K states; the loop over labels only assembles the dict.
 
-    Raises :class:`ConventionMismatchError` when a would-be eigenstate
-    ratio has spread beyond ``spread_tol`` or a spread that is NaN.
+    Raises :class:`ConventionMismatchError` for the first state, in label
+    order and D1 before dual D1, whose would-be eigenstate ratio has
+    spread beyond ``spread_tol`` or a spread that is NaN.
     """
     a = basis._fit_samples[2]
     labels = basis.labels()
     measured = basis.translations
+    size = np.abs(a)
+    # a row's largest sample is in its mask, so no row's mask is empty;
+    # the ratio is formed only inside the mask, where |Psi| is not small
+    mask = size >= 0.05 * np.max(size, axis=1, keepdims=True)
+    norm2 = np.sum(size**2, axis=1)
+    diagonal = {}
+    for name in ("d1", "dual1"):
+        image = measured[name][0].T
+        phase = np.sum(np.conjugate(a) * image, axis=1) / norm2
+        ratio = np.divide(image, a, out=np.zeros_like(image), where=mask)
+        spread = np.max(np.where(mask, np.abs(ratio - phase[:, None]), 0.0), axis=1)
+        diagonal[name] = phase, spread
+    cycling = {}
+    columns = np.arange(len(labels))
+    for name in ("d2", "dual2"):
+        fit = measured[name][1]
+        size_l = np.abs(fit)
+        target = np.argmax(size_l, axis=0)
+        size_l[target, columns] = -np.inf
+        leak = np.max(size_l, axis=0, initial=0.0)  # 0.0 when K is 1
+        cycling[name] = target, fit[target, columns], leak
     table = {}
     for i, lb in enumerate(labels):
         entry = {}
-        for name in ("d1", "dual1"):
-            phase, spread = _masked_ratio(measured[name][0][:, i], a[i])
-            if not spread <= spread_tol:  # a NaN spread fails too
+        for name, (phase, spread) in diagonal.items():
+            if not spread[i] <= spread_tol:  # a NaN spread fails too
                 raise ConventionMismatchError(
                     "%s ratio on state %s has spread %.3e > %.1e"
-                    % (name, lb, spread, spread_tol)
+                    % (name, lb, spread[i], spread_tol)
                 )
-            entry[name + "_phase"] = phase
-            entry[name + "_spread"] = spread
-        for name in ("d2", "dual2"):
-            coeffs = measured[name][1][:, i]
-            tgt = int(np.argmax(np.abs(coeffs)))
-            off = np.delete(np.abs(coeffs), tgt)
-            entry[name + "_target"] = labels[tgt]
-            entry[name + "_phase"] = complex(coeffs[tgt])
-            entry[name + "_leak"] = float(off.max()) if off.size else 0.0
+            entry[name + "_phase"] = complex(phase[i])
+            entry[name + "_spread"] = float(spread[i])
+        for name, (target, phase, leak) in cycling.items():
+            entry[name + "_target"] = labels[target[i]]
+            entry[name + "_phase"] = complex(phase[i])
+            entry[name + "_leak"] = float(leak[i])
         table[lb] = entry
     return table
 
@@ -449,8 +485,9 @@ def center_eigen_residual(basis: LLLBasis) -> float:
 
 def gram_rank(basis: LLLBasis) -> int:
     """Numerical rank of the state sample matrix on the basis's own fit
-    grid: number of singular values above 1e-8 times the largest."""
-    s = np.linalg.svd(basis._fit_samples[2], compute_uv=False)
+    grid: number of singular values above 1e-8 times the largest, read
+    from the fits' one :attr:`~LLLBasis._fit_svd`."""
+    s = basis._fit_svd[1]
     return int(np.sum(s > 1e-8 * s[0]))
 
 

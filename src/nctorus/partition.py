@@ -159,7 +159,7 @@ def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
     of every state of ``basis`` over ``|eta|^2``, both truncated by the
     basis's own policy."""
     eta = dedekind_eta(basis.tau, basis.policy)
-    return math.fsum(state_norm(basis, quad)) / abs(eta) ** 2
+    return _over_eta2(math.fsum(state_norm(basis, quad)), abs(eta) ** 2)
 
 
 def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -180,9 +180,20 @@ def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSp
         w = x + tau * y
         # half the Gaussian rides in each series, so |theta|^2 never overflows
         half = -math.pi * klev * b * y**2 - a1 * b * y
-        return _theta_residue_norms(klev, w + gamma, t, basis.policy, half) / eta2
+        return _theta_residue_norms(klev, w + gamma, t, basis.policy, half) / (eta2 or 1.0)
 
-    return _cell_integral(integrand, basis, quad)
+    # where |eta|^2 underflows to 0 the sum is integrated unscaled
+    z = _cell_integral(integrand, basis, quad)
+    return z if eta2 else _over_eta2(z, eta2)
+
+
+def _over_eta2(value: float, eta2: float) -> float:
+    """``value / eta2`` for ``eta2 = |eta|^2``.  Above ``Im tau`` of about
+    1420, ``|eta|^2`` underflows to 0 while eta itself is still normal, so
+    the quotient leaves double range: it reads inf (NaN stays NaN, and a
+    0 that underflowed reads NaN) rather than raising
+    ``ZeroDivisionError``."""
+    return value / eta2 if eta2 else math.inf * value
 
 
 def _gaussian_exponent(level, im_tau, alpha1) -> float:
@@ -201,7 +212,7 @@ def z_tilde_closed_form(basis: LLLBasis) -> float:
         gauss = math.exp(_gaussian_exponent(k, b, a1))
     except OverflowError:  # Z~ itself leaves double range, as both routes do
         gauss = math.inf
-    return math.sqrt(k / (2.0 * b)) * gauss / eta2
+    return _over_eta2(math.sqrt(k / (2.0 * b)) * gauss, eta2)
 
 
 class ModularInvariance(NamedTuple):

@@ -300,6 +300,23 @@ def test_partition_reports_an_overflowing_closed_form(capsys):
     assert not math.isfinite(rep["z_tilde"])
 
 
+@pytest.mark.parametrize("tau", ["1430i", "2000i"])
+def test_partition_reports_infinity_where_eta_squared_underflows(capsys, tau):
+    # |eta|^2 = exp(-pi*Im tau/6) underflows to 0 above Im tau ~ 1420 while
+    # eta is still normal: every Z~ reads Infinity and the residuals NaN,
+    # as at 1415i, and the run fails; nothing raises or warns
+    code, rep = run_json(capsys, ["partition", "--M", "3", "--N", "2", "--tau=" + tau])
+    assert code == 1
+    for key in ("z_tilde", "z_tilde_character_route", "z_tilde_closed_form"):
+        assert rep[key] == math.inf, key
+    assert math.isnan(rep["s_residual"]) and math.isnan(rep["t_residual"])
+    code, rep = run_json(capsys, ["verify", "--M", "3", "--N", "2", "--tau=" + tau])
+    assert code == 1
+    for check in rep["checks"]:
+        if check["name"].startswith("partition_"):
+            assert not check["pass"] and math.isnan(check["residual"]), check["name"]
+
+
 def test_partition_reports_closed_form_and_cell_nodes(capsys):
     argv = ["--M", "3", "--N", "2", "--tau", "0.3+1.1i", "--alpha1", "0.7"]
     code, rep = run_json(capsys, ["partition", *argv])

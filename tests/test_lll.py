@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,7 +12,6 @@ from nctorus.core import Flux, VacuumAngles, as_tau
 from nctorus.errors import ConventionMismatchError
 from nctorus.fields import Field, ladder_apply
 from nctorus.lll import (
-    _masked_ratio,
     ThetaField,
     boundary_residual,
     build_basis,
@@ -374,30 +375,59 @@ def _translations(basis):
 
 
 def test_coefficient_matrix_matches_per_column_fit():
-    basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
-    for op in _translations(basis):
-        assert np.array_equal(coefficient_matrix(basis, op),
-                              _per_column_coefficient_matrix(basis, op))
-    for m, n in ((7, 5), (11, 7)):
-        basis = build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES)
+    # the fits share one SVD; the reference solves each column on its own.
+    # At (9, 8) the two differ by 1.04e-14, where each lies 8.7e-14 from
+    # the closed-form matrices; at (11, 9) by 1.4e-15
+    for (m, n), tau, bound in (((3, 2), TAU_GEN, 1e-14), ((7, 5), -0.2 + 1.7j, 1e-14),
+                               ((11, 7), -0.2 + 1.7j, 1e-14), ((9, 8), -0.2 + 1.7j, 2e-14),
+                               ((11, 9), -0.2 + 1.7j, 2e-14)):
+        basis = build_basis(Flux(n, m), tau, ANGLES)
         for op in _translations(basis):
             ref = _per_column_coefficient_matrix(basis, op)
-            assert np.max(np.abs(coefficient_matrix(basis, op) - ref)) < 1e-14
+            assert np.max(np.abs(coefficient_matrix(basis, op) - ref)) < bound, (m, n)
+
+
+def _counted(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
 
 
 def test_coefficient_matrix_is_one_solve(monkeypatch):
+    # one SVD of the sample matrix serves all four fits and gram_rank
+    calls = {"svd": 0, "lstsq": 0}
+    monkeypatch.setattr(np.linalg, "svd", _counted(calls, "svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "lstsq", _counted(calls, "lstsq", np.linalg.lstsq))
     basis = build_basis(Flux(3, 5), TAU_GEN, ANGLES)
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    for count, op in enumerate(_translations(basis), start=1):
+    for op in _translations(basis):
         coefficient_matrix(basis, op)
-        assert len(calls) == count
+        assert calls == {"svd": 1, "lstsq": 0}
+    assert gram_rank(basis) == 15
+    assert calls == {"svd": 1, "lstsq": 0}
+
+
+def _with_duplicate_residue(basis):
+    """Fault: the second label gets the first label's residue, so two
+    states coincide and the sample matrix has rank K - 1."""
+    f = basis.field
+    residues = list(f.residue)
+    residues[1] = residues[0]
+    return dataclasses.replace(basis, field=ThetaField(
+        f.terms, f.level, residues, basis.tau, f.alpha1, f.gamma, f.policy))
+
+
+@pytest.mark.parametrize("mn", [(3, 2), (7, 5)])
+def test_rank_deficient_fit_is_the_minimum_norm_solution(mn):
+    m, n = mn
+    basis = _with_duplicate_residue(build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES))
+    assert gram_rank(basis) == m * n - 1
+    a = basis._fit_samples[2]
+    for images, fit in basis.translations.values():
+        ref = np.linalg.lstsq(a.T, images, rcond=None)[0]
+        assert np.max(np.abs(fit - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the two coinciding states share their coefficient evenly
+        assert np.max(np.abs(fit[0] - fit[1])) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_coefficient_matrix_is_homomorphism():
@@ -415,6 +445,22 @@ def test_coefficient_matrix_is_homomorphism():
     assert np.max(np.sort(mags.ravel())[:-6]) < 1e-12
 
 
+def _masked_ratio(out, base):
+    """Reference eigenphase of one state: ``<base, out>/<base, base>`` and
+    the spread of ``out/base`` about it where ``|base|`` is at least 0.05
+    of its largest sample."""
+    mask = np.abs(base) >= 0.05 * np.max(np.abs(base))
+    phase = complex(np.sum(np.conjugate(base) * out) / np.sum(np.abs(base) ** 2))
+    spread = float(np.max(np.abs(out[mask] / base[mask] - phase)))
+    return phase, spread
+
+
+def _cycling_entry(coeffs, labels):
+    tgt = int(np.argmax(np.abs(coeffs)))
+    off = np.delete(np.abs(coeffs), tgt)
+    return labels[tgt], complex(coeffs[tgt]), float(off.max()) if off.size else 0.0
+
+
 def _separately_measured_eigenphase_table(basis):
     """Reference table: each diagonal translation evaluated per state on
     the fit grid, each cycling one fitted on its own."""
@@ -429,12 +475,8 @@ def _separately_measured_eigenphase_table(basis):
             out = elementary_translation(basis, 1, dual=dual)(basis.state(*lb)).evaluate(w, wbar)
             entry[name + "_phase"], entry[name + "_spread"] = _masked_ratio(out, a[i])
         for name, l_mat in fits.items():
-            coeffs = l_mat[:, i]
-            tgt = int(np.argmax(np.abs(coeffs)))
-            off = np.delete(np.abs(coeffs), tgt)
-            entry[name + "_target"] = labels[tgt]
-            entry[name + "_phase"] = complex(coeffs[tgt])
-            entry[name + "_leak"] = float(off.max()) if off.size else 0.0
+            (entry[name + "_target"], entry[name + "_phase"],
+             entry[name + "_leak"]) = _cycling_entry(l_mat[:, i], labels)
         table[lb] = entry
     return table
 
@@ -452,33 +494,94 @@ def test_eigenphase_table_reads_the_one_measurement(mn):
         assert np.array_equal(fit, coefficient_matrix(basis, op))
 
 
+def _per_state_eigenphase_table(basis):
+    """Reference table read from the same measurement one state at a time."""
+    a = basis._fit_samples[2]
+    labels = basis.labels()
+    measured = basis.translations
+    table = {}
+    for i, lb in enumerate(labels):
+        entry = {}
+        for name in ("d1", "dual1"):
+            entry[name + "_phase"], entry[name + "_spread"] = _masked_ratio(
+                measured[name][0][:, i], a[i])
+        for name in ("d2", "dual2"):
+            (entry[name + "_target"], entry[name + "_phase"],
+             entry[name + "_leak"]) = _cycling_entry(measured[name][1][:, i], labels)
+        table[lb] = entry
+    return table
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (2, 1), (3, 2), (5, 3), (9, 8), (13, 7)])
+def test_eigenphase_table_is_the_per_state_reference(mn):
+    # bit for bit, on working bases and on a fault whose spreads are large
+    m, n = mn
+    rng = np.random.default_rng(m * 100 + n)
+    for _ in range(3):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+        basis = build_basis(Flux(n, m), tau, VacuumAngles(*rng.uniform(0.0, 2 * math.pi, 2)))
+        assert eigenphase_table(basis) == _per_state_eigenphase_table(basis)
+    if m * n > 1:
+        fault = with_states(basis, {(0, 0): basis.state(1 % m, 1 % n) if m > 1 else
+                                    basis.state(0, 1)})
+        assert eigenphase_table(fault, spread_tol=math.inf) == _per_state_eigenphase_table(fault)
+
+
+def _nan_at(basis, points):
+    """Copy of ``basis`` whose state of each label in ``points`` is NaN at
+    that label's points only."""
+    def field(state, at):
+        def evaluate(z, zbar):
+            hit = np.any(np.abs(z[..., None] - np.array(at)) < 1e-12, axis=-1)
+            return np.where(hit, np.nan, state.evaluate(z, zbar))
+        return Field(evaluate, state.tau, state.im_tau_weight)
+    return with_states(basis, {lb: field(basis.state(*lb), at) for lb, at in points.items()})
+
+
+def test_one_nan_image_sample_raises_without_a_warning():
+    # a faulty state is exact wherever it is sampled except at the point
+    # that one translation's image reads at the state's peak sample: that
+    # spread is NaN, and the array reductions raise no RuntimeWarning
+    # (pytest makes one an error)
+    m, n = 3, 2
+    basis = build_basis(Flux(n, m), TAU_GEN, ANGLES)
+    w, _, a = basis._fit_samples
+    peak = {lb: w[int(np.argmax(np.abs(a[i])))] for i, lb in enumerate(basis.labels())}
+    d1_read, dual1_read = ({lb: p - 1.0 / div for lb, p in peak.items()} for div in (m, n))
+    with pytest.raises(ConventionMismatchError,
+                       match=re.escape("d1 ratio on state (1, 0) has spread nan > 1.0e-05")):
+        eigenphase_table(_nan_at(basis, {(1, 0): [d1_read[(1, 0)]]}))
+    # the first failing state in label order is named, d1 before dual1
+    for points, named in (({(0, 1): [dual1_read[(0, 1)]], (1, 0): [d1_read[(1, 0)]]},
+                           "dual1 ratio on state (0, 1)"),
+                          ({(0, 1): [dual1_read[(0, 1)], d1_read[(0, 1)]]},
+                           "d1 ratio on state (0, 1)")):
+        with pytest.raises(ConventionMismatchError, match=re.escape(named + " has spread nan")):
+            eigenphase_table(_nan_at(basis, points))
+
+
 def test_module_is_measured_once_per_basis(monkeypatch, capsys):
-    # the eigenphase table and the bimodule check share one set of images
-    # and fits, and the samples and the four translations evaluate the
-    # stacked states once each, whatever K (one call per state would be 5K)
-    calls = {"lstsq": 0, "translation": 0, "eval": 0, "state_norm": 0}
-    lstsq = np.linalg.lstsq
-    build = lll.elementary_translation
-    eval_terms = lll._eval_terms
-    state_norm = partition.state_norm
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", lstsq))
-    monkeypatch.setattr(lll, "elementary_translation", counted("translation", build))
-    monkeypatch.setattr(lll, "_eval_terms", counted("eval", eval_terms))
+    # the eigenphase table, the Gram rank and the bimodule check share one
+    # set of images and fits from one SVD of the samples, and the samples
+    # and the four translations evaluate the stacked states once each,
+    # whatever K (one call per state would be 5K)
+    calls = {"svd": 0, "lstsq": 0, "translation": 0, "eval": 0, "state_norm": 0}
+    monkeypatch.setattr(np.linalg, "svd", _counted(calls, "svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "lstsq", _counted(calls, "lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(lll, "elementary_translation",
+                        _counted(calls, "translation", lll.elementary_translation))
+    monkeypatch.setattr(lll, "_eval_terms", _counted(calls, "eval", lll._eval_terms))
     for mn in ((3, 5), (1, 1), (7, 5)):
         calls.update(dict.fromkeys(calls, 0))
         basis = build_basis(Flux(mn[1], mn[0]), TAU_GEN, ANGLES)
         eigenphase_table(basis)
+        assert gram_rank(basis) == mn[0] * mn[1]
         assert bimodule_consistency(basis)["pass"]
-        assert calls == {"lstsq": 4, "translation": 4, "eval": 5, "state_norm": 0}, mn
+        assert calls == {"svd": 1, "lstsq": 0, "translation": 4, "eval": 5,
+                         "state_norm": 0}, mn
     # partition --M 3 --N 2 integrates each of its three bases in one call
-    monkeypatch.setattr(partition, "state_norm", counted("state_norm", state_norm))
+    monkeypatch.setattr(partition, "state_norm",
+                        _counted(calls, "state_norm", partition.state_norm))
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["partition", "--M", "3", "--N", "2"]) == 0
     capsys.readouterr()

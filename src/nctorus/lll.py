@@ -177,13 +177,15 @@ class ThetaField(Field):
 
         the first two parts are a phase common to every term, which
         ``|.|^2`` drops, the third is the grid sum's own scale, and the
-        constant last part is its log-scale.  No exponent is larger than
-        the terms it scales, so none loses digits to cancellation."""
+        constant last part is its log-scale.  One grid sum serves every
+        derivative order of the terms, so the unit phase it leaves in its
+        values, one per residue and node, is common to every term as well
+        and ``|.|^2`` drops it too.  No exponent is larger than the terms
+        it scales, so none loses digits to cancellation."""
         tau, k = self.tau, self.level
         log_scale = -1j * math.pi * k * self.gamma**2 / tau
-        th = {p: _theta_grid_sum(self.spec, x, tau * y + self.gamma, tau, self.policy, p,
-                                 log_scale)
-              for p in _orders(self.terms)}
+        th = _theta_grid_sum(self.spec, x, tau * y + self.gamma, tau, self.policy,
+                             _orders(self.terms), log_scale)
         w = x[:, None] + tau * y
         density = np.abs(_combine(self.terms, th, w, np.conjugate(w)))
         density *= density
@@ -414,8 +416,10 @@ def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
     diagonal = {}
     for name in ("d1", "dual1"):
         image = measured[name][0].T
-        phase = np.sum(np.conjugate(a) * image, axis=1) / norm2
-        ratio = np.divide(image, a, out=np.zeros_like(image), where=mask)
+        # NaN, without a warning, for a state whose samples all underflowed
+        phase = np.divide(np.sum(np.conjugate(a) * image, axis=1), norm2,
+                          out=np.full(norm2.shape, np.nan, dtype=complex), where=norm2 > 0)
+        ratio = np.divide(image, a, out=np.full_like(image, np.nan), where=mask & (a != 0))
         spread = np.max(np.where(mask, np.abs(ratio - phase[:, None]), 0.0), axis=1)
         diagonal[name] = phase, spread
     cycling = {}

@@ -30,10 +30,12 @@ whatever ``b``, and each axis takes at least
 
 ``Z~`` is computed by two deliberately independent routes: the
 per-state route sums the K norms of :func:`state_norm`, which takes the
-densities of the basis's stacked states tile by tile from their
+densities of the basis's stacked states strip by strip (whole rows of
+``x``, a few columns of ``y``) from their
 :meth:`~nctorus.fields.Field.cell_density` (for the ground states, one
-theta series for all K residues summed on the tile's tensor grid as a
-phase table in ``x`` times a window table in ``y``), while the character
+theta series for all K residues summed on the strip's tensor grid as one
+product of a window table in ``y`` and a phase table in ``x``, so each
+column's window is built once per norm), while the character
 route evaluates a single integrand containing the full residue sum of
 ``|theta|^2`` over ``|eta|^2`` pointwise, all K residues from one run of
 the level-K series around each point's peak (``theta``'s private residue
@@ -70,14 +72,14 @@ __all__ = [
 ]
 
 _CHUNK = 1024
-# state values in one (K, rows, columns) tile of a state_norm evaluation.
-# A tile costs rows + columns exponentials per term, so small tiles lose
-# the grid sum's saving at large K: the ops of a partition-sweep cycle
-# took 13% longer at 2**13 than at 2**14.  A large tile grows the heap
-# past glibc's trim threshold, which then hands the pages back after
-# every tile: at 2**15 a tile's tables, product and density reach 0.84 MB
-# and a (24, 37, 36) tile faulted in 140-280 fresh pages, a cost that
-# moves with the host; at 2**14 they stay under 0.45 MB.
+# state values in one (K, rows, columns) strip of a state_norm evaluation.
+# Each strip has a fixed cost, some twenty small array operations (about
+# 80 us at K = 72), so narrow strips repeat it: at K = 72 (31 x 43 nodes,
+# 31 x 7 strips) state_norm took 1.5 times as long at 2**13 as at 2**14.
+# Wider strips run faster still (2**16: 0.8 against 1.2 ms in-process,
+# partition-sweep op_tail_ref 0.50 against 0.58 on a 2-core x86 box) but
+# hold four times the memory: a strip's product and density take 24 bytes
+# per value, 0.4 MB at 2**14, and that run's peak RSS rose by 0.9 MB.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -128,30 +130,31 @@ def _cell_integral(integrand, basis: LLLBasis, quad: QuadratureSpec) -> float:
 
 
 def _tile_shape(level, n_x, n_y):
-    """``(rows, columns)`` of a cell tile whose ``(level, rows, columns)``
+    """``(rows, columns)`` of a cell strip whose ``(level, rows, columns)``
     density array holds at most ``_BLOCK_ELEMENTS`` elements (but at least
-    one node), as near square as the axes allow: a tile costs
-    ``rows + columns`` exponentials per term for ``rows * columns`` nodes."""
+    one node): whole rows of ``x`` wherever ``level * n_x`` fits, so a
+    :func:`state_norm` builds each column's window table once, and as many
+    columns as the budget then allows.  Rows are split only where ``level * n_x``
+    exceeds the budget, and a strip is then one column wide."""
     nodes = max(1, _BLOCK_ELEMENTS // level)
-    columns = min(n_y, math.isqrt(nodes))
-    rows = min(n_x, nodes // columns)
-    return rows, min(n_y, nodes // rows)
+    rows = min(n_x, nodes)
+    return rows, max(1, min(n_y, nodes // rows))
 
 
 def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:
     """Squared cell norms of the K ground states, in the order of
-    :meth:`LLLBasis.labels`.  The cell's tensor grid is cut into tiles of
-    at most ``_BLOCK_ELEMENTS`` state values (:func:`_tile_shape`); the
-    stacked states give each tile's densities in one call of their
-    :meth:`~nctorus.fields.Field.cell_density`, and the tile sums of each
-    state are reduced with ``math.fsum``."""
+    :meth:`LLLBasis.labels`.  The cell's tensor grid is cut into strips
+    of whole rows of at most ``_BLOCK_ELEMENTS`` state values
+    (:func:`_tile_shape`); the stacked states give each strip's densities
+    in one call of their :meth:`~nctorus.fields.Field.cell_density`, and
+    the strip sums of each state are reduced with ``math.fsum``."""
     x, y = quadrature_nodes(basis, quad)
     rows, columns = _tile_shape(basis.level, x.size, y.size)
     sums = np.array([
         np.sum(basis.field.cell_density(x[i:i + rows], y[j:j + columns]), axis=(-2, -1))
-        for i in range(0, x.size, rows) for j in range(0, y.size, columns)
+        for j in range(0, y.size, columns) for i in range(0, x.size, rows)
     ])
-    return [math.fsum(tiles) / (x.size * y.size) for tiles in sums.T]
+    return [math.fsum(strips) / (x.size * y.size) for strips in sums.T]
 
 
 def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:

@@ -73,11 +73,21 @@ on the column alone, and completing the square splits every term into
 
 a phase in ``x`` times a factor in ``y`` that carries all of the
 magnitude.  A private grid sum evaluates the first two as tables and
-contracts them by one batched matrix product, with the last factor left
-to the caller's log-scale; each residue sums the union of its columns'
-peak windows, so every point keeps the certificate above.  This is the
-periodic trapezoid rule on a separable integrand (Trefethen & Weideman,
-SIAM Rev. 56 (2014)).
+contracts them by matrix products, with the last factor left to the
+caller's log-scale.  Each residue sums one run ``a = a0 + m`` of
+consecutive terms, the union of its columns' peak windows certified for
+the highest derivative order asked, so every point keeps the certificate
+above and every order shares the run.  The phase is then
+
+    exp(2*pi*i*K*a0*x_i) * exp(2*pi*i*K*x_i)**m,
+
+and the grid sum leaves out the first factor: a unit phase of the residue
+and the node alone, common to every order and every term of a field, which
+``|.|^2`` drops.  What is left is one table ``exp(2*pi*i*K*x_i)**m`` for
+all residues (``x.size`` exponentials) and one window table per residue
+and column, so each order is a single matrix product
+``(residue*column, m) @ (m, x)``.  This is the periodic trapezoid rule on
+a separable integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
 
 Residue sums
 ------------
@@ -294,49 +304,58 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
     return complex(out[()]) if scalar and not residue.ndim else out
 
 
-def _theta_grid_sum(spec, x, c, tau, policy, deriv_order, log_scale):
-    """``exp(log_scale + i*pi*K*c[j]**2/tau) * theta^{(p)}(x[i] + c[j])``
-    on the tensor grid of real nodes ``x`` and complex column offsets
-    ``c``, on the peak-centred certificate, with shape
-    ``(len(residue),) + (x.size, c.size)`` as :func:`theta` stacks
-    residues; ``log_scale`` is per column or a scalar.
+def _theta_grid_sum(spec, x, c, tau, policy, orders, log_scale):
+    """``{p: exp(log_scale + i*pi*K*c[j]**2/tau - 2*pi*i*K*a0*x[i])
+    * theta^{(p)}(x[i] + c[j])}`` for each derivative order ``p`` in
+    ``orders``, on the tensor grid of real nodes ``x`` and complex column
+    offsets ``c``, on the peak-centred certificate of ``max(orders)``,
+    each with shape ``(len(residue),) + (x.size, c.size)`` as
+    :func:`theta` stacks residues; ``log_scale`` is per column or a
+    scalar.
 
     With the square completed, a term is ``exp(2*pi*i*K*a*x)``, of
     modulus 1, times ``exp(i*pi*tau*K*(a + c/tau)**2 + log_scale)``, which
-    carries all of its magnitude, so the sum is one batched matrix
-    product of an ``(x, terms)`` phase table and a ``(terms, c)`` window
-    table.  A column's peak ``a*`` depends only on ``Im c``: each residue
-    sums the union of its columns' windows, which holds every point's
-    certified window and only terms below its envelope."""
+    carries all of its magnitude.  A column's peak ``a*`` depends only on
+    ``Im c``: each residue sums the consecutive ``a = a0 + m`` of the
+    union of its columns' windows, which holds every point's certified
+    window and only terms below its envelope, one grid for every order.
+    Its first term's phase ``exp(2*pi*i*K*a0*x)``, a unit factor of
+    residue and node alone, is left out, so the phases in ``x`` are the
+    one table ``exp(2*pi*i*K*x)**m`` of every residue and each order is
+    one matrix product of the ``(residue, c, m)`` window table with it.
+    The values are laid out ``(residue, c, x)`` in memory (the returned
+    arrays are transposed views), so a residue's values are contiguous."""
     t = as_tau(tau)
     k = spec.level
     residue = np.asarray(spec.residue)
     r_k = np.atleast_1d(residue)[:, None] / k
     a_star = -np.imag(c) / t.im
     peak = float(np.max(np.abs(a_star), initial=0.0))
-    count = _peak_window(k, t.im, peak, policy.epsilon, deriv_order)
+    count = _peak_window(k, t.im, peak, policy.epsilon, max(orders))
     # per residue and column, the first term at or above a* - count/2
     start = np.ceil(a_star - r_k - 0.5 * count)
     low = start.min(axis=1, keepdims=True)
     count += int(np.max(start.max(axis=1, keepdims=True) - low))
     _check_cap(count, policy)
     a = (low + np.arange(count, dtype=float)) + r_k
-    # exp(2 pi i K a x) with a = a_0 + m: the first term's phase times the
-    # m-th power of exp(2 pi i K x), so K+1 exponentials per node, not K*count
-    phase = np.exp((2j * math.pi * k) * (a[:, None, :1] * x[:, None])) \
-        * np.exp((2j * math.pi * k) * x[:, None]) ** np.arange(count)
-    # built in place: a tile's tables and product are the largest arrays
-    # of a state_norm call, and every extra copy grows the heap (see
-    # partition._BLOCK_ELEMENTS)
-    window = a[..., None] + c / t.value
+    # exp(2 pi i K x)**m: x.size exponentials for every residue and order
+    phase = np.exp((2j * math.pi * k) * x) ** np.arange(count)[:, None]
+    # built in place: a strip's tables and products are the largest
+    # arrays of a state_norm call, and every extra copy grows the heap
+    # (see partition._BLOCK_ELEMENTS)
+    window = a[:, None, :] + (c / t.value)[:, None]
     window *= window
     window *= 1j * math.pi * k * t.value
-    window += log_scale
+    window += np.asarray(log_scale)[..., None]
     np.exp(window, out=window)
-    if deriv_order:
-        window = window * ((2j * math.pi * k) * a[..., None]) ** deriv_order
-    out = phase @ window
-    return out if residue.ndim else out[0]
+    out = {}
+    for p in orders:
+        table = window * ((2j * math.pi * k) * a[:, None, :]) ** p if p else window
+        # one (residue*c, m) @ (m, x) product, viewed as (residue, x, c)
+        values = (table.reshape(-1, count) @ phase).reshape(window.shape[:2] + x.shape)
+        values = values.transpose(0, 2, 1)
+        out[p] = values if residue.ndim else values[0]
+    return out
 
 
 def _theta_residue_norms(level, z, tau, policy, log_scale):
@@ -527,10 +546,17 @@ def quasi_periodicity_residual(level, tau, policy=_DEFAULT_POLICY) -> float:
             return theta(spec, z, t, policy, log_scale=-math.pi * k * z.imag**2 / b)
 
         f = ev(zs)
-        res.append(float(np.max(np.abs(ev(zs + 1.0) - f)) / np.max(np.abs(f))))
+        res.append(_relative(np.max(np.abs(ev(zs + 1.0) - f)), np.max(np.abs(f))))
         rhs = np.exp(-1j * math.pi * k * t.re - 2j * math.pi * k * zs.real) * f
-        res.append(float(np.max(np.abs(ev(zs + t.value) - rhs)) / np.max(np.abs(rhs))))
+        res.append(_relative(np.max(np.abs(ev(zs + t.value) - rhs)), np.max(np.abs(rhs))))
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
+
+
+def _relative(residual, size) -> float:
+    """``residual / size``, NaN where ``size`` is 0: a check whose every
+    sample underflowed fails with NaN, and numpy writes no warning."""
+    residual, size = float(residual), float(size)
+    return residual / size if size else math.nan
 
 
 def orthogonality_residual(level: int) -> float:

@@ -4,8 +4,12 @@ import importlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -163,6 +167,40 @@ def test_verify_reaches_eta_beyond_q_underflow(capsys):
     failing = {c["name"] for c in rep["checks"] if not c["pass"]}
     assert "partition_s_invariance" not in failing
     assert failing <= {"lemma_eigenphases", "bimodule_consistency", "partition_t_invariance"}
+
+
+_UNDERFLOW_VERIFY = ["verify", "--M", "3", "--N", "2", "--tau=1e5i", "--alpha1", "0.7"]
+# at 1e5i every fit sample and quasi-periodicity value underflows to 0 and eta leaves range
+_UNDERFLOW_FAILING = {"theta_quasi_periodicity", "eta_functional_equations",
+                      "lemma_eigenphases", "gram_rank", "bimodule_consistency",
+                      "partition_t_invariance", "partition_s_invariance"}
+
+
+def test_checks_whose_samples_underflow_fail_with_nan(capsys):
+    # in process, where a RuntimeWarning is an error: the ratios of zero
+    # samples read NaN without numpy's warning
+    code, rep = run_json(capsys, _UNDERFLOW_VERIFY)
+    assert code == 1
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert {name for name, c in checks.items() if not c["pass"]} == _UNDERFLOW_FAILING
+    assert math.isnan(checks["theta_quasi_periodicity"]["residual"])
+    assert "note" not in checks["theta_quasi_periodicity"]
+    assert checks["lemma_eigenphases"]["note"] == (
+        "ConventionMismatchError: d1 ratio on state (0, 0) has spread nan > 1.0e-05")
+
+
+def test_underflowed_verify_leaves_stderr_empty(tmp_path):
+    # as a command, where numpy's warnings would print
+    root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root] + [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                  if p]))
+    proc = subprocess.run([sys.executable, "-m", "nctorus.cli"] + _UNDERFLOW_VERIFY,
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    failing = {c["name"] for c in json.loads(proc.stdout)["checks"] if not c["pass"]}
+    assert failing == _UNDERFLOW_FAILING
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):

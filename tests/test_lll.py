@@ -24,7 +24,7 @@ from nctorus.lll import (
     unit_cell_grid,
 )
 from nctorus.matrices import bimodule_consistency
-from nctorus.theta import ThetaSpec, TruncationPolicy, theta
+from nctorus.theta import ThetaSpec, TruncationPolicy, _peak_window, theta
 from state_faults import with_states
 
 TAU_GEN = 0.3 + 1.1j
@@ -331,6 +331,36 @@ def test_raised_cell_density_matches_the_pointwise_field(tau):
     x, y = partition.quadrature_nodes(basis)
     assert _relative_gap(f.cell_density(x, y), Field.cell_density(f, x, y)) \
         <= basis.policy.epsilon
+
+
+def test_raised_cell_density_shares_one_grid_across_orders(monkeypatch):
+    # orders 0 to 3, certified by 1, 1, 2 and 2 terms at K = 35, 1.1i, sum
+    # one grid of the largest count, in one grid sum; the columns reach
+    # past the cell, so each residue's window union spans two peaks
+    basis = build_basis(Flux(5, 7), TAU_GEN, ANGLES)
+    f = raise_level(basis, 2, 3, n=3)
+    assert {p for (_, _, p) in f.terms} == {0, 1, 2, 3}
+    x = np.random.default_rng(4).uniform(0.0, 1.0, 11)
+    y = np.linspace(-0.3, 1.6, 9)
+    peak = np.max(np.abs(y + basis.gamma.imag / TAU_GEN.imag))
+    assert [_peak_window(35, TAU_GEN.imag, peak, basis.policy.epsilon, p)
+            for p in range(4)] == [1, 1, 2, 2]
+    calls = []
+    grid_sum = lll._theta_grid_sum
+    monkeypatch.setattr(lll, "_theta_grid_sum",
+                        lambda *args: calls.append(args[5]) or grid_sum(*args))
+    got = f.cell_density(x, y)
+    assert calls == [[0, 1, 2, 3]]
+    # the 20 terms cancel to 1/19000 of their moduli' sum, so each side's
+    # terms, good to epsilon of that sum, move |f|^2 by epsilon times it
+    # times |f|: that is the scale of the gap (the pointwise field lies as
+    # far from 40 digits as the grid sum)
+    want = Field.cell_density(f, x, y)
+    size = sum(np.sqrt(Field.cell_density(
+        ThetaField({key: coeff}, 35, f.residue, TAU_GEN, ANGLES.alpha1, basis.gamma), x, y))
+        for key, coeff in f.terms.items())
+    assert np.max(size) > 1e4 * np.sqrt(np.max(want))
+    assert np.max(np.abs(got - want)) <= basis.policy.epsilon * np.max(size) * np.sqrt(np.max(want))
 
 
 def test_unit_coefficient_term_is_not_copied():

@@ -125,26 +125,59 @@ def test_state_norm_equals_the_per_label_loop(mn, tau, nodes):
     assert np.max(np.abs(got - want) / want) <= basis.policy.epsilon
 
 
-def test_state_norm_blocks_stay_within_the_element_budget(monkeypatch):
-    # at (7,5), 0.01i the cell rule has 252 x 8 nodes: all 35 states on
-    # the whole grid would be 70560 values in one grid sum
-    basis = build_basis(Flux(5, 7), 0.01j, ANGLES)
-    assert cell_node_counts(35, 0.01, 1e-12) == (252, 8)
-    shapes = []
+def _recorded_strips(monkeypatch, basis, quad=QuadratureSpec()):
+    """The norms of ``state_norm(basis, quad)`` and the ``(x, c)`` of
+    each of its grid sums, checking each sum's layout on the way."""
+    strips = []
     grid_sum = lll._theta_grid_sum
 
-    def recorded(spec, x, c, *args):
-        out = grid_sum(spec, x, c, *args)
-        assert out.shape == (np.size(spec.residue), x.size, c.size)
-        shapes.append(out.shape)
+    def recorded(spec, x, c, tau, policy, orders, log_scale):
+        out = grid_sum(spec, x, c, tau, policy, orders, log_scale)
+        assert list(out) == list(orders) == [0]
+        assert out[0].shape == (np.size(spec.residue), x.size, c.size)
+        strips.append((x, c))
         return out
 
     monkeypatch.setattr(lll, "_theta_grid_sum", recorded)
-    norms = state_norm(basis)
-    assert len(norms) == 35 and all(map(math.isfinite, norms))
-    assert len(shapes) > 1 and {k for k, _, _ in shapes} == {35}
-    assert sum(n_x * columns for _, n_x, columns in shapes) == 252 * 8  # each node once
-    assert max(math.prod(shape) for shape in shapes) <= partition._BLOCK_ELEMENTS
+    return state_norm(basis, quad), strips
+
+
+def test_state_norm_blocks_stay_within_the_element_budget(monkeypatch):
+    # at (7,5), 0.01i the cell rule has 252 x 8 nodes: all 35 states on
+    # the whole grid would be 70560 values in one grid sum.  Strips take
+    # whole rows, one column each there and seven at (9,8), 0.2+1.4i
+    # (31 x 43 nodes), so every column's window is built in one grid sum
+    for basis, nodes, columns in ((build_basis(Flux(5, 7), 0.01j, ANGLES), (252, 8), 1),
+                                  (build_basis(Flux(9, 8), 0.2 + 1.4j, ANGLES), (31, 43), 7)):
+        x, y = quadrature_nodes(basis)
+        assert (x.size, y.size) == nodes
+        norms, strips = _recorded_strips(monkeypatch, basis)
+        assert len(norms) == basis.level and all(map(math.isfinite, norms))
+        assert len(strips) > 1
+        assert all(np.array_equal(xs, x) for xs, _ in strips)  # whole rows
+        assert [c.size for _, c in strips[:-1]] == [columns] * (len(strips) - 1)
+        assert np.array_equal(np.concatenate([c for _, c in strips]),
+                              basis.tau.value * y + basis.gamma)  # each node once
+        assert max(basis.level * xs.size * c.size for xs, c in strips) \
+            <= partition._BLOCK_ELEMENTS
+
+
+def test_state_norm_splits_rows_only_past_the_element_budget(monkeypatch):
+    # at (7,5), 0.001i the 795 rows of 35 states exceed the budget, so a
+    # strip is one column of 468 rows and each column takes two strips
+    basis = build_basis(Flux(5, 7), 0.001j, ANGLES)
+    x, y = quadrature_nodes(basis)
+    assert (x.size, y.size) == (795, 8)
+    assert 35 * x.size > partition._BLOCK_ELEMENTS
+    norms, strips = _recorded_strips(monkeypatch, basis)
+    assert [(xs.size, c.size) for xs, c in strips] == [(468, 1), (327, 1)] * 8
+    for j in range(8):  # each node once
+        (x0, c0), (x1, c1) = strips[2 * j:2 * j + 2]
+        assert np.array_equal(np.concatenate([x0, x1]), x)
+        assert c0 == c1 == basis.tau.value * y[j] + basis.gamma
+    assert max(35 * xs.size * c.size for xs, c in strips) <= partition._BLOCK_ELEMENTS
+    want = np.array(_per_label_state_norms(basis, QuadratureSpec()))
+    assert np.max(np.abs(np.array(norms) - want) / want) <= basis.policy.epsilon
 
 
 def test_z_tilde_frozen_values():

@@ -331,19 +331,30 @@ def test_peak_window_tail_stays_below_its_stated_bound(epsilon, level, tau, orde
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
     # columns reach past the cell, so each residue's window union spans
-    # two peaks; every residue rides in one stacked call
+    # two peaks; every residue rides in one stacked call, with order 0.
+    # The grid sum leaves out a unit phase of residue and node, the same
+    # for every order: the moduli and the product with the order-0 value
+    # are the pointwise series', each under the bound of one order
     x = np.random.default_rng(5).uniform(0.0, 1.0, 7)
     c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
     z = x[:, None] + c
     log_scale = unit_envelope(level, c, tau)
     spec = ThetaSpec(level, tuple(range(level)))
-    got = _theta_grid_sum(spec, x, c, tau, TruncationPolicy(), order,
+    orders = sorted({0, order})
+    got = _theta_grid_sum(spec, x, c, tau, TruncationPolicy(), orders,
                           log_scale - 1j * math.pi * level * c**2 / tau)
-    want = theta_derivative(spec, z, tau, order=order,
-                            log_scale=np.broadcast_to(log_scale, z.shape))
-    assert got.shape == want.shape == (level, 7, 5)
-    gap = np.max(np.abs(got - want)) / (2.0 * math.pi * level) ** order
-    assert gap <= 1e-12 * (np.max(np.abs(c.imag)) / tau.imag + 1.0) ** order
+    want = {p: theta_derivative(spec, z, tau, order=p,
+                                log_scale=np.broadcast_to(log_scale, z.shape))
+            for p in orders}
+    assert sorted(got) == orders
+    assert got[order].shape == want[order].shape == (level, 7, 5)
+    scale = (2.0 * math.pi * level) ** order
+    bound = 1e-12 * (np.max(np.abs(c.imag)) / tau.imag + 1.0) ** order
+    assert np.max(np.abs(np.abs(got[order]) - np.abs(want[order]))) / scale <= bound
+    product = got[order] * np.conjugate(got[0]) - want[order] * np.conjugate(want[0])
+    # |e_p| |want_0| + |got_p| |e_0|, with e_p the order-p error
+    allowed = bound * np.max(np.abs(want[0])) + np.max(np.abs(got[order])) / scale * 1e-12
+    assert np.max(np.abs(product)) / scale <= allowed
 
 
 @pytest.mark.parametrize("level", [1, 2, 6, 35, 77])

@@ -4,12 +4,10 @@ import importlib
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -43,6 +41,7 @@ from nctorus.partition import (
 )
 from nctorus.theta import eta_functional_residual, orthogonality_residual, quasi_periodicity_residual
 from state_faults import with_states
+from test_acceptance import _child_env
 
 # by module path: the package namespace re-exports a function named theta
 theta_module = importlib.import_module("nctorus.theta")
@@ -191,12 +190,8 @@ def test_checks_whose_samples_underflow_fail_with_nan(capsys):
 
 def test_underflowed_verify_leaves_stderr_empty(tmp_path):
     # as a command, where numpy's warnings would print
-    root = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [root] + [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
-                  if p]))
     proc = subprocess.run([sys.executable, "-m", "nctorus.cli"] + _UNDERFLOW_VERIFY,
-                          capture_output=True, text=True, cwd=tmp_path, env=env)
+                          capture_output=True, text=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 1
     assert proc.stderr == ""
     failing = {c["name"] for c in json.loads(proc.stdout)["checks"] if not c["pass"]}

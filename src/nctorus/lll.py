@@ -52,7 +52,8 @@ import numpy as np
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
 from .errors import ConventionMismatchError
 from .fields import Displacement, Field, displacement_apply
-from .theta import ThetaSpec, TruncationPolicy, _theta_grid_sum, theta_derivative
+from .theta import (ThetaSpec, TruncationPolicy, _theta_grid_norms, _theta_grid_sum,
+                    theta_derivative)
 
 __all__ = [
     "LLLBasis",
@@ -190,6 +191,19 @@ class ThetaField(Field):
         density = np.abs(_combine(self.terms, th, w, np.conjugate(w)))
         density *= density
         return density
+
+    def cell_norms(self, x, y):
+        """:meth:`Field.cell_norms` without the densities
+        (``theta._theta_grid_norms``) when every term is ``(0, 0, p)``:
+        the terms then differ only in their window factors, which combine
+        into one, and the phases :meth:`cell_density` drops are common to
+        all of them.  Other families sum :meth:`cell_density`."""
+        if any(a or c for (a, c, _) in self.terms):
+            return super().cell_norms(x, y)
+        tau, k = self.tau, self.level
+        return _theta_grid_norms(self.spec, x, tau * y + self.gamma, tau, self.policy,
+                                 -1j * math.pi * k * self.gamma**2 / tau,
+                                 {p: coeff for (_, _, p), coeff in self.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -416,10 +430,13 @@ def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
     diagonal = {}
     for name in ("d1", "dual1"):
         image = measured[name][0].T
-        # NaN, without a warning, for a state whose samples all underflowed
-        phase = np.divide(np.sum(np.conjugate(a) * image, axis=1), norm2,
-                          out=np.full(norm2.shape, np.nan, dtype=complex), where=norm2 > 0)
-        ratio = np.divide(image, a, out=np.full_like(image, np.nan), where=mask & (a != 0))
+        # NaN, without a warning, for a state whose samples all underflowed;
+        # subnormal samples overflow the quotients to inf or NaN, which the
+        # spread check below fails, so numpy's warning is not wanted either
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = np.divide(np.sum(np.conjugate(a) * image, axis=1), norm2,
+                              out=np.full(norm2.shape, np.nan, dtype=complex), where=norm2 > 0)
+            ratio = np.divide(image, a, out=np.full_like(image, np.nan), where=mask & (a != 0))
         spread = np.max(np.where(mask, np.abs(ratio - phase[:, None]), 0.0), axis=1)
         diagonal[name] = phase, spread
     cycling = {}

@@ -30,12 +30,12 @@ whatever ``b``, and each axis takes at least
 
 ``Z~`` is computed by two deliberately independent routes: the
 per-state route sums the K norms of :func:`state_norm`, which takes the
-densities of the basis's stacked states strip by strip (whole rows of
-``x``, a few columns of ``y``) from their
-:meth:`~nctorus.fields.Field.cell_density` (for the ground states, one
-theta series for all K residues summed on the strip's tensor grid as one
-product of a window table in ``y`` and a phase table in ``x``, so each
-column's window is built once per norm), while the character
+grid sums of the basis's stacked states chunk by chunk (every row of
+``x``, whole columns of ``y``) from their
+:meth:`~nctorus.fields.Field.cell_norms` (for the ground states, one
+window table of theta terms for all K residues and the chunk's columns,
+summed over ``x`` as a quadratic form in the comb of the ``x`` nodes, so
+no value on the grid is formed), while the character
 route evaluates a single integrand containing the full residue sum of
 ``|theta|^2`` over ``|eta|^2`` pointwise, all K residues from one run of
 the level-K series around each point's peak (``theta``'s private residue
@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lll import LLLBasis, build_basis
-from .theta import _theta_residue_norms, dedekind_eta
+from .theta import _peak_window, _theta_residue_norms, dedekind_eta
 
 __all__ = [
     "QuadratureSpec",
@@ -72,14 +72,10 @@ __all__ = [
 ]
 
 _CHUNK = 1024
-# state values in one (K, rows, columns) strip of a state_norm evaluation.
-# Each strip has a fixed cost, some twenty small array operations (about
-# 80 us at K = 72), so narrow strips repeat it: at K = 72 (31 x 43 nodes,
-# 31 x 7 strips) state_norm took 1.5 times as long at 2**13 as at 2**14.
-# Wider strips run faster still (2**16: 0.8 against 1.2 ms in-process,
-# partition-sweep op_tail_ref 0.50 against 0.58 on a 2-core x86 box) but
-# hold four times the memory: a strip's product and density take 24 bytes
-# per value, 0.4 MB at 2**14, and that run's peak RSS rose by 0.9 MB.
+# entries of the (K, columns, count) window table of one state_norm chunk,
+# 256 KB of complex values; the chunk's product with the comb is as large.
+# Each chunk also pays a fixed cost of small array operations, so narrow
+# chunks repeat it
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -129,32 +125,29 @@ def _cell_integral(integrand, basis: LLLBasis, quad: QuadratureSpec) -> float:
                      for i in range(0, xs.size, _CHUNK)) / xs.size
 
 
-def _tile_shape(level, n_x, n_y):
-    """``(rows, columns)`` of a cell strip whose ``(level, rows, columns)``
-    density array holds at most ``_BLOCK_ELEMENTS`` elements (but at least
-    one node): whole rows of ``x`` wherever ``level * n_x`` fits, so a
-    :func:`state_norm` builds each column's window table once, and as many
-    columns as the budget then allows.  Rows are split only where ``level * n_x``
-    exceeds the budget, and a strip is then one column wide."""
-    nodes = max(1, _BLOCK_ELEMENTS // level)
-    rows = min(n_x, nodes)
-    return rows, max(1, min(n_y, nodes // rows))
+def _chunk_columns(basis: LLLBasis, n_y: int) -> int:
+    """Columns of ``y`` per :func:`state_norm` chunk: as many as keep the
+    chunk's ``(level, columns, count)`` window table of the grid norms
+    within ``_BLOCK_ELEMENTS`` (but at least one).  ``count`` is the
+    order-0 peak window plus one term, since the columns' peaks
+    ``a* = -y - Im(gamma)/Im(tau)`` lie within 1 of each other and so
+    widen the union of their windows by at most one term."""
+    count = _peak_window(basis.level, basis.tau.im, 0.0, basis.policy.epsilon) + 1
+    return max(1, min(n_y, _BLOCK_ELEMENTS // (basis.level * count)))
 
 
 def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:
     """Squared cell norms of the K ground states, in the order of
-    :meth:`LLLBasis.labels`.  The cell's tensor grid is cut into strips
-    of whole rows of at most ``_BLOCK_ELEMENTS`` state values
-    (:func:`_tile_shape`); the stacked states give each strip's densities
-    in one call of their :meth:`~nctorus.fields.Field.cell_density`, and
-    the strip sums of each state are reduced with ``math.fsum``."""
+    :meth:`LLLBasis.labels`.  The columns of the cell's tensor grid are
+    taken in chunks of whole columns (:func:`_chunk_columns`); the stacked
+    states give each chunk's K sums in one call of their
+    :meth:`~nctorus.fields.Field.cell_norms`, and the chunk sums of each
+    state are reduced with ``math.fsum``."""
     x, y = quadrature_nodes(basis, quad)
-    rows, columns = _tile_shape(basis.level, x.size, y.size)
-    sums = np.array([
-        np.sum(basis.field.cell_density(x[i:i + rows], y[j:j + columns]), axis=(-2, -1))
-        for j in range(0, y.size, columns) for i in range(0, x.size, rows)
-    ])
-    return [math.fsum(strips) / (x.size * y.size) for strips in sums.T]
+    columns = _chunk_columns(basis, y.size)
+    sums = np.array([basis.field.cell_norms(x, y[j:j + columns])
+                     for j in range(0, y.size, columns)])
+    return [math.fsum(chunks) / (x.size * y.size) for chunks in sums.T]
 
 
 def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:

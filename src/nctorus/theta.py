@@ -89,6 +89,21 @@ and column, so each order is a single matrix product
 ``(residue*column, m) @ (m, x)``.  This is the periodic trapezoid rule on
 a separable integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
 
+The cell norms need only ``sum_i |value|**2`` per residue and column, and
+regrouped exactly that is a quadratic form in the column's window ``W``
+(the orders' windows summed with their coefficients):
+
+    sum_i |sum_m W_m exp(2*pi*i*K*m*x_i)|**2 = sum_{m,m'} W_m h(m - m') conj(W_m'),
+
+    h(d) = sum_i exp(2*pi*i*K*d*x_i),
+
+so a private grid-norm sum forms the comb ``h(d)`` for ``|d| < count``
+from the nodes, and each norm is one ``(residue*column, m) @ (m, m')``
+product with its Toeplitz matrix and one reduction: ``count**2`` products
+per residue and column instead of ``count*x.size``, and no grid values.
+The comb is summed, not assumed to be ``x.size`` times a delta, so the
+norms keep every alias of the midpoint rule.
+
 Residue sums
 ------------
 With ``m = K*a`` the ``K`` residues are the classes mod ``K`` of one
@@ -304,6 +319,46 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
     return complex(out[()]) if scalar and not residue.ndim else out
 
 
+def _grid_window(spec, c, tau, policy, order, log_scale):
+    """The peak-centred terms of the grid sums on the columns ``c``,
+    certified for derivative order ``order``: the run ``a`` of
+    consecutive ``a = a0 + m`` of each residue, shape ``(residue, m)``,
+    and the window table ``exp(i*pi*tau*K*(a + c/tau)**2 + log_scale)``,
+    shape ``(residue, c, m)``, of the factors that carry every term's
+    magnitude (see "Cell grids" in the module docstring).
+
+    A column's peak ``a*`` depends only on ``Im c``: each residue sums
+    the union of its columns' windows, which holds every point's
+    certified window and only terms below its envelope."""
+    t = as_tau(tau)
+    k = spec.level
+    r_k = np.atleast_1d(spec.residue)[:, None] / k
+    a_star = -np.imag(c) / t.im
+    peak = float(np.max(np.abs(a_star), initial=0.0))
+    count = _peak_window(k, t.im, peak, policy.epsilon, order)
+    # per residue and column, the first term at or above a* - count/2
+    start = np.ceil(a_star - r_k - 0.5 * count)
+    low = start.min(axis=1, keepdims=True)
+    count += int(np.max(start.max(axis=1, keepdims=True) - low))
+    _check_cap(count, policy)
+    a = (low + np.arange(count, dtype=float)) + r_k
+    # built in place: the window table is the largest array of a
+    # state_norm chunk, and every extra copy grows the heap
+    # (see partition._BLOCK_ELEMENTS)
+    window = a[:, None, :] + (c / t.value)[:, None]
+    window *= window
+    window *= 1j * math.pi * k * t.value
+    window += np.asarray(log_scale)[..., None]
+    np.exp(window, out=window)
+    return a, window
+
+
+def _grid_phase(level, x, count):
+    """The ``(count, x.size)`` table ``exp(2*pi*i*K*x)**m``, ``0 <= m <
+    count``: ``x.size`` exponentials for every residue and order."""
+    return np.exp((2j * math.pi * level) * x) ** np.arange(count)[:, None]
+
+
 def _theta_grid_sum(spec, x, c, tau, policy, orders, log_scale):
     """``{p: exp(log_scale + i*pi*K*c[j]**2/tau - 2*pi*i*K*a0*x[i])
     * theta^{(p)}(x[i] + c[j])}`` for each derivative order ``p`` in
@@ -314,48 +369,60 @@ def _theta_grid_sum(spec, x, c, tau, policy, orders, log_scale):
     scalar.
 
     With the square completed, a term is ``exp(2*pi*i*K*a*x)``, of
-    modulus 1, times ``exp(i*pi*tau*K*(a + c/tau)**2 + log_scale)``, which
-    carries all of its magnitude.  A column's peak ``a*`` depends only on
-    ``Im c``: each residue sums the consecutive ``a = a0 + m`` of the
-    union of its columns' windows, which holds every point's certified
-    window and only terms below its envelope, one grid for every order.
+    modulus 1, times the window factor of :func:`_grid_window`, which
+    carries all of its magnitude; one run of terms serves every order.
     Its first term's phase ``exp(2*pi*i*K*a0*x)``, a unit factor of
     residue and node alone, is left out, so the phases in ``x`` are the
     one table ``exp(2*pi*i*K*x)**m`` of every residue and each order is
     one matrix product of the ``(residue, c, m)`` window table with it.
     The values are laid out ``(residue, c, x)`` in memory (the returned
     arrays are transposed views), so a residue's values are contiguous."""
-    t = as_tau(tau)
     k = spec.level
-    residue = np.asarray(spec.residue)
-    r_k = np.atleast_1d(residue)[:, None] / k
-    a_star = -np.imag(c) / t.im
-    peak = float(np.max(np.abs(a_star), initial=0.0))
-    count = _peak_window(k, t.im, peak, policy.epsilon, max(orders))
-    # per residue and column, the first term at or above a* - count/2
-    start = np.ceil(a_star - r_k - 0.5 * count)
-    low = start.min(axis=1, keepdims=True)
-    count += int(np.max(start.max(axis=1, keepdims=True) - low))
-    _check_cap(count, policy)
-    a = (low + np.arange(count, dtype=float)) + r_k
-    # exp(2 pi i K x)**m: x.size exponentials for every residue and order
-    phase = np.exp((2j * math.pi * k) * x) ** np.arange(count)[:, None]
-    # built in place: a strip's tables and products are the largest
-    # arrays of a state_norm call, and every extra copy grows the heap
-    # (see partition._BLOCK_ELEMENTS)
-    window = a[:, None, :] + (c / t.value)[:, None]
-    window *= window
-    window *= 1j * math.pi * k * t.value
-    window += np.asarray(log_scale)[..., None]
-    np.exp(window, out=window)
+    a, window = _grid_window(spec, c, tau, policy, max(orders), log_scale)
+    count = a.shape[1]
+    phase = _grid_phase(k, x, count)
     out = {}
     for p in orders:
         table = window * ((2j * math.pi * k) * a[:, None, :]) ** p if p else window
         # one (residue*c, m) @ (m, x) product, viewed as (residue, x, c)
         values = (table.reshape(-1, count) @ phase).reshape(window.shape[:2] + x.shape)
         values = values.transpose(0, 2, 1)
-        out[p] = values if residue.ndim else values[0]
+        out[p] = values if np.ndim(spec.residue) else values[0]
     return out
+
+
+def _theta_grid_norms(spec, x, c, tau, policy, log_scale, coefficients):
+    """``sum_{i,j} |sum_p coefficients[p] * g_p[i, j]|**2`` per residue,
+    where ``g_p`` is the order-``p`` grid sum of :func:`_theta_grid_sum`
+    on the same nodes and ``coefficients`` maps each derivative order to
+    its coefficient, with shape ``spec.residue``'s.
+
+    The orders share one window table and one phase table, so they
+    combine into one window ``W`` per residue and column, and the sum
+    over ``x`` of ``|sum_m W_m exp(2*pi*i*K*m*x_i)|**2`` is the quadratic
+    form ``W H W^H`` of the comb ``h(d) = sum_i exp(2*pi*i*K*d*x_i)``,
+    ``H[m, m'] = h(m - m')``.  The comb is summed from the nodes
+    themselves, so the norms are the midpoint rule's, aliasing and all,
+    never a Parseval sum; no value on the grid is formed, and a column
+    costs ``count**2`` products per residue instead of ``count*x.size``."""
+    k = spec.level
+    a, window = _grid_window(spec, c, tau, policy, max(coefficients), log_scale)
+    count = a.shape[1]
+    if coefficients != {0: 1}:
+        window *= sum(coeff * ((2j * math.pi * k) * a) ** p
+                      for p, coeff in coefficients.items())[:, None, :]
+    # h(d) for 0 <= d < count from the grid sum's phase table, and
+    # h(-d) = conj(h(d))
+    comb = _grid_phase(k, x, count).sum(axis=1)
+    comb = np.concatenate([np.conjugate(comb[:0:-1]), comb])
+    steps = np.arange(count)
+    kernel = comb[count - 1 + steps[:, None] - steps]
+    flat = window.reshape(-1, count)
+    # Re(sum_m (W H)_m conj(W_m)), the real and imaginary parts interleaved
+    form = (flat @ kernel).view(float)
+    form *= flat.view(float)
+    norms = form.reshape(window.shape[0], -1).sum(axis=1)
+    return norms if np.ndim(spec.residue) else norms[0]
 
 
 def _theta_residue_norms(level, z, tau, policy, log_scale):

@@ -198,6 +198,23 @@ def test_underflowed_verify_leaves_stderr_empty(tmp_path):
     assert failing == _UNDERFLOW_FAILING
 
 
+def test_subnormal_verify_leaves_stderr_empty(capsys, tmp_path):
+    # at (7,5), 1e3i the fit samples are subnormal, and the eigenphase
+    # quotients of such samples overflow: the lemma fails with a
+    # non-finite residual, in process (where a RuntimeWarning is an error)
+    # and as a command (where numpy's warnings would print) alike
+    argv = ["verify", "--M", "7", "--N", "5", "--tau=1e3i"]
+    code, rep = run_json(capsys, argv)
+    proc = subprocess.run([sys.executable, "-m", "nctorus.cli"] + argv,
+                          capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert code == proc.returncode == 1
+    assert proc.stderr == ""
+    for report in (rep, json.loads(proc.stdout)):
+        checks = {c["name"]: c for c in report["checks"]}
+        assert not checks["lemma_eigenphases"]["pass"]
+        assert not math.isfinite(checks["lemma_eigenphases"]["residual"])
+
+
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
     builds = []
 

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import importlib
 import math
 import re
 
@@ -26,6 +27,9 @@ from nctorus.lll import (
 from nctorus.matrices import bimodule_consistency
 from nctorus.theta import ThetaSpec, TruncationPolicy, _peak_window, theta
 from state_faults import with_states
+
+# by module path: the package namespace re-exports a function named theta
+theta_module = importlib.import_module("nctorus.theta")
 
 TAU_GEN = 0.3 + 1.1j
 ANGLES = VacuumAngles(0.7, -1.3)
@@ -361,6 +365,47 @@ def test_raised_cell_density_shares_one_grid_across_orders(monkeypatch):
         for key, coeff in f.terms.items())
     assert np.max(size) > 1e4 * np.sqrt(np.max(want))
     assert np.max(np.abs(got - want)) <= basis.policy.epsilon * np.max(size) * np.sqrt(np.max(want))
+
+
+def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule(monkeypatch):
+    # on n_x = K = 6 midpoint nodes exp(2*pi*i*K*x) is -1 at every node, so
+    # the comb h(+-1) is -n_x and every pair of neighbouring terms aliases
+    # onto the mean: the grid norms are the pointwise midpoint sum, a third
+    # away from Parseval's n_x * sum |W|^2, the exact integral over x
+    basis = build_basis(Flux(2, 3), 0.1j, ANGLES)
+    f = basis.field
+    x = (np.arange(6) + 0.5) / 6
+    y = (np.arange(8) + 0.5) / 8
+    assert abs(np.sum(np.exp(12j * math.pi * x)) + 6) < 1e-13
+    calls = []
+    grid_norms = lll._theta_grid_norms
+    monkeypatch.setattr(lll, "_theta_grid_norms",
+                        lambda *args: calls.append(args) or grid_norms(*args))
+    got = f.cell_norms(x, y)
+    assert len(calls) == 1 and got.shape == (6,)
+    want = Field.cell_density(f, x, y).sum(axis=(1, 2))
+    assert np.max(np.abs(got - want) / want) <= 1e-13
+    spec, _, c, tau, policy, log_scale, _ = calls[0]
+    _, window = theta_module._grid_window(spec, c, tau, policy, 0, log_scale)
+    parseval = x.size * np.sum(np.abs(window) ** 2, axis=(1, 2))
+    assert np.min(np.abs(got - parseval) / got) > 0.3
+
+
+def test_cell_norms_combine_the_orders_into_one_window():
+    # terms (0, 0, p) share the phases in x: one window of their weighted
+    # sum gives the norms of the summed densities; a family with powers of
+    # w or wbar sums its densities
+    basis = build_basis(Flux(5, 7), TAU_GEN, ANGLES)
+    x, y = partition.quadrature_nodes(basis)
+    scale = 2.0 * math.pi * 35
+    f = ThetaField({(0, 0, 0): 1.0, (0, 0, 1): 0.3j / scale, (0, 0, 2): -0.2 / scale**2},
+                   35, basis.field.residue, TAU_GEN, ANGLES.alpha1, basis.gamma)
+    got = f.cell_norms(x, y)
+    want = Field.cell_norms(f, x, y)
+    assert got.shape == want.shape == (35,)
+    assert np.max(np.abs(got - want) / want) <= basis.policy.epsilon
+    raised = raise_level(basis, 2, 3, n=2)
+    assert np.array_equal(raised.cell_norms(x, y), raised.cell_density(x, y).sum(axis=(-2, -1)))
 
 
 def test_unit_coefficient_term_is_not_copied():

@@ -5,7 +5,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nctorus import fields, lll, partition
@@ -22,6 +22,9 @@ from nctorus.partition import (
     z_tilde_character_route,
     z_tilde_closed_form,
 )
+
+# by module path: the package namespace re-exports a function named theta
+theta_module = importlib.import_module("nctorus.theta")
 
 ANGLES = VacuumAngles(0.7, -1.3)
 
@@ -125,57 +128,69 @@ def test_state_norm_equals_the_per_label_loop(mn, tau, nodes):
     assert np.max(np.abs(got - want) / want) <= basis.policy.epsilon
 
 
-def _recorded_strips(monkeypatch, basis, quad=QuadratureSpec()):
-    """The norms of ``state_norm(basis, quad)`` and the ``(x, c)`` of
-    each of its grid sums, checking each sum's layout on the way."""
-    strips = []
-    grid_sum = lll._theta_grid_sum
+def _recorded_chunks(monkeypatch, basis):
+    """The norms of ``state_norm(basis)`` and the ``(x, c, shape)``
+    of each of its grid norms, ``shape`` being the one window table's,
+    checking each call's result on the way."""
+    chunks, windows = [], []
+    grid_norms = lll._theta_grid_norms
+    grid_window = theta_module._grid_window
 
-    def recorded(spec, x, c, tau, policy, orders, log_scale):
-        out = grid_sum(spec, x, c, tau, policy, orders, log_scale)
-        assert list(out) == list(orders) == [0]
-        assert out[0].shape == (np.size(spec.residue), x.size, c.size)
-        strips.append((x, c))
+    def recorded_window(*args):
+        a, window = grid_window(*args)
+        windows.append(window.shape)
+        return a, window
+
+    def recorded(spec, x, c, *args):
+        out = grid_norms(spec, x, c, *args)
+        assert out.shape == (np.size(spec.residue),)
+        chunks.append((x, c, windows.pop()))
         return out
 
-    monkeypatch.setattr(lll, "_theta_grid_sum", recorded)
-    return state_norm(basis, quad), strips
+    monkeypatch.setattr(theta_module, "_grid_window", recorded_window)
+    monkeypatch.setattr(lll, "_theta_grid_norms", recorded)
+    return state_norm(basis), chunks
+
+
+def _assert_whole_columns(basis, chunks):
+    """Each chunk takes every row and whole columns, each node once, in
+    one window table of at most ``_BLOCK_ELEMENTS`` entries."""
+    x, y = quadrature_nodes(basis)
+    assert all(np.array_equal(xs, x) for xs, _, _ in chunks)
+    assert np.array_equal(np.concatenate([c for _, c, _ in chunks]),
+                          basis.tau.value * y + basis.gamma)
+    assert all(shape[:2] == (basis.level, c.size) for _, c, shape in chunks)
+    assert max(math.prod(shape) for _, _, shape in chunks) <= partition._BLOCK_ELEMENTS
 
 
 def test_state_norm_blocks_stay_within_the_element_budget(monkeypatch):
-    # at (7,5), 0.01i the cell rule has 252 x 8 nodes: all 35 states on
-    # the whole grid would be 70560 values in one grid sum.  Strips take
-    # whole rows, one column each there and seven at (9,8), 0.2+1.4i
-    # (31 x 43 nodes), so every column's window is built in one grid sum
-    for basis, nodes, columns in ((build_basis(Flux(5, 7), 0.01j, ANGLES), (252, 8), 1),
-                                  (build_basis(Flux(9, 8), 0.2 + 1.4j, ANGLES), (31, 43), 7)):
+    # no value on the grid is formed, so a chunk is bounded by its
+    # (K, columns, count) window table alone: at (9,8), 0.2+1.4i the 31 x
+    # 43 nodes take one chunk of two terms per column, and at (11,7),
+    # 0.1+1000i the 1179 columns take twelve, 106 columns to a chunk
+    for basis, nodes, columns in ((build_basis(Flux(9, 8), 0.2 + 1.4j, ANGLES), (31, 43), [43]),
+                                  (build_basis(Flux(7, 11), 0.1 + 1000j, ANGLES), (8, 1179),
+                                   [106] * 11 + [13])):
         x, y = quadrature_nodes(basis)
         assert (x.size, y.size) == nodes
-        norms, strips = _recorded_strips(monkeypatch, basis)
+        norms, chunks = _recorded_chunks(monkeypatch, basis)
         assert len(norms) == basis.level and all(map(math.isfinite, norms))
-        assert len(strips) > 1
-        assert all(np.array_equal(xs, x) for xs, _ in strips)  # whole rows
-        assert [c.size for _, c in strips[:-1]] == [columns] * (len(strips) - 1)
-        assert np.array_equal(np.concatenate([c for _, c in strips]),
-                              basis.tau.value * y + basis.gamma)  # each node once
-        assert max(basis.level * xs.size * c.size for xs, c in strips) \
-            <= partition._BLOCK_ELEMENTS
+        assert [c.size for _, c, _ in chunks] == columns
+        assert {shape[2] for _, _, shape in chunks} == {2}
+        _assert_whole_columns(basis, chunks)
 
 
-def test_state_norm_splits_rows_only_past_the_element_budget(monkeypatch):
-    # at (7,5), 0.001i the 795 rows of 35 states exceed the budget, so a
-    # strip is one column of 468 rows and each column takes two strips
+def test_state_norm_never_splits_rows(monkeypatch):
+    # at (7,5), 0.001i the 795 rows of 35 states would exceed the budget
+    # as values, but the 34 terms of each column's window fit all 8
+    # columns in one chunk of whole rows
     basis = build_basis(Flux(5, 7), 0.001j, ANGLES)
     x, y = quadrature_nodes(basis)
     assert (x.size, y.size) == (795, 8)
     assert 35 * x.size > partition._BLOCK_ELEMENTS
-    norms, strips = _recorded_strips(monkeypatch, basis)
-    assert [(xs.size, c.size) for xs, c in strips] == [(468, 1), (327, 1)] * 8
-    for j in range(8):  # each node once
-        (x0, c0), (x1, c1) = strips[2 * j:2 * j + 2]
-        assert np.array_equal(np.concatenate([x0, x1]), x)
-        assert c0 == c1 == basis.tau.value * y[j] + basis.gamma
-    assert max(35 * xs.size * c.size for xs, c in strips) <= partition._BLOCK_ELEMENTS
+    norms, chunks = _recorded_chunks(monkeypatch, basis)
+    assert [shape for _, _, shape in chunks] == [(35, 8, 34)]
+    _assert_whole_columns(basis, chunks)
     want = np.array(_per_label_state_norms(basis, QuadratureSpec()))
     assert np.max(np.abs(np.array(norms) - want) / want) <= basis.policy.epsilon
 
@@ -311,9 +326,9 @@ def test_both_routes_match_closed_form_over_im_tau(mn, im_tau):
 
 def test_the_two_routes_share_no_summation(monkeypatch):
     # the character route sums its residues in theta._theta_residue_norms,
-    # the per-state route on the cell grid through Field.cell_density:
+    # the per-state route on the cell grid through Field.cell_norms (and
+    # cell_density where a field has no faster sum):
     # each still matches the closed form with the other's summation gone
-    theta_module = importlib.import_module("nctorus.theta")
     tau = -0.2 + 1.7j
     basis = build_basis(Flux(5, 7), tau, ANGLES)
     want = closed_form_z_tilde(35, tau, ANGLES.alpha1)
@@ -324,8 +339,10 @@ def test_the_two_routes_share_no_summation(monkeypatch):
     with monkeypatch.context() as patch:
         for owner in (theta_module, lll):
             patch.setattr(owner, "_theta_grid_sum", unreachable)
+            patch.setattr(owner, "_theta_grid_norms", unreachable)
         for owner in (fields.Field, lll.ThetaField):
             patch.setattr(owner, "cell_density", unreachable)
+            patch.setattr(owner, "cell_norms", unreachable)
         assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
     for owner in (theta_module, partition):
         monkeypatch.setattr(owner, "_theta_residue_norms", unreachable)
@@ -347,3 +364,22 @@ def test_both_routes_match_closed_form_in_the_sweep_box(mn, re, im, a1, a2):
     basis = build_basis(Flux(n, m), tau, VacuumAngles(a1, a2))
     assert abs(z_tilde(basis) - want) <= 1e-11 * want
     assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(mn=st.sampled_from(_BOX_FLUXES),
+       re=st.floats(-0.5, 0.5), log_im=st.floats(-3.0, 3.0),
+       a1=st.floats(0.0, 2.0 * math.pi), a2=st.floats(0.0, 2.0 * math.pi))
+@example(mn=(9, 10), re=0.5, log_im=-3.0, a1=5.0, a2=1.0)  # 1274 x 8 nodes
+@example(mn=(13, 7), re=-0.3, log_im=3.0, a1=0.7, a2=6.0)  # 8 x 1281 nodes
+def test_state_norm_sums_the_grid_densities(mn, re, log_im, a1, a2):
+    # the quadratic form in the window table against every value of the
+    # grid summed as |value|^2 (Field's cell_norms over the stacked
+    # states' cell_density), on the cell rule over six decades of Im tau
+    m, n = mn
+    basis = build_basis(Flux(n, m), complex(re, 10.0**log_im), VacuumAngles(a1, a2))
+    x, y = quadrature_nodes(basis)
+    got = np.array(state_norm(basis))
+    want = np.sum([fields.Field.cell_norms(basis.field, x, y[j:j + 8])
+                   for j in range(0, y.size, 8)], axis=0) / (x.size * y.size)
+    assert np.max(np.abs(got - want) / want) <= basis.policy.epsilon

@@ -22,6 +22,7 @@ from nctorus.partition import (
     z_tilde_character_route,
     z_tilde_closed_form,
 )
+from test_lll import _rounding_allowance
 
 # by module path: the package namespace re-exports a function named theta
 theta_module = importlib.import_module("nctorus.theta")
@@ -366,6 +367,13 @@ def test_both_routes_match_closed_form_in_the_sweep_box(mn, re, im, a1, a2):
     assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
 
 
+def _pointwise_cell_norms(field, x, y):
+    """``Field.cell_norms`` through the pointwise ``Field.cell_density``,
+    in blocks of 16 x 8 nodes so the series' term arrays stay small."""
+    return sum(fields.Field.cell_density(field, x[i:i + 16], y[j:j + 8]).sum(axis=(-2, -1))
+               for i in range(0, x.size, 16) for j in range(0, y.size, 8))
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(mn=st.sampled_from(_BOX_FLUXES),
        re=st.floats(-0.5, 0.5), log_im=st.floats(-3.0, 3.0),
@@ -374,12 +382,17 @@ def test_both_routes_match_closed_form_in_the_sweep_box(mn, re, im, a1, a2):
 @example(mn=(13, 7), re=-0.3, log_im=3.0, a1=0.7, a2=6.0)  # 8 x 1281 nodes
 def test_state_norm_sums_the_grid_densities(mn, re, log_im, a1, a2):
     # the quadratic form in the window table against every value of the
-    # grid summed as |value|^2 (Field's cell_norms over the stacked
-    # states' cell_density), on the cell rule over six decades of Im tau
+    # cell rule summed as |value|^2: the stacked states' grid values
+    # (Field's cell_norms over ThetaField.cell_density) to the basis
+    # epsilon, and the pointwise states to epsilon plus the ulps their
+    # cancelling exponents lose at large Im tau
     m, n = mn
     basis = build_basis(Flux(n, m), complex(re, 10.0**log_im), VacuumAngles(a1, a2))
     x, y = quadrature_nodes(basis)
     got = np.array(state_norm(basis))
-    want = np.sum([fields.Field.cell_norms(basis.field, x, y[j:j + 8])
+    grid = np.sum([fields.Field.cell_norms(basis.field, x, y[j:j + 8])
                    for j in range(0, y.size, 8)], axis=0) / (x.size * y.size)
-    assert np.max(np.abs(got - want) / want) <= basis.policy.epsilon
+    assert np.max(np.abs(got - grid) / grid) <= basis.policy.epsilon
+    pointwise = _pointwise_cell_norms(basis.field, x, y) / (x.size * y.size)
+    tol = basis.policy.epsilon + _rounding_allowance(m * n, basis.tau.im)
+    assert np.max(np.abs(got - pointwise) / pointwise) <= tol

@@ -37,13 +37,14 @@ window table of theta terms for all K residues and the chunk's columns,
 summed over ``x`` as a quadratic form in the comb of the ``x`` nodes, so
 no value on the grid is formed), while the character
 route evaluates a single integrand containing the full residue sum of
-``|theta|^2`` over ``|eta|^2`` pointwise, all K residues from one run of
-the level-K series around each point's peak (``theta``'s private residue
-sum, which never touches ``Field`` or the grid sum); their agreement is a
-consistency check of both summations, so the two code paths are kept
-separate.  Parseval in ``x`` collapses the cell integral to a full
-Gaussian in ``y``, which gives :func:`z_tilde_closed_form`; neither
-route reads it.
+``|theta|^2`` over ``|eta|^2`` pointwise, all K residues as the classes
+mod K of the level-K series around each point's peak (``theta``'s private
+residue sum, which never touches ``Field`` or the grid sum), with its
+Gaussian passed relative to each point's envelope, the square completed
+in ``y``; their agreement is a consistency check of both summations, so
+the two code paths are kept separate.  Parseval in ``x`` collapses the
+cell integral to a full Gaussian in ``y``, which gives
+:func:`z_tilde_closed_form`; neither route reads it.
 """
 
 from __future__ import annotations
@@ -161,9 +162,9 @@ def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
 def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Eta-normalized state sum, single-integrand character route: the
     residue sum of |theta|^2 over |eta|^2 is evaluated pointwise from
-    the series directly (no Field machinery), all K residues from one run
-    of consecutive terms around each point's peak, at the level, angles
-    and truncation policy of ``basis``."""
+    the series directly (no Field machinery), all K residues from the
+    terms nearest each point's peak, at the level, angles and truncation
+    policy of ``basis``."""
     t = basis.tau
     tau = t.value
     b = t.im
@@ -172,11 +173,16 @@ def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSp
     gamma = basis.gamma
     eta2 = abs(dedekind_eta(t, basis.policy)) ** 2
 
+    # the scale relative to the envelope of w + gamma: with the square
+    # completed in y, -pi*K*b*y**2 - a1*b*y + pi*K*(b*y + Im gamma)**2/b,
+    # so no term of size pi*K*b is formed and cancelled
+    slope = 2.0 * math.pi * klev * gamma.imag - a1 * b
+    offset = math.pi * klev * gamma.imag**2 / b
+
     def integrand(x, y):
         w = x + tau * y
-        # half the Gaussian rides in each series, so |theta|^2 never overflows
-        half = -math.pi * klev * b * y**2 - a1 * b * y
-        return _theta_residue_norms(klev, w + gamma, t, basis.policy, half) / (eta2 or 1.0)
+        relative = slope * y + offset
+        return _theta_residue_norms(klev, w + gamma, t, basis.policy, relative) / (eta2 or 1.0)
 
     # where |eta|^2 underflows to 0 the sum is integrated unscaled
     z = _cell_integral(integrand, basis, quad)

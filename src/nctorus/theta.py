@@ -107,23 +107,40 @@ norms keep every alias of the midpoint rule.
 Residue sums
 ------------
 With ``m = K*a`` the ``K`` residues are the classes mod ``K`` of one
-Gaussian series, term ``exp(i*pi*tau*m**2/K + 2*pi*i*z*m + L)``.  A
-private residue sum returns ``sum_r |exp(L) theta_r(z)|**2`` pointwise
-from the run of ``K*count + 1`` consecutive ``m`` centred on the peak
-``m_p = rint(K*a*)``, which holds every residue's window of ``count``
-terms above, so the certificate is unchanged.  From the peak term, formed
-as a term of the series above is, the neighbours follow by the steps
+Gaussian series, term ``t_m = exp(i*pi*tau*m**2/K + 2*pi*i*z*m + L)``.  A
+private residue sum returns ``sum_r |exp(L) theta_r(z)|**2`` pointwise from
+the ``K*n`` integers ``m`` nearest the peak ``K*a*``, where ``n`` is the
+peak window ``count`` above rounded up to odd, so every omitted term lies
+at least ``count/2`` from the peak.  The ``K`` nearest, ``m0 + j`` for
+``0 <= j < K`` with ``m0 = ceil(K*a* - K/2)``, are one of each class; the
+class holds ``m0 + j + s*K`` for ``|s| <= n//2``, and its sum is
+``t_{m0+j} * sum_s V**s D[s, j]`` with
 
-    s1 * g**(l-1) forward,  b1 * g**(l-1) backward,    g = exp(2*pi*i*tau/K),
+    V = exp(2*pi*i*(tau*c + K*z)),    c = m0 + (K - 1)/2,
+    D[s, j] = exp(i*pi*tau*s*(2*(j - (K - 1)/2) + K*s)).
 
-with ``s1, b1 = exp(+-2*pi*i*(tau*m_p/K + z) + i*pi*tau/K)``, all of
-modulus at most 1: a point costs 3 exponentials instead of ``K*count``,
-and the partial products only fall, so nothing overflows at any ``tau``.
+Relative to the squared envelope,
+
+    |t_{m0+j}|**2 = exp(2*Re L' - 2*pi*Im(tau)*(m0 + j - K*a*)**2/K),
+
+with ``L' = L + pi*K*(Im z)**2/Im tau`` the scale the caller passes: ``K``
+real exponentials of a peak-centred quadratic per point, and no exponent
+of size ``pi*K*Im tau`` that a log-scale has to cancel.  ``D`` is one
+``(n, K)`` table per call.  Where ``n = 1`` (every point once
+``K*Im tau >= 37`` at ``eps = 1e-12``) a point's value is the row sum of
+its ``K`` squared magnitudes; otherwise a block of points costs one
+``(points, n) @ (n, K)`` product besides.  No term of a class lies nearer
+the peak than ``m0 + j``, so ``|V**s D[s, j]| <= 1``, and the split at the
+classes' centre ``c`` gives ``|V**s| <= exp(pi*Im(tau)*|s|)`` and
+``|D[s, j]| <= exp(-pi*Im(tau)*|s|)``: no factor leaves double range while
+``pi*Im(tau)*(n//2) < 709``, which holds for every ``K >= 5`` at any
+``eps`` and for every ``K`` at ``eps >= 1e-60``.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -149,10 +166,13 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-# terms in one (run, points) block of _theta_residue_norms: 128 KB of
-# complex terms.  Over the 42 ops of a partition-sweep run, in-process,
-# 2**14 raised the peak RSS by 0.7 MB over the per-residue theta loop and
-# 2**13 by 0.1 MB, at the same speed within the host's noise
+# points of one _theta_residue_norms block, times max(K, count): its
+# (points, K) table of squared magnitudes is 64 KB and the block's complex
+# sums twice that.  Over the 42 ops of a partition-sweep run, in-process,
+# 2**14 and 2**15 raised the peak RSS by 0.5 and 0.95 MB over 2**13, and
+# 2**12 lowered it by 0.2 MB; through benchmarks/run.py 2**12 and 2**11
+# read the same peak RSS within 0.1 MB and ok_per_ref 3.1 to 3.7
+# against 4.0 to 4.5
 _RESIDUE_BLOCK_ELEMENTS = 1 << 13
 
 
@@ -426,42 +446,51 @@ def _theta_grid_norms(spec, x, c, tau, policy, log_scale, coefficients):
 
 
 def _theta_residue_norms(level, z, tau, policy, log_scale):
-    """``sum_r |exp(log_scale) * theta_r^K(z)|**2`` over all ``K``
-    residues, pointwise, on the peak-centred certificate, from one run of
-    ``K*count + 1`` consecutive terms of the series in ``m = K*a`` around
-    each point's peak (see "Residue sums" above).  The run's first
-    ``K*count`` terms, reshaped to ``(count, K)``, sum to one theta per
-    residue in an order that rotates with ``m_p`` and that the sum of
-    squares ignores; the last term is in the first column's class."""
+    """``sum_r |exp(L) * theta_r^K(z)|**2`` over all ``K`` residues,
+    pointwise, on the peak-centred certificate.  ``log_scale`` is
+    ``L + pi*K*(Im z)**2/Im tau``, the scale relative to each point's
+    envelope, of which only the real part counts.  Each point sums the
+    ``K*n`` integers ``m`` nearest its peak ``K*a*`` by their classes
+    mod ``K``, ``n`` the peak window rounded up to odd: ``K`` real
+    squared magnitudes and, where ``n > 1``, one ``(points, n) @ (n, K)``
+    product per block of points (see "Residue sums" above)."""
     t = as_tau(tau)
-    k = level
+    k, b = level, t.im
     zz = np.asarray(z, dtype=complex).ravel()
-    scale = np.broadcast_to(log_scale, np.shape(z)).ravel()
-    count = _peak_window(k, t.im, 0.0, policy.epsilon)
+    scale = np.broadcast_to(np.real(log_scale), np.shape(z)).ravel()
+    # the window rounded up to odd, so every class is centred on its term
+    # nearest the peak
+    count = _peak_window(k, b, 0.0, policy.epsilon) | 1
     _check_cap(count, policy)
-    run = k * count + 1
-    back = run // 2
-    # g**(l-1) for the steps on either side of the peak
-    powers = np.exp((2j * math.pi * t.value / k) * np.arange(back))
-    lead = 1j * math.pi * t.value / k
-    block = max(1, _RESIDUE_BLOCK_ELEMENTS // run)
+    j = np.arange(k)
+    steps = np.arange(count) - count // 2
+    # D[s, j] of "Residue sums" above
+    table = np.exp((1j * math.pi * t.value) * steps[:, None]
+                   * (2 * j - (k - 1) + k * steps[:, None]))
+    ones = np.ones(k)
+    block = max(1, _RESIDUE_BLOCK_ELEMENTS // max(k, count))
     out = np.empty(zz.size)
     for i in range(0, zz.size, block):
         zb = zz[i:i + block]
-        a = np.rint(-k * zb.imag / t.im) / k  # m_p / K
-        # the peak term as _theta_sum forms a term, so the exponents'
-        # cancellation at large Im tau costs no more digits than there
-        terms = np.empty((run, zb.size), dtype=complex)
-        terms[back] = np.exp((1j * math.pi * t.value * k) * (a * a)
-                             + (2j * math.pi * k) * (zb * a) + scale[i:i + block])
-        step = (2j * math.pi) * (t.value * a + zb)
-        np.multiply(np.exp(step + lead), powers[:run - 1 - back, None], out=terms[back + 1:])
-        np.multiply(np.exp(lead - step), powers[:, None], out=terms[back - 1::-1])
-        np.cumprod(terms[back:], axis=0, out=terms[back:])
-        np.cumprod(terms[back::-1], axis=0, out=terms[back::-1])
-        per_residue = terms[:-1].reshape(count, k, zb.size).sum(axis=0)
-        per_residue[0] += terms[-1]
-        out[i:i + block] = np.sum(per_residue.real**2 + per_residue.imag**2, axis=0)
+        peak = -k * zb.imag / b
+        # the K terms m0 + j nearest the peak, one of each class
+        m0 = np.ceil(peak - 0.5 * k)
+        delta = m0 - peak
+        mag2 = delta[:, None] + j
+        mag2 *= mag2
+        mag2 *= -2.0 * math.pi * b / k
+        mag2 += 2.0 * scale[i:i + block, None]
+        np.exp(mag2, out=mag2)
+        if count > 1:
+            # V at the classes' centre c, its modulus from the peak
+            centre = m0 + 0.5 * (k - 1)
+            v = np.exp(-2.0 * math.pi * b * (centre - peak)
+                       + (2j * math.pi) * (t.re * centre + k * zb.real))
+            sums = (v[:, None] ** steps) @ table
+            mag2 *= sums.real**2 + sums.imag**2
+        # the row sums: on rows this short a matrix-vector product is
+        # several times faster than sum(axis=1)
+        out[i:i + block] = mag2 @ ones
     return out.reshape(np.shape(z))
 
 
@@ -505,43 +534,75 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> complex:
     or to a subnormal (``Im tau`` below about 3.7e-4 or above about 2700)
     raises :class:`FloatingPointError`, since eta has no zero.
     """
-    t = as_tau(tau)
-    q = cmath.exp(2j * math.pi * t.value)
-    aq = abs(q)
-    # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0 the product is 1
-    nfac = 0 if aq == 0.0 else max(
-        1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - aq)) / math.log(aq)))
-    if nfac > policy.max_terms:
+    return _eta_values([as_tau(tau).value], policy)[0]
+
+
+def _eta_values(taus, policy):
+    """:func:`dedekind_eta` at each point of the sequence ``taus`` of
+    complex values in the upper half-plane, as a list.  The points that
+    need the same number of factors take one row product, so every value
+    is the scalar product bit for bit.  The first point that fails raises
+    what :func:`dedekind_eta` raises there."""
+    qs = [cmath.exp(2j * math.pi * tau) for tau in taus]
+    # smallest F with |q|**(F+1)/(1-|q|) < eps/2; with q underflowed to 0 the product is 1
+    nfacs = [0 if q == 0.0 else max(1, math.ceil(
+        math.log(0.5 * policy.epsilon * (1.0 - abs(q))) / math.log(abs(q)))) for q in qs]
+    capped = next((i for i, nfac in enumerate(nfacs) if nfac > policy.max_terms), len(nfacs))
+    groups = {}
+    for i, nfac in enumerate(nfacs[:capped]):
+        groups.setdefault(nfac, []).append(i)
+    q_arr = np.array(qs[:capped], dtype=complex)
+    products = np.empty(capped, dtype=complex)
+    for nfac, rows in groups.items():
+        products[rows] = np.prod(1.0 - q_arr[rows][:, None] ** np.arange(1, nfac + 1), axis=1)
+    tiny = np.finfo(float).tiny
+    values = []
+    for tau, product in zip(taus, products):
+        value = cmath.exp(1j * math.pi * tau / 12.0) * complex(product)
+        if abs(value) < tiny:  # eta has no zero: a 0 or subnormal value underflowed
+            raise FloatingPointError("eta(%r) underflows double range" % (tau,))
+        values.append(value)
+    if capped < len(nfacs):
+        nfac = nfacs[capped]
         raise TruncationError(
             "eta product needs %d factors, cap is %d" % (nfac, policy.max_terms),
             required=nfac,
             cap=policy.max_terms,
             bound=policy.epsilon,
         )
-    lead = cmath.exp(1j * math.pi * t.value / 12.0)
-    factors = 1.0 - q ** np.arange(1, nfac + 1)
-    value = lead * complex(np.prod(factors))
-    if abs(value) < np.finfo(float).tiny:  # eta has no zero: a 0 or subnormal value underflowed
-        raise FloatingPointError("eta(%r) underflows double range" % (t.value,))
-    return value
+    return values
+
+
+def _eta_images(t):
+    """``(tau, tau + 1, -1/tau)`` at the point ``t``, as complex values."""
+    return t.value, ModularParameter(t.re + 1.0, t.im).value, as_tau(-1.0 / t.value).value
+
+
+@functools.cache
+def _eta_seeded_images():
+    """The :func:`_eta_images` of the 20 seeded points of
+    :func:`eta_functional_residual`, and the points' values."""
+    rng = np.random.default_rng(0)
+    seeded = [ModularParameter(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5))
+              for _ in range(20)]
+    return tuple(v for t in seeded for v in _eta_images(t)), tuple(t.value for t in seeded)
 
 
 def eta_functional_residual(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> float:
     """Largest residual of ``eta(tau+1) = exp(i*pi/12) eta(tau)`` and
     ``eta(-1/tau) = sqrt(-i*tau) eta(tau)`` at 20 seeded points and at
     ``tau`` and ``-1/tau``, each relative to ``|eta|``, which is 4e-11 at
-    0.01i: an absolute residual there would pass any eta."""
+    0.01i: an absolute residual there would pass any eta.  The 66 etas
+    are one :func:`_eta_values` call, in the points' order."""
     t0 = as_tau(tau)
-    rng = np.random.default_rng(0)
-    seeded = [ModularParameter(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5))
-              for _ in range(20)]
+    t_inv = as_tau(-1.0 / t0.value)
+    images, values = _eta_seeded_images()
+    etas = iter(_eta_values([*images, *_eta_images(t0), *_eta_images(t_inv)], policy))
     res = []
-    for t in seeded + [t0, as_tau(-1.0 / t0.value)]:
-        e = dedekind_eta(t, policy)
-        shifted = dedekind_eta(ModularParameter(t.re + 1.0, t.im), policy)
+    for value in (*values, t0.value, t_inv.value):
+        e, shifted, e_inv = next(etas), next(etas), next(etas)
         res.append(abs(shifted - cmath.exp(1j * math.pi / 12.0) * e) / abs(shifted))
-        e_inv = dedekind_eta(-1.0 / t.value, policy)
-        res.append(abs(e_inv - cmath.sqrt(-1j * t.value) * e) / abs(e_inv))
+        res.append(abs(e_inv - cmath.sqrt(-1j * value) * e) / abs(e_inv))
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 

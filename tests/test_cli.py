@@ -404,13 +404,13 @@ def test_eta_check_sees_the_run_tau(capsys, monkeypatch):
     # seeded points (Im tau in [1, 2.5], their -1/tau above 0.15), and at
     # 0.01i, where |eta| is 4e-11, it is 4e-17 in absolute terms: only a
     # residual relative to |eta| at the run's own tau and -1/tau sees it
-    eta = theta_module.dedekind_eta
+    eta_values = theta_module._eta_values
 
-    def faulty(tau, *args, **kwargs):
-        value = eta(tau, *args, **kwargs)
-        return value * (1.0 + 1e-6) if as_tau(tau).im < 0.05 else value
+    def faulty(taus, policy):
+        return [value * (1.0 + 1e-6) if as_tau(tau).im < 0.05 else value
+                for tau, value in zip(taus, eta_values(taus, policy))]
 
-    monkeypatch.setattr(theta_module, "dedekind_eta", faulty)
+    monkeypatch.setattr(theta_module, "_eta_values", faulty)
     code, rep = run_json(capsys, ["verify", "--tau=0.01i"])
     assert code == 1
     failing = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
@@ -784,13 +784,14 @@ def test_reported_residuals_are_the_library_values(reported, command, name, libr
 
 
 def _nan_eta_at_the_first_point(monkeypatch):
-    eta, calls = theta_module.dedekind_eta, []
+    eta_values, calls = theta_module._eta_values, []
 
-    def first_nan(*args):
-        calls.append(args)
-        return complex("nan") if len(calls) == 1 else eta(*args)
+    def first_nan(taus, policy):
+        calls.append(taus)
+        values = eta_values(taus, policy)
+        return [complex("nan")] + values[1:] if len(calls) == 1 else values
 
-    monkeypatch.setattr(theta_module, "dedekind_eta", first_nan)
+    monkeypatch.setattr(theta_module, "_eta_values", first_nan)
 
 
 def _nan_plaquette_spread(monkeypatch):

@@ -325,6 +325,20 @@ def test_both_routes_match_closed_form_over_im_tau(mn, im_tau):
     assert abs(z_tilde_closed_form(basis) - want) <= 1e-11 * want
 
 
+@pytest.mark.parametrize("mn, tau, alpha1", [((13, 7), 1e3j, 0.0), ((11, 7), 1e3j, 0.0),
+                                              ((3, 2), 0.2 + 1e3j, 0.0), ((13, 7), 1e3j, 0.7),
+                                              ((3, 2), 50j, 0.7)])
+def test_character_route_keeps_its_digits_at_large_im_tau(mn, tau, alpha1):
+    # the integrand's scale is taken relative to each node's envelope, so
+    # no exponent of size pi*K*Im tau cancels: the route meets the closed
+    # form on the same eta to round-off, as the per-state route does
+    m, n = mn
+    basis = build_basis(Flux(n, m), tau, VacuumAngles(alpha1, -1.3))
+    want = z_tilde_closed_form(basis)
+    assert abs(want - closed_form_z_tilde(m * n, tau, alpha1)) <= 1e-13 * want
+    assert abs(z_tilde_character_route(basis) - want) <= 1e-14 * want
+
+
 def test_the_two_routes_share_no_summation(monkeypatch):
     # the character route sums its residues in theta._theta_residue_norms,
     # the per-state route on the cell grid through Field.cell_norms (and
@@ -341,6 +355,8 @@ def test_the_two_routes_share_no_summation(monkeypatch):
         for owner in (theta_module, lll):
             patch.setattr(owner, "_theta_grid_sum", unreachable)
             patch.setattr(owner, "_theta_grid_norms", unreachable)
+        for name in ("_grid_window", "_grid_phase"):
+            patch.setattr(theta_module, name, unreachable)
         for owner in (fields.Field, lll.ThetaField):
             patch.setattr(owner, "cell_density", unreachable)
             patch.setattr(owner, "cell_norms", unreachable)

@@ -13,6 +13,7 @@ from nctorus.theta import (
     TruncationPolicy,
     character,
     dedekind_eta,
+    eta_functional_residual,
     _nmax_certified,
     _peak_window,
     _theta_grid_norms,
@@ -275,6 +276,12 @@ def mp_scaled_theta(level, residue, z, tau, log_scale, order=0):
         return complex(total)
 
 
+def relative_scale(level, z, tau, log_scale):
+    """``log_scale`` relative to the envelope ``exp(Re L + pi*K*(Im z)**2/Im
+    tau)``, the scale that :func:`_theta_residue_norms` takes."""
+    return log_scale + math.pi * level * z.imag**2 / tau.imag
+
+
 def unit_envelope(level, z, tau):
     """A log-scale whose envelope ``exp(Re L + pi*K*(Im z)**2/Im tau)`` is
     1, with a phase so that its imaginary part is exercised too."""
@@ -392,7 +399,7 @@ def test_residue_norms_are_the_per_residue_loop(level, tau, epsilon):
     want = sum(np.abs(theta(s, z, tau, policy, log_scale=log_scale)) ** 2 for s in specs)
     size = np.array([theta(s, 1j * z.imag, 1j * tau.imag, policy, log_scale=log_scale.real).real
                      for s in specs])
-    got = _theta_residue_norms(level, z, tau, policy, log_scale)
+    got = _theta_residue_norms(level, z, tau, policy, relative_scale(level, z, tau, log_scale))
     # each side leaves out terms of modulus sum below epsilon (the envelope
     # is 1), the same terms or fewer on the kernel's side; and each term's
     # exponent, up to ``expo`` in size, rounds to an ulp of it on both sides
@@ -410,7 +417,7 @@ def test_residue_norms_blocks_keep_each_point(monkeypatch):
     # any block size (exp warns of the NaN, as theta's does)
     tau = 0.1 + 1.3j
     z = np.linspace(0.0, 1.0, 30) + tau * np.linspace(0.0, 1.0, 30)
-    log_scale = unit_envelope(6, z, tau)
+    log_scale = relative_scale(6, z, tau, unit_envelope(6, z, tau))
     log_scale[7] = np.nan
     with np.errstate(invalid="ignore"):
         whole = _theta_residue_norms(6, z, tau, TruncationPolicy(), log_scale)
@@ -424,16 +431,64 @@ def test_residue_norms_blocks_keep_each_point(monkeypatch):
 @pytest.mark.parametrize("level", [1, 6, 77])
 def test_residue_norms_stay_in_range_at_large_im_tau(level):
     # the partition integrand's scale at 1e3i, with the raw series near
-    # exp(pi K 1e3): the steps away from the peak only fall, so nothing
-    # overflows and no 0 * inf appears
+    # exp(pi K 1e3): every magnitude is taken relative to the envelope,
+    # so nothing overflows and no 0 * inf appears
     tau = 0.2 + 1e3j
     rng = np.random.default_rng(2)
     x, y = rng.uniform(0.0, 1.0, (2, 64))
+    z = x + tau * y + 0.01
     half = -math.pi * level * tau.imag * y**2 - 0.7 * tau.imag * y
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _theta_residue_norms(level, x + tau * y + 0.01, tau, TruncationPolicy(), half)
+        got = _theta_residue_norms(level, z, tau, TruncationPolicy(),
+                                   relative_scale(level, z, tau, half))
     assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+
+
+@pytest.mark.parametrize("level, tau, count", [(72, 0.3 + 1.1j, 1), (24, -0.2 + 1.2j, 2),
+                                               (2, 0.1 + 0.8j, 5), (6, 0.001j, 78)])
+def test_residue_norms_are_the_brute_force_sum(level, tau, count):
+    # the K*n integers m nearest each point's peak K*a*, n the peak window
+    # rounded up to odd, summed by class m mod K in 40 digits: the kernel
+    # sums the same terms, to round-off of sum_m |term_m|**2
+    assert _peak_window(level, tau.imag, 0.0, 1e-12) == count
+    n = count | 1
+    rng = np.random.default_rng(count)
+    z = rng.uniform(0.0, 1.0, 5) + tau * rng.uniform(-0.2, 1.2, 5) + 0.01
+    scale = rng.normal(0.0, 0.5, 5)
+    got = _theta_residue_norms(level, z, tau, TruncationPolicy(), scale)
+    with mpmath.workdps(40):
+        t = mpmath.mpc(tau.real, tau.imag)
+        for point, scale_i, value in zip(z, scale, got):
+            m0 = math.ceil(-level * point.imag / tau.imag - 0.5 * level * n)
+            # the relative scale less the envelope's exponent
+            log_scale = mpmath.mpf(scale_i) - mpmath.pi * level * mpmath.mpf(point.imag)**2 / t.imag
+            terms = [mpmath.exp(1j * mpmath.pi * t * m * m / level
+                                + 2j * mpmath.pi * mpmath.mpc(point.real, point.imag) * m
+                                + log_scale)
+                     for m in range(m0, m0 + level * n)]
+            want = sum(abs(sum(terms[j::level]))**2 for j in range(level))
+            size = sum(abs(term)**2 for term in terms)
+            assert abs(value - want) <= 1e-13 * size
+
+
+@pytest.mark.parametrize("epsilon, levels", [(1e-12, (1, 2, 6, 35, 91)),
+                                             (1e-60, (1, 2, 6, 35)),
+                                             (5e-324, (5, 6, 35))])
+def test_residue_norms_stay_in_range_at_every_window(epsilon, levels):
+    # from the window of 1e-3i to one term: |V**s| <= exp(pi*b*|s|) and
+    # D <= exp(-pi*b*|s|) stay in double range while pi*b*(n//2) < 709,
+    # at every level for epsilon >= 1e-60 and from K = 5 at any epsilon
+    rng = np.random.default_rng(3)
+    policy = TruncationPolicy(epsilon=epsilon)
+    for level in levels:
+        for b in np.geomspace(1e-3, 3e3, 40):
+            tau = complex(0.3, b)
+            z = rng.uniform(-0.2, 1.2, 16) + tau * rng.uniform(-0.3, 1.3, 16)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _theta_residue_norms(level, z, tau, policy, rng.uniform(-1.0, 1.0, 16))
+            assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
 
 
 def test_peak_window_counts_and_cap():
@@ -507,6 +562,55 @@ def test_eta_where_q_underflows(tau):
 def test_eta_underflow_raises(tau):
     with pytest.raises(FloatingPointError):
         dedekind_eta(tau)
+
+
+def scalar_eta(tau, policy):
+    """The certified product of :func:`dedekind_eta` at one point, as one
+    scalar product of its ``F`` factors."""
+    q = cmath.exp(2j * math.pi * tau)
+    nfac = 0 if q == 0.0 else max(
+        1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - abs(q))) / math.log(abs(q))))
+    return cmath.exp(1j * math.pi * tau / 12.0) * complex(
+        np.prod(1.0 - q ** np.arange(1, nfac + 1)))
+
+
+def test_eta_values_are_the_scalar_products():
+    # factor counts from 0 (q underflows) to 3117, each twice: each row
+    # of a product is its point's scalar product bit for bit
+    rng = np.random.default_rng(27)
+    taus = [complex(rng.uniform(-1.0, 1.0), im)
+            for im in (0.001, 0.01, 0.05, 0.3, 0.31, 0.9, 1.0, 1.7, 2.5, 40.0, 200.0)]
+    for policy in (TruncationPolicy(), TruncationPolicy(epsilon=1e-6)):
+        got = theta_module._eta_values(taus + taus[::-1], policy)
+        assert got == [scalar_eta(tau, policy) for tau in taus + taus[::-1]]
+
+
+def point_loop_eta_residual(tau, policy):
+    """:func:`eta_functional_residual` as a loop of scalar eta calls over
+    its points, each point's ``tau``, ``tau + 1`` and ``-1/tau`` in turn."""
+    rng = np.random.default_rng(0)
+    points = [complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5)) for _ in range(20)]
+    res = []
+    for t in points + [tau, -1.0 / tau]:
+        e, shifted, e_inv = (dedekind_eta(v, policy) for v in (t, t + 1.0, -1.0 / t))
+        res.append(abs(shifted - cmath.exp(1j * math.pi / 12.0) * e) / abs(shifted))
+        res.append(abs(e_inv - cmath.sqrt(-1j * t) * e) / abs(e_inv))
+    return float(np.max(res))
+
+
+@pytest.mark.parametrize("tau", [0.2 + 1.4j, 1e-3j, 1430j, 1e-7j, 1e5j, 3000j, 1e-4j])
+@pytest.mark.parametrize("policy", [TruncationPolicy(), TruncationPolicy(1e-6, 100),
+                                    TruncationPolicy(max_terms=4)])
+def test_eta_functional_residual_is_the_point_loop(tau, policy):
+    # the same residual bit for bit, or the same exception with the same
+    # message as the loop's first failing point
+    def outcome(f):
+        try:
+            return f(tau, policy)
+        except (ArithmeticError, TruncationError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(eta_functional_residual) == outcome(point_loop_eta_residual)
 
 
 def test_eta_inversion_equation():

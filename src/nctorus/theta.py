@@ -132,15 +132,17 @@ its ``K`` squared magnitudes; otherwise a block of points costs one
 ``(points, n) @ (n, K)`` product besides.  No term of a class lies nearer
 the peak than ``m0 + j``, so ``|V**s D[s, j]| <= 1``, and the split at the
 classes' centre ``c`` gives ``|V**s| <= exp(pi*Im(tau)*|s|)`` and
-``|D[s, j]| <= exp(-pi*Im(tau)*|s|)``: no factor leaves double range while
-``pi*Im(tau)*(n//2) < 709``, which holds for every ``K >= 5`` at any
-``eps`` and for every ``K`` at ``eps >= 1e-60``.
+``|D[s, j]| <= exp(-pi*Im(tau)*|s|)``: both stay normal doubles while
+``pi*Im(tau)*(n//2) < 700``, which holds for every ``K >= 5`` at any
+``eps`` and for every ``K`` at ``eps >= 1e-60``.  Beyond (``K <= 4``,
+``Im tau`` above 230 and ``eps`` at or below 1e-100, where ``n = 3``)
+each step ``V**s D[s, j] = t_{m0+j+s*K}/t_{m0+j}`` is one exponential of
+modulus at most 1, ``(points, n, K)`` of them per block.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -467,6 +469,10 @@ def _theta_residue_norms(level, z, tau, policy, log_scale):
     # D[s, j] of "Residue sums" above
     table = np.exp((1j * math.pi * t.value) * steps[:, None]
                    * (2 * j - (k - 1) + k * steps[:, None]))
+    # V**s and D[s, j] stay normal doubles, within exp(+-708), while
+    # pi*b*(n//2) < 700; beyond (see "Residue sums" above) each step is
+    # one exponential
+    split = math.pi * b * (count // 2) < 700.0
     ones = np.ones(k)
     block = max(1, _RESIDUE_BLOCK_ELEMENTS // max(k, count))
     out = np.empty(zz.size)
@@ -481,12 +487,21 @@ def _theta_residue_norms(level, z, tau, policy, log_scale):
         mag2 *= -2.0 * math.pi * b / k
         mag2 += 2.0 * scale[i:i + block, None]
         np.exp(mag2, out=mag2)
-        if count > 1:
+        if count > 1 and split:
             # V at the classes' centre c, its modulus from the peak
             centre = m0 + 0.5 * (k - 1)
             v = np.exp(-2.0 * math.pi * b * (centre - peak)
                        + (2j * math.pi) * (t.re * centre + k * zb.real))
             sums = (v[:, None] ** steps) @ table
+            mag2 *= sums.real**2 + sums.imag**2
+        elif count > 1:
+            # V**s D[s, j] as one exponential, t_{m+s*K}/t_m for m = m0 + j,
+            # of modulus exp(-pi*b*s*(2*(m - K*a*) + K*s)) <= 1
+            s = steps[:, None]
+            ratio = np.exp(-math.pi * b * s * (2.0 * (delta[:, None, None] + j) + k * s)
+                           + (1j * math.pi) * s * (t.re * (2.0 * (m0[:, None, None] + j) + k * s)
+                                                   + 2.0 * k * zb.real[:, None, None]))
+            sums = ratio.sum(axis=1)
             mag2 *= sums.real**2 + sums.imag**2
         # the row sums: on rows this short a matrix-vector product is
         # several times faster than sum(axis=1)
@@ -534,75 +549,43 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> complex:
     or to a subnormal (``Im tau`` below about 3.7e-4 or above about 2700)
     raises :class:`FloatingPointError`, since eta has no zero.
     """
-    return _eta_values([as_tau(tau).value], policy)[0]
-
-
-def _eta_values(taus, policy):
-    """:func:`dedekind_eta` at each point of the sequence ``taus`` of
-    complex values in the upper half-plane, as a list.  The points that
-    need the same number of factors take one row product, so every value
-    is the scalar product bit for bit.  The first point that fails raises
-    what :func:`dedekind_eta` raises there."""
-    qs = [cmath.exp(2j * math.pi * tau) for tau in taus]
-    # smallest F with |q|**(F+1)/(1-|q|) < eps/2; with q underflowed to 0 the product is 1
-    nfacs = [0 if q == 0.0 else max(1, math.ceil(
-        math.log(0.5 * policy.epsilon * (1.0 - abs(q))) / math.log(abs(q)))) for q in qs]
-    capped = next((i for i, nfac in enumerate(nfacs) if nfac > policy.max_terms), len(nfacs))
-    groups = {}
-    for i, nfac in enumerate(nfacs[:capped]):
-        groups.setdefault(nfac, []).append(i)
-    q_arr = np.array(qs[:capped], dtype=complex)
-    products = np.empty(capped, dtype=complex)
-    for nfac, rows in groups.items():
-        products[rows] = np.prod(1.0 - q_arr[rows][:, None] ** np.arange(1, nfac + 1), axis=1)
-    tiny = np.finfo(float).tiny
-    values = []
-    for tau, product in zip(taus, products):
-        value = cmath.exp(1j * math.pi * tau / 12.0) * complex(product)
-        if abs(value) < tiny:  # eta has no zero: a 0 or subnormal value underflowed
-            raise FloatingPointError("eta(%r) underflows double range" % (tau,))
-        values.append(value)
-    if capped < len(nfacs):
-        nfac = nfacs[capped]
+    t = as_tau(tau)
+    q = cmath.exp(2j * math.pi * t.value)
+    aq = abs(q)
+    # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0 the product is 1
+    nfac = 0 if aq == 0.0 else max(
+        1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - aq)) / math.log(aq)))
+    if nfac > policy.max_terms:
         raise TruncationError(
             "eta product needs %d factors, cap is %d" % (nfac, policy.max_terms),
             required=nfac,
             cap=policy.max_terms,
             bound=policy.epsilon,
         )
-    return values
-
-
-def _eta_images(t):
-    """``(tau, tau + 1, -1/tau)`` at the point ``t``, as complex values."""
-    return t.value, ModularParameter(t.re + 1.0, t.im).value, as_tau(-1.0 / t.value).value
-
-
-@functools.cache
-def _eta_seeded_images():
-    """The :func:`_eta_images` of the 20 seeded points of
-    :func:`eta_functional_residual`, and the points' values."""
-    rng = np.random.default_rng(0)
-    seeded = [ModularParameter(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5))
-              for _ in range(20)]
-    return tuple(v for t in seeded for v in _eta_images(t)), tuple(t.value for t in seeded)
+    lead = cmath.exp(1j * math.pi * t.value / 12.0)
+    factors = 1.0 - q ** np.arange(1, nfac + 1)
+    value = lead * complex(np.prod(factors))
+    if abs(value) < np.finfo(float).tiny:  # eta has no zero: a 0 or subnormal value underflowed
+        raise FloatingPointError("eta(%r) underflows double range" % (t.value,))
+    return value
 
 
 def eta_functional_residual(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> float:
     """Largest residual of ``eta(tau+1) = exp(i*pi/12) eta(tau)`` and
     ``eta(-1/tau) = sqrt(-i*tau) eta(tau)`` at 20 seeded points and at
     ``tau`` and ``-1/tau``, each relative to ``|eta|``, which is 4e-11 at
-    0.01i: an absolute residual there would pass any eta.  The 66 etas
-    are one :func:`_eta_values` call, in the points' order."""
+    0.01i: an absolute residual there would pass any eta."""
     t0 = as_tau(tau)
-    t_inv = as_tau(-1.0 / t0.value)
-    images, values = _eta_seeded_images()
-    etas = iter(_eta_values([*images, *_eta_images(t0), *_eta_images(t_inv)], policy))
+    rng = np.random.default_rng(0)
+    seeded = [ModularParameter(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5))
+              for _ in range(20)]
     res = []
-    for value in (*values, t0.value, t_inv.value):
-        e, shifted, e_inv = next(etas), next(etas), next(etas)
+    for t in seeded + [t0, as_tau(-1.0 / t0.value)]:
+        e = dedekind_eta(t, policy)
+        shifted = dedekind_eta(ModularParameter(t.re + 1.0, t.im), policy)
         res.append(abs(shifted - cmath.exp(1j * math.pi / 12.0) * e) / abs(shifted))
-        res.append(abs(e_inv - cmath.sqrt(-1j * value) * e) / abs(e_inv))
+        e_inv = dedekind_eta(-1.0 / t.value, policy)
+        res.append(abs(e_inv - cmath.sqrt(-1j * t.value) * e) / abs(e_inv))
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 

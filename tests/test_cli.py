@@ -340,6 +340,21 @@ def test_partition_at_large_im_tau_is_finite(capsys):
     assert rep["cell_nodes"] == {"tau": [8, 74], "-1/tau": [74, 8]}
 
 
+def test_partition_at_a_tight_epsilon_and_large_im_tau_is_finite(capsys):
+    # pi*Im(tau) = 757 at a window of three terms per class: the character
+    # route sums each class's neighbours as one exponential there, since
+    # the split V**s D[s, j] leaves double range; nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run_json(capsys, ["partition", "--M", "1", "--N", "1", "--tau=241i",
+                                      "--eps", "1e-100"])
+    assert code == 0
+    want = rep["z_tilde_closed_form"]
+    assert math.isfinite(want)
+    for key in ("z_tilde", "z_tilde_character_route"):
+        assert abs(rep[key] - want) <= 1e-13 * want, key
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_partition_reports_an_overflowing_closed_form(capsys):
     # exp(b*alpha1**2/(2*pi*K)) = exp(1108): Z~ leaves double range, and
@@ -404,13 +419,13 @@ def test_eta_check_sees_the_run_tau(capsys, monkeypatch):
     # seeded points (Im tau in [1, 2.5], their -1/tau above 0.15), and at
     # 0.01i, where |eta| is 4e-11, it is 4e-17 in absolute terms: only a
     # residual relative to |eta| at the run's own tau and -1/tau sees it
-    eta_values = theta_module._eta_values
+    eta = theta_module.dedekind_eta
 
-    def faulty(taus, policy):
-        return [value * (1.0 + 1e-6) if as_tau(tau).im < 0.05 else value
-                for tau, value in zip(taus, eta_values(taus, policy))]
+    def faulty(tau, *args, **kwargs):
+        value = eta(tau, *args, **kwargs)
+        return value * (1.0 + 1e-6) if as_tau(tau).im < 0.05 else value
 
-    monkeypatch.setattr(theta_module, "_eta_values", faulty)
+    monkeypatch.setattr(theta_module, "dedekind_eta", faulty)
     code, rep = run_json(capsys, ["verify", "--tau=0.01i"])
     assert code == 1
     failing = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
@@ -784,14 +799,13 @@ def test_reported_residuals_are_the_library_values(reported, command, name, libr
 
 
 def _nan_eta_at_the_first_point(monkeypatch):
-    eta_values, calls = theta_module._eta_values, []
+    eta, calls = theta_module.dedekind_eta, []
 
-    def first_nan(taus, policy):
-        calls.append(taus)
-        values = eta_values(taus, policy)
-        return [complex("nan")] + values[1:] if len(calls) == 1 else values
+    def first_nan(*args):
+        calls.append(args)
+        return complex("nan") if len(calls) == 1 else eta(*args)
 
-    monkeypatch.setattr(theta_module, "_eta_values", first_nan)
+    monkeypatch.setattr(theta_module, "dedekind_eta", first_nan)
 
 
 def _nan_plaquette_spread(monkeypatch):

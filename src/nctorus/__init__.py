@@ -22,7 +22,6 @@ from .errors import (
     TruncationError,
     UnsupportedConventionError,
     DegenerateDeformationError,
-    ConventionMismatchError,
 )
 from .theta import (
     ThetaSpec,
@@ -63,6 +62,7 @@ from .lll import (
     lemma_eigenphase_residual,
     center_eigen_residual,
     gram_rank,
+    overlap_residual,
     coefficient_matrix,
     raise_level,
 )

@@ -37,7 +37,6 @@ from .core import (
     squeeze_from_tau,
     squeeze_roundtrip_residual,
 )
-from .errors import ConventionMismatchError
 from .fields import (
     dual_commutation_residual,
     plaquette_residual,
@@ -49,6 +48,7 @@ from .lll import (
     eigenphase_table,
     gram_rank,
     lemma_eigenphase_residual,
+    overlap_residual,
 )
 from .matrices import (
     WeylWord,
@@ -78,7 +78,6 @@ from .theta import (
     TruncationPolicy,
     dedekind_eta,
     eta_functional_residual,
-    orthogonality_residual,
     quasi_periodicity_residual,
     theta,
     truncation_bound,
@@ -91,8 +90,8 @@ class UsageError(ValueError):
     pass
 
 
-# a computation on valid arguments that cannot finish: overflow, a failed fit or convention
-_COMPUTE_ERRORS = (ArithmeticError, np.linalg.LinAlgError, ConventionMismatchError)
+# a computation on valid arguments that cannot finish: overflow or a failed measurement
+_COMPUTE_ERRORS = (ArithmeticError, np.linalg.LinAlgError)
 
 
 def parse_complex(text: str) -> complex:
@@ -269,7 +268,7 @@ def _write_text(path, text):
 
 def cmd_lll(cfg: RunConfig) -> int:
     basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy)
-    table = eigenphase_table(basis)  # fitted first, so a failed fit writes no file
+    table = eigenphase_table(basis)  # measured first, so a failed measurement writes no file
     report = {
         "config": cfg.as_report(),
         "eigenphases": {"%d,%d" % lb: entry for lb, entry in table.items()},
@@ -412,10 +411,7 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
         ("bimodule_consistency", lambda: bimodule_residual(basis()), 1e-6),
         ("commutant_and_span", lambda: commutant_and_span_residual(m, n, angles), 0.5),
         ("uq_sl2_relations", lambda: uq_sl2_residual(m, n), 1e-11),
-        ("orthogonality",
-         lambda: (float(np.max([orthogonality_residual(m * n), orthogonality_residual(24)])),
-                  "holds by construction: the DFT matrix is unitary, so the residual is round-off"),
-         1e-12),
+        ("orthogonality", lambda: overlap_residual(basis()), 1e-12),
         ("partition_t_invariance", lambda: t_invariance_residual(invariance()), 1e-5),
         ("partition_s_invariance", lambda: s_invariance_residual(basis(), invariance()), 1e-3),
     ]
@@ -463,7 +459,7 @@ def _add_common(parser, with_out=False):
                         metavar="EPS")
     parser.add_argument(
         "--grid", type=int, default=RunConfig.grid,
-        help="points per axis of the lll CSV grids (the sampled fits size their own grid)",
+        help="points per axis of the lll CSV grids",
     )
     parser.add_argument(
         "--quad", type=int, default=RunConfig.quad_nodes, dest="quad_nodes", metavar="QUAD",

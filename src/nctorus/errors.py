@@ -4,7 +4,6 @@ __all__ = [
     "TruncationError",
     "UnsupportedConventionError",
     "DegenerateDeformationError",
-    "ConventionMismatchError",
 ]
 
 
@@ -38,7 +37,3 @@ class DegenerateDeformationError(ValueError):
     """Deformation parameter satisfies q**2 == 1, so the q-deformed
     generators are not defined (division by q - 1/q)."""
 
-
-class ConventionMismatchError(RuntimeError):
-    """A measured pointwise ratio that should be a constant phase has a
-    spread beyond tolerance, indicating an index-convention mismatch."""

@@ -31,13 +31,13 @@ States are stored as exact term families
 ``sum_t c_t * w^a * wbar^c * exp(G) * theta^{(p)}(w + gamma)`` so that
 all derivatives (and the raising operator) stay analytic.
 
-The K states share the level, ``tau``, ``gamma``, ``G`` and every
-translation prefactor, and differ only in the residue ``r_jk``, so the
-basis holds them as one stacked :class:`ThetaField` whose residues are
-the ``r_jk`` in :meth:`LLLBasis.labels` order: one evaluation sums one
-theta series for all K residues and returns the K states on a leading
-axis.  The translations act on it unchanged, since their prefactors
-broadcast over that axis.
+The K states differ only in the residue ``r_jk``, so the basis holds
+them as one stacked :class:`ThetaField` (residues in :meth:`LLLBasis.labels`
+order) that sums one theta series for all K.  Their module is measured on
+the nodes of the cell rule that certifies their norms: the Gram matrix
+``G`` and, for each translation ``T``, ``L = diag(G)^-1 P`` with
+``P_rs = <Psi_r, T Psi_s>``, from the states' window tables and the comb
+of the nodes, with no value on the grid formed.
 """
 
 from __future__ import annotations
@@ -45,15 +45,15 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
-from .errors import ConventionMismatchError
-from .fields import Displacement, Field, displacement_apply
-from .theta import (ThetaSpec, TruncationPolicy, _theta_grid_norms, _theta_grid_sum,
-                    theta_derivative)
+from .fields import Displacement, Field, _prefactor_exponent, displacement_apply
+from .theta import (ThetaSpec, TruncationPolicy, _grid_classes, _grid_overlaps, _grid_window,
+                    _theta_grid_norms, _theta_grid_sum, theta_derivative)
 
 __all__ = [
     "LLLBasis",
@@ -66,6 +66,7 @@ __all__ = [
     "lemma_eigenphase_residual",
     "center_eigen_residual",
     "gram_rank",
+    "overlap_residual",
     "coefficient_matrix",
     "raise_level",
 ]
@@ -106,34 +107,26 @@ def _dw_terms(terms, level, b, alpha1):
     """Term transform for d/dw at fixed wbar."""
     coef_w = math.pi * level / b           # from dG/dw, coefficient of w
     coef_wbar = -math.pi * level / (2.0 * b)  # from dG/dw, coefficient of wbar
-    out = {}
-
-    def add(key, val):
-        out[key] = out.get(key, 0.0) + val
-
+    out = defaultdict(float)
     for (a, c, p), mu in terms.items():
         if a:
-            add((a - 1, c, p), a * mu)
-        add((a + 1, c, p), coef_w * mu)
-        add((a, c + 1, p), coef_wbar * mu)
+            out[a - 1, c, p] += a * mu
+        out[a + 1, c, p] += coef_w * mu
+        out[a, c + 1, p] += coef_wbar * mu
         if alpha1:
-            add((a, c, p), 1j * alpha1 * mu)
-        add((a, c, p + 1), mu)
+            out[a, c, p] += 1j * alpha1 * mu
+        out[a, c, p + 1] += mu
     return out
 
 
 def _dwbar_terms(terms, level, b):
     """Term transform for d/dwbar at fixed w."""
     coef = -math.pi * level / (2.0 * b)  # dG/dwbar = coef * w
-    out = {}
-
-    def add(key, val):
-        out[key] = out.get(key, 0.0) + val
-
+    out = defaultdict(float)
     for (a, c, p), mu in terms.items():
         if c:
-            add((a, c - 1, p), c * mu)
-        add((a + 1, c, p), coef * mu)
+            out[a, c - 1, p] += c * mu
+        out[a + 1, c, p] += coef * mu
     return out
 
 
@@ -147,7 +140,7 @@ class ThetaField(Field):
     derivatives return shape ``(len(residue),) + w.shape``.
     """
 
-    __slots__ = ("terms", "level", "residue", "spec", "alpha1", "gamma", "policy")
+    __slots__ = ("terms", "level", "residue", "spec", "alpha1", "gamma", "policy", "_window")
 
     def __init__(self, terms, level, residue, tau, alpha1, gamma, policy=_DEFAULT_POLICY):
         t = as_tau(tau)
@@ -158,6 +151,7 @@ class ThetaField(Field):
         self.alpha1 = float(alpha1)
         self.gamma = complex(gamma)
         self.policy = policy
+        self._window = None
         tv = t.value
 
         def evaluator(terms):
@@ -205,6 +199,65 @@ class ThetaField(Field):
                                  -1j * math.pi * k * self.gamma**2 / tau,
                                  {p: coeff for (_, _, p), coeff in self.terms.items()})
 
+    def cell_window(self, y):
+        """The states on the columns ``y`` of the slice ``w = x + tau*y``,
+        for the one term ``(0, 0, 0)``, as integer frequencies ``F``, shape
+        ``(residue, m)``, and a window table ``W``, shape ``(residue, y, m)``,
+        each column keeping its own certified window (the split of
+        :meth:`cell_density`):
+
+            Psi_r = exp(i*(pi*K*y_j + alpha1)*x + i*alpha2*y_j)
+                    * sum_m W[r, j, m] * exp(2*pi*i*F[r, m]*x).
+
+        The last tables are kept, read-only, for the steps along 1."""
+        if set(self.terms) != {(0, 0, 0)}:
+            raise ValueError("a cell window needs the one term (0, 0, 0)")
+        if self._window is None or self._window[0] != y.tobytes():
+            tau, k = self.tau, self.level
+            a, window = _grid_window(self.spec, tau * y + self.gamma, tau, self.policy, 0,
+                                     -1j * math.pi * k * self.gamma**2 / tau, own=True)
+            window *= self.terms[(0, 0, 0)]
+            freq = np.rint(k * a).astype(int)
+            for arr in (freq, window):
+                arr.setflags(write=False)
+            self._window = y.tobytes(), (freq, window)
+        return self._window[1]
+
+
+class _Translated(Field):
+    """``scale * D(u) f`` for a field ``f`` of ``basis``, pointwise by
+    :func:`~nctorus.fields.displacement_apply` and on the cell rule from
+    ``f``'s :meth:`cell_window`, as is every composition of them."""
+
+    __slots__ = ("base", "displacement", "scale", "basis")
+
+    def __init__(self, base, displacement, scale, basis):
+        g = displacement_apply(displacement, base)
+        ev, dz, dzbar = g.evaluate, g.d_z, g.d_zbar
+        super().__init__(lambda w, wbar: scale * ev(w, wbar), base.tau, base.im_tau_weight,
+                         d_z=lambda w, wbar: scale * dz(w, wbar),
+                         d_zbar=lambda w, wbar: scale * dzbar(w, wbar))
+        self.base, self.displacement, self.scale, self.basis = base, displacement, scale, basis
+
+    def cell_window(self, y):
+        """:meth:`ThetaField.cell_window` of the image.  With
+        ``u = u_x + tau*u_y``, the base is read on the columns ``y - u_y``
+        and each term gains ``exp(-2*pi*i*F*u_x)``; the prefactor, linear
+        on the slice, and the moved phase of the slice shift ``F`` by
+        ``-K*u_y`` and leave a constant."""
+        tau, k, angles = self.tau, self.basis.level, self.basis.angles
+        uy = self.displacement.u.imag / tau.imag
+        ux = self.displacement.u.real - tau.real * uy
+        freq, window = self.base.cell_window(y - uy)
+        # the moved phase of the slice over itself is exp(-i*pi*K*(uy*x + ux*y)
+        # + i*(pi*K*ux*uy - alpha1*ux - alpha2*uy)); the prefactor's exponent,
+        # at weight Im(tau)/(2*pi*K), cancels its part in y and doubles that in x
+        rate_x = _prefactor_exponent(self.displacement, self.im_tau_weight)(1.0, 1.0)
+        const = self.scale * cmath.exp(1j * (math.pi * k * ux * uy - angles.alpha1 * ux
+                                             - angles.alpha2 * uy))
+        window = window * const * np.exp(-2j * math.pi * ux * freq)[:, None, :]
+        return freq + round((rate_x.imag - math.pi * k * uy) / (2.0 * math.pi)), window
+
 
 @dataclass(frozen=True)
 class LLLBasis:
@@ -237,52 +290,38 @@ class LLLBasis:
         return [(j, k) for j in range(m) for k in range(n)]
 
     @functools.cached_property
-    def _fit_samples(self):
-        """Grid ``(w, wbar)`` and state matrix ``a`` (one row per label) of
-        the sampled fits, evaluated once per basis and read-only (``field``
-        must not change after the first fit).  The grid is the smallest
-        n-by-n one with n >= 6 and n*n >= K, so K coefficients fit.
+    def _cell_states(self):
+        """``n_x`` and the ``y`` nodes of :func:`~nctorus.partition.quadrature_nodes`,
+        the power of two at or above the states' largest window entry, and
+        the ``theta._grid_classes`` of their window over it (read-only)."""
+        from .partition import quadrature_nodes  # partition imports this module
 
-        Raises ``LinAlgError`` when a sample is not finite, before LAPACK
-        sees it in :attr:`_fit_svd` (LAPACK would print its own complaint
-        on stdout)."""
-        n = max(6, math.isqrt(self.level - 1) + 1)
-        w, wbar = unit_cell_grid(self.tau, n=n)
-        a = self.field.evaluate(w, wbar)
-        if not np.isfinite(a).all():
-            raise np.linalg.LinAlgError("state samples on the fit grid are not finite")
-        for arr in (w, wbar, a):
-            arr.setflags(write=False)
-        return w, wbar, a
+        x, y = quadrature_nodes(self)
+        freq, window = self.field.cell_window(y)
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(window))))[1])
+        return x.size, y, scale, _grid_classes(freq, window / scale, x.size)
 
     @functools.cached_property
-    def _fit_svd(self):
-        """The one factorization of the fit: the thin SVD ``u, s, vh`` of
-        the ``(n*n, K)`` sample matrix ``a.T``, every fit's and
-        :func:`gram_rank`'s.  ``s`` holds all K singular values; ``u`` and
-        ``vh`` keep only the ``r`` directions with ``s > eps*max(n*n, K)*s[0]``,
-        numpy's default least-squares cut, so a rank-deficient basis still
-        fits its minimum-norm solution.  Read-only, with the contract
-        of :attr:`_fit_samples`."""
-        a = self._fit_samples[2].T
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-        r = int(np.sum(s > np.finfo(float).eps * max(a.shape) * s[0]))
-        out = u[:, :r], s, vh[:r]
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+    def gram(self):
+        """``G_rs = <Psi_r, Psi_s>`` on the cell rule, per label, over the
+        squared scale of ``_cell_states`` (the states reach
+        ``exp(Im(tau)*alpha1**2/(4*pi*K))``; all measured is a ratio).
+        ``LinAlgError`` unless finite with a positive diagonal."""
+        n_x, y, _, states = self._cell_states
+        gram = _grid_overlaps(states, states) / (n_x * y.size)
+        if not (np.isfinite(gram).all() and np.all(gram.diagonal().real > 0)):
+            raise np.linalg.LinAlgError("the states' Gram matrix is not finite and positive")
+        gram.setflags(write=False)
+        return gram
 
     @functools.cached_property
     def translations(self):
-        """The four elementary translations measured once: for each of
-        ``d1``, ``d2``, ``dual1`` and ``dual2``, the K images on the fit grid
-        (one column per label) and their least-squares matrix, all four
-        applied from the one :attr:`_fit_svd`.  Read-only, with the
-        contract of ``_fit_samples``."""
+        """:func:`_project` of ``d1``, ``dual1``, ``d2`` and ``dual2`` (the
+        steps along 1 first: they read the states' own window), read-only."""
         out = {}
-        for name, index, dual in (("d1", 1, False), ("d2", 2, False),
-                                  ("dual1", 1, True), ("dual2", 2, True)):
-            out[name] = _fit(self, elementary_translation(self, index, dual=dual))
+        for name, index, dual in (("d1", 1, False), ("dual1", 1, True),
+                                  ("d2", 2, False), ("dual2", 2, True)):
+            out[name] = _project(self, elementary_translation(self, index, dual=dual)(self.field))
             for arr in out[name]:
                 arr.setflags(write=False)
         return out
@@ -349,139 +388,72 @@ def elementary_translation(basis: LLLBasis, index, dual=False):
     if index not in (1, 2):
         raise ValueError("index must be 1 or 2, got %r" % (index,))
     div = basis.flux.numerator if dual else basis.flux.denominator
-    tau = basis.tau.value
-    if index == 1:
-        u = 1.0 / div
-        ubar = 1.0 / div
-        scale = cmath.exp(2j * basis.angles.alpha1 / div)
-    else:
-        u = tau / div
-        ubar = tau.conjugate() / div
-        scale = cmath.exp(2j * basis.angles.alpha2 / div)
-    d = Displacement(u, ubar)
+    step, alpha = ((1.0, basis.angles.alpha1) if index == 1
+                   else (basis.tau.value, basis.angles.alpha2))
+    d = Displacement(step / div, step.conjugate() / div)
+    scale = cmath.exp(2j * alpha / div)
 
     def op(f: Field) -> Field:
-        g = displacement_apply(d, f)
-        ev = g.evaluate
-        dz = g.d_z
-        dzbar = g.d_zbar
-        return Field(
-            lambda w, wbar: scale * ev(w, wbar),
-            f.tau,
-            f.im_tau_weight,
-            d_z=lambda w, wbar: scale * dz(w, wbar),
-            d_zbar=lambda w, wbar: scale * dzbar(w, wbar),
-        )
+        return _Translated(f, d, scale, basis)
 
     return op
 
 
-def _fit(basis: LLLBasis, op):
-    """Images ``op(Psi_i)`` on the basis's fit grid (one column per label),
-    from one evaluation of the stacked states, and their least-squares
-    matrix ``V diag(1/s) U^H images`` from the basis's one
-    :attr:`~LLLBasis._fit_svd`: the minimum-norm least-squares
-    solution."""
-    w, wbar, _ = basis._fit_samples
-    u, s, vh = basis._fit_svd
-    images = op(basis.field).evaluate(w, wbar).T
-    scaled = (np.conjugate(u.T) @ images) / s[:len(vh), None]
-    return images, np.conjugate(vh.T) @ scaled
+def _project(basis: LLLBasis, image):
+    """``L = diag(G)^-1 P``, ``P_rs = <Psi_r, image_s>`` on the cell rule
+    of :attr:`LLLBasis.gram`, for the stacked ``image`` of the states, and
+    each image's Parseval defect ``|1 - sum_r |L_rs|^2 G_rr /
+    ||image_s||^2|``: its share outside the states' span."""
+    n_x, y, scale, states = basis._cell_states
+    freq, window = image.cell_window(y)
+    images = _grid_classes(freq, window / scale, n_x)
+    norms = basis.gram.diagonal().real
+    l_mat = _grid_overlaps(states, images) / (n_x * y.size * norms[:, None])
+    image_norms = _grid_overlaps(images, images).diagonal().real / (n_x * y.size)
+    return l_mat, np.abs(1.0 - norms @ np.abs(l_mat) ** 2 / image_norms)
 
 
 def coefficient_matrix(basis: LLLBasis, op) -> np.ndarray:
-    """Matrix ``L`` of an operator in the basis, defined by
-    ``op(Psi_i) = sum_i' L[i', i] Psi_i'`` with the flattening order of
-    :meth:`LLLBasis.labels` (so composition is an algebra homomorphism:
-    L(A B) = L(A) L(B)).
-
-    The K images ``op(Psi_i)``, sampled on the basis's own fit grid, are
-    the columns of one right-hand side, so ``L`` is one least-squares
-    solve against the state sample matrix, applied from its SVD, which
-    the basis factors once for every fit."""
-    return _fit(basis, op)[1]
+    """Matrix ``L`` of ``op``, any composition of
+    :func:`elementary_translation` operators: ``op(Psi_i) = sum_i' L[i', i]
+    Psi_i'`` in :meth:`LLLBasis.labels` order (:func:`_project`)."""
+    return _project(basis, op(basis.field))[0]
 
 
-def eigenphase_table(basis: LLLBasis, spread_tol=1e-5) -> dict:
-    """Measured action of the four elementary translations on each state,
-    read from :attr:`LLLBasis.translations`.
-
-    For the diagonal operators (D1 and dual D1) the entry records the
-    eigenphase ``<Psi, D Psi>/<Psi, Psi>`` on the fit grid and its spread,
-    the largest deviation of the pointwise ratio ``D Psi / Psi`` from it
-    where ``|Psi|`` is at least 0.05 of its largest sample; for the
-    cycling operators (D2 and dual D2) it records the target state label,
-    the transition phase and the largest off-target mixing coefficient of
-    its fitted matrix column.  Every quantity is one array reduction over
-    the K states; the loop over labels only assembles the dict.
-
-    Raises :class:`ConventionMismatchError` for the first state, in label
-    order and D1 before dual D1, whose would-be eigenstate ratio has
-    spread beyond ``spread_tol`` or a spread that is NaN.
-    """
-    a = basis._fit_samples[2]
+def eigenphase_table(basis: LLLBasis) -> dict:
+    """The action of each of :attr:`LLLBasis.translations` on each state:
+    the label its image lands on (the largest entry of its matrix column),
+    the phase there, the largest other entry (the leak) and the image's
+    defect, each one array reduction over the K states."""
     labels = basis.labels()
-    measured = basis.translations
-    size = np.abs(a)
-    # a row's largest sample is in its mask, so no row's mask is empty;
-    # the ratio is formed only inside the mask, where |Psi| is not small
-    mask = size >= 0.05 * np.max(size, axis=1, keepdims=True)
-    norm2 = np.sum(size**2, axis=1)
-    diagonal = {}
-    for name in ("d1", "dual1"):
-        image = measured[name][0].T
-        # NaN, without a warning, for a state whose samples all underflowed;
-        # subnormal samples overflow the quotients to inf or NaN, which the
-        # spread check below fails, so numpy's warning is not wanted either
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.divide(np.sum(np.conjugate(a) * image, axis=1), norm2,
-                              out=np.full(norm2.shape, np.nan, dtype=complex), where=norm2 > 0)
-            ratio = np.divide(image, a, out=np.full_like(image, np.nan), where=mask & (a != 0))
-        spread = np.max(np.where(mask, np.abs(ratio - phase[:, None]), 0.0), axis=1)
-        diagonal[name] = phase, spread
-    cycling = {}
     columns = np.arange(len(labels))
-    for name in ("d2", "dual2"):
-        fit = measured[name][1]
-        size_l = np.abs(fit)
-        target = np.argmax(size_l, axis=0)
-        size_l[target, columns] = -np.inf
-        leak = np.max(size_l, axis=0, initial=0.0)  # 0.0 when K is 1
-        cycling[name] = target, fit[target, columns], leak
-    table = {}
-    for i, lb in enumerate(labels):
-        entry = {}
-        for name, (phase, spread) in diagonal.items():
-            if not spread[i] <= spread_tol:  # a NaN spread fails too
-                raise ConventionMismatchError(
-                    "%s ratio on state %s has spread %.3e > %.1e"
-                    % (name, lb, spread[i], spread_tol)
-                )
-            entry[name + "_phase"] = complex(phase[i])
-            entry[name + "_spread"] = float(spread[i])
-        for name, (target, phase, leak) in cycling.items():
-            entry[name + "_target"] = labels[target[i]]
-            entry[name + "_phase"] = complex(phase[i])
-            entry[name + "_leak"] = float(leak[i])
-        table[lb] = entry
+    table = {lb: {} for lb in labels}
+    for name, (l_mat, defect) in basis.translations.items():
+        size = np.abs(l_mat)
+        target = np.argmax(size, axis=0)
+        phase = l_mat[target, columns]
+        size[target, columns] = -np.inf
+        leak = np.max(size, axis=0, initial=0.0)  # 0.0 when K is 1
+        for i, lb in enumerate(labels):
+            table[lb].update({name + "_target": labels[target[i]], name + "_phase": complex(phase[i]),
+                              name + "_leak": float(leak[i]), name + "_defect": float(defect[i])})
     return table
 
 
 def lemma_eigenphase_residual(basis: LLLBasis) -> float:
     """Largest deviation of :func:`eigenphase_table` from the D1 and D2
-    actions of the module docstring: phases, D1 spread, and 1 for a D2
-    target other than Psi_{j-1,k}."""
+    actions of the module docstring: 1 for a wrong target, and each
+    phase's deviation, leak and defect."""
     m, n = basis.flux.denominator, basis.flux.numerator
     angles = basis.angles
     devs = []
     for (j, k), entry in eigenphase_table(basis).items():
-        want1 = cmath.exp(1j * (angles.alpha1 - 2 * math.pi * j * n) / m)
-        devs += [
-            abs(entry["d1_phase"] - want1),
-            entry["d1_spread"],
-            0.0 if entry["d2_target"] == ((j - 1) % m, k) else 1.0,
-            abs(entry["d2_phase"] - cmath.exp(1j * angles.alpha2 / m)),
-        ]
+        for name, target, phase in (
+                ("d1", (j, k), cmath.exp(1j * (angles.alpha1 - 2 * math.pi * j * n) / m)),
+                ("d2", ((j - 1) % m, k), cmath.exp(1j * angles.alpha2 / m))):
+            devs += [0.0 if entry[name + "_target"] == target else 1.0,
+                     abs(entry[name + "_phase"] - phase),
+                     entry[name + "_leak"], entry[name + "_defect"]]
     return float(np.max(devs))  # np.max, unlike max, keeps a NaN
 
 
@@ -505,11 +477,22 @@ def center_eigen_residual(basis: LLLBasis) -> float:
 
 
 def gram_rank(basis: LLLBasis) -> int:
-    """Numerical rank of the state sample matrix on the basis's own fit
-    grid: number of singular values above 1e-8 times the largest, read
-    from the fits' one :attr:`~LLLBasis._fit_svd`."""
-    s = basis._fit_svd[1]
-    return int(np.sum(s > 1e-8 * s[0]))
+    """Numerical rank of :attr:`LLLBasis.gram`: its singular values (the
+    moduli of its eigenvalues) above 1e-8 times the largest."""
+    s = np.abs(np.linalg.eigvalsh(basis.gram))
+    return int(np.sum(s > 1e-8 * s.max()))
+
+
+def overlap_residual(basis: LLLBasis):
+    """``(residual, note)``: the largest ``|G_rs|/sqrt(G_rr G_ss)``,
+    ``r != s``, of :attr:`LLLBasis.gram` (0 when K is 1)."""
+    n_x, y, _, _ = basis._cell_states
+    norms = np.sqrt(basis.gram.diagonal().real)
+    ratio = np.abs(basis.gram) / np.outer(norms, norms)
+    np.fill_diagonal(ratio, 0.0)
+    return float(np.max(ratio)), (
+        "largest |G_rs|/sqrt(G_rr G_ss), r != s, of the Gram matrix of the K states "
+        "measured on the (n_x, n_y) = (%d, %d) cell rule" % (n_x, y.size))
 
 
 def raise_level(basis: LLLBasis, j, k, n=1) -> ThetaField:
@@ -524,15 +507,11 @@ def raise_level(basis: LLLBasis, j, k, n=1) -> ThetaField:
     beta = math.pi * klev / (2.0 * b)     # 1/(4 * weight)
     terms = st.terms
     for _ in range(n):
-        new = {}
-
-        def add(key, val):
-            new[key] = new.get(key, 0.0) + val
-
+        new = defaultdict(float)
         for key, mu in _dw_terms(terms, klev, b, basis.angles.alpha1).items():
-            add(key, -s * mu)
+            new[key] += -s * mu
         for (a_pow, c_pow, p), mu in terms.items():
-            add((a_pow, c_pow + 1, p), s * beta * mu)
+            new[a_pow, c_pow + 1, p] += s * beta * mu
         terms = new
     return ThetaField(terms, klev, st.residue, basis.tau, basis.angles.alpha1,
                       basis.gamma, basis.policy)

@@ -383,7 +383,7 @@ def uq_sl2_residual(m, n):
 
 
 def bimodule_consistency(basis: LLLBasis) -> dict:
-    """Check that the sampled ground states, viewed as an M x N array,
+    """Check that the ground states, viewed as an M x N array,
     carry the left clock/shift action of the M-dimensional pair and the
     right action of the N-dimensional dual pair, and that the two matrix
     actions commute exactly.  The measured matrices are the basis's one
@@ -413,7 +413,7 @@ def bimodule_consistency(basis: LLLBasis) -> dict:
     )
     deviations = {}
     mismatches = []
-    for name, (_, fit) in basis.translations.items():
+    for name, (fit, _) in basis.translations.items():
         measured = fit[np.ix_(perm, perm)]
         dev = np.abs(measured - predicted[name])
         deviations[name] = float(dev.max())

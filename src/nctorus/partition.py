@@ -28,22 +28,21 @@ bound the relative aliasing error by ``eps``, the truncation
 whatever ``b``, and each axis takes at least
 ``QuadratureSpec.nodes_per_axis`` nodes.
 
-``Z~`` is computed by two deliberately independent routes: the
-per-state route sums the K norms of :func:`state_norm`, which takes the
-grid sums of the basis's stacked states chunk by chunk (every row of
-``x``, whole columns of ``y``) from their
-:meth:`~nctorus.fields.Field.cell_norms` (for the ground states, one
-window table of theta terms for all K residues and the chunk's columns,
-summed over ``x`` as a quadratic form in the comb of the ``x`` nodes, so
-no value on the grid is formed), while the character
-route evaluates a single integrand containing the full residue sum of
-``|theta|^2`` over ``|eta|^2`` pointwise, all K residues as the classes
-mod K of the level-K series around each point's peak (``theta``'s private
-residue sum, which never touches ``Field`` or the grid sum), with its
-Gaussian passed relative to each point's envelope, the square completed
-in ``y``; their agreement is a consistency check of both summations, so
-the two code paths are kept separate.  Parseval in ``x`` collapses the
-cell integral to a full Gaussian in ``y``, which gives
+A translation keeps the boundary laws, so the products of the states
+with each other and with their translates are periodic on the cell too,
+and the same nodes certify the Bloch module that ``LLLBasis`` measures.
+
+``Z~`` is computed by two deliberately independent routes.  The
+per-state route sums the K norms of :func:`state_norm`: chunks of whole
+columns, each one window table of theta terms for all K residues summed
+over ``x`` as a quadratic form in the comb of the ``x`` nodes
+(:meth:`~nctorus.fields.Field.cell_norms`), so no value on the grid is
+formed.  The character route integrates ``sum_r |theta_r|^2 / |eta|^2``
+pointwise, all K residues as the classes mod K of one series around each
+point's peak (``theta``'s private residue sum, which never touches
+``Field`` or the grid sum), with the square completed in ``y``.  Their
+agreement checks both summations.  Parseval in ``x`` collapses the cell
+integral to a full Gaussian in ``y``, which gives
 :func:`z_tilde_closed_form`; neither route reads it.
 """
 

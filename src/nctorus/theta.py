@@ -71,38 +71,26 @@ on the column alone, and completing the square splits every term into
 
     exp(2*pi*i*K*a*x_i) * exp(i*pi*tau*K*(a + c_j/tau)**2) * exp(-i*pi*K*c_j**2/tau),
 
-a phase in ``x`` times a factor in ``y`` that carries all of the
-magnitude.  A private grid sum evaluates the first two as tables and
-contracts them by matrix products, with the last factor left to the
-caller's log-scale.  Each residue sums one run ``a = a0 + m`` of
-consecutive terms, the union of its columns' peak windows certified for
-the highest derivative order asked, so every point keeps the certificate
-above and every order shares the run.  The phase is then
+a phase in ``x`` times a *window* factor in ``y`` that carries all of the
+magnitude; the last factor is left to the caller's log-scale.  Each
+residue sums one run ``a = a0 + m`` of consecutive terms, the union of
+its columns' peak windows certified for the highest derivative order
+asked.  A private grid sum leaves out each residue's unit phase
+``exp(2*pi*i*K*a0*x_i)``, which ``|.|^2`` drops, so every order is one
+matrix product of the ``(residue*column, m)`` window table with the one
+table ``exp(2*pi*i*K*x_i)**m``: the periodic trapezoid rule on a
+separable integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
 
-    exp(2*pi*i*K*a0*x_i) * exp(2*pi*i*K*x_i)**m,
-
-and the grid sum leaves out the first factor: a unit phase of the residue
-and the node alone, common to every order and every term of a field, which
-``|.|^2`` drops.  What is left is one table ``exp(2*pi*i*K*x_i)**m`` for
-all residues (``x.size`` exponentials) and one window table per residue
-and column, so each order is a single matrix product
-``(residue*column, m) @ (m, x)``.  This is the periodic trapezoid rule on
-a separable integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
-
-The cell norms need only ``sum_i |value|**2`` per residue and column, and
-regrouped exactly that is a quadratic form in the column's window ``W``
-(the orders' windows summed with their coefficients):
-
-    sum_i |sum_m W_m exp(2*pi*i*K*m*x_i)|**2 = sum_{m,m'} W_m h(m - m') conj(W_m'),
-
-    h(d) = sum_i exp(2*pi*i*K*d*x_i),
-
-so a private grid-norm sum forms the comb ``h(d)`` for ``|d| < count``
-from the nodes, and each norm is one ``(residue*column, m) @ (m, m')``
-product with its Toeplitz matrix and one reduction: ``count**2`` products
-per residue and column instead of ``count*x.size``, and no grid values.
-The comb is summed, not assumed to be ``x.size`` times a delta, so the
-norms keep every alias of the midpoint rule.
+Sums over the nodes need no grid values.  With the comb
+``h(d) = sum_i exp(2*pi*i*K*d*x_i)``, a column's norm is the quadratic
+form ``sum_{m,m'} W_m h(m - m') conj(W_m')`` in its window ``W``, and a
+private grid-norm sum forms ``h`` from the nodes, so the norms keep every
+alias of the midpoint rule.  Products of two families of terms (the
+states and their translates) pair terms of integer frequencies ``F`` and
+``F'``, where ``h`` is ``(-1)**((F' - F)/n_x) * n_x`` if ``n_x`` divides
+``F' - F`` and 0 elsewhere on the ``n_x`` midpoint nodes: a private
+overlap sum takes only those pairs, one small matrix product per class
+mod ``n_x``.
 
 Residue sums
 ------------
@@ -341,7 +329,7 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
     return complex(out[()]) if scalar and not residue.ndim else out
 
 
-def _grid_window(spec, c, tau, policy, order, log_scale):
+def _grid_window(spec, c, tau, policy, order, log_scale, own=False):
     """The peak-centred terms of the grid sums on the columns ``c``,
     certified for derivative order ``order``: the run ``a`` of
     consecutive ``a = a0 + m`` of each residue, shape ``(residue, m)``,
@@ -351,13 +339,14 @@ def _grid_window(spec, c, tau, policy, order, log_scale):
 
     A column's peak ``a*`` depends only on ``Im c``: each residue sums
     the union of its columns' windows, which holds every point's
-    certified window and only terms below its envelope."""
+    certified window and only terms below its envelope.  With ``own``,
+    the rest of the union, reaching subnormal range, is 0 in each column."""
     t = as_tau(tau)
     k = spec.level
     r_k = np.atleast_1d(spec.residue)[:, None] / k
     a_star = -np.imag(c) / t.im
     peak = float(np.max(np.abs(a_star), initial=0.0))
-    count = _peak_window(k, t.im, peak, policy.epsilon, order)
+    count = own_count = _peak_window(k, t.im, peak, policy.epsilon, order)
     # per residue and column, the first term at or above a* - count/2
     start = np.ceil(a_star - r_k - 0.5 * count)
     low = start.min(axis=1, keepdims=True)
@@ -371,6 +360,9 @@ def _grid_window(spec, c, tau, policy, order, log_scale):
     window *= window
     window *= 1j * math.pi * k * t.value
     window += np.asarray(log_scale)[..., None]
+    if own:  # exp(-inf) is 0
+        m = np.arange(count) - (start - low)[..., None]
+        window[(m < 0) | (m >= own_count)] = -np.inf
     np.exp(window, out=window)
     return a, window
 
@@ -445,6 +437,37 @@ def _theta_grid_norms(spec, x, c, tau, policy, log_scale, coefficients):
     form *= flat.view(float)
     norms = form.reshape(window.shape[0], -1).sum(axis=1)
     return norms if np.ndim(spec.residue) else norms[0]
+
+
+def _grid_classes(freq, window, n_x):
+    """Terms of integer frequencies ``freq`` ``(row, m)`` and window table
+    ``window`` ``(row, column, m)`` by class mod ``n_x``: their windows
+    times ``(-1)**(freq // n_x)`` ``(n_x, width, column)`` and rows
+    ``(n_x, width)``, unused slots 0, and the number of rows."""
+    f = freq.ravel()
+    classes = f % n_x
+    order = np.argsort(classes, kind="stable")
+    counts = np.bincount(classes, minlength=n_x)
+    # each term's class and place in it, in the sorted order
+    where = classes[order], np.arange(f.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    values = np.zeros((n_x, counts.max(), window.shape[1]), dtype=complex)
+    values[where] = (window.transpose(0, 2, 1).reshape(f.size, -1)
+                     * (1 - 2 * (f // n_x % 2))[:, None])[order]
+    rows = np.zeros(values.shape[:2], dtype=int)
+    rows[where] = order // freq.shape[1]
+    return values, rows, len(freq)
+
+
+def _grid_overlaps(classes, other_classes):
+    """``sum_{i,j} conj(u_r[i, j]) * v_s[i, j]`` for every pair of rows,
+    ``u_r[i, j] = sum_m window[r, j, m] * exp(2*pi*i*freq[r, m]*x_i)`` on
+    the ``n_x`` midpoint nodes ``x_i = (i + 1/2)/n_x`` and ``v_s``
+    likewise, from their :func:`_grid_classes` (see "Cell grids")."""
+    (u, r, size), (v, s, other_size) = classes, other_classes
+    sums = (np.conjugate(u) @ v.transpose(0, 2, 1)).ravel()
+    index, n = (r[:, :, None] * other_size + s[:, None, :]).ravel(), size * other_size
+    out = np.bincount(index, sums.real, n) + 1j * np.bincount(index, sums.imag, n)
+    return len(u) * out.reshape(size, other_size)
 
 
 def _theta_residue_norms(level, z, tau, policy, log_scale):

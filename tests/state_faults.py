@@ -1,25 +1,62 @@
 """Fault injection into the stacked ground states of a basis, shared by
-the tests that check how a bad state is reported."""
+the tests that check how a bad state is reported.  Each fault goes into
+the basis's stacked :class:`ThetaField`: its residues, its terms, or the
+window table that the measurement on the cell rule reads."""
 
 import dataclasses
 
-from nctorus.fields import Field
+from nctorus.lll import ThetaField
 
 
-def with_states(basis, states):
-    """Copy of ``basis`` whose stacked field evaluates ``states[label]``
-    (a :class:`Field`) in the row of each label it names and the basis's
-    own states in every other row, so that the fit samples, the
-    translation images and the cell quadratures all see the replacement.
-    The copy's caches start empty."""
-    labels = basis.labels()
-    rows = {labels.index(label): f for label, f in states.items()}
-    stacked = basis.field
+def _with_field(basis, cls=ThetaField, terms=None, residues=None, **extra):
+    f = basis.field
+    field = cls(f.terms if terms is None else terms, f.level,
+                f.residue if residues is None else residues,
+                basis.tau, f.alpha1, f.gamma, f.policy, **extra)
+    return dataclasses.replace(basis, field=field)
 
-    def evaluate(w, wbar):
-        out = stacked.evaluate(w, wbar)
-        for i, f in rows.items():
-            out[i] = f.evaluate(w, wbar)
-        return out
 
-    return dataclasses.replace(basis, field=Field(evaluate, stacked.tau, stacked.im_tau_weight))
+def with_residues(basis, residues):
+    """Copy of ``basis`` whose states carry ``residues`` in label order,
+    as its one stacked series.  The copy's caches start empty."""
+    return _with_field(basis, residues=residues)
+
+
+def swapped(basis, first, second):
+    """Fault: the labels ``first`` and ``second`` trade residues."""
+    labels, residues = basis.labels(), list(basis.field.residue)
+    i, j = labels.index(first), labels.index(second)
+    residues[i], residues[j] = residues[j], residues[i]
+    return with_residues(basis, residues)
+
+
+def repeated(basis, source, target):
+    """Fault: the label ``target`` gets the residue of ``source``, so two
+    states coincide."""
+    labels, residues = basis.labels(), list(basis.field.residue)
+    residues[labels.index(target)] = residues[labels.index(source)]
+    return with_residues(basis, residues)
+
+
+def with_terms(basis, terms):
+    """Copy of ``basis`` whose every state is the term family ``terms``
+    (``{(0, 0, 0): nan}`` makes every value and every window NaN)."""
+    return _with_field(basis, terms=terms)
+
+
+class _FaultyWindow(ThetaField):
+    __slots__ = ("fault",)
+
+    def __init__(self, *args, fault):
+        super().__init__(*args)
+        self.fault = fault
+
+    def cell_window(self, y):
+        return self.fault(y, *super().cell_window(y))
+
+
+def with_window(basis, fault):
+    """Copy of ``basis`` whose cell window on the columns ``y`` is
+    ``fault(y, freq, window) -> (freq, window)`` of its own; its pointwise
+    values are the basis's."""
+    return _with_field(basis, cls=_FaultyWindow, fault=fault)

@@ -198,10 +198,11 @@ def test_criterion_06_translation_module_structure():
     worst = 0.0
     for m, n in ((3, 2), (2, 5)):
         basis = build_basis(Flux(n, m), tau, angles)
-        table = eigenphase_table(basis, spread_tol=1e-7)
+        table = eigenphase_table(basis)
         d1_phases = []
         for (j, k), entry in table.items():
-            worst = max(worst, entry["d1_spread"], entry["dual1_spread"])
+            worst = max(worst, *(entry[name + "_defect"] for name in ("d1", "d2", "dual1", "dual2")))
+            assert entry["d1_target"] == entry["dual1_target"] == (j, k)
             d1_phases.append(entry["d1_phase"])
             worst = max(worst, abs(entry["d1_phase"]
                                    - cmath.exp(1j * (angles.alpha1 - 2 * math.pi * j * n) / m)))
@@ -216,7 +217,7 @@ def test_criterion_06_translation_module_structure():
                     for s in range(m) for _ in range(n)]
         worst = max(worst, _match_multiset(d1_phases, expected, 1e-7))
     _report(6, "translation module structure", worst < 1e-7,
-            "(3,2) and (2,5): spreads, eigenphase multiset, cycle targets; "
+            "(3,2) and (2,5): image defects, eigenphase multiset, cycle targets; "
             "worst=%.3e tol=1e-07" % worst)
 
 

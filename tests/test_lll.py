@@ -2,7 +2,6 @@ import cmath
 import dataclasses
 import importlib
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from nctorus import cli, lll, partition
 from nctorus.core import Flux, VacuumAngles, as_tau
-from nctorus.errors import ConventionMismatchError
 from nctorus.fields import Field, ladder_apply
 from nctorus.lll import (
     ThetaField,
@@ -21,12 +19,14 @@ from nctorus.lll import (
     eigenphase_table,
     elementary_translation,
     gram_rank,
+    lemma_eigenphase_residual,
+    overlap_residual,
     raise_level,
     unit_cell_grid,
 )
-from nctorus.matrices import bimodule_consistency
-from nctorus.theta import ThetaSpec, TruncationPolicy, _peak_window, theta
-from state_faults import with_states
+from nctorus.matrices import bimodule_consistency, bimodule_residual
+from nctorus.theta import ThetaSpec, TruncationPolicy, _peak_window, orthogonality_residual, theta
+from state_faults import repeated, swapped, with_terms, with_window
 
 # by module path: the package namespace re-exports a function named theta
 theta_module = importlib.import_module("nctorus.theta")
@@ -157,17 +157,19 @@ def test_eigenphase_structure(tau, mn):
     m, n = mn
     a1, a2 = ANGLES.alpha1, ANGLES.alpha2
     basis = build_basis(Flux(n, m), tau, ANGLES)
-    table = eigenphase_table(basis, spread_tol=1e-9)
+    table = eigenphase_table(basis)
     for (j, k), entry in table.items():
+        assert entry["d1_target"] == (j, k)
         assert abs(entry["d1_phase"] - cmath.exp(1j * (a1 - 2 * math.pi * j * n) / m)) < 1e-12
-        assert entry["d1_spread"] < 1e-12
         assert entry["d2_target"] == ((j - 1) % m, k)
         assert abs(entry["d2_phase"] - cmath.exp(1j * a2 / m)) < 1e-12
-        assert entry["d2_leak"] < 1e-12
+        assert entry["dual1_target"] == (j, k)
         assert abs(entry["dual1_phase"] - cmath.exp(1j * (a1 - 2 * math.pi * k * m) / n)) < 1e-12
         assert entry["dual2_target"] == (j, (k - 1) % n)
         assert abs(entry["dual2_phase"] - cmath.exp(1j * a2 / n)) < 1e-12
-        assert entry["dual2_leak"] < 1e-12
+        for name in ("d1", "d2", "dual1", "dual2"):
+            assert entry[name + "_leak"] < 1e-12
+            assert entry[name + "_defect"] < 1e-12
 
 
 def test_diagonal_eigenphase_multiset():
@@ -187,29 +189,35 @@ def test_diagonal_eigenphase_multiset():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_eigenphase_mismatch_raises():
-    basis = build_basis(Flux(2, 3), 1j)
-    bad = Field(
-        lambda w, wbar: np.exp(-w * wbar),
-        1j,
-        basis.state(0, 0).im_tau_weight,
-    )
-    with pytest.raises(ConventionMismatchError):
-        eigenphase_table(with_states(basis, {(0, 0): bad}))
+def test_eigenphase_mismatch_shows_in_the_defect():
+    # the cell window of state (0, 0) carries a factor exp(y) that breaks
+    # its boundary law; its D1 image is still itself, but the D2 image
+    # reads it one cell step lower and leaves the span of the states
+    m, n = 3, 2
+    basis = build_basis(Flux(n, m), TAU_GEN, ANGLES)
+
+    def fault(y, freq, window):
+        window = window.copy()
+        window[0] *= np.exp(y)[:, None]
+        return freq, window
+
+    table = eigenphase_table(with_window(basis, fault))
+    assert table[(0, 0)]["d1_defect"] < 1e-12
+    assert table[(0, 0)]["d2_defect"] > 1e-3
+    assert lemma_eigenphase_residual(with_window(basis, fault)) > 1e-3
+    assert lemma_eigenphase_residual(basis) < 1e-12
 
 
-def test_eigenphase_nan_spread_raises():
-    # state (1, 0) is exact on the fit grid and NaN off it, so its D1
-    # ratio has a NaN spread: that is a mismatch, not a pass
+def test_nan_states_fail_the_module_checks():
+    # NaN states, in their term family or in their window table only:
+    # the Gram matrix is not finite, and every module check raises
     basis = build_basis(Flux(2, 3), TAU_GEN)
-    w = basis._fit_samples[0]
-    state = basis.state(1, 0)
-    basis = with_states(basis, {(1, 0): Field(
-        lambda z, zbar: np.where(np.isin(z, w), state.evaluate(z, zbar), np.nan),
-        state.tau, state.im_tau_weight,
-    )})
-    with np.errstate(invalid="ignore"), pytest.raises(ConventionMismatchError, match="nan"):
-        eigenphase_table(basis)
+    nan_window = with_window(basis, lambda y, freq, window: (freq, window * np.nan))
+    for fault in (with_terms(basis, {(0, 0, 0): np.nan}), nan_window):
+        for check in (eigenphase_table, lemma_eigenphase_residual, gram_rank,
+                      bimodule_residual, overlap_residual):
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                check(fault)
 
 
 def test_translations_q_commute():
@@ -247,10 +255,17 @@ def test_center_eigen_residual(mn):
 
 
 def test_center_eigen_residual_propagates_nonfinite_samples():
-    # the D2 images of this state are NaN; a NaN sample must give a NaN
+    # the D2 images of state (0, 0) are NaN; a NaN sample must give a NaN
     # residual, not a small (passing) one
     basis = build_basis(Flux(2, 3), TAU_GEN)
-    basis = with_states(basis, {(0, 0): _nan_off_row(basis.state(0, 0))})
+    stacked, row = basis.field, _nan_off_row(basis.state(0, 0))
+
+    def evaluate(w, wbar):
+        out = stacked.evaluate(w, wbar)
+        out[0] = row.evaluate(w, wbar)
+        return out
+
+    basis = dataclasses.replace(basis, field=Field(evaluate, stacked.tau, stacked.im_tau_weight))
     with np.errstate(all="ignore"):
         res = center_eigen_residual(basis)
     assert math.isnan(res)
@@ -417,12 +432,14 @@ def test_unit_coefficient_term_is_not_copied():
     assert np.array_equal(lll._combine({(0, 0, 0): 2.0}, th, w, w), 2.0 * th[0])
 
 
-def test_default_fit_samples_are_stacked_once():
+def test_measured_module_is_read_only():
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
-    w, wbar, a = basis._fit_samples
-    assert basis._fit_samples[2] is a
-    assert not (w.flags.writeable or wbar.flags.writeable or a.flags.writeable)
-    assert not any(arr.flags.writeable for arr in basis._fit_svd)
+    assert basis.gram is basis.gram
+    assert not basis.gram.flags.writeable
+    for l_mat, defect in basis.translations.values():
+        assert not (l_mat.flags.writeable or defect.flags.writeable)
+    freq, window = basis.field.cell_window(partition.quadrature_nodes(basis)[1])
+    assert not (freq.flags.writeable or window.flags.writeable)
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (5, 2)])
@@ -433,16 +450,17 @@ def test_gram_rank_full(mn):
         assert gram_rank(basis) == m * n
 
 
-def _per_column_coefficient_matrix(basis, op):
-    """Reference fit: one least-squares solve per basis state."""
-    w, wbar, a = basis._fit_samples
-    labels = basis.labels()
-    l_mat = np.zeros((len(labels), len(labels)), dtype=complex)
-    for i, lb in enumerate(labels):
-        out = op(basis.state(*lb)).evaluate(w, wbar)
-        coeffs, *_ = np.linalg.lstsq(a.T, out, rcond=None)
-        l_mat[:, i] = coeffs
-    return l_mat
+def _pointwise_projection(basis, op):
+    """Reference measurement: the states and their images evaluated with
+    ``Field.evaluate`` on the nodes of the basis's cell rule and
+    projected with one matrix product, as ``(G, L)``."""
+    x, y = partition.quadrature_nodes(basis)
+    w = (x[:, None] + basis.tau.value * y).ravel()
+    states = basis.field.evaluate(w, np.conjugate(w))
+    images = op(basis.field).evaluate(w, np.conjugate(w))
+    products = np.conjugate(states) @ np.concatenate([states, images]).T / w.size
+    gram, overlaps = np.split(products, 2, axis=1)
+    return gram, overlaps / gram.diagonal().real[:, None]
 
 
 def _translations(basis):
@@ -450,17 +468,18 @@ def _translations(basis):
             for dual in (False, True) for index in (1, 2)]
 
 
-def test_coefficient_matrix_matches_per_column_fit():
-    # the fits share one SVD; the reference solves each column on its own.
-    # At (9, 8) the two differ by 1.04e-14, where each lies 8.7e-14 from
-    # the closed-form matrices; at (11, 9) by 1.4e-15
-    for (m, n), tau, bound in (((3, 2), TAU_GEN, 1e-14), ((7, 5), -0.2 + 1.7j, 1e-14),
-                               ((11, 7), -0.2 + 1.7j, 1e-14), ((9, 8), -0.2 + 1.7j, 2e-14),
-                               ((11, 9), -0.2 + 1.7j, 2e-14)):
-        basis = build_basis(Flux(n, m), tau, ANGLES)
-        for op in _translations(basis):
-            ref = _per_column_coefficient_matrix(basis, op)
-            assert np.max(np.abs(coefficient_matrix(basis, op) - ref)) < bound, (m, n)
+@pytest.mark.parametrize("mn, tau", [((3, 2), TAU_GEN), ((7, 5), -0.2 + 1.7j),
+                                     ((11, 7), 0.1 + 0.85j)])
+def test_coefficient_matrix_matches_the_pointwise_projection(mn, tau):
+    # the comb sums the same midpoint rule as the pointwise products
+    m, n = mn
+    basis = build_basis(Flux(n, m), tau, ANGLES)
+    d1, d2 = _translations(basis)[:2]
+    measured = basis.gram / np.max(basis.gram.diagonal().real)  # over a common scale
+    for op in _translations(basis) + [lambda f: d1(d2(f))]:
+        gram, l_mat = _pointwise_projection(basis, op)
+        assert np.max(np.abs(measured - gram / np.max(gram.diagonal().real))) < 1e-12
+        assert np.max(np.abs(coefficient_matrix(basis, op) - l_mat)) < 1e-12
 
 
 def _counted(calls, name, fn):
@@ -470,40 +489,36 @@ def _counted(calls, name, fn):
     return wrapped
 
 
+_SOLVERS = ("svd", "lstsq", "solve", "pinv")
+
+
 def test_coefficient_matrix_is_one_solve(monkeypatch):
-    # one SVD of the sample matrix serves all four fits and gram_rank
-    calls = {"svd": 0, "lstsq": 0}
-    monkeypatch.setattr(np.linalg, "svd", _counted(calls, "svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "lstsq", _counted(calls, "lstsq", np.linalg.lstsq))
+    # one Gram matrix serves every coefficient matrix: each is diag(G)^-1 P
+    # from one overlap with the states (and one for its image norms), and
+    # no solver runs
+    calls = dict.fromkeys(_SOLVERS + ("overlaps",), 0)
+    for name in _SOLVERS:
+        monkeypatch.setattr(np.linalg, name, _counted(calls, name, getattr(np.linalg, name)))
+    monkeypatch.setattr(lll, "_grid_overlaps", _counted(calls, "overlaps", lll._grid_overlaps))
     basis = build_basis(Flux(3, 5), TAU_GEN, ANGLES)
-    for op in _translations(basis):
+    for i, op in enumerate(_translations(basis)):
         coefficient_matrix(basis, op)
-        assert calls == {"svd": 1, "lstsq": 0}
+        assert calls == {**dict.fromkeys(_SOLVERS, 0), "overlaps": 1 + 2 * (i + 1)}
     assert gram_rank(basis) == 15
-    assert calls == {"svd": 1, "lstsq": 0}
-
-
-def _with_duplicate_residue(basis):
-    """Fault: the second label gets the first label's residue, so two
-    states coincide and the sample matrix has rank K - 1."""
-    f = basis.field
-    residues = list(f.residue)
-    residues[1] = residues[0]
-    return dataclasses.replace(basis, field=ThetaField(
-        f.terms, f.level, residues, basis.tau, f.alpha1, f.gamma, f.policy))
+    assert calls["overlaps"] == 9
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (7, 5)])
-def test_rank_deficient_fit_is_the_minimum_norm_solution(mn):
+def test_repeated_residue_fails_the_measured_orthogonality(mn):
+    # two labels on one residue: the measured Gram matrix loses a rank
+    # and has a unit off-diagonal, which the DFT product never sees
     m, n = mn
-    basis = _with_duplicate_residue(build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES))
-    assert gram_rank(basis) == m * n - 1
-    a = basis._fit_samples[2]
-    for images, fit in basis.translations.values():
-        ref = np.linalg.lstsq(a.T, images, rcond=None)[0]
-        assert np.max(np.abs(fit - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # the two coinciding states share their coefficient evenly
-        assert np.max(np.abs(fit[0] - fit[1])) <= 1e-13 * np.max(np.abs(ref))
+    basis = build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES)
+    fault = repeated(basis, (0, 0), (0, 1))
+    assert gram_rank(fault) == m * n - 1
+    assert abs(overlap_residual(fault)[0] - 1.0) < 1e-12
+    assert overlap_residual(basis)[0] < 1e-12
+    assert orthogonality_residual(m * n) < 1e-12
 
 
 def test_coefficient_matrix_is_homomorphism():
@@ -521,39 +536,26 @@ def test_coefficient_matrix_is_homomorphism():
     assert np.max(np.sort(mags.ravel())[:-6]) < 1e-12
 
 
-def _masked_ratio(out, base):
-    """Reference eigenphase of one state: ``<base, out>/<base, base>`` and
-    the spread of ``out/base`` about it where ``|base|`` is at least 0.05
-    of its largest sample."""
-    mask = np.abs(base) >= 0.05 * np.max(np.abs(base))
-    phase = complex(np.sum(np.conjugate(base) * out) / np.sum(np.abs(base) ** 2))
-    spread = float(np.max(np.abs(out[mask] / base[mask] - phase)))
-    return phase, spread
-
-
 def _cycling_entry(coeffs, labels):
     tgt = int(np.argmax(np.abs(coeffs)))
     off = np.delete(np.abs(coeffs), tgt)
     return labels[tgt], complex(coeffs[tgt]), float(off.max()) if off.size else 0.0
 
 
+_OPERATORS = (("d1", 1, False), ("dual1", 1, True), ("d2", 2, False), ("dual2", 2, True))
+
+
 def _separately_measured_eigenphase_table(basis):
-    """Reference table: each diagonal translation evaluated per state on
-    the fit grid, each cycling one fitted on its own."""
-    w, wbar, a = basis._fit_samples
+    """Reference table: each translation projected on its own."""
     labels = basis.labels()
-    fits = {name: coefficient_matrix(basis, elementary_translation(basis, 2, dual=dual))
-            for name, dual in (("d2", False), ("dual2", True))}
-    table = {}
-    for i, lb in enumerate(labels):
-        entry = {}
-        for name, dual in (("d1", False), ("dual1", True)):
-            out = elementary_translation(basis, 1, dual=dual)(basis.state(*lb)).evaluate(w, wbar)
-            entry[name + "_phase"], entry[name + "_spread"] = _masked_ratio(out, a[i])
-        for name, l_mat in fits.items():
-            (entry[name + "_target"], entry[name + "_phase"],
-             entry[name + "_leak"]) = _cycling_entry(l_mat[:, i], labels)
-        table[lb] = entry
+    table = {lb: {} for lb in labels}
+    for name, index, dual in _OPERATORS:
+        image = elementary_translation(basis, index, dual=dual)(basis.field)
+        l_mat, defect = lll._project(basis, image)
+        for i, lb in enumerate(labels):
+            (table[lb][name + "_target"], table[lb][name + "_phase"],
+             table[lb][name + "_leak"]) = _cycling_entry(l_mat[:, i], labels)
+            table[lb][name + "_defect"] = float(defect[i])
     return table
 
 
@@ -563,34 +565,30 @@ def test_eigenphase_table_reads_the_one_measurement(mn):
     basis = build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES)
     want = _separately_measured_eigenphase_table(build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES))
     assert eigenphase_table(basis) == want
-    for name, (images, fit) in basis.translations.items():
-        assert images.shape == (basis._fit_samples[0].size, m * n)
-        assert not (images.flags.writeable or fit.flags.writeable)
-        op = elementary_translation(basis, int(name[-1]), dual=name.startswith("dual"))
-        assert np.array_equal(fit, coefficient_matrix(basis, op))
+    for name, index, dual in _OPERATORS:
+        l_mat, defect = basis.translations[name]
+        assert l_mat.shape == (m * n, m * n) and defect.shape == (m * n,)
+        op = elementary_translation(basis, index, dual=dual)
+        assert np.array_equal(l_mat, coefficient_matrix(basis, op))
 
 
 def _per_state_eigenphase_table(basis):
     """Reference table read from the same measurement one state at a time."""
-    a = basis._fit_samples[2]
     labels = basis.labels()
-    measured = basis.translations
     table = {}
     for i, lb in enumerate(labels):
         entry = {}
-        for name in ("d1", "dual1"):
-            entry[name + "_phase"], entry[name + "_spread"] = _masked_ratio(
-                measured[name][0][:, i], a[i])
-        for name in ("d2", "dual2"):
+        for name, (l_mat, defect) in basis.translations.items():
             (entry[name + "_target"], entry[name + "_phase"],
-             entry[name + "_leak"]) = _cycling_entry(measured[name][1][:, i], labels)
+             entry[name + "_leak"]) = _cycling_entry(l_mat[:, i], labels)
+            entry[name + "_defect"] = float(defect[i])
         table[lb] = entry
     return table
 
 
 @pytest.mark.parametrize("mn", [(1, 1), (2, 1), (3, 2), (5, 3), (9, 8), (13, 7)])
 def test_eigenphase_table_is_the_per_state_reference(mn):
-    # bit for bit, on working bases and on a fault whose spreads are large
+    # bit for bit, on working bases and on a fault that swaps two residues
     m, n = mn
     rng = np.random.default_rng(m * 100 + n)
     for _ in range(3):
@@ -598,62 +596,49 @@ def test_eigenphase_table_is_the_per_state_reference(mn):
         basis = build_basis(Flux(n, m), tau, VacuumAngles(*rng.uniform(0.0, 2 * math.pi, 2)))
         assert eigenphase_table(basis) == _per_state_eigenphase_table(basis)
     if m * n > 1:
-        fault = with_states(basis, {(0, 0): basis.state(1, 1)})
-        assert eigenphase_table(fault, spread_tol=math.inf) == _per_state_eigenphase_table(fault)
+        fault = swapped(basis, (0, 0), basis.labels()[-1])
+        assert eigenphase_table(fault) == _per_state_eigenphase_table(fault)
 
 
-def _nan_at(basis, points):
-    """Copy of ``basis`` whose state of each label in ``points`` is NaN at
-    that label's points only."""
-    def field(state, at):
-        def evaluate(z, zbar):
-            hit = np.any(np.abs(z[..., None] - np.array(at)) < 1e-12, axis=-1)
-            return np.where(hit, np.nan, state.evaluate(z, zbar))
-        return Field(evaluate, state.tau, state.im_tau_weight)
-    return with_states(basis, {lb: field(basis.state(*lb), at) for lb, at in points.items()})
-
-
-def test_one_nan_image_sample_raises_without_a_warning():
-    # a faulty state is exact wherever it is sampled except at the point
-    # that one translation's image reads at the state's peak sample: that
-    # spread is NaN, and the array reductions raise no RuntimeWarning
-    # (pytest makes one an error)
-    m, n = 3, 2
-    basis = build_basis(Flux(n, m), TAU_GEN, ANGLES)
-    w, _, a = basis._fit_samples
-    peak = {lb: w[int(np.argmax(np.abs(a[i])))] for i, lb in enumerate(basis.labels())}
-    d1_read, dual1_read = ({lb: p - 1.0 / div for lb, p in peak.items()} for div in (m, n))
-    with pytest.raises(ConventionMismatchError,
-                       match=re.escape("d1 ratio on state (1, 0) has spread nan > 1.0e-05")):
-        eigenphase_table(_nan_at(basis, {(1, 0): [d1_read[(1, 0)]]}))
-    # the first failing state in label order is named, d1 before dual1
-    for points, named in (({(0, 1): [dual1_read[(0, 1)]], (1, 0): [d1_read[(1, 0)]]},
-                           "dual1 ratio on state (0, 1)"),
-                          ({(0, 1): [dual1_read[(0, 1)], d1_read[(0, 1)]]},
-                           "d1 ratio on state (0, 1)")):
-        with pytest.raises(ConventionMismatchError, match=re.escape(named + " has spread nan")):
-            eigenphase_table(_nan_at(basis, points))
+def test_one_nan_image_window_reads_nan_without_a_warning():
+    # the window table is NaN on every column set but the cell rule's own,
+    # so the states and their D1 images are finite and the D2 images NaN:
+    # the lemma reads NaN, and no reduction raises a RuntimeWarning (pytest
+    # makes one an error)
+    basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
+    nodes = partition.quadrature_nodes(basis)[1]
+    fault = with_window(basis, lambda y, freq, window: (
+        freq, window if np.array_equal(y, nodes) else window * np.nan))
+    table = eigenphase_table(fault)
+    for entry in table.values():
+        assert entry["d1_defect"] < 1e-12
+        assert math.isnan(entry["d2_defect"]) and math.isnan(entry["d2_leak"])
+    assert math.isnan(lemma_eigenphase_residual(fault))
 
 
 def test_module_is_measured_once_per_basis(monkeypatch, capsys):
-    # the eigenphase table, the Gram rank and the bimodule check share one
-    # set of images and fits from one SVD of the samples, and the samples
-    # and the four translations evaluate the stacked states once each,
-    # whatever K (one call per state would be 5K)
-    calls = {"svd": 0, "lstsq": 0, "translation": 0, "eval": 0, "state_norm": 0}
+    # the eigenphase table, the Gram rank, the orthogonality and the
+    # bimodule check share one Gram matrix and one projection per
+    # translation, with no pointwise state evaluation; the states' window
+    # serves the translations along 1, so the states and the two steps
+    # along tau (one at M = N = 1) each build one window table
+    calls = {"svd": 0, "translation": 0, "eval": 0, "window": 0, "overlaps": 0,
+             "state_norm": 0}
     monkeypatch.setattr(np.linalg, "svd", _counted(calls, "svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "lstsq", _counted(calls, "lstsq", np.linalg.lstsq))
     monkeypatch.setattr(lll, "elementary_translation",
                         _counted(calls, "translation", lll.elementary_translation))
     monkeypatch.setattr(lll, "_eval_terms", _counted(calls, "eval", lll._eval_terms))
+    monkeypatch.setattr(lll, "_grid_window", _counted(calls, "window", lll._grid_window))
+    monkeypatch.setattr(lll, "_grid_overlaps", _counted(calls, "overlaps", lll._grid_overlaps))
     for mn in ((3, 5), (1, 1), (7, 5)):
         calls.update(dict.fromkeys(calls, 0))
         basis = build_basis(Flux(mn[1], mn[0]), TAU_GEN, ANGLES)
         eigenphase_table(basis)
         assert gram_rank(basis) == mn[0] * mn[1]
+        assert overlap_residual(basis)[0] < 1e-12
         assert bimodule_consistency(basis)["pass"]
-        assert calls == {"svd": 1, "lstsq": 0, "translation": 4, "eval": 5,
-                         "state_norm": 0}, mn
+        assert calls == {"svd": 0, "translation": 4, "eval": 0, "window": 1 + len(set(mn)),
+                         "overlaps": 9, "state_norm": 0}, mn
     # partition --M 3 --N 2 integrates each of its three bases in one call
     monkeypatch.setattr(partition, "state_norm",
                         _counted(calls, "state_norm", partition.state_norm))

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import cli, matrices
+from nctorus import cli, matrices, partition
 from nctorus.core import Flux, VacuumAngles
 from nctorus.errors import DegenerateDeformationError
-from nctorus.fields import Field
 from nctorus.lll import build_basis, eigenphase_table
 from nctorus.matrices import (
     CSMatrix,
@@ -33,7 +32,7 @@ from nctorus.matrices import (
     weyl_element,
     weyl_span_dimension,
 )
-from state_faults import with_states
+from state_faults import swapped, with_window
 
 ANGLES = VacuumAngles(0.7, -1.3)
 
@@ -468,8 +467,8 @@ _ANGLE = st.floats(0.0, 2 * math.pi, exclude_max=True)
     alpha2=_ANGLE,
 )
 def test_fits_hold_for_any_flux(mn, re_tau, im_tau, alpha1, alpha2):
-    # the sampled fits size their own grid, so they stay determined at
-    # every level K = M*N
+    # the measurement sizes its cell rule from K and Im tau, so it stays
+    # determined at every level K = M*N
     m, n = mn
     basis = build_basis(Flux(n, m), complex(re_tau, im_tau), VacuumAngles(alpha1, alpha2))
     for (j, k), entry in eigenphase_table(basis).items():
@@ -487,8 +486,7 @@ def test_bimodule_left_action_small_case():
 
 
 def test_bimodule_reports_mismatch_without_raising():
-    basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES)
-    basis = with_states(basis, {(0, 0): basis.state(1, 0), (1, 0): basis.state(0, 0)})
+    basis = swapped(build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES), (0, 0), (1, 0))
     report = bimodule_consistency(basis)
     assert not report["pass"]
     assert report["mismatches"]
@@ -497,19 +495,18 @@ def test_bimodule_reports_mismatch_without_raising():
 
 
 def test_bimodule_consistency_fails_on_nan_images():
-    # state (1, 0) is exact on the fit grid and NaN off it: the samples
-    # stay finite, its translated images hold NaN, and that must not pass
+    # the window table is NaN on every column set but the cell rule's own:
+    # the states and their D1 images stay finite, the images of the steps
+    # along tau hold NaN, and that must not pass
     basis = build_basis(Flux(2, 3), 0.3 + 1.1j)
-    w = basis._fit_samples[0]
-    state = basis.state(1, 0)
-    basis = with_states(basis, {(1, 0): Field(
-        lambda z, zbar: np.where(np.isin(z, w), state.evaluate(z, zbar), np.nan),
-        state.tau, state.im_tau_weight,
-    )})
-    with np.errstate(invalid="ignore"):
-        report = bimodule_consistency(basis)
-    assert all(math.isnan(dev) for dev in report["deviations"].values())
-    assert {entry["operator"] for entry in report["mismatches"]} == set(report["deviations"])
+    nodes = partition.quadrature_nodes(basis)[1]
+    basis = with_window(basis, lambda y, freq, window: (
+        freq, window if np.array_equal(y, nodes) else window * np.nan))
+    report = bimodule_consistency(basis)
+    deviations = report["deviations"]
+    assert deviations["d1"] < 1e-12 and deviations["dual1"] < 1e-12
+    assert math.isnan(deviations["d2"]) and math.isnan(deviations["dual2"])
+    assert {entry["operator"] for entry in report["mismatches"]} == {"d2", "dual2"}
     assert not report["pass"]
 
 

@@ -106,12 +106,6 @@ class Field:
         w = x[:, None] + self.tau * y
         return np.abs(self.evaluate(w, np.conjugate(w))) ** 2
 
-    def cell_norms(self, x, y):
-        """Sum of :meth:`cell_density` over the tensor grid of ``x`` and
-        ``y``: shape ``(...)``, the leading axes of ``evaluate``.  A field
-        that knows its structure may sum it without the densities."""
-        return self.cell_density(x, y).sum(axis=(-2, -1))
-
 
 @dataclass(frozen=True)
 class Displacement:

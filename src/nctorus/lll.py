@@ -36,8 +36,11 @@ them as one stacked :class:`ThetaField` (residues in :meth:`LLLBasis.labels`
 order) that sums one theta series for all K.  Their module is measured on
 the nodes of the cell rule that certifies their norms: the Gram matrix
 ``G`` and, for each translation ``T``, ``L = diag(G)^-1 P`` with
-``P_rs = <Psi_r, T Psi_s>``, from the states' window tables and the comb
-of the nodes, with no value on the grid formed.
+``P_rs = <Psi_r, T Psi_s>``, from the states' window tables, whose terms
+pair where their frequencies agree mod ``n_x``, with no value on the grid
+formed.  A norm, the diagonal of such a product, is each row's window
+folded onto its classes mod ``n_x``; ``partition.state_norm`` sums the
+states' own the same way.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ import numpy as np
 
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
 from .fields import Displacement, Field, _prefactor_exponent, displacement_apply
-from .theta import (ThetaSpec, TruncationPolicy, _grid_classes, _grid_overlaps, _grid_window,
-                    _theta_grid_norms, _theta_grid_sum, theta_derivative)
+from .theta import (ThetaSpec, TruncationPolicy, _grid_classes, _grid_norms, _grid_overlaps,
+                    _grid_window, _theta_grid_sum, theta_derivative)
 
 __all__ = [
     "LLLBasis",
@@ -154,9 +157,13 @@ class ThetaField(Field):
         self._window = None
         tv = t.value
 
+        # the evaluators hold no reference to self: a field is freed, with
+        # the window table it keeps, as soon as it is unused
+        level, residue, alpha1, gamma = self.level, self.residue, self.alpha1, self.gamma
+
         def evaluator(terms):
-            return lambda w, wbar: _eval_terms(terms, self.level, self.residue, tv,
-                                               self.alpha1, self.gamma, policy, w, wbar)
+            return lambda w, wbar: _eval_terms(terms, level, residue, tv, alpha1, gamma,
+                                               policy, w, wbar)
 
         super().__init__(evaluator(self.terms), t, t.im / (2.0 * math.pi * self.level),
                          d_z=evaluator(_dw_terms(self.terms, self.level, t.im, self.alpha1)),
@@ -186,19 +193,6 @@ class ThetaField(Field):
         density *= density
         return density
 
-    def cell_norms(self, x, y):
-        """:meth:`Field.cell_norms` without the densities
-        (``theta._theta_grid_norms``) when every term is ``(0, 0, p)``:
-        the terms then differ only in their window factors, which combine
-        into one, and the phases :meth:`cell_density` drops are common to
-        all of them.  Other families sum :meth:`cell_density`."""
-        if any(a or c for (a, c, _) in self.terms):
-            return super().cell_norms(x, y)
-        tau, k = self.tau, self.level
-        return _theta_grid_norms(self.spec, x, tau * y + self.gamma, tau, self.policy,
-                                 -1j * math.pi * k * self.gamma**2 / tau,
-                                 {p: coeff for (_, _, p), coeff in self.terms.items()})
-
     def cell_window(self, y):
         """The states on the columns ``y`` of the slice ``w = x + tau*y``,
         for the one term ``(0, 0, 0)``, as integer frequencies ``F``, shape
@@ -215,7 +209,7 @@ class ThetaField(Field):
         if self._window is None or self._window[0] != y.tobytes():
             tau, k = self.tau, self.level
             a, window = _grid_window(self.spec, tau * y + self.gamma, tau, self.policy, 0,
-                                     -1j * math.pi * k * self.gamma**2 / tau, own=True)
+                                     -1j * math.pi * k * self.gamma**2 / tau)
             window *= self.terms[(0, 0, 0)]
             freq = np.rint(k * a).astype(int)
             for arr in (freq, window):
@@ -291,15 +285,13 @@ class LLLBasis:
 
     @functools.cached_property
     def _cell_states(self):
-        """``n_x`` and the ``y`` nodes of :func:`~nctorus.partition.quadrature_nodes`,
-        the power of two at or above the states' largest window entry, and
-        the ``theta._grid_classes`` of their window over it (read-only)."""
-        from .partition import quadrature_nodes  # partition imports this module
+        """``n_x``, the ``y`` nodes and the scale of
+        :func:`~nctorus.partition._cell_table`, and the
+        ``theta._grid_classes`` of the states' scaled window."""
+        from .partition import _cell_table  # partition imports this module
 
-        x, y = quadrature_nodes(self)
-        freq, window = self.field.cell_window(y)
-        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(window))))[1])
-        return x.size, y, scale, _grid_classes(freq, window / scale, x.size)
+        n_x, y, scale, freq, window = _cell_table(self)
+        return n_x, y, scale, _grid_classes(freq, window, n_x)
 
     @functools.cached_property
     def gram(self):
@@ -406,10 +398,11 @@ def _project(basis: LLLBasis, image):
     ||image_s||^2|``: its share outside the states' span."""
     n_x, y, scale, states = basis._cell_states
     freq, window = image.cell_window(y)
-    images = _grid_classes(freq, window / scale, n_x)
+    window = window / scale
     norms = basis.gram.diagonal().real
+    images = _grid_classes(freq, window, n_x)
     l_mat = _grid_overlaps(states, images) / (n_x * y.size * norms[:, None])
-    image_norms = _grid_overlaps(images, images).diagonal().real / (n_x * y.size)
+    image_norms = _grid_norms(freq, window, n_x, basis.level) / (n_x * y.size)
     return l_mat, np.abs(1.0 - norms @ np.abs(l_mat) ** 2 / image_norms)
 
 

@@ -30,18 +30,22 @@ whatever ``b``, and each axis takes at least
 
 A translation keeps the boundary laws, so the products of the states
 with each other and with their translates are periodic on the cell too,
-and the same nodes certify the Bloch module that ``LLLBasis`` measures.
+and the same nodes certify the Bloch module that ``LLLBasis`` measures,
+from the one window table of :func:`_cell_table`.
 
 ``Z~`` is computed by two deliberately independent routes.  The
-per-state route sums the K norms of :func:`state_norm`: chunks of whole
-columns, each one window table of theta terms for all K residues summed
-over ``x`` as a quadratic form in the comb of the ``x`` nodes
-(:meth:`~nctorus.fields.Field.cell_norms`), so no value on the grid is
-formed.  The character route integrates ``sum_r |theta_r|^2 / |eta|^2``
-pointwise, all K residues as the classes mod K of one series around each
-point's peak (``theta``'s private residue sum, which never touches
-``Field`` or the grid sum), with the square completed in ``y``.  Their
-agreement checks both summations.  Parseval in ``x`` collapses the cell
+per-state route sums the K norms of :func:`state_norm`, the diagonal of
+the module's Gram matrix: each state's theta terms on a column carry
+their magnitude in the window table and a phase ``exp(2*pi*i*F*x)`` of
+integer frequency ``F``, so on the ``n_x`` midpoint nodes the terms of
+one class of ``F`` mod ``n_x`` alias onto one value, and the sum over
+``x`` is ``n_x`` times the sum of those values' ``|.|^2``; no value on
+the grid is formed.  The character route integrates
+``sum_r |theta_r|^2 / |eta|^2`` pointwise, all K residues as the classes
+mod K of one series around each point's peak (``theta``'s private
+residue sum, which never touches ``Field``, the window table or the grid
+sum), with the square completed in ``y``.  Their agreement checks both
+summations.  Parseval in ``x`` collapses the cell
 integral to a full Gaussian in ``y``, which gives
 :func:`z_tilde_closed_form`; neither route reads it.
 """
@@ -49,13 +53,14 @@ integral to a full Gaussian in ``y``, which gives
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .lll import LLLBasis, build_basis
-from .theta import _peak_window, _theta_residue_norms, dedekind_eta
+from .theta import _grid_norms, _theta_residue_norms, dedekind_eta
 
 __all__ = [
     "QuadratureSpec",
@@ -72,11 +77,6 @@ __all__ = [
 ]
 
 _CHUNK = 1024
-# entries of the (K, columns, count) window table of one state_norm chunk,
-# 256 KB of complex values; the chunk's product with the comb is as large.
-# Each chunk also pays a fixed cost of small array operations, so narrow
-# chunks repeat it
-_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,14 @@ class QuadratureSpec:
     nodes_per_axis: int = 8
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
-        if self.nodes_per_axis < 8:
-            raise ValueError("nodes_per_axis must be at least 8")
+        try:
+            nodes = operator.index(self.nodes_per_axis)
+        except TypeError:
+            raise ValueError("nodes_per_axis must be an integer, got %r"
+                             % (self.nodes_per_axis,)) from None
+        if nodes < 8:
+            raise ValueError("nodes_per_axis must be at least 8, got %r" % (nodes,))
+        object.__setattr__(self, "nodes_per_axis", nodes)
 
 
 def cell_node_counts(level: int, im_tau: float, epsilon: float,
@@ -125,29 +130,28 @@ def _cell_integral(integrand, basis: LLLBasis, quad: QuadratureSpec) -> float:
                      for i in range(0, xs.size, _CHUNK)) / xs.size
 
 
-def _chunk_columns(basis: LLLBasis, n_y: int) -> int:
-    """Columns of ``y`` per :func:`state_norm` chunk: as many as keep the
-    chunk's ``(level, columns, count)`` window table of the grid norms
-    within ``_BLOCK_ELEMENTS`` (but at least one).  ``count`` is the
-    order-0 peak window plus one term, since the columns' peaks
-    ``a* = -y - Im(gamma)/Im(tau)`` lie within 1 of each other and so
-    widen the union of their windows by at most one term."""
-    count = _peak_window(basis.level, basis.tau.im, 0.0, basis.policy.epsilon) + 1
-    return max(1, min(n_y, _BLOCK_ELEMENTS // (basis.level * count)))
+def _cell_table(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
+    """``(n_x, y, scale, freq, window)``: the node count in ``x`` and the
+    ``y`` nodes of :func:`quadrature_nodes`, and the states'
+    :meth:`~nctorus.lll.ThetaField.cell_window` on those columns, its
+    window divided by ``scale``, the power of two at or above its largest
+    entry.  The states reach ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over
+    the squared scale their products stay in range."""
+    x, y = quadrature_nodes(basis, quad)
+    freq, window = basis.field.cell_window(y)
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(window))))[1])
+    return x.size, y, scale, freq, window / scale
 
 
 def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:
     """Squared cell norms of the K ground states, in the order of
-    :meth:`LLLBasis.labels`.  The columns of the cell's tensor grid are
-    taken in chunks of whole columns (:func:`_chunk_columns`); the stacked
-    states give each chunk's K sums in one call of their
-    :meth:`~nctorus.fields.Field.cell_norms`, and the chunk sums of each
-    state are reduced with ``math.fsum``."""
-    x, y = quadrature_nodes(basis, quad)
-    columns = _chunk_columns(basis, y.size)
-    sums = np.array([basis.field.cell_norms(x, y[j:j + columns])
-                     for j in range(0, y.size, columns)])
-    return [math.fsum(chunks) / (x.size * y.size) for chunks in sums.T]
+    :meth:`LLLBasis.labels`: the states' :func:`_cell_table` with each
+    row's terms folded onto their classes of frequency mod ``n_x``
+    (``theta._grid_norms``), the diagonal of :attr:`LLLBasis.gram` times
+    the squared scale."""
+    n_x, y, scale, freq, window = _cell_table(basis, quad)
+    norms = _grid_norms(freq, window, n_x, basis.level) / (n_x * y.size)
+    return [norm * scale * scale for norm in norms.tolist()]
 
 
 def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:

@@ -75,22 +75,24 @@ a phase in ``x`` times a *window* factor in ``y`` that carries all of the
 magnitude; the last factor is left to the caller's log-scale.  Each
 residue sums one run ``a = a0 + m`` of consecutive terms, the union of
 its columns' peak windows certified for the highest derivative order
-asked.  A private grid sum leaves out each residue's unit phase
-``exp(2*pi*i*K*a0*x_i)``, which ``|.|^2`` drops, so every order is one
-matrix product of the ``(residue*column, m)`` window table with the one
-table ``exp(2*pi*i*K*x_i)**m``: the periodic trapezoid rule on a
-separable integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
+asked; each column keeps its own window, and the rest of the union,
+which reaches subnormal range, is 0 there.  A private grid sum leaves
+out each residue's unit phase ``exp(2*pi*i*K*a0*x_i)``, which ``|.|^2``
+drops, so every order is one matrix product of the
+``(residue*column, m)`` window table with the one table
+``exp(2*pi*i*K*x_i)**m``: the periodic trapezoid rule on a separable
+integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
 
-Sums over the nodes need no grid values.  With the comb
-``h(d) = sum_i exp(2*pi*i*K*d*x_i)``, a column's norm is the quadratic
-form ``sum_{m,m'} W_m h(m - m') conj(W_m')`` in its window ``W``, and a
-private grid-norm sum forms ``h`` from the nodes, so the norms keep every
-alias of the midpoint rule.  Products of two families of terms (the
-states and their translates) pair terms of integer frequencies ``F`` and
-``F'``, where ``h`` is ``(-1)**((F' - F)/n_x) * n_x`` if ``n_x`` divides
-``F' - F`` and 0 elsewhere on the ``n_x`` midpoint nodes: a private
-overlap sum takes only those pairs, one small matrix product per class
-mod ``n_x``.
+Sums over the nodes need no grid values.  On the ``n_x`` midpoint nodes
+the comb ``h(d) = sum_i exp(2*pi*i*d*x_i)`` of an integer frequency
+difference ``d`` is ``(-1)**(d/n_x) * n_x`` if ``n_x`` divides ``d`` and 0
+elsewhere, so a product of two families of terms (the states and their
+translates) pairs only terms whose integer frequencies ``F`` and ``F'``
+agree mod ``n_x``: a private overlap sum takes one small matrix product
+per class.  A family's own norms are the diagonal of that product: the
+terms of each class, signed by ``(-1)**(F // n_x)``, fold onto one value,
+and a column's norm is ``n_x`` times the sum of their ``|.|**2``, every
+alias of the midpoint rule kept.
 
 Residue sums
 ------------
@@ -329,7 +331,7 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
     return complex(out[()]) if scalar and not residue.ndim else out
 
 
-def _grid_window(spec, c, tau, policy, order, log_scale, own=False):
+def _grid_window(spec, c, tau, policy, order, log_scale):
     """The peak-centred terms of the grid sums on the columns ``c``,
     certified for derivative order ``order``: the run ``a`` of
     consecutive ``a = a0 + m`` of each residue, shape ``(residue, m)``,
@@ -338,31 +340,29 @@ def _grid_window(spec, c, tau, policy, order, log_scale, own=False):
     magnitude (see "Cell grids" in the module docstring).
 
     A column's peak ``a*`` depends only on ``Im c``: each residue sums
-    the union of its columns' windows, which holds every point's
-    certified window and only terms below its envelope.  With ``own``,
-    the rest of the union, reaching subnormal range, is 0 in each column."""
+    the union of its columns' windows, and each column keeps its own
+    certified window; the rest of the union, which reaches subnormal
+    range, is 0 in that column."""
     t = as_tau(tau)
     k = spec.level
     r_k = np.atleast_1d(spec.residue)[:, None] / k
     a_star = -np.imag(c) / t.im
     peak = float(np.max(np.abs(a_star), initial=0.0))
-    count = own_count = _peak_window(k, t.im, peak, policy.epsilon, order)
+    count = own = _peak_window(k, t.im, peak, policy.epsilon, order)
     # per residue and column, the first term at or above a* - count/2
     start = np.ceil(a_star - r_k - 0.5 * count)
     low = start.min(axis=1, keepdims=True)
     count += int(np.max(start.max(axis=1, keepdims=True) - low))
     _check_cap(count, policy)
     a = (low + np.arange(count, dtype=float)) + r_k
-    # built in place: the window table is the largest array of a
-    # state_norm chunk, and every extra copy grows the heap
-    # (see partition._BLOCK_ELEMENTS)
+    # built in place: the window table is the largest array of a grid
+    # sum, and every extra copy grows the heap
     window = a[:, None, :] + (c / t.value)[:, None]
     window *= window
     window *= 1j * math.pi * k * t.value
     window += np.asarray(log_scale)[..., None]
-    if own:  # exp(-inf) is 0
-        m = np.arange(count) - (start - low)[..., None]
-        window[(m < 0) | (m >= own_count)] = -np.inf
+    m = np.arange(count) - (start - low)[..., None]
+    window[(m < 0) | (m >= own)] = -np.inf  # exp(-inf) is 0
     np.exp(window, out=window)
     return a, window
 
@@ -405,40 +405,6 @@ def _theta_grid_sum(spec, x, c, tau, policy, orders, log_scale):
     return out
 
 
-def _theta_grid_norms(spec, x, c, tau, policy, log_scale, coefficients):
-    """``sum_{i,j} |sum_p coefficients[p] * g_p[i, j]|**2`` per residue,
-    where ``g_p`` is the order-``p`` grid sum of :func:`_theta_grid_sum`
-    on the same nodes and ``coefficients`` maps each derivative order to
-    its coefficient, with shape ``spec.residue``'s.
-
-    The orders share one window table and one phase table, so they
-    combine into one window ``W`` per residue and column, and the sum
-    over ``x`` of ``|sum_m W_m exp(2*pi*i*K*m*x_i)|**2`` is the quadratic
-    form ``W H W^H`` of the comb ``h(d) = sum_i exp(2*pi*i*K*d*x_i)``,
-    ``H[m, m'] = h(m - m')``.  The comb is summed from the nodes
-    themselves, so the norms are the midpoint rule's, aliasing and all,
-    never a Parseval sum; no value on the grid is formed, and a column
-    costs ``count**2`` products per residue instead of ``count*x.size``."""
-    k = spec.level
-    a, window = _grid_window(spec, c, tau, policy, max(coefficients), log_scale)
-    count = a.shape[1]
-    if coefficients != {0: 1}:
-        window *= sum(coeff * ((2j * math.pi * k) * a) ** p
-                      for p, coeff in coefficients.items())[:, None, :]
-    # h(d) for 0 <= d < count from the grid sum's phase table, and
-    # h(-d) = conj(h(d))
-    comb = _grid_phase(k, x, count).sum(axis=1)
-    comb = np.concatenate([np.conjugate(comb[:0:-1]), comb])
-    steps = np.arange(count)
-    kernel = comb[count - 1 + steps[:, None] - steps]
-    flat = window.reshape(-1, count)
-    # Re(sum_m (W H)_m conj(W_m)), the real and imaginary parts interleaved
-    form = (flat @ kernel).view(float)
-    form *= flat.view(float)
-    norms = form.reshape(window.shape[0], -1).sum(axis=1)
-    return norms if np.ndim(spec.residue) else norms[0]
-
-
 def _grid_classes(freq, window, n_x):
     """Terms of integer frequencies ``freq`` ``(row, m)`` and window table
     ``window`` ``(row, column, m)`` by class mod ``n_x``: their windows
@@ -468,6 +434,25 @@ def _grid_overlaps(classes, other_classes):
     index, n = (r[:, :, None] * other_size + s[:, None, :]).ravel(), size * other_size
     out = np.bincount(index, sums.real, n) + 1j * np.bincount(index, sums.imag, n)
     return len(u) * out.reshape(size, other_size)
+
+
+def _grid_norms(freq, window, n_x, step):
+    """``sum_{i,j} |u_r[i, j]|**2`` for every row, the diagonal of
+    :func:`_grid_overlaps`, when each row's frequencies ``freq`` rise by
+    ``step``: a term's class mod ``n_x`` then repeats every ``n_x /
+    gcd(step, n_x)`` terms, so the signed window of each row folds onto
+    that period, one value per class and column, and the sum is ``n_x``
+    times their ``|.|**2``."""
+    period = n_x // math.gcd(step, n_x)
+    count = window.shape[2]
+    if count > period:  # terms alias onto each other
+        window = window * (1 - 2 * (freq // n_x % 2))[:, None, :]
+        for start in range(period, count, period):
+            size = min(period, count - start)
+            window[..., :size] += window[..., start:start + size]
+        window = window[..., :period]
+    flat = window.reshape(len(window), -1)
+    return n_x * np.sum(flat.real**2 + flat.imag**2, axis=1)
 
 
 def _theta_residue_norms(level, z, tau, policy, log_scale):

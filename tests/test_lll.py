@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import gc
 import importlib
 import math
 
@@ -382,54 +383,49 @@ def test_raised_cell_density_shares_one_grid_across_orders(monkeypatch):
     assert np.max(np.abs(got - want)) <= basis.policy.epsilon * np.max(size) * np.sqrt(np.max(want))
 
 
-def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule(monkeypatch):
+def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
     # on n_x = K = 6 midpoint nodes exp(2*pi*i*K*x) is -1 at every node, so
-    # the comb h(+-1) is -n_x and every pair of neighbouring terms aliases
-    # onto the mean: the grid norms are the pointwise midpoint sum, a third
-    # away from Parseval's n_x * sum |W|^2, the exact integral over x
+    # every term of a row is in one class mod n_x and aliases onto the
+    # mean: the folded norms are the pointwise midpoint sum, a third away
+    # from Parseval's n_x * sum |W|^2, the exact integral over x
     basis = build_basis(Flux(2, 3), 0.1j, ANGLES)
     f = basis.field
     x = (np.arange(6) + 0.5) / 6
     y = (np.arange(8) + 0.5) / 8
     assert abs(np.sum(np.exp(12j * math.pi * x)) + 6) < 1e-13
-    calls = []
-    grid_norms = lll._theta_grid_norms
-    monkeypatch.setattr(lll, "_theta_grid_norms",
-                        lambda *args: calls.append(args) or grid_norms(*args))
-    got = f.cell_norms(x, y)
-    assert len(calls) == 1 and got.shape == (6,)
+    freq, window = f.cell_window(y)
+    assert window.shape[2] > 1
+    got = theta_module._grid_norms(freq, window, x.size, 6)
     want = Field.cell_density(f, x, y).sum(axis=(1, 2))
+    assert got.shape == (6,)
     assert np.max(np.abs(got - want) / want) <= 1e-13
-    spec, _, c, tau, policy, log_scale, _ = calls[0]
-    _, window = theta_module._grid_window(spec, c, tau, policy, 0, log_scale)
     parseval = x.size * np.sum(np.abs(window) ** 2, axis=(1, 2))
     assert np.min(np.abs(got - parseval) / got) > 0.3
 
 
-def test_cell_norms_combine_the_orders_into_one_window():
-    # terms (0, 0, p) share the phases in x: one window of their weighted
-    # sum gives the norms of the summed densities; a family with powers of
-    # w or wbar sums its densities
-    basis = build_basis(Flux(5, 7), TAU_GEN, ANGLES)
-    x, y = partition.quadrature_nodes(basis)
-    scale = 2.0 * math.pi * 35
-    f = ThetaField({(0, 0, 0): 1.0, (0, 0, 1): 0.3j / scale, (0, 0, 2): -0.2 / scale**2},
-                   35, basis.field.residue, TAU_GEN, ANGLES.alpha1, basis.gamma)
-    got = f.cell_norms(x, y)
-    want = Field.cell_norms(f, x, y)
-    assert got.shape == want.shape == (35,)
-    assert np.max(np.abs(got - want) / want) <= basis.policy.epsilon
-    raised = raise_level(basis, 2, 3, n=2)
-    assert np.array_equal(raised.cell_norms(x, y), raised.cell_density(x, y).sum(axis=(-2, -1)))
-
-
 def test_unit_coefficient_term_is_not_copied():
     # the ground states' one term (0, 0, 0) -> 1.0 passes its series on:
-    # a copy per state_norm tile would grow the heap on every tile
+    # a copy per cell_density call would grow the heap on every call
     th = {0: np.ones((3, 4, 5), dtype=complex)}
     w = np.zeros((4, 5), dtype=complex)
     assert lll._combine({(0, 0, 0): 1.0}, th, w, w) is th[0]
     assert np.array_equal(lll._combine({(0, 0, 0): 2.0}, th, w, w), 2.0 * th[0])
+
+
+def test_fields_are_freed_without_the_cycle_collector():
+    # a field keeps its last window table; with no reference cycle through
+    # its evaluators it goes, table and all, as soon as its basis does
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
+        partition.state_norm(basis)
+        del basis
+        gc.collect()
+        assert not any(isinstance(obj, ThetaField) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_measured_module_is_read_only():
@@ -494,7 +490,7 @@ _SOLVERS = ("svd", "lstsq", "solve", "pinv")
 
 def test_coefficient_matrix_is_one_solve(monkeypatch):
     # one Gram matrix serves every coefficient matrix: each is diag(G)^-1 P
-    # from one overlap with the states (and one for its image norms), and
+    # from one overlap with the states (its image norms are a fold), and
     # no solver runs
     calls = dict.fromkeys(_SOLVERS + ("overlaps",), 0)
     for name in _SOLVERS:
@@ -503,9 +499,9 @@ def test_coefficient_matrix_is_one_solve(monkeypatch):
     basis = build_basis(Flux(3, 5), TAU_GEN, ANGLES)
     for i, op in enumerate(_translations(basis)):
         coefficient_matrix(basis, op)
-        assert calls == {**dict.fromkeys(_SOLVERS, 0), "overlaps": 1 + 2 * (i + 1)}
+        assert calls == {**dict.fromkeys(_SOLVERS, 0), "overlaps": 1 + (i + 1)}
     assert gram_rank(basis) == 15
-    assert calls["overlaps"] == 9
+    assert calls["overlaps"] == 5
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (7, 5)])
@@ -638,7 +634,7 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
         assert overlap_residual(basis)[0] < 1e-12
         assert bimodule_consistency(basis)["pass"]
         assert calls == {"svd": 0, "translation": 4, "eval": 0, "window": 1 + len(set(mn)),
-                         "overlaps": 9, "state_norm": 0}, mn
+                         "overlaps": 5, "state_norm": 0}, mn
     # partition --M 3 --N 2 integrates each of its three bases in one call
     monkeypatch.setattr(partition, "state_norm",
                         _counted(calls, "state_norm", partition.state_norm))

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -41,6 +42,15 @@ def test_quadrature_spec_validation():
     assert spec.nodes_per_axis == 8
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_axis=4)
+
+
+@pytest.mark.parametrize("nodes", [12.7, 12.0, "12", None])
+def test_quadrature_spec_takes_only_integers(nodes):
+    # no silent truncation to 12: the error names the value
+    with pytest.raises(ValueError, match=re.escape(repr(nodes))):
+        QuadratureSpec(nodes)
+    assert QuadratureSpec(np.int64(12)).nodes_per_axis == 12
+    assert type(QuadratureSpec(np.int64(12)).nodes_per_axis) is int
 
 
 def test_quadrature_nodes(monkeypatch):
@@ -113,87 +123,54 @@ def _per_label_state_norms(basis, quad=QuadratureSpec()):
 
 @pytest.mark.parametrize("mn, tau, nodes", [
     ((3, 2), 0.3 + 1.1j, 8),
-    ((3, 2), 0.3 + 1.1j, 128),   # 16384 points, 16 chunks
-    ((7, 5), 0.01j, 8),          # 252 x 8 nodes in three tiles
+    ((3, 2), 0.3 + 1.1j, 128),   # 16384 points
+    ((7, 5), 0.01j, 8),          # 252 x 8 nodes
     ((13, 3), -0.2 + 1.7j, 8),
     ((3, 2), 50j, 8),
+    ((8, 9), 0.2 + 1.4j, 8),     # 31 x 43 nodes
+    ((11, 7), 0.1 + 1000j, 8),   # 8 x 1179 nodes
+    ((7, 5), 0.001j, 8),         # 795 x 8 nodes, 34 terms per column
 ])
 def test_state_norm_equals_the_per_label_loop(mn, tau, nodes):
-    # the grid sum factors each term's exponential, and exp(u + v) is not
-    # bitwise exp(u) * exp(v): the norms agree to the basis epsilon
+    # the window table factors each term's exponential, and exp(u + v) is
+    # not bitwise exp(u) * exp(v): the norms agree to the basis epsilon,
+    # plus the ulps the pointwise states lose to cancelling exponents at
+    # large Im tau
     m, n = mn
     basis = build_basis(Flux(n, m), tau, ANGLES)
     quad = QuadratureSpec(nodes)
     got = np.array(state_norm(basis, quad))
     want = np.array(_per_label_state_norms(basis, quad))
-    assert np.max(np.abs(got - want) / want) <= basis.policy.epsilon
+    tol = basis.policy.epsilon + _rounding_allowance(m * n, basis.tau.im)
+    assert np.max(np.abs(got - want) / want) <= tol
 
 
-def _recorded_chunks(monkeypatch, basis):
-    """The norms of ``state_norm(basis)`` and the ``(x, c, shape)``
-    of each of its grid norms, ``shape`` being the one window table's,
-    checking each call's result on the way."""
-    chunks, windows = [], []
-    grid_norms = lll._theta_grid_norms
-    grid_window = theta_module._grid_window
+def test_state_norm_is_the_gram_diagonal_without_subnormal_terms(monkeypatch):
+    # the window table state_norm sums keeps each column's own certified
+    # window: the residue-wide union reached subnormal range here (135 of
+    # 11880 entries at (11,9), 107 of 10192 at (13,7)); its sums are the
+    # diagonal of the Gram matrix on the same nodes
+    tables = []
 
-    def recorded_window(*args):
-        a, window = grid_window(*args)
-        windows.append(window.shape)
-        return a, window
+    def recorded(window_of):
+        def wrapped(*args):
+            a, window = window_of(*args)
+            tables.append(window)
+            return a, window
+        return wrapped
 
-    def recorded(spec, x, c, *args):
-        out = grid_norms(spec, x, c, *args)
-        assert out.shape == (np.size(spec.residue),)
-        chunks.append((x, c, windows.pop()))
-        return out
-
-    monkeypatch.setattr(theta_module, "_grid_window", recorded_window)
-    monkeypatch.setattr(lll, "_theta_grid_norms", recorded)
-    return state_norm(basis), chunks
-
-
-def _assert_whole_columns(basis, chunks):
-    """Each chunk takes every row and whole columns, each node once, in
-    one window table of at most ``_BLOCK_ELEMENTS`` entries."""
-    x, y = quadrature_nodes(basis)
-    assert all(np.array_equal(xs, x) for xs, _, _ in chunks)
-    assert np.array_equal(np.concatenate([c for _, c, _ in chunks]),
-                          basis.tau.value * y + basis.gamma)
-    assert all(shape[:2] == (basis.level, c.size) for _, c, shape in chunks)
-    assert max(math.prod(shape) for _, _, shape in chunks) <= partition._BLOCK_ELEMENTS
-
-
-def test_state_norm_blocks_stay_within_the_element_budget(monkeypatch):
-    # no value on the grid is formed, so a chunk is bounded by its
-    # (K, columns, count) window table alone: at (9,8), 0.2+1.4i the 31 x
-    # 43 nodes take one chunk of two terms per column, and at (11,7),
-    # 0.1+1000i the 1179 columns take twelve, 106 columns to a chunk
-    for basis, nodes, columns in ((build_basis(Flux(9, 8), 0.2 + 1.4j, ANGLES), (31, 43), [43]),
-                                  (build_basis(Flux(7, 11), 0.1 + 1000j, ANGLES), (8, 1179),
-                                   [106] * 11 + [13])):
-        x, y = quadrature_nodes(basis)
-        assert (x.size, y.size) == nodes
-        norms, chunks = _recorded_chunks(monkeypatch, basis)
-        assert len(norms) == basis.level and all(map(math.isfinite, norms))
-        assert [c.size for _, c, _ in chunks] == columns
-        assert {shape[2] for _, _, shape in chunks} == {2}
-        _assert_whole_columns(basis, chunks)
-
-
-def test_state_norm_never_splits_rows(monkeypatch):
-    # at (7,5), 0.001i the 795 rows of 35 states would exceed the budget
-    # as values, but the 34 terms of each column's window fit all 8
-    # columns in one chunk of whole rows
-    basis = build_basis(Flux(5, 7), 0.001j, ANGLES)
-    x, y = quadrature_nodes(basis)
-    assert (x.size, y.size) == (795, 8)
-    assert 35 * x.size > partition._BLOCK_ELEMENTS
-    norms, chunks = _recorded_chunks(monkeypatch, basis)
-    assert [shape for _, _, shape in chunks] == [(35, 8, 34)]
-    _assert_whole_columns(basis, chunks)
-    want = np.array(_per_label_state_norms(basis, QuadratureSpec()))
-    assert np.max(np.abs(np.array(norms) - want) / want) <= basis.policy.epsilon
+    for owner in (theta_module, lll):
+        monkeypatch.setattr(owner, "_grid_window", recorded(owner._grid_window))
+    for (m, n), tau in (((11, 9), 0.2 + 2j), ((13, 7), -0.3 + 1.9j)):
+        tables.clear()
+        basis = build_basis(Flux(n, m), tau)
+        norms = np.array(state_norm(basis))
+        [window] = tables
+        parts = np.abs(window.view(float))
+        assert np.all((parts == 0.0) | (parts >= np.finfo(float).tiny)), (m, n)
+        scale = basis._cell_states[2]
+        gram = scale**2 * basis.gram.diagonal().real
+        assert np.max(np.abs(norms - gram) / gram) <= 1e-14
 
 
 def test_z_tilde_frozen_values():
@@ -341,8 +318,7 @@ def test_character_route_keeps_its_digits_at_large_im_tau(mn, tau, alpha1):
 
 def test_the_two_routes_share_no_summation(monkeypatch):
     # the character route sums its residues in theta._theta_residue_norms,
-    # the per-state route on the cell grid through Field.cell_norms (and
-    # cell_density where a field has no faster sum):
+    # the per-state route folds the states' cell window (theta._grid_norms):
     # each still matches the closed form with the other's summation gone
     tau = -0.2 + 1.7j
     basis = build_basis(Flux(5, 7), tau, ANGLES)
@@ -353,13 +329,14 @@ def test_the_two_routes_share_no_summation(monkeypatch):
 
     with monkeypatch.context() as patch:
         for owner in (theta_module, lll):
-            patch.setattr(owner, "_theta_grid_sum", unreachable)
-            patch.setattr(owner, "_theta_grid_norms", unreachable)
-        for name in ("_grid_window", "_grid_phase"):
-            patch.setattr(theta_module, name, unreachable)
+            for name in ("_theta_grid_sum", "_grid_window", "_grid_norms"):
+                patch.setattr(owner, name, unreachable)
+        patch.setattr(theta_module, "_grid_phase", unreachable)
+        for name in ("_grid_norms", "_cell_table"):
+            patch.setattr(partition, name, unreachable)
         for owner in (fields.Field, lll.ThetaField):
             patch.setattr(owner, "cell_density", unreachable)
-            patch.setattr(owner, "cell_norms", unreachable)
+        patch.setattr(lll.ThetaField, "cell_window", unreachable)
         assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
     for owner in (theta_module, partition):
         monkeypatch.setattr(owner, "_theta_residue_norms", unreachable)
@@ -384,7 +361,7 @@ def test_both_routes_match_closed_form_in_the_sweep_box(mn, re, im, a1, a2):
 
 
 def _pointwise_cell_norms(field, x, y):
-    """``Field.cell_norms`` through the pointwise ``Field.cell_density``,
+    """The sums of the pointwise ``Field.cell_density`` over the grid,
     in blocks of 16 x 8 nodes so the series' term arrays stay small."""
     return sum(fields.Field.cell_density(field, x[i:i + 16], y[j:j + 8]).sum(axis=(-2, -1))
                for i in range(0, x.size, 16) for j in range(0, y.size, 8))
@@ -397,16 +374,16 @@ def _pointwise_cell_norms(field, x, y):
 @example(mn=(9, 10), re=0.5, log_im=-3.0, a1=5.0, a2=1.0)  # 1274 x 8 nodes
 @example(mn=(13, 7), re=-0.3, log_im=3.0, a1=0.7, a2=6.0)  # 8 x 1281 nodes
 def test_state_norm_sums_the_grid_densities(mn, re, log_im, a1, a2):
-    # the quadratic form in the window table against every value of the
-    # cell rule summed as |value|^2: the stacked states' grid values
-    # (Field's cell_norms over ThetaField.cell_density) to the basis
-    # epsilon, and the pointwise states to epsilon plus the ulps their
-    # cancelling exponents lose at large Im tau
+    # the folded window table against every value of the cell rule
+    # summed as |value|^2: the stacked states' grid values
+    # (ThetaField.cell_density) to the basis epsilon, and the pointwise
+    # states to epsilon plus the ulps their cancelling exponents lose at
+    # large Im tau
     m, n = mn
     basis = build_basis(Flux(n, m), complex(re, 10.0**log_im), VacuumAngles(a1, a2))
     x, y = quadrature_nodes(basis)
     got = np.array(state_norm(basis))
-    grid = np.sum([fields.Field.cell_norms(basis.field, x, y[j:j + 8])
+    grid = np.sum([basis.field.cell_density(x, y[j:j + 8]).sum(axis=(-2, -1))
                    for j in range(0, y.size, 8)], axis=0) / (x.size * y.size)
     assert np.max(np.abs(got - grid) / grid) <= basis.policy.epsilon
     pointwise = _pointwise_cell_norms(basis.field, x, y) / (x.size * y.size)

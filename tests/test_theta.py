@@ -15,7 +15,6 @@ from nctorus.theta import (
     dedekind_eta,
     _nmax_certified,
     _peak_window,
-    _theta_grid_norms,
     _theta_grid_sum,
     _theta_residue_norms,
     orthogonality_residual,
@@ -364,21 +363,21 @@ def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
     assert np.max(np.abs(product)) / scale <= allowed
 
 
-@pytest.mark.parametrize("level, tau", [(1, 0.3 + 2.0j), (6, -0.4 + 0.3j), (35, 0.01j)])
-@pytest.mark.parametrize("coefficients", [{0: 1}, {0: 1.0, 2: 0.3j}])
-def test_grid_norms_sum_the_grid_values_on_any_nodes(level, tau, coefficients):
-    # on uneven nodes the comb is complex, h(-d) = conj(h(d)): the
-    # quadratic form is still the sum of |value|**2 over the grid sum's
-    # values, the orders weighted by their coefficients
-    x = np.random.default_rng(6).uniform(0.0, 1.0, 7)
+@pytest.mark.parametrize("level, tau, n_x", [(1, 0.3 + 2.0j, 8), (6, -0.4 + 0.3j, 8),
+                                             (6, 0.1j, 6), (12, 0.1 + 0.2j, 9), (35, 0.01j, 8)])
+def test_grid_norms_fold_the_grid_values_on_midpoint_nodes(level, tau, n_x):
+    # a row's terms alias onto their classes of frequency mod n_x: the
+    # fold of the window table is the sum of |value|**2 over the grid
+    # sum's values on the midpoint nodes, where the terms of one class
+    # (all of them at n_x = K = 6) cancel or add
+    x = (np.arange(n_x) + 0.5) / n_x
     c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
     spec = ThetaSpec(level, tuple(range(level)))
     log_scale = unit_envelope(level, c, tau) - 1j * math.pi * level * c**2 / tau
-    scaled = {p: coeff / (2.0 * math.pi * level) ** p for p, coeff in coefficients.items()}
-    got = _theta_grid_norms(spec, x, c, tau, TruncationPolicy(), log_scale, scaled)
-    values = _theta_grid_sum(spec, x, c, tau, TruncationPolicy(), sorted(scaled), log_scale)
-    want = np.sum(np.abs(sum(coeff * values[p] for p, coeff in scaled.items())) ** 2,
-                  axis=(1, 2))
+    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(), 0, log_scale)
+    got = theta_module._grid_norms(np.rint(level * a).astype(int), window, n_x, level)
+    values = _theta_grid_sum(spec, x, c, tau, TruncationPolicy(), [0], log_scale)[0]
+    want = np.sum(np.abs(values) ** 2, axis=(1, 2))
     assert got.shape == want.shape == (level,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 

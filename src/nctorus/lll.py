@@ -143,7 +143,7 @@ class ThetaField(Field):
     derivatives return shape ``(len(residue),) + w.shape``.
     """
 
-    __slots__ = ("terms", "level", "residue", "spec", "alpha1", "gamma", "policy", "_window")
+    __slots__ = ("terms", "level", "residue", "spec", "alpha1", "gamma", "policy", "_windows")
 
     def __init__(self, terms, level, residue, tau, alpha1, gamma, policy=_DEFAULT_POLICY):
         t = as_tau(tau)
@@ -154,7 +154,7 @@ class ThetaField(Field):
         self.alpha1 = float(alpha1)
         self.gamma = complex(gamma)
         self.policy = policy
-        self._window = None
+        self._windows = ()
         tv = t.value
 
         # the evaluators hold no reference to self: a field is freed, with
@@ -203,19 +203,25 @@ class ThetaField(Field):
             Psi_r = exp(i*(pi*K*y_j + alpha1)*x + i*alpha2*y_j)
                     * sum_m W[r, j, m] * exp(2*pi*i*F[r, m]*x).
 
-        The last tables are kept, read-only, for the steps along 1."""
+        The first tables, on the cell rule's own columns, and the last on
+        other columns are kept, read-only: the steps along 1 and the norms
+        read the first, and a step along tau (at ``y - u_y``) does not
+        replace them."""
         if set(self.terms) != {(0, 0, 0)}:
             raise ValueError("a cell window needs the one term (0, 0, 0)")
-        if self._window is None or self._window[0] != y.tobytes():
-            tau, k = self.tau, self.level
-            a, window = _grid_window(self.spec, tau * y + self.gamma, tau, self.policy, 0,
-                                     -1j * math.pi * k * self.gamma**2 / tau)
-            window *= self.terms[(0, 0, 0)]
-            freq = np.rint(k * a).astype(int)
-            for arr in (freq, window):
-                arr.setflags(write=False)
-            self._window = y.tobytes(), (freq, window)
-        return self._window[1]
+        key = y.tobytes()
+        for kept, tables in self._windows:
+            if kept == key:
+                return tables
+        tau, k = self.tau, self.level
+        a, window = _grid_window(self.spec, tau * y + self.gamma, tau, self.policy, 0,
+                                 -1j * math.pi * k * self.gamma**2 / tau)
+        window *= self.terms[(0, 0, 0)]
+        freq = np.rint(k * a).astype(int)
+        for arr in (freq, window):
+            arr.setflags(write=False)
+        self._windows = self._windows[:1] + ((key, (freq, window)),)
+        return freq, window
 
 
 class _Translated(Field):

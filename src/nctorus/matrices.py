@@ -243,12 +243,21 @@ def dual_matrices(m, n, angles: VacuumAngles = _NO_ANGLES):
 
 def sine_structure_residual(m, n, word_a, word_b) -> float:
     """Max-entry residual of
-    [W(a), W(b)] = 2i sin(pi kappa (a x b)) W(a + b)  (angles 0)."""
-    wa = weyl_element(word_a, m, n).entries
-    wb = weyl_element(word_b, m, n).entries
-    wab = weyl_element(word_a + word_b, m, n).entries
+    [W(a), W(b)] = 2i sin(pi kappa (a x b)) W(a + b)  (angles 0).
+
+    The three words are one :func:`_weyl_phases` call.  All three terms
+    are monomial with shift sa + sb, so, as in
+    :func:`weyl_cocycle_residual`, the products compare phase vectors:
+    W(a) W(b) has phases ``pa[(j + sb) % M] * pb[j]``.  That is the dense
+    matrices' product summed entry by entry, bit for bit; a BLAS product,
+    which rounds some entries with fused multiply-adds, lies a few ulps
+    away."""
+    word_ab = word_a + word_b
+    (pa, pb, pab), (sa, sb, _) = _weyl_phases(
+        [word_a.m1, word_b.m1, word_ab.m1], [word_a.m2, word_b.m2, word_ab.m2], m, n)
+    j = np.arange(m)
     coeff = 2j * math.sin(math.pi * n * word_a.cross(word_b) / m)
-    return float(np.max(np.abs(wa @ wb - wb @ wa - coeff * wab)))
+    return float(np.max(np.abs(pa[(j + sb) % m] * pb - pb[(j + sa) % m] * pa - coeff * pab)))
 
 
 def commutant_dimension(generators) -> int:
@@ -346,14 +355,15 @@ def uq_sl2_generators(m, n) -> UqSl2Generators:
         )
     q = cmath.exp(2j * math.pi * n / m)
     denom = q - 1.0 / q
-    w = lambda m1, m2: weyl_element(WeylWord(m1, m2), m, n).entries
-    j_plus = (w(1, 1) - w(-1, 1)) / denom
-    j_minus = (w(-1, -1) - w(1, -1)) / denom
-    q_j3 = clock_matrix(m, n)
+    # the four words of J+- and the clock powers 1, -1, 2, -2, in one call
+    phases, shifts = _weyl_phases([1, -1, -1, 1, 1, -1, 2, -2],
+                                  [1, 1, -1, -1, 0, 0, 0, 0], m, n)
+    w_pp, w_mp, w_mm, w_pm = (_scatter(p, s) for p, s in zip(phases[:4], shifts[:4]))
+    j_plus = (w_pp - w_mp) / denom
+    j_minus = (w_mm - w_pm) / denom
+    q_j3 = CSMatrix(np.diag(phases[4]))
     c = q_j3.entries
-    c_inv = clock_power(m, n, 0.0, -1).entries
-    c2 = clock_power(m, n, 0.0, 2).entries
-    c2_inv = clock_power(m, n, 0.0, -2).entries
+    c_inv, c2, c2_inv = (np.diag(p) for p in phases[5:])
     res = {
         "conjugation_plus": float(
             np.max(np.abs(c @ j_plus @ c_inv - q * j_plus))

@@ -133,6 +133,7 @@ modulus at most 1, ``(points, n, K)`` of them per block.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -158,6 +159,7 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+_TINY = np.finfo(float).tiny
 # points of one _theta_residue_norms block, times max(K, count): its
 # (points, K) table of squared magnitudes is 64 KB and the block's complex
 # sums twice that.  Over the 42 ops of a partition-sweep run, in-process,
@@ -543,8 +545,8 @@ def theta_derivative(spec, z, tau, policy=_DEFAULT_POLICY, order=1, log_scale=No
     return _theta_sum(spec, z, tau, policy, order, log_scale)
 
 
-def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> complex:
-    r"""Dedekind eta via the product
+def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
+    r"""Dedekind eta via the product (DLMF 27.14)
 
         eta(tau) = exp(2*pi*i*tau/24) * prod_{n>=1} (1 - q**n),
         q = exp(2*pi*i*tau).
@@ -556,44 +558,90 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> complex:
     ``|q|**(F+1) / (1 - |q|) < eps/2``.  A value that underflows to 0
     or to a subnormal (``Im tau`` below about 3.7e-4 or above about 2700)
     raises :class:`FloatingPointError`, since eta has no zero.
+
+    ``tau`` is a point (a complex value is returned) or an array of
+    points (an array of their values).  The points' factors are laid end
+    to end, with no padding, and each point's run is reduced in order by
+    one ``multiply.reduceat``, so each value is the single point's product
+    bit for bit, and memory goes with the total factor count.  The first
+    point, in order, that needs more than ``policy.max_terms`` factors or
+    whose value underflows raises what it raises alone, as a loop over
+    the points would.  No product is formed past a point that needs too
+    many factors or whose value is its underflowed leading factor.
     """
-    t = as_tau(tau)
-    q = cmath.exp(2j * math.pi * t.value)
-    aq = abs(q)
-    # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0 the product is 1
-    nfac = 0 if aq == 0.0 else max(
-        1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - aq)) / math.log(aq)))
-    if nfac > policy.max_terms:
+    scalar = isinstance(tau, ModularParameter) or not np.ndim(tau)
+    if scalar:
+        points = [as_tau(tau).value]
+    else:
+        taus = np.asarray(tau, dtype=complex)
+        valid = (taus.imag > 0.0) & np.isfinite(taus)
+        if not valid.all():
+            as_tau(taus[~valid][0])  # raises the ValueError of the first such point
+        points = taus.ravel().tolist()
+    qs, counts, leads = [], [], []
+    for t in points:
+        q = cmath.exp(2j * math.pi * t)
+        aq = abs(q)
+        # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0 the product is 1
+        nfac = 0 if aq == 0.0 else max(
+            1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - aq)) / math.log(aq)))
+        lead = cmath.exp(1j * math.pi * t / 12.0)
+        # a product over the cap, or a value that is its lead and underflows,
+        # fails before any product is formed (raised after the points before it)
+        if nfac > policy.max_terms or (not nfac and abs(lead) < _TINY):
+            break
+        qs.append(q)
+        counts.append(nfac)
+        leads.append(lead)
+    starts = [end - nfac for end, nfac in zip(itertools.accumulate(counts), counts)]
+    # each point's factors 1 - q**n, n = 1..F, as one run after the last
+    # point's, formed in place
+    n = np.arange(1, sum(counts) + 1)
+    if len(counts) > 1:
+        n -= np.repeat(starts, counts)
+    factors = np.repeat(np.array(qs, dtype=complex), counts)
+    np.power(factors, n, out=factors)
+    np.subtract(1.0, factors, out=factors)
+    products = [1.0 + 0.0j] * len(counts)
+    runs = [i for i, nfac in enumerate(counts) if nfac]
+    if runs:
+        reduced = np.multiply.reduceat(factors, [starts[i] for i in runs]).tolist()
+        for i, product in zip(runs, reduced):
+            products[i] = product
+    values = []
+    for t, lead, product in zip(points, leads, products):
+        value = lead * product
+        if abs(value) < _TINY:  # eta has no zero: a 0 or subnormal value underflowed
+            raise FloatingPointError("eta(%r) underflows double range" % (t,))
+        values.append(value)
+    if len(values) < len(points):
+        if nfac <= policy.max_terms:
+            raise FloatingPointError("eta(%r) underflows double range" % (points[len(values)],))
         raise TruncationError(
             "eta product needs %d factors, cap is %d" % (nfac, policy.max_terms),
             required=nfac,
             cap=policy.max_terms,
             bound=policy.epsilon,
         )
-    lead = cmath.exp(1j * math.pi * t.value / 12.0)
-    factors = 1.0 - q ** np.arange(1, nfac + 1)
-    value = lead * complex(np.prod(factors))
-    if abs(value) < np.finfo(float).tiny:  # eta has no zero: a 0 or subnormal value underflowed
-        raise FloatingPointError("eta(%r) underflows double range" % (t.value,))
-    return value
+    return values[0] if scalar else np.array(values, dtype=complex).reshape(taus.shape)
 
 
 def eta_functional_residual(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> float:
     """Largest residual of ``eta(tau+1) = exp(i*pi/12) eta(tau)`` and
     ``eta(-1/tau) = sqrt(-i*tau) eta(tau)`` at 20 seeded points and at
     ``tau`` and ``-1/tau``, each relative to ``|eta|``, which is 4e-11 at
-    0.01i: an absolute residual there would pass any eta."""
+    0.01i: an absolute residual there would pass any eta.  The 66 etas,
+    each point's ``tau``, ``tau + 1`` and ``-1/tau`` in the points' order,
+    are one :func:`dedekind_eta` call."""
     t0 = as_tau(tau)
-    rng = np.random.default_rng(0)
-    seeded = [ModularParameter(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5))
-              for _ in range(20)]
+    # (Re, Im) of each seeded point, drawn in that order
+    seeded = np.random.default_rng(0).uniform([-0.5, 1.0], [0.5, 2.5], size=(20, 2))
+    points = [complex(*t) for t in seeded.tolist()] + [t0.value, as_tau(-1.0 / t0.value).value]
+    etas = dedekind_eta([(t, t + 1.0, -1.0 / t) for t in points], policy).tolist()
     res = []
-    for t in seeded + [t0, as_tau(-1.0 / t0.value)]:
-        e = dedekind_eta(t, policy)
-        shifted = dedekind_eta(ModularParameter(t.re + 1.0, t.im), policy)
+    for t, (e, shifted, e_inv) in zip(points, etas):
         res.append(abs(shifted - cmath.exp(1j * math.pi / 12.0) * e) / abs(shifted))
-        e_inv = dedekind_eta(-1.0 / t.value, policy)
-        res.append(abs(e_inv - cmath.sqrt(-1j * t.value) * e) / abs(e_inv))
+        res.append(abs(e_inv - cmath.sqrt(-1j * t) * e) / abs(e_inv))
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 
@@ -658,16 +706,14 @@ def quasi_periodicity_residual(level, tau, policy=_DEFAULT_POLICY) -> float:
     rng = np.random.default_rng(0)
     res = []
     for k in (1, 2, 3, 6, 12, level):
-        spec = ThetaSpec(k, k // 2)
         zs = rng.random(25) + t.value * rng.random(25)
-
-        def ev(z):
-            return theta(spec, z, t, policy, log_scale=-math.pi * k * z.imag**2 / b)
-
-        f = ev(zs)
-        res.append(_relative(np.max(np.abs(ev(zs + 1.0) - f)), np.max(np.abs(f))))
+        # zs, zs + 1 and zs + tau in one series
+        z = np.concatenate([zs, zs + 1.0, zs + t.value])
+        f, f_1, f_tau = theta(ThetaSpec(k, k // 2), z, t, policy,
+                              log_scale=-math.pi * k * z.imag**2 / b).reshape(3, -1)
+        res.append(_relative(np.max(np.abs(f_1 - f)), np.max(np.abs(f))))
         rhs = np.exp(-1j * math.pi * k * t.re - 2j * math.pi * k * zs.real) * f
-        res.append(_relative(np.max(np.abs(ev(zs + t.value) - rhs)), np.max(np.abs(rhs))))
+        res.append(_relative(np.max(np.abs(f_tau - rhs)), np.max(np.abs(rhs))))
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 

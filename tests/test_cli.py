@@ -440,8 +440,9 @@ def test_eta_check_sees_the_run_tau(capsys, monkeypatch):
     eta = theta_module.dedekind_eta
 
     def faulty(tau, *args, **kwargs):
+        # the check's one array call, faulted point by point
         value = eta(tau, *args, **kwargs)
-        return value * (1.0 + 1e-6) if as_tau(tau).im < 0.05 else value
+        return value * np.where(np.imag(tau) < 0.05, 1.0 + 1e-6, 1.0)
 
     monkeypatch.setattr(theta_module, "dedekind_eta", faulty)
     code, rep = run_json(capsys, ["verify", "--tau=0.01i"])
@@ -863,11 +864,12 @@ def test_reported_residuals_are_the_library_values(reported, command, name, libr
 
 
 def _nan_eta_at_the_first_point(monkeypatch):
-    eta, calls = theta_module.dedekind_eta, []
+    eta = theta_module.dedekind_eta
 
     def first_nan(*args):
-        calls.append(args)
-        return complex("nan") if len(calls) == 1 else eta(*args)
+        values = eta(*args)  # the check's one array call
+        values.flat[0] = complex("nan")
+        return values
 
     monkeypatch.setattr(theta_module, "dedekind_eta", first_nan)
 

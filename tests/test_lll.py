@@ -644,6 +644,26 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
     assert calls["state_norm"] == 3
 
 
+def test_verify_builds_each_window_table_once(monkeypatch, capsys):
+    # the states' table on the cell rule's own columns serves the Gram
+    # matrix, the steps along 1 and the state norms at tau; the steps along
+    # tau read other columns and do not replace it.  Five tables: the
+    # states, the two steps along tau, and the bases at tau+1 and -1/tau
+    calls = {"window": 0}
+    monkeypatch.setattr(lll, "_grid_window", _counted(calls, "window", lll._grid_window))
+    assert cli.main(["verify", "--M", "3", "--N", "5", "--tau=0.2+1.4i",
+                     "--alpha1", "0.7", "--alpha2", "-1.3"]) == 0
+    capsys.readouterr()
+    assert calls["window"] == 5
+    # the norms read after the steps are a fresh basis's bit for bit
+    basis = build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES)
+    assert basis.translations
+    calls["window"] = 0
+    norms = partition.state_norm(basis)
+    assert calls["window"] == 0
+    assert norms == partition.state_norm(build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES))
+
+
 def test_raise_level_roundtrip_and_covariance():
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
     w, wbar = unit_cell_grid(TAU_GEN, n=4)

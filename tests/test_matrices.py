@@ -290,6 +290,65 @@ def test_sine_structure_residuals():
     assert sine_structure_residual(5, 2, WeylWord(1, 1), WeylWord(2, -1)) < 1e-12
 
 
+_COPRIME = [(m, n) for m in range(1, 25) for n in range(1, 14) if math.gcd(m, n) == 1]
+# the matrices command's pair first, then verify's second pair and others
+_SINE_PAIRS = [(WeylWord(1, 0), WeylWord(0, 1)), (WeylWord(1, 1), WeylWord(2, -1)),
+               (WeylWord(2, 3), WeylWord(-1, 5)), (WeylWord(3, -2), WeylWord(1, 1))]
+
+
+def _dense_sine_residual(m, n, a, b, product):
+    """The sine-structure residual from the dense per-word matrices, each
+    commutator term one ``product`` of two of them."""
+    wa, wb, wab = (weyl_element(w, m, n).entries for w in (a, b, a + b))
+    coeff = 2j * math.sin(math.pi * n * a.cross(b) / m)
+    return float(np.max(np.abs(product(wa, wb) - product(wb, wa) - coeff * wab)))
+
+
+def _entrywise(x, y):
+    # every entry summed from numpy's elementwise products, no BLAS
+    return (x[:, :, None] * y[None, :, :]).sum(axis=1)
+
+
+def test_sine_structure_is_the_dense_form_bit_for_bit():
+    for m, n in _COPRIME:
+        for a, b in _SINE_PAIRS:
+            got = sine_structure_residual(m, n, a, b)
+            assert got == _dense_sine_residual(m, n, a, b, _entrywise), (m, n, a, b)
+            # BLAS rounds some of its product entries with fused
+            # multiply-adds, so on other pairs it can lie a few ulps away;
+            # the matrices command's pair multiplies by exact unit phases
+            blas = _dense_sine_residual(m, n, a, b, np.matmul)
+            assert got < 1e-12 and abs(got - blas) <= 1e-15, (m, n, a, b)
+            if (a, b) == _SINE_PAIRS[0]:
+                assert got == blas, (m, n)
+
+
+def _dense_uq_sl2(m, n):
+    """``uq_sl2_generators`` from one dense Weyl element or clock power per word."""
+    q = cmath.exp(2j * math.pi * n / m)
+    denom = q - 1.0 / q
+    w = lambda m1, m2: weyl_element(WeylWord(m1, m2), m, n).entries
+    j_plus = (w(1, 1) - w(-1, 1)) / denom
+    j_minus = (w(-1, -1) - w(1, -1)) / denom
+    c = clock_matrix(m, n).entries
+    c_inv, c2, c2_inv = (clock_power(m, n, 0.0, p).entries for p in (-1, 2, -2))
+    residuals = [np.max(np.abs(c @ j_plus @ c_inv - q * j_plus)),
+                 np.max(np.abs(c @ j_minus @ c_inv - j_minus / q)),
+                 np.max(np.abs(j_plus @ j_minus - j_minus @ j_plus - (c2 - c2_inv) / denom))]
+    return j_plus, j_minus, c, residuals
+
+
+def test_uq_sl2_generators_are_the_dense_form_bit_for_bit():
+    for m, n in _COPRIME:
+        if (2 * n) % m == 0:
+            continue
+        gens = uq_sl2_generators(m, n)
+        j_plus, j_minus, c, residuals = _dense_uq_sl2(m, n)
+        for got, want in ((gens.j_plus, j_plus), (gens.j_minus, j_minus), (gens.q_j3.entries, c)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert list(gens.residuals.values()) == residuals, (m, n)
+
+
 def test_commutant_dimension():
     assert commutant_dimension([CSMatrix(np.eye(3))]) == 9
     assert commutant_dimension([clock_matrix(3, 2), shift_matrix(3)]) == 1
@@ -398,8 +457,9 @@ def test_matrices_command_rank_systems_stay_small(monkeypatch, capsys):
 
 
 def test_weyl_words_are_built_in_one_call_per_check(monkeypatch):
-    # a structural guard, not a timing: the span's M^2 words and the
-    # cocycle's 9 x 9 table are each one evaluation of the phase routine
+    # a structural guard, not a timing: the span's M^2 words, the
+    # cocycle's 9 x 9 table and each check's words are one evaluation of
+    # the phase routine
     sizes = []
     weyl_phases = matrices._weyl_phases
 
@@ -413,6 +473,14 @@ def test_weyl_words_are_built_in_one_call_per_check(monkeypatch):
     sizes.clear()
     weyl_cocycle_residual(24, 7)
     assert sizes == [81]
+    # the three words of a sine check; the four words and four clock powers
+    # of the U_q(sl2) triple
+    sizes.clear()
+    sine_structure_residual(24, 7, WeylWord(1, 1), WeylWord(2, -1))
+    assert sizes == [3]
+    sizes.clear()
+    uq_sl2_generators(24, 7)
+    assert sizes == [8]
 
 
 def test_weyl_span_dimension():

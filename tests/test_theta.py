@@ -1,12 +1,14 @@
 import cmath
 import importlib
 import math
+import re
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+from nctorus.core import ModularParameter, as_tau
 from nctorus.errors import TruncationError, UnsupportedConventionError
 from nctorus.theta import (
     ThetaSpec,
@@ -522,6 +524,45 @@ def test_quasi_periodicity_residual_covers_level_k():
     assert math.isfinite(res) and res < 1e-9
 
 
+def _quasi_periodicity_loop(level, tau, policy=TruncationPolicy()):
+    """:func:`quasi_periodicity_residual` as 18 theta calls: each level's
+    points, their shift by 1 and their shift by tau, one call each."""
+    t = as_tau(tau)
+    rng = np.random.default_rng(0)
+    res = []
+    for k in (1, 2, 3, 6, 12, level):
+        spec = ThetaSpec(k, k // 2)
+        zs = rng.random(25) + t.value * rng.random(25)
+
+        def ev(z):
+            return theta(spec, z, t, policy, log_scale=-math.pi * k * z.imag**2 / t.im)
+
+        f = ev(zs)
+        res.append(theta_module._relative(np.max(np.abs(ev(zs + 1.0) - f)), np.max(np.abs(f))))
+        rhs = np.exp(-1j * math.pi * k * t.re - 2j * math.pi * k * zs.real) * f
+        res.append(theta_module._relative(np.max(np.abs(ev(zs + t.value) - rhs)),
+                                          np.max(np.abs(rhs))))
+    return float(np.max(res))
+
+
+@pytest.mark.parametrize("level, tau", [(24, 0.2 + 1.4j), (2, 0.01j), (35, -0.3 + 0.85j),
+                                        (77, 50j), (6, 1e5j)])
+def test_quasi_periodicity_is_one_theta_call_per_level(monkeypatch, level, tau):
+    # the three point sets of a level share one series, and the residual
+    # is the 18-call loop's bit for bit (NaN at 1e5i, where all underflow)
+    want = _quasi_periodicity_loop(level, tau)
+    sizes, series = [], theta_module.theta
+
+    def counting(spec, z, *args, **kwargs):
+        sizes.append(np.size(z))
+        return series(spec, z, *args, **kwargs)
+
+    monkeypatch.setattr(theta_module, "theta", counting)
+    got = quasi_periodicity_residual(level, tau)
+    assert sizes == [75] * 6
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 # --- Dedekind eta ------------------------------------------------------------
 
 def naive_eta(tau, nfactors=400):
@@ -583,6 +624,81 @@ def test_eta_inversion_equation():
         lhs = dedekind_eta(-1.0 / tau)
         rhs = cmath.sqrt(-1j * tau) * dedekind_eta(tau)
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+
+def _eta_check_points(tau):
+    """The 66 moduli of ``eta_functional_residual`` at ``tau``, as a loop
+    over its points built them: each point, its shift by 1, its inverse."""
+    rng = np.random.default_rng(0)
+    seeded = [ModularParameter(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 2.5))
+              for _ in range(20)]
+    t0 = as_tau(tau)
+    return [z for t in seeded + [t0, as_tau(-1.0 / t0.value)]
+            for z in (t.value, ModularParameter(t.re + 1.0, t.im).value,
+                      as_tau(-1.0 / t.value).value)]
+
+
+def _eta_factor_count(tau, epsilon=1e-12):
+    aq = abs(cmath.exp(2j * math.pi * tau))
+    return 0 if aq == 0.0 else max(1, math.ceil(math.log(0.5 * epsilon * (1.0 - aq)) / math.log(aq)))
+
+
+def _one_point_eta(tau):
+    """The one-point product: leading factor times ``np.prod`` of the
+    certified factors."""
+    q = cmath.exp(2j * math.pi * tau)
+    factors = 1.0 - q ** np.arange(1, _eta_factor_count(tau) + 1)
+    return cmath.exp(1j * math.pi * tau / 12.0) * complex(np.prod(factors))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("tau, longest", [(0.2 + 1.4j, 12), (0.01j, 496), (1e-3j, 5316)])
+def test_eta_array_is_the_one_point_product_bit_for_bit(tau, longest):
+    # the eta check's 66 moduli; their runs of factors differ in length,
+    # from a handful up to the run's own tau
+    points = _eta_check_points(tau)
+    assert max(map(_eta_factor_count, points)) == longest
+    values = dedekind_eta(points)
+    assert values.shape == (66,)
+    np.testing.assert_array_equal(_bits(values), _bits([_one_point_eta(t) for t in points]))
+    np.testing.assert_array_equal(_bits(values), _bits([dedekind_eta(t) for t in points]))
+    stacked = dedekind_eta(np.reshape(points, (22, 3)))
+    assert stacked.shape == (22, 3)
+    np.testing.assert_array_equal(_bits(stacked.ravel()), _bits(values))
+
+
+def test_eta_array_where_q_underflows():
+    # at 120i and 0.3+500i the product has no factor, between points that have
+    points = [0.3 + 1.1j, 120j, 1j, 0.3 + 500j]
+    assert [_eta_factor_count(t) for t in points][1::2] == [0, 0]
+    np.testing.assert_array_equal(_bits(dedekind_eta(points)),
+                                  _bits([_one_point_eta(t) for t in points]))
+
+
+def test_eta_array_raises_as_its_first_failing_point():
+    # 3000i underflows; at a cap of 100 factors 0.01i, ahead of it, is too long
+    batch = [1j, 0.01j, 3000j]
+    with pytest.raises(FloatingPointError, match=re.escape("eta(3000j) underflows")):
+        dedekind_eta(batch)
+    with pytest.raises(TruncationError, match="needs 496 factors, cap is 100"):
+        dedekind_eta(batch, TruncationPolicy(max_terms=100))
+    with pytest.raises(ValueError, match="Im"):
+        dedekind_eta([1j, -1j])
+
+
+def test_eta_check_is_one_array_call(monkeypatch):
+    shapes, eta = [], theta_module.dedekind_eta
+
+    def counting(tau, *args):
+        shapes.append(np.shape(tau))
+        return eta(tau, *args)
+
+    monkeypatch.setattr(theta_module, "dedekind_eta", counting)
+    theta_module.eta_functional_residual(0.2 + 1.4j)
+    assert shapes == [(22, 3)]
 
 
 # --- characters and transforms ----------------------------------------------

@@ -143,7 +143,7 @@ class ThetaField(Field):
     derivatives return shape ``(len(residue),) + w.shape``.
     """
 
-    __slots__ = ("terms", "level", "residue", "spec", "alpha1", "gamma", "policy", "_windows")
+    __slots__ = ("terms", "level", "residue", "spec", "alpha1", "gamma", "policy", "_window")
 
     def __init__(self, terms, level, residue, tau, alpha1, gamma, policy=_DEFAULT_POLICY):
         t = as_tau(tau)
@@ -154,7 +154,7 @@ class ThetaField(Field):
         self.alpha1 = float(alpha1)
         self.gamma = complex(gamma)
         self.policy = policy
-        self._windows = ()
+        self._window = None
         tv = t.value
 
         # the evaluators hold no reference to self: a field is freed, with
@@ -203,16 +203,15 @@ class ThetaField(Field):
             Psi_r = exp(i*(pi*K*y_j + alpha1)*x + i*alpha2*y_j)
                     * sum_m W[r, j, m] * exp(2*pi*i*F[r, m]*x).
 
-        The first tables, on the cell rule's own columns, and the last on
-        other columns are kept, read-only: the steps along 1 and the norms
-        read the first, and a step along tau (at ``y - u_y``) does not
-        replace them."""
+        The first tables asked, on the cell rule's own columns, are kept,
+        read-only, for the steps along 1 and the norms; a step along tau
+        reads other columns, and its tables are neither kept nor replace
+        them."""
         if set(self.terms) != {(0, 0, 0)}:
             raise ValueError("a cell window needs the one term (0, 0, 0)")
         key = y.tobytes()
-        for kept, tables in self._windows:
-            if kept == key:
-                return tables
+        if self._window is not None and self._window[0] == key:
+            return self._window[1]
         tau, k = self.tau, self.level
         a, window = _grid_window(self.spec, tau * y + self.gamma, tau, self.policy, 0,
                                  -1j * math.pi * k * self.gamma**2 / tau)
@@ -220,7 +219,8 @@ class ThetaField(Field):
         freq = np.rint(k * a).astype(int)
         for arr in (freq, window):
             arr.setflags(write=False)
-        self._windows = self._windows[:1] + ((key, (freq, window)),)
+        if self._window is None:
+            self._window = key, (freq, window)
         return freq, window
 
 
@@ -255,7 +255,8 @@ class _Translated(Field):
         rate_x = _prefactor_exponent(self.displacement, self.im_tau_weight)(1.0, 1.0)
         const = self.scale * cmath.exp(1j * (math.pi * k * ux * uy - angles.alpha1 * ux
                                              - angles.alpha2 * uy))
-        window = window * const * np.exp(-2j * math.pi * ux * freq)[:, None, :]
+        window = window * const  # the base's table is read-only: one copy, scaled in place
+        window *= np.exp(-2j * math.pi * ux * freq)[:, None, :]
         return freq + round((rate_x.imag - math.pi * k * uy) / (2.0 * math.pi)), window
 
 

@@ -700,7 +700,9 @@ def quasi_periodicity_residual(level, tau, policy=_DEFAULT_POLICY) -> float:
     the peak-centred series scaled by the inverse envelope
     ``exp(-pi*K*(Im z)**2/Im tau)``, as the ground states do, so the values
     stay in double range at any ``tau`` and the tau-shift factor is the
-    pure phase ``exp(-i*pi*K*Re tau - 2*pi*i*K*Re z)``."""
+    pure phase ``exp(-i*pi*K*Re tau - 2*pi*i*K*Re z)``.  A level's points
+    ``z``, ``z + 1`` and ``z + tau`` are one :func:`theta` call; each
+    point's terms are its own, so the values are those of three calls."""
     t = as_tau(tau)
     b = t.im
     rng = np.random.default_rng(0)

@@ -569,7 +569,7 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
     the points would.  No product is formed past a point that needs too
     many factors or whose value is its underflowed leading factor.
     """
-    scalar = isinstance(tau, ModularParameter) or not np.ndim(tau)
+    scalar = isinstance(tau, (ModularParameter, complex, float, int)) or not np.ndim(tau)
     if scalar:
         points = [as_tau(tau).value]
     else:
@@ -593,17 +593,19 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
         qs.append(q)
         counts.append(nfac)
         leads.append(lead)
-    starts = [end - nfac for end, nfac in zip(itertools.accumulate(counts), counts)]
+    starts = [end - count for end, count in zip(itertools.accumulate(counts), counts)]
     # each point's factors 1 - q**n, n = 1..F, as one run after the last
-    # point's, formed in place
+    # point's; several points' runs are formed in place
     n = np.arange(1, sum(counts) + 1)
-    if len(counts) > 1:
-        n -= np.repeat(starts, counts)
-    factors = np.repeat(np.array(qs, dtype=complex), counts)
-    np.power(factors, n, out=factors)
+    if len(counts) == 1:
+        factors = qs[0] ** n
+    else:
+        n -= np.repeat(np.array(starts, dtype=int), counts)
+        factors = np.repeat(np.array(qs, dtype=complex), counts)
+        np.power(factors, n, out=factors)
     np.subtract(1.0, factors, out=factors)
     products = [1.0 + 0.0j] * len(counts)
-    runs = [i for i, nfac in enumerate(counts) if nfac]
+    runs = [i for i, count in enumerate(counts) if count]
     if runs:
         reduced = np.multiply.reduceat(factors, [starts[i] for i in runs]).tolist()
         for i, product in zip(runs, reduced):
@@ -614,7 +616,7 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
         if abs(value) < _TINY:  # eta has no zero: a 0 or subnormal value underflowed
             raise FloatingPointError("eta(%r) underflows double range" % (t,))
         values.append(value)
-    if len(values) < len(points):
+    if len(values) < len(points):  # the loop above stopped at this point
         if nfac <= policy.max_terms:
             raise FloatingPointError("eta(%r) underflows double range" % (points[len(values)],))
         raise TruncationError(

@@ -316,13 +316,19 @@ class LLLBasis:
     @functools.cached_property
     def translations(self):
         """:func:`_project` of ``d1``, ``dual1``, ``d2`` and ``dual2`` (the
-        steps along 1 first: they read the states' own window), read-only."""
-        out = {}
+        steps along 1 first: they read the states' own window), read-only.
+        A dual step that is its lattice step (both lattices are the one at
+        M = N = 1) is that step's projection."""
+        out, steps = {}, {}
         for name, index, dual in (("d1", 1, False), ("dual1", 1, True),
                                   ("d2", 2, False), ("dual2", 2, True)):
-            out[name] = _project(self, elementary_translation(self, index, dual=dual)(self.field))
-            for arr in out[name]:
-                arr.setflags(write=False)
+            step = index, self.flux.numerator if dual else self.flux.denominator
+            if step not in steps:
+                op = elementary_translation(self, index, dual=dual)
+                steps[step] = _project(self, op(self.field))
+                for arr in steps[step]:
+                    arr.setflags(write=False)
+            out[name] = steps[step]
         return out
 
 

@@ -140,7 +140,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModularParameter, as_tau
+from .core import as_tau
 from .errors import TruncationError, UnsupportedConventionError
 
 __all__ = [
@@ -569,7 +569,7 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
     the points would.  No product is formed past a point that needs too
     many factors or whose value is its underflowed leading factor.
     """
-    scalar = isinstance(tau, (ModularParameter, complex, float, int)) or not np.ndim(tau)
+    scalar = np.ndim(tau) == 0
     if scalar:
         points = [as_tau(tau).value]
     else:
@@ -579,6 +579,7 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
             as_tau(taus[~valid][0])  # raises the ValueError of the first such point
         points = taus.ravel().tolist()
     qs, counts, leads = [], [], []
+    failure = None  # the error of the first point that fails before its product
     for t in points:
         q = cmath.exp(2j * math.pi * t)
         aq = abs(q)
@@ -588,21 +589,27 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
         lead = cmath.exp(1j * math.pi * t / 12.0)
         # a product over the cap, or a value that is its lead and underflows,
         # fails before any product is formed (raised after the points before it)
-        if nfac > policy.max_terms or (not nfac and abs(lead) < _TINY):
+        if nfac > policy.max_terms:
+            failure = TruncationError(
+                "eta product needs %d factors, cap is %d" % (nfac, policy.max_terms),
+                required=nfac,
+                cap=policy.max_terms,
+                bound=policy.epsilon,
+            )
+            break
+        if not nfac and abs(lead) < _TINY:
+            failure = FloatingPointError("eta(%r) underflows double range" % (t,))
             break
         qs.append(q)
         counts.append(nfac)
         leads.append(lead)
     starts = [end - count for end, count in zip(itertools.accumulate(counts), counts)]
     # each point's factors 1 - q**n, n = 1..F, as one run after the last
-    # point's; several points' runs are formed in place
+    # point's, formed in place
     n = np.arange(1, sum(counts) + 1)
-    if len(counts) == 1:
-        factors = qs[0] ** n
-    else:
-        n -= np.repeat(np.array(starts, dtype=int), counts)
-        factors = np.repeat(np.array(qs, dtype=complex), counts)
-        np.power(factors, n, out=factors)
+    n -= np.repeat(np.array(starts, dtype=int), counts)
+    factors = np.repeat(np.array(qs, dtype=complex), counts)
+    np.power(factors, n, out=factors)
     np.subtract(1.0, factors, out=factors)
     products = [1.0 + 0.0j] * len(counts)
     runs = [i for i, count in enumerate(counts) if count]
@@ -616,15 +623,8 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
         if abs(value) < _TINY:  # eta has no zero: a 0 or subnormal value underflowed
             raise FloatingPointError("eta(%r) underflows double range" % (t,))
         values.append(value)
-    if len(values) < len(points):  # the loop above stopped at this point
-        if nfac <= policy.max_terms:
-            raise FloatingPointError("eta(%r) underflows double range" % (points[len(values)],))
-        raise TruncationError(
-            "eta product needs %d factors, cap is %d" % (nfac, policy.max_terms),
-            required=nfac,
-            cap=policy.max_terms,
-            bound=policy.epsilon,
-        )
+    if failure is not None:
+        raise failure
     return values[0] if scalar else np.array(values, dtype=complex).reshape(taus.shape)
 
 

@@ -35,10 +35,11 @@ for label in basis.labels():
 
 # M applications of a translation come back to the same state, up to
 # the vacuum angle: that pins the angles as central eigenvalues.  The
-# residual is the worst over all six states, translated at once.
-print("worst center residual:", center_eigen_residual(basis))
+# residual is that of both powers' matrices on all six states at once.
+residual, note = center_eigen_residual(basis)
+print("center residual:", residual)
 
-# The Gram matrix of samples has full numerical rank M*N: the six
+# The Gram matrix of the states has full numerical rank M*N: the six
 # orbitals really are linearly independent.
 print("gram rank:", gram_rank(basis), "expected", flux.level)
 

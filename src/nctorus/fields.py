@@ -97,15 +97,6 @@ class Field:
         self.d_z = d_z
         self.d_zbar = d_zbar
 
-    def cell_density(self, x, y):
-        """``|f|^2`` on the physical slice at the tensor grid
-        ``w = x[i] + tau*y[j]`` of real node axes ``x`` and ``y``: shape
-        ``(..., x.size, y.size)``, any leading axes being those of
-        ``evaluate``.  This default evaluates every node; a field that
-        knows its structure may sum the grid faster."""
-        w = x[:, None] + self.tau * y
-        return np.abs(self.evaluate(w, np.conjugate(w))) ** 2
-
 
 @dataclass(frozen=True)
 class Displacement:

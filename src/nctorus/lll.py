@@ -40,7 +40,9 @@ the nodes of the cell rule that certifies their norms: the Gram matrix
 pair where their frequencies agree mod ``n_x``, with no value on the grid
 formed.  A norm, the diagonal of such a product, is each row's window
 folded onto its classes mod ``n_x``; ``partition.state_norm`` sums the
-states' own the same way.
+states' own the same way.  The centre is measured on the same module:
+``D1^M`` and ``D2^M``, each one displacement, project onto
+``e^{i*alpha1} I`` and ``e^{i*alpha2} I``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import numpy as np
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
 from .fields import Displacement, Field, _prefactor_exponent, displacement_apply
 from .theta import (ThetaSpec, TruncationPolicy, _grid_classes, _grid_norms, _grid_overlaps,
-                    _grid_window, _theta_grid_sum, theta_derivative)
+                    _grid_window, theta_derivative)
 
 __all__ = [
     "LLLBasis",
@@ -169,39 +171,25 @@ class ThetaField(Field):
                          d_z=evaluator(_dw_terms(self.terms, self.level, t.im, self.alpha1)),
                          d_zbar=evaluator(_dwbar_terms(self.terms, self.level, t.im)))
 
-    def cell_density(self, x, y):
-        """:meth:`Field.cell_density` from the theta series summed on the
-        grid (``theta._theta_grid_sum``).  On the slice ``w = x + tau*y``,
-        with ``c = tau*y + gamma`` and ``2*pi*K*gamma = tau*alpha1 - alpha2``,
-
-            G = i*(pi*K*y + alpha1)*x + i*alpha2*y
-                + i*pi*K*c**2/tau - i*pi*K*gamma**2/tau:
-
-        the first two parts are a phase common to every term, which
-        ``|.|^2`` drops, the third is the grid sum's own scale, and the
-        constant last part is its log-scale.  One grid sum serves every
-        derivative order of the terms, so the unit phase it leaves in its
-        values, one per residue and node, is common to every term as well
-        and ``|.|^2`` drops it too.  No exponent is larger than the terms
-        it scales, so none loses digits to cancellation."""
-        tau, k = self.tau, self.level
-        log_scale = -1j * math.pi * k * self.gamma**2 / tau
-        th = _theta_grid_sum(self.spec, x, tau * y + self.gamma, tau, self.policy,
-                             _orders(self.terms), log_scale)
-        w = x[:, None] + tau * y
-        density = np.abs(_combine(self.terms, th, w, np.conjugate(w)))
-        density *= density
-        return density
-
     def cell_window(self, y):
         """The states on the columns ``y`` of the slice ``w = x + tau*y``,
         for the one term ``(0, 0, 0)``, as integer frequencies ``F``, shape
         ``(residue, m)``, and a window table ``W``, shape ``(residue, y, m)``,
-        each column keeping its own certified window (the split of
-        :meth:`cell_density`):
+        each column keeping its own certified window:
 
             Psi_r = exp(i*(pi*K*y_j + alpha1)*x + i*alpha2*y_j)
                     * sum_m W[r, j, m] * exp(2*pi*i*F[r, m]*x).
+
+        On the slice, with ``c = tau*y + gamma`` and ``2*pi*K*gamma =
+        tau*alpha1 - alpha2``,
+
+            G = i*(pi*K*y + alpha1)*x + i*alpha2*y
+                + i*pi*K*c**2/tau - i*pi*K*gamma**2/tau:
+
+        the first two parts are the phase in front, the third is the scale
+        of ``theta._grid_window``'s table, and the constant last part is
+        its log-scale.  No exponent is larger than the terms it scales, so
+        none loses digits to cancellation.
 
         The first tables asked, on the cell rule's own columns, are kept,
         read-only, for the steps along 1 and the norms; a step along tau
@@ -463,23 +451,28 @@ def lemma_eigenphase_residual(basis: LLLBasis) -> float:
     return float(np.max(devs))  # np.max, unlike max, keeps a NaN
 
 
-def center_eigen_residual(basis: LLLBasis) -> float:
-    """Max-grid residual of the central relations
-    D1^M Psi = e^{i*alpha1} Psi and D2^M Psi = e^{i*alpha2} Psi on the
-    5-by-5 :func:`unit_cell_grid` for the worst of the K states, relative
-    to the largest ``|Psi|`` there (hundreds at large ``Im tau``)."""
-    w, wbar = unit_cell_grid(basis.tau)
-    states = basis.field
-    base = states.evaluate(w, wbar)
+def center_eigen_residual(basis: LLLBasis):
+    """``(residual, note)`` of the central relations D1^M = e^{i*alpha1}
+    and D2^M = e^{i*alpha2} on the module: the largest ``|L - e^{i*alpha}
+    I|`` and Parseval defect of each power's :func:`_project`.  The steps
+    along one lattice vector commute, so ``D^M`` is one displacement by M
+    steps with the step's scale to the M-th power."""
     m = basis.flux.denominator
     res = []
     for index, alpha in ((1, basis.angles.alpha1), (2, basis.angles.alpha2)):
-        op = elementary_translation(basis, index)
-        f = states
-        for _ in range(m):
-            f = op(f)
-        res.append(np.max(np.abs(f.evaluate(w, wbar) - cmath.exp(1j * alpha) * base)))
-    return float(np.max(res) / np.max(np.abs(base)))  # np.max, unlike max, keeps a NaN
+        step = elementary_translation(basis, index)(basis.field)
+        u = step.displacement
+        power = _Translated(basis.field, Displacement(m * u.u, m * u.ubar), step.scale**m, basis)
+        l_mat, defect = _project(basis, power)
+        res += [np.max(np.abs(l_mat - cmath.exp(1j * alpha) * np.eye(len(l_mat)))),
+                np.max(defect)]
+    n_x, y, _, _ = basis._cell_states
+    return float(np.max(res)), (  # np.max, unlike max, keeps a NaN
+        "largest |L - e^{i alpha} I| and Parseval defect of D1^M and D2^M, each one "
+        "displacement, measured on the (n_x, n_y) = (%d, %d) cell rule; D1^M reads the "
+        "states' own window, whose integer frequencies make it test only the prefactor "
+        "and the angle phases, and D2^M reads the columns y - 1, so it tests theta's "
+        "quasi-periodicity there" % (n_x, y.size))
 
 
 def gram_rank(basis: LLLBasis) -> int:

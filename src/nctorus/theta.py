@@ -74,25 +74,22 @@ on the column alone, and completing the square splits every term into
 a phase in ``x`` times a *window* factor in ``y`` that carries all of the
 magnitude; the last factor is left to the caller's log-scale.  Each
 residue sums one run ``a = a0 + m`` of consecutive terms, the union of
-its columns' peak windows certified for the highest derivative order
-asked; each column keeps its own window, and the rest of the union,
-which reaches subnormal range, is 0 there.  A private grid sum leaves
-out each residue's unit phase ``exp(2*pi*i*K*a0*x_i)``, which ``|.|^2``
-drops, so every order is one matrix product of the
-``(residue*column, m)`` window table with the one table
-``exp(2*pi*i*K*x_i)**m``: the periodic trapezoid rule on a separable
-integrand (Trefethen & Weideman, SIAM Rev. 56 (2014)).
+its columns' peak windows certified for the derivative order asked;
+each column keeps its own window, and the rest of the union, which
+reaches subnormal range, is 0 there.
 
 Sums over the nodes need no grid values.  On the ``n_x`` midpoint nodes
-the comb ``h(d) = sum_i exp(2*pi*i*d*x_i)`` of an integer frequency
-difference ``d`` is ``(-1)**(d/n_x) * n_x`` if ``n_x`` divides ``d`` and 0
-elsewhere, so a product of two families of terms (the states and their
-translates) pairs only terms whose integer frequencies ``F`` and ``F'``
-agree mod ``n_x``: a private overlap sum takes one small matrix product
-per class.  A family's own norms are the diagonal of that product: the
-terms of each class, signed by ``(-1)**(F // n_x)``, fold onto one value,
-and a column's norm is ``n_x`` times the sum of their ``|.|**2``, every
-alias of the midpoint rule kept.
+(the periodic trapezoid rule on a separable integrand: Trefethen &
+Weideman, SIAM Rev. 56 (2014)) the comb ``h(d) = sum_i
+exp(2*pi*i*d*x_i)`` of an integer frequency difference ``d`` is
+``(-1)**(d/n_x) * n_x`` if ``n_x`` divides ``d`` and 0 elsewhere, so a
+product of two families of terms (the states and their translates) pairs
+only terms whose integer frequencies ``F`` and ``F'`` agree mod ``n_x``:
+a private overlap sum takes one small matrix product per class.  A
+family's own norms are the diagonal of that product: the terms of each
+class, signed by ``(-1)**(F // n_x)``, fold onto one value, and a
+column's norm is ``n_x`` times the sum of their ``|.|**2``, every alias
+of the midpoint rule kept.
 
 Residue sums
 ------------
@@ -334,12 +331,13 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
 
 
 def _grid_window(spec, c, tau, policy, order, log_scale):
-    """The peak-centred terms of the grid sums on the columns ``c``,
-    certified for derivative order ``order``: the run ``a`` of
-    consecutive ``a = a0 + m`` of each residue, shape ``(residue, m)``,
-    and the window table ``exp(i*pi*tau*K*(a + c/tau)**2 + log_scale)``,
-    shape ``(residue, c, m)``, of the factors that carry every term's
-    magnitude (see "Cell grids" in the module docstring).
+    """The peak-centred terms of theta on the tensor grids ``x + c`` of
+    the columns ``c``, certified for derivative order ``order``: the run
+    ``a`` of consecutive ``a = a0 + m`` of each residue, shape
+    ``(residue, m)``, and the window table
+    ``exp(i*pi*tau*K*(a + c/tau)**2 + log_scale)``, shape
+    ``(residue, c, m)``, of the factors that carry every term's magnitude
+    (see "Cell grids" in the module docstring).
 
     A column's peak ``a*`` depends only on ``Im c``: each residue sums
     the union of its columns' windows, and each column keeps its own
@@ -367,44 +365,6 @@ def _grid_window(spec, c, tau, policy, order, log_scale):
     window[(m < 0) | (m >= own)] = -np.inf  # exp(-inf) is 0
     np.exp(window, out=window)
     return a, window
-
-
-def _grid_phase(level, x, count):
-    """The ``(count, x.size)`` table ``exp(2*pi*i*K*x)**m``, ``0 <= m <
-    count``: ``x.size`` exponentials for every residue and order."""
-    return np.exp((2j * math.pi * level) * x) ** np.arange(count)[:, None]
-
-
-def _theta_grid_sum(spec, x, c, tau, policy, orders, log_scale):
-    """``{p: exp(log_scale + i*pi*K*c[j]**2/tau - 2*pi*i*K*a0*x[i])
-    * theta^{(p)}(x[i] + c[j])}`` for each derivative order ``p`` in
-    ``orders``, on the tensor grid of real nodes ``x`` and complex column
-    offsets ``c``, on the peak-centred certificate of ``max(orders)``,
-    each with shape ``(len(residue),) + (x.size, c.size)`` as
-    :func:`theta` stacks residues; ``log_scale`` is per column or a
-    scalar.
-
-    With the square completed, a term is ``exp(2*pi*i*K*a*x)``, of
-    modulus 1, times the window factor of :func:`_grid_window`, which
-    carries all of its magnitude; one run of terms serves every order.
-    Its first term's phase ``exp(2*pi*i*K*a0*x)``, a unit factor of
-    residue and node alone, is left out, so the phases in ``x`` are the
-    one table ``exp(2*pi*i*K*x)**m`` of every residue and each order is
-    one matrix product of the ``(residue, c, m)`` window table with it.
-    The values are laid out ``(residue, c, x)`` in memory (the returned
-    arrays are transposed views), so a residue's values are contiguous."""
-    k = spec.level
-    a, window = _grid_window(spec, c, tau, policy, max(orders), log_scale)
-    count = a.shape[1]
-    phase = _grid_phase(k, x, count)
-    out = {}
-    for p in orders:
-        table = window * ((2j * math.pi * k) * a[:, None, :]) ** p if p else window
-        # one (residue*c, m) @ (m, x) product, viewed as (residue, x, c)
-        values = (table.reshape(-1, count) @ phase).reshape(window.shape[:2] + x.shape)
-        values = values.transpose(0, 2, 1)
-        out[p] = values if np.ndim(spec.residue) else values[0]
-    return out
 
 
 def _grid_classes(freq, window, n_x):

@@ -1,7 +1,6 @@
 """The benchmark's tracer wraps nctorus functions by name: each name it
 lists must exist, a traced ``verify`` run must record the module checks
-that read the fits, the pointwise state evaluation behind them and the
-theta series through the names the tracer wraps, and a traced
+and the theta series through the names the tracer wraps, and a traced
 ``partition`` run must record both partition routes.  ``BENCHMARK.json``
 counts failures per ``verify`` check under the check's name."""
 
@@ -38,10 +37,9 @@ def test_tracer_wraps_every_listed_function():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "--M", "2", "--N", "1"]) == 0
         spans = tracer.summary()
-        # the module checks read the fits, which evaluate the states
-        # pointwise, through the theta series
-        for name in ("lll.eigenphase_table", "lll.gram_rank", "lll._eval_terms",
-                     "theta.theta_derivative"):
+        # the module checks, the centre among them, and the theta check
+        for name in ("lll.center_eigen_residual", "lll.eigenphase_table", "lll.gram_rank",
+                     "theta.theta"):
             assert spans[name][0] > 0, name
     finally:
         uninstall()

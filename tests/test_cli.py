@@ -216,8 +216,8 @@ def test_subnormal_verify_leaves_stderr_empty(capsys, tmp_path):
 
 
 # the first rows of the range contract: the module checks failed at each
-# of these with a sampled fit
-_RANGE = [("7", "5", tau) for tau in ("0.02i", "30i", "200i", "1e3i")] + [
+# of these with a sampled fit, and the pointwise centre at (7,5) 1e-3i
+_RANGE = [("7", "5", tau) for tau in ("1e-3i", "0.02i", "30i", "200i", "1e3i")] + [
     ("13", "7", "30i"), ("3", "2", "3e-3i")]
 
 
@@ -231,6 +231,18 @@ def test_verify_passes_over_the_range(capfd, m, n, tau, alpha1, alpha2):
     out, err = capfd.readouterr()
     assert code == 0, [c for c in json.loads(out)["checks"] if not c["pass"]]
     assert err == ""
+
+
+def test_verify_at_1e5i_writes_nothing_to_stderr(capfd):
+    # every state sample underflows there; the centre, measured on the
+    # module, still passes, and the theta, eta and partition checks fail
+    code = main(["verify", "--M", "7", "--N", "5", "--tau=1e5i"])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["center_eigenvalues"]["pass"]
+    assert checks["center_eigenvalues"]["residual"] <= 1e-12
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
@@ -568,9 +580,10 @@ def test_verify_passes_beyond_the_six_by_six_grid(capsys):
 
 
 def test_verify_fails_checks_that_cannot_compute(capsys, monkeypatch):
-    # with NaN states the fits raise LinAlgError, the center relations and
-    # the quadratures return NaN, and the theta residual is made NaN; each
-    # of these is its own check's failure rather than a usage error or a pass
+    # with NaN states the module checks, the centre among them, raise
+    # LinAlgError from G, the quadratures return NaN, and the theta
+    # residual is made NaN; each of these is its own check's failure rather
+    # than a usage error or a pass
     nan_states(monkeypatch)
     monkeypatch.setattr(cli, "quasi_periodicity_residual", lambda *args: math.nan)
     code = main(["verify", "--M", "3", "--N", "2", "--tau=50i"])
@@ -693,13 +706,17 @@ def _step_along_tau_with_wrong_shift(monkeypatch):
     monkeypatch.setattr(lll, "_Translated", _ShiftedStepAlongTau)
 
 
+# the centre is measured on the module, so a repeated state (L reads the
+# overlap of the two) and a step along tau one frequency off (D2^M is one)
+# fail it too
 @pytest.mark.parametrize("inject, failing", [
     (_swapped_residues, {"lemma_eigenphases", "bimodule_consistency"}),
-    (_repeated_residue, {"lemma_eigenphases", "gram_rank", "bimodule_consistency",
-                         "orthogonality"}),
+    (_repeated_residue, {"center_eigenvalues", "lemma_eigenphases", "gram_rank",
+                         "bimodule_consistency", "orthogonality"}),
     (_translation_without_scale, {"center_eigenvalues", "lemma_eigenphases",
                                   "bimodule_consistency"}),
-    (_step_along_tau_with_wrong_shift, {"lemma_eigenphases", "bimodule_consistency"}),
+    (_step_along_tau_with_wrong_shift, {"center_eigenvalues", "lemma_eigenphases",
+                                        "bimodule_consistency"}),
 ])
 def test_state_and_translation_faults_fail_verify(capsys, monkeypatch, inject, failing):
     inject(monkeypatch)

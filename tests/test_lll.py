@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import gc
 import importlib
 import math
@@ -26,7 +25,7 @@ from nctorus.lll import (
     unit_cell_grid,
 )
 from nctorus.matrices import bimodule_consistency, bimodule_residual
-from nctorus.theta import ThetaSpec, TruncationPolicy, _peak_window, orthogonality_residual, theta
+from nctorus.theta import ThetaSpec, TruncationPolicy, orthogonality_residual, theta
 from state_faults import repeated, swapped, with_terms, with_window
 
 # by module path: the package namespace re-exports a function named theta
@@ -252,24 +251,52 @@ def test_center_eigen_residual(mn):
     m, n = mn
     for tau in (1j, TAU_GEN):
         basis = build_basis(Flux(n, m), tau, ANGLES)
-        assert center_eigen_residual(basis) < 1e-12
+        residual, note = center_eigen_residual(basis)
+        assert residual < 1e-12
+        assert "(n_x, n_y) = (%d, %d)" % tuple(x.size for x in partition.quadrature_nodes(basis)) \
+            in note
+
+
+def test_center_eigen_residual_fails_a_phase_error_in_the_step(monkeypatch):
+    # a step whose scale is 1e-9 off in phase puts its M-th power M*1e-9
+    # off e^{i*alpha}, past the verify tolerance of 1e-10
+    basis = build_basis(Flux(3, 5), TAU_GEN, ANGLES)
+    step = lll.elementary_translation
+
+    def off_in_phase(basis, index, dual=False):
+        op = step(basis, index, dual)
+
+        def faulty(f):
+            g = op(f)
+            return lll._Translated(g.base, g.displacement, g.scale * cmath.exp(1e-9j), g.basis)
+
+        return faulty
+
+    monkeypatch.setattr(lll, "elementary_translation", off_in_phase)
+    assert center_eigen_residual(basis)[0] > 4e-9
+
+
+def _off_the_rule(basis, factor):
+    """Fault: the states' window times ``factor`` on every column set but
+    the cell rule's own, so only D2^M, which reads the columns y - 1,
+    sees it."""
+    nodes = partition.quadrature_nodes(basis)[1]
+    return with_window(basis, lambda y, freq, window: (
+        freq, window if np.array_equal(y, nodes) else window * factor))
+
+
+def test_center_eigen_residual_fails_a_window_fault_off_the_rule():
+    basis = build_basis(Flux(3, 5), TAU_GEN, ANGLES)
+    assert center_eigen_residual(basis)[0] < 1e-12
+    assert center_eigen_residual(_off_the_rule(basis, 1.0 + 1e-8))[0] > 9e-9
 
 
 def test_center_eigen_residual_propagates_nonfinite_samples():
-    # the D2 images of state (0, 0) are NaN; a NaN sample must give a NaN
-    # residual, not a small (passing) one
-    basis = build_basis(Flux(2, 3), TAU_GEN)
-    stacked, row = basis.field, _nan_off_row(basis.state(0, 0))
-
-    def evaluate(w, wbar):
-        out = stacked.evaluate(w, wbar)
-        out[0] = row.evaluate(w, wbar)
-        return out
-
-    basis = dataclasses.replace(basis, field=Field(evaluate, stacked.tau, stacked.im_tau_weight))
-    with np.errstate(all="ignore"):
-        res = center_eigen_residual(basis)
-    assert math.isnan(res)
+    # a NaN window on the columns y - 1 gives a NaN residual, not a small
+    # (passing) one, and no reduction raises a RuntimeWarning (pytest makes
+    # one an error)
+    basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
+    assert math.isnan(center_eigen_residual(_off_the_rule(basis, np.nan))[0])
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (7, 5), (13, 3), (9, 11)])
@@ -298,15 +325,31 @@ def _rounding_allowance(level, im_tau):
     return 8.0 * math.pi * level * im_tau * 2.0**-52
 
 
+def _pointwise_density(field, x, y):
+    """``|f|^2`` of every row of ``field`` at the nodes ``x[i] + tau*y[j]``,
+    each value evaluated pointwise, shape ``(residue, x, y)``."""
+    w = x[:, None] + field.tau * y
+    return np.abs(field.evaluate(w, np.conjugate(w))) ** 2
+
+
+def _window_density(field, x, y):
+    """``|Psi|^2`` at the same nodes from the states' cell window on the
+    columns ``y``: the phase in front of its sum drops out of ``|.|^2``."""
+    freq, window = field.cell_window(y)
+    phase = np.exp(2j * math.pi * freq[:, None, :] * x[:, None])
+    return np.abs(np.einsum("rjm,rim->rij", window, phase)) ** 2
+
+
 @pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.5 + 2j, 0.003j, 0.01j, 50j, 1e3j])
 @pytest.mark.parametrize("mn", [(3, 2), (7, 5), (11, 7), (13, 3)])
 def test_cell_density_matches_the_pointwise_states(mn, tau):
-    # the grid sum against |evaluate|^2 at every node of the cell rule
+    # the window table summed at every node of the cell rule against
+    # |evaluate|^2 there
     m, n = mn
     basis = build_basis(Flux(n, m), tau, ANGLES)
     x, y = partition.quadrature_nodes(basis)
-    got = basis.field.cell_density(x, y)
-    want = Field.cell_density(basis.field, x, y)
+    got = _window_density(basis.field, x, y)
+    want = _pointwise_density(basis.field, x, y)
     assert got.shape == want.shape == (m * n, x.size, y.size)
     tol = basis.policy.epsilon + _rounding_allowance(m * n, basis.tau.im)
     assert _relative_gap(got, want) <= tol
@@ -329,58 +372,17 @@ def _mp_density(basis, r, x, y):
 
 
 def test_cell_density_is_accurate_where_pointwise_exponents_round():
-    # at 1e3i the grid sum, which completes the square, holds the basis
-    # epsilon against 30 digits on the nodes near the peaks in y
+    # at 1e3i the window table, which completes the square, holds the
+    # basis epsilon against 30 digits on the nodes near the peaks in y
     basis = build_basis(Flux(2, 3), 1e3j, ANGLES)
     x, y = partition.quadrature_nodes(basis)
     x, y = x[::3], y[::7]
-    got = basis.field.cell_density(x, y)
+    got = _window_density(basis.field, x, y)
     near = np.flatnonzero(np.max(got, axis=(0, 1)) > 1e-3 * np.max(got))
     want = np.array([[[_mp_density(basis, r, xi, y[j]) for j in near] for xi in x]
                      for r in basis.field.residue])
     assert near.size >= 3
     assert _relative_gap(got[..., near], want) <= basis.policy.epsilon
-
-
-@pytest.mark.parametrize("tau", [TAU_GEN, 50j])
-def test_raised_cell_density_matches_the_pointwise_field(tau):
-    # every term family: derivative orders 0 to 2 and powers of w, wbar
-    basis = build_basis(Flux(2, 3), tau, ANGLES)
-    f = raise_level(basis, 1, 1, n=2)
-    assert {p for (_, _, p) in f.terms} == {0, 1, 2}
-    x, y = partition.quadrature_nodes(basis)
-    assert _relative_gap(f.cell_density(x, y), Field.cell_density(f, x, y)) \
-        <= basis.policy.epsilon
-
-
-def test_raised_cell_density_shares_one_grid_across_orders(monkeypatch):
-    # orders 0 to 3, certified by 1, 1, 2 and 2 terms at K = 35, 1.1i, sum
-    # one grid of the largest count, in one grid sum; the columns reach
-    # past the cell, so each residue's window union spans two peaks
-    basis = build_basis(Flux(5, 7), TAU_GEN, ANGLES)
-    f = raise_level(basis, 2, 3, n=3)
-    assert {p for (_, _, p) in f.terms} == {0, 1, 2, 3}
-    x = np.random.default_rng(4).uniform(0.0, 1.0, 11)
-    y = np.linspace(-0.3, 1.6, 9)
-    peak = np.max(np.abs(y + basis.gamma.imag / TAU_GEN.imag))
-    assert [_peak_window(35, TAU_GEN.imag, peak, basis.policy.epsilon, p)
-            for p in range(4)] == [1, 1, 2, 2]
-    calls = []
-    grid_sum = lll._theta_grid_sum
-    monkeypatch.setattr(lll, "_theta_grid_sum",
-                        lambda *args: calls.append(args[5]) or grid_sum(*args))
-    got = f.cell_density(x, y)
-    assert calls == [[0, 1, 2, 3]]
-    # the 20 terms cancel to 1/19000 of their moduli' sum, so each side's
-    # terms, good to epsilon of that sum, move |f|^2 by epsilon times it
-    # times |f|: that is the scale of the gap (the pointwise field lies as
-    # far from 40 digits as the grid sum)
-    want = Field.cell_density(f, x, y)
-    size = sum(np.sqrt(Field.cell_density(
-        ThetaField({key: coeff}, 35, f.residue, TAU_GEN, ANGLES.alpha1, basis.gamma), x, y))
-        for key, coeff in f.terms.items())
-    assert np.max(size) > 1e4 * np.sqrt(np.max(want))
-    assert np.max(np.abs(got - want)) <= basis.policy.epsilon * np.max(size) * np.sqrt(np.max(want))
 
 
 def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
@@ -396,7 +398,7 @@ def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
     freq, window = f.cell_window(y)
     assert window.shape[2] > 1
     got = theta_module._grid_norms(freq, window, x.size, 6)
-    want = Field.cell_density(f, x, y).sum(axis=(1, 2))
+    want = _pointwise_density(f, x, y).sum(axis=(1, 2))
     assert got.shape == (6,)
     assert np.max(np.abs(got - want) / want) <= 1e-13
     parseval = x.size * np.sum(np.abs(window) ** 2, axis=(1, 2))
@@ -405,7 +407,7 @@ def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
 
 def test_unit_coefficient_term_is_not_copied():
     # the ground states' one term (0, 0, 0) -> 1.0 passes its series on:
-    # a copy per cell_density call would grow the heap on every call
+    # a copy per evaluation would grow the heap on every call
     th = {0: np.ones((3, 4, 5), dtype=complex)}
     w = np.zeros((4, 5), dtype=complex)
     assert lll._combine({(0, 0, 0): 1.0}, th, w, w) is th[0]
@@ -649,14 +651,15 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
 def test_verify_builds_each_window_table_once(monkeypatch, capsys):
     # the states' table on the cell rule's own columns serves the Gram
     # matrix, the steps along 1 and the state norms at tau; the steps along
-    # tau read other columns and do not replace it.  Five tables: the
-    # states, the two steps along tau, and the bases at tau+1 and -1/tau
+    # tau read other columns and do not replace it.  Six tables: the
+    # states, the centre's D2^M (the columns y - 1), the two steps along
+    # tau, and the bases at tau+1 and -1/tau
     calls = {"window": 0}
     monkeypatch.setattr(lll, "_grid_window", _counted(calls, "window", lll._grid_window))
     assert cli.main(["verify", "--M", "3", "--N", "5", "--tau=0.2+1.4i",
                      "--alpha1", "0.7", "--alpha2", "-1.3"]) == 0
     capsys.readouterr()
-    assert calls["window"] == 5
+    assert calls["window"] == 6
     # the norms read after the steps are a fresh basis's bit for bit
     basis = build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES)
     assert basis.translations

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nctorus import fields, lll, partition
+from nctorus import lll, partition
 from nctorus.core import Flux, VacuumAngles
 from nctorus.lll import build_basis
 from nctorus.partition import (
@@ -23,7 +23,7 @@ from nctorus.partition import (
     z_tilde_character_route,
     z_tilde_closed_form,
 )
-from test_lll import _rounding_allowance
+from test_lll import _pointwise_density, _rounding_allowance
 
 # by module path: the package namespace re-exports a function named theta
 theta_module = importlib.import_module("nctorus.theta")
@@ -329,13 +329,10 @@ def test_the_two_routes_share_no_summation(monkeypatch):
 
     with monkeypatch.context() as patch:
         for owner in (theta_module, lll):
-            for name in ("_theta_grid_sum", "_grid_window", "_grid_norms"):
+            for name in ("_grid_window", "_grid_norms"):
                 patch.setattr(owner, name, unreachable)
-        patch.setattr(theta_module, "_grid_phase", unreachable)
         for name in ("_grid_norms", "_cell_table"):
             patch.setattr(partition, name, unreachable)
-        for owner in (fields.Field, lll.ThetaField):
-            patch.setattr(owner, "cell_density", unreachable)
         patch.setattr(lll.ThetaField, "cell_window", unreachable)
         assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
     for owner in (theta_module, partition):
@@ -361,9 +358,10 @@ def test_both_routes_match_closed_form_in_the_sweep_box(mn, re, im, a1, a2):
 
 
 def _pointwise_cell_norms(field, x, y):
-    """The sums of the pointwise ``Field.cell_density`` over the grid,
-    in blocks of 16 x 8 nodes so the series' term arrays stay small."""
-    return sum(fields.Field.cell_density(field, x[i:i + 16], y[j:j + 8]).sum(axis=(-2, -1))
+    """The sums of ``|f|^2`` over the grid, each value evaluated
+    pointwise, in blocks of 16 x 8 nodes so the series' term arrays stay
+    small."""
+    return sum(_pointwise_density(field, x[i:i + 16], y[j:j + 8]).sum(axis=(-2, -1))
                for i in range(0, x.size, 16) for j in range(0, y.size, 8))
 
 
@@ -375,17 +373,12 @@ def _pointwise_cell_norms(field, x, y):
 @example(mn=(13, 7), re=-0.3, log_im=3.0, a1=0.7, a2=6.0)  # 8 x 1281 nodes
 def test_state_norm_sums_the_grid_densities(mn, re, log_im, a1, a2):
     # the folded window table against every value of the cell rule
-    # summed as |value|^2: the stacked states' grid values
-    # (ThetaField.cell_density) to the basis epsilon, and the pointwise
-    # states to epsilon plus the ulps their cancelling exponents lose at
-    # large Im tau
+    # summed as |value|^2: the pointwise states to epsilon plus the ulps
+    # their cancelling exponents lose at large Im tau
     m, n = mn
     basis = build_basis(Flux(n, m), complex(re, 10.0**log_im), VacuumAngles(a1, a2))
     x, y = quadrature_nodes(basis)
     got = np.array(state_norm(basis))
-    grid = np.sum([basis.field.cell_density(x, y[j:j + 8]).sum(axis=(-2, -1))
-                   for j in range(0, y.size, 8)], axis=0) / (x.size * y.size)
-    assert np.max(np.abs(got - grid) / grid) <= basis.policy.epsilon
     pointwise = _pointwise_cell_norms(basis.field, x, y) / (x.size * y.size)
     tol = basis.policy.epsilon + _rounding_allowance(m * n, basis.tau.im)
     assert np.max(np.abs(got - pointwise) / pointwise) <= tol

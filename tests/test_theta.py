@@ -17,7 +17,6 @@ from nctorus.theta import (
     dedekind_eta,
     _nmax_certified,
     _peak_window,
-    _theta_grid_sum,
     _theta_residue_norms,
     orthogonality_residual,
     quasi_periodicity_residual,
@@ -338,47 +337,44 @@ def test_peak_window_tail_stays_below_its_stated_bound(epsilon, level, tau, orde
                                         (12, 0.1 + 5.0j)])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
-    # columns reach past the cell, so each residue's window union spans
-    # two peaks; every residue rides in one stacked call, with order 0.
-    # The grid sum leaves out a unit phase of residue and node, the same
-    # for every order: the moduli and the product with the order-0 value
-    # are the pointwise series', each under the bound of one order
+    # the window table certified for the order, summed against its phases
+    # exp(2*pi*i*K*a*x) and the order's factors (2*pi*i*K*a)**order, is
+    # the pointwise series; columns reach past the cell, so each residue's
+    # window union spans two peaks, and every residue rides in one call
     x = np.random.default_rng(5).uniform(0.0, 1.0, 7)
     c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
     z = x[:, None] + c
     log_scale = unit_envelope(level, c, tau)
     spec = ThetaSpec(level, tuple(range(level)))
-    orders = sorted({0, order})
-    got = _theta_grid_sum(spec, x, c, tau, TruncationPolicy(), orders,
-                          log_scale - 1j * math.pi * level * c**2 / tau)
-    want = {p: theta_derivative(spec, z, tau, order=p,
-                                log_scale=np.broadcast_to(log_scale, z.shape))
-            for p in orders}
-    assert sorted(got) == orders
-    assert got[order].shape == want[order].shape == (level, 7, 5)
+    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(), order,
+                                          log_scale - 1j * math.pi * level * c**2 / tau)
+    phase = np.exp(2j * math.pi * level * a[:, None, :] * x[:, None]) \
+        * (2j * math.pi * level * a[:, None, :]) ** order
+    got = np.einsum("rcm,rxm->rxc", window, phase)
+    want = theta_derivative(spec, z, tau, order=order,
+                            log_scale=np.broadcast_to(log_scale, z.shape))
+    assert got.shape == want.shape == (level, 7, 5)
     scale = (2.0 * math.pi * level) ** order
     bound = 1e-12 * (np.max(np.abs(c.imag)) / tau.imag + 1.0) ** order
-    assert np.max(np.abs(np.abs(got[order]) - np.abs(want[order]))) / scale <= bound
-    product = got[order] * np.conjugate(got[0]) - want[order] * np.conjugate(want[0])
-    # |e_p| |want_0| + |got_p| |e_0|, with e_p the order-p error
-    allowed = bound * np.max(np.abs(want[0])) + np.max(np.abs(got[order])) / scale * 1e-12
-    assert np.max(np.abs(product)) / scale <= allowed
+    assert np.max(np.abs(got - want)) / scale <= bound
 
 
 @pytest.mark.parametrize("level, tau, n_x", [(1, 0.3 + 2.0j, 8), (6, -0.4 + 0.3j, 8),
                                              (6, 0.1j, 6), (12, 0.1 + 0.2j, 9), (35, 0.01j, 8)])
 def test_grid_norms_fold_the_grid_values_on_midpoint_nodes(level, tau, n_x):
     # a row's terms alias onto their classes of frequency mod n_x: the
-    # fold of the window table is the sum of |value|**2 over the grid
-    # sum's values on the midpoint nodes, where the terms of one class
-    # (all of them at n_x = K = 6) cancel or add
+    # fold of the window table is the sum of |value|**2 over the pointwise
+    # series on the midpoint nodes, where the terms of one class (all of
+    # them at n_x = K = 6) cancel or add
     x = (np.arange(n_x) + 0.5) / n_x
     c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
     spec = ThetaSpec(level, tuple(range(level)))
-    log_scale = unit_envelope(level, c, tau) - 1j * math.pi * level * c**2 / tau
-    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(), 0, log_scale)
+    log_scale = unit_envelope(level, c, tau)
+    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(), 0,
+                                          log_scale - 1j * math.pi * level * c**2 / tau)
     got = theta_module._grid_norms(np.rint(level * a).astype(int), window, n_x, level)
-    values = _theta_grid_sum(spec, x, c, tau, TruncationPolicy(), [0], log_scale)[0]
+    z = x[:, None] + c
+    values = theta(spec, z, tau, log_scale=np.broadcast_to(log_scale, z.shape))
     want = np.sum(np.abs(values) ** 2, axis=(1, 2))
     assert got.shape == want.shape == (level,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)

@@ -51,8 +51,8 @@ try:
 except DegenerateDeformationError as exc:
     print("degenerate case correctly refused:", exc)
 
-# PART VI -- the same matrices act on the Landau orbitals from both
-# sides, and the two actions commute exactly
+# PART VI -- the translations act on the Landau orbitals from both sides
+# as their laws predict; the predicted actions commute by construction
 report = bimodule_consistency(build_basis(Flux(2, 3), 0.3 + 1.1j))
 print("bimodule pass:", report["pass"],
       " left/right commutator:", report["left_right_commutator"])

@@ -49,7 +49,6 @@ __all__ = [
     "apply_modular_word",
     "in_fundamental_domain",
     "eigenbasis_change",
-    "complex_structure_eigenbasis",
     "hyperbolic_conjugator",
     "squeeze_roundtrip_residual",
 ]
@@ -348,14 +347,6 @@ def eigenbasis_change() -> np.ndarray:
     """Basis change from (x, y) to the pair of complex frame components in
     which the reference complex structure (tau = i) is diag(i, -i)."""
     return np.array([[1.0, -1.0j], [1.0, 1.0j]])
-
-
-def complex_structure_eigenbasis(tau) -> np.ndarray:
-    """Complex structure of ``tau`` written in the frame of
-    :func:`eigenbasis_change`:  P J(tau) P^{-1}."""
-    p = eigenbasis_change()
-    j = complex_structure_from_tau(tau).matrix
-    return p @ j @ np.linalg.inv(p)
 
 
 def hyperbolic_conjugator(params: SqueezeParams) -> np.ndarray:

@@ -27,6 +27,10 @@ actions on the basis are exact operator identities:
     D1~ Psi_jk = exp(i*(alpha1 - 2*pi*k*M)/N) * Psi_jk
     D2~ Psi_jk = exp(i*alpha2/N) * Psi_{j,k-1}
 
+so the states are a bimodule: ``D1``, ``D2`` act on ``j`` and the dual
+pair, their commutant, on ``k``.  The lemma and the bimodule check read
+these laws' matrices from one helper, :func:`_predicted_translations`.
+
 States are stored as exact term families
 ``sum_t c_t * w^a * wbar^c * exp(G) * theta^{(p)}(w + gamma)`` so that
 all derivatives (and the raising operator) stay analytic.
@@ -77,6 +81,29 @@ __all__ = [
 ]
 
 _DEFAULT_POLICY = TruncationPolicy()
+
+
+def _predicted_translations(basis: LLLBasis) -> dict:
+    """The four laws of the module docstring, keyed as
+    :attr:`LLLBasis.translations`, as monomials ``(target, phase)``:
+    ``T Psi_s = phase[s] * Psi_{target[s]}`` in :meth:`LLLBasis.labels`
+    order.  ``j*N mod M`` and ``k*M mod N`` are reduced as integers, so no
+    phase argument grows with the label."""
+    m, n = basis.flux.denominator, basis.flux.numerator
+    a1, a2 = basis.angles.alpha1, basis.angles.alpha2
+    s = np.arange(m * n)
+    j, k = np.divmod(s, n)
+    return {"d1": (s, np.exp(1j * ((a1 - 2.0 * math.pi * (j * n % m)) / m))),
+            "dual1": (s, np.exp(1j * ((a1 - 2.0 * math.pi * (k * m % n)) / n))),
+            "d2": ((j - 1) % m * n + k, np.full(s.size, cmath.exp(1j * (a2 / m)))),
+            "dual2": (j * n + (k - 1) % n, np.full(s.size, cmath.exp(1j * (a2 / n))))}
+
+
+def _monomial(target, phase) -> np.ndarray:
+    """The dense matrix ``P[target[s], s] = phase[s]``, 0 elsewhere."""
+    out = np.zeros((phase.size, phase.size), dtype=complex)
+    out[target, np.arange(phase.size)] = phase
+    return out
 
 
 def _eval_terms(terms, level, residue, tau, alpha1, gamma, policy, w, wbar):
@@ -201,7 +228,7 @@ class ThetaField(Field):
         if self._window is not None and self._window[0] == key:
             return self._window[1]
         tau, k = self.tau, self.level
-        a, window = _grid_window(self.spec, tau * y + self.gamma, tau, self.policy, 0,
+        a, window = _grid_window(self.spec, tau * y + self.gamma, tau, self.policy,
                                  -1j * math.pi * k * self.gamma**2 / tau)
         window *= self.terms[(0, 0, 0)]
         freq = np.rint(k * a).astype(int)
@@ -435,20 +462,16 @@ def eigenphase_table(basis: LLLBasis) -> dict:
 
 
 def lemma_eigenphase_residual(basis: LLLBasis) -> float:
-    """Largest deviation of :func:`eigenphase_table` from the D1 and D2
-    actions of the module docstring: 1 for a wrong target, and each
-    phase's deviation, leak and defect."""
-    m, n = basis.flux.denominator, basis.flux.numerator
-    angles = basis.angles
-    devs = []
-    for (j, k), entry in eigenphase_table(basis).items():
-        for name, target, phase in (
-                ("d1", (j, k), cmath.exp(1j * (angles.alpha1 - 2 * math.pi * j * n) / m)),
-                ("d2", ((j - 1) % m, k), cmath.exp(1j * angles.alpha2 / m))):
-            devs += [0.0 if entry[name + "_target"] == target else 1.0,
-                     abs(entry[name + "_phase"] - phase),
-                     entry[name + "_leak"], entry[name + "_defect"]]
-    return float(np.max(devs))  # np.max, unlike max, keeps a NaN
+    """Largest ``|L - P|`` and Parseval defect of ``d1`` and ``d2`` of
+    :attr:`LLLBasis.translations`, ``P`` their laws' monomials
+    (:func:`_predicted_translations`): a wrong target, phase or leak shows
+    in ``|L - P|``."""
+    predicted = _predicted_translations(basis)
+    res = []
+    for name in ("d1", "d2"):
+        l_mat, defect = basis.translations[name]
+        res += [np.max(np.abs(l_mat - _monomial(*predicted[name]))), np.max(defect)]
+    return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 
 def center_eigen_residual(basis: LLLBasis):

@@ -74,9 +74,9 @@ on the column alone, and completing the square splits every term into
 a phase in ``x`` times a *window* factor in ``y`` that carries all of the
 magnitude; the last factor is left to the caller's log-scale.  Each
 residue sums one run ``a = a0 + m`` of consecutive terms, the union of
-its columns' peak windows certified for the derivative order asked;
-each column keeps its own window, and the rest of the union, which
-reaches subnormal range, is 0 there.
+its columns' peak windows certified for the values; each column keeps
+its own window, and the rest of the union, which reaches subnormal
+range, is 0 there.
 
 Sums over the nodes need no grid values.  On the ``n_x`` midpoint nodes
 (the periodic trapezoid rule on a separable integrand: Trefethen &
@@ -330,9 +330,9 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
     return complex(out[()]) if scalar and not residue.ndim else out
 
 
-def _grid_window(spec, c, tau, policy, order, log_scale):
+def _grid_window(spec, c, tau, policy, log_scale):
     """The peak-centred terms of theta on the tensor grids ``x + c`` of
-    the columns ``c``, certified for derivative order ``order``: the run
+    the columns ``c``, certified for its values: the run
     ``a`` of consecutive ``a = a0 + m`` of each residue, shape
     ``(residue, m)``, and the window table
     ``exp(i*pi*tau*K*(a + c/tau)**2 + log_scale)``, shape
@@ -348,7 +348,7 @@ def _grid_window(spec, c, tau, policy, order, log_scale):
     r_k = np.atleast_1d(spec.residue)[:, None] / k
     a_star = -np.imag(c) / t.im
     peak = float(np.max(np.abs(a_star), initial=0.0))
-    count = own = _peak_window(k, t.im, peak, policy.epsilon, order)
+    count = own = _peak_window(k, t.im, peak, policy.epsilon, 0)
     # per residue and column, the first term at or above a* - count/2
     start = np.ceil(a_star - r_k - 0.5 * count)
     low = start.min(axis=1, keepdims=True)

@@ -37,8 +37,8 @@ def test_tracer_wraps_every_listed_function():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "--M", "2", "--N", "1"]) == 0
         spans = tracer.summary()
-        # the module checks, the centre among them, and the theta check
-        for name in ("lll.center_eigen_residual", "lll.eigenphase_table", "lll.gram_rank",
+        # the translations, the module checks, the centre among them, and the theta check
+        for name in ("lll.center_eigen_residual", "lll.elementary_translation", "lll.gram_rank",
                      "theta.theta"):
             assert spans[name][0] > 0, name
     finally:

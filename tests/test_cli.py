@@ -671,8 +671,11 @@ def test_checks_that_hold_by_construction_say_so(capsys):
     t_note = notes["partition_t_invariance"]
     assert t_note.startswith("holds by construction where the quadrature resolves")
     assert "only through Im tau and |eta|" in t_note
+    # the bimodule's deviations are measured; only its commutator is not
+    assert notes["bimodule_consistency"].startswith("largest |L - P| of D1, D2, D1~ and D2~")
+    assert "(n_x, n_y) = (10, 11) cell rule" in notes["bimodule_consistency"]
     held = [name for name, note in notes.items() if "holds by construction" in note]
-    assert sorted(held) == ["commutant_and_span", "partition_t_invariance"]
+    assert sorted(held) == ["bimodule_consistency", "commutant_and_span", "partition_t_invariance"]
 
 
 class _WithoutScale(lll._Translated):

@@ -1,14 +1,13 @@
 import cmath
 import math
 import sys
-import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import cli, matrices, partition
+from nctorus import cli, lll, matrices, partition
 from nctorus.core import Flux, VacuumAngles
 from nctorus.errors import DegenerateDeformationError
 from nctorus.lll import build_basis, eigenphase_table
@@ -579,23 +578,48 @@ def test_bimodule_consistency_fails_on_nan_images():
 
 
 def test_bimodule_left_right_commutator_keeps_a_nan(monkeypatch):
-    # one NaN entry in the dual clock reaches every left-right commutator
-    # it enters; a builtin max fold over them returned 0.0
+    # one NaN phase of the predicted dual clock reaches every left-right
+    # commutator it enters; a builtin max fold over them returned 0.0
     basis = build_basis(Flux(2, 3), 0.3 + 1.1j)
-    dual = matrices.dual_matrices
+    predict = matrices._predicted_translations
 
-    def nan_dual_clock(*args):
-        clock, shift = dual(*args)
-        entries = clock.entries.copy()
-        entries[0, 0] = np.nan
-        return types.SimpleNamespace(entries=entries), shift
+    def nan_dual_clock(basis):
+        predicted = predict(basis)
+        target, phase = predicted["dual1"]
+        predicted["dual1"] = target, np.where(target == 0, np.nan, phase)
+        return predicted
 
-    monkeypatch.setattr(matrices, "dual_matrices", nan_dual_clock)
-    with np.errstate(invalid="ignore"):
-        report = bimodule_consistency(basis)
-        residual = bimodule_residual(basis)
+    monkeypatch.setattr(matrices, "_predicted_translations", nan_dual_clock)
+    report = bimodule_consistency(basis)
+    residual, _ = bimodule_residual(basis)
     assert math.isnan(report["left_right_commutator"]) and not report["pass"]
     assert math.isnan(residual)
+
+
+@pytest.mark.parametrize("angles", [VacuumAngles(), VacuumAngles(0.7, -1.3)])
+def test_predicted_translations_are_the_kron_matrices(angles):
+    # the laws' monomials are kron(C, I_N), kron(S, I_N), kron(I_M, C~) and
+    # kron(I_M, S~) with the labels (j, k) read as (-j mod M, -k mod N);
+    # the clock's argument 2*pi*N*j/M, unreduced, reaches 82 rad at
+    # M, N <= 13, and its rounding moves the kron side by up to 1.5e-14
+    for m in range(1, 14):
+        for n in range(1, 14):
+            if math.gcd(m, n) != 1:
+                continue
+            j, k = np.arange(m)[:, None], np.arange(n)
+            perm = ((-j % m) * n + (-k % n)).ravel()
+            dual_clock, dual_shift = dual_matrices(m, n, angles)
+            want = {
+                "d1": np.kron(clock_matrix(m, n, angles.alpha1).entries, np.eye(n)),
+                "d2": np.kron(shift_matrix(m, angles.alpha2).entries, np.eye(n)),
+                "dual1": np.kron(np.eye(m), dual_clock.entries),
+                "dual2": np.kron(np.eye(m), dual_shift.entries),
+            }
+            predicted = lll._predicted_translations(build_basis(Flux(n, m), 1j, angles))
+            assert predicted.keys() == want.keys()
+            for name, monomial in predicted.items():
+                got = lll._monomial(*monomial)[np.ix_(perm, perm)]
+                assert np.max(np.abs(got - want[name])) <= 2e-14, (m, n, name)
 
 
 def test_uq_sl2_residual_is_the_worst_relation_or_a_skip():

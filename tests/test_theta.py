@@ -335,10 +335,9 @@ def test_peak_window_tail_stays_below_its_stated_bound(epsilon, level, tau, orde
 
 @pytest.mark.parametrize("level, tau", [(1, 0.3 + 2.0j), (6, -0.4 + 1.3j), (35, 0.01j),
                                         (12, 0.1 + 5.0j)])
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [0])
 def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
-    # the window table certified for the order, summed against its phases
-    # exp(2*pi*i*K*a*x) and the order's factors (2*pi*i*K*a)**order, is
+    # the window table, summed against its phases exp(2*pi*i*K*a*x), is
     # the pointwise series; columns reach past the cell, so each residue's
     # window union spans two peaks, and every residue rides in one call
     x = np.random.default_rng(5).uniform(0.0, 1.0, 7)
@@ -346,7 +345,7 @@ def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
     z = x[:, None] + c
     log_scale = unit_envelope(level, c, tau)
     spec = ThetaSpec(level, tuple(range(level)))
-    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(), order,
+    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(),
                                           log_scale - 1j * math.pi * level * c**2 / tau)
     phase = np.exp(2j * math.pi * level * a[:, None, :] * x[:, None]) \
         * (2j * math.pi * level * a[:, None, :]) ** order
@@ -370,7 +369,7 @@ def test_grid_norms_fold_the_grid_values_on_midpoint_nodes(level, tau, n_x):
     c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
     spec = ThetaSpec(level, tuple(range(level)))
     log_scale = unit_envelope(level, c, tau)
-    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(), 0,
+    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(),
                                           log_scale - 1j * math.pi * level * c**2 / tau)
     got = theta_module._grid_norms(np.rint(level * a).astype(int), window, n_x, level)
     z = x[:, None] + c

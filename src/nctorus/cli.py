@@ -464,7 +464,7 @@ def _add_common(parser, with_out=False):
     parser.add_argument(
         "--quad", type=int, default=RunConfig.quad_nodes, dest="quad_nodes", metavar="QUAD",
         help="floor on the cell-quadrature nodes per axis; each axis takes more where "
-        "K and Im tau need them (partition, verify)",
+        "K and Im tau need them (partition; in verify, only the two partition checks)",
     )
     if with_out:
         parser.add_argument("--out", default=RunConfig.output_dir, dest="output_dir",

@@ -252,14 +252,14 @@ def tau_from_squeeze(params: SqueezeParams) -> ModularParameter:
 
 
 def flux_geometry(flux: Flux, tau) -> FluxGeometry:
-    """Cell scale and plaquette holonomies for the given flux on ``tau``."""
+    """Cell scale and plaquette holonomies for the given flux on ``tau``, the
+    latter from ``kappa`` and ``1/kappa`` mod 1: ``N mod M`` and ``M mod N``."""
     t = as_tau(tau)
-    kappa = flux.numerator / flux.denominator
-    l0 = math.sqrt(2.0 * math.pi * kappa / t.im)
+    n, m = flux.numerator, flux.denominator
     return FluxGeometry(
-        cell_scale=l0,
-        holonomy=cmath.exp(2j * math.pi * kappa),
-        dual_holonomy=cmath.exp(2j * math.pi / kappa),
+        cell_scale=math.sqrt(2.0 * math.pi * (n / m) / t.im),
+        holonomy=cmath.exp(2j * math.pi * (n % m / m)),
+        dual_holonomy=cmath.exp(2j * math.pi * (m % n / n)),
     )
 
 

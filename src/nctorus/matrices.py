@@ -19,24 +19,19 @@ half-angle root ``q^{1/2} = e^{i*pi*N/M}``, which makes the cocycle
     W(m) W(n) = e^{i*pi*kappa*(m x n)} W(m + n)
 
 exact for all winding numbers.  Every Weyl element is monomial, a phase
-vector times a cyclic shift, ``W(m)[(j + m2) % M, j] = phases[j]``; the
-cocycle and span diagnostics work on that form, and dense matrices are
-built only where a caller takes one.  One phase routine builds them all:
-it evaluates any array of words in one numpy pass, the clock and its
-powers being the words ``(p, 0)``, so the span's ``M^2`` words and the
-cocycle table each cost one call.  The dual pair is the N-dimensional
-clock/shift at parameter ``e^{2*pi*i*M/N}``.
+vector times a cyclic shift, ``W(m)[(j + m2) % M, j] = phases[j]``, and
+one routine builds the phases of any array of words in one numpy pass
+(the clock's and the shift's powers are the words ``(p, 0)`` and
+``(0, p)``).  Each root of unity is formed from its integer argument
+reduced mod ``M`` (``2M`` for a half-angle) before the division.  The
+algebra checks compare phase vectors; dense products are formed only for
+outputs, in :func:`commutant_dimension` and in the U_q(sl2) relations.
+The dual pair is the N-dimensional clock/shift at parameter
+``e^{2*pi*i*M/N}``.
 
-The commutant of a set of unitaries is found in the first generator's
-eigenbasis, where commuting with it leaves only the entries between equal
-eigenvalues free: for the clock that is the diagonal, so the clock/shift
-commutant is the nullity of an ``M^2 x M`` system, not of the dense
-``2M^2 x M^2`` one.
-
-On the ground states the translations are ``kron(C, I_N)``, ``kron(S,
-I_N)`` and ``I_M`` times the dual pair once the labels ``(j, k)`` are read
-as ``(-j mod M, -k mod N)``; the bimodule check reads the laws in the
-labels' own order instead, and needs neither.
+On the ground states, with the labels ``(j, k)`` read as ``(-j mod M,
+-k mod N)``, the translations are ``kron(C, I_N)``, ``kron(S, I_N)`` and
+``I_M`` times the dual pair.
 """
 
 from __future__ import annotations
@@ -141,8 +136,10 @@ def clock_power(m, n, alpha1, p) -> CSMatrix:
 
 
 def shift_power(m, alpha2, p) -> CSMatrix:
-    """Closed-form p-th power of the shift matrix (any integer p)."""
-    return CSMatrix(_scatter(np.full(m, cmath.exp(1j * alpha2 * p / m)), p))
+    """Closed-form p-th power of the shift matrix (any integer p): the
+    Weyl word (0, p) at angles (0, alpha2)."""
+    phases, shifts = _weyl_phases([0], [p], m, 1, VacuumAngles(0.0, alpha2))
+    return CSMatrix(_scatter(phases[0], shifts[0]))
 
 
 def clock_matrix(m, n, alpha1=0.0) -> CSMatrix:
@@ -161,13 +158,14 @@ def _weyl_phases(m1, m2, m, n, angles: VacuumAngles = _NO_ANGLES):
     ``W[(j + shifts[w]) % M, j] = phases[w, j]``; returns ``(phases,
     shifts)`` of shapes ``(W, M)`` and ``(W,)``.
 
-    Each word takes the float operations of its scalar form, in the same
-    order, so a word's phases carry the same bits whether it is built alone
-    or among others: the arguments ``2 pi i N m1 j / M`` (a complex
-    division), ``-pi N m1 m2 / M`` and ``alpha m / M`` (real divisions),
-    the exponential of each pure phase, and the product
-    ``q^{-m1 m2/2} * (C^{m1}[rows] * S-phase)``.  The clock diagonals are
-    computed once per distinct ``m1``.
+    The clock's row phase comes from ``r = (N m1 j) mod M`` and the
+    prefactor ``q^{-m1 m2/2}`` from ``s = (N m1 m2) mod 2M``.  Each word
+    takes the float operations of its scalar form, in the same order, so
+    its phases carry the same bits alone or among others: the arguments
+    ``2 pi i r / M`` (a complex division), ``-pi s / M`` and
+    ``alpha m / M`` (real divisions), the exponential of each pure phase,
+    and the product ``q^{-m1 m2/2} * (C^{m1}[rows] * S-phase)``.  The
+    clock diagonals are computed once per distinct ``m1``.
 
     Raises ``ValueError`` when a phase is off the unit circle by more than
     1e-12 (or is NaN): the unitarity guarantee of :class:`CSMatrix`, in
@@ -178,9 +176,10 @@ def _weyl_phases(m1, m2, m, n, angles: VacuumAngles = _NO_ANGLES):
     j = np.arange(m)
     shifts = m2 % m
     powers, which = np.unique(m1, return_inverse=True)
-    clock = (np.exp((2j * math.pi * n * powers)[:, None] * j / m)
+    h = 2 * m  # every factor is reduced before a product, so none overflows int64
+    clock = (np.exp(2j * math.pi * (n % m * (powers[:, None] % m) % m * j % m) / m)
              * np.exp(1j * (angles.alpha1 * powers / m))[:, None])
-    pref = np.exp(1j * (-math.pi * n * m1 * m2 / m))
+    pref = np.exp(1j * (-math.pi * (n % h * (m1 % h) % h * (m2 % h) % h) / m))
     s_phase = np.exp(1j * (angles.alpha2 * m2 / m))
     rows = (j + shifts[:, None]) % m
     phases = pref[:, None] * (clock[which[:, None], rows] * s_phase[:, None])
@@ -199,15 +198,15 @@ def weyl_element(word: WeylWord, m, n, angles: VacuumAngles = _NO_ANGLES) -> CSM
 
 def q_commutation_residual(m, n, angles: VacuumAngles = _NO_ANGLES, *,
                            inject_fault=False) -> float:
-    """Max-entry residual of C S = e^{2 pi i N/M} S C.  With
+    """Max-entry residual of C S = e^{2 pi i N/M} S C.  Both sides have
+    shift 1, with phases ``c[(j + 1) % M] * s[j]`` and ``s[j] * c[j]``.  With
     ``inject_fault`` the sign of the phase is flipped (compared against
     -q), so the residual is 2 for every M: a check that must fail."""
-    c = clock_matrix(m, n, angles.alpha1).entries
-    s = shift_matrix(m, angles.alpha2).entries
+    (c, s), _ = _weyl_phases([1, 0], [0, 1], m, n, angles)
     q = cmath.exp(2j * math.pi * (n % m) / m)
     if inject_fault:
         q = -q
-    return float(np.max(np.abs(c @ s - q * (s @ c))))
+    return float(np.max(np.abs(np.roll(c, -1) * s - q * (s * c))))
 
 
 def weyl_cocycle_residual(m, n) -> float:
@@ -225,20 +224,18 @@ def weyl_cocycle_residual(m, n) -> float:
     cols = (np.arange(m) + u2[:, None]) % m
     lhs = pa[:, cols] * pa  # [a, b, j] = pa[a, (j + sb) % M] * pb[j]
     cross = u1[:, None] * u2 - u2[:, None] * u1
-    # real argument: numpy's complex division by m rounds unlike the scalar
-    # cmath phase of the cocycle law, and would move the residual by ulps
-    rhs = (np.exp(1j * (math.pi * n * cross / m))[:, :, None]
+    rhs = (np.exp(1j * (math.pi * (n * cross % (2 * m)) / m))[:, :, None]
            * table[u1[:, None] + u1 + 4, u2[:, None] + u2 + 4])
     return float(np.max(np.abs(lhs - rhs)))  # np.max, unlike max, keeps a NaN
 
 
 def holonomy_residual(m, n, angles: VacuumAngles = _NO_ANGLES) -> float:
     """Max-entry residual of the plaquette holonomy
-    C S C^+ S^+ = e^{2 pi i N/M} I."""
-    c = clock_matrix(m, n, angles.alpha1)
-    s = shift_matrix(m, angles.alpha2)
-    hol = (c @ s @ c.adjoint() @ s.adjoint()).entries
-    return float(np.max(np.abs(hol - cmath.exp(2j * math.pi * n / m) * np.eye(m))))
+    C S C^+ S^+ = e^{2 pi i N/M} I: the diagonal (C S) (S C)^+, on the
+    phase vectors of :func:`q_commutation_residual`."""
+    (c, s), _ = _weyl_phases([1, 0], [0, 1], m, n, angles)
+    hol = np.roll(c, -1) * s * np.conj(s * c)
+    return float(np.max(np.abs(hol - cmath.exp(2j * math.pi * (n % m) / m))))
 
 
 def dual_matrices(m, n, angles: VacuumAngles = _NO_ANGLES):
@@ -262,7 +259,7 @@ def sine_structure_residual(m, n, word_a, word_b) -> float:
     (pa, pb, pab), (sa, sb, _) = _weyl_phases(
         [word_a.m1, word_b.m1, word_ab.m1], [word_a.m2, word_b.m2, word_ab.m2], m, n)
     j = np.arange(m)
-    coeff = 2j * math.sin(math.pi * n * word_a.cross(word_b) / m)
+    coeff = 2j * math.sin(math.pi * (n * word_a.cross(word_b) % (2 * m)) / m)
     return float(np.max(np.abs(pa[(j + sb) % m] * pb - pb[(j + sa) % m] * pa - coeff * pab)))
 
 

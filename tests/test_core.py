@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -149,6 +150,22 @@ def test_flux_geometry_frozen():
     assert geom.cell_scale == pytest.approx(2.046653415892976976959103, abs=1e-15)
     assert geom.holonomy == pytest.approx(np.exp(4j * np.pi / 3), abs=1e-15)
     assert geom.dual_holonomy == pytest.approx(np.exp(3j * np.pi), abs=1e-14)
+
+
+def test_flux_geometry_holonomies_match_30_digit_values():
+    # kappa and 1/kappa taken mod 1 (from N mod M and M mod N); the
+    # unreduced 2 pi / kappa lay 1.96e-14 off at (M, N) = (22, 1)
+    worst = 0.0
+    for m in range(1, 25):
+        for n in range(1, 25):
+            if math.gcd(m, n) != 1:
+                continue
+            geom = flux_geometry(Flux(n, m), 1j)
+            with mpmath.workdps(30):
+                want = complex(mpmath.expjpi(mpmath.mpf(2 * n) / m))
+                want_dual = complex(mpmath.expjpi(mpmath.mpf(2 * m) / n))
+            worst = max(worst, abs(geom.holonomy - want), abs(geom.dual_holonomy - want_dual))
+    assert worst <= 1e-15
 
 
 def test_vacuum_angles_defaults():

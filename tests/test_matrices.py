@@ -1,7 +1,9 @@
 import cmath
+import functools
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,7 +154,7 @@ def _dense_cocycle_residual(m, n):
         for wb in words:
             lhs = (weyl_element(wa, m, n) @ weyl_element(wb, m, n)).entries
             rhs = (
-                cmath.exp(1j * math.pi * n * wa.cross(wb) / m)
+                cmath.exp(1j * math.pi * (n * wa.cross(wb) % (2 * m)) / m)
                 * weyl_element(wa + wb, m, n).entries
             )
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -187,7 +189,7 @@ def test_weyl_element_matches_dense_product():
     m, n = 7, 3
     for word in (WeylWord(0, 0), WeylWord(2, 5), WeylWord(-3, -1), WeylWord(4, 9)):
         want = (
-            cmath.exp(-1j * math.pi * n * word.m1 * word.m2 / m)
+            cmath.exp(-1j * math.pi * (n * word.m1 * word.m2 % (2 * m)) / m)
             * clock_power(m, n, ANGLES.alpha1, word.m1).entries
             @ shift_power(m, ANGLES.alpha2, word.m2).entries
         )
@@ -214,16 +216,16 @@ def test_weyl_span_dimension_rejects_non_unitary_phases(monkeypatch):
 
 def _scalar_clock_phases(m, n, alpha1, p):
     """Diagonal of C^p, one power at a time: the scalar form whose float
-    operations ``matrices._weyl_phases`` keeps."""
+    operations ``matrices._weyl_phases`` keeps, its argument reduced mod M."""
     j = np.arange(m)
-    return np.exp(2j * math.pi * n * p * j / m) * cmath.exp(1j * alpha1 * p / m)
+    return np.exp(2j * math.pi * (n * p * j % m) / m) * cmath.exp(1j * alpha1 * p / m)
 
 
 def _scalar_weyl_monomial(word, m, n, angles):
     """Phase vector and shift of W(word), one word at a time."""
     shift = word.m2 % m
     rows = (np.arange(m) + shift) % m
-    pref = cmath.exp(-1j * math.pi * n * word.m1 * word.m2 / m)
+    pref = cmath.exp(-1j * math.pi * (n * word.m1 * word.m2 % (2 * m)) / m)
     s_phase = cmath.exp(1j * angles.alpha2 * word.m2 / m)
     return pref * (_scalar_clock_phases(m, n, angles.alpha1, word.m1)[rows] * s_phase), shift
 
@@ -252,6 +254,51 @@ def test_weyl_phases_are_bitwise_the_scalar_form(m):
             assert np.array_equal(_bits(np.array(clocks)), _bits(np.array(want))), (m, n, angles)
 
 
+@functools.cache
+def _exact_entries(m, alpha1, alpha2):
+    """``table[e, a + 4, b + 4] = e^{i pi e/M} e^{i (alpha1 a + alpha2 b)/M}``
+    for e in [0, 2M) and a, b in [-4, 4], the exact entries of every Weyl
+    word of [-4, 4]^2 at modulus M: formed at 30 digits, each root of unity
+    once, and rounded once."""
+    with mpmath.workdps(30):
+        roots = [mpmath.expjpi(mpmath.mpf(e) / m) for e in range(2 * m)]
+        turns = [[mpmath.expj((mpmath.mpf(alpha1) * a + mpmath.mpf(alpha2) * b) / m)
+                  for b in range(-4, 5)] for a in range(-4, 5)]
+        return np.array([[[complex(r * t) for t in row] for row in turns] for r in roots])
+
+
+@pytest.mark.parametrize("angles", [VacuumAngles(), ANGLES])
+def test_weyl_phases_match_30_digit_values(angles):
+    # W(a, b)[row, j] = e^{i pi N a (2 row - b)/M} e^{i (alpha1 a + alpha2 b)/M}
+    # at row = (j + b) % M; an argument formed unreduced rounds up to
+    # 7.8e-14 off, at (M, N) = (1, 11) and the word (4, -4)
+    worst = 0.0
+    for m in (1, 9, 11, 19, 23):
+        table = _exact_entries(m, angles.alpha1, angles.alpha2)
+        j = np.arange(m)
+        for n in range(1, 14):
+            if math.gcd(m, n) != 1:
+                continue
+            for a in range(-4, 5):
+                for b in range(-4, 5):
+                    rows = (j + b) % m
+                    want = np.zeros((m, m), dtype=complex)
+                    want[rows, j] = table[n * a * (2 * rows - b) % (2 * m), a + 4, b + 4]
+                    got = weyl_element(WeylWord(a, b), m, n, angles).entries
+                    worst = max(worst, np.max(np.abs(got - want)))
+            want = np.diag(table[2 * n * j % (2 * m), 5, 4])
+            worst = max(worst, np.max(np.abs(clock_matrix(m, n, angles.alpha1).entries - want)))
+            # the dual pair: the N-dimensional clock and shift at e^{2 pi i M/N}
+            dual = _exact_entries(n, angles.alpha1, angles.alpha2)
+            k = np.arange(n)
+            want_clock = np.diag(dual[2 * m * k % (2 * n), 5, 4])
+            want_shift = np.zeros((n, n), dtype=complex)
+            want_shift[(k + 1) % n, k] = dual[0, 4, 5]
+            for got, want in zip(dual_matrices(m, n, angles), (want_clock, want_shift)):
+                worst = max(worst, np.max(np.abs(got.entries - want)))
+    assert worst <= 4e-15
+
+
 @pytest.mark.parametrize("mn", [(2, 1), (3, 2), (5, 3), (7, 2)])
 def test_holonomy_residual(mn):
     assert holonomy_residual(*mn) < 1e-10
@@ -267,6 +314,22 @@ def test_q_commutation_residuals():
     # q = +-1 is real (M <= 2)
     for m, n in ((1, 1), (2, 1), (5, 3)):
         assert abs(q_commutation_residual(m, n, ANGLES, inject_fault=True) - 2.0) < 1e-13
+
+
+@pytest.mark.parametrize("angles", [VacuumAngles(), ANGLES])
+def test_commutation_and_holonomy_read_q_from_the_flux(monkeypatch, angles):
+    # with the words built at 2N, C S = q^2 S C and the plaquette is q^2:
+    # both checks must read |q^2 - q| = 2 sin(pi N/M), which a check that
+    # took q from the phases it compares would miss
+    weyl_phases = matrices._weyl_phases
+
+    def doubled(m1, m2, m, n, angles=VacuumAngles()):
+        return weyl_phases(m1, m2, m, 2 * n, angles)
+
+    monkeypatch.setattr(matrices, "_weyl_phases", doubled)
+    want = 2 * math.sin(math.pi * 3 / 5)  # 1.90
+    assert q_commutation_residual(5, 3, angles) == pytest.approx(want, abs=1e-14)
+    assert holonomy_residual(5, 3, angles) == pytest.approx(want, abs=1e-14)
 
 
 def test_dual_matrices():
@@ -299,7 +362,7 @@ def _dense_sine_residual(m, n, a, b, product):
     """The sine-structure residual from the dense per-word matrices, each
     commutator term one ``product`` of two of them."""
     wa, wb, wab = (weyl_element(w, m, n).entries for w in (a, b, a + b))
-    coeff = 2j * math.sin(math.pi * n * a.cross(b) / m)
+    coeff = 2j * math.sin(math.pi * (n * a.cross(b) % (2 * m)) / m)
     return float(np.max(np.abs(product(wa, wb) - product(wb, wa) - coeff * wab)))
 
 
@@ -600,8 +663,8 @@ def test_bimodule_left_right_commutator_keeps_a_nan(monkeypatch):
 def test_predicted_translations_are_the_kron_matrices(angles):
     # the laws' monomials are kron(C, I_N), kron(S, I_N), kron(I_M, C~) and
     # kron(I_M, S~) with the labels (j, k) read as (-j mod M, -k mod N);
-    # the clock's argument 2*pi*N*j/M, unreduced, reaches 82 rad at
-    # M, N <= 13, and its rounding moves the kron side by up to 1.5e-14
+    # both sides reduce their clock arguments as integers, so they agree
+    # to a few ulp
     for m in range(1, 14):
         for n in range(1, 14):
             if math.gcd(m, n) != 1:
@@ -619,7 +682,7 @@ def test_predicted_translations_are_the_kron_matrices(angles):
             assert predicted.keys() == want.keys()
             for name, monomial in predicted.items():
                 got = lll._monomial(*monomial)[np.ix_(perm, perm)]
-                assert np.max(np.abs(got - want[name])) <= 2e-14, (m, n, name)
+                assert np.max(np.abs(got - want[name])) <= 3e-15, (m, n, name)
 
 
 def test_uq_sl2_residual_is_the_worst_relation_or_a_skip():

@@ -40,12 +40,14 @@ their magnitude in the window table and a phase ``exp(2*pi*i*F*x)`` of
 integer frequency ``F``, so on the ``n_x`` midpoint nodes the terms of
 one class of ``F`` mod ``n_x`` alias onto one value, and the sum over
 ``x`` is ``n_x`` times the sum of those values' ``|.|^2``; no value on
-the grid is formed.  The character route integrates
-``sum_r |theta_r|^2 / |eta|^2`` pointwise, all K residues as the classes
-mod K of one series around each point's peak (``theta``'s private
-residue sum, which never touches ``Field``, the window table or the grid
-sum), with the square completed in ``y``.  Their agreement checks both
-summations.  Parseval in ``x`` collapses the cell
+the grid is formed.  The character route forms ``sum_r |theta_r|^2`` at
+every node of the same rule and sums the values over ``|eta|^2``, with the
+square completed in ``y``: ``theta``'s private residue sum takes all K
+residues as the classes mod K of one series around each column's peak, at
+K squared magnitudes and a trigonometric polynomial's coefficients per
+column, one phase table per row and the polynomial per node.  It never
+touches ``Field``, the window table or the comb and alias sums over
+``x``.  Their agreement checks both summations.  Parseval in ``x`` collapses the cell
 integral to a full Gaussian in ``y``, which gives
 :func:`z_tilde_closed_form`; neither route reads it.
 """
@@ -75,8 +77,6 @@ __all__ = [
     "t_invariance_residual",
     "s_invariance_residual",
 ]
-
-_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,6 @@ def quadrature_nodes(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
     return (np.arange(n_x) + 0.5) / n_x, (np.arange(n_y) + 0.5) / n_y
 
 
-def _cell_integral(integrand, basis: LLLBasis, quad: QuadratureSpec) -> float:
-    """Integrate ``integrand(x, y) -> real ndarray`` (one value per
-    point) over the unit square by the midpoint rule of ``basis``: nodes
-    are evaluated in fixed chunks of ``_CHUNK`` points and the chunk sums
-    reduced with ``math.fsum``."""
-    x, y = quadrature_nodes(basis, quad)
-    xs = np.repeat(x, y.size)
-    ys = np.tile(y, x.size)
-    return math.fsum(np.sum(integrand(xs[i:i + _CHUNK], ys[i:i + _CHUNK]))
-                     for i in range(0, xs.size, _CHUNK)) / xs.size
-
-
 def _cell_table(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
     """``(n_x, y, scale, freq, window)``: the node count in ``x`` and the
     ``y`` nodes of :func:`quadrature_nodes`, and the states'
@@ -164,10 +152,12 @@ def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
 
 def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Eta-normalized state sum, single-integrand character route: the
-    residue sum of |theta|^2 over |eta|^2 is evaluated pointwise from
-    the series directly (no Field machinery), all K residues from the
-    terms nearest each point's peak, at the level, angles and truncation
-    policy of ``basis``."""
+    residue sum of |theta|^2 is evaluated from the series directly (no
+    Field machinery) at every node of the :func:`quadrature_nodes` grid,
+    all K residues from the terms nearest each column's peak, at the
+    level, angles and truncation policy of ``basis``; ``Z~`` is the
+    ``math.fsum`` of the value table's column sums over the node count and
+    ``|eta|^2``."""
     t = basis.tau
     tau = t.value
     b = t.im
@@ -176,20 +166,15 @@ def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSp
     gamma = basis.gamma
     eta2 = abs(dedekind_eta(t, basis.policy)) ** 2
 
-    # the scale relative to the envelope of w + gamma: with the square
-    # completed in y, -pi*K*b*y**2 - a1*b*y + pi*K*(b*y + Im gamma)**2/b,
-    # so no term of size pi*K*b is formed and cancelled
+    # the scale relative to the envelope of x + c, c = tau*y + gamma: with
+    # the square completed in y, -pi*K*b*y**2 - a1*b*y + pi*K*(b*y + Im
+    # gamma)**2/b, so no term of size pi*K*b is formed and cancelled
     slope = 2.0 * math.pi * klev * gamma.imag - a1 * b
     offset = math.pi * klev * gamma.imag**2 / b
-
-    def integrand(x, y):
-        w = x + tau * y
-        relative = slope * y + offset
-        return _theta_residue_norms(klev, w + gamma, t, basis.policy, relative) / (eta2 or 1.0)
-
-    # where |eta|^2 underflows to 0 the sum is integrated unscaled
-    z = _cell_integral(integrand, basis, quad)
-    return z if eta2 else _over_eta2(z, eta2)
+    x, y = quadrature_nodes(basis, quad)
+    values = _theta_residue_norms(klev, x, tau * y + gamma, t, basis.policy, slope * y + offset)
+    # where |eta|^2 underflows to 0 the quotient reads inf, as it does in z_tilde
+    return _over_eta2(math.fsum(values.sum(axis=0)) / values.size, eta2)
 
 
 def _over_eta2(value: float, eta2: float) -> float:

@@ -95,36 +95,40 @@ Residue sums
 ------------
 With ``m = K*a`` the ``K`` residues are the classes mod ``K`` of one
 Gaussian series, term ``t_m = exp(i*pi*tau*m**2/K + 2*pi*i*z*m + L)``.  A
-private residue sum returns ``sum_r |exp(L) theta_r(z)|**2`` pointwise from
-the ``K*n`` integers ``m`` nearest the peak ``K*a*``, where ``n`` is the
-peak window ``count`` above rounded up to odd, so every omitted term lies
-at least ``count/2`` from the peak.  The ``K`` nearest, ``m0 + j`` for
-``0 <= j < K`` with ``m0 = ceil(K*a* - K/2)``, are one of each class; the
-class holds ``m0 + j + s*K`` for ``|s| <= n//2``, and its sum is
-``t_{m0+j} * sum_s V**s D[s, j]`` with
+private residue sum returns ``sum_r |exp(L) theta_r(z)|**2`` on a tensor
+grid ``z = x_i + c_j`` from the ``K*n`` integers ``m`` nearest the peak
+``K*a*``, ``n`` the peak window ``count`` above rounded up to odd, so every
+omitted term lies at least ``count/2`` from the peak.  The ``K`` nearest,
+``m0 + j`` for ``0 <= j < K`` with ``m0 = ceil(K*a* - K/2)``, are one of
+each class; the class holds ``m0 + j + s*K`` for ``|s| <= n//2``, and its
+sum is ``t_{m0+j} * sum_s omega**s e[s, j]`` with ``omega =
+exp(2*pi*i*K*x)`` and, at ``x = 0``, the steps ``e[s, j] = V**s D[s, j]``,
 
-    V = exp(2*pi*i*(tau*c + K*z)),    c = m0 + (K - 1)/2,
+    V = exp(2*pi*i*(tau*c + K*Re z)),    c = m0 + (K - 1)/2,
     D[s, j] = exp(i*pi*tau*s*(2*(j - (K - 1)/2) + K*s)).
 
-Relative to the squared envelope,
+Relative to the squared envelope, with ``L' = L + pi*K*(Im z)**2/Im tau``
+the scale the caller passes,
 
     |t_{m0+j}|**2 = exp(2*Re L' - 2*pi*Im(tau)*(m0 + j - K*a*)**2/K),
 
-with ``L' = L + pi*K*(Im z)**2/Im tau`` the scale the caller passes: ``K``
-real exponentials of a peak-centred quadratic per point, and no exponent
-of size ``pi*K*Im tau`` that a log-scale has to cancel.  ``D`` is one
-``(n, K)`` table per call.  Where ``n = 1`` (every point once
-``K*Im tau >= 37`` at ``eps = 1e-12``) a point's value is the row sum of
-its ``K`` squared magnitudes; otherwise a block of points costs one
-``(points, n) @ (n, K)`` product besides.  No term of a class lies nearer
-the peak than ``m0 + j``, so ``|V**s D[s, j]| <= 1``, and the split at the
-classes' centre ``c`` gives ``|V**s| <= exp(pi*Im(tau)*|s|)`` and
-``|D[s, j]| <= exp(-pi*Im(tau)*|s|)``: both stay normal doubles while
-``pi*Im(tau)*(n//2) < 700``, which holds for every ``K >= 5`` at any
-``eps`` and for every ``K`` at ``eps >= 1e-60``.  Beyond (``K <= 4``,
-``Im tau`` above 230 and ``eps`` at or below 1e-100, where ``n = 3``)
-each step ``V**s D[s, j] = t_{m0+j+s*K}/t_{m0+j}`` is one exponential of
-modulus at most 1, ``(points, n, K)`` of them per block.
+and no exponent of size ``pi*K*Im tau`` is formed.  The peak depends on
+the column alone, so a node's value is a real trigonometric polynomial of
+degree ``n - 1`` in ``K*x``, ``C[0] + 2*Re sum_{d>=1} C[d]*omega**d``,
+``C[d] = sum_j |t_{m0+j}|**2 sum_s e[s + d, j]*conj(e[s, j])``: a column
+costs ``K`` real exponentials and, where ``n > 1``, ``n`` powers of ``V``,
+``(n, K)`` products with ``D`` (one table per call) and ``n`` lag sums; a
+row costs one table of ``omega**d``; a node costs the polynomial, lag by
+lag in ascending ``d``.  Where ``n = 1`` (once ``K*Im tau >= 37`` at
+``eps = 1e-12``) every node of a column reads the row sum of its ``K``
+squared magnitudes.  No term of a class lies nearer the peak than ``m0 +
+j``, so ``|e[s, j]| <= 1``; the split at the classes' centre ``c`` gives
+``|V**s| <= exp(pi*Im(tau)*|s|)`` and ``|D[s, j]| <=
+exp(-pi*Im(tau)*|s|)``, normal doubles while ``pi*Im(tau)*(n//2) < 700``,
+which holds for every ``K >= 5`` at any ``eps`` and for every ``K`` at
+``eps >= 1e-60``.  Beyond (``K <= 4``, ``Im tau`` above 230 and ``eps`` at
+or below 1e-100, where ``n = 3``) each step ``e[s, j] =
+t_{m0+j+s*K}/t_{m0+j}`` is one exponential of modulus at most 1.
 """
 
 from __future__ import annotations
@@ -157,14 +161,13 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _TINY = np.finfo(float).tiny
-# points of one _theta_residue_norms block, times max(K, count): its
-# (points, K) table of squared magnitudes is 64 KB and the block's complex
-# sums twice that.  Over the 42 ops of a partition-sweep run, in-process,
-# 2**14 and 2**15 raised the peak RSS by 0.5 and 0.95 MB over 2**13, and
-# 2**12 lowered it by 0.2 MB; through benchmarks/run.py 2**12 and 2**11
-# read the same peak RSS within 0.1 MB and ok_per_ref 3.1 to 3.7
-# against 4.0 to 4.5
-_RESIDUE_BLOCK_ELEMENTS = 1 << 13
+# columns of one _theta_residue_norms block, times max(K*n, x.size): its
+# (columns, n, K) steps and its (columns, x) polynomial each hold at most
+# this many complex values, 64 KB.  Over the first 42 partition-sweep ops of
+# seed 1, in-process, the character route's peak traced allocation is 0.34,
+# 0.53, 0.91 and 1.42 MB at 2**11 to 2**14 (0.71 MB when it summed blocks of
+# points), and the ops take the same time at all four
+_RESIDUE_BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -417,66 +420,78 @@ def _grid_norms(freq, window, n_x, step):
     return n_x * np.sum(flat.real**2 + flat.imag**2, axis=1)
 
 
-def _theta_residue_norms(level, z, tau, policy, log_scale):
-    """``sum_r |exp(L) * theta_r^K(z)|**2`` over all ``K`` residues,
-    pointwise, on the peak-centred certificate.  ``log_scale`` is
-    ``L + pi*K*(Im z)**2/Im tau``, the scale relative to each point's
-    envelope, of which only the real part counts.  Each point sums the
-    ``K*n`` integers ``m`` nearest its peak ``K*a*`` by their classes
-    mod ``K``, ``n`` the peak window rounded up to odd: ``K`` real
-    squared magnitudes and, where ``n > 1``, one ``(points, n) @ (n, K)``
-    product per block of points (see "Residue sums" above)."""
+def _theta_residue_norms(level, x, c, tau, policy, log_scale):
+    """``sum_r |exp(L) * theta_r^K(z)|**2`` over all ``K`` residues at
+    ``z = x_i + c_j`` for real rows ``x`` and complex columns ``c``, shape
+    ``(x.size, c.size)`` (one point is the row ``x = [0.0]``), on the
+    peak-centred certificate; ``log_scale`` is ``L + pi*K*(Im c)**2/Im
+    tau`` per column, relative to its envelope, of which only the real part
+    counts (see "Residue sums" above)."""
     t = as_tau(tau)
     k, b = level, t.im
-    zz = np.asarray(z, dtype=complex).ravel()
-    scale = np.broadcast_to(np.real(log_scale), np.shape(z)).ravel()
-    # the window rounded up to odd, so every class is centred on its term
-    # nearest the peak
+    x = np.asarray(x, dtype=float).ravel()
+    c = np.asarray(c, dtype=complex).ravel()
+    twice_scale = np.full(c.size, 2.0 * np.real(log_scale))
+    # the window rounded up to odd: every class centred on its term nearest the peak
     count = _peak_window(k, b, 0.0, policy.epsilon) | 1
     _check_cap(count, policy)
     j = np.arange(k)
-    steps = np.arange(count) - count // 2
-    # D[s, j] of "Residue sums" above
-    table = np.exp((1j * math.pi * t.value) * steps[:, None]
-                   * (2 * j - (k - 1) + k * steps[:, None]))
-    # V**s and D[s, j] stay normal doubles, within exp(+-708), while
-    # pi*b*(n//2) < 700; beyond (see "Residue sums" above) each step is
-    # one exponential
-    split = math.pi * b * (count // 2) < 700.0
     ones = np.ones(k)
-    block = max(1, _RESIDUE_BLOCK_ELEMENTS // max(k, count))
-    out = np.empty(zz.size)
-    for i in range(0, zz.size, block):
-        zb = zz[i:i + block]
-        peak = -k * zb.imag / b
+    if count > 1:
+        steps = np.arange(count) - count // 2
+        # D[s, j] of "Residue sums" above, 2*j - (K - 1) the j-th of K - 1, K - 3, ...
+        table = np.exp((1j * math.pi * t.value) * steps[:, None]
+                       * (np.arange(1 - k, k, 2) + k * steps[:, None]))
+        # V**s and D[s, j] stay within exp(+-708) while pi*b*(n//2) < 700;
+        # beyond (see "Residue sums" above) each step is one exponential
+        split = math.pi * b * (count // 2) < 700.0
+        # per row, exp(2*pi*i*K*x*d) for the lags d = 1..n-1
+        omega = np.exp((2j * math.pi * k) * np.multiply.outer(np.arange(1, count), x))
+    # laid out column by column, so a column's sum over x is a pairwise sum
+    out = np.empty((c.size, x.size))
+    block = max(1, _RESIDUE_BLOCK_ELEMENTS // max(k * count, x.size))
+    for i in range(0, c.size, block):
+        cb, values = c[i:i + block], out[i:i + block]
+        peak = -k * cb.imag / b
         # the K terms m0 + j nearest the peak, one of each class
         m0 = np.ceil(peak - 0.5 * k)
         delta = m0 - peak
         mag2 = delta[:, None] + j
         mag2 *= mag2
         mag2 *= -2.0 * math.pi * b / k
-        mag2 += 2.0 * scale[i:i + block, None]
+        mag2 += twice_scale[i:i + block, None]
         np.exp(mag2, out=mag2)
-        if count > 1 and split:
-            # V at the classes' centre c, its modulus from the peak
+        if count == 1:
+            # the row sums: on rows this short a matrix-vector product is
+            # several times faster than sum(axis=1)
+            values[...] = (mag2 @ ones)[:, None]
+            continue
+        if split:
+            # V at the classes' centre c and x = 0, its modulus from the peak
             centre = m0 + 0.5 * (k - 1)
-            v = np.exp(-2.0 * math.pi * b * (centre - peak)
-                       + (2j * math.pi) * (t.re * centre + k * zb.real))
-            sums = (v[:, None] ** steps) @ table
-            mag2 *= sums.real**2 + sums.imag**2
-        elif count > 1:
+            log_v = (-2.0 * math.pi * b) * (delta + 0.5 * (k - 1)) \
+                + (2j * math.pi) * (t.re * centre + k * cb.real)
+            step = np.exp(np.multiply.outer(log_v, steps))[..., None] * table
+        else:
             # V**s D[s, j] as one exponential, t_{m+s*K}/t_m for m = m0 + j,
             # of modulus exp(-pi*b*s*(2*(m - K*a*) + K*s)) <= 1
             s = steps[:, None]
-            ratio = np.exp(-math.pi * b * s * (2.0 * (delta[:, None, None] + j) + k * s)
-                           + (1j * math.pi) * s * (t.re * (2.0 * (m0[:, None, None] + j) + k * s)
-                                                   + 2.0 * k * zb.real[:, None, None]))
-            sums = ratio.sum(axis=1)
-            mag2 *= sums.real**2 + sums.imag**2
-        # the row sums: on rows this short a matrix-vector product is
-        # several times faster than sum(axis=1)
-        out[i:i + block] = mag2 @ ones
-    return out.reshape(np.shape(z))
+            step = np.exp(-math.pi * b * s * (2.0 * (delta[:, None, None] + j) + k * s)
+                          + (1j * math.pi) * s * (t.re * (2.0 * (m0[:, None, None] + j) + k * s)
+                                                  + 2.0 * k * cb.real[:, None, None]))
+        # C[d]: the lag-d products of each class's steps, flattened (s, j) so
+        # that a lag is a shift by d*K; the mirror lag -d is the factor 2
+        weighted = (step * mag2[:, None, :]).reshape(len(cb), -1)
+        conj = np.conjugate(step).reshape(len(cb), -1)
+        lags = [np.einsum("cp,cp->c", weighted[:, d * k:], conj[:, :(count - d) * k])
+                for d in range(count)]
+        # the polynomial, lag by lag in a fixed order at every node
+        poly = np.multiply.outer(lags[1], omega[0])
+        for d in range(2, count):
+            poly += np.multiply.outer(lags[d], omega[d - 1])
+        np.multiply(poly.real, 2.0, out=values)
+        values += lags[0].real[:, None]
+    return out.T
 
 
 def theta(spec: ThetaSpec, z, tau, policy: TruncationPolicy = _DEFAULT_POLICY,

@@ -85,13 +85,26 @@ def test_cell_rule_size_is_pinned(level, im_tau, counts):
     assert cell_node_counts(level, im_tau, 1e-12) == counts
 
 
-def test_cell_integral_integrates_the_sized_rule():
-    # a fall-back to a fixed 64 x 64 cell would show here first
+def test_character_route_sums_the_sized_rule(monkeypatch):
+    # one residue-sum call on the cell_node_counts grid of the basis, its
+    # rows the x nodes; a fall-back to a fixed 64 x 64 cell would show here
     basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES)
-    points = []
-    partition._cell_integral(lambda x, y: points.append(x.size) or np.ones_like(x),
-                             basis, QuadratureSpec())
-    assert sum(points) == 10 * 11
+    calls = []
+    residue_norms = partition._theta_residue_norms
+
+    def recorded(level, x, c, *args):
+        values = residue_norms(level, x, c, *args)
+        calls.append((x, values.shape))
+        return values
+
+    monkeypatch.setattr(partition, "_theta_residue_norms", recorded)
+    for nodes, grid in [(8, (10, 11)), (128, (128, 128))]:
+        quad = QuadratureSpec(nodes)
+        z_tilde_character_route(basis, quad)
+        [(x, shape)] = calls
+        assert shape == grid == cell_node_counts(6, 1.1, 1e-12, quad)
+        assert np.array_equal(x, quadrature_nodes(basis, quad)[0])
+        calls.clear()
 
 
 def test_one_quadrature_rule_in_the_library():
@@ -110,13 +123,11 @@ def test_state_norm_frozen_values():
 
 def _per_label_state_norms(basis, quad=QuadratureSpec()):
     """Reference: one cell integral per single-residue state."""
-    tau = basis.tau.value
+    x, y = quadrature_nodes(basis, quad)
+    w = (x[:, None] + basis.tau.value * y).ravel()
 
     def norm(st):
-        def integrand(x, y):
-            w = x + tau * y
-            return np.abs(st.evaluate(w, np.conjugate(w))) ** 2
-        return partition._cell_integral(integrand, basis, quad)
+        return math.fsum(np.abs(st.evaluate(w, np.conjugate(w))) ** 2) / w.size
 
     return [norm(basis.state(j, k)) for (j, k) in basis.labels()]
 
@@ -319,7 +330,9 @@ def test_character_route_keeps_its_digits_at_large_im_tau(mn, tau, alpha1):
 def test_the_two_routes_share_no_summation(monkeypatch):
     # the character route sums its residues in theta._theta_residue_norms,
     # the per-state route folds the states' cell window (theta._grid_norms):
-    # each still matches the closed form with the other's summation gone
+    # each still matches the closed form with the other's summation gone,
+    # and the character route with the module's comb and alias machinery
+    # (theta._grid_classes, theta._grid_overlaps) gone too
     tau = -0.2 + 1.7j
     basis = build_basis(Flux(5, 7), tau, ANGLES)
     want = closed_form_z_tilde(35, tau, ANGLES.alpha1)
@@ -329,7 +342,7 @@ def test_the_two_routes_share_no_summation(monkeypatch):
 
     with monkeypatch.context() as patch:
         for owner in (theta_module, lll):
-            for name in ("_grid_window", "_grid_norms"):
+            for name in ("_grid_window", "_grid_norms", "_grid_classes", "_grid_overlaps"):
                 patch.setattr(owner, name, unreachable)
         for name in ("_grid_norms", "_cell_table"):
             patch.setattr(partition, name, unreachable)

@@ -394,7 +394,8 @@ def test_residue_norms_are_the_per_residue_loop(level, tau, epsilon):
     want = sum(np.abs(theta(s, z, tau, policy, log_scale=log_scale)) ** 2 for s in specs)
     size = np.array([theta(s, 1j * z.imag, 1j * tau.imag, policy, log_scale=log_scale.real).real
                      for s in specs])
-    got = _theta_residue_norms(level, z, tau, policy, relative_scale(level, z, tau, log_scale))
+    got = _theta_residue_norms(level, [0.0], z, tau, policy,
+                               relative_scale(level, z, tau, log_scale))[0]
     # each side leaves out terms of modulus sum below epsilon (the envelope
     # is 1), the same terms or fewer on the kernel's side; and each term's
     # exponent, up to ``expo`` in size, rounds to an ulp of it on both sides
@@ -407,20 +408,54 @@ def test_residue_norms_are_the_per_residue_loop(level, tau, epsilon):
     assert np.all(np.abs(got - want) <= truncation + rounding)
 
 
-def test_residue_norms_blocks_keep_each_point(monkeypatch):
-    # a NaN scale spoils its own point only, and is not summed to 0, at
-    # any block size (exp warns of the NaN, as theta's does)
+def test_residue_norms_blocks_keep_each_column(monkeypatch):
+    # the points of a 30-point line as columns under four rows: a NaN scale
+    # spoils its own column only, and is not summed to 0, and every node
+    # reads the same bits at any block of columns (exp warns of the NaN, as
+    # theta's does)
     tau = 0.1 + 1.3j
-    z = np.linspace(0.0, 1.0, 30) + tau * np.linspace(0.0, 1.0, 30)
-    log_scale = relative_scale(6, z, tau, unit_envelope(6, z, tau))
+    x = np.array([0.0, 0.25, 0.6, 0.93])
+    c = np.linspace(0.0, 1.0, 30) + tau * np.linspace(0.0, 1.0, 30)
+    log_scale = relative_scale(6, c, tau, unit_envelope(6, c, tau))
     log_scale[7] = np.nan
     with np.errstate(invalid="ignore"):
-        whole = _theta_residue_norms(6, z, tau, TruncationPolicy(), log_scale)
-        monkeypatch.setattr(theta_module, "_RESIDUE_BLOCK_ELEMENTS", 40)
-        blocked = _theta_residue_norms(6, z.reshape(5, 6), tau, TruncationPolicy(),
-                                       log_scale.reshape(5, 6))
-    assert np.isnan(whole[7]) and np.all(np.isfinite(np.delete(whole, 7)))
-    assert np.array_equal(blocked.ravel(), whole, equal_nan=True)
+        whole = _theta_residue_norms(6, x, c, tau, TruncationPolicy(), log_scale)
+        assert whole.shape == (4, 30)
+        assert np.all(np.isnan(whole[:, 7]))
+        assert np.all(np.isfinite(np.delete(whole, 7, axis=1)))
+        for elements in (1, 40, 100):
+            monkeypatch.setattr(theta_module, "_RESIDUE_BLOCK_ELEMENTS", elements)
+            blocked = _theta_residue_norms(6, x, c, tau, TruncationPolicy(), log_scale)
+            assert np.array_equal(blocked, whole, equal_nan=True)
+
+
+@pytest.mark.parametrize("level, tau, epsilon", [(72, 0.3 + 1.1j, 1e-12),
+                                                 (24, -0.2 + 1.2j, 1e-12),
+                                                 (2, -0.1 + 241j, 5e-324),
+                                                 (6, 0.001j, 1e-12)])
+def test_residue_norms_on_a_tensor_grid_are_the_per_residue_loop(level, tau, epsilon):
+    # every node x_i + c_j of a 9 x 7 grid, one window n = 1, a split
+    # window n = 3, the one-exponential steps and a window of n = 79, each
+    # against the sum of |theta|**2 over the residues at that node, to the
+    # bound of the pointwise test
+    policy = TruncationPolicy(epsilon=epsilon)
+    x = (np.arange(9) + 0.5) / 9
+    c = tau * np.linspace(-0.3, 1.3, 7) + (0.05 - 0.02j)
+    log_scale = unit_envelope(level, c, tau)
+    z = x[:, None] + c
+    specs = [ThetaSpec(level, r) for r in range(level)]
+    want = sum(np.abs(theta(s, z, tau, policy, log_scale=np.broadcast_to(log_scale, z.shape))) ** 2
+               for s in specs)
+    size = np.array([theta(s, 1j * c.imag, 1j * tau.imag, policy, log_scale=log_scale.real).real
+                     for s in specs])
+    got = _theta_residue_norms(level, x, c, tau, policy, relative_scale(level, c, tau, log_scale))
+    reach = np.abs(c.imag / tau.imag) + 0.5 * _peak_window(level, tau.imag, 0.0, epsilon) + 1.0
+    expo = (math.pi * level * abs(tau) * reach**2 + 2.0 * math.pi * level * np.abs(z) * reach
+            + np.abs(log_scale))
+    truncation = 2.0 * epsilon * size.sum(axis=0) + level * epsilon**2
+    rounding = 2.0 * np.finfo(float).eps * expo * np.sum(size**2, axis=0)
+    assert got.shape == z.shape == (9, 7)
+    assert np.all(np.abs(got - want) <= truncation + rounding)
 
 
 @pytest.mark.parametrize("level", [1, 6, 77])
@@ -435,7 +470,7 @@ def test_residue_norms_stay_in_range_at_large_im_tau(level):
     half = -math.pi * level * tau.imag * y**2 - 0.7 * tau.imag * y
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _theta_residue_norms(level, z, tau, TruncationPolicy(),
+        got = _theta_residue_norms(level, [0.0], z, tau, TruncationPolicy(),
                                    relative_scale(level, z, tau, half))
     assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
 
@@ -460,7 +495,7 @@ def test_residue_norms_are_the_brute_force_sum(level, tau, epsilon, count):
     y = np.append(rng.uniform(-0.2, 1.2, 5), (-0.5 + 1e-9, 0.5 - 1e-9))
     z = rng.uniform(0.0, 1.0, y.size) + tau * y + 0.01
     scale = rng.normal(0.0, 0.5, y.size)
-    got = _theta_residue_norms(level, z, tau, TruncationPolicy(epsilon=epsilon), scale)
+    got = _theta_residue_norms(level, [0.0], z, tau, TruncationPolicy(epsilon=epsilon), scale)[0]
     with mpmath.workdps(40):
         t = mpmath.mpc(tau.real, tau.imag)
         for point, scale_i, value in zip(z, scale, got):
@@ -496,7 +531,8 @@ def test_residue_norms_stay_in_range_at_every_window(epsilon, levels):
             z = rng.uniform(-0.2, 1.2, y.size) + tau * y
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = _theta_residue_norms(level, z, tau, policy, rng.uniform(-1.0, 1.0, y.size))
+                got = _theta_residue_norms(level, [0.0], z, tau, policy,
+                                           rng.uniform(-1.0, 1.0, y.size))
             assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
 
 

@@ -47,8 +47,8 @@ residues as the classes mod K of one series around each column's peak, at
 K squared magnitudes and a trigonometric polynomial's coefficients per
 column, one phase table per row and the polynomial per node.  It never
 touches ``Field``, the window table or the comb and alias sums over
-``x``.  Their agreement checks both summations.  Parseval in ``x`` collapses the cell
-integral to a full Gaussian in ``y``, which gives
+``x``.  Their agreement checks both summations.  Parseval in ``x``
+collapses the cell integral to a full Gaussian in ``y``, which gives
 :func:`z_tilde_closed_form`; neither route reads it.
 """
 

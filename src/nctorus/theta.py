@@ -165,8 +165,7 @@ _TINY = np.finfo(float).tiny
 # (columns, n, K) steps and its (columns, x) polynomial each hold at most
 # this many complex values, 64 KB.  Over the first 42 partition-sweep ops of
 # seed 1, in-process, the character route's peak traced allocation is 0.34,
-# 0.53, 0.91 and 1.42 MB at 2**11 to 2**14 (0.71 MB when it summed blocks of
-# points), and the ops take the same time at all four
+# 0.53, 0.91 and 1.42 MB at 2**11 to 2**14, and the ops take the same time
 _RESIDUE_BLOCK_ELEMENTS = 1 << 12
 
 

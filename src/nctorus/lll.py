@@ -44,9 +44,9 @@ the nodes of the cell rule that certifies their norms: the Gram matrix
 pair where their frequencies agree mod ``n_x``, with no value on the grid
 formed.  A norm, the diagonal of such a product, is each row's window
 folded onto its classes mod ``n_x``; ``partition.state_norm`` sums the
-states' own the same way.  The centre is measured on the same module:
-``D1^M`` and ``D2^M``, each one displacement, project onto
-``e^{i*alpha1} I`` and ``e^{i*alpha2} I``.
+states' own from the exponents of their table.  The centre is measured
+on the same module: ``D1^M`` and ``D2^M``, each one displacement,
+project onto ``e^{i*alpha1} I`` and ``e^{i*alpha2} I``.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ import numpy as np
 
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
 from .fields import Displacement, Field, _prefactor_exponent, displacement_apply
-from .theta import (ThetaSpec, TruncationPolicy, _grid_classes, _grid_norms, _grid_overlaps,
-                    _grid_window, theta_derivative)
+from .theta import (ThetaSpec, TruncationPolicy, _grid_classes, _grid_exponent, _grid_norms,
+                    _grid_overlaps, _grid_window, theta_derivative)
 
 __all__ = [
     "LLLBasis",
@@ -219,9 +219,9 @@ class ThetaField(Field):
         none loses digits to cancellation.
 
         The first tables asked, on the cell rule's own columns, are kept,
-        read-only, for the steps along 1 and the norms; a step along tau
-        reads other columns, and its tables are neither kept nor replace
-        them."""
+        read-only, for the Gram matrix and the steps along 1; a step along
+        tau reads other columns, and its tables are neither kept nor
+        replace them."""
         if set(self.terms) != {(0, 0, 0)}:
             raise ValueError("a cell window needs the one term (0, 0, 0)")
         key = y.tobytes()
@@ -237,6 +237,18 @@ class ThetaField(Field):
         if self._window is None:
             self._window = key, (freq, window)
         return freq, window
+
+    def cell_exponent(self, y):
+        """:meth:`cell_window` as exponents: ``(F, E)`` with ``W = exp(E)``,
+        ``-inf`` outside each column's own window, the term's coefficient
+        carried as its log in the log-scale.  A fresh table, not kept."""
+        if set(self.terms) != {(0, 0, 0)}:
+            raise ValueError("a cell window needs the one term (0, 0, 0)")
+        tau, k = self.tau, self.level
+        a, expo = _grid_exponent(self.spec, tau * y + self.gamma, tau, self.policy,
+                                 -1j * math.pi * k * self.gamma**2 / tau
+                                 + cmath.log(self.terms[(0, 0, 0)]))
+        return np.rint(k * a).astype(int), expo
 
 
 class _Translated(Field):

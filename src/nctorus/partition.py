@@ -39,17 +39,20 @@ the module's Gram matrix: each state's theta terms on a column carry
 their magnitude in the window table and a phase ``exp(2*pi*i*F*x)`` of
 integer frequency ``F``, so on the ``n_x`` midpoint nodes the terms of
 one class of ``F`` mod ``n_x`` alias onto one value, and the sum over
-``x`` is ``n_x`` times the sum of those values' ``|.|^2``; no value on
-the grid is formed.  The character route forms ``sum_r |theta_r|^2`` at
-every node of the same rule and sums the values over ``|eta|^2``, with the
-square completed in ``y``: ``theta``'s private residue sum takes all K
-residues as the classes mod K of one series around each column's peak, at
-K squared magnitudes and a trigonometric polynomial's coefficients per
-column, one phase table per row and the polynomial per node.  It never
-touches ``Field``, the window table or the comb and alias sums over
-``x``.  Their agreement checks both summations.  Parseval in ``x``
-collapses the cell integral to a full Gaussian in ``y``, which gives
-:func:`z_tilde_closed_form`; neither route reads it.
+``x`` is ``n_x`` times the sum of those values' ``|.|^2``.  The norms
+read the window's exponents ``E``: each term adds ``exp(2*Re E)``, and
+only the terms that alias add their products, so no value on the grid
+and no complex exponential is formed.  The character route forms
+``sum_r |theta_r|^2`` at every node of the same rule and sums the values
+over ``|eta|^2``, with the square completed in ``y``: ``theta``'s private
+residue sum takes all K residues as the classes mod K of one series
+around each column's peak, at K squared magnitudes and a trigonometric
+polynomial's coefficients per column, one phase table per row and the
+polynomial per node.  It never touches ``Field``, the window table or
+the comb and alias sums over ``x``.  Their agreement checks both
+summations.  Parseval in ``x`` collapses the cell integral to a full
+Gaussian in ``y``, which gives :func:`z_tilde_closed_form`; neither
+route reads it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .lll import LLLBasis, build_basis
-from .theta import _grid_norms, _theta_residue_norms, dedekind_eta
+from .theta import _grid_exponent_norms, _theta_residue_norms, dedekind_eta
+
+# fdlibm's log(2) in two parts: ``k * _LN2_HI`` is exact for ``|k| < 2**20``
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 __all__ = [
     "QuadratureSpec",
@@ -119,12 +126,14 @@ def quadrature_nodes(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
 
 
 def _cell_table(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
-    """``(n_x, y, scale, freq, window)``: the node count in ``x`` and the
-    ``y`` nodes of :func:`quadrature_nodes`, and the states'
+    """``(n_x, y, scale, freq, window)`` of the module that
+    :class:`~nctorus.lll.LLLBasis` measures: the node count in ``x`` and
+    the ``y`` nodes of :func:`quadrature_nodes`, and the states'
     :meth:`~nctorus.lll.ThetaField.cell_window` on those columns, its
     window divided by ``scale``, the power of two at or above its largest
     entry.  The states reach ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over
-    the squared scale their products stay in range."""
+    the squared scale their products stay in range.  :func:`state_norm`
+    reads exponents instead, and does not call it."""
     x, y = quadrature_nodes(basis, quad)
     freq, window = basis.field.cell_window(y)
     scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(window))))[1])
@@ -133,12 +142,24 @@ def _cell_table(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
 
 def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:
     """Squared cell norms of the K ground states, in the order of
-    :meth:`LLLBasis.labels`: the states' :func:`_cell_table` with each
-    row's terms folded onto their classes of frequency mod ``n_x``
-    (``theta._grid_norms``), the diagonal of :attr:`LLLBasis.gram` times
-    the squared scale."""
-    n_x, y, scale, freq, window = _cell_table(basis, quad)
-    norms = _grid_norms(freq, window, n_x, basis.level) / (n_x * y.size)
+    :meth:`LLLBasis.labels`, from the exponents of the states' window on
+    the columns of :func:`quadrature_nodes`
+    (:meth:`~nctorus.lll.ThetaField.cell_exponent`): each row's squared
+    magnitudes plus the products of its terms that alias mod ``n_x``
+    (``theta._grid_exponent_norms``), the diagonal of
+    :attr:`LLLBasis.gram` on the same nodes.  The exponents are shifted
+    by the log of ``scale``, the power of two above the largest entry
+    ``exp(Re E)``, and the norms are multiplied by its square, as the
+    module's table is divided by it; no complex exponential is formed."""
+    x, y = quadrature_nodes(basis, quad)
+    freq, expo = basis.field.cell_exponent(y)
+    top = float(np.max(expo.real))
+    power = math.floor(top / _LN2_HI) + 1 if math.isfinite(top) else 0
+    # log(2**power) in two parts, the first exact: the shift rounds no log 2
+    expo.real -= power * _LN2_HI
+    expo.real -= power * _LN2_LO
+    norms = _grid_exponent_norms(freq, expo, x.size, basis.level) / (x.size * y.size)
+    scale = math.ldexp(1.0, power)
     return [norm * scale * scale for norm in norms.tolist()]
 
 

@@ -72,11 +72,12 @@ on the column alone, and completing the square splits every term into
     exp(2*pi*i*K*a*x_i) * exp(i*pi*tau*K*(a + c_j/tau)**2) * exp(-i*pi*K*c_j**2/tau),
 
 a phase in ``x`` times a *window* factor in ``y`` that carries all of the
-magnitude; the last factor is left to the caller's log-scale.  Each
-residue sums one run ``a = a0 + m`` of consecutive terms, the union of
-its columns' peak windows certified for the values; each column keeps
-its own window, and the rest of the union, which reaches subnormal
-range, is 0 there.
+magnitude; the last factor is left to the caller's log-scale.  The table
+is built as the window's exponents ``E``, and a caller that needs the
+window takes ``exp(E)``.  Each residue sums one run ``a = a0 + m`` of
+consecutive terms, the union of its columns' peak windows certified for
+the values; each column keeps its own window, and the rest of the union,
+which reaches subnormal range, is ``-inf`` there (0 in the window).
 
 Sums over the nodes need no grid values.  On the ``n_x`` midpoint nodes
 (the periodic trapezoid rule on a separable integrand: Trefethen &
@@ -89,7 +90,10 @@ a private overlap sum takes one small matrix product per class.  A
 family's own norms are the diagonal of that product: the terms of each
 class, signed by ``(-1)**(F // n_x)``, fold onto one value, and a
 column's norm is ``n_x`` times the sum of their ``|.|**2``, every alias
-of the midpoint rule kept.
+of the midpoint rule kept.  From the exponents alone that norm is each
+term's squared magnitude ``exp(2*Re E)`` plus, for every pair of terms
+of one class, the product ``2*exp(Re E + Re E')*cos(Im E - Im E')``
+with its signs; a row whose terms do not alias reads no phase.
 
 Residue sums
 ------------
@@ -332,19 +336,19 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
     return complex(out[()]) if scalar and not residue.ndim else out
 
 
-def _grid_window(spec, c, tau, policy, log_scale):
+def _grid_exponent(spec, c, tau, policy, log_scale):
     """The peak-centred terms of theta on the tensor grids ``x + c`` of
     the columns ``c``, certified for its values: the run
     ``a`` of consecutive ``a = a0 + m`` of each residue, shape
-    ``(residue, m)``, and the window table
-    ``exp(i*pi*tau*K*(a + c/tau)**2 + log_scale)``, shape
-    ``(residue, c, m)``, of the factors that carry every term's magnitude
-    (see "Cell grids" in the module docstring).
+    ``(residue, m)``, and the table of exponents
+    ``i*pi*tau*K*(a + c/tau)**2 + log_scale``, shape ``(residue, c, m)``,
+    of the factors that carry every term's magnitude (see "Cell grids" in
+    the module docstring).
 
     A column's peak ``a*`` depends only on ``Im c``: each residue sums
     the union of its columns' windows, and each column keeps its own
     certified window; the rest of the union, which reaches subnormal
-    range, is 0 in that column."""
+    range, is ``-inf`` in that column."""
     t = as_tau(tau)
     k = spec.level
     r_k = np.atleast_1d(spec.residue)[:, None] / k
@@ -357,14 +361,21 @@ def _grid_window(spec, c, tau, policy, log_scale):
     count += int(np.max(start.max(axis=1, keepdims=True) - low))
     _check_cap(count, policy)
     a = (low + np.arange(count, dtype=float)) + r_k
-    # built in place: the window table is the largest array of a grid
-    # sum, and every extra copy grows the heap
-    window = a[:, None, :] + (c / t.value)[:, None]
-    window *= window
-    window *= 1j * math.pi * k * t.value
-    window += np.asarray(log_scale)[..., None]
+    # built in place: the table is the largest array of a grid sum, and
+    # every extra copy grows the heap
+    expo = a[:, None, :] + (c / t.value)[:, None]
+    expo *= expo
+    expo *= 1j * math.pi * k * t.value
+    expo += np.asarray(log_scale)[..., None]
     m = np.arange(count) - (start - low)[..., None]
-    window[(m < 0) | (m >= own)] = -np.inf  # exp(-inf) is 0
+    expo[(m < 0) | (m >= own)] = -np.inf
+    return a, expo
+
+
+def _grid_window(spec, c, tau, policy, log_scale):
+    """:func:`_grid_exponent`'s run ``a`` and its table exponentiated in
+    place, the window table, 0 outside each column's own window."""
+    a, window = _grid_exponent(spec, c, tau, policy, log_scale)
     np.exp(window, out=window)
     return a, window
 
@@ -417,6 +428,32 @@ def _grid_norms(freq, window, n_x, step):
         window = window[..., :period]
     flat = window.reshape(len(window), -1)
     return n_x * np.sum(flat.real**2 + flat.imag**2, axis=1)
+
+
+def _grid_exponent_norms(freq, expo, n_x, step):
+    """:func:`_grid_norms` of the window ``exp(expo)`` from its exponents
+    ``expo`` alone.  ``|exp(E)|**2 = exp(2*Re E)``, and the fold's only
+    cross terms pair the terms ``m`` and ``m + d`` of a row that alias,
+    ``d`` a multiple of the period ``p = n_x / gcd(step, n_x)``:
+
+        n_x * [sum_m exp(2*Re E_m)
+               + 2 * sum_{d = p, 2p, ...} sum_m s_m * s_{m+d}
+                 * exp(Re E_m + Re E_{m+d}) * cos(Im E_m - Im E_{m+d})],
+
+    summed over the columns, with ``s = (-1)**(freq // n_x)``.  Where a
+    row has no more terms than the period the cross sum is empty, and no
+    phase is read."""
+    period = n_x // math.gcd(step, n_x)
+    re, im = expo.real, expo.imag
+    norms = np.exp(2.0 * re).reshape(len(expo), -1).sum(axis=1)
+    if expo.shape[2] > period:  # terms alias onto each other
+        sign = 1 - 2 * (freq // n_x % 2)
+        for d in range(period, expo.shape[2], period):
+            cross = np.exp(re[..., :-d] + re[..., d:])
+            cross *= np.cos(im[..., :-d] - im[..., d:])
+            cross *= (sign[:, :-d] * sign[:, d:])[:, None, :]
+            norms += 2.0 * cross.reshape(len(expo), -1).sum(axis=1)
+    return n_x * norms
 
 
 def _theta_residue_norms(level, x, c, tau, policy, log_scale):

@@ -340,6 +340,40 @@ def test_partition_computes_each_z_tilde_once(capsys, monkeypatch):
     assert rep["z_tilde"] == z_tilde(build_basis(Flux(2, 3), 0.3 + 1.1j))
 
 
+def test_partition_where_the_state_norms_alias(capsys, monkeypatch):
+    # on 16 x 16 nodes at level 8 a row's terms repeat their class mod n_x
+    # every 2 terms, and the windows at tau, tau+1 and -1/tau hold 4, 4 and
+    # 3: the per-state route sums the products of the aliasing terms, there
+    # at round-off, and meets the closed form to the last digit
+    rows = []
+    norms = theta_module._grid_exponent_norms
+
+    def recorded(freq, expo, n_x, step):
+        rows.append((expo.shape[2], n_x // math.gcd(step, n_x)))
+        return norms(freq, expo, n_x, step)
+
+    monkeypatch.setattr(partition, "_grid_exponent_norms", recorded)
+    code, rep = run_json(capsys, ["partition", "--M", "1", "--N", "8", "--tau=0.17+0.8i",
+                                  "--alpha1", "0.4", "--alpha2", "1.1", "--quad", "16"])
+    assert code == 0
+    assert rows == [(4, 2), (4, 2), (3, 2)]
+    assert rep["cell_nodes"] == {"tau": [16, 16], "-1/tau": [16, 16]}
+    want = rep["z_tilde_closed_form"]
+    assert abs(rep["z_tilde"] - want) <= 2.0**-52 * want
+    assert abs(rep["z_tilde_character_route"] - want) <= 1e-14 * want
+    # at eps 1e-4 the rule takes n_x = K = 8 nodes, every term of a row
+    # aliases onto its neighbours, and the products move Z~ 2.5e-5 off the
+    # closed form: the per-state route still meets the character route,
+    # which sums the value at every node
+    rows.clear()
+    code, rep = run_json(capsys, ["partition", "--M", "1", "--N", "8", "--tau=0.17+0.8i",
+                                  "--alpha1", "0.4", "--alpha2", "1.1", "--eps", "1e-4"])
+    assert code == 0
+    assert rep["cell_nodes"]["tau"] == [8, 8] and [period for _, period in rows] == [1, 1, 1]
+    assert abs(rep["z_tilde"] - rep["z_tilde_closed_form"]) > 1e-5 * rep["z_tilde"]
+    assert abs(rep["z_tilde"] - rep["z_tilde_character_route"]) <= 1e-9 * rep["z_tilde"]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_partition_fails_on_non_finite_values(capsys, monkeypatch):
     # with NaN states the per-state quadratures are NaN: the report is

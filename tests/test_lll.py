@@ -405,6 +405,23 @@ def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
     assert np.min(np.abs(got - parseval) / got) > 0.3
 
 
+def test_cell_exponent_is_the_window_before_its_exponential():
+    # the states' exponents are their window table's bit for bit, the
+    # term's coefficient riding as its log: a NaN one makes every exponent
+    # of a column's own window NaN.  The table is fresh and writable, and
+    # the kept window stays as it was
+    basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
+    y = partition.quadrature_nodes(basis)[1]
+    freq, window = basis.field.cell_window(y)
+    exp_freq, expo = basis.field.cell_exponent(y)
+    assert np.array_equal(exp_freq, freq) and np.array_equal(np.exp(expo), window)
+    assert expo.flags.writeable and basis.field.cell_window(y)[1] is window
+    own = np.isfinite(expo)
+    assert np.all(expo[~own] == -np.inf)
+    nan_expo = with_terms(basis, {(0, 0, 0): np.nan}).field.cell_exponent(y)[1]
+    assert np.isnan(nan_expo[own]).all() and np.all(nan_expo[~own] == -np.inf)
+
+
 def test_unit_coefficient_term_is_not_copied():
     # the ground states' one term (0, 0, 0) -> 1.0 passes its series on:
     # a copy per evaluation would grow the heap on every call
@@ -650,22 +667,24 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
 
 def test_verify_builds_each_window_table_once(monkeypatch, capsys):
     # the states' table on the cell rule's own columns serves the Gram
-    # matrix, the steps along 1 and the state norms at tau; the steps along
-    # tau read other columns and do not replace it.  Six tables: the
-    # states, the centre's D2^M (the columns y - 1), the two steps along
-    # tau, and the bases at tau+1 and -1/tau
-    calls = {"window": 0}
+    # matrix and the steps along 1; the steps along tau read other columns
+    # and do not replace it.  Four complex tables: the states, the centre's
+    # D2^M (the columns y - 1) and the two steps along tau; the state norms
+    # at tau, tau+1 and -1/tau read three tables of exponents only
+    calls = {"window": 0, "exponent": 0}
     monkeypatch.setattr(lll, "_grid_window", _counted(calls, "window", lll._grid_window))
+    monkeypatch.setattr(lll, "_grid_exponent", _counted(calls, "exponent", lll._grid_exponent))
     assert cli.main(["verify", "--M", "3", "--N", "5", "--tau=0.2+1.4i",
                      "--alpha1", "0.7", "--alpha2", "-1.3"]) == 0
     capsys.readouterr()
-    assert calls["window"] == 6
-    # the norms read after the steps are a fresh basis's bit for bit
+    assert calls == {"window": 4, "exponent": 3}
+    # the norms read after the steps are a fresh basis's bit for bit, from
+    # one table of exponents and no complex one
     basis = build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES)
     assert basis.translations
-    calls["window"] = 0
+    calls.update(dict.fromkeys(calls, 0))
     norms = partition.state_norm(basis)
-    assert calls["window"] == 0
+    assert calls == {"window": 0, "exponent": 1}
     assert norms == partition.state_norm(build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES))
 
 

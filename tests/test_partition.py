@@ -157,28 +157,28 @@ def test_state_norm_equals_the_per_label_loop(mn, tau, nodes):
 
 
 def test_state_norm_is_the_gram_diagonal_without_subnormal_terms(monkeypatch):
-    # the window table state_norm sums keeps each column's own certified
-    # window: the residue-wide union reached subnormal range here (135 of
-    # 11880 entries at (11,9), 107 of 10192 at (13,7)); its sums are the
-    # diagonal of the Gram matrix on the same nodes
+    # the table of exponents state_norm sums keeps each column's own
+    # certified window, -inf elsewhere: the residue-wide union reached
+    # subnormal range here (135 of 11880 entries at (11,9), 107 of 10192 at
+    # (13,7)); its sums are the diagonal of the Gram matrix on the same nodes
     tables = []
 
-    def recorded(window_of):
+    def recorded(exponent_of):
         def wrapped(*args):
-            a, window = window_of(*args)
-            tables.append(window)
-            return a, window
+            a, expo = exponent_of(*args)
+            tables.append(expo.copy())  # state_norm shifts the table in place
+            return a, expo
         return wrapped
 
     for owner in (theta_module, lll):
-        monkeypatch.setattr(owner, "_grid_window", recorded(owner._grid_window))
+        monkeypatch.setattr(owner, "_grid_exponent", recorded(owner._grid_exponent))
     for (m, n), tau in (((11, 9), 0.2 + 2j), ((13, 7), -0.3 + 1.9j)):
         tables.clear()
         basis = build_basis(Flux(n, m), tau)
         norms = np.array(state_norm(basis))
-        [window] = tables
-        parts = np.abs(window.view(float))
-        assert np.all((parts == 0.0) | (parts >= np.finfo(float).tiny)), (m, n)
+        [expo] = tables
+        magnitude = expo.real
+        assert np.all((magnitude == -np.inf) | (np.exp(magnitude) >= np.finfo(float).tiny)), (m, n)
         scale = basis._cell_states[2]
         gram = scale**2 * basis.gram.diagonal().real
         assert np.max(np.abs(norms - gram) / gram) <= 1e-14
@@ -329,10 +329,11 @@ def test_character_route_keeps_its_digits_at_large_im_tau(mn, tau, alpha1):
 
 def test_the_two_routes_share_no_summation(monkeypatch):
     # the character route sums its residues in theta._theta_residue_norms,
-    # the per-state route folds the states' cell window (theta._grid_norms):
-    # each still matches the closed form with the other's summation gone,
-    # and the character route with the module's comb and alias machinery
-    # (theta._grid_classes, theta._grid_overlaps) gone too
+    # the per-state route sums the exponents of the states' cell window
+    # (theta._grid_exponent_norms): each still matches the closed form with
+    # the other's summation gone, and the character route with the module's
+    # window tables, folds and alias machinery (theta._grid_norms,
+    # theta._grid_classes, theta._grid_overlaps) gone too
     tau = -0.2 + 1.7j
     basis = build_basis(Flux(5, 7), tau, ANGLES)
     want = closed_form_z_tilde(35, tau, ANGLES.alpha1)
@@ -342,15 +343,38 @@ def test_the_two_routes_share_no_summation(monkeypatch):
 
     with monkeypatch.context() as patch:
         for owner in (theta_module, lll):
-            for name in ("_grid_window", "_grid_norms", "_grid_classes", "_grid_overlaps"):
+            for name in ("_grid_exponent", "_grid_window", "_grid_norms", "_grid_classes",
+                         "_grid_overlaps"):
                 patch.setattr(owner, name, unreachable)
-        for name in ("_grid_norms", "_cell_table"):
-            patch.setattr(partition, name, unreachable)
-        patch.setattr(lll.ThetaField, "cell_window", unreachable)
+        for owner in (theta_module, partition):
+            patch.setattr(owner, "_grid_exponent_norms", unreachable)
+        patch.setattr(partition, "_cell_table", unreachable)
+        for name in ("cell_window", "cell_exponent"):
+            patch.setattr(lll.ThetaField, name, unreachable)
         assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
     for owner in (theta_module, partition):
         monkeypatch.setattr(owner, "_theta_residue_norms", unreachable)
     assert abs(z_tilde(basis) - want) <= 1e-11 * want
+
+
+def test_the_per_state_route_forms_no_complex_window(monkeypatch):
+    # state_norm reads the exponents of the states' window and no complex
+    # table: with the window unreachable the norms and Z~ are as before, bit
+    # for bit, and Z~ still matches the closed form
+    tau = -0.2 + 1.7j
+    want_norms = state_norm(build_basis(Flux(5, 7), tau, ANGLES))
+    want_z = z_tilde(build_basis(Flux(5, 7), tau, ANGLES))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the per-state route formed a complex window table")
+
+    monkeypatch.setattr(lll.ThetaField, "cell_window", unreachable)
+    for owner in (theta_module, lll):
+        monkeypatch.setattr(owner, "_grid_window", unreachable)
+    assert state_norm(build_basis(Flux(5, 7), tau, ANGLES)) == want_norms
+    assert z_tilde(build_basis(Flux(5, 7), tau, ANGLES)) == want_z
+    closed = closed_form_z_tilde(35, tau, ANGLES.alpha1)
+    assert abs(want_z - closed) <= 1e-11 * closed
 
 
 _BOX_FLUXES = [(m, n) for m in range(1, 14) for n in range(1, 14)

@@ -379,6 +379,37 @@ def test_grid_norms_fold_the_grid_values_on_midpoint_nodes(level, tau, n_x):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
+@pytest.mark.parametrize("level, tau, n_x", [(1, 0.3 + 2.0j, 8), (6, -0.4 + 0.3j, 8),
+                                             (6, 0.1j, 6), (12, 0.1 + 0.2j, 9), (35, 0.01j, 8),
+                                             (8, 0.17 + 0.8j, 16), (8, 0.8j, 16)])
+def test_grid_exponent_norms_are_the_fold_of_the_window(level, tau, n_x):
+    # |exp(E)|**2 = exp(2*Re E), and the fold's cross terms are the products
+    # of the terms that alias: at level 8 on 16 nodes a row's terms repeat
+    # their class every 2 terms, at K = n_x = 6 every term; only the row of
+    # level 1 has no aliases
+    x = (np.arange(n_x) + 0.5) / n_x
+    c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
+    spec = ThetaSpec(level, tuple(range(level)))
+    log_scale = unit_envelope(level, c, tau)
+    a, expo = theta_module._grid_exponent(spec, c, tau, TruncationPolicy(),
+                                          log_scale - 1j * math.pi * level * c**2 / tau)
+    freq = np.rint(level * a).astype(int)
+    period = n_x // math.gcd(level, n_x)
+    assert (expo.shape[2] > period) == (level > 1)
+    got = theta_module._grid_exponent_norms(freq, expo, n_x, level)
+    fold = theta_module._grid_norms(freq, np.exp(expo), n_x, level)
+    assert np.max(np.abs(got - fold) / fold) <= 1e-15
+    z = x[:, None] + c
+    values = theta(spec, z, tau, log_scale=np.broadcast_to(log_scale, z.shape))
+    want = np.sum(np.abs(values) ** 2, axis=(1, 2))
+    assert got.shape == want.shape == (level,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+    # a NaN exponent is a NaN norm of its row alone
+    expo[-1, 2, expo.shape[2] // 2] = np.nan
+    got = theta_module._grid_exponent_norms(freq, expo, n_x, level)
+    assert np.isnan(got[-1]) and np.isfinite(got[:-1]).all()
+
+
 @pytest.mark.parametrize("level", [1, 2, 6, 35, 77])
 @pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.5 + 2.0j, 0.45 + 0.3j, 0.003j, 0.01j,
                                  50j, 1e3j])

@@ -37,8 +37,31 @@ all derivatives (and the raising operator) stay analytic.
 
 The K states differ only in the residue ``r_jk``, so the basis holds
 them as one stacked :class:`ThetaField` (residues in :meth:`LLLBasis.labels`
-order) that sums one theta series for all K.  Their module is measured on
-the nodes of the cell rule that certifies their norms: the Gram matrix
+order) that sums one theta series for all K.
+
+The cell rule
+-------------
+A state's norm integrand ``|Psi_jk(x + tau*y)|^2``, and each product of
+the states with each other and with their translates, is periodic on the
+cell, so it is integrated by the tensor midpoint rule (the periodic
+trapezoid rule): ``n_x`` by ``n_y`` equally weighted nodes
+``((i + 1/2)/n_x, (j + 1/2)/n_y)`` (:func:`quadrature_nodes`).  On a
+periodic integrand that rule is exact up to the Fourier modes it aliases
+onto the mean, and here those are known in closed form: in ``x`` the only
+modes of a norm are multiples ``m*K`` of the level, of relative size
+``exp(-pi*K*b*m^2/2)`` with ``b = Im tau``; in ``y`` the peaks are
+Gaussians of variance ``1/(4*pi*K*b)``, whose mode ``k`` has relative
+size ``exp(-pi*k^2/(2*K*b))``.  So
+
+    n_x = ceil(sqrt(2*K*ln(2/eps)/(pi*b))),
+    n_y = ceil(sqrt(2*K*b*ln(2/eps)/pi))
+
+bound the relative aliasing error by ``eps``, the truncation ``epsilon``
+of the basis, as the theta cutoffs are bounded (:func:`cell_node_counts`).
+``n_x*n_y`` is about ``(2/pi)*K*ln(2/eps)`` whatever ``b``, and each axis
+takes at least ``QuadratureSpec.nodes_per_axis`` nodes.
+
+The module is measured on the nodes of that rule: the Gram matrix
 ``G`` and, for each translation ``T``, ``L = diag(G)^-1 P`` with
 ``P_rs = <Psi_r, T Psi_s>``, from the states' window tables, whose terms
 pair where their frequencies agree mod ``n_x``, with no value on the grid
@@ -54,6 +77,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
 
@@ -62,9 +86,12 @@ import numpy as np
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
 from .fields import Displacement, Field, _prefactor_exponent, displacement_apply
 from .theta import (ThetaSpec, TruncationPolicy, _grid_classes, _grid_exponent, _grid_norms,
-                    _grid_overlaps, _grid_window, theta_derivative)
+                    _grid_overlaps, theta_derivative)
 
 __all__ = [
+    "QuadratureSpec",
+    "cell_node_counts",
+    "quadrature_nodes",
     "LLLBasis",
     "ThetaField",
     "build_basis",
@@ -198,11 +225,12 @@ class ThetaField(Field):
                          d_z=evaluator(_dw_terms(self.terms, self.level, t.im, self.alpha1)),
                          d_zbar=evaluator(_dwbar_terms(self.terms, self.level, t.im)))
 
-    def cell_window(self, y):
+    def cell_exponent(self, y):
         """The states on the columns ``y`` of the slice ``w = x + tau*y``,
         for the one term ``(0, 0, 0)``, as integer frequencies ``F``, shape
-        ``(residue, m)``, and a window table ``W``, shape ``(residue, y, m)``,
-        each column keeping its own certified window:
+        ``(residue, m)``, and the exponents ``E`` of a window table
+        ``W = exp(E)``, shape ``(residue, y, m)``, each column keeping its
+        own certified window (``-inf`` outside it):
 
             Psi_r = exp(i*(pi*K*y_j + alpha1)*x + i*alpha2*y_j)
                     * sum_m W[r, j, m] * exp(2*pi*i*F[r, m]*x).
@@ -214,34 +242,10 @@ class ThetaField(Field):
                 + i*pi*K*c**2/tau - i*pi*K*gamma**2/tau:
 
         the first two parts are the phase in front, the third is the scale
-        of ``theta._grid_window``'s table, and the constant last part is
-        its log-scale.  No exponent is larger than the terms it scales, so
-        none loses digits to cancellation.
-
-        The first tables asked, on the cell rule's own columns, are kept,
-        read-only, for the Gram matrix and the steps along 1; a step along
-        tau reads other columns, and its tables are neither kept nor
-        replace them."""
-        if set(self.terms) != {(0, 0, 0)}:
-            raise ValueError("a cell window needs the one term (0, 0, 0)")
-        key = y.tobytes()
-        if self._window is not None and self._window[0] == key:
-            return self._window[1]
-        tau, k = self.tau, self.level
-        a, window = _grid_window(self.spec, tau * y + self.gamma, tau, self.policy,
-                                 -1j * math.pi * k * self.gamma**2 / tau)
-        window *= self.terms[(0, 0, 0)]
-        freq = np.rint(k * a).astype(int)
-        for arr in (freq, window):
-            arr.setflags(write=False)
-        if self._window is None:
-            self._window = key, (freq, window)
-        return freq, window
-
-    def cell_exponent(self, y):
-        """:meth:`cell_window` as exponents: ``(F, E)`` with ``W = exp(E)``,
-        ``-inf`` outside each column's own window, the term's coefficient
-        carried as its log in the log-scale.  A fresh table, not kept."""
+        of ``theta._grid_exponent``'s table, and the constant last part,
+        plus the log of the term's coefficient, is its log-scale.  No
+        exponent is larger than the terms it scales, so none loses digits
+        to cancellation.  A fresh table, not kept."""
         if set(self.terms) != {(0, 0, 0)}:
             raise ValueError("a cell window needs the one term (0, 0, 0)")
         tau, k = self.tau, self.level
@@ -249,6 +253,23 @@ class ThetaField(Field):
                                  -1j * math.pi * k * self.gamma**2 / tau
                                  + cmath.log(self.terms[(0, 0, 0)]))
         return np.rint(k * a).astype(int), expo
+
+    def cell_window(self, y):
+        """:meth:`cell_exponent` with its table exponentiated in place,
+        read-only: ``(F, W)``, ``W`` 0 outside each column's own window.
+        The first tables asked, on the cell rule's own columns, are kept
+        for the Gram matrix and the steps along 1; a step along tau reads
+        other columns, and its tables are neither kept nor replace them."""
+        key = y.tobytes()
+        if self._window is not None and self._window[0] == key:
+            return self._window[1]
+        freq, window = self.cell_exponent(y)
+        np.exp(window, out=window)
+        for arr in (freq, window):
+            arr.setflags(write=False)
+        if self._window is None:
+            self._window = key, (freq, window)
+        return freq, window
 
 
 class _Translated(Field):
@@ -288,6 +309,45 @@ class _Translated(Field):
 
 
 @dataclass(frozen=True)
+class QuadratureSpec:
+    """Per-axis floor on the nodes of the cell's tensor midpoint rule,
+    which otherwise sizes itself (:func:`cell_node_counts`)."""
+
+    nodes_per_axis: int = 8
+
+    def __post_init__(self):
+        try:
+            nodes = operator.index(self.nodes_per_axis)
+        except TypeError:
+            raise ValueError("nodes_per_axis must be an integer, got %r"
+                             % (self.nodes_per_axis,)) from None
+        if nodes < 8:
+            raise ValueError("nodes_per_axis must be at least 8, got %r" % (nodes,))
+        object.__setattr__(self, "nodes_per_axis", nodes)
+
+
+def cell_node_counts(level: int, im_tau: float, epsilon: float,
+                     quad: QuadratureSpec = QuadratureSpec()) -> tuple[int, int]:
+    """Nodes ``(n_x, n_y)`` of the midpoint rule whose aliasing error on
+    a level-``level`` norm integrand at ``Im tau = im_tau`` is below
+    ``epsilon`` relative to the integral, each at least
+    ``quad.nodes_per_axis``."""
+    log = math.log(2.0 / epsilon)
+    k, b = float(level), float(im_tau)
+    n_x = math.ceil(math.sqrt(2.0 * k * log / (math.pi * b)))
+    n_y = math.ceil(math.sqrt(2.0 * k * b * log / math.pi))
+    return max(n_x, quad.nodes_per_axis), max(n_y, quad.nodes_per_axis)
+
+
+def quadrature_nodes(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
+    """Midpoint nodes ``x, y`` on [0, 1) of the cell rule for ``basis``,
+    sized from its level, ``Im tau`` and truncation ``epsilon``; each
+    of the ``x.size * y.size`` tensor nodes has the same weight."""
+    n_x, n_y = cell_node_counts(basis.level, basis.tau.im, basis.policy.epsilon, quad)
+    return (np.arange(n_x) + 0.5) / n_x, (np.arange(n_y) + 0.5) / n_y
+
+
+@dataclass(frozen=True)
 class LLLBasis:
     """Ground-space basis at flux N/M on ``tau``: ``field`` is the stacked
     :class:`ThetaField` of the K states, one row per label of
@@ -319,13 +379,17 @@ class LLLBasis:
 
     @functools.cached_property
     def _cell_states(self):
-        """``n_x``, the ``y`` nodes and the scale of
-        :func:`~nctorus.partition._cell_table`, and the
-        ``theta._grid_classes`` of the states' scaled window."""
-        from .partition import _cell_table  # partition imports this module
-
-        n_x, y, scale, freq, window = _cell_table(self)
-        return n_x, y, scale, _grid_classes(freq, window, n_x)
+        """``(n_x, y, scale, classes)`` of the module: the node count in
+        ``x`` and the ``y`` nodes of :func:`quadrature_nodes`, ``scale``,
+        the power of two at or above the largest entry of the states'
+        :meth:`ThetaField.cell_window` on those columns, and the
+        ``theta._grid_classes`` of that window divided by ``scale``.  The
+        states reach ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over the squared
+        scale their products stay in range."""
+        x, y = quadrature_nodes(self)
+        freq, window = self.field.cell_window(y)
+        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(window))))[1])
+        return x.size, y, scale, _grid_classes(freq, window / scale, x.size)
 
     @functools.cached_property
     def gram(self):
@@ -342,20 +406,15 @@ class LLLBasis:
 
     @functools.cached_property
     def translations(self):
-        """:func:`_project` of ``d1``, ``dual1``, ``d2`` and ``dual2`` (the
-        steps along 1 first: they read the states' own window), read-only.
-        A dual step that is its lattice step (both lattices are the one at
-        M = N = 1) is that step's projection."""
-        out, steps = {}, {}
+        """:func:`_project` of ``d1``, ``dual1``, ``d2`` and ``dual2``, each
+        measured at every flux, read-only: the steps along 1 read the
+        states' kept window, and each step along tau builds its own."""
+        out = {}
         for name, index, dual in (("d1", 1, False), ("dual1", 1, True),
                                   ("d2", 2, False), ("dual2", 2, True)):
-            step = index, self.flux.numerator if dual else self.flux.denominator
-            if step not in steps:
-                op = elementary_translation(self, index, dual=dual)
-                steps[step] = _project(self, op(self.field))
-                for arr in steps[step]:
-                    arr.setflags(write=False)
-            out[name] = steps[step]
+            out[name] = _project(self, elementary_translation(self, index, dual=dual)(self.field))
+            for arr in out[name]:
+                arr.setflags(write=False)
         return out
 
 

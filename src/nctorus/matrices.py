@@ -131,15 +131,13 @@ def _scatter(phases, shift) -> np.ndarray:
 def clock_power(m, n, alpha1, p) -> CSMatrix:
     """Closed-form p-th power of the clock matrix (any integer p): the
     Weyl word (p, 0) at angles (alpha1, 0)."""
-    phases, _ = _weyl_phases([p], [0], m, n, VacuumAngles(alpha1, 0.0))
-    return CSMatrix(np.diag(phases[0]))
+    return weyl_element(WeylWord(p, 0), m, n, VacuumAngles(alpha1, 0.0))
 
 
 def shift_power(m, alpha2, p) -> CSMatrix:
     """Closed-form p-th power of the shift matrix (any integer p): the
     Weyl word (0, p) at angles (0, alpha2)."""
-    phases, shifts = _weyl_phases([0], [p], m, 1, VacuumAngles(0.0, alpha2))
-    return CSMatrix(_scatter(phases[0], shifts[0]))
+    return weyl_element(WeylWord(0, p), m, 1, VacuumAngles(0.0, alpha2))
 
 
 def clock_matrix(m, n, alpha1=0.0) -> CSMatrix:

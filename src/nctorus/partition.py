@@ -10,28 +10,11 @@ is
 
 where the integrand (for vacuum angles ``(a1, a2)``) is the doubly
 periodic function ``exp(-2*pi*K*b*y^2 - 2*a1*b*y) |theta^K_r(w+gamma)|^2``
-with ``b = Im tau``.  It is integrated by the tensor midpoint rule (the
-periodic trapezoid rule): ``n_x`` by ``n_y`` equally weighted nodes
-``((i + 1/2)/n_x, (j + 1/2)/n_y)``.  On a periodic integrand that rule
-is exact up to the Fourier modes it aliases onto the mean, and here
-those are known in closed form: in ``x`` the only modes are multiples
-``m*K`` of the level, of relative size ``exp(-pi*K*b*m^2/2)``; in ``y``
-the peaks are Gaussians of variance ``1/(4*pi*K*b)``, whose mode ``k``
-has relative size ``exp(-pi*k^2/(2*K*b))``.  So
-
-    n_x = ceil(sqrt(2*K*ln(2/eps)/(pi*b))),
-    n_y = ceil(sqrt(2*K*b*ln(2/eps)/pi))
-
-bound the relative aliasing error by ``eps``, the truncation
-``epsilon`` of the basis, as the theta cutoffs are bounded
-(:func:`cell_node_counts`).  ``n_x*n_y`` is about ``(2/pi)*K*ln(2/eps)``
-whatever ``b``, and each axis takes at least
-``QuadratureSpec.nodes_per_axis`` nodes.
-
-A translation keeps the boundary laws, so the products of the states
-with each other and with their translates are periodic on the cell too,
-and the same nodes certify the Bloch module that ``LLLBasis`` measures,
-from the one window table of :func:`_cell_table`.
+with ``b = Im tau``.  It is integrated by the cell rule of
+:mod:`nctorus.lll` (:func:`~nctorus.lll.cell_node_counts`): the tensor
+midpoint rule, sized so that its aliasing on this integrand stays below
+the truncation ``epsilon`` of the basis.  The same nodes certify the
+Bloch module that ``LLLBasis`` measures from the states' window table.
 
 ``Z~`` is computed by two deliberately independent routes.  The
 per-state route sums the K norms of :func:`state_norm`, the diagonal of
@@ -58,13 +41,11 @@ route reads it.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .lll import LLLBasis, build_basis
+from .lll import LLLBasis, QuadratureSpec, build_basis, cell_node_counts, quadrature_nodes
 from .theta import _grid_exponent_norms, _theta_residue_norms, dedekind_eta
 
 # fdlibm's log(2) in two parts: ``k * _LN2_HI`` is exact for ``|k| < 2**20``
@@ -84,60 +65,6 @@ __all__ = [
     "t_invariance_residual",
     "s_invariance_residual",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Per-axis floor on the nodes of the cell's tensor midpoint rule,
-    which otherwise sizes itself (:func:`cell_node_counts`)."""
-
-    nodes_per_axis: int = 8
-
-    def __post_init__(self):
-        try:
-            nodes = operator.index(self.nodes_per_axis)
-        except TypeError:
-            raise ValueError("nodes_per_axis must be an integer, got %r"
-                             % (self.nodes_per_axis,)) from None
-        if nodes < 8:
-            raise ValueError("nodes_per_axis must be at least 8, got %r" % (nodes,))
-        object.__setattr__(self, "nodes_per_axis", nodes)
-
-
-def cell_node_counts(level: int, im_tau: float, epsilon: float,
-                     quad: QuadratureSpec = QuadratureSpec()) -> tuple[int, int]:
-    """Nodes ``(n_x, n_y)`` of the midpoint rule whose aliasing error on
-    a level-``level`` norm integrand at ``Im tau = im_tau`` is below
-    ``epsilon`` relative to the integral, each at least
-    ``quad.nodes_per_axis``."""
-    log = math.log(2.0 / epsilon)
-    k, b = float(level), float(im_tau)
-    n_x = math.ceil(math.sqrt(2.0 * k * log / (math.pi * b)))
-    n_y = math.ceil(math.sqrt(2.0 * k * b * log / math.pi))
-    return max(n_x, quad.nodes_per_axis), max(n_y, quad.nodes_per_axis)
-
-
-def quadrature_nodes(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
-    """Midpoint nodes ``x, y`` on [0, 1) of the cell rule for ``basis``,
-    sized from its level, ``Im tau`` and truncation ``epsilon``; each
-    of the ``x.size * y.size`` tensor nodes has the same weight."""
-    n_x, n_y = cell_node_counts(basis.level, basis.tau.im, basis.policy.epsilon, quad)
-    return (np.arange(n_x) + 0.5) / n_x, (np.arange(n_y) + 0.5) / n_y
-
-
-def _cell_table(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
-    """``(n_x, y, scale, freq, window)`` of the module that
-    :class:`~nctorus.lll.LLLBasis` measures: the node count in ``x`` and
-    the ``y`` nodes of :func:`quadrature_nodes`, and the states'
-    :meth:`~nctorus.lll.ThetaField.cell_window` on those columns, its
-    window divided by ``scale``, the power of two at or above its largest
-    entry.  The states reach ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over
-    the squared scale their products stay in range.  :func:`state_norm`
-    reads exponents instead, and does not call it."""
-    x, y = quadrature_nodes(basis, quad)
-    freq, window = basis.field.cell_window(y)
-    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(window))))[1])
-    return x.size, y, scale, freq, window / scale
 
 
 def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:

@@ -372,14 +372,6 @@ def _grid_exponent(spec, c, tau, policy, log_scale):
     return a, expo
 
 
-def _grid_window(spec, c, tau, policy, log_scale):
-    """:func:`_grid_exponent`'s run ``a`` and its table exponentiated in
-    place, the window table, 0 outside each column's own window."""
-    a, window = _grid_exponent(spec, c, tau, policy, log_scale)
-    np.exp(window, out=window)
-    return a, window
-
-
 def _grid_classes(freq, window, n_x):
     """Terms of integer frequencies ``freq`` ``(row, m)`` and window table
     ``window`` ``(row, column, m)`` by class mod ``n_x``: their windows

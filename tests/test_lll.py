@@ -636,15 +636,15 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
     # bimodule check share one Gram matrix and one projection per
     # translation, with no pointwise state evaluation; the states' window
     # serves the translations along 1 and is kept, so the states and the
-    # two steps along tau each build one window table.  At M = N = 1 the
-    # dual steps are the lattice steps, and each is projected once
+    # two steps along tau each build one window table.  All four
+    # translations are projected at every flux, M = N = 1 included
     calls = {"svd": 0, "translation": 0, "eval": 0, "window": 0, "overlaps": 0,
              "state_norm": 0}
     monkeypatch.setattr(np.linalg, "svd", _counted(calls, "svd", np.linalg.svd))
     monkeypatch.setattr(lll, "elementary_translation",
                         _counted(calls, "translation", lll.elementary_translation))
     monkeypatch.setattr(lll, "_eval_terms", _counted(calls, "eval", lll._eval_terms))
-    monkeypatch.setattr(lll, "_grid_window", _counted(calls, "window", lll._grid_window))
+    monkeypatch.setattr(lll, "_grid_exponent", _counted(calls, "window", lll._grid_exponent))
     monkeypatch.setattr(lll, "_grid_overlaps", _counted(calls, "overlaps", lll._grid_overlaps))
     for mn in ((3, 5), (1, 1), (7, 5)):
         calls.update(dict.fromkeys(calls, 0))
@@ -653,9 +653,8 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
         assert gram_rank(basis) == mn[0] * mn[1]
         assert overlap_residual(basis)[0] < 1e-12
         assert bimodule_consistency(basis)["pass"]
-        steps = len(set(mn))
-        assert calls == {"svd": 0, "translation": 2 * steps, "eval": 0, "window": 1 + steps,
-                         "overlaps": 1 + 2 * steps, "state_norm": 0}, mn
+        assert calls == {"svd": 0, "translation": 4, "eval": 0, "window": 3,
+                         "overlaps": 5, "state_norm": 0}, mn
     # partition --M 3 --N 2 integrates each of its three bases in one call
     monkeypatch.setattr(partition, "state_norm",
                         _counted(calls, "state_norm", partition.state_norm))
@@ -668,23 +667,32 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
 def test_verify_builds_each_window_table_once(monkeypatch, capsys):
     # the states' table on the cell rule's own columns serves the Gram
     # matrix and the steps along 1; the steps along tau read other columns
-    # and do not replace it.  Four complex tables: the states, the centre's
-    # D2^M (the columns y - 1) and the two steps along tau; the state norms
-    # at tau, tau+1 and -1/tau read three tables of exponents only
-    calls = {"window": 0, "exponent": 0}
-    monkeypatch.setattr(lll, "_grid_window", _counted(calls, "window", lll._grid_window))
-    monkeypatch.setattr(lll, "_grid_exponent", _counted(calls, "exponent", lll._grid_exponent))
+    # and do not replace it.  Seven tables of exponents: four exponentiated
+    # in place into read-only windows (the states, the centre's D2^M on
+    # the columns y - 1 and the two steps along tau), and three, for the
+    # state norms at tau, tau+1 and -1/tau, left writable and exponentiated
+    # by no one
+    tables, grid_exponent = [], lll._grid_exponent
+
+    def recorded(*args):
+        a, expo = grid_exponent(*args)
+        tables.append(expo)
+        return a, expo
+
+    monkeypatch.setattr(lll, "_grid_exponent", recorded)
     assert cli.main(["verify", "--M", "3", "--N", "5", "--tau=0.2+1.4i",
                      "--alpha1", "0.7", "--alpha2", "-1.3"]) == 0
     capsys.readouterr()
-    assert calls == {"window": 4, "exponent": 3}
+    windows = [expo for expo in tables if not expo.flags.writeable]
+    assert (len(tables), len(windows)) == (7, 4)
+    assert not any(np.isneginf(expo.real).any() for expo in windows)
     # the norms read after the steps are a fresh basis's bit for bit, from
     # one table of exponents and no complex one
     basis = build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES)
     assert basis.translations
-    calls.update(dict.fromkeys(calls, 0))
+    tables.clear()
     norms = partition.state_norm(basis)
-    assert calls == {"window": 0, "exponent": 1}
+    assert len(tables) == 1 and tables[0].flags.writeable
     assert norms == partition.state_norm(build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES))
 
 

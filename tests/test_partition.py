@@ -343,12 +343,11 @@ def test_the_two_routes_share_no_summation(monkeypatch):
 
     with monkeypatch.context() as patch:
         for owner in (theta_module, lll):
-            for name in ("_grid_exponent", "_grid_window", "_grid_norms", "_grid_classes",
-                         "_grid_overlaps"):
+            for name in ("_grid_exponent", "_grid_norms", "_grid_classes", "_grid_overlaps"):
                 patch.setattr(owner, name, unreachable)
         for owner in (theta_module, partition):
             patch.setattr(owner, "_grid_exponent_norms", unreachable)
-        patch.setattr(partition, "_cell_table", unreachable)
+        patch.setattr(lll.LLLBasis, "_cell_states", property(unreachable))
         for name in ("cell_window", "cell_exponent"):
             patch.setattr(lll.ThetaField, name, unreachable)
         assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
@@ -359,8 +358,9 @@ def test_the_two_routes_share_no_summation(monkeypatch):
 
 def test_the_per_state_route_forms_no_complex_window(monkeypatch):
     # state_norm reads the exponents of the states' window and no complex
-    # table: with the window unreachable the norms and Z~ are as before, bit
-    # for bit, and Z~ still matches the closed form
+    # table: with the window and the module's scaled table unreachable the
+    # norms and Z~ are as before, bit for bit, and Z~ still matches the
+    # closed form
     tau = -0.2 + 1.7j
     want_norms = state_norm(build_basis(Flux(5, 7), tau, ANGLES))
     want_z = z_tilde(build_basis(Flux(5, 7), tau, ANGLES))
@@ -369,8 +369,7 @@ def test_the_per_state_route_forms_no_complex_window(monkeypatch):
         raise AssertionError("the per-state route formed a complex window table")
 
     monkeypatch.setattr(lll.ThetaField, "cell_window", unreachable)
-    for owner in (theta_module, lll):
-        monkeypatch.setattr(owner, "_grid_window", unreachable)
+    monkeypatch.setattr(lll.LLLBasis, "_cell_states", property(unreachable))
     assert state_norm(build_basis(Flux(5, 7), tau, ANGLES)) == want_norms
     assert z_tilde(build_basis(Flux(5, 7), tau, ANGLES)) == want_z
     closed = closed_form_z_tilde(35, tau, ANGLES.alpha1)

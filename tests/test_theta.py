@@ -345,8 +345,9 @@ def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
     z = x[:, None] + c
     log_scale = unit_envelope(level, c, tau)
     spec = ThetaSpec(level, tuple(range(level)))
-    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(),
+    a, expo = theta_module._grid_exponent(spec, c, tau, TruncationPolicy(),
                                           log_scale - 1j * math.pi * level * c**2 / tau)
+    window = np.exp(expo)
     phase = np.exp(2j * math.pi * level * a[:, None, :] * x[:, None]) \
         * (2j * math.pi * level * a[:, None, :]) ** order
     got = np.einsum("rcm,rxm->rxc", window, phase)
@@ -369,8 +370,9 @@ def test_grid_norms_fold_the_grid_values_on_midpoint_nodes(level, tau, n_x):
     c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
     spec = ThetaSpec(level, tuple(range(level)))
     log_scale = unit_envelope(level, c, tau)
-    a, window = theta_module._grid_window(spec, c, tau, TruncationPolicy(),
+    a, expo = theta_module._grid_exponent(spec, c, tau, TruncationPolicy(),
                                           log_scale - 1j * math.pi * level * c**2 / tau)
+    window = np.exp(expo)
     got = theta_module._grid_norms(np.rint(level * a).astype(int), window, n_x, level)
     z = x[:, None] + c
     values = theta(spec, z, tau, log_scale=np.broadcast_to(log_scale, z.shape))

@@ -29,7 +29,8 @@ actions on the basis are exact operator identities:
 
 so the states are a bimodule: ``D1``, ``D2`` act on ``j`` and the dual
 pair, their commutant, on ``k``.  The lemma and the bimodule check read
-these laws' matrices from one helper, :func:`_predicted_translations`.
+these laws as monomials ``(target, phase)`` from one helper,
+:func:`_predicted_translations`, and form no dense law (:func:`_law_deviation`).
 
 States are stored as exact term families
 ``sum_t c_t * w^a * wbar^c * exp(G) * theta^{(p)}(w + gamma)`` so that
@@ -84,7 +85,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
-from .fields import Displacement, Field, _prefactor_exponent, displacement_apply
+from .fields import Displacement, Field, displacement_apply
 from .theta import (ThetaSpec, TruncationPolicy, _grid_classes, _grid_exponent, _grid_norms,
                     _grid_overlaps, theta_derivative)
 
@@ -126,11 +127,13 @@ def _predicted_translations(basis: LLLBasis) -> dict:
             "dual2": (j * n + (k - 1) % n, np.full(s.size, cmath.exp(1j * (a2 / n))))}
 
 
-def _monomial(target, phase) -> np.ndarray:
-    """The dense matrix ``P[target[s], s] = phase[s]``, 0 elsewhere."""
-    out = np.zeros((phase.size, phase.size), dtype=complex)
-    out[target, np.arange(phase.size)] = phase
-    return out
+def _law_deviation(l_mat, target, phase) -> np.ndarray:
+    """``|L - P|``, bit for bit, for the monomial ``P[target[s], s] =
+    phase[s]``, 0 elsewhere, without forming ``P``."""
+    columns = np.arange(l_mat.shape[1])
+    dev = np.abs(l_mat)
+    dev[target, columns] = np.abs(l_mat[target, columns] - phase)
+    return dev
 
 
 def _eval_terms(terms, level, residue, tau, alpha1, gamma, policy, w, wbar):
@@ -299,13 +302,13 @@ class _Translated(Field):
         freq, window = self.base.cell_window(y - uy)
         # the moved phase of the slice over itself is exp(-i*pi*K*(uy*x + ux*y)
         # + i*(pi*K*ux*uy - alpha1*ux - alpha2*uy)); the prefactor's exponent,
-        # at weight Im(tau)/(2*pi*K), cancels its part in y and doubles that in x
-        rate_x = _prefactor_exponent(self.displacement, self.im_tau_weight)(1.0, 1.0)
+        # at weight Im(tau)/(2*pi*K), is -i*pi*K*uy*x + i*pi*K*ux*y: it cancels
+        # the part in y and doubles that in x, a shift of -K*uy in F
         const = self.scale * cmath.exp(1j * (math.pi * k * ux * uy - angles.alpha1 * ux
                                              - angles.alpha2 * uy))
         window = window * const  # the base's table is read-only: one copy, scaled in place
         window *= np.exp(-2j * math.pi * ux * freq)[:, None, :]
-        return freq + round((rate_x.imag - math.pi * k * uy) / (2.0 * math.pi)), window
+        return freq - round(k * uy), window
 
 
 @dataclass(frozen=True)
@@ -535,13 +538,13 @@ def eigenphase_table(basis: LLLBasis) -> dict:
 def lemma_eigenphase_residual(basis: LLLBasis) -> float:
     """Largest ``|L - P|`` and Parseval defect of ``d1`` and ``d2`` of
     :attr:`LLLBasis.translations`, ``P`` their laws' monomials
-    (:func:`_predicted_translations`): a wrong target, phase or leak shows
-    in ``|L - P|``."""
+    (:func:`_predicted_translations`, compared by :func:`_law_deviation`):
+    a wrong target, phase or leak shows in ``|L - P|``."""
     predicted = _predicted_translations(basis)
     res = []
     for name in ("d1", "d2"):
         l_mat, defect = basis.translations[name]
-        res += [np.max(np.abs(l_mat - _monomial(*predicted[name]))), np.max(defect)]
+        res += [np.max(_law_deviation(l_mat, *predicted[name])), np.max(defect)]
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 
@@ -558,7 +561,7 @@ def center_eigen_residual(basis: LLLBasis):
         u = step.displacement
         power = _Translated(basis.field, Displacement(m * u.u, m * u.ubar), step.scale**m, basis)
         l_mat, defect = _project(basis, power)
-        res += [np.max(np.abs(l_mat - cmath.exp(1j * alpha) * np.eye(len(l_mat)))),
+        res += [np.max(_law_deviation(l_mat, np.arange(basis.level), cmath.exp(1j * alpha))),
                 np.max(defect)]
     n_x, y, _, _ = basis._cell_states
     return float(np.max(res)), (  # np.max, unlike max, keeps a NaN

@@ -24,8 +24,8 @@ one routine builds the phases of any array of words in one numpy pass
 (the clock's and the shift's powers are the words ``(p, 0)`` and
 ``(0, p)``).  Each root of unity is formed from its integer argument
 reduced mod ``M`` (``2M`` for a half-angle) before the division.  The
-algebra checks compare phase vectors; dense products are formed only for
-outputs, in :func:`commutant_dimension` and in the U_q(sl2) relations.
+algebra checks, the U_q(sl2) relations included, compare phase vectors;
+dense matrices only for outputs and in :func:`commutant_dimension`.
 The dual pair is the N-dimensional clock/shift at parameter
 ``e^{2*pi*i*M/N}``.
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import VacuumAngles
 from .errors import DegenerateDeformationError
-from .lll import LLLBasis, _monomial, _predicted_translations
+from .lll import LLLBasis, _law_deviation, _predicted_translations, cell_node_counts
 
 __all__ = [
     "CSMatrix",
@@ -163,7 +163,7 @@ def _weyl_phases(m1, m2, m, n, angles: VacuumAngles = _NO_ANGLES):
     ``2 pi i r / M`` (a complex division), ``-pi s / M`` and
     ``alpha m / M`` (real divisions), the exponential of each pure phase,
     and the product ``q^{-m1 m2/2} * (C^{m1}[rows] * S-phase)``.  The
-    clock diagonals are computed once per distinct ``m1``.
+    clock's rows are gathered from one table of the roots ``exp(2 pi i r / M)``.
 
     Raises ``ValueError`` when a phase is off the unit circle by more than
     1e-12 (or is NaN): the unitarity guarantee of :class:`CSMatrix`, in
@@ -173,14 +173,14 @@ def _weyl_phases(m1, m2, m, n, angles: VacuumAngles = _NO_ANGLES):
     m2 = np.asarray(m2)
     j = np.arange(m)
     shifts = m2 % m
-    powers, which = np.unique(m1, return_inverse=True)
+    rows = (j + shifts[:, None]) % m
     h = 2 * m  # every factor is reduced before a product, so none overflows int64
-    clock = (np.exp(2j * math.pi * (n % m * (powers[:, None] % m) % m * j % m) / m)
-             * np.exp(1j * (angles.alpha1 * powers / m))[:, None])
+    roots = np.exp(2j * math.pi * j / m)
+    clock = (roots[n % m * (m1[:, None] % m) % m * rows % m]
+             * np.exp(1j * (angles.alpha1 * m1 / m))[:, None])
     pref = np.exp(1j * (-math.pi * (n % h * (m1 % h) % h * (m2 % h) % h) / m))
     s_phase = np.exp(1j * (angles.alpha2 * m2 / m))
-    rows = (j + shifts[:, None]) % m
-    phases = pref[:, None] * (clock[which[:, None], rows] * s_phase[:, None])
+    phases = pref[:, None] * (clock * s_phase[:, None])
     dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
     if not dev <= 1e-12:
         raise ValueError("Weyl word is not unitary (deviation %.3e)" % dev)
@@ -349,6 +349,10 @@ def uq_sl2_generators(m, n) -> UqSl2Generators:
 
         q^{J3} J+- q^{-J3} = q^{+-1} J+-,
         [J+, J-] = (q^{2 J3} - q^{-2 J3})/(q - 1/q).
+
+    J+- are monomial with shifts +-1 and the clock powers diagonal, so, as
+    in :func:`sine_structure_residual`, the relations compare phase vectors:
+    the dense matrices' products summed entry by entry, bit for bit.
     """
     if (2 * n) % m == 0:
         raise DegenerateDeformationError(
@@ -357,30 +361,21 @@ def uq_sl2_generators(m, n) -> UqSl2Generators:
     q = cmath.exp(2j * math.pi * n / m)
     denom = q - 1.0 / q
     # the four words of J+- and the clock powers 1, -1, 2, -2, in one call
-    phases, shifts = _weyl_phases([1, -1, -1, 1, 1, -1, 2, -2],
-                                  [1, 1, -1, -1, 0, 0, 0, 0], m, n)
-    w_pp, w_mp, w_mm, w_pm = (_scatter(p, s) for p, s in zip(phases[:4], shifts[:4]))
-    j_plus = (w_pp - w_mp) / denom
-    j_minus = (w_mm - w_pm) / denom
-    q_j3 = CSMatrix(np.diag(phases[4]))
-    c = q_j3.entries
-    c_inv, c2, c2_inv = (np.diag(p) for p in phases[5:])
+    (pp, mp, mm, pm, c, c_inv, c2, c2_inv), _ = _weyl_phases(
+        [1, -1, -1, 1, 1, -1, 2, -2], [1, 1, -1, -1, 0, 0, 0, 0], m, n)
+    j_plus = (_scatter(pp, 1) - _scatter(mp, 1)) / denom
+    j_minus = (_scatter(mm, -1) - _scatter(pm, -1)) / denom
+    j = np.arange(m)
+    up, down = (j + 1) % m, (j - 1) % m
+    jp, jm = j_plus[up, j], j_minus[down, j]
+    # column j of a product is its one nonzero term, left * right as in the
+    # dense product: (C J+ C^-1)[j + 1, j] = c[j + 1] * jp[j] * c_inv[j]
     res = {
-        "conjugation_plus": float(
-            np.max(np.abs(c @ j_plus @ c_inv - q * j_plus))
-        ),
-        "conjugation_minus": float(
-            np.max(np.abs(c @ j_minus @ c_inv - j_minus / q))
-        ),
-        "commutator": float(
-            np.max(
-                np.abs(
-                    j_plus @ j_minus - j_minus @ j_plus - (c2 - c2_inv) / denom
-                )
-            )
-        ),
+        "conjugation_plus": float(np.max(np.abs(c[up] * jp * c_inv - q * jp))),
+        "conjugation_minus": float(np.max(np.abs(c[down] * jm * c_inv - jm / q))),
+        "commutator": float(np.max(np.abs(jp[down] * jm - jm[up] * jp - (c2 - c2_inv) / denom))),
     }
-    return UqSl2Generators(j_plus, j_minus, q_j3, res)
+    return UqSl2Generators(j_plus, j_minus, CSMatrix(np.diag(c)), res)
 
 
 def uq_sl2_residual(m, n):
@@ -398,8 +393,9 @@ def bimodule_consistency(basis: LLLBasis) -> dict:
     :meth:`LLLBasis.labels`, carry the left action of ``D1``, ``D2`` on
     ``j`` and the right action of the dual pair on ``k``: each matrix of
     ``LLLBasis.translations`` against its law's monomial
-    (``lll._predicted_translations``).  The left-right commutator composes
-    the predicted monomials, so it is 0 by construction.
+    (``lll._predicted_translations``), on its ``(target, phase)`` vectors
+    (``lll._law_deviation``).  The left-right commutator composes those
+    vectors, so it is 0 by construction.
 
     Returns a report dict; individual mismatches beyond the tolerance
     1e-6 are listed (measured vs. predicted entries) rather than raised.
@@ -408,22 +404,23 @@ def bimodule_consistency(basis: LLLBasis) -> dict:
     predicted = _predicted_translations(basis)
     deviations, mismatches = {}, []
     for name, (fit, _) in basis.translations.items():
-        want = _monomial(*predicted[name])
-        dev = np.abs(fit - want)
+        target, phase = predicted[name]
+        dev = _law_deviation(fit, target, phase)
         deviations[name] = float(dev.max())
         if not deviations[name] <= tol:  # a NaN deviation is a mismatch
-            idx = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            mismatches.append({"operator": name, "index": (int(idx[0]), int(idx[1])),
-                               "measured": complex(fit[idx]), "predicted": complex(want[idx])})
+            row, col = np.unravel_index(int(np.argmax(dev)), dev.shape)
+            mismatches.append({"operator": name, "index": (int(row), int(col)),
+                               "measured": complex(fit[row, col]),
+                               "predicted": complex(phase[col] if target[col] == row else 0.0)})
     # L R and R L of monomials: column s lands on one row with one phase
     # product, formed as left * right in both, since numpy's SIMD complex
-    # multiply need not commute bit for bit
+    # multiply need not commute bit for bit; apart, each row meets a zero
     commutators = []
     for t_l, p_l in (predicted["d1"], predicted["d2"]):
         for t_r, p_r in (predicted["dual1"], predicted["dual2"]):
-            lr = _monomial(t_l[t_r], p_l[t_r] * p_r)
-            rl = _monomial(t_r[t_l], p_l * p_r[t_l])
-            commutators.append(np.max(np.abs(lr - rl)))
+            lr, rl = p_l[t_r] * p_r, p_l * p_r[t_l]
+            commutators.append(np.max(np.where(t_l[t_r] == t_r[t_l], np.abs(lr - rl),
+                                               np.maximum(np.abs(lr), np.abs(rl)))))
     left_right = float(np.max(commutators))  # np.max, unlike max, keeps a NaN
     return {
         "deviations": deviations,
@@ -438,8 +435,8 @@ def bimodule_residual(basis: LLLBasis):
     """``(residual, note)``: the largest of the :func:`bimodule_consistency`
     deviations and its left-right commutator."""
     report = bimodule_consistency(basis)
-    n_x, y = basis._cell_states[:2]
+    n_x, n_y = cell_node_counts(basis.level, basis.tau.im, basis.policy.epsilon)
     return float(np.max([*report["deviations"].values(), report["left_right_commutator"]])), (
         "largest |L - P| of D1, D2, D1~ and D2~ against the monomials of their laws, "
         "measured on the (n_x, n_y) = (%d, %d) cell rule; the left-right commutator of "
-        "the predicted actions holds by construction" % (n_x, y.size))
+        "the predicted actions holds by construction" % (n_x, n_y))

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -385,8 +386,9 @@ def test_sine_structure_is_the_dense_form_bit_for_bit():
                 assert got == blas, (m, n)
 
 
-def _dense_uq_sl2(m, n):
-    """``uq_sl2_generators`` from one dense Weyl element or clock power per word."""
+def _dense_uq_sl2(m, n, product):
+    """``uq_sl2_generators`` from one dense Weyl element or clock power per
+    word, each product in a relation one ``product`` of two matrices."""
     q = cmath.exp(2j * math.pi * n / m)
     denom = q - 1.0 / q
     w = lambda m1, m2: weyl_element(WeylWord(m1, m2), m, n).entries
@@ -394,9 +396,10 @@ def _dense_uq_sl2(m, n):
     j_minus = (w(-1, -1) - w(1, -1)) / denom
     c = clock_matrix(m, n).entries
     c_inv, c2, c2_inv = (clock_power(m, n, 0.0, p).entries for p in (-1, 2, -2))
-    residuals = [np.max(np.abs(c @ j_plus @ c_inv - q * j_plus)),
-                 np.max(np.abs(c @ j_minus @ c_inv - j_minus / q)),
-                 np.max(np.abs(j_plus @ j_minus - j_minus @ j_plus - (c2 - c2_inv) / denom))]
+    residuals = [np.max(np.abs(product(product(c, j_plus), c_inv) - q * j_plus)),
+                 np.max(np.abs(product(product(c, j_minus), c_inv) - j_minus / q)),
+                 np.max(np.abs(product(j_plus, j_minus) - product(j_minus, j_plus)
+                               - (c2 - c2_inv) / denom))]
     return j_plus, j_minus, c, residuals
 
 
@@ -405,10 +408,14 @@ def test_uq_sl2_generators_are_the_dense_form_bit_for_bit():
         if (2 * n) % m == 0:
             continue
         gens = uq_sl2_generators(m, n)
-        j_plus, j_minus, c, residuals = _dense_uq_sl2(m, n)
+        j_plus, j_minus, c, residuals = _dense_uq_sl2(m, n, _entrywise)
         for got, want in ((gens.j_plus, j_plus), (gens.j_minus, j_minus), (gens.q_j3.entries, c)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert list(gens.residuals.values()) == residuals, (m, n)
+        got = list(gens.residuals.values())
+        assert got == residuals, (m, n)
+        # BLAS rounds some of its product entries with fused multiply-adds
+        blas = _dense_uq_sl2(m, n, np.matmul)[3]
+        assert max(abs(a - b) for a, b in zip(got, blas)) <= 1e-15, (m, n)
 
 
 def test_commutant_dimension():
@@ -659,6 +666,43 @@ def test_bimodule_left_right_commutator_keeps_a_nan(monkeypatch):
     assert math.isnan(residual)
 
 
+def _dense_law(target, phase):
+    """The dense monomial ``P[target[s], s] = phase[s]``, 0 elsewhere."""
+    out = np.zeros((len(target), len(target)), dtype=complex)
+    out[target, np.arange(len(target))] = phase
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 6, 35])
+def test_law_deviation_is_the_dense_difference_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    l_mat = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    target = rng.permutation(k)
+    phase = np.exp(2j * math.pi * rng.random(k))
+    l_mat[target[0], 0] = np.nan  # on the law; the off-by-one target reads it off the law
+    # the law, a target off by one, and the centre's scalar law e^{i alpha} I
+    for t, p in ((target, phase), ((target + 1) % k, phase), (np.arange(k), phase[0])):
+        want = np.abs(l_mat - _dense_law(t, p))
+        np.testing.assert_array_equal(lll._law_deviation(l_mat, t, p).view(np.uint64),
+                                      want.view(np.uint64))
+
+
+def test_law_checks_form_no_dense_law():
+    # a dense law or commutator monomial at K = 104 is a 173 KB complex
+    # matrix; over a measured module the lemma and the bimodule check stay
+    # under two of them
+    basis = build_basis(Flux(8, 13), 0.3 + 1.1j, ANGLES)
+    basis.translations  # measured before the trace
+    for check in (lll.lemma_eigenphase_residual, bimodule_consistency):
+        tracemalloc.start()
+        try:
+            check(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * basis.level**2 * 16, (check.__name__, peak)
+
+
 @pytest.mark.parametrize("angles", [VacuumAngles(), VacuumAngles(0.7, -1.3)])
 def test_predicted_translations_are_the_kron_matrices(angles):
     # the laws' monomials are kron(C, I_N), kron(S, I_N), kron(I_M, C~) and
@@ -681,7 +725,7 @@ def test_predicted_translations_are_the_kron_matrices(angles):
             predicted = lll._predicted_translations(build_basis(Flux(n, m), 1j, angles))
             assert predicted.keys() == want.keys()
             for name, monomial in predicted.items():
-                got = lll._monomial(*monomial)[np.ix_(perm, perm)]
+                got = _dense_law(*monomial)[np.ix_(perm, perm)]
                 assert np.max(np.abs(got - want[name])) <= 3e-15, (m, n, name)
 
 

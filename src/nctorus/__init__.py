@@ -62,6 +62,7 @@ from .lll import (
     lemma_eigenphase_residual,
     center_eigen_residual,
     gram_rank,
+    gram_rank_residual,
     overlap_residual,
     coefficient_matrix,
     raise_level,
@@ -77,6 +78,7 @@ from .matrices import (
     holonomy_residual,
     dual_matrices,
     sine_structure_residual,
+    sine_algebra_residual,
     commutant_dimension,
     weyl_span_dimension,
     commutant_and_span_residual,

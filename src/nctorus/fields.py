@@ -131,18 +131,13 @@ def lattice_displacement(flux: Flux, tau, m, dual=False) -> Displacement:
     return Displacement.from_vector(u)
 
 
-def _prefactor_exponent(d: Displacement, weight: float):
-    """The exponent ``(conj(u)*z - u*zbar)/(4w)`` of the prefactor of ``d``
-    at weight ``w``, a linear function of ``(z, zbar)``."""
-    w4 = 4.0 * weight
-    return lambda z, zbar: (d.ubar * z - d.u * zbar) / w4
-
-
 def displacement_apply(d: Displacement, f: Field) -> Field:
     """Apply the displacement ``d`` to ``f`` (weight read off the field)."""
     w4 = 4.0 * f.im_tau_weight
-    exponent = _prefactor_exponent(d, f.im_tau_weight)
     u, ubar = d.u, d.ubar
+
+    def exponent(z, zbar):  # of the prefactor, linear in (z, zbar)
+        return (ubar * z - u * zbar) / w4
 
     def ev(z, zbar):
         return np.exp(exponent(z, zbar)) * f.evaluate(z - u, zbar - ubar)

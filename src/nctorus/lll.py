@@ -103,6 +103,7 @@ __all__ = [
     "lemma_eigenphase_residual",
     "center_eigen_residual",
     "gram_rank",
+    "gram_rank_residual",
     "overlap_residual",
     "coefficient_matrix",
     "raise_level",
@@ -401,7 +402,8 @@ class LLLBasis:
         ``exp(Im(tau)*alpha1**2/(4*pi*K))``; all measured is a ratio).
         ``LinAlgError`` unless finite with a positive diagonal."""
         n_x, y, _, states = self._cell_states
-        gram = _grid_overlaps(states, states) / (n_x * y.size)
+        gram = _grid_overlaps(states, states)
+        gram /= n_x * y.size
         if not (np.isfinite(gram).all() and np.all(gram.diagonal().real > 0)):
             raise np.linalg.LinAlgError("the states' Gram matrix is not finite and positive")
         gram.setflags(write=False)
@@ -503,9 +505,12 @@ def _project(basis: LLLBasis, image):
     window = window / scale
     norms = basis.gram.diagonal().real
     images = _grid_classes(freq, window, n_x)
-    l_mat = _grid_overlaps(states, images) / (n_x * y.size * norms[:, None])
+    l_mat = _grid_overlaps(states, images)
+    l_mat /= n_x * y.size * norms[:, None]
     image_norms = _grid_norms(freq, window, n_x, basis.level) / (n_x * y.size)
-    return l_mat, np.abs(1.0 - norms @ np.abs(l_mat) ** 2 / image_norms)
+    power = np.abs(l_mat)
+    power **= 2
+    return l_mat, np.abs(1.0 - norms @ power / image_norms)
 
 
 def coefficient_matrix(basis: LLLBasis, op) -> np.ndarray:
@@ -577,6 +582,12 @@ def gram_rank(basis: LLLBasis) -> int:
     moduli of its eigenvalues) above 1e-8 times the largest."""
     s = np.abs(np.linalg.eigvalsh(basis.gram))
     return int(np.sum(s > 1e-8 * s.max()))
+
+
+def gram_rank_residual(basis: LLLBasis) -> float:
+    """``|rank - K|`` of :func:`gram_rank`: 0 when the K states are
+    independent."""
+    return float(abs(gram_rank(basis) - basis.level))
 
 
 def overlap_residual(basis: LLLBasis):

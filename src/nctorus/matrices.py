@@ -61,6 +61,7 @@ __all__ = [
     "holonomy_residual",
     "dual_matrices",
     "sine_structure_residual",
+    "sine_algebra_residual",
     "commutant_dimension",
     "weyl_span_dimension",
     "commutant_and_span_residual",
@@ -259,6 +260,14 @@ def sine_structure_residual(m, n, word_a, word_b) -> float:
     j = np.arange(m)
     coeff = 2j * math.sin(math.pi * (n * word_a.cross(word_b) % (2 * m)) / m)
     return float(np.max(np.abs(pa[(j + sb) % m] * pb - pb[(j + sa) % m] * pa - coeff * pab)))
+
+
+def sine_algebra_residual(m, n) -> float:
+    """The larger :func:`sine_structure_residual` of the word pairs
+    ``((1, 0), (0, 1))`` and ``((1, 1), (2, -1))``, taken by ``np.max``,
+    which, unlike ``max``, keeps a NaN."""
+    return float(np.max([sine_structure_residual(m, n, WeylWord(1, 0), WeylWord(0, 1)),
+                         sine_structure_residual(m, n, WeylWord(1, 1), WeylWord(2, -1))]))
 
 
 def commutant_dimension(generators) -> int:

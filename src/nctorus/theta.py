@@ -399,8 +399,11 @@ def _grid_overlaps(classes, other_classes):
     (u, r, size), (v, s, other_size) = classes, other_classes
     sums = (np.conjugate(u) @ v.transpose(0, 2, 1)).ravel()
     index, n = (r[:, :, None] * other_size + s[:, None, :]).ravel(), size * other_size
-    out = np.bincount(index, sums.real, n) + 1j * np.bincount(index, sums.imag, n)
-    return len(u) * out.reshape(size, other_size)
+    out = np.empty(n, complex)  # filled and scaled in place: one K x K buffer
+    out.real = np.bincount(index, sums.real, n)
+    out.imag = np.bincount(index, sums.imag, n)
+    out *= len(u)
+    return out.reshape(size, other_size)
 
 
 def _grid_norms(freq, window, n_x, step):

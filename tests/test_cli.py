@@ -25,7 +25,7 @@ from nctorus import lll
 from nctorus.lll import (
     build_basis,
     center_eigen_residual,
-    gram_rank,
+    gram_rank_residual,
     lemma_eigenphase_residual,
     overlap_residual,
 )
@@ -35,6 +35,7 @@ from nctorus.matrices import (
     commutant_and_span_residual,
     holonomy_residual,
     q_commutation_residual,
+    sine_algebra_residual,
     sine_structure_residual,
     uq_sl2_residual,
     weyl_cocycle_residual,
@@ -866,9 +867,7 @@ _LIBRARY = [
     ("verify", "eta_functional_equations", lambda: eta_functional_residual(_TAU)),
     ("verify", "q_commutation_matrix", lambda: q_commutation_residual(5, 3, _ANGLES)),
     ("verify", "weyl_cocycle_matrix", lambda: weyl_cocycle_residual(5, 3)),
-    ("verify", "sine_algebra_matrix",
-     lambda: max(sine_structure_residual(5, 3, WeylWord(1, 0), WeylWord(0, 1)),
-                 sine_structure_residual(5, 3, WeylWord(1, 1), WeylWord(2, -1)))),
+    ("verify", "sine_algebra_matrix", lambda: sine_algebra_residual(5, 3)),
     ("verify", "sine_algebra_operator",
      lambda: sine_bracket_residual((1, 0), (0, 1), _FLUX, _TAU)),
     ("verify", "dual_commutation_operator",
@@ -877,7 +876,7 @@ _LIBRARY = [
     ("verify", "holonomy_matrix", lambda: holonomy_residual(5, 3, _ANGLES)),
     ("verify", "center_eigenvalues", lambda: center_eigen_residual(_basis())),
     ("verify", "lemma_eigenphases", lambda: lemma_eigenphase_residual(_basis())),
-    ("verify", "gram_rank", lambda: abs(gram_rank(_basis()) - 15)),
+    ("verify", "gram_rank", lambda: gram_rank_residual(_basis())),
     ("verify", "bimodule_consistency", lambda: bimodule_residual(_basis())),
     ("verify", "commutant_and_span", lambda: commutant_and_span_residual(5, 3, _ANGLES)),
     ("verify", "uq_sl2_relations", lambda: uq_sl2_residual(5, 3)),
@@ -935,8 +934,8 @@ def _nan_plaquette_spread(monkeypatch):
 
 
 def _nan_second_sine_word(monkeypatch):
-    residual = cli.sine_structure_residual
-    monkeypatch.setattr(cli, "sine_structure_residual", lambda m, n, a, b: (
+    residual = matrices.sine_structure_residual
+    monkeypatch.setattr(matrices, "sine_structure_residual", lambda m, n, a, b: (
         math.nan if a == WeylWord(1, 1) else residual(m, n, a, b)))
 
 

@@ -96,12 +96,17 @@ _COMPUTE_ERRORS = (ArithmeticError, np.linalg.LinAlgError)
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` flag syntax (``i`` alone means 1i)."""
+    """Parse ``a+bi`` flag syntax (``i`` alone means 1i).  Only a trailing
+    ``i`` or ``I`` (before a closing parenthesis) is the imaginary unit, so
+    ``inf`` and ``Infinity`` read as reals, as in :class:`complex`."""
     s = text.strip().replace(" ", "")
     if not s:
         raise UsageError("empty complex literal")
+    body = s.rstrip(")")
+    if body.endswith(("i", "I")):
+        s = body[:-1] + "j" + s[len(body):]
     try:
-        return complex(s.replace("i", "j").replace("I", "j"))
+        return complex(s)
     except ValueError:
         raise UsageError("cannot parse complex literal %r" % text) from None
 

@@ -62,15 +62,27 @@ of the basis, as the theta cutoffs are bounded (:func:`cell_node_counts`).
 ``n_x*n_y`` is about ``(2/pi)*K*ln(2/eps)`` whatever ``b``, and each axis
 takes at least ``QuadratureSpec.nodes_per_axis`` nodes.
 
-The module is measured on the nodes of that rule: the Gram matrix
-``G`` and, for each translation ``T``, ``L = diag(G)^-1 P`` with
-``P_rs = <Psi_r, T Psi_s>``, from the states' window tables, whose terms
-pair where their frequencies agree mod ``n_x``, with no value on the grid
-formed.  A norm, the diagonal of such a product, is each row's window
-folded onto its classes mod ``n_x``; ``partition.state_norm`` sums the
-states' own from the exponents of their table.  The centre is measured
-on the same module: ``D1^M`` and ``D2^M``, each one displacement,
-project onto ``e^{i*alpha1} I`` and ``e^{i*alpha2} I``.
+The module is measured on the nodes of that rule from the states' window
+tables (``theta._grid_exponent``, "Cell grids"), with no value on the grid
+formed.  On the ``n_x`` midpoint nodes (the periodic trapezoid rule on a
+separable integrand: Trefethen & Weideman, SIAM Rev. 56 (2014)) the comb
+``h(d) = sum_i exp(2*pi*i*d*x_i)`` of an integer frequency difference
+``d`` is ``(-1)**(d/n_x) * n_x`` if ``n_x`` divides ``d`` and 0
+elsewhere, so a product of two families of terms pairs only terms whose
+integer frequencies ``F`` and ``F'`` agree mod ``n_x``: one small matrix
+product per class (:func:`_grid_overlaps`).  That gives the Gram matrix
+``G`` and, for each translation ``T``, ``L = diag(G)^-1 P`` with ``P_rs =
+<Psi_r, T Psi_s>``.  A family's own norms are the diagonal of that
+product: the terms of each class, signed by ``(-1)**(F // n_x)``, fold
+onto one value, and a column's norm is ``n_x`` times the sum of their
+``|.|**2``, every alias of the midpoint rule kept (:func:`_grid_norms`).
+From the exponents ``E`` alone that norm is each term's squared
+magnitude ``exp(2*Re E)`` plus, for every pair of terms of one class,
+the product ``2*exp(Re E + Re E')*cos(Im E - Im E')`` with its signs; a
+row whose terms do not alias reads no phase.  :func:`state_norm` sums
+the states' own norms that way.  The centre is measured on the same
+module: ``D1^M`` and ``D2^M``, each one displacement, project onto
+``e^{i*alpha1} I`` and ``e^{i*alpha2} I``.
 """
 
 from __future__ import annotations
@@ -86,13 +98,13 @@ import numpy as np
 
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
 from .fields import Displacement, Field, displacement_apply
-from .theta import (ThetaSpec, TruncationPolicy, _grid_classes, _grid_exponent, _grid_norms,
-                    _grid_overlaps, theta_derivative)
+from .theta import ThetaSpec, TruncationPolicy, _grid_exponent, theta_derivative
 
 __all__ = [
     "QuadratureSpec",
     "cell_node_counts",
     "quadrature_nodes",
+    "state_norm",
     "LLLBasis",
     "ThetaField",
     "build_basis",
@@ -110,6 +122,9 @@ __all__ = [
 ]
 
 _DEFAULT_POLICY = TruncationPolicy()
+# fdlibm's log(2) in two parts: ``k * _LN2_HI`` is exact for ``|k| < 2**20``
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
 def _predicted_translations(basis: LLLBasis) -> dict:
@@ -351,6 +366,108 @@ def quadrature_nodes(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
     return (np.arange(n_x) + 0.5) / n_x, (np.arange(n_y) + 0.5) / n_y
 
 
+def _grid_classes(freq, window, n_x):
+    """Terms of integer frequencies ``freq`` ``(row, m)`` and window table
+    ``window`` ``(row, column, m)`` by class mod ``n_x``: their windows
+    times ``(-1)**(freq // n_x)`` ``(n_x, width, column)`` and rows
+    ``(n_x, width)``, unused slots 0, and the number of rows."""
+    f = freq.ravel()
+    classes = f % n_x
+    order = np.argsort(classes, kind="stable")
+    counts = np.bincount(classes, minlength=n_x)
+    # each term's class and place in it, in the sorted order
+    where = classes[order], np.arange(f.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    values = np.zeros((n_x, counts.max(), window.shape[1]), dtype=complex)
+    values[where] = (window.transpose(0, 2, 1).reshape(f.size, -1)
+                     * (1 - 2 * (f // n_x % 2))[:, None])[order]
+    rows = np.zeros(values.shape[:2], dtype=int)
+    rows[where] = order // freq.shape[1]
+    return values, rows, len(freq)
+
+
+def _grid_overlaps(classes, other_classes):
+    """``sum_{i,j} conj(u_r[i, j]) * v_s[i, j]`` for every pair of rows,
+    ``u_r[i, j] = sum_m window[r, j, m] * exp(2*pi*i*freq[r, m]*x_i)`` on
+    the ``n_x`` midpoint nodes ``x_i = (i + 1/2)/n_x`` and ``v_s``
+    likewise, from their :func:`_grid_classes` (see "The cell rule")."""
+    (u, r, size), (v, s, other_size) = classes, other_classes
+    sums = (np.conjugate(u) @ v.transpose(0, 2, 1)).ravel()
+    index, n = (r[:, :, None] * other_size + s[:, None, :]).ravel(), size * other_size
+    out = np.empty(n, complex)  # filled and scaled in place: one K x K buffer
+    out.real = np.bincount(index, sums.real, n)
+    out.imag = np.bincount(index, sums.imag, n)
+    out *= len(u)
+    return out.reshape(size, other_size)
+
+
+def _grid_norms(freq, window, n_x, step):
+    """``sum_{i,j} |u_r[i, j]|**2`` for every row, the diagonal of
+    :func:`_grid_overlaps`, when each row's frequencies ``freq`` rise by
+    ``step``: a term's class mod ``n_x`` then repeats every ``n_x /
+    gcd(step, n_x)`` terms, so the signed window of each row folds onto
+    that period, one value per class and column, and the sum is ``n_x``
+    times their ``|.|**2``."""
+    period = n_x // math.gcd(step, n_x)
+    count = window.shape[2]
+    if count > period:  # terms alias onto each other
+        window = window * (1 - 2 * (freq // n_x % 2))[:, None, :]
+        for start in range(period, count, period):
+            size = min(period, count - start)
+            window[..., :size] += window[..., start:start + size]
+        window = window[..., :period]
+    flat = window.reshape(len(window), -1)
+    return n_x * np.sum(flat.real**2 + flat.imag**2, axis=1)
+
+
+def _grid_exponent_norms(freq, expo, n_x, step):
+    """:func:`_grid_norms` of the window ``exp(expo)`` from its exponents
+    ``expo`` alone.  ``|exp(E)|**2 = exp(2*Re E)``, and the fold's only
+    cross terms pair the terms ``m`` and ``m + d`` of a row that alias,
+    ``d`` a multiple of the period ``p = n_x / gcd(step, n_x)``:
+
+        n_x * [sum_m exp(2*Re E_m)
+               + 2 * sum_{d = p, 2p, ...} sum_m s_m * s_{m+d}
+                 * exp(Re E_m + Re E_{m+d}) * cos(Im E_m - Im E_{m+d})],
+
+    summed over the columns, with ``s = (-1)**(freq // n_x)``.  Where a
+    row has no more terms than the period the cross sum is empty, and no
+    phase is read."""
+    period = n_x // math.gcd(step, n_x)
+    re, im = expo.real, expo.imag
+    norms = np.exp(2.0 * re).reshape(len(expo), -1).sum(axis=1)
+    if expo.shape[2] > period:  # terms alias onto each other
+        sign = 1 - 2 * (freq // n_x % 2)
+        for d in range(period, expo.shape[2], period):
+            cross = np.exp(re[..., :-d] + re[..., d:])
+            cross *= np.cos(im[..., :-d] - im[..., d:])
+            cross *= (sign[:, :-d] * sign[:, d:])[:, None, :]
+            norms += 2.0 * cross.reshape(len(expo), -1).sum(axis=1)
+    return n_x * norms
+
+
+def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:
+    """Squared cell norms of the K ground states, in the order of
+    :meth:`LLLBasis.labels`, from the exponents of the states' window on
+    the columns of :func:`quadrature_nodes`
+    (:meth:`ThetaField.cell_exponent`): each row's squared
+    magnitudes plus the products of its terms that alias mod ``n_x``
+    (:func:`_grid_exponent_norms`), the diagonal of
+    :attr:`LLLBasis.gram` on the same nodes.  The exponents are shifted
+    by the log of ``scale``, the power of two above the largest entry
+    ``exp(Re E)``, and the norms are multiplied by its square, as the
+    module's table is divided by it; no complex exponential is formed."""
+    x, y = quadrature_nodes(basis, quad)
+    freq, expo = basis.field.cell_exponent(y)
+    top = float(np.max(expo.real))
+    power = math.floor(top / _LN2_HI) + 1 if math.isfinite(top) else 0
+    # log(2**power) in two parts, the first exact: the shift rounds no log 2
+    expo.real -= power * _LN2_HI
+    expo.real -= power * _LN2_LO
+    norms = _grid_exponent_norms(freq, expo, x.size, basis.level) / (x.size * y.size)
+    scale = math.ldexp(1.0, power)
+    return [norm * scale * scale for norm in norms.tolist()]
+
+
 @dataclass(frozen=True)
 class LLLBasis:
     """Ground-space basis at flux N/M on ``tau``: ``field`` is the stacked
@@ -387,7 +504,7 @@ class LLLBasis:
         ``x`` and the ``y`` nodes of :func:`quadrature_nodes`, ``scale``,
         the power of two at or above the largest entry of the states'
         :meth:`ThetaField.cell_window` on those columns, and the
-        ``theta._grid_classes`` of that window divided by ``scale``.  The
+        :func:`_grid_classes` of that window divided by ``scale``.  The
         states reach ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over the squared
         scale their products stay in range."""
         x, y = quadrature_nodes(self)

@@ -353,30 +353,31 @@ class UqSl2Generators(NamedTuple):
 
 def uq_sl2_generators(m, n) -> UqSl2Generators:
     """Realize J+ = (W(1,1) - W(-1,1))/(q - 1/q),
-    J- = (W(-1,-1) - W(1,-1))/(q - 1/q), q^{J3} = C at q = e^{2 pi i N/M},
-    and measure the relation residuals
+    J- = (W(-1,-1) - W(1,-1))/(q - 1/q), q^{J3} = C at q = e^{2 pi i N/M}
+    (formed from ``N mod M``, as the Weyl phases are), and measure the
+    relation residuals
 
         q^{J3} J+- q^{-J3} = q^{+-1} J+-,
         [J+, J-] = (q^{2 J3} - q^{-2 J3})/(q - 1/q).
 
     J+- are monomial with shifts +-1 and the clock powers diagonal, so, as
-    in :func:`sine_structure_residual`, the relations compare phase vectors:
-    the dense matrices' products summed entry by entry, bit for bit.
+    in :func:`sine_structure_residual`, the relations compare the vectors
+    of their nonzero entries: the dense matrices' products summed entry by
+    entry, bit for bit.  The dense J+- are formed only to be returned.
     """
     if (2 * n) % m == 0:
         raise DegenerateDeformationError(
             "q^2 = 1 at flux %d/%d: the deformation parameter is degenerate" % (n, m)
         )
-    q = cmath.exp(2j * math.pi * n / m)
+    q = cmath.exp(2j * math.pi * (n % m) / m)
     denom = q - 1.0 / q
     # the four words of J+- and the clock powers 1, -1, 2, -2, in one call
     (pp, mp, mm, pm, c, c_inv, c2, c2_inv), _ = _weyl_phases(
         [1, -1, -1, 1, 1, -1, 2, -2], [1, 1, -1, -1, 0, 0, 0, 0], m, n)
-    j_plus = (_scatter(pp, 1) - _scatter(mp, 1)) / denom
-    j_minus = (_scatter(mm, -1) - _scatter(pm, -1)) / denom
+    # the one nonzero entry of column j: J+[j + 1, j] and J-[j - 1, j]
+    jp, jm = (pp - mp) / denom, (mm - pm) / denom
     j = np.arange(m)
     up, down = (j + 1) % m, (j - 1) % m
-    jp, jm = j_plus[up, j], j_minus[down, j]
     # column j of a product is its one nonzero term, left * right as in the
     # dense product: (C J+ C^-1)[j + 1, j] = c[j + 1] * jp[j] * c_inv[j]
     res = {
@@ -384,6 +385,8 @@ def uq_sl2_generators(m, n) -> UqSl2Generators:
         "conjugation_minus": float(np.max(np.abs(c[down] * jm * c_inv - jm / q))),
         "commutator": float(np.max(np.abs(jp[down] * jm - jm[up] * jp - (c2 - c2_inv) / denom))),
     }
+    j_plus = (_scatter(pp, 1) - _scatter(mp, 1)) / denom
+    j_minus = (_scatter(mm, -1) - _scatter(pm, -1)) / denom
     return UqSl2Generators(j_plus, j_minus, CSMatrix(np.diag(c)), res)
 
 

@@ -17,15 +17,11 @@ the truncation ``epsilon`` of the basis.  The same nodes certify the
 Bloch module that ``LLLBasis`` measures from the states' window table.
 
 ``Z~`` is computed by two deliberately independent routes.  The
-per-state route sums the K norms of :func:`state_norm`, the diagonal of
-the module's Gram matrix: each state's theta terms on a column carry
-their magnitude in the window table and a phase ``exp(2*pi*i*F*x)`` of
-integer frequency ``F``, so on the ``n_x`` midpoint nodes the terms of
-one class of ``F`` mod ``n_x`` alias onto one value, and the sum over
-``x`` is ``n_x`` times the sum of those values' ``|.|^2``.  The norms
-read the window's exponents ``E``: each term adds ``exp(2*Re E)``, and
-only the terms that alias add their products, so no value on the grid
-and no complex exponential is formed.  The character route forms
+per-state route sums the K norms of :func:`~nctorus.lll.state_norm`,
+the diagonal of the module's Gram matrix, folded from the exponents of
+the states' window table as "The cell rule" of :mod:`nctorus.lll`
+describes: no value on the grid and no complex exponential is formed.
+``partition`` re-exports it.  The character route forms
 ``sum_r |theta_r|^2`` at every node of the same rule and sums the values
 over ``|eta|^2``, with the square completed in ``y``: ``theta``'s private
 residue sum takes all K residues as the classes mod K of one series
@@ -43,14 +39,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
-from .lll import LLLBasis, QuadratureSpec, build_basis, cell_node_counts, quadrature_nodes
-from .theta import _grid_exponent_norms, _theta_residue_norms, dedekind_eta
-
-# fdlibm's log(2) in two parts: ``k * _LN2_HI`` is exact for ``|k| < 2**20``
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
+from .lll import (LLLBasis, QuadratureSpec, build_basis, cell_node_counts, quadrature_nodes,
+                  state_norm)
+from .theta import _theta_residue_norms, dedekind_eta
 
 __all__ = [
     "QuadratureSpec",
@@ -65,29 +56,6 @@ __all__ = [
     "t_invariance_residual",
     "s_invariance_residual",
 ]
-
-
-def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:
-    """Squared cell norms of the K ground states, in the order of
-    :meth:`LLLBasis.labels`, from the exponents of the states' window on
-    the columns of :func:`quadrature_nodes`
-    (:meth:`~nctorus.lll.ThetaField.cell_exponent`): each row's squared
-    magnitudes plus the products of its terms that alias mod ``n_x``
-    (``theta._grid_exponent_norms``), the diagonal of
-    :attr:`LLLBasis.gram` on the same nodes.  The exponents are shifted
-    by the log of ``scale``, the power of two above the largest entry
-    ``exp(Re E)``, and the norms are multiplied by its square, as the
-    module's table is divided by it; no complex exponential is formed."""
-    x, y = quadrature_nodes(basis, quad)
-    freq, expo = basis.field.cell_exponent(y)
-    top = float(np.max(expo.real))
-    power = math.floor(top / _LN2_HI) + 1 if math.isfinite(top) else 0
-    # log(2**power) in two parts, the first exact: the shift rounds no log 2
-    expo.real -= power * _LN2_HI
-    expo.real -= power * _LN2_LO
-    norms = _grid_exponent_norms(freq, expo, x.size, basis.level) / (x.size * y.size)
-    scale = math.ldexp(1.0, power)
-    return [norm * scale * scale for norm in norms.tolist()]
 
 
 def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:

@@ -78,22 +78,8 @@ window takes ``exp(E)``.  Each residue sums one run ``a = a0 + m`` of
 consecutive terms, the union of its columns' peak windows certified for
 the values; each column keeps its own window, and the rest of the union,
 which reaches subnormal range, is ``-inf`` there (0 in the window).
-
-Sums over the nodes need no grid values.  On the ``n_x`` midpoint nodes
-(the periodic trapezoid rule on a separable integrand: Trefethen &
-Weideman, SIAM Rev. 56 (2014)) the comb ``h(d) = sum_i
-exp(2*pi*i*d*x_i)`` of an integer frequency difference ``d`` is
-``(-1)**(d/n_x) * n_x`` if ``n_x`` divides ``d`` and 0 elsewhere, so a
-product of two families of terms (the states and their translates) pairs
-only terms whose integer frequencies ``F`` and ``F'`` agree mod ``n_x``:
-a private overlap sum takes one small matrix product per class.  A
-family's own norms are the diagonal of that product: the terms of each
-class, signed by ``(-1)**(F // n_x)``, fold onto one value, and a
-column's norm is ``n_x`` times the sum of their ``|.|**2``, every alias
-of the midpoint rule kept.  From the exponents alone that norm is each
-term's squared magnitude ``exp(2*Re E)`` plus, for every pair of terms
-of one class, the product ``2*exp(Re E + Re E')*cos(Im E - Im E')``
-with its signs; a row whose terms do not alias reads no phase.
+The sums of such tables over the cell rule's nodes live in
+:mod:`nctorus.lll` ("The cell rule").
 
 Residue sums
 ------------
@@ -370,85 +356,6 @@ def _grid_exponent(spec, c, tau, policy, log_scale):
     m = np.arange(count) - (start - low)[..., None]
     expo[(m < 0) | (m >= own)] = -np.inf
     return a, expo
-
-
-def _grid_classes(freq, window, n_x):
-    """Terms of integer frequencies ``freq`` ``(row, m)`` and window table
-    ``window`` ``(row, column, m)`` by class mod ``n_x``: their windows
-    times ``(-1)**(freq // n_x)`` ``(n_x, width, column)`` and rows
-    ``(n_x, width)``, unused slots 0, and the number of rows."""
-    f = freq.ravel()
-    classes = f % n_x
-    order = np.argsort(classes, kind="stable")
-    counts = np.bincount(classes, minlength=n_x)
-    # each term's class and place in it, in the sorted order
-    where = classes[order], np.arange(f.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    values = np.zeros((n_x, counts.max(), window.shape[1]), dtype=complex)
-    values[where] = (window.transpose(0, 2, 1).reshape(f.size, -1)
-                     * (1 - 2 * (f // n_x % 2))[:, None])[order]
-    rows = np.zeros(values.shape[:2], dtype=int)
-    rows[where] = order // freq.shape[1]
-    return values, rows, len(freq)
-
-
-def _grid_overlaps(classes, other_classes):
-    """``sum_{i,j} conj(u_r[i, j]) * v_s[i, j]`` for every pair of rows,
-    ``u_r[i, j] = sum_m window[r, j, m] * exp(2*pi*i*freq[r, m]*x_i)`` on
-    the ``n_x`` midpoint nodes ``x_i = (i + 1/2)/n_x`` and ``v_s``
-    likewise, from their :func:`_grid_classes` (see "Cell grids")."""
-    (u, r, size), (v, s, other_size) = classes, other_classes
-    sums = (np.conjugate(u) @ v.transpose(0, 2, 1)).ravel()
-    index, n = (r[:, :, None] * other_size + s[:, None, :]).ravel(), size * other_size
-    out = np.empty(n, complex)  # filled and scaled in place: one K x K buffer
-    out.real = np.bincount(index, sums.real, n)
-    out.imag = np.bincount(index, sums.imag, n)
-    out *= len(u)
-    return out.reshape(size, other_size)
-
-
-def _grid_norms(freq, window, n_x, step):
-    """``sum_{i,j} |u_r[i, j]|**2`` for every row, the diagonal of
-    :func:`_grid_overlaps`, when each row's frequencies ``freq`` rise by
-    ``step``: a term's class mod ``n_x`` then repeats every ``n_x /
-    gcd(step, n_x)`` terms, so the signed window of each row folds onto
-    that period, one value per class and column, and the sum is ``n_x``
-    times their ``|.|**2``."""
-    period = n_x // math.gcd(step, n_x)
-    count = window.shape[2]
-    if count > period:  # terms alias onto each other
-        window = window * (1 - 2 * (freq // n_x % 2))[:, None, :]
-        for start in range(period, count, period):
-            size = min(period, count - start)
-            window[..., :size] += window[..., start:start + size]
-        window = window[..., :period]
-    flat = window.reshape(len(window), -1)
-    return n_x * np.sum(flat.real**2 + flat.imag**2, axis=1)
-
-
-def _grid_exponent_norms(freq, expo, n_x, step):
-    """:func:`_grid_norms` of the window ``exp(expo)`` from its exponents
-    ``expo`` alone.  ``|exp(E)|**2 = exp(2*Re E)``, and the fold's only
-    cross terms pair the terms ``m`` and ``m + d`` of a row that alias,
-    ``d`` a multiple of the period ``p = n_x / gcd(step, n_x)``:
-
-        n_x * [sum_m exp(2*Re E_m)
-               + 2 * sum_{d = p, 2p, ...} sum_m s_m * s_{m+d}
-                 * exp(Re E_m + Re E_{m+d}) * cos(Im E_m - Im E_{m+d})],
-
-    summed over the columns, with ``s = (-1)**(freq // n_x)``.  Where a
-    row has no more terms than the period the cross sum is empty, and no
-    phase is read."""
-    period = n_x // math.gcd(step, n_x)
-    re, im = expo.real, expo.imag
-    norms = np.exp(2.0 * re).reshape(len(expo), -1).sum(axis=1)
-    if expo.shape[2] > period:  # terms alias onto each other
-        sign = 1 - 2 * (freq // n_x % 2)
-        for d in range(period, expo.shape[2], period):
-            cross = np.exp(re[..., :-d] + re[..., d:])
-            cross *= np.cos(im[..., :-d] - im[..., d:])
-            cross *= (sign[:, :-d] * sign[:, d:])[:, None, :]
-            norms += 2.0 * cross.reshape(len(expo), -1).sum(axis=1)
-    return n_x * norms
 
 
 def _theta_residue_norms(level, x, c, tau, policy, log_scale):

@@ -81,6 +81,12 @@ def test_parse_complex():
     assert parse_complex("2i") == 2j
     assert parse_complex("1") == 1.0 + 0j
     assert parse_complex("-1.5-0.25i") == -1.5 - 0.25j
+    assert (parse_complex("-i"), parse_complex("2.5I"), parse_complex("1e3i")) == (-1j, 2.5j, 1e3j)
+    # only a trailing i or I is the imaginary unit: the spelled-out
+    # infinities read as complex() reads them
+    assert parse_complex("inf") == parse_complex("Infinity") == complex(math.inf, 0.0)
+    assert parse_complex("-inf+2i") == complex(-math.inf, 2.0)
+    assert parse_complex("infi") == complex(0.0, math.inf)
     with pytest.raises(UsageError):
         parse_complex("nope")
     with pytest.raises(UsageError):
@@ -280,12 +286,14 @@ def test_flag_defaults_are_the_run_config_defaults(command):
     assert cli._config_from(cli.build_parser().parse_args([command])) == RunConfig()
 
 
-@pytest.mark.parametrize("z", ["nan", "nani", "1e400i"])
+@pytest.mark.parametrize("z", ["nan", "nani", "1e400i", "inf", "-inf+2i", "Infinity", "infi"])
 def test_theta_rejects_non_finite_z(capsys, z):
-    assert main(["theta", "--level", "3", "--tau=1i", "--z=" + z]) == 2
+    # "--z -inf+2i" is joined into "--z=-inf+2i" like any complex value
+    # that starts with a minus, so every value reaches theta's own check
+    assert main(["theta", "--level", "3", "--tau=1i", "--z", z]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--z" in captured.err
+    assert captured.err == "error: --z must be finite, got %r\n" % (parse_complex(z),)
 
 
 def test_eta_subcommand(capsys):
@@ -347,13 +355,13 @@ def test_partition_where_the_state_norms_alias(capsys, monkeypatch):
     # 3: the per-state route sums the products of the aliasing terms, there
     # at round-off, and meets the closed form to the last digit
     rows = []
-    norms = theta_module._grid_exponent_norms
+    norms = lll._grid_exponent_norms
 
     def recorded(freq, expo, n_x, step):
         rows.append((expo.shape[2], n_x // math.gcd(step, n_x)))
         return norms(freq, expo, n_x, step)
 
-    monkeypatch.setattr(partition, "_grid_exponent_norms", recorded)
+    monkeypatch.setattr(lll, "_grid_exponent_norms", recorded)
     code, rep = run_json(capsys, ["partition", "--M", "1", "--N", "8", "--tau=0.17+0.8i",
                                   "--alpha1", "0.4", "--alpha2", "1.1", "--quad", "16"])
     assert code == 0

@@ -1,10 +1,13 @@
 """The package's modules are layered: every import of one nctorus module
 by another is at module level, and the import graph has no cycle.  The
-cell rule has one home, ``lll``, which ``partition`` re-exports."""
+cell rule has one home, ``lll``, which ``partition`` re-exports, and the
+package namespace is its modules' ``__all__``."""
 
 import ast
+import importlib
 from pathlib import Path
 
+import nctorus
 from nctorus import lll, partition
 
 SRC = Path(lll.__file__).parent
@@ -71,3 +74,36 @@ def test_the_cell_rule_lives_in_lll():
     for name in ("QuadratureSpec", "cell_node_counts", "quadrature_nodes"):
         assert getattr(partition, name) is getattr(lll, name), name
         assert name in partition.__all__, name
+    # the cell rule's sums and the states' norms are defined in lll alone
+    theta = importlib.import_module("nctorus.theta")
+    for name in ("_grid_classes", "_grid_overlaps", "_grid_norms", "_grid_exponent_norms",
+                 "state_norm"):
+        assert getattr(lll, name).__module__ == "nctorus.lll", name
+        assert not hasattr(theta, name), name
+    assert partition.state_norm is lll.state_norm and "state_norm" in partition.__all__
+
+
+def test_private_names_cross_modules_only_where_listed():
+    crossing = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=path.name).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                crossing |= {(path.stem, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_")}
+    assert crossing == {("lll", "theta", "_grid_exponent"),
+                        ("partition", "theta", "_theta_residue_norms"),
+                        ("matrices", "lll", "_law_deviation"),
+                        ("matrices", "lll", "_predicted_translations")}
+
+
+def test_the_package_exports_each_modules_all():
+    # the command line is no part of the library namespace
+    for stem in sorted(MODULES - {"__init__", "cli"}):
+        module = importlib.import_module("nctorus." + stem)
+        for name in module.__all__:
+            assert getattr(nctorus, name) is getattr(module, name), (stem, name)
+    # and __init__ names none of them itself
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert [alias.name for alias in node.names] == ["*"], node.lineno

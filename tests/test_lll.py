@@ -1,6 +1,5 @@
 import cmath
 import gc
-import importlib
 import math
 import tracemalloc
 
@@ -29,9 +28,6 @@ from nctorus.lll import (
 from nctorus.matrices import bimodule_consistency, bimodule_residual
 from nctorus.theta import ThetaSpec, TruncationPolicy, orthogonality_residual, theta
 from state_faults import repeated, swapped, with_terms, with_window
-
-# by module path: the package namespace re-exports a function named theta
-theta_module = importlib.import_module("nctorus.theta")
 
 TAU_GEN = 0.3 + 1.1j
 ANGLES = VacuumAngles(0.7, -1.3)
@@ -399,7 +395,7 @@ def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
     assert abs(np.sum(np.exp(12j * math.pi * x)) + 6) < 1e-13
     freq, window = f.cell_window(y)
     assert window.shape[2] > 1
-    got = theta_module._grid_norms(freq, window, x.size, 6)
+    got = lll._grid_norms(freq, window, x.size, 6)
     want = _pointwise_density(f, x, y).sum(axis=(1, 2))
     assert got.shape == (6,)
     assert np.max(np.abs(got - want) / want) <= 1e-13

@@ -389,7 +389,7 @@ def test_sine_structure_is_the_dense_form_bit_for_bit():
 def _dense_uq_sl2(m, n, product):
     """``uq_sl2_generators`` from one dense Weyl element or clock power per
     word, each product in a relation one ``product`` of two matrices."""
-    q = cmath.exp(2j * math.pi * n / m)
+    q = cmath.exp(2j * math.pi * (n % m) / m)
     denom = q - 1.0 / q
     w = lambda m1, m2: weyl_element(WeylWord(m1, m2), m, n).entries
     j_plus = (w(1, 1) - w(-1, 1)) / denom

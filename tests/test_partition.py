@@ -65,8 +65,8 @@ def test_quadrature_nodes(monkeypatch):
     assert np.all((x > 0.0) & (x < 1.0))
     # the invariance report carries the nodes each of its three Z~ ran on
     ran = []
-    nodes = partition.quadrature_nodes
-    monkeypatch.setattr(partition, "quadrature_nodes",
+    nodes = lll.quadrature_nodes
+    monkeypatch.setattr(lll, "quadrature_nodes",
                         lambda *a: ran.append(tuple(map(len, nodes(*a)))) or nodes(*a))
     report = modular_invariance_report(basis)
     assert ran == list(report.cell_nodes.values()) == [(10, 11), (10, 11), (12, 10)]
@@ -330,10 +330,10 @@ def test_character_route_keeps_its_digits_at_large_im_tau(mn, tau, alpha1):
 def test_the_two_routes_share_no_summation(monkeypatch):
     # the character route sums its residues in theta._theta_residue_norms,
     # the per-state route sums the exponents of the states' cell window
-    # (theta._grid_exponent_norms): each still matches the closed form with
+    # (lll._grid_exponent_norms): each still matches the closed form with
     # the other's summation gone, and the character route with the module's
-    # window tables, folds and alias machinery (theta._grid_norms,
-    # theta._grid_classes, theta._grid_overlaps) gone too
+    # window tables, folds and alias machinery (theta._grid_exponent,
+    # lll._grid_norms, lll._grid_classes, lll._grid_overlaps) gone too
     tau = -0.2 + 1.7j
     basis = build_basis(Flux(5, 7), tau, ANGLES)
     want = closed_form_z_tilde(35, tau, ANGLES.alpha1)
@@ -343,10 +343,9 @@ def test_the_two_routes_share_no_summation(monkeypatch):
 
     with monkeypatch.context() as patch:
         for owner in (theta_module, lll):
-            for name in ("_grid_exponent", "_grid_norms", "_grid_classes", "_grid_overlaps"):
-                patch.setattr(owner, name, unreachable)
-        for owner in (theta_module, partition):
-            patch.setattr(owner, "_grid_exponent_norms", unreachable)
+            patch.setattr(owner, "_grid_exponent", unreachable)
+        for name in ("_grid_norms", "_grid_classes", "_grid_overlaps", "_grid_exponent_norms"):
+            patch.setattr(lll, name, unreachable)
         patch.setattr(lll.LLLBasis, "_cell_states", property(unreachable))
         for name in ("cell_window", "cell_exponent"):
             patch.setattr(lll.ThetaField, name, unreachable)

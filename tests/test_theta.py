@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nctorus import lll
 from nctorus.core import ModularParameter, as_tau
 from nctorus.errors import TruncationError, UnsupportedConventionError
 from nctorus.theta import (
@@ -373,7 +374,7 @@ def test_grid_norms_fold_the_grid_values_on_midpoint_nodes(level, tau, n_x):
     a, expo = theta_module._grid_exponent(spec, c, tau, TruncationPolicy(),
                                           log_scale - 1j * math.pi * level * c**2 / tau)
     window = np.exp(expo)
-    got = theta_module._grid_norms(np.rint(level * a).astype(int), window, n_x, level)
+    got = lll._grid_norms(np.rint(level * a).astype(int), window, n_x, level)
     z = x[:, None] + c
     values = theta(spec, z, tau, log_scale=np.broadcast_to(log_scale, z.shape))
     want = np.sum(np.abs(values) ** 2, axis=(1, 2))
@@ -398,8 +399,8 @@ def test_grid_exponent_norms_are_the_fold_of_the_window(level, tau, n_x):
     freq = np.rint(level * a).astype(int)
     period = n_x // math.gcd(level, n_x)
     assert (expo.shape[2] > period) == (level > 1)
-    got = theta_module._grid_exponent_norms(freq, expo, n_x, level)
-    fold = theta_module._grid_norms(freq, np.exp(expo), n_x, level)
+    got = lll._grid_exponent_norms(freq, expo, n_x, level)
+    fold = lll._grid_norms(freq, np.exp(expo), n_x, level)
     assert np.max(np.abs(got - fold) / fold) <= 1e-15
     z = x[:, None] + c
     values = theta(spec, z, tau, log_scale=np.broadcast_to(log_scale, z.shape))
@@ -408,7 +409,7 @@ def test_grid_exponent_norms_are_the_fold_of_the_window(level, tau, n_x):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
     # a NaN exponent is a NaN norm of its row alone
     expo[-1, 2, expo.shape[2] // 2] = np.nan
-    got = theta_module._grid_exponent_norms(freq, expo, n_x, level)
+    got = lll._grid_exponent_norms(freq, expo, n_x, level)
     assert np.isnan(got[-1]) and np.isfinite(got[:-1]).all()
 
 

@@ -31,9 +31,10 @@ print("T residual:", rep.t_residual)
 print("S residual:", rep.s_residual)
 
 # The cell rule sizes itself from (K, Im tau), so the residuals already
-# sit at the rounding floor; raising the per-axis floor only adds nodes
-# and leaves them there.
+# sit at the rounding floor.  The per-axis node floor is a property of the
+# basis: raising it only adds nodes, to the norms, Z~ and the three bases
+# of the invariance report alike, and leaves the residuals there.
 for nodes in (8, 16, 32, 64):
-    rep = modular_invariance_report(build_basis(Flux(2, 3), 0.4 + 1.2j),
-                                    QuadratureSpec(nodes_per_axis=nodes))
-    print("nodes %2d: t residual %.3e" % (nodes, rep.t_residual))
+    basis = build_basis(Flux(2, 3), 0.4 + 1.2j, quad=QuadratureSpec(nodes_per_axis=nodes))
+    rep = modular_invariance_report(basis)
+    print("nodes %2d, cell nodes %s: t residual %.3e" % (nodes, basis.cell_nodes, rep.t_residual))

@@ -43,6 +43,7 @@ from .fields import (
     sine_bracket_residual,
 )
 from .lll import (
+    QuadratureSpec,
     build_basis,
     center_eigen_residual,
     eigenphase_table,
@@ -67,7 +68,6 @@ from .matrices import (
     weyl_span_dimension,
 )
 from .partition import (
-    QuadratureSpec,
     modular_invariance_report,
     s_invariance_residual,
     t_invariance_residual,
@@ -266,7 +266,7 @@ def _write_text(path, text):
 
 def cmd_lll(args) -> int:
     cfg = _config_from(args)
-    basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy)
+    basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy, cfg.quad)
     table = eigenphase_table(basis)  # measured first, so a failed measurement writes no file
     report = {
         "config": cfg.as_report(),
@@ -335,9 +335,9 @@ def cmd_matrices(args) -> int:
 
 def cmd_partition(args) -> int:
     cfg = _config_from(args)
-    basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy)
-    inv = modular_invariance_report(basis, cfg.quad)
-    zb = z_tilde_character_route(basis, cfg.quad)
+    basis = build_basis(cfg.flux, cfg.tau, cfg.angles, cfg.policy, cfg.quad)
+    inv = modular_invariance_report(basis)
+    zb = z_tilde_character_route(basis)
     emit_json(
         {
             "cell_nodes": {label: inv.cell_nodes[label] for label in ("tau", "-1/tau")},
@@ -384,8 +384,8 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
     flux, m, n = cfg.flux, cfg.m, cfg.n
     tau = ModularParameter(cfg.tau.real, cfg.tau.imag)
     angles, policy = cfg.angles, cfg.policy
-    basis = functools.cache(lambda: build_basis(flux, tau, angles, policy))
-    invariance = functools.cache(lambda: modular_invariance_report(basis(), cfg.quad))
+    basis = functools.cache(lambda: build_basis(flux, tau, angles, policy, cfg.quad))
+    invariance = functools.cache(lambda: modular_invariance_report(basis()))
     fault_note = "cocycle sign deliberately flipped" if inject_fault else None
     return [
         ("theta_quasi_periodicity", lambda: quasi_periodicity_residual(flux.level, tau, policy),
@@ -461,7 +461,7 @@ def _add_common(parser, with_out=False):
     parser.add_argument(
         "--quad", type=int, default=RunConfig.quad_nodes, dest="quad_nodes", metavar="QUAD",
         help="floor on the cell-quadrature nodes per axis; each axis takes more where "
-        "K and Im tau need them (partition; in verify, only the two partition checks)",
+        "K and Im tau need them",
     )
     if with_out:
         parser.add_argument("--out", default=RunConfig.output_dir, dest="output_dir",

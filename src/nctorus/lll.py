@@ -60,7 +60,8 @@ size ``exp(-pi*k^2/(2*K*b))``.  So
 bound the relative aliasing error by ``eps``, the truncation ``epsilon``
 of the basis, as the theta cutoffs are bounded (:func:`cell_node_counts`).
 ``n_x*n_y`` is about ``(2/pi)*K*ln(2/eps)`` whatever ``b``, and each axis
-takes at least ``QuadratureSpec.nodes_per_axis`` nodes.
+takes at least the basis's node floor: one node set per basis,
+:attr:`LLLBasis.cell_nodes`, which its module, norms and ``Z~`` all read.
 
 The module is measured on the nodes of that rule from the states' window
 tables (``theta._grid_exponent``, "Cell grids"), with no value on the grid
@@ -283,7 +284,8 @@ class ThetaField(Field):
         if self._window is not None and self._window[0] == key:
             return self._window[1]
         freq, window = self.cell_exponent(y)
-        np.exp(window, out=window)
+        with np.errstate(over="ignore"):  # the module names the overflow (LLLBasis._cell_states)
+            np.exp(window, out=window)
         for arr in (freq, window):
             arr.setflags(write=False)
         if self._window is None:
@@ -358,11 +360,11 @@ def cell_node_counts(level: int, im_tau: float, epsilon: float,
     return max(n_x, quad.nodes_per_axis), max(n_y, quad.nodes_per_axis)
 
 
-def quadrature_nodes(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()):
-    """Midpoint nodes ``x, y`` on [0, 1) of the cell rule for ``basis``,
-    sized from its level, ``Im tau`` and truncation ``epsilon``; each
-    of the ``x.size * y.size`` tensor nodes has the same weight."""
-    n_x, n_y = cell_node_counts(basis.level, basis.tau.im, basis.policy.epsilon, quad)
+def quadrature_nodes(basis: LLLBasis):
+    """Midpoint nodes ``x, y`` on [0, 1) of the cell rule of ``basis``,
+    :attr:`LLLBasis.cell_nodes` of them; each of the ``x.size * y.size``
+    tensor nodes has the same weight."""
+    n_x, n_y = basis.cell_nodes
     return (np.arange(n_x) + 0.5) / n_x, (np.arange(n_y) + 0.5) / n_y
 
 
@@ -445,18 +447,17 @@ def _grid_exponent_norms(freq, expo, n_x, step):
     return n_x * norms
 
 
-def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list[float]:
+def state_norm(basis: LLLBasis) -> list[float]:
     """Squared cell norms of the K ground states, in the order of
     :meth:`LLLBasis.labels`, from the exponents of the states' window on
-    the columns of :func:`quadrature_nodes`
-    (:meth:`ThetaField.cell_exponent`): each row's squared
-    magnitudes plus the products of its terms that alias mod ``n_x``
-    (:func:`_grid_exponent_norms`), the diagonal of
-    :attr:`LLLBasis.gram` on the same nodes.  The exponents are shifted
-    by the log of ``scale``, the power of two above the largest entry
-    ``exp(Re E)``, and the norms are multiplied by its square, as the
-    module's table is divided by it; no complex exponential is formed."""
-    x, y = quadrature_nodes(basis, quad)
+    the columns of :func:`quadrature_nodes` (:meth:`ThetaField.cell_exponent`):
+    each row's squared magnitudes plus the products of its terms that
+    alias mod ``n_x`` (:func:`_grid_exponent_norms`), the diagonal of
+    :attr:`LLLBasis.gram`, which reads the same nodes.  The exponents are
+    shifted by the log of ``scale``, the power of two above the largest
+    entry ``exp(Re E)``, and the norms are multiplied by its square, as
+    the module's table is divided by it; no complex exponential is formed."""
+    x, y = quadrature_nodes(basis)
     freq, expo = basis.field.cell_exponent(y)
     top = float(np.max(expo.real))
     power = math.floor(top / _LN2_HI) + 1 if math.isfinite(top) else 0
@@ -472,7 +473,7 @@ def state_norm(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> list
 class LLLBasis:
     """Ground-space basis at flux N/M on ``tau``: ``field`` is the stacked
     :class:`ThetaField` of the K states, one row per label of
-    :meth:`labels`."""
+    :meth:`labels`, and ``quad`` the node floor of its cell rule."""
 
     flux: Flux
     tau: ModularParameter
@@ -480,10 +481,16 @@ class LLLBasis:
     gamma: complex
     policy: TruncationPolicy
     field: ThetaField = dataclass_field(repr=False, default=None)
+    quad: QuadratureSpec = QuadratureSpec()
 
     @property
     def level(self) -> int:
         return self.flux.level
+
+    @property
+    def cell_nodes(self) -> tuple[int, int]:
+        """``(n_x, n_y)`` of the basis's cell rule (:func:`cell_node_counts`)."""
+        return cell_node_counts(self.level, self.tau.im, self.policy.epsilon, self.quad)
 
     def state(self, j, k) -> ThetaField:
         """The single state Psi_jk (indices mod M and N), built from the
@@ -506,10 +513,13 @@ class LLLBasis:
         :meth:`ThetaField.cell_window` on those columns, and the
         :func:`_grid_classes` of that window divided by ``scale``.  The
         states reach ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over the squared
-        scale their products stay in range."""
+        scale their products stay in range (``FloatingPointError`` if it overflows)."""
         x, y = quadrature_nodes(self)
         freq, window = self.field.cell_window(y)
-        scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(window))))[1])
+        top = float(np.max(np.abs(window)))
+        if math.isinf(top):  # a NaN state fails in the Gram matrix instead
+            raise FloatingPointError("the states' window table overflows double range")
+        scale = math.ldexp(1.0, math.frexp(top)[1])
         return x.size, y, scale, _grid_classes(freq, window / scale, x.size)
 
     @functools.cached_property
@@ -541,9 +551,10 @@ class LLLBasis:
 
 
 def build_basis(flux: Flux, tau, angles: VacuumAngles = VacuumAngles(),
-                policy: TruncationPolicy = _DEFAULT_POLICY) -> LLLBasis:
+                policy: TruncationPolicy = _DEFAULT_POLICY,
+                quad: QuadratureSpec = QuadratureSpec()) -> LLLBasis:
     """Construct the MN ground states Psi_jk on ``tau`` with the given
-    vacuum angles."""
+    vacuum angles, measured on the cell rule of node floor ``quad``."""
     t = as_tau(tau)
     k_level = flux.level
     gamma = (t.value * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * k_level)
@@ -551,7 +562,7 @@ def build_basis(flux: Flux, tau, angles: VacuumAngles = VacuumAngles(),
                      for j in range(flux.denominator) for k in range(flux.numerator))
     field = ThetaField({(0, 0, 0): 1.0}, k_level, residues, t, angles.alpha1, gamma, policy)
     return LLLBasis(flux=flux, tau=t, angles=angles, gamma=gamma,
-                    policy=policy, field=field)
+                    policy=policy, field=field, quad=quad)
 
 
 def unit_cell_grid(tau, n=5):
@@ -685,13 +696,12 @@ def center_eigen_residual(basis: LLLBasis):
         l_mat, defect = _project(basis, power)
         res += [np.max(_law_deviation(l_mat, np.arange(basis.level), cmath.exp(1j * alpha))),
                 np.max(defect)]
-    n_x, y, _, _ = basis._cell_states
     return float(np.max(res)), (  # np.max, unlike max, keeps a NaN
         "largest |L - e^{i alpha} I| and Parseval defect of D1^M and D2^M, each one "
         "displacement, measured on the (n_x, n_y) = (%d, %d) cell rule; D1^M reads the "
         "states' own window, whose integer frequencies make it test only the prefactor "
         "and the angle phases, and D2^M reads the columns y - 1, so it tests theta's "
-        "quasi-periodicity there" % (n_x, y.size))
+        "quasi-periodicity there" % basis.cell_nodes)
 
 
 def gram_rank(basis: LLLBasis) -> int:
@@ -710,13 +720,12 @@ def gram_rank_residual(basis: LLLBasis) -> float:
 def overlap_residual(basis: LLLBasis):
     """``(residual, note)``: the largest ``|G_rs|/sqrt(G_rr G_ss)``,
     ``r != s``, of :attr:`LLLBasis.gram` (0 when K is 1)."""
-    n_x, y, _, _ = basis._cell_states
     norms = np.sqrt(basis.gram.diagonal().real)
     ratio = np.abs(basis.gram) / np.outer(norms, norms)
     np.fill_diagonal(ratio, 0.0)
     return float(np.max(ratio)), (
         "largest |G_rs|/sqrt(G_rr G_ss), r != s, of the Gram matrix of the K states "
-        "measured on the (n_x, n_y) = (%d, %d) cell rule" % (n_x, y.size))
+        "measured on the (n_x, n_y) = (%d, %d) cell rule" % basis.cell_nodes)
 
 
 def raise_level(basis: LLLBasis, j, k, n=1) -> ThetaField:

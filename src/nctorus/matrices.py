@@ -46,7 +46,7 @@ import numpy as np
 
 from .core import VacuumAngles
 from .errors import DegenerateDeformationError
-from .lll import LLLBasis, _law_deviation, _predicted_translations, cell_node_counts
+from .lll import LLLBasis, _law_deviation, _predicted_translations
 
 __all__ = [
     "CSMatrix",
@@ -447,8 +447,7 @@ def bimodule_residual(basis: LLLBasis):
     """``(residual, note)``: the largest of the :func:`bimodule_consistency`
     deviations and its left-right commutator."""
     report = bimodule_consistency(basis)
-    n_x, n_y = cell_node_counts(basis.level, basis.tau.im, basis.policy.epsilon)
     return float(np.max([*report["deviations"].values(), report["left_right_commutator"]])), (
         "largest |L - P| of D1, D2, D1~ and D2~ against the monomials of their laws, "
         "measured on the (n_x, n_y) = (%d, %d) cell rule; the left-right commutator of "
-        "the predicted actions holds by construction" % (n_x, n_y))
+        "the predicted actions holds by construction" % basis.cell_nodes)

@@ -10,28 +10,27 @@ is
 
 where the integrand (for vacuum angles ``(a1, a2)``) is the doubly
 periodic function ``exp(-2*pi*K*b*y^2 - 2*a1*b*y) |theta^K_r(w+gamma)|^2``
-with ``b = Im tau``.  It is integrated by the cell rule of
-:mod:`nctorus.lll` (:func:`~nctorus.lll.cell_node_counts`): the tensor
-midpoint rule, sized so that its aliasing on this integrand stays below
-the truncation ``epsilon`` of the basis.  The same nodes certify the
-Bloch module that ``LLLBasis`` measures from the states' window table.
+with ``b = Im tau``.  It is integrated on the basis's own cell rule,
+:attr:`~nctorus.lll.LLLBasis.cell_nodes`: the tensor midpoint rule at its
+node floor, sized so that its aliasing on this integrand stays below the
+truncation ``epsilon`` of the basis.  The same nodes certify the Bloch
+module that ``LLLBasis`` measures from the states' window table.
 
 ``Z~`` is computed by two deliberately independent routes.  The
 per-state route sums the K norms of :func:`~nctorus.lll.state_norm`,
 the diagonal of the module's Gram matrix, folded from the exponents of
 the states' window table as "The cell rule" of :mod:`nctorus.lll`
 describes: no value on the grid and no complex exponential is formed.
-``partition`` re-exports it.  The character route forms
-``sum_r |theta_r|^2`` at every node of the same rule and sums the values
-over ``|eta|^2``, with the square completed in ``y``: ``theta``'s private
-residue sum takes all K residues as the classes mod K of one series
-around each column's peak, at K squared magnitudes and a trigonometric
-polynomial's coefficients per column, one phase table per row and the
-polynomial per node.  It never touches ``Field``, the window table or
-the comb and alias sums over ``x``.  Their agreement checks both
-summations.  Parseval in ``x`` collapses the cell integral to a full
-Gaussian in ``y``, which gives :func:`z_tilde_closed_form`; neither
-route reads it.
+The character route forms ``sum_r |theta_r|^2`` at every node of the
+same rule and sums the values over ``|eta|^2``, with the square
+completed in ``y``: ``theta``'s private residue sum takes all K residues
+as the classes mod K of one series around each column's peak, at K
+squared magnitudes and a trigonometric polynomial's coefficients per
+column, one phase table per row and the polynomial per node.  It never
+touches ``Field``, the window table or the comb and alias sums over
+``x``.  Their agreement checks both summations.  Parseval in ``x``
+collapses the cell integral to a full Gaussian in ``y``, which gives
+:func:`z_tilde_closed_form`; neither route reads it.
 """
 
 from __future__ import annotations
@@ -39,15 +38,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .lll import (LLLBasis, QuadratureSpec, build_basis, cell_node_counts, quadrature_nodes,
-                  state_norm)
+from .lll import LLLBasis, build_basis, quadrature_nodes, state_norm
 from .theta import _theta_residue_norms, dedekind_eta
 
 __all__ = [
-    "QuadratureSpec",
-    "cell_node_counts",
-    "quadrature_nodes",
-    "state_norm",
     "z_tilde",
     "z_tilde_character_route",
     "z_tilde_closed_form",
@@ -58,15 +52,15 @@ __all__ = [
 ]
 
 
-def z_tilde(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def z_tilde(basis: LLLBasis) -> float:
     """Eta-normalized state sum, per-state route: the :func:`state_norm`
     of every state of ``basis`` over ``|eta|^2``, both truncated by the
     basis's own policy."""
     eta = dedekind_eta(basis.tau, basis.policy)
-    return _over_eta2(math.fsum(state_norm(basis, quad)), abs(eta) ** 2)
+    return _over_eta2(math.fsum(state_norm(basis)), abs(eta) ** 2)
 
 
-def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def z_tilde_character_route(basis: LLLBasis) -> float:
     """Eta-normalized state sum, single-integrand character route: the
     residue sum of |theta|^2 is evaluated from the series directly (no
     Field machinery) at every node of the :func:`quadrature_nodes` grid,
@@ -87,7 +81,7 @@ def z_tilde_character_route(basis: LLLBasis, quad: QuadratureSpec = QuadratureSp
     # gamma)**2/b, so no term of size pi*K*b is formed and cancelled
     slope = 2.0 * math.pi * klev * gamma.imag - a1 * b
     offset = math.pi * klev * gamma.imag**2 / b
-    x, y = quadrature_nodes(basis, quad)
+    x, y = quadrature_nodes(basis)
     values = _theta_residue_norms(klev, x, tau * y + gamma, t, basis.policy, slope * y + offset)
     # where |eta|^2 underflows to 0 the quotient reads inf, as it does in z_tilde
     return _over_eta2(math.fsum(values.sum(axis=0)) / values.size, eta2)
@@ -131,21 +125,19 @@ class ModularInvariance(NamedTuple):
     cell_nodes: dict
 
 
-def modular_invariance_report(basis: LLLBasis,
-                              quad: QuadratureSpec = QuadratureSpec()) -> ModularInvariance:
+def modular_invariance_report(basis: LLLBasis) -> ModularInvariance:
     """Relative deviation of Z~ under tau -> tau+1 and tau -> -1/tau.
 
     ``z_tilde`` is the per-state Z~ of ``basis`` itself; the two
-    transformed bases are built from its flux, angles and truncation
-    policy, so all three values share one node floor and one policy,
+    transformed bases are built from its flux, angles, truncation policy
+    and node floor, so all three values share one policy and one floor,
     and each sizes its cell rule from its own ``Im tau``."""
     tau = basis.tau.value
     bases = {"tau": basis,
-             "tau+1": build_basis(basis.flux, tau + 1.0, basis.angles, basis.policy),
-             "-1/tau": build_basis(basis.flux, -1.0 / tau, basis.angles, basis.policy)}
-    z0, zt, zs = (z_tilde(b, quad) for b in bases.values())
-    nodes = {label: cell_node_counts(b.level, b.tau.im, b.policy.epsilon, quad)
-             for label, b in bases.items()}
+             "tau+1": build_basis(basis.flux, tau + 1.0, basis.angles, basis.policy, basis.quad),
+             "-1/tau": build_basis(basis.flux, -1.0 / tau, basis.angles, basis.policy, basis.quad)}
+    z0, zt, zs = (z_tilde(b) for b in bases.values())
+    nodes = {label: b.cell_nodes for label, b in bases.items()}
     return ModularInvariance(abs(zt - z0) / z0, abs(zs - z0) / z0, z0, nodes)
 
 

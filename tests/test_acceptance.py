@@ -54,8 +54,8 @@ from nctorus.fields import (
     lattice_displacement,
     plane_sample_grid,
 )
+from nctorus.lll import QuadratureSpec
 from nctorus.matrices import WeylWord
-from nctorus.partition import QuadratureSpec
 from nctorus.theta import ThetaSpec
 
 TAU_GRID = (1j, 0.3 + 1.1j, 2j)
@@ -265,8 +265,8 @@ def test_criterion_09_partition_modular_invariance():
             worst_s = max(worst_s, rep.s_residual)
     history = []
     for nodes in (12, 24, 48):
-        rep = modular_invariance_report(build_basis(Flux(1, 1), 2j, angles),
-                                        QuadratureSpec(nodes_per_axis=nodes))
+        rep = modular_invariance_report(
+            build_basis(Flux(1, 1), 2j, angles, quad=QuadratureSpec(nodes_per_axis=nodes)))
         history.append(rep.s_residual)
     monotone = all(b <= a + 1e-10 for a, b in zip(history, history[1:]))
     elapsed = time.perf_counter() - start

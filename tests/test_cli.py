@@ -1,6 +1,7 @@
 import cmath
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -182,6 +183,32 @@ _UNDERFLOW_VERIFY = ["verify", "--M", "3", "--N", "2", "--tau=1e5i", "--alpha1",
 # largest window entry, stays in range
 _UNDERFLOW_FAILING = {"theta_quasi_periodicity", "eta_functional_equations",
                       "partition_t_invariance", "partition_s_invariance"}
+
+
+_OVERFLOW_NOTE = "FloatingPointError: the states' window table overflows double range"
+_MODULE_ROWS = ("center_eigenvalues", "lemma_eigenphases", "gram_rank", "bimodule_consistency",
+                "orthogonality")
+
+
+@pytest.mark.parametrize("m, n", [("1", "1"), ("2", "1")])
+def test_an_overflowed_window_fails_the_module_rows_silently(tmp_path, m, n):
+    # at K = 1 and 2 the states reach exp(Im(tau)*alpha1**2/(4*pi*K)), past
+    # double range at 1e5i: each module row fails with the overflow named,
+    # as a command, where numpy's warnings would print
+    argv = ["--M", m, "--N", n, "--tau=1e5i", "--alpha1", "0.7", "--alpha2", "-1.3"]
+    proc = subprocess.run([sys.executable, "-m", "nctorus.cli", "verify", *argv],
+                          capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    for name in _MODULE_ROWS:
+        assert not checks[name]["pass"] and checks[name]["note"] == _OVERFLOW_NOTE, name
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "nctorus.cli", "lll", *argv, "--out", str(out)],
+                          capture_output=True, text=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr == "error: %s\n" % _OVERFLOW_NOTE
+    assert not out.exists()
 
 
 def test_checks_whose_samples_underflow_fail_with_nan(capsys):
@@ -672,8 +699,8 @@ def test_partition_checks_catch_a_wrong_angle_map(capsys, monkeypatch):
     # misses the Gaussian factor exp(Im tau*alpha1**2/(2*pi*K)) of the run
     build = partition.build_basis
 
-    def build_without_alpha1(flux, tau, angles, policy):
-        return build(flux, tau, VacuumAngles(0.0, angles.alpha2), policy)
+    def build_without_alpha1(flux, tau, angles, policy, quad):
+        return build(flux, tau, VacuumAngles(0.0, angles.alpha2), policy, quad)
 
     monkeypatch.setattr(partition, "build_basis", build_without_alpha1)
     code, rep = run_json(capsys, ["verify", "--alpha1", "2.0"])
@@ -1008,3 +1035,57 @@ def test_verify_reports_deterministic_up_to_wall_time(capsys):
         return rep
 
     assert scrubbed() == scrubbed()
+
+
+def test_one_basis_has_one_node_set(capsys, monkeypatch):
+    # every cell rule of a run reads the nodes of its basis: the module
+    # once, and the state norms of the three Z~ of the invariance report
+    nodes, calls = lll.quadrature_nodes, []
+
+    def spy(basis):
+        x, y = nodes(basis)
+        calls.append((basis, (x.size, y.size)))
+        return x, y
+
+    for module in (lll, partition):
+        monkeypatch.setattr(module, "quadrature_nodes", spy)
+    code, rep = run_json(capsys, ["verify", "--quad", "16"])
+    assert code == 0
+    assert [size for _, size in calls] == [(16, 16)] * 4
+    assert all(basis.cell_nodes == size for basis, size in calls)
+    notes = {c["name"]: c.get("note", "") for c in rep["checks"]}
+    for name in ("center_eigenvalues", "orthogonality", "bimodule_consistency"):
+        assert "(n_x, n_y) = (16, 16)" in notes[name], name
+    assert "(16, 16) at tau and tau+1" in notes["partition_t_invariance"]
+    assert "(16, 16) at tau, (16, 16) at -1/tau" in notes["partition_s_invariance"]
+    # and no cell-rule computation takes a node floor of its own
+    for fn in (nodes, lll.state_norm, partition.z_tilde, partition.z_tilde_character_route,
+               partition.modular_invariance_report):
+        assert list(inspect.signature(fn).parameters) == ["basis"], fn.__name__
+
+
+_RAISED_FLOOR_POINTS = [["--M", "7", "--N", "5", "--tau=-0.2+1.4i", "--alpha1", "0.7",
+                         "--alpha2", "-1.3"],
+                        ["--M", "13", "--N", "7", "--tau=0.02i"]]
+
+
+@pytest.mark.parametrize("quad", ["16", "64"])
+@pytest.mark.parametrize("point", _RAISED_FLOOR_POINTS, ids=["7,5-angles", "13,7-0.02i"])
+def test_verify_passes_on_the_module_at_a_raised_floor(capsys, point, quad):
+    code, rep = run_json(capsys, ["verify", *point, "--quad", quad])
+    assert code == 0, [c for c in rep["checks"] if not c["pass"]]
+    for check in rep["checks"]:
+        if check["name"] in _MODULE_ROWS and "note" in check:
+            n_x, n_y = re.search(r"\(n_x, n_y\) = \((\d+), (\d+)\)", check["note"]).groups()
+            assert min(int(n_x), int(n_y)) >= int(quad), check["name"]
+
+
+def test_lll_measures_its_eigenphases_at_its_floor(capsys, tmp_path):
+    tables = {}
+    for quad in ("8", "16"):
+        out = tmp_path / quad
+        assert main(["lll", "--M", "3", "--N", "2", "--alpha1", "0.7", "--quad", quad,
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        tables[quad] = json.loads((out / "eigenphases.json").read_text())["eigenphases"]
+    assert tables["8"] != tables["16"]

@@ -11,14 +11,10 @@ from hypothesis import strategies as st
 
 from nctorus import lll, partition
 from nctorus.core import Flux, VacuumAngles
-from nctorus.lll import build_basis
+from nctorus.lll import QuadratureSpec, build_basis, cell_node_counts, quadrature_nodes, state_norm
 from nctorus.partition import (
     ModularInvariance,
-    QuadratureSpec,
-    cell_node_counts,
     modular_invariance_report,
-    quadrature_nodes,
-    state_norm,
     z_tilde,
     z_tilde_character_route,
     z_tilde_closed_form,
@@ -60,7 +56,7 @@ def test_quadrature_nodes(monkeypatch):
     assert (x.size, y.size) == (10, 11)
     assert np.array_equal(x, (np.arange(10) + 0.5) / 10)
     assert np.array_equal(y, (np.arange(11) + 0.5) / 11)
-    x, y = quadrature_nodes(basis, QuadratureSpec(16))
+    x, y = quadrature_nodes(build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES, quad=QuadratureSpec(16)))
     assert (x.size, y.size) == (16, 16)
     assert np.all((x > 0.0) & (x < 1.0))
     # the invariance report carries the nodes each of its three Z~ ran on
@@ -88,7 +84,6 @@ def test_cell_rule_size_is_pinned(level, im_tau, counts):
 def test_character_route_sums_the_sized_rule(monkeypatch):
     # one residue-sum call on the cell_node_counts grid of the basis, its
     # rows the x nodes; a fall-back to a fixed 64 x 64 cell would show here
-    basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES)
     calls = []
     residue_norms = partition._theta_residue_norms
 
@@ -100,10 +95,11 @@ def test_character_route_sums_the_sized_rule(monkeypatch):
     monkeypatch.setattr(partition, "_theta_residue_norms", recorded)
     for nodes, grid in [(8, (10, 11)), (128, (128, 128))]:
         quad = QuadratureSpec(nodes)
-        z_tilde_character_route(basis, quad)
+        basis = build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES, quad=quad)
+        z_tilde_character_route(basis)
         [(x, shape)] = calls
-        assert shape == grid == cell_node_counts(6, 1.1, 1e-12, quad)
-        assert np.array_equal(x, quadrature_nodes(basis, quad)[0])
+        assert shape == grid == basis.cell_nodes == cell_node_counts(6, 1.1, 1e-12, quad)
+        assert np.array_equal(x, quadrature_nodes(basis)[0])
         calls.clear()
 
 
@@ -121,9 +117,9 @@ def test_state_norm_frozen_values():
     assert abs(norm - NORM_GEN) < 1e-12
 
 
-def _per_label_state_norms(basis, quad=QuadratureSpec()):
+def _per_label_state_norms(basis):
     """Reference: one cell integral per single-residue state."""
-    x, y = quadrature_nodes(basis, quad)
+    x, y = quadrature_nodes(basis)
     w = (x[:, None] + basis.tau.value * y).ravel()
 
     def norm(st):
@@ -148,10 +144,9 @@ def test_state_norm_equals_the_per_label_loop(mn, tau, nodes):
     # plus the ulps the pointwise states lose to cancelling exponents at
     # large Im tau
     m, n = mn
-    basis = build_basis(Flux(n, m), tau, ANGLES)
-    quad = QuadratureSpec(nodes)
-    got = np.array(state_norm(basis, quad))
-    want = np.array(_per_label_state_norms(basis, quad))
+    basis = build_basis(Flux(n, m), tau, ANGLES, quad=QuadratureSpec(nodes))
+    got = np.array(state_norm(basis))
+    want = np.array(_per_label_state_norms(basis))
     tol = basis.policy.epsilon + _rounding_allowance(m * n, basis.tau.im)
     assert np.max(np.abs(got - want) / want) <= tol
 
@@ -230,9 +225,7 @@ def test_two_routes_agree():
 
 
 def test_self_convergence_under_node_doubling():
-    basis = build_basis(Flux(1, 2), 0.3 + 1.1j)
-    a = z_tilde(basis, QuadratureSpec(32))
-    b = z_tilde(basis, QuadratureSpec(64))
+    a, b = (z_tilde(build_basis(Flux(1, 2), 0.3 + 1.1j, quad=QuadratureSpec(n))) for n in (32, 64))
     assert abs(a - b) / b < 1e-6
 
 
@@ -251,7 +244,7 @@ def test_invariance_residuals(flux):
 
 def test_refinement_decreases_s_residual():
     seq = [
-        modular_invariance_report(build_basis(Flux(1, 1), 2j), QuadratureSpec(n)).s_residual
+        modular_invariance_report(build_basis(Flux(1, 1), 2j, quad=QuadratureSpec(n))).s_residual
         for n in (12, 24, 48)
     ]
     assert seq[1] < seq[0] + 1e-10
@@ -294,10 +287,9 @@ def test_both_routes_match_closed_form_where_raw_theta_overflows(mn, tau, nodes)
     # integrates more points than the rule asks for at 50i (8 x 74).
     m, n = mn
     want = closed_form_z_tilde(m * n, tau, ANGLES.alpha1)
-    basis = build_basis(Flux(n, m), tau, ANGLES)
-    quad = QuadratureSpec(nodes)
-    assert abs(z_tilde(basis, quad) - want) <= 1e-11 * want
-    assert abs(z_tilde_character_route(basis, quad) - want) <= 1e-11 * want
+    basis = build_basis(Flux(n, m), tau, ANGLES, quad=QuadratureSpec(nodes))
+    assert abs(z_tilde(basis) - want) <= 1e-11 * want
+    assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (7, 5), (13, 7)])

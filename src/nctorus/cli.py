@@ -158,6 +158,13 @@ class RunConfig:
         return report
 
 
+# json's own string encoders, as json.dumps picks them: values with
+# ensure_ascii=False, keys with its default ensure_ascii=True (json.dumps
+# builds an encoder per call)
+_encode_string = json.encoder.encode_basestring
+_encode_key = json.encoder.encode_basestring_ascii
+
+
 def _render(obj) -> str:
     """JSON text of ``obj`` in one pass: numpy scalars and arrays as their
     Python values, tuples as lists, dict keys as ``str`` and sorted."""
@@ -178,7 +185,7 @@ def _render(obj) -> str:
     if isinstance(obj, np.floating):
         return _render(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return _encode_string(obj)
     if isinstance(obj, complex):
         return '{"im":%s,"re":%s}' % (_render(float(obj.imag)), _render(float(obj.real)))
     if isinstance(obj, (list, tuple)):
@@ -189,7 +196,7 @@ def _render(obj) -> str:
         return _render(obj.tolist())
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _render(v) for k, v in items) + "}"
+        return "{" + ",".join(_encode_key(str(k)) + ":" + _render(v) for k, v in items) + "}"
     raise TypeError("cannot render %r" % type(obj))
 
 

@@ -99,7 +99,7 @@ import numpy as np
 
 from .core import Flux, ModularParameter, VacuumAngles, as_tau
 from .fields import Displacement, Field, displacement_apply
-from .theta import ThetaSpec, TruncationPolicy, _grid_exponent, theta_derivative
+from .theta import ThetaSpec, TruncationPolicy, _grid_exponent, dedekind_eta, theta_derivative
 
 __all__ = [
     "QuadratureSpec",
@@ -249,11 +249,11 @@ class ThetaField(Field):
         """The states on the columns ``y`` of the slice ``w = x + tau*y``,
         for the one term ``(0, 0, 0)``, as integer frequencies ``F``, shape
         ``(residue, m)``, and the exponents ``E`` of a window table
-        ``W = exp(E)``, shape ``(residue, y, m)``, each column keeping its
-        own certified window (``-inf`` outside it):
+        ``W = exp(E)``, shape ``(residue, m, y)``, columns innermost, each
+        column keeping its own certified window (``-inf`` outside it):
 
             Psi_r = exp(i*(pi*K*y_j + alpha1)*x + i*alpha2*y_j)
-                    * sum_m W[r, j, m] * exp(2*pi*i*F[r, m]*x).
+                    * sum_m W[r, m, j] * exp(2*pi*i*F[r, m]*x).
 
         On the slice, with ``c = tau*y + gamma`` and ``2*pi*K*gamma =
         tau*alpha1 - alpha2``,
@@ -276,7 +276,9 @@ class ThetaField(Field):
 
     def cell_window(self, y):
         """:meth:`cell_exponent` with its table exponentiated in place,
-        read-only: ``(F, W)``, ``W`` 0 outside each column's own window.
+        read-only: ``(F, W)``, laid out as ``E``, ``W`` exactly 0 outside
+        each column's own window, where ``exp(-inf)`` is 0, and NaN where
+        ``E`` is.
         The first tables asked, on the cell rule's own columns, are kept
         for the Gram matrix and the steps along 1; a step along tau reads
         other columns, and its tables are neither kept nor replace them."""
@@ -325,7 +327,7 @@ class _Translated(Field):
         const = self.scale * cmath.exp(1j * (math.pi * k * ux * uy - angles.alpha1 * ux
                                              - angles.alpha2 * uy))
         window = window * const  # the base's table is read-only: one copy, scaled in place
-        window *= np.exp(-2j * math.pi * ux * freq)[:, None, :]
+        window *= np.exp(-2j * math.pi * ux * freq)[:, :, None]
         return freq - round(k * uy), window
 
 
@@ -370,18 +372,18 @@ def quadrature_nodes(basis: LLLBasis):
 
 def _grid_classes(freq, window, n_x):
     """Terms of integer frequencies ``freq`` ``(row, m)`` and window table
-    ``window`` ``(row, column, m)`` by class mod ``n_x``: their windows
+    ``window`` ``(row, m, column)`` by class mod ``n_x``: their windows
     times ``(-1)**(freq // n_x)`` ``(n_x, width, column)`` and rows
-    ``(n_x, width)``, unused slots 0, and the number of rows."""
+    ``(n_x, width)``, unused slots 0, and the number of rows.  A term's
+    columns are one row of the reshaped table: no copy is transposed."""
     f = freq.ravel()
     classes = f % n_x
     order = np.argsort(classes, kind="stable")
     counts = np.bincount(classes, minlength=n_x)
     # each term's class and place in it, in the sorted order
     where = classes[order], np.arange(f.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    values = np.zeros((n_x, counts.max(), window.shape[1]), dtype=complex)
-    values[where] = (window.transpose(0, 2, 1).reshape(f.size, -1)
-                     * (1 - 2 * (f // n_x % 2))[:, None])[order]
+    values = np.zeros((n_x, counts.max(), window.shape[2]), dtype=complex)
+    values[where] = (window.reshape(f.size, -1) * (1 - 2 * (f // n_x % 2))[:, None])[order]
     rows = np.zeros(values.shape[:2], dtype=int)
     rows[where] = order // freq.shape[1]
     return values, rows, len(freq)
@@ -402,23 +404,36 @@ def _grid_overlaps(classes, other_classes):
     return out.reshape(size, other_size)
 
 
+def _column_major(shape):
+    """An empty float buffer ``(row, column, m)`` and its view of
+    ``shape``, a window table's ``(row, m, column)``: filled through the
+    view, each buffer row sums in (column, m) order, the order that fixes
+    the pairwise rounding of every norm."""
+    rows, terms, columns = shape
+    table = np.empty((rows, columns, terms))
+    return table, table.transpose(0, 2, 1)
+
+
 def _grid_norms(freq, window, n_x, step):
     """``sum_{i,j} |u_r[i, j]|**2`` for every row, the diagonal of
     :func:`_grid_overlaps`, when each row's frequencies ``freq`` rise by
     ``step``: a term's class mod ``n_x`` then repeats every ``n_x /
     gcd(step, n_x)`` terms, so the signed window of each row folds onto
     that period, one value per class and column, and the sum is ``n_x``
-    times their ``|.|**2``."""
+    times their ``|.|**2``.  ``window`` is laid out ``(row, m, column)``,
+    and the fold runs along its axis 1."""
     period = n_x // math.gcd(step, n_x)
-    count = window.shape[2]
+    count = window.shape[1]
     if count > period:  # terms alias onto each other
-        window = window * (1 - 2 * (freq // n_x % 2))[:, None, :]
+        window = window * (1 - 2 * (freq // n_x % 2))[:, :, None]
         for start in range(period, count, period):
             size = min(period, count - start)
-            window[..., :size] += window[..., start:start + size]
-        window = window[..., :period]
-    flat = window.reshape(len(window), -1)
-    return n_x * np.sum(flat.real**2 + flat.imag**2, axis=1)
+            window[:, :size] += window[:, start:start + size]
+        window = window[:, :period]
+    table, terms = _column_major(window.shape)
+    np.square(window.real, out=terms)
+    terms += np.square(window.imag)
+    return n_x * table.reshape(len(table), -1).sum(axis=1)
 
 
 def _grid_exponent_norms(freq, expo, n_x, step):
@@ -431,19 +446,24 @@ def _grid_exponent_norms(freq, expo, n_x, step):
                + 2 * sum_{d = p, 2p, ...} sum_m s_m * s_{m+d}
                  * exp(Re E_m + Re E_{m+d}) * cos(Im E_m - Im E_{m+d})],
 
-    summed over the columns, with ``s = (-1)**(freq // n_x)``.  Where a
-    row has no more terms than the period the cross sum is empty, and no
-    phase is read."""
+    summed over the columns, with ``s = (-1)**(freq // n_x)``.  ``expo`` is
+    laid out ``(row, m, column)``, and the shifts by ``d`` run along its
+    axis 1.  Where a row has no more terms than the period the cross sum
+    is empty, and no phase is read."""
     period = n_x // math.gcd(step, n_x)
     re, im = expo.real, expo.imag
-    norms = np.exp(2.0 * re).reshape(len(expo), -1).sum(axis=1)
-    if expo.shape[2] > period:  # terms alias onto each other
+    table, terms = _column_major(expo.shape)
+    np.multiply(2.0, re, out=terms)
+    norms = np.exp(table, out=table).reshape(len(table), -1).sum(axis=1)
+    if expo.shape[1] > period:  # terms alias onto each other
         sign = 1 - 2 * (freq // n_x % 2)
-        for d in range(period, expo.shape[2], period):
-            cross = np.exp(re[..., :-d] + re[..., d:])
-            cross *= np.cos(im[..., :-d] - im[..., d:])
-            cross *= (sign[:, :-d] * sign[:, d:])[:, None, :]
-            norms += 2.0 * cross.reshape(len(expo), -1).sum(axis=1)
+        for d in range(period, expo.shape[1], period):
+            table, cross = _column_major(re[:, d:].shape)
+            np.add(re[:, :-d], re[:, d:], out=cross)
+            np.exp(table, out=table)
+            cross *= np.cos(im[:, :-d] - im[:, d:])
+            cross *= (sign[:, :-d] * sign[:, d:])[:, :, None]
+            norms += 2.0 * table.reshape(len(table), -1).sum(axis=1)
     return n_x * norms
 
 
@@ -491,6 +511,13 @@ class LLLBasis:
     def cell_nodes(self) -> tuple[int, int]:
         """``(n_x, n_y)`` of the basis's cell rule (:func:`cell_node_counts`)."""
         return cell_node_counts(self.level, self.tau.im, self.policy.epsilon, self.quad)
+
+    @functools.cached_property
+    def eta(self) -> complex:
+        """``eta(tau)`` at the basis's truncation policy
+        (:func:`~nctorus.theta.dedekind_eta`), formed once: each ``Z~`` of
+        the basis divides by its ``|eta|^2``."""
+        return dedekind_eta(self.tau, self.policy)
 
     def state(self, j, k) -> ThetaField:
         """The single state Psi_jk (indices mod M and N), built from the

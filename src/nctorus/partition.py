@@ -39,7 +39,7 @@ import math
 from typing import NamedTuple
 
 from .lll import LLLBasis, build_basis, quadrature_nodes, state_norm
-from .theta import _theta_residue_norms, dedekind_eta
+from .theta import _theta_residue_norms
 
 __all__ = [
     "z_tilde",
@@ -54,10 +54,10 @@ __all__ = [
 
 def z_tilde(basis: LLLBasis) -> float:
     """Eta-normalized state sum, per-state route: the :func:`state_norm`
-    of every state of ``basis`` over ``|eta|^2``, both truncated by the
-    basis's own policy."""
-    eta = dedekind_eta(basis.tau, basis.policy)
-    return _over_eta2(math.fsum(state_norm(basis)), abs(eta) ** 2)
+    of every state of ``basis`` over ``|eta|^2`` (:attr:`LLLBasis.eta`),
+    both truncated by the basis's own policy."""
+    eta2 = abs(basis.eta) ** 2
+    return _over_eta2(math.fsum(state_norm(basis)), eta2)
 
 
 def z_tilde_character_route(basis: LLLBasis) -> float:
@@ -74,7 +74,7 @@ def z_tilde_character_route(basis: LLLBasis) -> float:
     klev = basis.level
     a1 = basis.angles.alpha1
     gamma = basis.gamma
-    eta2 = abs(dedekind_eta(t, basis.policy)) ** 2
+    eta2 = abs(basis.eta) ** 2
 
     # the scale relative to the envelope of x + c, c = tau*y + gamma: with
     # the square completed in y, -pi*K*b*y**2 - a1*b*y + pi*K*(b*y + Im
@@ -107,7 +107,7 @@ def z_tilde_closed_form(basis: LLLBasis) -> float:
     |eta|^2`` with ``b = Im tau`` and eta truncated by the basis's
     policy."""
     k, b, a1 = basis.level, basis.tau.im, basis.angles.alpha1
-    eta2 = abs(dedekind_eta(basis.tau, basis.policy)) ** 2
+    eta2 = abs(basis.eta) ** 2
     try:
         gauss = math.exp(_gaussian_exponent(k, b, a1))
     except OverflowError:  # Z~ itself leaves double range, as both routes do

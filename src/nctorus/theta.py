@@ -76,10 +76,15 @@ magnitude; the last factor is left to the caller's log-scale.  The table
 is built as the window's exponents ``E``, and a caller that needs the
 window takes ``exp(E)``.  Each residue sums one run ``a = a0 + m`` of
 consecutive terms, the union of its columns' peak windows certified for
-the values; each column keeps its own window, and the rest of the union,
-which reaches subnormal range, is ``-inf`` there (0 in the window).
-The sums of such tables over the cell rule's nodes live in
-:mod:`nctorus.lll` ("The cell rule").
+the values: ``ceil`` and the rounding of ``a* - r/K - T/2`` are monotone
+in ``a*``, so the run starts at the first term of the least ``a*`` and
+ends with the window of the largest.  Each column keeps its own window,
+and the rest of the union, which reaches subnormal range, is ``-inf``
+there, set one term at a time; ``exp(-inf)`` is exactly 0 in the window.
+The table is laid out ``(residue, m, column)``: a run holds a few terms
+and a cell rule tens of columns, so the columns ride innermost and every
+broadcast runs along them.  The sums of such tables over the cell
+rule's nodes live in :mod:`nctorus.lll` ("The cell rule").
 
 Residue sums
 ------------
@@ -327,34 +332,45 @@ def _grid_exponent(spec, c, tau, policy, log_scale):
     the columns ``c``, certified for its values: the run
     ``a`` of consecutive ``a = a0 + m`` of each residue, shape
     ``(residue, m)``, and the table of exponents
-    ``i*pi*tau*K*(a + c/tau)**2 + log_scale``, shape ``(residue, c, m)``,
+    ``i*pi*tau*K*(a + c/tau)**2 + log_scale``, shape ``(residue, m, c)``,
     of the factors that carry every term's magnitude (see "Cell grids" in
     the module docstring).
 
     A column's peak ``a*`` depends only on ``Im c``: each residue sums
-    the union of its columns' windows, and each column keeps its own
-    certified window; the rest of the union, which reaches subnormal
-    range, is ``-inf`` in that column."""
+    the union of its columns' windows, from the least ``a*``'s first term
+    to the largest's last, and each column keeps its own certified
+    window; the rest of the union, which reaches subnormal range, is
+    ``-inf`` in that column, set one term slice at a time.  The columns
+    ride on the innermost axis, so every broadcast runs along them, not
+    along the window's few terms."""
     t = as_tau(tau)
     k = spec.level
     r_k = np.atleast_1d(spec.residue)[:, None] / k
     a_star = -np.imag(c) / t.im
     peak = float(np.max(np.abs(a_star), initial=0.0))
     count = own = _peak_window(k, t.im, peak, policy.epsilon, 0)
-    # per residue and column, the first term at or above a* - count/2
+    # per residue and column, the first term at or above a* - count/2;
+    # rounding and ceil are monotone, so a residue's run starts at the
+    # least a*'s first term and ends at the largest's window
     start = np.ceil(a_star - r_k - 0.5 * count)
-    low = start.min(axis=1, keepdims=True)
-    count += int(np.max(start.max(axis=1, keepdims=True) - low))
+    low = np.ceil(np.min(a_star) - r_k - 0.5 * count)
+    count += int(np.max(np.ceil(np.max(a_star) - r_k - 0.5 * count) - low))
     _check_cap(count, policy)
     a = (low + np.arange(count, dtype=float)) + r_k
     # built in place: the table is the largest array of a grid sum, and
     # every extra copy grows the heap
-    expo = a[:, None, :] + (c / t.value)[:, None]
+    expo = a[:, :, None] + c / t.value
     expo *= expo
     expo *= 1j * math.pi * k * t.value
-    expo += np.asarray(log_scale)[..., None]
-    m = np.arange(count) - (start - low)[..., None]
-    expo[(m < 0) | (m >= own)] = -np.inf
+    expo += log_scale
+    # a column's window is the terms offset <= m < offset + own of its
+    # residue's run, 0 <= offset <= count - own
+    offset = start - low
+    for m in range(count):
+        if m < count - own:
+            np.copyto(expo[:, m], -np.inf, where=offset > m)
+        if m >= own:
+            np.copyto(expo[:, m], -np.inf, where=offset <= m - own)
     return a, expo
 
 

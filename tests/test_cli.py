@@ -385,7 +385,7 @@ def test_partition_where_the_state_norms_alias(capsys, monkeypatch):
     norms = lll._grid_exponent_norms
 
     def recorded(freq, expo, n_x, step):
-        rows.append((expo.shape[2], n_x // math.gcd(step, n_x)))
+        rows.append((expo.shape[1], n_x // math.gcd(step, n_x)))
         return norms(freq, expo, n_x, step)
 
     monkeypatch.setattr(lll, "_grid_exponent_norms", recorded)
@@ -838,6 +838,15 @@ def test_render_covers_numpy_complex_and_non_finite_values():
         '"tuple":[1,2.5,null,true,false,"\u00e9"],'
         '"z":{"im":-Infinity,"re":1.5},"z64":{"im":2,"re":-0}}\n'
     )
+
+
+@pytest.mark.parametrize("text", ["", "plain", 'quote " back \\ slash /',
+                                  "tab\t nl\n nul\x00 us\x1f del\x7f",
+                                  "\u00e9 \u2028 \U0001f600", "\ud83d lone"])
+def test_strings_render_as_json_writes_them(text):
+    # a value keeps its non-ASCII text and a key escapes it, as json.dumps does
+    assert cli._render(text) == json.dumps(text, ensure_ascii=False)
+    assert cli._render({text: 1}) == "{%s:1}" % json.dumps(text)
 
 
 def _as_lists(obj):

@@ -1,0 +1,52 @@
+"""The output comparison tool, ``tools/compare_outputs.py``, on the tree
+under test against itself."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import nctorus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  ROOT / "tools" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_tree_under_test_matches_itself(tmp_path, capsys):
+    # a sweep op, a verify run (its wall times masked), a usage error and an
+    # lll run (its output directory masked, its files read) of the committed
+    # list, each tree in its own child process
+    tool = _tool()
+    cases = json.loads(tool.CASES.read_text(encoding="utf-8"))
+    picked = [cases[0], next(c for c in cases if c[:1] == ["verify"]),
+              next(c for c in cases if c[:1] == ["bogus"]),
+              next(c for c in cases if c[:1] == ["lll"] and "--M" in c)]
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps(picked), encoding="utf-8")
+    src = Path(nctorus.__file__).resolve().parents[1]
+    old, new = (tool.run_tree(src, path, timeout=300) for _ in range(2))
+    assert tool.compare(picked, old, new) == 0
+    assert capsys.readouterr().out == "4 of 4 cases identical\n"
+    assert [r["code"] for r in new] == [0, 0, 2, 0]
+    assert '"wall_time":0}' in new[1]["stdout"]
+    assert '"output_dir":"{out}"' in new[3]["stdout"] and "eigenphases.json" in new[3]["files"]
+
+
+def test_moved_residuals_and_flipped_passes_are_reported():
+    tool = _tool()
+
+    def result(code, residual, ok, stderr=""):
+        report = {"checks": [{"name": "gram_rank", "pass": ok, "residual": residual}],
+                  "pass": ok}
+        return {"code": code, "stdout": json.dumps(report), "stderr": stderr, "files": {}}
+
+    assert tool.diff_case(result(0, 0.0, True), result(0, 0.0, True)) == []
+    assert tool.diff_case(result(0, 0.0, True), result(1, 0.75, False, "late")) == [
+        "exit code 0 -> 1", "stderr '' -> 'late'", "/checks/gram_rank/pass flipped True -> False",
+        "/pass flipped True -> False", "/checks/gram_rank/residual moved 0.75 (0.0 -> 0.75)"]

@@ -196,7 +196,7 @@ def test_eigenphase_mismatch_shows_in_the_defect():
 
     def fault(y, freq, window):
         window = window.copy()
-        window[0] *= np.exp(y)[:, None]
+        window[0] *= np.exp(y)
         return freq, window
 
     table = eigenphase_table(with_window(basis, fault))
@@ -335,7 +335,7 @@ def _window_density(field, x, y):
     columns ``y``: the phase in front of its sum drops out of ``|.|^2``."""
     freq, window = field.cell_window(y)
     phase = np.exp(2j * math.pi * freq[:, None, :] * x[:, None])
-    return np.abs(np.einsum("rjm,rim->rij", window, phase)) ** 2
+    return np.abs(np.einsum("rmj,rim->rij", window, phase)) ** 2
 
 
 @pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.5 + 2j, 0.003j, 0.01j, 50j, 1e3j])
@@ -394,7 +394,7 @@ def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
     y = (np.arange(8) + 0.5) / 8
     assert abs(np.sum(np.exp(12j * math.pi * x)) + 6) < 1e-13
     freq, window = f.cell_window(y)
-    assert window.shape[2] > 1
+    assert window.shape[1] > 1
     got = lll._grid_norms(freq, window, x.size, 6)
     want = _pointwise_density(f, x, y).sum(axis=(1, 2))
     assert got.shape == (6,)
@@ -418,6 +418,26 @@ def test_cell_exponent_is_the_window_before_its_exponential():
     assert np.all(expo[~own] == -np.inf)
     nan_expo = with_terms(basis, {(0, 0, 0): np.nan}).field.cell_exponent(y)[1]
     assert np.isnan(nan_expo[own]).all() and np.all(nan_expo[~own] == -np.inf)
+
+
+def test_cell_window_is_zero_outside_each_columns_own_window():
+    # exp(-inf) is exactly 0: a column's own terms, the same count in every
+    # column, are nonzero, and the rest of its residue's run reads 0.0; a
+    # NaN exponent stays NaN, and a table that overflows, silently, fails
+    # the module with the overflow named
+    basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
+    y = partition.quadrature_nodes(basis)[1]
+    own = basis.field.cell_exponent(y)[1].real > -np.inf
+    window = basis.field.cell_window(y)[1]
+    assert not own.all() and np.all(own.sum(axis=1) == own.sum(axis=1)[0, 0])
+    assert np.all(window[own] != 0.0)
+    assert np.array_equal(window[~own], np.zeros(np.count_nonzero(~own), complex))
+    nan_window = with_terms(basis, {(0, 0, 0): np.nan}).field.cell_window(y)[1]
+    assert np.isnan(nan_window[own]).all() and np.all(nan_window[~own] == 0.0)
+    big = build_basis(Flux(1, 1), 1e5j, ANGLES)
+    assert np.isinf(big.field.cell_window(partition.quadrature_nodes(big)[1])[1]).any()
+    with pytest.raises(FloatingPointError, match="overflows double range"):
+        big.gram
 
 
 def test_unit_coefficient_term_is_not_copied():

@@ -7,6 +7,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctorus import lll
 from nctorus.core import ModularParameter, as_tau
@@ -351,7 +353,7 @@ def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
     window = np.exp(expo)
     phase = np.exp(2j * math.pi * level * a[:, None, :] * x[:, None]) \
         * (2j * math.pi * level * a[:, None, :]) ** order
-    got = np.einsum("rcm,rxm->rxc", window, phase)
+    got = np.einsum("rmc,rxm->rxc", window, phase)
     want = theta_derivative(spec, z, tau, order=order,
                             log_scale=np.broadcast_to(log_scale, z.shape))
     assert got.shape == want.shape == (level, 7, 5)
@@ -398,7 +400,7 @@ def test_grid_exponent_norms_are_the_fold_of_the_window(level, tau, n_x):
                                           log_scale - 1j * math.pi * level * c**2 / tau)
     freq = np.rint(level * a).astype(int)
     period = n_x // math.gcd(level, n_x)
-    assert (expo.shape[2] > period) == (level > 1)
+    assert (expo.shape[1] > period) == (level > 1)
     got = lll._grid_exponent_norms(freq, expo, n_x, level)
     fold = lll._grid_norms(freq, np.exp(expo), n_x, level)
     assert np.max(np.abs(got - fold) / fold) <= 1e-15
@@ -408,9 +410,40 @@ def test_grid_exponent_norms_are_the_fold_of_the_window(level, tau, n_x):
     assert got.shape == want.shape == (level,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
     # a NaN exponent is a NaN norm of its row alone
-    expo[-1, 2, expo.shape[2] // 2] = np.nan
+    expo[-1, expo.shape[1] // 2, 2] = np.nan
     got = lll._grid_exponent_norms(freq, expo, n_x, level)
     assert np.isnan(got[-1]) and np.isfinite(got[:-1]).all()
+
+
+@st.composite
+def _window_columns(draw):
+    level = draw(st.integers(1, 40))
+    residues = tuple(draw(st.lists(st.integers(0, level - 1), min_size=1, max_size=6)))
+    tau = complex(draw(st.floats(-0.5, 0.5)), 10.0 ** draw(st.floats(-2.0, 2.0)))
+    ys = draw(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=12))
+    gamma = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    epsilon = 10.0 ** -draw(st.floats(2.0, 15.0))
+    return ThetaSpec(level, residues), tau, tau * np.array(ys) + gamma, epsilon
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=_window_columns())
+def test_window_runs_span_the_columns_own_windows(case):
+    # each residue's run starts at the least first term over its columns
+    # and ends at the largest's window, read off the least and the largest
+    # a* alone; each column keeps exactly its own terms
+    spec, tau, c, epsilon = case
+    a, expo = theta_module._grid_exponent(spec, c, tau, TruncationPolicy(epsilon), 0.0)
+    a_star = -c.imag / tau.imag
+    own = _peak_window(spec.level, tau.imag, np.max(np.abs(a_star)), epsilon)
+    r_k = np.array(spec.residue)[:, None] / spec.level
+    start = np.ceil(a_star - r_k - 0.5 * own)
+    low, high = start.min(axis=1), start.max(axis=1)
+    count = own + int(np.max(high - low))
+    assert a.shape == (len(spec.residue), count) and expo.shape == a.shape + c.shape
+    assert np.array_equal(a, (low[:, None] + np.arange(count, dtype=float)) + r_k)
+    m = np.arange(count)[:, None] - (start - low[:, None])[:, None, :]
+    assert np.array_equal(expo.real > -np.inf, (m >= 0) & (m < own))
 
 
 @pytest.mark.parametrize("level", [1, 2, 6, 35, 77])

@@ -202,7 +202,7 @@ def diff_case(old, new) -> list:
         a, b = (dict(_leaves(json.loads(r["stdout"]))) for r in (old, new))
     except ValueError:
         return lines + ["stdout differs (not JSON)"]
-    moves = {}
+    moves, before = {}, len(lines)
     for path in sorted(set(a) | set(b)):
         x, y = a.get(path), b.get(path)
         if x == y or (_number(x) and _number(y) and math.isnan(x) and math.isnan(y)):
@@ -218,6 +218,8 @@ def diff_case(old, new) -> list:
             lines.append("%s %r -> %r" % (path, x, y))
     for key, (move, x, y) in sorted(moves.items()):
         lines.append("%s moved %.3g (%r -> %r)" % (key, move, x, y))
+    if len(lines) == before:  # equal values in other text, such as -0 for 0
+        lines.append("stdout differs in its text only")
     return lines
 
 

@@ -1,13 +1,10 @@
-"""Complex structures, metrics, and squeezing parameters of the torus."""
+"""Complex structures and squeezing parameters of the torus."""
 
 import numpy as np
 
 from nctorus import (
-    Flux,
     complex_structure_from_tau,
-    flux_geometry,
     in_fundamental_domain,
-    metric_from_tau,
     reduce_to_fundamental_domain,
     squeeze_from_tau,
     squeeze_roundtrip_residual,
@@ -16,15 +13,10 @@ from nctorus import (
 
 tau = 0.5 + 2.0j
 
-# The modular parameter fixes a complex structure J with J^2 = -1 ...
+# The modular parameter fixes a complex structure J with J^2 = -1.
 j = complex_structure_from_tau(tau)
 print("J =\n", j.matrix)
 print("J^2 + 1 residual:", float(np.max(np.abs(j.matrix @ j.matrix + np.eye(2)))))
-
-# ... and a unit-volume metric g = -J e  (epsilon the symplectic form).
-g = metric_from_tau(tau)
-print("g =\n", g.matrix)
-print("det g:", float(np.linalg.det(g.matrix)))
 
 # Any tau is reachable from tau = i by a squeeze: (r, phi) parametrize
 # the hyperbolic move, and the reconstruction is exact.
@@ -32,11 +24,6 @@ params = squeeze_from_tau(tau)
 print("squeeze r = %.6f, phi = %.6f" % (params.r, params.phi))
 print("reconstructed tau:", tau_from_squeeze(params))
 print("roundtrip residual:", squeeze_roundtrip_residual(tau))
-
-# Flux geometry: the magnetic length and the Gaussian weight the state
-# bundle uses, at kappa = N/M.
-geo = flux_geometry(Flux(2, 3), tau)
-print("flux geometry:", geo)
 
 # Far-away tau reduce into the standard fundamental domain; the word of
 # T and S moves that undoes the reduction comes along for free.

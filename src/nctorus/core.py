@@ -1,5 +1,5 @@
 """Geometric value types for the torus: modular parameter, flux data,
-complex structure, metric, squeezing, and fundamental-domain reduction.
+complex structure, squeezing, and fundamental-domain reduction.
 
 Conventions
 -----------
@@ -27,7 +27,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,16 +34,12 @@ __all__ = [
     "ModularParameter",
     "Flux",
     "ComplexStructure",
-    "KahlerMetric",
     "SqueezeParams",
     "VacuumAngles",
-    "FluxGeometry",
     "as_tau",
     "complex_structure_from_tau",
-    "metric_from_tau",
     "squeeze_from_tau",
     "tau_from_squeeze",
-    "flux_geometry",
     "reduce_to_fundamental_domain",
     "apply_modular_word",
     "in_fundamental_domain",
@@ -149,24 +144,6 @@ class ComplexStructure:
 
 
 @dataclass(frozen=True)
-class KahlerMetric:
-    """Symmetric positive-definite 2x2 matrix of unit determinant."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _check_square(self.matrix, "metric").astype(float)
-        object.__setattr__(self, "matrix", mat)
-        if abs(mat[0, 1] - mat[1, 0]) > 1e-12:
-            raise ValueError("metric must be symmetric")
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if mat[0, 0] <= 0 or det <= 0:
-            raise ValueError("metric must be positive definite")
-        if abs(det - 1.0) > 1e-10:
-            raise ValueError("metric must have det 1, got %.17g" % det)
-
-
-@dataclass(frozen=True)
 class SqueezeParams:
     """Squeeze magnitude ``r >= 0`` and angle ``phi`` in ``[0, 2*pi)``."""
 
@@ -197,12 +174,6 @@ class VacuumAngles:
         object.__setattr__(self, "alpha2", float(self.alpha2))
 
 
-class FluxGeometry(NamedTuple):
-    cell_scale: float       # l0, edge length of the magnetic unit cell
-    holonomy: complex       # exp(2*pi*i*kappa), plaquette phase
-    dual_holonomy: complex  # exp(2*pi*i/kappa), phase of the dual plaquette
-
-
 def complex_structure_from_tau(tau) -> ComplexStructure:
     """Complex structure of the cell basis (1, tau) in (x, y) coordinates.
 
@@ -214,17 +185,6 @@ def complex_structure_from_tau(tau) -> ComplexStructure:
     a, b = t.re, t.im
     mat = np.array([[a, t.abs2], [-1.0, -a]]) / b
     return ComplexStructure(mat)
-
-
-def metric_from_tau(tau) -> KahlerMetric:
-    """Flat unit-volume metric of the cell basis (1, tau):
-
-        g = (1/Im tau) [[1, Re tau], [Re tau, |tau|^2]].
-    """
-    t = as_tau(tau)
-    a, b = t.re, t.im
-    mat = np.array([[1.0, a], [a, t.abs2]]) / b
-    return KahlerMetric(mat)
 
 
 def squeeze_from_tau(tau) -> SqueezeParams:
@@ -249,18 +209,6 @@ def tau_from_squeeze(params: SqueezeParams) -> ModularParameter:
     y = 1.0 / (c2 + s2 * math.cos(phi))
     x = -y * s2 * math.sin(phi)
     return ModularParameter(x, y)
-
-
-def flux_geometry(flux: Flux, tau) -> FluxGeometry:
-    """Cell scale and plaquette holonomies for the given flux on ``tau``, the
-    latter from ``kappa`` and ``1/kappa`` mod 1: ``N mod M`` and ``M mod N``."""
-    t = as_tau(tau)
-    n, m = flux.numerator, flux.denominator
-    return FluxGeometry(
-        cell_scale=math.sqrt(2.0 * math.pi * (n / m) / t.im),
-        holonomy=cmath.exp(2j * math.pi * (n % m / m)),
-        dual_holonomy=cmath.exp(2j * math.pi * (m % n / n)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ Lattice vectors embed into the cell-adapted dimensionless frame as
 this gives the flux cocycle ``exp(i*pi*kappa*(m x n))`` exactly and
 independently of ``tau`` (``m x n = m1*n2 - m2*n1``), as the plaquette
 flux must be.  The physical cell edge in magnetic-length units is the
-separate quantity ``l0 = sqrt(2*pi*kappa/Im tau)`` reported by
-``flux_geometry``.
+separate quantity ``l0`` of the :mod:`~nctorus.core` docstring.
 
 The ladder operators at weight ``w`` are
 
@@ -100,18 +99,20 @@ class Field:
 
 @dataclass(frozen=True)
 class Displacement:
-    """Displacement vector with independent holomorphic slots."""
+    """Displacement vector ``u``; its antiholomorphic slot is ``conj(u)``."""
 
     u: complex
-    ubar: complex
+
+    @property
+    def ubar(self) -> complex:
+        return self.u.conjugate()
 
     @classmethod
     def from_vector(cls, u) -> "Displacement":
-        u = complex(u)
-        return cls(u, u.conjugate())
+        return cls(complex(u))
 
     def __neg__(self) -> "Displacement":
-        return Displacement(-self.u, -self.ubar)
+        return Displacement(-self.u)
 
 
 def lattice_displacement(flux: Flux, tau, m, dual=False) -> Displacement:

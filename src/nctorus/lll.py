@@ -38,7 +38,8 @@ all derivatives (and the raising operator) stay analytic.
 
 The K states differ only in the residue ``r_jk``, so the basis holds
 them as one stacked :class:`ThetaField` (residues in :meth:`LLLBasis.labels`
-order) that sums one theta series for all K.
+order) that sums one theta series for all K.  The field is the one owner
+of the vacuum angles, of ``gamma`` and of the truncation policy.
 
 The cell rule
 -------------
@@ -216,33 +217,36 @@ class ThetaField(Field):
     ``coeff * w^a * wbar^c * exp(G) * theta^{(p)}_{residue}(w + gamma)``.
     A sequence of residues (as in :class:`~nctorus.theta.ThetaSpec`)
     stacks one field per residue: ``evaluate(w, wbar)`` and both
-    derivatives return shape ``(len(residue),) + w.shape``.
+    derivatives return shape ``(len(residue),) + w.shape``.  The vacuum
+    ``angles`` are held once: ``alpha1`` enters ``G``, and ``gamma =
+    (tau*alpha1 - alpha2)/(2*pi*K)`` is formed from them here.
     """
 
-    __slots__ = ("terms", "level", "residue", "spec", "alpha1", "gamma", "policy", "_window")
+    __slots__ = ("terms", "level", "residue", "spec", "angles", "gamma", "policy", "_window")
 
-    def __init__(self, terms, level, residue, tau, alpha1, gamma, policy=_DEFAULT_POLICY):
+    def __init__(self, terms, level, residue, tau, angles: VacuumAngles,
+                 policy=_DEFAULT_POLICY):
         t = as_tau(tau)
+        tv = t.value
         self.terms = dict(terms)
         self.level = int(level)
         self.spec = ThetaSpec(self.level, residue)
         self.residue = self.spec.residue
-        self.alpha1 = float(alpha1)
-        self.gamma = complex(gamma)
+        self.angles = angles
+        self.gamma = (tv * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * self.level)
         self.policy = policy
         self._window = None
-        tv = t.value
 
         # the evaluators hold no reference to self: a field is freed, with
         # the window table it keeps, as soon as it is unused
-        level, residue, alpha1, gamma = self.level, self.residue, self.alpha1, self.gamma
+        level, residue, alpha1, gamma = self.level, self.residue, angles.alpha1, self.gamma
 
         def evaluator(terms):
             return lambda w, wbar: _eval_terms(terms, level, residue, tv, alpha1, gamma,
                                                policy, w, wbar)
 
         super().__init__(evaluator(self.terms), t, t.im / (2.0 * math.pi * self.level),
-                         d_z=evaluator(_dw_terms(self.terms, self.level, t.im, self.alpha1)),
+                         d_z=evaluator(_dw_terms(self.terms, self.level, t.im, alpha1)),
                          d_zbar=evaluator(_dwbar_terms(self.terms, self.level, t.im)))
 
     def cell_exponent(self, y):
@@ -493,19 +497,30 @@ def state_norm(basis: LLLBasis) -> list[float]:
 class LLLBasis:
     """Ground-space basis at flux N/M on ``tau``: ``field`` is the stacked
     :class:`ThetaField` of the K states, one row per label of
-    :meth:`labels`, and ``quad`` the node floor of its cell rule."""
+    :meth:`labels`, and ``quad`` the node floor of its cell rule.  The
+    states own their parameters: :attr:`angles`, :attr:`gamma` and
+    :attr:`policy` are the field's."""
 
     flux: Flux
     tau: ModularParameter
-    angles: VacuumAngles
-    gamma: complex
-    policy: TruncationPolicy
-    field: ThetaField = dataclass_field(repr=False, default=None)
+    field: ThetaField = dataclass_field(repr=False)
     quad: QuadratureSpec = QuadratureSpec()
 
     @property
     def level(self) -> int:
         return self.flux.level
+
+    @property
+    def angles(self) -> VacuumAngles:
+        return self.field.angles
+
+    @property
+    def gamma(self) -> complex:
+        return self.field.gamma
+
+    @property
+    def policy(self) -> TruncationPolicy:
+        return self.field.policy
 
     @property
     def cell_nodes(self) -> tuple[int, int]:
@@ -525,7 +540,7 @@ class LLLBasis:
         m, n = self.flux.denominator, self.flux.numerator
         f = self.field
         return ThetaField(f.terms, f.level, f.residue[(j % m) * n + k % n], self.tau,
-                          f.alpha1, f.gamma, f.policy)
+                          f.angles, f.policy)
 
     def labels(self):
         """Index pairs in the fixed flattening order (j major, k minor)."""
@@ -581,15 +596,14 @@ def build_basis(flux: Flux, tau, angles: VacuumAngles = VacuumAngles(),
                 policy: TruncationPolicy = _DEFAULT_POLICY,
                 quad: QuadratureSpec = QuadratureSpec()) -> LLLBasis:
     """Construct the MN ground states Psi_jk on ``tau`` with the given
-    vacuum angles, measured on the cell rule of node floor ``quad``."""
+    vacuum angles, as one stacked :class:`ThetaField` that holds the angles
+    and ``policy``, measured on the cell rule of node floor ``quad``."""
     t = as_tau(tau)
     k_level = flux.level
-    gamma = (t.value * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * k_level)
     residues = tuple((j * flux.numerator + k * flux.denominator) % k_level
                      for j in range(flux.denominator) for k in range(flux.numerator))
-    field = ThetaField({(0, 0, 0): 1.0}, k_level, residues, t, angles.alpha1, gamma, policy)
-    return LLLBasis(flux=flux, tau=t, angles=angles, gamma=gamma,
-                    policy=policy, field=field, quad=quad)
+    field = ThetaField({(0, 0, 0): 1.0}, k_level, residues, t, angles, policy)
+    return LLLBasis(flux=flux, tau=t, field=field, quad=quad)
 
 
 def unit_cell_grid(tau, n=5):
@@ -641,7 +655,7 @@ def elementary_translation(basis: LLLBasis, index, dual=False):
     div = basis.flux.numerator if dual else basis.flux.denominator
     step, alpha = ((1.0, basis.angles.alpha1) if index == 1
                    else (basis.tau.value, basis.angles.alpha2))
-    d = Displacement(step / div, step.conjugate() / div)
+    d = Displacement(step / div)
     scale = cmath.exp(2j * alpha / div)
 
     def op(f: Field) -> Field:
@@ -718,8 +732,8 @@ def center_eigen_residual(basis: LLLBasis):
     res = []
     for index, alpha in ((1, basis.angles.alpha1), (2, basis.angles.alpha2)):
         step = elementary_translation(basis, index)(basis.field)
-        u = step.displacement
-        power = _Translated(basis.field, Displacement(m * u.u, m * u.ubar), step.scale**m, basis)
+        power = _Translated(basis.field, Displacement(m * step.displacement.u), step.scale**m,
+                            basis)
         l_mat, defect = _project(basis, power)
         res += [np.max(_law_deviation(l_mat, np.arange(basis.level), cmath.exp(1j * alpha))),
                 np.max(defect)]
@@ -773,5 +787,4 @@ def raise_level(basis: LLLBasis, j, k, n=1) -> ThetaField:
         for (a_pow, c_pow, p), mu in terms.items():
             new[a_pow, c_pow + 1, p] += s * beta * mu
         terms = new
-    return ThetaField(terms, klev, st.residue, basis.tau, basis.angles.alpha1,
-                      basis.gamma, basis.policy)
+    return ThetaField(terms, klev, st.residue, basis.tau, basis.angles, basis.policy)

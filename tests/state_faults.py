@@ -12,7 +12,7 @@ def _with_field(basis, cls=ThetaField, terms=None, residues=None, **extra):
     f = basis.field
     field = cls(f.terms if terms is None else terms, f.level,
                 f.residue if residues is None else residues,
-                basis.tau, f.alpha1, f.gamma, f.policy, **extra)
+                basis.tau, f.angles, f.policy, **extra)
     return dataclasses.replace(basis, field=field)
 
 

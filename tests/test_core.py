@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -12,10 +11,8 @@ from nctorus.core import (
     apply_modular_word,
     complex_structure_from_tau,
     eigenbasis_change,
-    flux_geometry,
     hyperbolic_conjugator,
     in_fundamental_domain,
-    metric_from_tau,
     reduce_to_fundamental_domain,
     squeeze_from_tau,
     squeeze_roundtrip_residual,
@@ -69,17 +66,19 @@ def test_complex_structure_invariants():
 
 
 def test_metric_and_compatibility():
+    # J pairs with the symplectic form into a flat unit-volume metric g
     rng = np.random.default_rng(8)
     for _ in range(25):
         tau = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3))
-        g = metric_from_tau(tau).matrix
         j = complex_structure_from_tau(tau).matrix
+        g = j.T @ OMEGA0
+        assert np.max(np.abs(g - g.T)) < 1e-12
+        assert np.all(np.linalg.eigvalsh(g) > 0.0)
         assert abs(np.linalg.det(g) - 1.0) < 1e-12
-        # g pairs with the symplectic form through the complex structure
-        assert np.max(np.abs(j.T @ OMEGA0 - g)) < 1e-12
         # J is an isometry of g
         assert np.max(np.abs(j.T @ g @ j - g)) < 1e-12
-    assert np.allclose(metric_from_tau(1 + 1j).matrix, [[1.0, 1.0], [1.0, 2.0]])
+    j = complex_structure_from_tau(1 + 1j).matrix
+    assert np.allclose(j.T @ OMEGA0, [[1.0, 1.0], [1.0, 2.0]])
 
 
 def test_squeeze_frozen_oracle():
@@ -142,30 +141,6 @@ def test_squeeze_roundtrip_residual():
     for _ in range(20):
         tau = complex(rng.uniform(-2, 2), rng.uniform(0.1, 4))
         assert squeeze_roundtrip_residual(tau) < 1e-12
-
-
-def test_flux_geometry_frozen():
-    geom = flux_geometry(Flux(2, 3), 1j)
-    # l0 = sqrt(2*pi*(2/3)); 50-digit arithmetic oracle
-    assert geom.cell_scale == pytest.approx(2.046653415892976976959103, abs=1e-15)
-    assert geom.holonomy == pytest.approx(np.exp(4j * np.pi / 3), abs=1e-15)
-    assert geom.dual_holonomy == pytest.approx(np.exp(3j * np.pi), abs=1e-14)
-
-
-def test_flux_geometry_holonomies_match_30_digit_values():
-    # kappa and 1/kappa taken mod 1 (from N mod M and M mod N); the
-    # unreduced 2 pi / kappa lay 1.96e-14 off at (M, N) = (22, 1)
-    worst = 0.0
-    for m in range(1, 25):
-        for n in range(1, 25):
-            if math.gcd(m, n) != 1:
-                continue
-            geom = flux_geometry(Flux(n, m), 1j)
-            with mpmath.workdps(30):
-                want = complex(mpmath.expjpi(mpmath.mpf(2 * n) / m))
-                want_dual = complex(mpmath.expjpi(mpmath.mpf(2 * m) / n))
-            worst = max(worst, abs(geom.holonomy - want), abs(geom.dual_holonomy - want_dual))
-    assert worst <= 1e-15
 
 
 def test_vacuum_angles_defaults():

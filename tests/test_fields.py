@@ -61,6 +61,13 @@ def test_displacement_zero_is_identity():
     assert np.max(np.abs(g.evaluate(z, zbar) - f.evaluate(z, zbar))) == 0.0
 
 
+def test_displacement_holds_one_vector():
+    u = 0.7 - 0.4j
+    d = Displacement.from_vector(u)
+    assert d.u == u and d.ubar == u.conjugate()
+    assert (-d).u == -u and (-d).ubar == (-u).conjugate()
+
+
 def test_displacement_prefactor_and_shift():
     f = gaussian_field(TAU)
     u = 0.7 - 0.4j

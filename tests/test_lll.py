@@ -6,11 +6,14 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nctorus import cli, lll, partition
 from nctorus.core import Flux, VacuumAngles, as_tau
 from nctorus.fields import Field, ladder_apply
 from nctorus.lll import (
+    LLLBasis,
     ThetaField,
     boundary_residual,
     build_basis,
@@ -33,11 +36,16 @@ TAU_GEN = 0.3 + 1.1j
 ANGLES = VacuumAngles(0.7, -1.3)
 
 
+def naive_gamma(klev, t, angles):
+    """The shift ``gamma`` of the states' defining formula."""
+    return (t.value * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * klev)
+
+
 def naive_state(flux, tau, angles, j, k, w, wbar):
     """Direct evaluation of Psi_jk from its defining formula."""
     t = as_tau(tau)
     klev = flux.level
-    gamma = (t.value * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * klev)
+    gamma = naive_gamma(klev, t, angles)
     r = (j * flux.numerator + k * flux.denominator) % klev
     g = np.exp(
         math.pi * klev * w * (w - wbar) / (2.0 * t.im) + 1j * angles.alpha1 * w
@@ -80,6 +88,33 @@ def test_state_index_wraps_modulo():
     assert wrapped.residue == state.residue == basis.field.residue[basis.labels().index((1, 1))]
     w, wbar = unit_cell_grid(1j, n=3)
     assert np.array_equal(wrapped.evaluate(w, wbar), state.evaluate(w, wbar))
+
+
+_COPRIME = [(m, n) for m in range(1, 14) for n in range(1, 14) if math.gcd(m, n) == 1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mn=st.sampled_from(_COPRIME),
+       re=st.floats(-2.0, 2.0), log_im=st.floats(-3.0, 3.0),
+       a1=st.floats(-10.0, 10.0), a2=st.floats(-10.0, 10.0))
+def test_theta_field_forms_gamma_from_its_angles(mn, re, log_im, a1, a2):
+    # the one gamma of the states, bit for bit the defining formula's
+    m, n = mn
+    t, angles = as_tau(complex(re, 10.0**log_im)), VacuumAngles(a1, a2)
+    field = ThetaField({(0, 0, 0): 1.0}, m * n, 0, t, angles)
+    assert field.gamma == naive_gamma(m * n, t, angles)
+    assert field.angles is angles
+    assert build_basis(Flux(n, m), t, angles).gamma == field.gamma
+
+
+def test_basis_reads_its_parameters_from_the_states():
+    policy = TruncationPolicy(epsilon=1e-10)
+    basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES, policy)
+    assert basis.angles is basis.field.angles is ANGLES
+    assert basis.gamma == basis.field.gamma
+    assert basis.policy is basis.field.policy is policy
+    with pytest.raises(TypeError):
+        LLLBasis(flux=Flux(2, 3), tau=as_tau(TAU_GEN))
 
 
 def test_theta_field_derivatives_match_finite_differences():

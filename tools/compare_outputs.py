@@ -105,6 +105,10 @@ def build_cases() -> list:
          "--grid", "3", "--quad", "16", "--out", OUT],
         ["lll", "--M", "1", "--N", "1", "--tau=0.01i", "--grid", "2", "--out", OUT],
     ]
+    # the one command that reads the states pointwise, at K = 35, 77 and 91
+    for (m, n), tau in itertools.product(((7, 5), (11, 7), (13, 7)), ("0.02i", "1.1i", "1e3i")):
+        cases.append(["lll", "--M", str(m), "--N", str(n), "--tau=" + tau, *angles[1],
+                      "--grid", "3", "--out", OUT])
     return cases
 
 

@@ -82,9 +82,19 @@ From the exponents ``E`` alone that norm is each term's squared
 magnitude ``exp(2*Re E)`` plus, for every pair of terms of one class,
 the product ``2*exp(Re E + Re E')*cos(Im E - Im E')`` with its signs; a
 row whose terms do not alias reads no phase.  :func:`state_norm` sums
-the states' own norms that way.  The centre is measured on the same
-module: ``D1^M`` and ``D2^M``, each one displacement, project onto
-``e^{i*alpha1} I`` and ``e^{i*alpha2} I``.
+the states' own norms that way, from the table of exponents the states'
+field keeps for the module (:meth:`ThetaField.cell_window`) once the
+module is measured: a basis that is measured, then normed, forms it once.
+
+The basis keeps the states' per-class products ``conj(u_c) @ u_c.T``,
+and ``G`` is their sum onto the rows (:func:`_class_sums`).  A step along
+1 (``D1``, ``D1~`` and ``D1^M``) multiplies each term by one factor
+``w(F)`` and keeps its class, so its ``P`` is those products with column
+``j`` times ``w_j``, and its image norms are their quadratic form over
+each row's slots: no image table is formed.  A step along ``tau`` moves
+the columns, and its image builds its own table.  The centre is measured
+on the same module: ``D1^M`` and ``D2^M``, each one displacement, project
+onto ``e^{i*alpha1} I`` and ``e^{i*alpha2} I``.
 """
 
 from __future__ import annotations
@@ -222,7 +232,7 @@ class ThetaField(Field):
     (tau*alpha1 - alpha2)/(2*pi*K)`` is formed from them here.
     """
 
-    __slots__ = ("terms", "level", "residue", "spec", "angles", "gamma", "policy", "_window")
+    __slots__ = ("terms", "level", "residue", "spec", "angles", "gamma", "policy", "_exponent")
 
     def __init__(self, terms, level, residue, tau, angles: VacuumAngles,
                  policy=_DEFAULT_POLICY):
@@ -235,10 +245,10 @@ class ThetaField(Field):
         self.angles = angles
         self.gamma = (tv * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * self.level)
         self.policy = policy
-        self._window = None
+        self._exponent = None
 
         # the evaluators hold no reference to self: a field is freed, with
-        # the window table it keeps, as soon as it is unused
+        # the table of exponents it keeps, as soon as it is unused
         level, residue, alpha1, gamma = self.level, self.residue, angles.alpha1, self.gamma
 
         def evaluator(terms):
@@ -269,7 +279,12 @@ class ThetaField(Field):
         of ``theta._grid_exponent``'s table, and the constant last part,
         plus the log of the term's coefficient, is its log-scale.  No
         exponent is larger than the terms it scales, so none loses digits
-        to cancellation.  A fresh table, not kept."""
+        to cancellation.
+        On the columns of the table :meth:`cell_window` keeps, that table
+        is returned, read-only; any other is fresh, writable and not kept."""
+        key = y.tobytes()
+        if self._exponent is not None and self._exponent[0] == key:
+            return self._exponent[1]
         if set(self.terms) != {(0, 0, 0)}:
             raise ValueError("a cell window needs the one term (0, 0, 0)")
         tau, k = self.tau, self.level
@@ -279,23 +294,23 @@ class ThetaField(Field):
         return np.rint(k * a).astype(int), expo
 
     def cell_window(self, y):
-        """:meth:`cell_exponent` with its table exponentiated in place,
-        read-only: ``(F, W)``, laid out as ``E``, ``W`` exactly 0 outside
-        each column's own window, where ``exp(-inf)`` is 0, and NaN where
-        ``E`` is.
-        The first tables asked, on the cell rule's own columns, are kept
-        for the Gram matrix and the steps along 1; a step along tau reads
-        other columns, and its tables are neither kept nor replace them."""
-        key = y.tobytes()
-        if self._window is not None and self._window[0] == key:
-            return self._window[1]
+        """:meth:`cell_exponent` with its table exponentiated, read-only:
+        ``(F, W)``, laid out as ``E``, ``W`` exactly 0 outside each
+        column's own window, where ``exp(-inf)`` is 0, and NaN where ``E``
+        is.  The first table asked, on the cell rule's own columns, is kept
+        read-only and exponentiated into a new array at each call: the
+        module reads it, and so does :func:`state_norm` after it.  A step
+        along tau reads other columns, and its tables are exponentiated in
+        place and not kept."""
         freq, window = self.cell_exponent(y)
+        if self._exponent is None:
+            for arr in (freq, window):
+                arr.setflags(write=False)
+            self._exponent = y.tobytes(), (freq, window)
         with np.errstate(over="ignore"):  # the module names the overflow (LLLBasis._cell_states)
-            np.exp(window, out=window)
+            window = np.exp(window, out=window if window.flags.writeable else None)
         for arr in (freq, window):
             arr.setflags(write=False)
-        if self._window is None:
-            self._window = key, (freq, window)
         return freq, window
 
 
@@ -314,25 +329,38 @@ class _Translated(Field):
                          d_zbar=lambda w, wbar: scale * dzbar(w, wbar))
         self.base, self.displacement, self.scale, self.basis = base, displacement, scale, basis
 
-    def cell_window(self, y):
-        """:meth:`ThetaField.cell_window` of the image.  With
-        ``u = u_x + tau*u_y``, the base is read on the columns ``y - u_y``
-        and each term gains ``exp(-2*pi*i*F*u_x)``; the prefactor, linear
-        on the slice, and the moved phase of the slice shift ``F`` by
-        ``-K*u_y`` and leave a constant."""
-        tau, k, angles = self.tau, self.basis.level, self.basis.angles
-        uy = self.displacement.u.imag / tau.imag
-        ux = self.displacement.u.real - tau.real * uy
-        freq, window = self.base.cell_window(y - uy)
+    def _shift(self):
+        """``(u_x, u_y)`` of the displacement ``u = u_x + tau*u_y``."""
+        uy = self.displacement.u.imag / self.tau.imag
+        return self.displacement.u.real - self.tau.real * uy, uy
+
+    def _term_factors(self, freq):
+        """``(const, phase)``: on the cell rule each term of the image is
+        the base's term of integer frequency ``freq``, read on the columns
+        ``y - u_y``, times ``const * phase``, ``phase = exp(-2*pi*i*freq*u_x)``
+        of ``freq``'s shape.  The table route (:meth:`cell_window`) and the
+        class route of a step along 1 (:func:`_project`) both read them."""
+        (ux, uy), angles = self._shift(), self.basis.angles
         # the moved phase of the slice over itself is exp(-i*pi*K*(uy*x + ux*y)
         # + i*(pi*K*ux*uy - alpha1*ux - alpha2*uy)); the prefactor's exponent,
         # at weight Im(tau)/(2*pi*K), is -i*pi*K*uy*x + i*pi*K*ux*y: it cancels
         # the part in y and doubles that in x, a shift of -K*uy in F
-        const = self.scale * cmath.exp(1j * (math.pi * k * ux * uy - angles.alpha1 * ux
-                                             - angles.alpha2 * uy))
+        const = self.scale * cmath.exp(1j * (math.pi * self.basis.level * ux * uy
+                                             - angles.alpha1 * ux - angles.alpha2 * uy))
+        return const, np.exp(-2j * math.pi * ux * freq)
+
+    def cell_window(self, y):
+        """:meth:`ThetaField.cell_window` of the image.  With
+        ``u = u_x + tau*u_y``, the base is read on the columns ``y - u_y``
+        and each term gains :meth:`_term_factors`; the prefactor, linear on
+        the slice, and the moved phase of the slice shift ``F`` by
+        ``-K*u_y`` and leave the constant."""
+        uy = self._shift()[1]
+        freq, window = self.base.cell_window(y - uy)
+        const, phase = self._term_factors(freq)
         window = window * const  # the base's table is read-only: one copy, scaled in place
-        window *= np.exp(-2j * math.pi * ux * freq)[:, :, None]
-        return freq - round(k * uy), window
+        window *= phase[:, :, None]
+        return freq - round(self.basis.level * uy), window
 
 
 @dataclass(frozen=True)
@@ -377,9 +405,10 @@ def quadrature_nodes(basis: LLLBasis):
 def _grid_classes(freq, window, n_x):
     """Terms of integer frequencies ``freq`` ``(row, m)`` and window table
     ``window`` ``(row, m, column)`` by class mod ``n_x``: their windows
-    times ``(-1)**(freq // n_x)`` ``(n_x, width, column)`` and rows
-    ``(n_x, width)``, unused slots 0, and the number of rows.  A term's
-    columns are one row of the reshaped table: no copy is transposed."""
+    times ``(-1)**(freq // n_x)`` ``(n_x, width, column)``, their rows and
+    frequencies ``(n_x, width)``, unused slots 0, and the number of rows.
+    A term's columns are one row of the reshaped table: no copy is
+    transposed."""
     f = freq.ravel()
     classes = f % n_x
     order = np.argsort(classes, kind="stable")
@@ -388,9 +417,10 @@ def _grid_classes(freq, window, n_x):
     where = classes[order], np.arange(f.size) - np.repeat(np.cumsum(counts) - counts, counts)
     values = np.zeros((n_x, counts.max(), window.shape[2]), dtype=complex)
     values[where] = (window.reshape(f.size, -1) * (1 - 2 * (f // n_x % 2))[:, None])[order]
-    rows = np.zeros(values.shape[:2], dtype=int)
+    rows, freqs = np.zeros((2,) + values.shape[:2], dtype=int)
     rows[where] = order // freq.shape[1]
-    return values, rows, len(freq)
+    freqs[where] = f[order]
+    return values, rows, freqs, len(freq)
 
 
 def _grid_overlaps(classes, other_classes):
@@ -398,13 +428,21 @@ def _grid_overlaps(classes, other_classes):
     ``u_r[i, j] = sum_m window[r, j, m] * exp(2*pi*i*freq[r, m]*x_i)`` on
     the ``n_x`` midpoint nodes ``x_i = (i + 1/2)/n_x`` and ``v_s``
     likewise, from their :func:`_grid_classes` (see "The cell rule")."""
-    (u, r, size), (v, s, other_size) = classes, other_classes
-    sums = (np.conjugate(u) @ v.transpose(0, 2, 1)).ravel()
-    index, n = (r[:, :, None] * other_size + s[:, None, :]).ravel(), size * other_size
+    (u, r, _, size), (v, s, _, other_size) = classes, other_classes
+    return _class_sums(np.conjugate(u) @ v.transpose(0, 2, 1), r, s, size, other_size)
+
+
+def _class_sums(products, rows, other_rows, size, other_size):
+    """The per-class products ``products[c, i, j]`` of the slots ``i`` of
+    one class table and ``j`` of another, summed onto the ``(size,
+    other_size)`` pairs of their slots' rows and times the comb's ``n_x``:
+    :func:`_grid_overlaps` of the two tables."""
+    index = (rows[:, :, None] * other_size + other_rows[:, None, :]).ravel()
+    n, sums = size * other_size, products.ravel()
     out = np.empty(n, complex)  # filled and scaled in place: one K x K buffer
     out.real = np.bincount(index, sums.real, n)
     out.imag = np.bincount(index, sums.imag, n)
-    out *= len(u)
+    out *= len(products)
     return out.reshape(size, other_size)
 
 
@@ -440,11 +478,13 @@ def _grid_norms(freq, window, n_x, step):
     return n_x * table.reshape(len(table), -1).sum(axis=1)
 
 
-def _grid_exponent_norms(freq, expo, n_x, step):
-    """:func:`_grid_norms` of the window ``exp(expo)`` from its exponents
-    ``expo`` alone.  ``|exp(E)|**2 = exp(2*Re E)``, and the fold's only
-    cross terms pair the terms ``m`` and ``m + d`` of a row that alias,
-    ``d`` a multiple of the period ``p = n_x / gcd(step, n_x)``:
+def _grid_exponent_norms(freq, expo, n_x, step, power=0):
+    """:func:`_grid_norms` of the window ``exp(expo) / 2**power`` from its
+    exponents ``expo`` alone, which it reads and does not write: the shift
+    by ``power*log(2)`` is subtracted in the sum's own real buffer.
+    ``|exp(E)|**2 = exp(2*Re E)``, and the fold's only cross terms pair the
+    terms ``m`` and ``m + d`` of a row that alias, ``d`` a multiple of the
+    period ``p = n_x / gcd(step, n_x)``:
 
         n_x * [sum_m exp(2*Re E_m)
                + 2 * sum_{d = p, 2p, ...} sum_m s_m * s_{m+d}
@@ -455,19 +495,24 @@ def _grid_exponent_norms(freq, expo, n_x, step):
     axis 1.  Where a row has no more terms than the period the cross sum
     is empty, and no phase is read."""
     period = n_x // math.gcd(step, n_x)
-    re, im = expo.real, expo.imag
-    table, terms = _column_major(expo.shape)
-    np.multiply(2.0, re, out=terms)
-    norms = np.exp(table, out=table).reshape(len(table), -1).sum(axis=1)
+    table, re = _column_major(expo.shape)
+    # log(2**power) in two parts, the first exact: the shift rounds no log 2
+    np.subtract(expo.real, power * _LN2_HI, out=re)
+    re -= power * _LN2_LO
+    crosses = []  # read before re is doubled in place, added after the squares
     if expo.shape[1] > period:  # terms alias onto each other
-        sign = 1 - 2 * (freq // n_x % 2)
+        im, sign = expo.imag, 1 - 2 * (freq // n_x % 2)
         for d in range(period, expo.shape[1], period):
-            table, cross = _column_major(re[:, d:].shape)
+            pair_table, cross = _column_major(re[:, d:].shape)
             np.add(re[:, :-d], re[:, d:], out=cross)
-            np.exp(table, out=table)
+            np.exp(pair_table, out=pair_table)
             cross *= np.cos(im[:, :-d] - im[:, d:])
             cross *= (sign[:, :-d] * sign[:, d:])[:, :, None]
-            norms += 2.0 * table.reshape(len(table), -1).sum(axis=1)
+            crosses.append(2.0 * pair_table.reshape(len(pair_table), -1).sum(axis=1))
+    re *= 2.0
+    norms = np.exp(table, out=table).reshape(len(table), -1).sum(axis=1)
+    for cross in crosses:
+        norms += cross
     return n_x * norms
 
 
@@ -477,18 +522,19 @@ def state_norm(basis: LLLBasis) -> list[float]:
     the columns of :func:`quadrature_nodes` (:meth:`ThetaField.cell_exponent`):
     each row's squared magnitudes plus the products of its terms that
     alias mod ``n_x`` (:func:`_grid_exponent_norms`), the diagonal of
-    :attr:`LLLBasis.gram`, which reads the same nodes.  The exponents are
+    :attr:`LLLBasis.gram`, which reads the same nodes: once the module is
+    measured, the table its field keeps (:meth:`ThetaField.cell_window`),
+    and otherwise a fresh one, which is not kept.  The exponents are
     shifted by the log of ``scale``, the power of two above the largest
-    entry ``exp(Re E)``, and the norms are multiplied by its square, as
-    the module's table is divided by it; no complex exponential is formed."""
+    entry ``exp(Re E)``, in the sum's own real buffer, and the norms are
+    multiplied by its square, as the module's table is divided by it; no
+    complex exponential is formed, and the table is neither copied nor
+    written."""
     x, y = quadrature_nodes(basis)
     freq, expo = basis.field.cell_exponent(y)
     top = float(np.max(expo.real))
     power = math.floor(top / _LN2_HI) + 1 if math.isfinite(top) else 0
-    # log(2**power) in two parts, the first exact: the shift rounds no log 2
-    expo.real -= power * _LN2_HI
-    expo.real -= power * _LN2_LO
-    norms = _grid_exponent_norms(freq, expo, x.size, basis.level) / (x.size * y.size)
+    norms = _grid_exponent_norms(freq, expo, x.size, basis.level, power) / (x.size * y.size)
     scale = math.ldexp(1.0, power)
     return [norm * scale * scale for norm in norms.tolist()]
 
@@ -499,7 +545,10 @@ class LLLBasis:
     :class:`ThetaField` of the K states, one row per label of
     :meth:`labels`, and ``quad`` the node floor of its cell rule.  The
     states own their parameters: :attr:`angles`, :attr:`gamma` and
-    :attr:`policy` are the field's."""
+    :attr:`policy` are the field's.  The basis keeps its states' class
+    table and per-class products on the cell rule (``_cell_states``): the
+    Gram matrix sums them, and every step along 1 reads them reweighted
+    (:func:`_project`)."""
 
     flux: Flux
     tau: ModularParameter
@@ -549,29 +598,34 @@ class LLLBasis:
 
     @functools.cached_property
     def _cell_states(self):
-        """``(n_x, y, scale, classes)`` of the module: the node count in
-        ``x`` and the ``y`` nodes of :func:`quadrature_nodes`, ``scale``,
-        the power of two at or above the largest entry of the states'
-        :meth:`ThetaField.cell_window` on those columns, and the
-        :func:`_grid_classes` of that window divided by ``scale``.  The
-        states reach ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over the squared
-        scale their products stay in range (``FloatingPointError`` if it overflows)."""
+        """``(n_x, y, scale, classes, products)`` of the module: the node
+        count in ``x`` and the ``y`` nodes of :func:`quadrature_nodes`,
+        ``scale``, the power of two at or above the largest entry of the
+        states' :meth:`ThetaField.cell_window` on those columns, the
+        :func:`_grid_classes` ``u`` of that window divided by ``scale``,
+        and their per-class products ``conj(u_c) @ u_c.T``, which the Gram
+        matrix and every step along 1 read.  The states reach
+        ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over the squared scale their
+        products stay in range (``FloatingPointError`` if it overflows)."""
         x, y = quadrature_nodes(self)
         freq, window = self.field.cell_window(y)
         top = float(np.max(np.abs(window)))
         if math.isinf(top):  # a NaN state fails in the Gram matrix instead
             raise FloatingPointError("the states' window table overflows double range")
         scale = math.ldexp(1.0, math.frexp(top)[1])
-        return x.size, y, scale, _grid_classes(freq, window / scale, x.size)
+        classes = _grid_classes(freq, window / scale, x.size)
+        values = classes[0]
+        return x.size, y, scale, classes, np.conjugate(values) @ values.transpose(0, 2, 1)
 
     @functools.cached_property
     def gram(self):
         """``G_rs = <Psi_r, Psi_s>`` on the cell rule, per label, over the
         squared scale of ``_cell_states`` (the states reach
-        ``exp(Im(tau)*alpha1**2/(4*pi*K))``; all measured is a ratio).
+        ``exp(Im(tau)*alpha1**2/(4*pi*K))``; all measured is a ratio): its
+        per-class products summed onto their rows (:func:`_class_sums`).
         ``LinAlgError`` unless finite with a positive diagonal."""
-        n_x, y, _, states = self._cell_states
-        gram = _grid_overlaps(states, states)
+        n_x, y, _, (_, rows, _, size), products = self._cell_states
+        gram = _class_sums(products, rows, rows, size, size)
         gram /= n_x * y.size
         if not (np.isfinite(gram).all() and np.all(gram.diagonal().real > 0)):
             raise np.linalg.LinAlgError("the states' Gram matrix is not finite and positive")
@@ -582,7 +636,8 @@ class LLLBasis:
     def translations(self):
         """:func:`_project` of ``d1``, ``dual1``, ``d2`` and ``dual2``, each
         measured at every flux, read-only: the steps along 1 read the
-        states' kept window, and each step along tau builds its own."""
+        states' per-class products, and each step along tau builds its own
+        window table."""
         out = {}
         for name, index, dual in (("d1", 1, False), ("dual1", 1, True),
                                   ("d2", 2, False), ("dual2", 2, True)):
@@ -599,9 +654,9 @@ def build_basis(flux: Flux, tau, angles: VacuumAngles = VacuumAngles(),
     vacuum angles, as one stacked :class:`ThetaField` that holds the angles
     and ``policy``, measured on the cell rule of node floor ``quad``."""
     t = as_tau(tau)
-    k_level = flux.level
-    residues = tuple((j * flux.numerator + k * flux.denominator) % k_level
-                     for j in range(flux.denominator) for k in range(flux.numerator))
+    k_level, n = flux.level, flux.numerator
+    j, k = np.divmod(np.arange(k_level), n)  # the labels, j major and k minor
+    residues = ((j * n + k * flux.denominator) % k_level).tolist()
     field = ThetaField({(0, 0, 0): 1.0}, k_level, residues, t, angles, policy)
     return LLLBasis(flux=flux, tau=t, field=field, quad=quad)
 
@@ -668,15 +723,34 @@ def _project(basis: LLLBasis, image):
     """``L = diag(G)^-1 P``, ``P_rs = <Psi_r, image_s>`` on the cell rule
     of :attr:`LLLBasis.gram`, for the stacked ``image`` of the states, and
     each image's Parseval defect ``|1 - sum_r |L_rs|^2 G_rr /
-    ||image_s||^2|``: its share outside the states' span."""
-    n_x, y, scale, states = basis._cell_states
-    freq, window = image.cell_window(y)
-    window = window / scale
+    ||image_s||^2|``: its share outside the states' span.
+
+    A step along 1 of the states (an image whose base is
+    :attr:`LLLBasis.field` and whose displacement has no ``tau`` part:
+    ``D1``, ``D1~`` and ``D1^M``) keeps each term's frequency and class
+    and multiplies it by one factor ``w`` (:meth:`_Translated._term_factors`),
+    so ``P`` is the states' per-class products ``conj(u_i) u_j`` times
+    ``w_j``, summed as the Gram matrix is, and each image's norm is their
+    quadratic form ``conj(w_i) conj(u_i) u_j w_j`` over the slot pairs of
+    its row: no table is formed.  Any other image is read from its own
+    :meth:`~ThetaField.cell_window` table."""
+    n_x, y, scale, states, products = basis._cell_states
     norms = basis.gram.diagonal().real
-    images = _grid_classes(freq, window, n_x)
-    l_mat = _grid_overlaps(states, images)
+    if getattr(image, "base", None) is basis.field and not image.displacement.u.imag:
+        _, rows, freqs, size = states
+        const, weights = image._term_factors(freqs)
+        weights *= const
+        weighted = products * weights[:, None, :]
+        l_mat = _class_sums(weighted, rows, rows, size, size)
+        weighted *= np.conjugate(weights)[:, :, None]
+        image_norms = _class_sums(weighted, rows, rows, size, size).diagonal().real
+    else:
+        freq, window = image.cell_window(y)
+        window = window / scale
+        l_mat = _grid_overlaps(states, _grid_classes(freq, window, n_x))
+        image_norms = _grid_norms(freq, window, n_x, basis.level)
     l_mat /= n_x * y.size * norms[:, None]
-    image_norms = _grid_norms(freq, window, n_x, basis.level) / (n_x * y.size)
+    image_norms = image_norms / (n_x * y.size)
     power = np.abs(l_mat)
     power **= 2
     return l_mat, np.abs(1.0 - norms @ power / image_norms)

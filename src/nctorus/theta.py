@@ -347,14 +347,14 @@ def _grid_exponent(spec, c, tau, policy, log_scale):
     k = spec.level
     r_k = np.atleast_1d(spec.residue)[:, None] / k
     a_star = -np.imag(c) / t.im
-    peak = float(np.max(np.abs(a_star), initial=0.0))
-    count = own = _peak_window(k, t.im, peak, policy.epsilon, 0)
+    # the values' window reads no peak: only a derivative's bound does
+    count = own = _peak_window(k, t.im, 0.0, policy.epsilon, 0)
     # per residue and column, the first term at or above a* - count/2;
-    # rounding and ceil are monotone, so a residue's run starts at the
-    # least a*'s first term and ends at the largest's window
+    # rounding and ceil are monotone, so a residue's run starts at its
+    # row's least first term, the least a*'s, and ends at the largest's window
     start = np.ceil(a_star - r_k - 0.5 * count)
-    low = np.ceil(np.min(a_star) - r_k - 0.5 * count)
-    count += int(np.max(np.ceil(np.max(a_star) - r_k - 0.5 * count) - low))
+    low = np.min(start, axis=1, keepdims=True)
+    count += int(np.max(np.max(start, axis=1, keepdims=True) - low))
     _check_cap(count, policy)
     a = (low + np.arange(count, dtype=float)) + r_k
     # built in place: the table is the largest array of a grid sum, and
@@ -637,25 +637,29 @@ def quasi_periodicity_residual(level, tau, policy=_DEFAULT_POLICY) -> float:
     point's terms are its own, so the values are those of three calls."""
     t = as_tau(tau)
     b = t.im
-    rng = np.random.default_rng(0)
-    res = []
-    for k in (1, 2, 3, 6, 12, level):
-        zs = rng.random(25) + t.value * rng.random(25)
-        # zs, zs + 1 and zs + tau in one series
-        z = np.concatenate([zs, zs + 1.0, zs + t.value])
-        f, f_1, f_tau = theta(ThetaSpec(k, k // 2), z, t, policy,
-                              log_scale=-math.pi * k * z.imag**2 / b).reshape(3, -1)
-        res.append(_relative(np.max(np.abs(f_1 - f)), np.max(np.abs(f))))
-        rhs = np.exp(-1j * math.pi * k * t.re - 2j * math.pi * k * zs.real) * f
-        res.append(_relative(np.max(np.abs(f_tau - rhs)), np.max(np.abs(rhs))))
+    levels = np.array([1, 2, 3, 6, 12, level])[:, None]
+    # each level's 25 x then 25 y, in the levels' order: one draw, the same stream
+    x, y = np.random.default_rng(0).random((len(levels), 2, 25)).transpose(1, 0, 2)
+    zs = x + t.value * y
+    f, f_1, f_tau = np.empty((3,) + zs.shape, dtype=complex)
+    for i, (k, z) in enumerate(zip(levels[:, 0].tolist(), zs)):
+        # z, z + 1 and z + tau in one series
+        z = np.concatenate([z, z + 1.0, z + t.value])
+        f[i], f_1[i], f_tau[i] = theta(ThetaSpec(k, k // 2), z, t, policy,
+                                       log_scale=-math.pi * k * z.imag**2 / b).reshape(3, -1)
+    rhs = np.exp(-1j * math.pi * levels * t.re - 2j * math.pi * levels * zs.real) * f
+    res = [_relative(np.max(np.abs(f_1 - f), axis=1), np.max(np.abs(f), axis=1)),
+           _relative(np.max(np.abs(f_tau - rhs), axis=1), np.max(np.abs(rhs), axis=1))]
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 
-def _relative(residual, size) -> float:
-    """``residual / size``, NaN where ``size`` is 0: a check whose every
-    sample underflowed fails with NaN, and numpy writes no warning."""
-    residual, size = float(residual), float(size)
-    return residual / size if size else math.nan
+def _relative(residual, size):
+    """``residual / size``, elementwise for arrays, NaN where ``size`` is 0:
+    a check whose every sample underflowed fails with NaN, and numpy
+    writes no warning."""
+    residual, size = np.asarray(residual, dtype=float), np.asarray(size, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(size != 0.0, residual / size, math.nan)
 
 
 def orthogonality_residual(level: int) -> float:

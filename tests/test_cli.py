@@ -384,9 +384,9 @@ def test_partition_where_the_state_norms_alias(capsys, monkeypatch):
     rows = []
     norms = lll._grid_exponent_norms
 
-    def recorded(freq, expo, n_x, step):
+    def recorded(freq, expo, n_x, step, power=0):
         rows.append((expo.shape[1], n_x // math.gcd(step, n_x)))
-        return norms(freq, expo, n_x, step)
+        return norms(freq, expo, n_x, step, power)
 
     monkeypatch.setattr(lll, "_grid_exponent_norms", recorded)
     code, rep = run_json(capsys, ["partition", "--M", "1", "--N", "8", "--tau=0.17+0.8i",

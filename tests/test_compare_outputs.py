@@ -50,3 +50,27 @@ def test_moved_residuals_and_flipped_passes_are_reported():
     assert tool.diff_case(result(0, 0.0, True), result(1, 0.75, False, "late")) == [
         "exit code 0 -> 1", "stderr '' -> 'late'", "/checks/gram_rank/pass flipped True -> False",
         "/pass flipped True -> False", "/checks/gram_rank/residual moved 0.75 (0.0 -> 0.75)"]
+
+
+def test_the_report_ends_with_the_largest_move_per_key(capsys):
+    # one line per moved key, in stdout and in a JSON file: its largest
+    # move over the differing cases, how many it moved in, and which case
+    tool = _tool()
+
+    def result(residual, phase=0.5):
+        report = {"checks": [{"name": "gram_rank", "pass": True, "residual": residual}],
+                  "pass": True}
+        return {"code": 0, "stdout": json.dumps(report), "stderr": "",
+                "files": {"eigenphases.json": json.dumps({"phase": [1.0, phase]})}}
+
+    cases = [["verify", "--M", "1"], ["verify", "--M", "2"], ["theta"]]
+    old = [result(0.0)] * 3
+    new = [result(1e-16), result(3e-16, 0.5 + 2e-16), result(0.0)]
+    assert tool.compare(cases, old, new) == 2
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "1 of 3 cases identical",
+        "largest move per key over the 2 differing cases:",
+        "    /checks/gram_rank/residual moved 3e-16 (0.0 -> 3e-16) in 2 cases, "
+        "largest in: verify --M 2",
+        "    eigenphases.json:/phase/* moved 2.22e-16 (0.5 -> 0.5000000000000002) in 1 cases, "
+        "largest in: verify --M 2"]

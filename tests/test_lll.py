@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nctorus import cli, lll, partition
 from nctorus.core import Flux, VacuumAngles, as_tau
-from nctorus.fields import Field, ladder_apply
+from nctorus.fields import Displacement, Field, ladder_apply
 from nctorus.lll import (
     LLLBasis,
     ThetaField,
@@ -441,14 +441,16 @@ def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
 def test_cell_exponent_is_the_window_before_its_exponential():
     # the states' exponents are their window table's bit for bit, the
     # term's coefficient riding as its log: a NaN one makes every exponent
-    # of a column's own window NaN.  The table is fresh and writable, and
-    # the kept window stays as it was
+    # of a column's own window NaN.  The table of the cell rule's columns
+    # is kept, read-only, and each window is a new array exponentiated
+    # from it
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
     y = partition.quadrature_nodes(basis)[1]
     freq, window = basis.field.cell_window(y)
     exp_freq, expo = basis.field.cell_exponent(y)
     assert np.array_equal(exp_freq, freq) and np.array_equal(np.exp(expo), window)
-    assert expo.flags.writeable and basis.field.cell_window(y)[1] is window
+    assert not expo.flags.writeable and basis.field.cell_exponent(y)[1] is expo
+    assert basis.field.cell_window(y)[1] is not window
     own = np.isfinite(expo)
     assert np.all(expo[~own] == -np.inf)
     nan_expo = with_terms(basis, {(0, 0, 0): np.nan}).field.cell_exponent(y)[1]
@@ -485,8 +487,8 @@ def test_unit_coefficient_term_is_not_copied():
 
 
 def test_fields_are_freed_without_the_cycle_collector():
-    # a field keeps its last window table; with no reference cycle through
-    # its evaluators it goes, table and all, as soon as its basis does
+    # a field keeps its first table of exponents; with no reference cycle
+    # through its evaluators it goes, table and all, as soon as its basis does
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -577,19 +579,23 @@ _SOLVERS = ("svd", "lstsq", "solve", "pinv")
 
 
 def test_coefficient_matrix_is_one_solve(monkeypatch):
-    # one Gram matrix serves every coefficient matrix: each is diag(G)^-1 P
-    # from one overlap with the states (its image norms are a fold), and
-    # no solver runs
-    calls = dict.fromkeys(_SOLVERS + ("overlaps",), 0)
+    # one Gram matrix serves every coefficient matrix: each is diag(G)^-1 P,
+    # and no solver runs.  The Gram matrix is one sum of the states'
+    # per-class products; a step along 1 (d1, dual1) reads those products
+    # twice, for P and for its image norms, and a step along tau (d2,
+    # dual2) forms one overlap of the states with its own table
+    calls = dict.fromkeys(_SOLVERS + ("overlaps", "sums"), 0)
     for name in _SOLVERS:
         monkeypatch.setattr(np.linalg, name, _counted(calls, name, getattr(np.linalg, name)))
     monkeypatch.setattr(lll, "_grid_overlaps", _counted(calls, "overlaps", lll._grid_overlaps))
+    monkeypatch.setattr(lll, "_class_sums", _counted(calls, "sums", lll._class_sums))
     basis = build_basis(Flux(3, 5), TAU_GEN, ANGLES)
-    for i, op in enumerate(_translations(basis)):
+    # d1, d2, dual1, dual2
+    for op, overlaps, sums in zip(_translations(basis), (0, 1, 1, 2), (3, 4, 6, 7)):
         coefficient_matrix(basis, op)
-        assert calls == {**dict.fromkeys(_SOLVERS, 0), "overlaps": 1 + (i + 1)}
+        assert calls == {**dict.fromkeys(_SOLVERS, 0), "overlaps": overlaps, "sums": sums}
     assert gram_rank(basis) == 15
-    assert calls["overlaps"] == 5
+    assert calls["sums"] == 7
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (7, 5)])
@@ -703,9 +709,11 @@ def test_one_nan_image_window_reads_nan_without_a_warning():
 def test_module_is_measured_once_per_basis(monkeypatch, capsys):
     # the eigenphase table, the Gram rank, the orthogonality and the
     # bimodule check share one Gram matrix and one projection per
-    # translation, with no pointwise state evaluation; the states' window
-    # serves the translations along 1 and is kept, so the states and the
-    # two steps along tau each build one window table.  All four
+    # translation, with no pointwise state evaluation; the states' kept
+    # table serves the Gram matrix, the translations along 1 through its
+    # per-class products, and the state norms, so the states and the two
+    # steps along tau each build one table, and only the steps along tau
+    # overlap the states with a table of their own.  All four
     # translations are projected at every flux, M = N = 1 included
     calls = {"svd": 0, "translation": 0, "eval": 0, "window": 0, "overlaps": 0,
              "state_norm": 0}
@@ -723,7 +731,9 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
         assert overlap_residual(basis)[0] < 1e-12
         assert bimodule_consistency(basis)["pass"]
         assert calls == {"svd": 0, "translation": 4, "eval": 0, "window": 3,
-                         "overlaps": 5, "state_norm": 0}, mn
+                         "overlaps": 2, "state_norm": 0}, mn
+        partition.state_norm(basis)
+        assert calls["window"] == 3, mn
     # partition --M 3 --N 2 integrates each of its three bases in one call
     monkeypatch.setattr(partition, "state_norm",
                         _counted(calls, "state_norm", partition.state_norm))
@@ -734,13 +744,13 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
 
 
 def test_verify_builds_each_window_table_once(monkeypatch, capsys):
-    # the states' table on the cell rule's own columns serves the Gram
-    # matrix and the steps along 1; the steps along tau read other columns
-    # and do not replace it.  Seven tables of exponents: four exponentiated
-    # in place into read-only windows (the states, the centre's D2^M on
-    # the columns y - 1 and the two steps along tau), and three, for the
-    # state norms at tau, tau+1 and -1/tau, left writable and exponentiated
-    # by no one
+    # the module's basis forms its states' table of exponents once, on the
+    # cell rule's own columns, and keeps it read-only: the Gram matrix, the
+    # steps along 1 and then the state norms read it.  The steps along tau
+    # read other columns, and their three tables (the centre's D2^M on the
+    # columns y - 1 and the two steps) are exponentiated in place and not
+    # kept.  The state norms at tau+1 and -1/tau read one fresh table each,
+    # which no one keeps or writes.  Six tables in all
     tables, grid_exponent = [], lll._grid_exponent
 
     def recorded(*args):
@@ -752,17 +762,84 @@ def test_verify_builds_each_window_table_once(monkeypatch, capsys):
     assert cli.main(["verify", "--M", "3", "--N", "5", "--tau=0.2+1.4i",
                      "--alpha1", "0.7", "--alpha2", "-1.3"]) == 0
     capsys.readouterr()
-    windows = [expo for expo in tables if not expo.flags.writeable]
-    assert (len(tables), len(windows)) == (7, 4)
-    assert not any(np.isneginf(expo.real).any() for expo in windows)
-    # the norms read after the steps are a fresh basis's bit for bit, from
-    # one table of exponents and no complex one
+    assert len(tables) == 6
+    assert [expo.flags.writeable for expo in tables] == [False] * 4 + [True] * 2
+    # the module's sequence on one basis: its states' table first, kept,
+    # then one table per step along tau, and the norms read the kept one,
+    # bit for bit a fresh basis's
     basis = build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES)
-    assert basis.translations
     tables.clear()
+    center_eigen_residual(basis)
+    assert basis.translations
+    assert len(tables) == 4
+    kept = basis.field.cell_exponent(partition.quadrature_nodes(basis)[1])[1]
+    assert kept is tables[0] and len(tables) == 4
+    assert not any(np.isneginf(expo.real).any() for expo in tables[1:])
     norms = partition.state_norm(basis)
-    assert len(tables) == 1 and tables[0].flags.writeable
+    assert len(tables) == 4 and not kept.flags.writeable
     assert norms == partition.state_norm(build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES))
+
+
+def _steps_along_one(basis):
+    """``d1``, ``dual1`` and the centre's ``D1^M`` as operators."""
+    m = basis.flux.denominator
+    d1, dual1 = (elementary_translation(basis, 1, dual=dual) for dual in (False, True))
+    step = d1(basis.field)
+    return {"d1": d1, "dual1": dual1,
+            "d1^M": lambda f: lll._Translated(f, Displacement(m * step.displacement.u),
+                                              step.scale**m, basis)}
+
+
+def _field_copy(basis):
+    """The states as a new field: a step along 1 of it is read from its
+    own window table, not from the basis's class products."""
+    f = basis.field
+    return ThetaField(f.terms, f.level, f.residue, basis.tau, f.angles, f.policy)
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (3, 2), (7, 5), (13, 7)])
+@pytest.mark.parametrize("tau", [0.02j, 0.3 + 1.1j, 1e3j])
+@pytest.mark.parametrize("angles", [VacuumAngles(), ANGLES])
+def test_steps_along_one_read_the_class_products(monkeypatch, mn, tau, angles):
+    # D1, D1~ and D1^M of the states read the Gram's per-class products,
+    # reweighted, and form no table; the same steps of a copy of the
+    # field take the image-table route, and L and the Parseval defects of
+    # the two routes agree to round-off
+    m, n = mn
+    basis = build_basis(Flux(n, m), tau, angles)
+    copy = _field_copy(basis)
+    basis.gram  # the states' classes and products, before the count
+    calls = {"classes": 0}
+    monkeypatch.setattr(lll, "_grid_classes", _counted(calls, "classes", lll._grid_classes))
+    for name, op in _steps_along_one(basis).items():
+        l_mat, defect = lll._project(basis, op(basis.field))
+        assert calls["classes"] == 0, name
+        want_l, want_defect = lll._project(basis, op(copy))
+        calls["classes"] = 0
+        assert np.max(np.abs(l_mat - want_l)) < 1e-14, name
+        assert np.max(np.abs(defect - want_defect)) < 1e-14, name
+        assert np.max(defect) < 1e-12, name
+
+
+def test_steps_along_one_fail_as_the_table_route_does():
+    # a NaN table off the cell rule's own columns leaves the steps along 1
+    # finite and makes the steps along tau NaN; a NaN table everywhere fails
+    # the Gram matrix, and at 1e5i the states' table overflows: both routes
+    # raise the same error there
+    basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
+    nodes = partition.quadrature_nodes(basis)[1]
+    fault = with_window(basis, lambda y, freq, window: (
+        freq, window if np.array_equal(y, nodes) else window * np.nan))
+    for op in _steps_along_one(fault).values():
+        assert np.max(lll._project(fault, op(fault.field))[1]) < 1e-12
+    assert np.isnan(fault.translations["d2"][1]).all()
+    everywhere = with_window(basis, lambda y, freq, window: (freq, window * np.nan))
+    big = build_basis(Flux(1, 1), 1e5j, ANGLES)
+    for broken, error in ((everywhere, np.linalg.LinAlgError), (big, FloatingPointError)):
+        for op in _steps_along_one(broken).values():
+            for image in (op(broken.field), op(_field_copy(broken))):
+                with pytest.raises(error):
+                    lll._project(broken, image)
 
 
 def test_raise_level_roundtrip_and_covariance():

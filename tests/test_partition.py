@@ -161,7 +161,7 @@ def test_state_norm_is_the_gram_diagonal_without_subnormal_terms(monkeypatch):
     def recorded(exponent_of):
         def wrapped(*args):
             a, expo = exponent_of(*args)
-            tables.append(expo.copy())  # state_norm shifts the table in place
+            tables.append(expo)  # state_norm does not write the table
             return a, expo
         return wrapped
 

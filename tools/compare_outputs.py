@@ -12,9 +12,11 @@ directory, whose files are compared too.  Before comparing, each
 masked.
 
 Each case that differs in stdout, exit code, stderr or files is printed
-with its argv and, for JSON reports, the largest move of each number
-that moved and each ``pass`` that flipped.  The exit code is 0 when
-every case is identical and 1 otherwise.
+with its argv and, for JSON reports and JSON files, the largest move of
+each number that moved and each ``pass`` that flipped.  The report ends
+with one line per moved number key: its largest move over all differing
+cases, the number of cases it moved in, and the case it came from.  The
+exit code is 0 when every case is identical and 1 otherwise.
 
     python tools/compare_outputs.py --write-cases
 
@@ -188,55 +190,94 @@ def _number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def diff_case(old, new) -> list:
-    """Lines that say how one case's ``new`` result differs from ``old``:
-    exit code, stderr, files, and for JSON stdout the largest move of each
-    number (per key, list positions folded) and each flipped boolean."""
-    lines = []
-    if old["code"] != new["code"]:
-        lines.append("exit code %r -> %r" % (old["code"], new["code"]))
-    if old["stderr"] != new["stderr"]:
-        lines.append("stderr %r -> %r" % (old["stderr"][-200:], new["stderr"][-200:]))
-    for name in sorted(set(old["files"]) | set(new["files"])):
-        if old["files"].get(name) != new["files"].get(name):
-            lines.append("file %s differs" % name)
-    if old["stdout"] == new["stdout"]:
-        return lines
+def _json_diff(old_text, new_text, prefix=""):
+    """``(lines, moves)`` of two JSON texts, or None if either is not JSON:
+    a line for each flipped boolean and each other changed leaf that is
+    not a number, and per number key (list positions folded, ``prefix``
+    in front) its largest move as ``key -> (move, old, new)``."""
     try:
-        a, b = (dict(_leaves(json.loads(r["stdout"]))) for r in (old, new))
+        a, b = (dict(_leaves(json.loads(text))) for text in (old_text, new_text))
     except ValueError:
-        return lines + ["stdout differs (not JSON)"]
-    moves, before = {}, len(lines)
+        return None
+    lines, moves = [], {}
     for path in sorted(set(a) | set(b)):
         x, y = a.get(path), b.get(path)
         if x == y or (_number(x) and _number(y) and math.isnan(x) and math.isnan(y)):
             continue
         if isinstance(x, bool) or isinstance(y, bool):
-            lines.append("%s flipped %r -> %r" % (path, x, y))
+            lines.append("%s%s flipped %r -> %r" % (prefix, path, x, y))
         elif _number(x) and _number(y):
-            key = re.sub(r"/\d+(?=/|$)", "/*", path)
+            key = prefix + re.sub(r"/\d+(,\d+)?(?=/|$)", "/*", path)
             move = abs(y - x)
             if key not in moves or not move <= moves[key][0]:
                 moves[key] = (move, x, y)
         else:
-            lines.append("%s %r -> %r" % (path, x, y))
-    for key, (move, x, y) in sorted(moves.items()):
-        lines.append("%s moved %.3g (%r -> %r)" % (key, move, x, y))
-    if len(lines) == before:  # equal values in other text, such as -0 for 0
-        lines.append("stdout differs in its text only")
-    return lines
+            lines.append("%s%s %r -> %r" % (prefix, path, x, y))
+    return lines, moves
+
+
+def _diff(old, new):
+    """``(lines, moves)`` of one case: :func:`diff_case`'s lines and the
+    largest move per number key of its JSON stdout and JSON files, the
+    files' keys prefixed with ``<name>:``."""
+    lines, moves = [], {}
+    if old["code"] != new["code"]:
+        lines.append("exit code %r -> %r" % (old["code"], new["code"]))
+    if old["stderr"] != new["stderr"]:
+        lines.append("stderr %r -> %r" % (old["stderr"][-200:], new["stderr"][-200:]))
+    for name in sorted(set(old["files"]) | set(new["files"])):
+        a, b = old["files"].get(name), new["files"].get(name)
+        if a != b:
+            lines.append("file %s differs" % name)
+            parsed = a is not None and b is not None and _json_diff(a, b, name + ":")
+            if parsed:
+                lines += parsed[0]
+                moves.update(parsed[1])
+    if old["stdout"] != new["stdout"]:
+        parsed = _json_diff(old["stdout"], new["stdout"])
+        if parsed is None:
+            lines.append("stdout differs (not JSON)")
+        else:
+            lines += parsed[0]
+            moves.update(parsed[1])
+            if not (parsed[0] or parsed[1]):  # equal values in other text, such as -0 for 0
+                lines.append("stdout differs in its text only")
+    lines += ["%s moved %.3g (%r -> %r)" % (key, move, x, y)
+              for key, (move, x, y) in sorted(moves.items())]
+    return lines, moves
+
+
+def diff_case(old, new) -> list:
+    """Lines that say how one case's ``new`` result differs from ``old``:
+    exit code, stderr, files, and for JSON stdout and JSON files the
+    largest move of each number (per key, list positions folded) and each
+    flipped boolean."""
+    return _diff(old, new)[0]
 
 
 def compare(cases, old, new) -> int:
-    """Print each differing case with :func:`diff_case`; the count of them."""
-    differing = 0
+    """Print each differing case with :func:`diff_case`, then one line per
+    moved number key: its largest move over the differing cases, the
+    number of cases it moved in, and the case of the largest move.  The
+    count of differing cases."""
+    differing, largest, counts = 0, {}, {}
     for argv, a, b in zip(cases, old, new):
         if a != b:
             differing += 1
             print("DIFF", " ".join(argv))
-            for line in diff_case(a, b):
+            lines, moves = _diff(a, b)
+            for line in lines:
                 print("    " + line)
+            for key, move in moves.items():
+                counts[key] = counts.get(key, 0) + 1
+                if key not in largest or not move[0] <= largest[key][0][0]:
+                    largest[key] = move, argv
     print("%d of %d cases identical" % (len(cases) - differing, len(cases)))
+    if largest:
+        print("largest move per key over the %d differing cases:" % differing)
+    for key, ((move, x, y), argv) in sorted(largest.items()):
+        print("    %s moved %.3g (%r -> %r) in %d cases, largest in: %s"
+              % (key, move, x, y, counts[key], " ".join(argv)))
     return differing
 
 

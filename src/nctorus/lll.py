@@ -82,9 +82,10 @@ From the exponents ``E`` alone that norm is each term's squared
 magnitude ``exp(2*Re E)`` plus, for every pair of terms of one class,
 the product ``2*exp(Re E + Re E')*cos(Im E - Im E')`` with its signs; a
 row whose terms do not alias reads no phase.  :func:`state_norm` sums
-the states' own norms that way, from the table of exponents the states'
-field keeps for the module (:meth:`ThetaField.cell_window`) once the
-module is measured: a basis that is measured, then normed, forms it once.
+the states' own norms that way, from a table of exponents of its own.
+Every table is fresh and its caller's (:meth:`ThetaField.cell_exponent`,
+:meth:`ThetaField.cell_window`): the field keeps none, and each reader
+scales the table it asked for in place.
 
 The basis keeps the states' per-class products ``conj(u_c) @ u_c.T``,
 and ``G`` is their sum onto the rows (:func:`_class_sums`).  A step along
@@ -229,10 +230,12 @@ class ThetaField(Field):
     stacks one field per residue: ``evaluate(w, wbar)`` and both
     derivatives return shape ``(len(residue),) + w.shape``.  The vacuum
     ``angles`` are held once: ``alpha1`` enters ``G``, and ``gamma =
-    (tau*alpha1 - alpha2)/(2*pi*K)`` is formed from them here.
+    (tau*alpha1 - alpha2)/(2*pi*K)`` is formed from them here.  The field
+    keeps no cell table: each :meth:`cell_exponent` and :meth:`cell_window`
+    builds a new one for its caller.
     """
 
-    __slots__ = ("terms", "level", "residue", "spec", "angles", "gamma", "policy", "_exponent")
+    __slots__ = ("terms", "level", "residue", "spec", "angles", "gamma", "policy")
 
     def __init__(self, terms, level, residue, tau, angles: VacuumAngles,
                  policy=_DEFAULT_POLICY):
@@ -245,10 +248,9 @@ class ThetaField(Field):
         self.angles = angles
         self.gamma = (tv * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * self.level)
         self.policy = policy
-        self._exponent = None
 
-        # the evaluators hold no reference to self: a field is freed, with
-        # the table of exponents it keeps, as soon as it is unused
+        # the evaluators hold no reference to self: a field is freed as
+        # soon as it is unused
         level, residue, alpha1, gamma = self.level, self.residue, angles.alpha1, self.gamma
 
         def evaluator(terms):
@@ -279,12 +281,7 @@ class ThetaField(Field):
         of ``theta._grid_exponent``'s table, and the constant last part,
         plus the log of the term's coefficient, is its log-scale.  No
         exponent is larger than the terms it scales, so none loses digits
-        to cancellation.
-        On the columns of the table :meth:`cell_window` keeps, that table
-        is returned, read-only; any other is fresh, writable and not kept."""
-        key = y.tobytes()
-        if self._exponent is not None and self._exponent[0] == key:
-            return self._exponent[1]
+        to cancellation.  Both arrays are fresh, and the caller's."""
         if set(self.terms) != {(0, 0, 0)}:
             raise ValueError("a cell window needs the one term (0, 0, 0)")
         tau, k = self.tau, self.level
@@ -294,23 +291,14 @@ class ThetaField(Field):
         return np.rint(k * a).astype(int), expo
 
     def cell_window(self, y):
-        """:meth:`cell_exponent` with its table exponentiated, read-only:
+        """:meth:`cell_exponent` with its table exponentiated in place:
         ``(F, W)``, laid out as ``E``, ``W`` exactly 0 outside each
         column's own window, where ``exp(-inf)`` is 0, and NaN where ``E``
-        is.  The first table asked, on the cell rule's own columns, is kept
-        read-only and exponentiated into a new array at each call: the
-        module reads it, and so does :func:`state_norm` after it.  A step
-        along tau reads other columns, and its tables are exponentiated in
-        place and not kept."""
+        is.  Each call builds a fresh table, which its caller owns and
+        scales in place."""
         freq, window = self.cell_exponent(y)
-        if self._exponent is None:
-            for arr in (freq, window):
-                arr.setflags(write=False)
-            self._exponent = y.tobytes(), (freq, window)
         with np.errstate(over="ignore"):  # the module names the overflow (LLLBasis._cell_states)
-            window = np.exp(window, out=window if window.flags.writeable else None)
-        for arr in (freq, window):
-            arr.setflags(write=False)
+            np.exp(window, out=window)
         return freq, window
 
 
@@ -358,7 +346,7 @@ class _Translated(Field):
         uy = self._shift()[1]
         freq, window = self.base.cell_window(y - uy)
         const, phase = self._term_factors(freq)
-        window = window * const  # the base's table is read-only: one copy, scaled in place
+        window *= const
         window *= phase[:, :, None]
         return freq - round(self.basis.level * uy), window
 
@@ -522,14 +510,12 @@ def state_norm(basis: LLLBasis) -> list[float]:
     the columns of :func:`quadrature_nodes` (:meth:`ThetaField.cell_exponent`):
     each row's squared magnitudes plus the products of its terms that
     alias mod ``n_x`` (:func:`_grid_exponent_norms`), the diagonal of
-    :attr:`LLLBasis.gram`, which reads the same nodes: once the module is
-    measured, the table its field keeps (:meth:`ThetaField.cell_window`),
-    and otherwise a fresh one, which is not kept.  The exponents are
-    shifted by the log of ``scale``, the power of two above the largest
-    entry ``exp(Re E)``, in the sum's own real buffer, and the norms are
-    multiplied by its square, as the module's table is divided by it; no
-    complex exponential is formed, and the table is neither copied nor
-    written."""
+    :attr:`LLLBasis.gram`, which reads the same nodes from a table of its
+    own.  The exponents are shifted by the log of ``scale``, the power of
+    two above the largest entry ``exp(Re E)``, in the sum's own real
+    buffer, and the norms are multiplied by its square, as the module's
+    table is divided by it; no complex exponential is formed, and the
+    table is neither copied nor written."""
     x, y = quadrature_nodes(basis)
     freq, expo = basis.field.cell_exponent(y)
     top = float(np.max(expo.real))
@@ -602,8 +588,8 @@ class LLLBasis:
         count in ``x`` and the ``y`` nodes of :func:`quadrature_nodes`,
         ``scale``, the power of two at or above the largest entry of the
         states' :meth:`ThetaField.cell_window` on those columns, the
-        :func:`_grid_classes` ``u`` of that window divided by ``scale``,
-        and their per-class products ``conj(u_c) @ u_c.T``, which the Gram
+        :func:`_grid_classes` ``u`` of that window divided in place by
+        ``scale``, and their per-class products ``conj(u_c) @ u_c.T``, which the Gram
         matrix and every step along 1 read.  The states reach
         ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over the squared scale their
         products stay in range (``FloatingPointError`` if it overflows)."""
@@ -613,7 +599,8 @@ class LLLBasis:
         if math.isinf(top):  # a NaN state fails in the Gram matrix instead
             raise FloatingPointError("the states' window table overflows double range")
         scale = math.ldexp(1.0, math.frexp(top)[1])
-        classes = _grid_classes(freq, window / scale, x.size)
+        window /= scale
+        classes = _grid_classes(freq, window, x.size)
         values = classes[0]
         return x.size, y, scale, classes, np.conjugate(values) @ values.transpose(0, 2, 1)
 
@@ -746,7 +733,7 @@ def _project(basis: LLLBasis, image):
         image_norms = _class_sums(weighted, rows, rows, size, size).diagonal().real
     else:
         freq, window = image.cell_window(y)
-        window = window / scale
+        window /= scale
         l_mat = _grid_overlaps(states, _grid_classes(freq, window, n_x))
         image_norms = _grid_norms(freq, window, n_x, basis.level)
     l_mat /= n_x * y.size * norms[:, None]

@@ -441,15 +441,17 @@ def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
 def test_cell_exponent_is_the_window_before_its_exponential():
     # the states' exponents are their window table's bit for bit, the
     # term's coefficient riding as its log: a NaN one makes every exponent
-    # of a column's own window NaN.  The table of the cell rule's columns
-    # is kept, read-only, and each window is a new array exponentiated
-    # from it
+    # of a column's own window NaN.  Each call builds a fresh, writable
+    # table for its caller: the field keeps none
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
     y = partition.quadrature_nodes(basis)[1]
     freq, window = basis.field.cell_window(y)
     exp_freq, expo = basis.field.cell_exponent(y)
     assert np.array_equal(exp_freq, freq) and np.array_equal(np.exp(expo), window)
-    assert not expo.flags.writeable and basis.field.cell_exponent(y)[1] is expo
+    again_freq, again = basis.field.cell_exponent(y)
+    assert again is not expo and again_freq is not exp_freq
+    assert np.array_equal(again, expo) and np.array_equal(again_freq, exp_freq)
+    assert all(arr.flags.writeable for arr in (freq, window, exp_freq, expo))
     assert basis.field.cell_window(y)[1] is not window
     own = np.isfinite(expo)
     assert np.all(expo[~own] == -np.inf)
@@ -487,8 +489,8 @@ def test_unit_coefficient_term_is_not_copied():
 
 
 def test_fields_are_freed_without_the_cycle_collector():
-    # a field keeps its first table of exponents; with no reference cycle
-    # through its evaluators it goes, table and all, as soon as its basis does
+    # with no reference cycle through its evaluators a field goes as soon
+    # as its basis does
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -503,13 +505,20 @@ def test_fields_are_freed_without_the_cycle_collector():
 
 
 def test_measured_module_is_read_only():
+    # the cached Gram matrix and translations are shared and read-only; a
+    # cell table is its caller's, writable, and writing it leaves the
+    # field's next table as it was
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
     assert basis.gram is basis.gram
     assert not basis.gram.flags.writeable
     for l_mat, defect in basis.translations.values():
         assert not (l_mat.flags.writeable or defect.flags.writeable)
-    freq, window = basis.field.cell_window(partition.quadrature_nodes(basis)[1])
-    assert not (freq.flags.writeable or window.flags.writeable)
+    y = partition.quadrature_nodes(basis)[1]
+    freq, window = basis.field.cell_window(y)
+    assert freq.flags.writeable and window.flags.writeable
+    want = window.copy()
+    window *= np.nan
+    assert np.array_equal(basis.field.cell_window(y)[1], want)
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (5, 2)])
@@ -709,12 +718,12 @@ def test_one_nan_image_window_reads_nan_without_a_warning():
 def test_module_is_measured_once_per_basis(monkeypatch, capsys):
     # the eigenphase table, the Gram rank, the orthogonality and the
     # bimodule check share one Gram matrix and one projection per
-    # translation, with no pointwise state evaluation; the states' kept
-    # table serves the Gram matrix, the translations along 1 through its
-    # per-class products, and the state norms, so the states and the two
-    # steps along tau each build one table, and only the steps along tau
-    # overlap the states with a table of their own.  All four
-    # translations are projected at every flux, M = N = 1 included
+    # translation, with no pointwise state evaluation; the states' table
+    # serves the Gram matrix and the translations along 1 through its
+    # per-class products, so the states and the two steps along tau each
+    # build one table, and only the steps along tau overlap the states
+    # with a table of their own.  The state norms build one more.  All
+    # four translations are projected at every flux, M = N = 1 included
     calls = {"svd": 0, "translation": 0, "eval": 0, "window": 0, "overlaps": 0,
              "state_norm": 0}
     monkeypatch.setattr(np.linalg, "svd", _counted(calls, "svd", np.linalg.svd))
@@ -733,7 +742,7 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
         assert calls == {"svd": 0, "translation": 4, "eval": 0, "window": 3,
                          "overlaps": 2, "state_norm": 0}, mn
         partition.state_norm(basis)
-        assert calls["window"] == 3, mn
+        assert calls["window"] == 4, mn
     # partition --M 3 --N 2 integrates each of its three bases in one call
     monkeypatch.setattr(partition, "state_norm",
                         _counted(calls, "state_norm", partition.state_norm))
@@ -744,13 +753,12 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
 
 
 def test_verify_builds_each_window_table_once(monkeypatch, capsys):
-    # the module's basis forms its states' table of exponents once, on the
-    # cell rule's own columns, and keeps it read-only: the Gram matrix, the
-    # steps along 1 and then the state norms read it.  The steps along tau
-    # read other columns, and their three tables (the centre's D2^M on the
-    # columns y - 1 and the two steps) are exponentiated in place and not
-    # kept.  The state norms at tau+1 and -1/tau read one fresh table each,
-    # which no one keeps or writes.  Six tables in all
+    # every table of exponents is fresh and its caller's: the module's
+    # basis builds its states' table once, on the cell rule's own columns,
+    # for the Gram matrix and the steps along 1, and one table per step
+    # along tau (the centre's D2^M on the columns y - 1 and the two
+    # steps); the state norms at tau, tau+1 and -1/tau build one each.
+    # Seven tables in all, each writable and none returned twice
     tables, grid_exponent = [], lll._grid_exponent
 
     def recorded(*args):
@@ -762,21 +770,21 @@ def test_verify_builds_each_window_table_once(monkeypatch, capsys):
     assert cli.main(["verify", "--M", "3", "--N", "5", "--tau=0.2+1.4i",
                      "--alpha1", "0.7", "--alpha2", "-1.3"]) == 0
     capsys.readouterr()
-    assert len(tables) == 6
-    assert [expo.flags.writeable for expo in tables] == [False] * 4 + [True] * 2
-    # the module's sequence on one basis: its states' table first, kept,
-    # then one table per step along tau, and the norms read the kept one,
-    # bit for bit a fresh basis's
+    assert len(tables) == 7 and len({id(expo) for expo in tables}) == 7
+    assert all(expo.flags.writeable for expo in tables)
+    # the module's sequence on one basis: its states' table first, then
+    # one table per step along tau, each exponentiated in place (no -inf
+    # is left); the norms then read a table of their own, unwritten, bit
+    # for bit a fresh basis's
     basis = build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES)
     tables.clear()
     center_eigen_residual(basis)
     assert basis.translations
     assert len(tables) == 4
-    kept = basis.field.cell_exponent(partition.quadrature_nodes(basis)[1])[1]
-    assert kept is tables[0] and len(tables) == 4
-    assert not any(np.isneginf(expo.real).any() for expo in tables[1:])
+    assert not any(np.isneginf(expo.real).any() for expo in tables)
     norms = partition.state_norm(basis)
-    assert len(tables) == 4 and not kept.flags.writeable
+    assert len(tables) == 5 and len({id(expo) for expo in tables}) == 5
+    assert np.isneginf(tables[4].real).any()
     assert norms == partition.state_norm(build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES))
 
 

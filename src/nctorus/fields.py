@@ -220,6 +220,14 @@ def _cross(m, n):
     return m[0] * n[1] - m[1] * n[0]
 
 
+def _flux_angle(flux, cross) -> float:
+    """``pi*kappa*cross`` reduced mod ``2*pi`` as an integer, from ``(N*cross)
+    mod 2M`` (as :mod:`~nctorus.matrices` forms its roots), so no phase
+    argument grows with ``N`` or the lattice vectors."""
+    m = flux.denominator
+    return math.pi * (flux.numerator * cross % (2 * m)) / m
+
+
 def displacement_cocycle_residual(m, n, flux, tau) -> float:
     """Sup-norm residual of D(m) D(n) = exp(i*pi*kappa*(m x n)) D(m+n)
     on lattice displacements applied to the centred Gaussian, measured on
@@ -230,7 +238,7 @@ def displacement_cocycle_residual(m, n, flux, tau) -> float:
     dn = lattice_displacement(flux, t, n)
     dmn = lattice_displacement(flux, t, (m[0] + n[0], m[1] + n[1]))
     lhs = displacement_apply(dm, displacement_apply(dn, f))
-    phase = cmath.exp(1j * math.pi * flux.kappa * _cross(m, n))
+    phase = cmath.exp(1j * _flux_angle(flux, _cross(m, n)))
     rhs = displacement_apply(dmn, f)
     z, zbar = plane_sample_grid(t)
     return float(np.max(np.abs(lhs.evaluate(z, zbar) - phase * rhs.evaluate(z, zbar))))
@@ -253,7 +261,7 @@ def sine_bracket_residual(m, n, flux, tau) -> float:
         displacement_apply(dm, displacement_apply(dn, f)).evaluate(z, zbar)
         - displacement_apply(dn, displacement_apply(dm, f)).evaluate(z, zbar)
     )
-    coeff = 2j * math.sin(math.pi * flux.kappa * _cross(m, n))
+    coeff = 2j * math.sin(_flux_angle(flux, _cross(m, n)))
     rhs = coeff * displacement_apply(dmn, f).evaluate(z, zbar)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -297,7 +305,7 @@ def plaquette_phase(flux, tau, dual=False):
 
 def plaquette_residual(flux, tau) -> float:
     """Larger of the :func:`plaquette_phase` deviation from the flux phase
-    ``e^{2 pi i N/M}`` and its pointwise spread."""
+    ``e^{2 pi i N/M}``, formed from ``N mod M``, and its pointwise spread."""
     phase, spread = plaquette_phase(flux, tau)
-    dev = abs(phase - cmath.exp(2j * math.pi * flux.numerator / flux.denominator))
+    dev = abs(phase - cmath.exp(1j * _flux_angle(flux, 2)))
     return float(np.max([dev, spread]))  # np.max, unlike max, keeps a NaN

@@ -589,8 +589,8 @@ class LLLBasis:
         ``scale``, the power of two at or above the largest entry of the
         states' :meth:`ThetaField.cell_window` on those columns, the
         :func:`_grid_classes` ``u`` of that window divided in place by
-        ``scale``, and their per-class products ``conj(u_c) @ u_c.T``, which the Gram
-        matrix and every step along 1 read.  The states reach
+        ``scale``, and their per-class products ``conj(u_c) @ u_c.T``,
+        which the Gram matrix and every step along 1 read.  The states reach
         ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over the squared scale their
         products stay in range (``FloatingPointError`` if it overflows)."""
         x, y = quadrature_nodes(self)

@@ -164,6 +164,17 @@ _TINY = np.finfo(float).tiny
 _RESIDUE_BLOCK_ELEMENTS = 1 << 12
 
 
+def _positive_level(level) -> int:
+    """``level`` as an int, ``ValueError`` unless it is a positive integer."""
+    try:
+        level = operator.index(level)
+    except TypeError:
+        raise ValueError("level must be an integer, got %r" % (level,)) from None
+    if level < 1:
+        raise ValueError("level must be a positive integer, got %r" % (level,))
+    return level
+
+
 @dataclass(frozen=True)
 class ThetaSpec:
     """Level and residue of a theta function; residue is reduced mod level.
@@ -176,19 +187,15 @@ class ThetaSpec:
     residue: int | tuple[int, ...]
 
     def __post_init__(self):
+        level = _positive_level(self.level)
         try:
-            level = operator.index(self.level)
             if np.ndim(self.residue):
                 residue = tuple(operator.index(r) for r in self.residue)
             else:
                 residue = operator.index(self.residue)
         except TypeError:
-            raise ValueError(
-                "level and residue must be integers, got %r, %r"
-                % (self.level, self.residue)
-            ) from None
-        if level < 1:
-            raise ValueError("level must be a positive integer, got %r" % (level,))
+            raise ValueError("residue must be an integer or integers, got %r"
+                             % (self.residue,)) from None
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "residue", tuple(r % level for r in residue)
                            if isinstance(residue, tuple) else residue % level)
@@ -247,7 +254,9 @@ def _nmax_certified(level, im_tau, im_z, eps, deriv_order=0):
 def truncation_bound(level, z, tau, epsilon) -> int:
     """Certified symmetric cutoff ``n_max`` for ``theta`` at the given
     level, argument(s) ``z`` (scalar or array; the largest ``|Im z|``
-    governs), modular parameter and tail bound."""
+    governs), modular parameter and tail bound.  ``level`` is checked as
+    :class:`ThetaSpec` checks it."""
+    level = _positive_level(level)
     t = as_tau(tau)
     zz = np.asarray(z, dtype=complex)
     h = float(np.max(np.abs(zz.imag))) if zz.size else 0.0

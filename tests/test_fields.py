@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from nctorus import fields
 from nctorus.core import Flux
 from nctorus.fields import (
     Displacement,
@@ -17,6 +19,7 @@ from nctorus.fields import (
     lattice_displacement,
     plane_sample_grid,
     plaquette_phase,
+    plaquette_residual,
     sine_bracket_residual,
 )
 
@@ -211,6 +214,42 @@ def test_sine_bracket():
     assert sine_bracket_residual((2, 1), (1, -1), FLUX, TAU) < 1e-9
     # integer flux: all displacements commute
     assert sine_bracket_residual((1, 0), (0, 1), Flux(1, 1), TAU) < 1e-12
+
+
+def test_flux_phases_are_reduced_before_they_are_formed(monkeypatch):
+    # the cocycle exp(i*pi*kappa*c), the sine bracket's 2*sin(pi*kappa*c)
+    # and the plaquette target exp(2*pi*i*kappa) = exp(i*pi*kappa*2) take
+    # (N*c) mod 2M: over coprime M, N <= 24 each is within a few units in
+    # the last place of a 30-digit value, where pi*kappa*c, unreduced,
+    # strays up to 6.1e-14 (1.2e-13 for 2*sin, 2.0e-14 for the target)
+    phase_err = sine_err = 0.0
+    with mpmath.workdps(30):
+        for m in range(1, 25):
+            for n in range(1, 25):
+                if math.gcd(m, n) != 1:
+                    continue
+                for cross in range(-6, 7):
+                    angle = fields._flux_angle(Flux(n, m), cross)
+                    turns = mpmath.mpf(n * cross) / m
+                    phase_err = max(phase_err, float(abs(
+                        mpmath.mpc(cmath.exp(1j * angle)) - mpmath.expjpi(turns))))
+                    sine_err = max(sine_err, float(abs(
+                        2.0 * math.sin(angle) - 2 * mpmath.sinpi(turns))))
+    assert phase_err <= 8 * 2.0**-52 and sine_err <= 16 * 2.0**-52
+    # each probe forms its phase from that angle, at its own cross product
+    crosses = []
+    angle_of = fields._flux_angle
+
+    def recorded(flux, cross):
+        crosses.append(cross)
+        return angle_of(flux, cross)
+
+    monkeypatch.setattr(fields, "_flux_angle", recorded)
+    flux = Flux(23, 1)
+    assert displacement_cocycle_residual((1, 1), (-1, 1), flux, TAU) < 1e-9
+    assert sine_bracket_residual((1, 1), (2, -1), flux, TAU) < 1e-9
+    assert plaquette_residual(flux, TAU) < 1e-10
+    assert crosses == [2, -3, 2]
 
 
 def test_dual_commutation():

@@ -70,6 +70,16 @@ def test_worked_truncation_example():
     assert truncation_bound(1, 0.0, 1j, 1e-12) == 4
 
 
+@pytest.mark.parametrize("level, message", [(0, "a positive"), (-1, "a positive"),
+                                            (2.5, "an integer"), ("3", "an integer")])
+def test_truncation_bound_checks_its_level_as_the_spec_does(level, message):
+    # a bad level is named, not met as a ZeroDivisionError, a math domain
+    # error or a cutoff for a level no theta series has
+    for make in (lambda: truncation_bound(level, 0.0, 1j, 1e-12), lambda: ThetaSpec(level, 0)):
+        with pytest.raises(ValueError, match="level must be " + message):
+            make()
+
+
 def test_truncation_bound_monotone_and_honest():
     n_loose = truncation_bound(2, 0.3 + 0.4j, 0.3 + 1.1j, 1e-6)
     n_tight = truncation_bound(2, 0.3 + 0.4j, 0.3 + 1.1j, 1e-14)

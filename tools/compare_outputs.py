@@ -54,7 +54,8 @@ def build_cases() -> list:
     """The case list: the first 42 ops of streams 0 and 1 of seeds 1 and 7
     of the three benchmark sweeps, ``verify`` and ``partition`` over
     fluxes, ``tau``, angles, ``--quad`` and ``--eps``, the other commands,
-    usage errors and ``lll`` runs with their files."""
+    usage errors, ``lll`` runs with their files and three more ``verify``
+    runs, appended so that the earlier cases keep their places."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
@@ -111,6 +112,11 @@ def build_cases() -> list:
     for (m, n), tau in itertools.product(((7, 5), (11, 7), (13, 7)), ("0.02i", "1.1i", "1e3i")):
         cases.append(["lll", "--M", str(m), "--N", str(n), "--tau=" + tau, *angles[1],
                       "--grid", "3", "--out", OUT])
+    cases += [  # a large level, the states' overflow with angles, and a phase argument of 23
+        ["verify", "--M", "34", "--N", "21", *angles[1]],
+        ["verify", "--M", "2", "--N", "1", "--tau=1e5i", *angles[1]],
+        ["verify", "--M", "1", "--N", "23"],
+    ]
     return cases
 
 

@@ -11,8 +11,9 @@ output (the per-check wall times inside ``verify`` reports are the one
 documented exception).
 
 Exit codes: 0 success, 1 verification failure (or a non-finite
-partition value, or a computation that cannot finish, reported as
-``error: <Type>: <message>``), 2 usage error, 3 I/O error.
+partition value, a ``theta`` value or ``lll`` CSV value past double range,
+or a computation that cannot finish, reported as ``error: <Type>:
+<message>``), 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -244,13 +245,16 @@ def cmd_theta(args) -> int:
     tau = ModularParameter(args.tau.real, args.tau.imag)
     policy = TruncationPolicy(epsilon=args.eps)
     spec = ThetaSpec(level, args.residue)
-    value = theta(spec, args.z, tau, policy)
+    with np.errstate(all="ignore"):  # a value past double range is named below
+        value = complex(theta(spec, args.z, tau, policy))
+    if not cmath.isfinite(value):
+        raise FloatingPointError("theta at z=%r, tau=%r leaves double range" % (args.z, tau.value))
     n_max = truncation_bound(level, args.z, tau, args.eps)
     emit_json(
         {
             "certificate": {"epsilon": args.eps, "n_max": n_max},
             "config": {"level": level, "residue": args.residue, "tau": tau.value, "z": args.z},
-            "value": complex(value),
+            "value": value,
         }
     )
     return 0
@@ -285,9 +289,14 @@ def cmd_lll(args) -> int:
     y = np.tile(s, n)
     w = x + cfg.tau * y
     wbar = np.conjugate(w)
+    with np.errstate(all="ignore"):  # checked before any file is written
+        states = basis.field.evaluate(w, wbar)
+        if not np.isfinite(np.abs(states) ** 2).all():
+            raise FloatingPointError("a state's value on the %d x %d CSV grid leaves double "
+                                     "range" % (n, n))
     os.makedirs(cfg.output_dir, exist_ok=True)
     files = []
-    for (j, k), values in zip(basis.labels(), basis.field.evaluate(w, wbar)):
+    for (j, k), values in zip(basis.labels(), states):
         lines = ["x,y,re,im,abs2"]
         for i in range(w.size):
             v = values[i]

@@ -77,15 +77,17 @@ product per class (:func:`_grid_overlaps`).  That gives the Gram matrix
 <Psi_r, T Psi_s>``.  A family's own norms are the diagonal of that
 product: the terms of each class, signed by ``(-1)**(F // n_x)``, fold
 onto one value, and a column's norm is ``n_x`` times the sum of their
-``|.|**2``, every alias of the midpoint rule kept (:func:`_grid_norms`).
-From the exponents ``E`` alone that norm is each term's squared
-magnitude ``exp(2*Re E)`` plus, for every pair of terms of one class,
-the product ``2*exp(Re E + Re E')*cos(Im E - Im E')`` with its signs; a
-row whose terms do not alias reads no phase.  :func:`state_norm` sums
-the states' own norms that way, from a table of exponents of its own.
-Every table is fresh and its caller's (:meth:`ThetaField.cell_exponent`,
-:meth:`ThetaField.cell_window`): the field keeps none, and each reader
-scales the table it asked for in place.
+``|.|**2``, every alias of the midpoint rule kept.  From the exponents
+``E`` alone that norm is each term's squared magnitude ``exp(2*Re E)``
+plus, for every pair of terms of one class, the product
+``2*exp(Re E + Re E')*cos(Im E - Im E')`` with its signs; a row whose
+terms do not alias reads no phase (:func:`_grid_exponent_norms`).
+:func:`state_norm` and each image's own table read their norms that way.
+Every table is one of exponents, fresh and its caller's
+(:meth:`ThetaField.cell_exponent`).  Each reader divides it by the power
+of two above its largest entry ``exp(Re E)`` (:func:`_scale_power`),
+subtracting the log before any exponential (:func:`_scaled_exp`), so a
+table is measured wherever its scaled products are in range.
 
 The basis keeps the states' per-class products ``conj(u_c) @ u_c.T``,
 and ``G`` is their sum onto the rows (:func:`_class_sums`).  A step along
@@ -231,8 +233,8 @@ class ThetaField(Field):
     derivatives return shape ``(len(residue),) + w.shape``.  The vacuum
     ``angles`` are held once: ``alpha1`` enters ``G``, and ``gamma =
     (tau*alpha1 - alpha2)/(2*pi*K)`` is formed from them here.  The field
-    keeps no cell table: each :meth:`cell_exponent` and :meth:`cell_window`
-    builds a new one for its caller.
+    keeps no cell table: each :meth:`cell_exponent` builds a new table of
+    exponents for its caller, which scales and exponentiates it in place.
     """
 
     __slots__ = ("terms", "level", "residue", "spec", "angles", "gamma", "policy")
@@ -290,22 +292,11 @@ class ThetaField(Field):
                                  + cmath.log(self.terms[(0, 0, 0)]))
         return np.rint(k * a).astype(int), expo
 
-    def cell_window(self, y):
-        """:meth:`cell_exponent` with its table exponentiated in place:
-        ``(F, W)``, laid out as ``E``, ``W`` exactly 0 outside each
-        column's own window, where ``exp(-inf)`` is 0, and NaN where ``E``
-        is.  Each call builds a fresh table, which its caller owns and
-        scales in place."""
-        freq, window = self.cell_exponent(y)
-        with np.errstate(over="ignore"):  # the module names the overflow (LLLBasis._cell_states)
-            np.exp(window, out=window)
-        return freq, window
-
 
 class _Translated(Field):
     """``scale * D(u) f`` for a field ``f`` of ``basis``, pointwise by
     :func:`~nctorus.fields.displacement_apply` and on the cell rule from
-    ``f``'s :meth:`cell_window`, as is every composition of them."""
+    ``f``'s :meth:`cell_exponent` table, as is every composition of them."""
 
     __slots__ = ("base", "displacement", "scale", "basis")
 
@@ -325,9 +316,10 @@ class _Translated(Field):
     def _term_factors(self, freq):
         """``(const, phase)``: on the cell rule each term of the image is
         the base's term of integer frequency ``freq``, read on the columns
-        ``y - u_y``, times ``const * phase``, ``phase = exp(-2*pi*i*freq*u_x)``
-        of ``freq``'s shape.  The table route (:meth:`cell_window`) and the
-        class route of a step along 1 (:func:`_project`) both read them."""
+        ``y - u_y``, times ``const * exp(phase)``, ``phase =
+        -2*pi*i*(u_x*freq - rint(u_x*freq))`` of ``freq``'s shape.  The
+        table route (:meth:`cell_exponent`) and the class route of a step
+        along 1 (:func:`_project`) both read them, so both form one phase."""
         (ux, uy), angles = self._shift(), self.basis.angles
         # the moved phase of the slice over itself is exp(-i*pi*K*(uy*x + ux*y)
         # + i*(pi*K*ux*uy - alpha1*ux - alpha2*uy)); the prefactor's exponent,
@@ -335,20 +327,22 @@ class _Translated(Field):
         # the part in y and doubles that in x, a shift of -K*uy in F
         const = self.scale * cmath.exp(1j * (math.pi * self.basis.level * ux * uy
                                              - angles.alpha1 * ux - angles.alpha2 * uy))
-        return const, np.exp(-2j * math.pi * ux * freq)
+        turns = ux * freq
+        turns -= np.rint(turns)
+        return const, -2j * math.pi * turns
 
-    def cell_window(self, y):
-        """:meth:`ThetaField.cell_window` of the image.  With
+    def cell_exponent(self, y):
+        """:meth:`ThetaField.cell_exponent` of the image.  With
         ``u = u_x + tau*u_y``, the base is read on the columns ``y - u_y``
-        and each term gains :meth:`_term_factors`; the prefactor, linear on
-        the slice, and the moved phase of the slice shift ``F`` by
-        ``-K*u_y`` and leave the constant."""
+        and each term's exponent gains the logs of :meth:`_term_factors`;
+        the prefactor, linear on the slice, and the moved phase of the
+        slice shift ``F`` by ``-K*u_y`` and leave the constant."""
         uy = self._shift()[1]
-        freq, window = self.base.cell_window(y - uy)
+        freq, expo = self.base.cell_exponent(y - uy)
         const, phase = self._term_factors(freq)
-        window *= const
-        window *= phase[:, :, None]
-        return freq - round(self.basis.level * uy), window
+        phase += cmath.log(const)
+        expo += phase[:, :, None]
+        return freq - round(self.basis.level * uy), expo
 
 
 @dataclass(frozen=True)
@@ -444,35 +438,15 @@ def _column_major(shape):
     return table, table.transpose(0, 2, 1)
 
 
-def _grid_norms(freq, window, n_x, step):
-    """``sum_{i,j} |u_r[i, j]|**2`` for every row, the diagonal of
-    :func:`_grid_overlaps`, when each row's frequencies ``freq`` rise by
-    ``step``: a term's class mod ``n_x`` then repeats every ``n_x /
-    gcd(step, n_x)`` terms, so the signed window of each row folds onto
-    that period, one value per class and column, and the sum is ``n_x``
-    times their ``|.|**2``.  ``window`` is laid out ``(row, m, column)``,
-    and the fold runs along its axis 1."""
-    period = n_x // math.gcd(step, n_x)
-    count = window.shape[1]
-    if count > period:  # terms alias onto each other
-        window = window * (1 - 2 * (freq // n_x % 2))[:, :, None]
-        for start in range(period, count, period):
-            size = min(period, count - start)
-            window[:, :size] += window[:, start:start + size]
-        window = window[:, :period]
-    table, terms = _column_major(window.shape)
-    np.square(window.real, out=terms)
-    terms += np.square(window.imag)
-    return n_x * table.reshape(len(table), -1).sum(axis=1)
-
-
 def _grid_exponent_norms(freq, expo, n_x, step, power=0):
-    """:func:`_grid_norms` of the window ``exp(expo) / 2**power`` from its
+    """``sum_{i,j} |u_r[i, j]|**2`` for every row, the diagonal of
+    :func:`_grid_overlaps`, of the window ``exp(expo) / 2**power`` from its
     exponents ``expo`` alone, which it reads and does not write: the shift
     by ``power*log(2)`` is subtracted in the sum's own real buffer.
     ``|exp(E)|**2 = exp(2*Re E)``, and the fold's only cross terms pair the
     terms ``m`` and ``m + d`` of a row that alias, ``d`` a multiple of the
-    period ``p = n_x / gcd(step, n_x)``:
+    period ``p = n_x / gcd(step, n_x)`` of a row whose ``freq`` rise by
+    ``step``:
 
         n_x * [sum_m exp(2*Re E_m)
                + 2 * sum_{d = p, 2p, ...} sum_m s_m * s_{m+d}
@@ -504,6 +478,26 @@ def _grid_exponent_norms(freq, expo, n_x, step, power=0):
     return n_x * norms
 
 
+def _scale_power(expo) -> int:
+    """The power of two above the largest entry ``exp(Re E)`` of a table
+    of exponents ``expo`` (0 where no entry is finite): each reader of a
+    cell table divides it by this power before it sums or exponentiates."""
+    top = float(np.max(expo.real))
+    return math.floor(top / _LN2_HI) + 1 if math.isfinite(top) else 0
+
+
+def _scaled_exp(expo, power):
+    """``exp(expo) / 2**power``, formed in ``expo`` in place: the shift by
+    ``power*log(2)`` is subtracted from the exponents, as in
+    :func:`_grid_exponent_norms`, before the one exponential, so no entry
+    overflows where its scaled value is in range."""
+    re = expo.real
+    re -= power * _LN2_HI
+    re -= power * _LN2_LO
+    with np.errstate(invalid="ignore"):  # a NaN exponent reads NaN, which the module reports
+        return np.exp(expo, out=expo)
+
+
 def state_norm(basis: LLLBasis) -> list[float]:
     """Squared cell norms of the K ground states, in the order of
     :meth:`LLLBasis.labels`, from the exponents of the states' window on
@@ -511,15 +505,13 @@ def state_norm(basis: LLLBasis) -> list[float]:
     each row's squared magnitudes plus the products of its terms that
     alias mod ``n_x`` (:func:`_grid_exponent_norms`), the diagonal of
     :attr:`LLLBasis.gram`, which reads the same nodes from a table of its
-    own.  The exponents are shifted by the log of ``scale``, the power of
-    two above the largest entry ``exp(Re E)``, in the sum's own real
-    buffer, and the norms are multiplied by its square, as the module's
-    table is divided by it; no complex exponential is formed, and the
+    own.  The exponents are shifted by the log of :func:`_scale_power`, as
+    the module's table is, in the sum's own real buffer, and the norms are
+    multiplied by its square; no complex exponential is formed, and the
     table is neither copied nor written."""
     x, y = quadrature_nodes(basis)
     freq, expo = basis.field.cell_exponent(y)
-    top = float(np.max(expo.real))
-    power = math.floor(top / _LN2_HI) + 1 if math.isfinite(top) else 0
+    power = _scale_power(expo)
     norms = _grid_exponent_norms(freq, expo, x.size, basis.level, power) / (x.size * y.size)
     scale = math.ldexp(1.0, power)
     return [norm * scale * scale for norm in norms.tolist()]
@@ -584,30 +576,26 @@ class LLLBasis:
 
     @functools.cached_property
     def _cell_states(self):
-        """``(n_x, y, scale, classes, products)`` of the module: the node
+        """``(n_x, y, power, classes, products)`` of the module: the node
         count in ``x`` and the ``y`` nodes of :func:`quadrature_nodes`,
-        ``scale``, the power of two at or above the largest entry of the
-        states' :meth:`ThetaField.cell_window` on those columns, the
-        :func:`_grid_classes` ``u`` of that window divided in place by
-        ``scale``, and their per-class products ``conj(u_c) @ u_c.T``,
+        ``power``, the :func:`_scale_power` of the states'
+        :meth:`ThetaField.cell_exponent` table on those columns, the
+        :func:`_grid_classes` ``u`` of that table's :func:`_scaled_exp` by
+        ``2**power``, and their per-class products ``conj(u_c) @ u_c.T``,
         which the Gram matrix and every step along 1 read.  The states reach
-        ``exp(Im(tau)*alpha1**2/(4*pi*K))``; over the squared scale their
-        products stay in range (``FloatingPointError`` if it overflows)."""
+        ``exp(Im(tau)*alpha1**2/(4*pi*K))``, but they are scaled before they
+        are exponentiated."""
         x, y = quadrature_nodes(self)
-        freq, window = self.field.cell_window(y)
-        top = float(np.max(np.abs(window)))
-        if math.isinf(top):  # a NaN state fails in the Gram matrix instead
-            raise FloatingPointError("the states' window table overflows double range")
-        scale = math.ldexp(1.0, math.frexp(top)[1])
-        window /= scale
-        classes = _grid_classes(freq, window, x.size)
+        freq, expo = self.field.cell_exponent(y)
+        power = _scale_power(expo)
+        classes = _grid_classes(freq, _scaled_exp(expo, power), x.size)
         values = classes[0]
-        return x.size, y, scale, classes, np.conjugate(values) @ values.transpose(0, 2, 1)
+        return x.size, y, power, classes, np.conjugate(values) @ values.transpose(0, 2, 1)
 
     @functools.cached_property
     def gram(self):
-        """``G_rs = <Psi_r, Psi_s>`` on the cell rule, per label, over the
-        squared scale of ``_cell_states`` (the states reach
+        """``G_rs = <Psi_r, Psi_s>`` on the cell rule, per label, over
+        ``4**power`` of ``_cell_states`` (the states reach
         ``exp(Im(tau)*alpha1**2/(4*pi*K))``; all measured is a ratio): its
         per-class products summed onto their rows (:func:`_class_sums`).
         ``LinAlgError`` unless finite with a positive diagonal."""
@@ -719,28 +707,28 @@ def _project(basis: LLLBasis, image):
     so ``P`` is the states' per-class products ``conj(u_i) u_j`` times
     ``w_j``, summed as the Gram matrix is, and each image's norm is their
     quadratic form ``conj(w_i) conj(u_i) u_j w_j`` over the slot pairs of
-    its row: no table is formed.  Any other image is read from its own
-    :meth:`~ThetaField.cell_window` table."""
-    n_x, y, scale, states, products = basis._cell_states
+    its row: no table is formed.  Any other image builds its own
+    :meth:`~_Translated.cell_exponent` table, read at the states' power."""
+    n_x, y, power, states, products = basis._cell_states
     norms = basis.gram.diagonal().real
     if getattr(image, "base", None) is basis.field and not image.displacement.u.imag:
         _, rows, freqs, size = states
-        const, weights = image._term_factors(freqs)
+        const, phase = image._term_factors(freqs)
+        weights = np.exp(phase)
         weights *= const
         weighted = products * weights[:, None, :]
         l_mat = _class_sums(weighted, rows, rows, size, size)
         weighted *= np.conjugate(weights)[:, :, None]
         image_norms = _class_sums(weighted, rows, rows, size, size).diagonal().real
     else:
-        freq, window = image.cell_window(y)
-        window /= scale
-        l_mat = _grid_overlaps(states, _grid_classes(freq, window, n_x))
-        image_norms = _grid_norms(freq, window, n_x, basis.level)
+        freq, expo = image.cell_exponent(y)
+        image_norms = _grid_exponent_norms(freq, expo, n_x, basis.level, power)
+        l_mat = _grid_overlaps(states, _grid_classes(freq, _scaled_exp(expo, power), n_x))
     l_mat /= n_x * y.size * norms[:, None]
     image_norms = image_norms / (n_x * y.size)
-    power = np.abs(l_mat)
-    power **= 2
-    return l_mat, np.abs(1.0 - norms @ power / image_norms)
+    squares = np.abs(l_mat)
+    squares **= 2
+    return l_mat, np.abs(1.0 - norms @ squares / image_norms)
 
 
 def coefficient_matrix(basis: LLLBasis, op) -> np.ndarray:
@@ -808,7 +796,9 @@ def center_eigen_residual(basis: LLLBasis):
 
 def gram_rank(basis: LLLBasis) -> int:
     """Numerical rank of :attr:`LLLBasis.gram`: its singular values (the
-    moduli of its eigenvalues) above 1e-8 times the largest."""
+    moduli of its eigenvalues) above 1e-8 times the largest eigenvalue of
+    ``G``, not of the normalised ``G_rs/sqrt(G_rr G_ss)``.  The two ranks
+    agree while the state norms are equal, as the translations make them."""
     s = np.abs(np.linalg.eigvalsh(basis.gram))
     return int(np.sum(s > 1e-8 * s.max()))
 

@@ -1,7 +1,7 @@
 """Fault injection into the stacked ground states of a basis, shared by
 the tests that check how a bad state is reported.  Each fault goes into
 the basis's stacked :class:`ThetaField`: its residues, its terms, or the
-window table that the measurement on the cell rule reads."""
+table of exponents that the measurement on the cell rule reads."""
 
 import dataclasses
 
@@ -51,12 +51,13 @@ class _FaultyWindow(ThetaField):
         super().__init__(*args)
         self.fault = fault
 
-    def cell_window(self, y):
-        return self.fault(y, *super().cell_window(y))
+    def cell_exponent(self, y):
+        return self.fault(y, *super().cell_exponent(y))
 
 
 def with_window(basis, fault):
-    """Copy of ``basis`` whose cell window on the columns ``y`` is
-    ``fault(y, freq, window) -> (freq, window)`` of its own; its pointwise
-    values are the basis's."""
+    """Copy of ``basis`` whose cell table on the columns ``y`` is
+    ``fault(y, freq, expo) -> (freq, expo)`` of its own: a factor on the
+    window is an added log on its exponents.  Its pointwise values are the
+    basis's."""
     return _with_field(basis, cls=_FaultyWindow, fault=fault)

@@ -74,3 +74,21 @@ def test_the_report_ends_with_the_largest_move_per_key(capsys):
         "largest in: verify --M 2",
         "    eigenphases.json:/phase/* moved 2.22e-16 (0.5 -> 0.5000000000000002) in 1 cases, "
         "largest in: verify --M 2"]
+
+
+def test_a_nan_move_stays_the_largest(capsys):
+    # a residual that stops being NaN is the largest move of its key, and
+    # no later, smaller move takes its place, in a case or over the cases
+    tool = _tool()
+
+    def result(*residuals):
+        return {"code": 0, "stdout": json.dumps({"residual": residuals}), "stderr": "",
+                "files": {}}
+
+    cases = [["verify", "--M", "1"], ["verify", "--M", "2"], ["verify", "--M", "3"]]
+    old = [result(0.0, 0.0), result(float("nan"), 0.0), result(0.0, 0.0)]
+    new = [result(5e-13, 0.0), result(0.0, 1e-16), result(1e-15, 0.0)]
+    assert tool.diff_case(old[1], new[1]) == ["/residual/* moved nan (nan -> 0.0)"]
+    assert tool.compare(cases, old, new) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "    /residual/* moved nan (nan -> 0.0) in 3 cases, largest in: verify --M 2")

@@ -78,8 +78,8 @@ def test_the_cell_rule_lives_in_lll():
     assert partition.quadrature_nodes is lll.quadrature_nodes
     # the cell rule's sums and the states' norms are defined in lll alone
     theta = importlib.import_module("nctorus.theta")
-    for name in ("_grid_classes", "_grid_overlaps", "_grid_norms", "_grid_exponent_norms",
-                 "state_norm"):
+    for name in ("_grid_classes", "_grid_overlaps", "_grid_exponent_norms", "_scale_power",
+                 "_scaled_exp", "state_norm"):
         assert getattr(lll, name).__module__ == "nctorus.lll", name
         assert not hasattr(theta, name), name
     assert partition.state_norm is lll.state_norm

@@ -223,16 +223,16 @@ def test_diagonal_eigenphase_multiset():
 
 
 def test_eigenphase_mismatch_shows_in_the_defect():
-    # the cell window of state (0, 0) carries a factor exp(y) that breaks
-    # its boundary law; its D1 image is still itself, but the D2 image
-    # reads it one cell step lower and leaves the span of the states
+    # the cell window of state (0, 0) carries a factor exp(y), an added y
+    # on its exponents, that breaks its boundary law; its D1 image is
+    # still itself, but the D2 image reads it one cell step lower and
+    # leaves the span of the states
     m, n = 3, 2
     basis = build_basis(Flux(n, m), TAU_GEN, ANGLES)
 
-    def fault(y, freq, window):
-        window = window.copy()
-        window[0] *= np.exp(y)
-        return freq, window
+    def fault(y, freq, expo):
+        expo[0] += y
+        return freq, expo
 
     table = eigenphase_table(with_window(basis, fault))
     assert table[(0, 0)]["d1_defect"] < 1e-12
@@ -245,7 +245,7 @@ def test_nan_states_fail_the_module_checks():
     # NaN states, in their term family or in their window table only:
     # the Gram matrix is not finite, and every module check raises
     basis = build_basis(Flux(2, 3), TAU_GEN)
-    nan_window = with_window(basis, lambda y, freq, window: (freq, window * np.nan))
+    nan_window = with_window(basis, lambda y, freq, expo: (freq, expo + np.nan))
     for fault in (with_terms(basis, {(0, 0, 0): np.nan}), nan_window):
         for check in (eigenphase_table, lemma_eigenphase_residual, gram_rank,
                       bimodule_residual, overlap_residual):
@@ -309,19 +309,19 @@ def test_center_eigen_residual_fails_a_phase_error_in_the_step(monkeypatch):
     assert center_eigen_residual(basis)[0] > 4e-9
 
 
-def _off_the_rule(basis, factor):
-    """Fault: the states' window times ``factor`` on every column set but
-    the cell rule's own, so only D2^M, which reads the columns y - 1,
-    sees it."""
+def _off_the_rule(basis, log_factor):
+    """Fault: the states' window times ``exp(log_factor)``, an added
+    ``log_factor`` on its exponents, on every column set but the cell
+    rule's own, so only D2^M, which reads the columns y - 1, sees it."""
     nodes = partition.quadrature_nodes(basis)[1]
-    return with_window(basis, lambda y, freq, window: (
-        freq, window if np.array_equal(y, nodes) else window * factor))
+    return with_window(basis, lambda y, freq, expo: (
+        freq, expo if np.array_equal(y, nodes) else expo + log_factor))
 
 
 def test_center_eigen_residual_fails_a_window_fault_off_the_rule():
     basis = build_basis(Flux(3, 5), TAU_GEN, ANGLES)
     assert center_eigen_residual(basis)[0] < 1e-12
-    assert center_eigen_residual(_off_the_rule(basis, 1.0 + 1e-8))[0] > 9e-9
+    assert center_eigen_residual(_off_the_rule(basis, math.log1p(1e-8)))[0] > 9e-9
 
 
 def test_center_eigen_residual_propagates_nonfinite_samples():
@@ -366,9 +366,11 @@ def _pointwise_density(field, x, y):
 
 
 def _window_density(field, x, y):
-    """``|Psi|^2`` at the same nodes from the states' cell window on the
-    columns ``y``: the phase in front of its sum drops out of ``|.|^2``."""
-    freq, window = field.cell_window(y)
+    """``|Psi|^2`` at the same nodes from the states' cell window, the
+    exponential of their table on the columns ``y``: the phase in front of
+    its sum drops out of ``|.|^2``."""
+    freq, expo = field.cell_exponent(y)
+    window = np.exp(expo)
     phase = np.exp(2j * math.pi * freq[:, None, :] * x[:, None])
     return np.abs(np.einsum("rmj,rim->rij", window, phase)) ** 2
 
@@ -428,31 +430,32 @@ def test_cell_norms_keep_the_aliasing_of_the_midpoint_rule():
     x = (np.arange(6) + 0.5) / 6
     y = (np.arange(8) + 0.5) / 8
     assert abs(np.sum(np.exp(12j * math.pi * x)) + 6) < 1e-13
-    freq, window = f.cell_window(y)
-    assert window.shape[1] > 1
-    got = lll._grid_norms(freq, window, x.size, 6)
+    freq, expo = f.cell_exponent(y)
+    assert expo.shape[1] > 1
+    got = lll._grid_exponent_norms(freq, expo, x.size, 6)
     want = _pointwise_density(f, x, y).sum(axis=(1, 2))
     assert got.shape == (6,)
     assert np.max(np.abs(got - want) / want) <= 1e-13
-    parseval = x.size * np.sum(np.abs(window) ** 2, axis=(1, 2))
+    parseval = x.size * np.sum(np.exp(2.0 * expo.real), axis=(1, 2))
     assert np.min(np.abs(got - parseval) / got) > 0.3
 
 
 def test_cell_exponent_is_the_window_before_its_exponential():
-    # the states' exponents are their window table's bit for bit, the
-    # term's coefficient riding as its log: a NaN one makes every exponent
-    # of a column's own window NaN.  Each call builds a fresh, writable
-    # table for its caller: the field keeps none
+    # the states' exponents are their window table's before its
+    # exponential, the term's coefficient riding as its log: a NaN one
+    # makes every exponent of a column's own window NaN.  Each call builds
+    # a fresh, writable table for its caller: the field keeps none, and the
+    # module exponentiates the table it asked for in place, which at power
+    # 0 is np.exp bit for bit
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
     y = partition.quadrature_nodes(basis)[1]
-    freq, window = basis.field.cell_window(y)
-    exp_freq, expo = basis.field.cell_exponent(y)
-    assert np.array_equal(exp_freq, freq) and np.array_equal(np.exp(expo), window)
+    freq, expo = basis.field.cell_exponent(y)
     again_freq, again = basis.field.cell_exponent(y)
-    assert again is not expo and again_freq is not exp_freq
-    assert np.array_equal(again, expo) and np.array_equal(again_freq, exp_freq)
-    assert all(arr.flags.writeable for arr in (freq, window, exp_freq, expo))
-    assert basis.field.cell_window(y)[1] is not window
+    assert again is not expo and again_freq is not freq
+    assert np.array_equal(again, expo) and np.array_equal(again_freq, freq)
+    assert all(arr.flags.writeable for arr in (freq, expo, again_freq, again))
+    window = lll._scaled_exp(again, 0)
+    assert window is again and np.array_equal(window, np.exp(expo))
     own = np.isfinite(expo)
     assert np.all(expo[~own] == -np.inf)
     nan_expo = with_terms(basis, {(0, 0, 0): np.nan}).field.cell_exponent(y)[1]
@@ -462,21 +465,31 @@ def test_cell_exponent_is_the_window_before_its_exponential():
 def test_cell_window_is_zero_outside_each_columns_own_window():
     # exp(-inf) is exactly 0: a column's own terms, the same count in every
     # column, are nonzero, and the rest of its residue's run reads 0.0; a
-    # NaN exponent stays NaN, and a table that overflows, silently, fails
-    # the module with the overflow named
+    # NaN exponent stays NaN.  The window is divided by its power of two
+    # before the exponential, so it peaks in [1/2, 1), within round-off of
+    # exp(E) / 2**power; at 1e5i, where the states reach exp(3899) and
+    # exp(E) itself overflows, the module measures to round-off
+    def scaled_window(basis):
+        expo = basis.field.cell_exponent(partition.quadrature_nodes(basis)[1])[1]
+        power = lll._scale_power(expo)
+        return expo.copy(), power, lll._scaled_exp(expo, power)
+
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
-    y = partition.quadrature_nodes(basis)[1]
-    own = basis.field.cell_exponent(y)[1].real > -np.inf
-    window = basis.field.cell_window(y)[1]
+    expo, power, window = scaled_window(basis)
+    own = expo.real > -np.inf
     assert not own.all() and np.all(own.sum(axis=1) == own.sum(axis=1)[0, 0])
     assert np.all(window[own] != 0.0)
     assert np.array_equal(window[~own], np.zeros(np.count_nonzero(~own), complex))
-    nan_window = with_terms(basis, {(0, 0, 0): np.nan}).field.cell_window(y)[1]
+    want = np.exp(expo[own]) * 2.0**-power
+    rounding = 4.0 * 2.0**-52 * (np.abs(expo[own]) + abs(power) + 1.0)
+    assert np.all(np.abs(window[own] - want) <= rounding * np.abs(want))
+    nan_window = scaled_window(with_terms(basis, {(0, 0, 0): np.nan}))[2]
     assert np.isnan(nan_window[own]).all() and np.all(nan_window[~own] == 0.0)
-    big = build_basis(Flux(1, 1), 1e5j, ANGLES)
-    assert np.isinf(big.field.cell_window(partition.quadrature_nodes(big)[1])[1]).any()
-    with pytest.raises(FloatingPointError, match="overflows double range"):
-        big.gram
+    for case in (basis, build_basis(Flux(1, 1), 1e5j, ANGLES)):
+        expo, power, window = scaled_window(case)
+        assert 0.5 * (1.0 - 1e-6) <= np.max(np.abs(window)) <= 1.0
+    assert np.max(expo.real) > math.log(np.finfo(float).max)
+    assert gram_rank(case) == 1 and lemma_eigenphase_residual(case) < 1e-12
 
 
 def test_unit_coefficient_term_is_not_copied():
@@ -514,11 +527,11 @@ def test_measured_module_is_read_only():
     for l_mat, defect in basis.translations.values():
         assert not (l_mat.flags.writeable or defect.flags.writeable)
     y = partition.quadrature_nodes(basis)[1]
-    freq, window = basis.field.cell_window(y)
-    assert freq.flags.writeable and window.flags.writeable
-    want = window.copy()
-    window *= np.nan
-    assert np.array_equal(basis.field.cell_window(y)[1], want)
+    freq, expo = basis.field.cell_exponent(y)
+    assert freq.flags.writeable and expo.flags.writeable
+    want = expo.copy()
+    expo += np.nan
+    assert np.array_equal(basis.field.cell_exponent(y)[1], want)
 
 
 @pytest.mark.parametrize("mn", [(3, 2), (5, 2)])
@@ -706,8 +719,8 @@ def test_one_nan_image_window_reads_nan_without_a_warning():
     # makes one an error)
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
     nodes = partition.quadrature_nodes(basis)[1]
-    fault = with_window(basis, lambda y, freq, window: (
-        freq, window if np.array_equal(y, nodes) else window * np.nan))
+    fault = with_window(basis, lambda y, freq, expo: (
+        freq, expo if np.array_equal(y, nodes) else expo + np.nan))
     table = eigenphase_table(fault)
     for entry in table.values():
         assert entry["d1_defect"] < 1e-12
@@ -832,22 +845,28 @@ def test_steps_along_one_read_the_class_products(monkeypatch, mn, tau, angles):
 def test_steps_along_one_fail_as_the_table_route_does():
     # a NaN table off the cell rule's own columns leaves the steps along 1
     # finite and makes the steps along tau NaN; a NaN table everywhere fails
-    # the Gram matrix, and at 1e5i the states' table overflows: both routes
-    # raise the same error there
+    # the Gram matrix, and both routes raise the same error there.  At
+    # 1e5i, where exp(E) of the states' table overflows, both routes scale
+    # before the exponential and agree to round-off
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
     nodes = partition.quadrature_nodes(basis)[1]
-    fault = with_window(basis, lambda y, freq, window: (
-        freq, window if np.array_equal(y, nodes) else window * np.nan))
+    fault = with_window(basis, lambda y, freq, expo: (
+        freq, expo if np.array_equal(y, nodes) else expo + np.nan))
     for op in _steps_along_one(fault).values():
         assert np.max(lll._project(fault, op(fault.field))[1]) < 1e-12
     assert np.isnan(fault.translations["d2"][1]).all()
-    everywhere = with_window(basis, lambda y, freq, window: (freq, window * np.nan))
+    everywhere = with_window(basis, lambda y, freq, expo: (freq, expo + np.nan))
+    for op in _steps_along_one(everywhere).values():
+        for image in (op(everywhere.field), op(_field_copy(everywhere))):
+            with pytest.raises(np.linalg.LinAlgError):
+                lll._project(everywhere, image)
     big = build_basis(Flux(1, 1), 1e5j, ANGLES)
-    for broken, error in ((everywhere, np.linalg.LinAlgError), (big, FloatingPointError)):
-        for op in _steps_along_one(broken).values():
-            for image in (op(broken.field), op(_field_copy(broken))):
-                with pytest.raises(error):
-                    lll._project(broken, image)
+    for name, op in _steps_along_one(big).items():
+        l_mat, defect = lll._project(big, op(big.field))
+        want_l, want_defect = lll._project(big, op(_field_copy(big)))
+        assert np.max(np.abs(l_mat - want_l)) < 1e-14, name
+        assert np.max(np.abs(defect - want_defect)) < 1e-14, name
+        assert np.max(defect) < 1e-12, name
 
 
 def test_raise_level_roundtrip_and_covariance():

@@ -637,8 +637,8 @@ def test_bimodule_consistency_fails_on_nan_images():
     # along tau hold NaN, and that must not pass
     basis = build_basis(Flux(2, 3), 0.3 + 1.1j)
     nodes = partition.quadrature_nodes(basis)[1]
-    basis = with_window(basis, lambda y, freq, window: (
-        freq, window if np.array_equal(y, nodes) else window * np.nan))
+    basis = with_window(basis, lambda y, freq, expo: (
+        freq, expo if np.array_equal(y, nodes) else expo + np.nan))
     report = bimodule_consistency(basis)
     deviations = report["deviations"]
     assert deviations["d1"] < 1e-12 and deviations["dual1"] < 1e-12

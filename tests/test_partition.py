@@ -174,7 +174,7 @@ def test_state_norm_is_the_gram_diagonal_without_subnormal_terms(monkeypatch):
         [expo] = tables
         own = expo.real > -np.inf
         assert np.all(np.exp(expo.real[own]) >= np.finfo(float).tiny), (m, n)
-        scale = basis._cell_states[2]
+        scale = 2.0 ** basis._cell_states[2]
         gram = scale**2 * basis.gram.diagonal().real
         assert np.max(np.abs(norms - gram) / gram) <= 1e-14
 
@@ -324,8 +324,9 @@ def test_the_two_routes_share_no_summation(monkeypatch):
     # the per-state route sums the exponents of the states' cell window
     # (lll._grid_exponent_norms): each still matches the closed form with
     # the other's summation gone, and the character route with the module's
-    # window tables, folds and alias machinery (theta._grid_exponent,
-    # lll._grid_norms, lll._grid_classes, lll._grid_overlaps) gone too
+    # window tables, scaled exponentials and alias machinery
+    # (theta._grid_exponent, lll._scaled_exp, lll._grid_classes,
+    # lll._grid_overlaps) gone too
     tau = -0.2 + 1.7j
     basis = build_basis(Flux(5, 7), tau, ANGLES)
     want = closed_form_z_tilde(35, tau, ANGLES.alpha1)
@@ -336,11 +337,10 @@ def test_the_two_routes_share_no_summation(monkeypatch):
     with monkeypatch.context() as patch:
         for owner in (theta_module, lll):
             patch.setattr(owner, "_grid_exponent", unreachable)
-        for name in ("_grid_norms", "_grid_classes", "_grid_overlaps", "_grid_exponent_norms"):
+        for name in ("_scaled_exp", "_grid_classes", "_grid_overlaps", "_grid_exponent_norms"):
             patch.setattr(lll, name, unreachable)
         patch.setattr(lll.LLLBasis, "_cell_states", property(unreachable))
-        for name in ("cell_window", "cell_exponent"):
-            patch.setattr(lll.ThetaField, name, unreachable)
+        patch.setattr(lll.ThetaField, "cell_exponent", unreachable)
         assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
     for owner in (theta_module, partition):
         monkeypatch.setattr(owner, "_theta_residue_norms", unreachable)
@@ -349,9 +349,9 @@ def test_the_two_routes_share_no_summation(monkeypatch):
 
 def test_the_per_state_route_forms_no_complex_window(monkeypatch):
     # state_norm reads the exponents of the states' window and no complex
-    # table: with the window and the module's scaled table unreachable the
-    # norms and Z~ are as before, bit for bit, and Z~ still matches the
-    # closed form
+    # table: with the scaled exponential and the module's table
+    # unreachable the norms and Z~ are as before, bit for bit, and Z~
+    # still matches the closed form
     tau = -0.2 + 1.7j
     want_norms = state_norm(build_basis(Flux(5, 7), tau, ANGLES))
     want_z = z_tilde(build_basis(Flux(5, 7), tau, ANGLES))
@@ -359,7 +359,7 @@ def test_the_per_state_route_forms_no_complex_window(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the per-state route formed a complex window table")
 
-    monkeypatch.setattr(lll.ThetaField, "cell_window", unreachable)
+    monkeypatch.setattr(lll, "_scaled_exp", unreachable)
     monkeypatch.setattr(lll.LLLBasis, "_cell_states", property(unreachable))
     assert state_norm(build_basis(Flux(5, 7), tau, ANGLES)) == want_norms
     assert z_tilde(build_basis(Flux(5, 7), tau, ANGLES)) == want_z

@@ -376,17 +376,19 @@ def test_grid_sum_is_the_pointwise_series_on_a_tensor_grid(level, tau, order):
                                              (6, 0.1j, 6), (12, 0.1 + 0.2j, 9), (35, 0.01j, 8)])
 def test_grid_norms_fold_the_grid_values_on_midpoint_nodes(level, tau, n_x):
     # a row's terms alias onto their classes of frequency mod n_x: the
-    # fold of the window table is the sum of |value|**2 over the pointwise
-    # series on the midpoint nodes, where the terms of one class (all of
-    # them at n_x = K = 6) cancel or add
+    # norms of the window table, read from its exponents over the table's
+    # power of two, are the sum of |value|**2 over the pointwise series on
+    # the midpoint nodes, where the terms of one class (all of them at
+    # n_x = K = 6) cancel or add
     x = (np.arange(n_x) + 0.5) / n_x
     c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
     spec = ThetaSpec(level, tuple(range(level)))
     log_scale = unit_envelope(level, c, tau)
     a, expo = theta_module._grid_exponent(spec, c, tau, TruncationPolicy(),
                                           log_scale - 1j * math.pi * level * c**2 / tau)
-    window = np.exp(expo)
-    got = lll._grid_norms(np.rint(level * a).astype(int), window, n_x, level)
+    power = lll._scale_power(expo)
+    got = lll._grid_exponent_norms(np.rint(level * a).astype(int), expo, n_x, level, power)
+    got *= 4.0**power
     z = x[:, None] + c
     values = theta(spec, z, tau, log_scale=np.broadcast_to(log_scale, z.shape))
     want = np.sum(np.abs(values) ** 2, axis=(1, 2))
@@ -401,7 +403,8 @@ def test_grid_exponent_norms_are_the_fold_of_the_window(level, tau, n_x):
     # |exp(E)|**2 = exp(2*Re E), and the fold's cross terms are the products
     # of the terms that alias: at level 8 on 16 nodes a row's terms repeat
     # their class every 2 terms, at K = n_x = 6 every term; only the row of
-    # level 1 has no aliases
+    # level 1 has no aliases.  The norms are the diagonal of the class
+    # products of the exponentiated table, which the Gram matrix sums
     x = (np.arange(n_x) + 0.5) / n_x
     c = tau * np.linspace(-0.3, 1.6, 5) + (0.05 - 0.02j)
     spec = ThetaSpec(level, tuple(range(level)))
@@ -412,7 +415,8 @@ def test_grid_exponent_norms_are_the_fold_of_the_window(level, tau, n_x):
     period = n_x // math.gcd(level, n_x)
     assert (expo.shape[1] > period) == (level > 1)
     got = lll._grid_exponent_norms(freq, expo, n_x, level)
-    fold = lll._grid_norms(freq, np.exp(expo), n_x, level)
+    classes = lll._grid_classes(freq, np.exp(expo), n_x)
+    fold = lll._grid_overlaps(classes, classes).diagonal().real
     assert np.max(np.abs(got - fold) / fold) <= 1e-15
     z = x[:, None] + c
     values = theta(spec, z, tau, log_scale=np.broadcast_to(log_scale, z.shape))

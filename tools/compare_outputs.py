@@ -54,8 +54,9 @@ def build_cases() -> list:
     """The case list: the first 42 ops of streams 0 and 1 of seeds 1 and 7
     of the three benchmark sweeps, ``verify`` and ``partition`` over
     fluxes, ``tau``, angles, ``--quad`` and ``--eps``, the other commands,
-    usage errors, ``lll`` runs with their files and three more ``verify``
-    runs, appended so that the earlier cases keep their places."""
+    usage errors, ``lll`` runs with their files, three more ``verify``
+    runs, and six runs whose states leave double range, each batch
+    appended so that the earlier cases keep their places."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
@@ -116,6 +117,15 @@ def build_cases() -> list:
         ["verify", "--M", "34", "--N", "21", *angles[1]],
         ["verify", "--M", "2", "--N", "1", "--tau=1e5i", *angles[1]],
         ["verify", "--M", "1", "--N", "23"],
+    ]
+    # states past double range at small K: the module rows, the lll CSV
+    # guard and theta's own guard
+    cases += [["verify", "--M", m, "--N", "1", "--tau=" + tau, "--alpha1", "6"]
+              for m, tau in (("1", "300i"), ("3", "1000i"), ("2", "1300i"))]
+    cases += [
+        ["lll", "--M", "1", "--N", "1", "--tau=1e5i", "--alpha1", "0.7", "--out", OUT],
+        ["lll", "--M", "2", "--N", "1", "--tau=1e5i", *angles[1], "--out", OUT],
+        ["theta", "--level", "1", "--tau=i", "--z=0+30i"],
     ]
     return cases
 
@@ -196,6 +206,12 @@ def _number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _exceeds(move, largest):
+    """Whether ``move`` takes the place of ``largest``: a NaN move (a
+    number that became or stopped being NaN) is the largest, and stays so."""
+    return not (move <= largest or math.isnan(largest))
+
+
 def _json_diff(old_text, new_text, prefix=""):
     """``(lines, moves)`` of two JSON texts, or None if either is not JSON:
     a line for each flipped boolean and each other changed leaf that is
@@ -215,7 +231,7 @@ def _json_diff(old_text, new_text, prefix=""):
         elif _number(x) and _number(y):
             key = prefix + re.sub(r"/\d+(,\d+)?(?=/|$)", "/*", path)
             move = abs(y - x)
-            if key not in moves or not move <= moves[key][0]:
+            if key not in moves or _exceeds(move, moves[key][0]):
                 moves[key] = (move, x, y)
         else:
             lines.append("%s%s %r -> %r" % (prefix, path, x, y))
@@ -276,7 +292,7 @@ def compare(cases, old, new) -> int:
                 print("    " + line)
             for key, move in moves.items():
                 counts[key] = counts.get(key, 0) + 1
-                if key not in largest or not move[0] <= largest[key][0][0]:
+                if key not in largest or _exceeds(move[0], largest[key][0][0]):
                     largest[key] = move, argv
     print("%d of %d cases identical" % (len(cases) - differing, len(cases)))
     if largest:

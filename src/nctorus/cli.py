@@ -45,6 +45,7 @@ from .fields import (
 )
 from .lll import (
     QuadratureSpec,
+    bimodule_residual,
     build_basis,
     center_eigen_residual,
     eigenphase_table,
@@ -54,7 +55,6 @@ from .lll import (
 )
 from .matrices import (
     WeylWord,
-    bimodule_residual,
     clock_matrix,
     commutant_and_span_residual,
     commutant_dimension,

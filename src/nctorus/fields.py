@@ -30,6 +30,12 @@ The ladder operators at weight ``w`` are
 
 so that [a-, a+] = [b-, b+] = 1 and every displacement commutes with
 both ``a`` ladders.
+
+The operator probes (the cocycle, the sine bracket, the dual commutation
+and the plaquette) apply words of lattice displacements to the centred
+Gaussian and read them on the 7 x 7 :func:`plane_sample_grid`.  One
+harness builds the Gaussian, the displacements and the grid for each
+probe and applies its words, through the public helpers.
 """
 
 from __future__ import annotations
@@ -228,20 +234,32 @@ def _flux_angle(flux, cross) -> float:
     return math.pi * (flux.numerator * cross % (2 * m)) / m
 
 
+def _plane_probe(flux, tau, *vectors):
+    """The operator probes' harness: the :func:`lattice_displacement` of
+    each ``(m, dual)`` of ``vectors``, and ``word(*ds)``, the values of
+    ``D(ds[0]) ... D(ds[-1])`` applied to the centred Gaussian of ``tau``
+    (the rightmost first) at the points of :func:`plane_sample_grid`."""
+    t = as_tau(tau)
+    f = gaussian_field(t)
+    z, zbar = plane_sample_grid(t)
+
+    def word(*displacements):
+        g = f
+        for d in reversed(displacements):
+            g = displacement_apply(d, g)
+        return g.evaluate(z, zbar)
+
+    return [lattice_displacement(flux, t, m, dual) for m, dual in vectors], word
+
+
 def displacement_cocycle_residual(m, n, flux, tau) -> float:
     """Sup-norm residual of D(m) D(n) = exp(i*pi*kappa*(m x n)) D(m+n)
     on lattice displacements applied to the centred Gaussian, measured on
     :func:`plane_sample_grid`."""
-    t = as_tau(tau)
-    f = gaussian_field(t)
-    dm = lattice_displacement(flux, t, m)
-    dn = lattice_displacement(flux, t, n)
-    dmn = lattice_displacement(flux, t, (m[0] + n[0], m[1] + n[1]))
-    lhs = displacement_apply(dm, displacement_apply(dn, f))
+    (dm, dn, dmn), word = _plane_probe(flux, tau, (m, False), (n, False),
+                                       ((m[0] + n[0], m[1] + n[1]), False))
     phase = cmath.exp(1j * _flux_angle(flux, _cross(m, n)))
-    rhs = displacement_apply(dmn, f)
-    z, zbar = plane_sample_grid(t)
-    return float(np.max(np.abs(lhs.evaluate(z, zbar) - phase * rhs.evaluate(z, zbar))))
+    return float(np.max(np.abs(word(dm, dn) - phase * word(dmn))))
 
 
 def sine_bracket_residual(m, n, flux, tau) -> float:
@@ -251,33 +269,18 @@ def sine_bracket_residual(m, n, flux, tau) -> float:
 
     on lattice displacements applied to the centred Gaussian, measured on
     :func:`plane_sample_grid`."""
-    t = as_tau(tau)
-    f = gaussian_field(t)
-    dm = lattice_displacement(flux, t, m)
-    dn = lattice_displacement(flux, t, n)
-    dmn = lattice_displacement(flux, t, (m[0] + n[0], m[1] + n[1]))
-    z, zbar = plane_sample_grid(t)
-    lhs = (
-        displacement_apply(dm, displacement_apply(dn, f)).evaluate(z, zbar)
-        - displacement_apply(dn, displacement_apply(dm, f)).evaluate(z, zbar)
-    )
+    (dm, dn, dmn), word = _plane_probe(flux, tau, (m, False), (n, False),
+                                       ((m[0] + n[0], m[1] + n[1]), False))
     coeff = 2j * math.sin(_flux_angle(flux, _cross(m, n)))
-    rhs = coeff * displacement_apply(dmn, f).evaluate(z, zbar)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(np.max(np.abs(word(dm, dn) - word(dn, dm) - coeff * word(dmn))))
 
 
 def dual_commutation_residual(m, n_dual, flux, tau) -> float:
     """Sup-norm residual of [D(m), D~(n*)] = 0: lattice displacements
     commute exactly with dual-lattice displacements (on the centred
     Gaussian, measured on :func:`plane_sample_grid`)."""
-    t = as_tau(tau)
-    f = gaussian_field(t)
-    dm = lattice_displacement(flux, t, m)
-    dn = lattice_displacement(flux, t, n_dual, dual=True)
-    z, zbar = plane_sample_grid(t)
-    lhs = displacement_apply(dm, displacement_apply(dn, f)).evaluate(z, zbar)
-    rhs = displacement_apply(dn, displacement_apply(dm, f)).evaluate(z, zbar)
-    return float(np.max(np.abs(lhs - rhs)))
+    (dm, dn), word = _plane_probe(flux, tau, (m, False), (n_dual, True))
+    return float(np.max(np.abs(word(dm, dn) - word(dn, dm))))
 
 
 def plaquette_phase(flux, tau, dual=False):
@@ -286,16 +289,9 @@ def plaquette_phase(flux, tau, dual=False):
     Gaussian, as ``(phase, spread)``: the mean pointwise ratio to the
     Gaussian and the largest deviation from it over
     :func:`plane_sample_grid`."""
-    t = as_tau(tau)
-    f = gaussian_field(t)
-    e1 = lattice_displacement(flux, t, (1, 0), dual=dual)
-    e2 = lattice_displacement(flux, t, (0, 1), dual=dual)
-    g = displacement_apply(
-        e1, displacement_apply(e2, displacement_apply(-e1, displacement_apply(-e2, f)))
-    )
-    z, zbar = plane_sample_grid(t)
-    base = f.evaluate(z, zbar)
-    out = g.evaluate(z, zbar)
+    (e1, e2), word = _plane_probe(flux, tau, ((1, 0), dual), ((0, 1), dual))
+    base = word()
+    out = word(e1, e2, -e1, -e2)
     mask = np.abs(base) >= 0.05 * np.max(np.abs(base))
     ratios = out[mask] / base[mask]
     phase = complex(np.mean(ratios))

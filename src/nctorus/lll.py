@@ -28,9 +28,14 @@ actions on the basis are exact operator identities:
     D2~ Psi_jk = exp(i*alpha2/N) * Psi_{j,k-1}
 
 so the states are a bimodule: ``D1``, ``D2`` act on ``j`` and the dual
-pair, their commutant, on ``k``.  The lemma and the bimodule check read
-these laws as monomials ``(target, phase)`` from one helper,
-:func:`_predicted_translations`, and form no dense law (:func:`_law_deviation`).
+pair, their commutant, on ``k``.  The three law rows live here: the
+lemma (:func:`lemma_eigenphase_residual`), the centre
+(:func:`center_eigen_residual`) and the bimodule check
+(:func:`bimodule_consistency`).  They read these laws as monomials
+``(target, phase)`` from one helper, :func:`_predicted_translations`, and
+compare each measured matrix with its monomial through one routine,
+:func:`_law_residual`, which forms no dense law (:func:`_law_deviation`)
+and reduces each ``|L - P|`` before the next is formed.
 
 States are stored as exact term families
 ``sum_t c_t * w^a * wbar^c * exp(G) * theta^{(p)}(w + gamma)`` so that
@@ -129,6 +134,8 @@ __all__ = [
     "eigenphase_table",
     "lemma_eigenphase_residual",
     "center_eigen_residual",
+    "bimodule_consistency",
+    "bimodule_residual",
     "gram_rank",
     "gram_rank_residual",
     "overlap_residual",
@@ -758,40 +765,102 @@ def eigenphase_table(basis: LLLBasis) -> dict:
     return table
 
 
+def _law_residual(measured, target, phase):
+    """``(deviation, defect, index)`` of one measured ``(L, defect)`` of
+    :func:`_project` against its law's monomial ``(target, phase)``: the
+    largest :func:`_law_deviation` and its ``(row, column)``, and the largest
+    Parseval defect.  Each law's ``|L - P|`` is reduced before the caller
+    forms the next, so a check holds one at a time."""
+    l_mat, defect = measured
+    dev = _law_deviation(l_mat, target, phase)
+    index = np.unravel_index(int(np.argmax(dev)), dev.shape)  # a NaN is the first argmax
+    return float(dev[index]), float(np.max(defect)), index
+
+
 def lemma_eigenphase_residual(basis: LLLBasis) -> float:
     """Largest ``|L - P|`` and Parseval defect of ``d1`` and ``d2`` of
     :attr:`LLLBasis.translations`, ``P`` their laws' monomials
-    (:func:`_predicted_translations`, compared by :func:`_law_deviation`):
+    (:func:`_predicted_translations`, compared by :func:`_law_residual`):
     a wrong target, phase or leak shows in ``|L - P|``."""
     predicted = _predicted_translations(basis)
     res = []
     for name in ("d1", "d2"):
-        l_mat, defect = basis.translations[name]
-        res += [np.max(_law_deviation(l_mat, *predicted[name])), np.max(defect)]
+        res += _law_residual(basis.translations[name], *predicted[name])[:2]
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 
 def center_eigen_residual(basis: LLLBasis):
     """``(residual, note)`` of the central relations D1^M = e^{i*alpha1}
     and D2^M = e^{i*alpha2} on the module: the largest ``|L - e^{i*alpha}
-    I|`` and Parseval defect of each power's :func:`_project`.  The steps
-    along one lattice vector commute, so ``D^M`` is one displacement by M
-    steps with the step's scale to the M-th power."""
+    I|`` and Parseval defect of each power's :func:`_project`
+    (:func:`_law_residual`).  The steps along one lattice vector commute,
+    so ``D^M`` is one displacement by M steps with the step's scale to the
+    M-th power."""
     m = basis.flux.denominator
     res = []
     for index, alpha in ((1, basis.angles.alpha1), (2, basis.angles.alpha2)):
         step = elementary_translation(basis, index)(basis.field)
         power = _Translated(basis.field, Displacement(m * step.displacement.u), step.scale**m,
                             basis)
-        l_mat, defect = _project(basis, power)
-        res += [np.max(_law_deviation(l_mat, np.arange(basis.level), cmath.exp(1j * alpha))),
-                np.max(defect)]
+        res += _law_residual(_project(basis, power), np.arange(basis.level),
+                             cmath.exp(1j * alpha))[:2]
     return float(np.max(res)), (  # np.max, unlike max, keeps a NaN
         "largest |L - e^{i alpha} I| and Parseval defect of D1^M and D2^M, each one "
         "displacement, measured on the (n_x, n_y) = (%d, %d) cell rule; D1^M reads the "
         "states' own window, whose integer frequencies make it test only the prefactor "
         "and the angle phases, and D2^M reads the columns y - 1, so it tests theta's "
         "quasi-periodicity there" % basis.cell_nodes)
+
+
+def bimodule_consistency(basis: LLLBasis) -> dict:
+    """Check that the ground states, the M x N array of
+    :meth:`LLLBasis.labels`, carry the left action of ``D1``, ``D2`` on
+    ``j`` and the right action of the dual pair on ``k``: each matrix of
+    :attr:`LLLBasis.translations` against its law's monomial
+    (:func:`_predicted_translations`, compared by :func:`_law_residual`).
+    The left-right commutator composes those monomials' ``(target,
+    phase)`` vectors, so it is 0 by construction.
+
+    Returns a report dict; individual mismatches beyond the tolerance
+    1e-6 are listed (measured vs. predicted entries) rather than raised.
+    """
+    tol = 1e-6
+    predicted = _predicted_translations(basis)
+    deviations, mismatches = {}, []
+    for name, measured in basis.translations.items():
+        target, phase = predicted[name]
+        deviations[name], _, (row, col) = _law_residual(measured, target, phase)
+        if not deviations[name] <= tol:  # a NaN deviation is a mismatch
+            mismatches.append({"operator": name, "index": (int(row), int(col)),
+                               "measured": complex(measured[0][row, col]),
+                               "predicted": complex(phase[col] if target[col] == row else 0.0)})
+    # L R and R L of monomials: column s lands on one row with one phase
+    # product, formed as left * right in both, since numpy's SIMD complex
+    # multiply need not commute bit for bit; apart, each row meets a zero
+    commutators = []
+    for t_l, p_l in (predicted["d1"], predicted["d2"]):
+        for t_r, p_r in (predicted["dual1"], predicted["dual2"]):
+            lr, rl = p_l[t_r] * p_r, p_l * p_r[t_l]
+            commutators.append(np.max(np.where(t_l[t_r] == t_r[t_l], np.abs(lr - rl),
+                                               np.maximum(np.abs(lr), np.abs(rl)))))
+    left_right = float(np.max(commutators))  # np.max, unlike max, keeps a NaN
+    return {
+        "deviations": deviations,
+        "mismatches": mismatches,
+        "left_right_commutator": left_right,
+        "tolerance": tol,
+        "pass": not mismatches and left_right == 0.0,
+    }
+
+
+def bimodule_residual(basis: LLLBasis):
+    """``(residual, note)``: the largest of the :func:`bimodule_consistency`
+    deviations and its left-right commutator."""
+    report = bimodule_consistency(basis)
+    return float(np.max([*report["deviations"].values(), report["left_right_commutator"]])), (
+        "largest |L - P| of D1, D2, D1~ and D2~ against the monomials of their laws, "
+        "measured on the (n_x, n_y) = (%d, %d) cell rule; the left-right commutator of "
+        "the predicted actions holds by construction" % basis.cell_nodes)
 
 
 def gram_rank(basis: LLLBasis) -> int:

@@ -1,9 +1,8 @@
 r"""Finite-dimensional matrix realizations of the quantum torus at
 rational flux: clock/shift pairs, Weyl elements, the dual pair acting
-at the reciprocal parameter, commutant and span diagnostics, the
-bimodule consistency report of the wavefield states' measured
-translations against the monomials of their laws, and the q-deformed sl2
-generators.
+at the reciprocal parameter, commutant and span diagnostics, and the
+q-deformed sl2 generators.  This is the ideal algebra only: nothing here
+reads a measured state.
 
 At flux ``kappa = N/M`` the elementary magnetic translations act on the
 M-fold index of the ground space as the clock and shift matrices
@@ -31,7 +30,9 @@ The dual pair is the N-dimensional clock/shift at parameter
 
 On the ground states, with the labels ``(j, k)`` read as ``(-j mod M,
 -k mod N)``, the translations are ``kron(C, I_N)``, ``kron(S, I_N)`` and
-``I_M`` times the dual pair.
+``I_M`` times the dual pair.  The check of the measured module against
+those laws is :func:`nctorus.lll.bimodule_consistency`, which this module
+re-exports under its old name.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import numpy as np
 
 from .core import VacuumAngles
 from .errors import DegenerateDeformationError
-from .lll import LLLBasis, _law_deviation, _predicted_translations
+# re-exported: benchmarks/tracing.py times it as matrices.bimodule_consistency
+from .lll import bimodule_consistency
 
 __all__ = [
     "CSMatrix",
@@ -66,7 +68,6 @@ __all__ = [
     "weyl_span_dimension",
     "commutant_and_span_residual",
     "bimodule_consistency",
-    "bimodule_residual",
     "UqSl2Generators",
     "uq_sl2_generators",
     "uq_sl2_residual",
@@ -398,56 +399,3 @@ def uq_sl2_residual(m, n):
     except DegenerateDeformationError:
         return 0.0, "skipped: degenerate deformation parameter"
     return float(np.max(list(gens.residuals.values())))  # np.max, unlike max, keeps a NaN
-
-
-def bimodule_consistency(basis: LLLBasis) -> dict:
-    """Check that the ground states, the M x N array of
-    :meth:`LLLBasis.labels`, carry the left action of ``D1``, ``D2`` on
-    ``j`` and the right action of the dual pair on ``k``: each matrix of
-    ``LLLBasis.translations`` against its law's monomial
-    (``lll._predicted_translations``), on its ``(target, phase)`` vectors
-    (``lll._law_deviation``).  The left-right commutator composes those
-    vectors, so it is 0 by construction.
-
-    Returns a report dict; individual mismatches beyond the tolerance
-    1e-6 are listed (measured vs. predicted entries) rather than raised.
-    """
-    tol = 1e-6
-    predicted = _predicted_translations(basis)
-    deviations, mismatches = {}, []
-    for name, (fit, _) in basis.translations.items():
-        target, phase = predicted[name]
-        dev = _law_deviation(fit, target, phase)
-        deviations[name] = float(dev.max())
-        if not deviations[name] <= tol:  # a NaN deviation is a mismatch
-            row, col = np.unravel_index(int(np.argmax(dev)), dev.shape)
-            mismatches.append({"operator": name, "index": (int(row), int(col)),
-                               "measured": complex(fit[row, col]),
-                               "predicted": complex(phase[col] if target[col] == row else 0.0)})
-    # L R and R L of monomials: column s lands on one row with one phase
-    # product, formed as left * right in both, since numpy's SIMD complex
-    # multiply need not commute bit for bit; apart, each row meets a zero
-    commutators = []
-    for t_l, p_l in (predicted["d1"], predicted["d2"]):
-        for t_r, p_r in (predicted["dual1"], predicted["dual2"]):
-            lr, rl = p_l[t_r] * p_r, p_l * p_r[t_l]
-            commutators.append(np.max(np.where(t_l[t_r] == t_r[t_l], np.abs(lr - rl),
-                                               np.maximum(np.abs(lr), np.abs(rl)))))
-    left_right = float(np.max(commutators))  # np.max, unlike max, keeps a NaN
-    return {
-        "deviations": deviations,
-        "mismatches": mismatches,
-        "left_right_commutator": left_right,
-        "tolerance": tol,
-        "pass": not mismatches and left_right == 0.0,
-    }
-
-
-def bimodule_residual(basis: LLLBasis):
-    """``(residual, note)``: the largest of the :func:`bimodule_consistency`
-    deviations and its left-right commutator."""
-    report = bimodule_consistency(basis)
-    return float(np.max([*report["deviations"].values(), report["left_right_commutator"]])), (
-        "largest |L - P| of D1, D2, D1~ and D2~ against the monomials of their laws, "
-        "measured on the (n_x, n_y) = (%d, %d) cell rule; the left-right commutator of "
-        "the predicted actions holds by construction" % basis.cell_nodes)

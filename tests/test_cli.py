@@ -24,6 +24,7 @@ from nctorus.fields import (
 )
 from nctorus import lll
 from nctorus.lll import (
+    bimodule_residual,
     build_basis,
     center_eigen_residual,
     gram_rank_residual,
@@ -32,7 +33,6 @@ from nctorus.lll import (
 )
 from nctorus.matrices import (
     WeylWord,
-    bimodule_residual,
     commutant_and_span_residual,
     holonomy_residual,
     q_commutation_residual,

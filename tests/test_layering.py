@@ -93,9 +93,22 @@ def test_private_names_cross_modules_only_where_listed():
                 crossing |= {(path.stem, node.module, alias.name) for alias in node.names
                              if alias.name.startswith("_")}
     assert crossing == {("lll", "theta", "_grid_exponent"),
-                        ("partition", "theta", "_theta_residue_norms"),
-                        ("matrices", "lll", "_law_deviation"),
-                        ("matrices", "lll", "_predicted_translations")}
+                        ("partition", "theta", "_theta_residue_norms")}
+
+
+def test_the_law_rows_live_in_lll():
+    # the lemma, the centre and the bimodule check compare the module with
+    # its laws in lll alone; matrices re-exports the bimodule check and
+    # reads no measured state
+    matrices = importlib.import_module("nctorus.matrices")
+    assert lll.bimodule_consistency.__module__ == "nctorus.lll"
+    assert matrices.bimodule_consistency is lll.bimodule_consistency
+    assert not hasattr(matrices, "bimodule_residual") and not hasattr(matrices, "LLLBasis")
+    for path in SRC.glob("*.py"):
+        if path.stem != "lll":
+            text = path.read_text()
+            for name in ("_predicted_translations", "_law_deviation", "_law_residual"):
+                assert name not in text, (path.name, name)
 
 
 def test_the_package_exports_each_modules_all():

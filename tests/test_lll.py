@@ -15,6 +15,8 @@ from nctorus.fields import Displacement, Field, ladder_apply
 from nctorus.lll import (
     LLLBasis,
     ThetaField,
+    bimodule_consistency,
+    bimodule_residual,
     boundary_residual,
     build_basis,
     center_eigen_residual,
@@ -28,7 +30,6 @@ from nctorus.lll import (
     raise_level,
     unit_cell_grid,
 )
-from nctorus.matrices import bimodule_consistency, bimodule_residual
 from nctorus.theta import ThetaSpec, TruncationPolicy, orthogonality_residual, theta
 from state_faults import repeated, swapped, with_terms, with_window
 

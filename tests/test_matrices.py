@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 from nctorus import cli, lll, matrices, partition
 from nctorus.core import Flux, VacuumAngles
 from nctorus.errors import DegenerateDeformationError
-from nctorus.lll import build_basis, eigenphase_table
+from nctorus.lll import bimodule_consistency, bimodule_residual, build_basis, eigenphase_table
 from nctorus.matrices import (
     CSMatrix,
     WeylWord,
-    bimodule_consistency,
-    bimodule_residual,
     clock_matrix,
     clock_power,
     commutant_dimension,
@@ -651,7 +649,7 @@ def test_bimodule_left_right_commutator_keeps_a_nan(monkeypatch):
     # one NaN phase of the predicted dual clock reaches every left-right
     # commutator it enters; a builtin max fold over them returned 0.0
     basis = build_basis(Flux(2, 3), 0.3 + 1.1j)
-    predict = matrices._predicted_translations
+    predict = lll._predicted_translations
 
     def nan_dual_clock(basis):
         predicted = predict(basis)
@@ -659,7 +657,7 @@ def test_bimodule_left_right_commutator_keeps_a_nan(monkeypatch):
         predicted["dual1"] = target, np.where(target == 0, np.nan, phase)
         return predicted
 
-    monkeypatch.setattr(matrices, "_predicted_translations", nan_dual_clock)
+    monkeypatch.setattr(lll, "_predicted_translations", nan_dual_clock)
     report = bimodule_consistency(basis)
     residual, _ = bimodule_residual(basis)
     assert math.isnan(report["left_right_commutator"]) and not report["pass"]

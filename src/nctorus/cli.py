@@ -11,9 +11,9 @@ output (the per-check wall times inside ``verify`` reports are the one
 documented exception).
 
 Exit codes: 0 success, 1 verification failure (or a non-finite
-partition value, a ``theta`` value or ``lll`` CSV value past double range,
-or a computation that cannot finish, reported as ``error: <Type>:
-<message>``), 2 usage error, 3 I/O error.
+partition value, a ``theta`` value, ``lll`` CSV value or ``squeeze`` value
+past double range, or a computation that cannot finish, reported as
+``error: <Type>: <message>``), 2 usage error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -374,17 +374,27 @@ def cmd_partition(args) -> int:
 
 def cmd_squeeze(args) -> int:
     tau = ModularParameter(args.tau.real, args.tau.imag)
-    sq = squeeze_from_tau(tau)
-    j = complex_structure_from_tau(tau)
-    emit_json(
-        {
-            "complex_structure": j.matrix,
-            "config": {"tau": tau.value},
-            "phi": sq.phi,
-            "r": sq.r,
-            "roundtrip_residual": squeeze_roundtrip_residual(tau),
-        }
-    )
+    # tau is valid from here on: a value that its type rejects or that is
+    # not finite was rounded out of range, and is named as such
+    with np.errstate(all="ignore"):
+        try:
+            sq = squeeze_from_tau(tau)
+            report = {
+                "complex_structure": complex_structure_from_tau(tau).matrix,
+                "config": {"tau": tau.value},
+                "phi": sq.phi,
+                "r": sq.r,
+                "roundtrip_residual": squeeze_roundtrip_residual(tau),
+            }
+        except _COMPUTE_ERRORS:
+            raise
+        except ValueError as exc:
+            raise FloatingPointError("squeeze at tau=%r leaves double range: %s"
+                                     % (tau.value, exc)) from None
+    # r and phi are finite wherever the round trip is, and the matrix by its type
+    if not math.isfinite(report["roundtrip_residual"]):
+        raise FloatingPointError("squeeze at tau=%r leaves double range" % (tau.value,))
+    emit_json(report)
     return 0
 
 

@@ -135,11 +135,12 @@ class ComplexStructure:
     def __post_init__(self):
         mat = _check_square(self.matrix, "complex structure").astype(float)
         object.__setattr__(self, "matrix", mat)
-        dev = np.max(np.abs(mat @ mat + np.eye(2)))
-        if dev > 1e-10:
+        with np.errstate(all="ignore"):  # a non-finite entry is rejected below, not warned of
+            dev = np.max(np.abs(mat @ mat + np.eye(2)))
+            det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
+        if not dev <= 1e-10:  # NaN entries fail too
             raise ValueError("matrix does not square to -I (deviation %.3e)" % dev)
-        det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-        if abs(det - 1.0) > 1e-10:
+        if not abs(det - 1.0) <= 1e-10:
             raise ValueError("complex structure must have det 1, got %.17g" % det)
 
 
@@ -151,9 +152,11 @@ class SqueezeParams:
     phi: float
 
     def __post_init__(self):
+        if not math.isfinite(float(self.phi)):
+            raise ValueError("squeeze angle must be finite, got %r" % (self.phi,))
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
-        if self.r < 0.0:
+        if not self.r >= 0.0:  # NaN fails too
             raise ValueError("squeeze magnitude must be >= 0, got %r" % self.r)
 
 

@@ -514,14 +514,15 @@ def state_norm(basis: LLLBasis) -> list[float]:
     :attr:`LLLBasis.gram`, which reads the same nodes from a table of its
     own.  The exponents are shifted by the log of :func:`_scale_power`, as
     the module's table is, in the sum's own real buffer, and the norms are
-    multiplied by its square; no complex exponential is formed, and the
-    table is neither copied nor written."""
+    multiplied by its square in one ``np.ldexp``, which keeps every bit in
+    range and reads a norm past double range as ``inf``; no complex
+    exponential is formed, and the table is neither copied nor written."""
     x, y = quadrature_nodes(basis)
     freq, expo = basis.field.cell_exponent(y)
     power = _scale_power(expo)
     norms = _grid_exponent_norms(freq, expo, x.size, basis.level, power) / (x.size * y.size)
-    scale = math.ldexp(1.0, power)
-    return [norm * scale * scale for norm in norms.tolist()]
+    with np.errstate(over="ignore"):
+        return np.ldexp(norms, 2 * power).tolist()
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .lll import LLLBasis, build_basis, quadrature_nodes, state_norm
 from .theta import _theta_residue_norms
 
@@ -82,9 +84,12 @@ def z_tilde_character_route(basis: LLLBasis) -> float:
     slope = 2.0 * math.pi * klev * gamma.imag - a1 * b
     offset = math.pi * klev * gamma.imag**2 / b
     x, y = quadrature_nodes(basis)
-    values = _theta_residue_norms(klev, x, tau * y + gamma, t, basis.policy, slope * y + offset)
+    # past double range a value reads inf, or NaN where inf meets a zero, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _theta_residue_norms(klev, x, tau * y + gamma, t, basis.policy,
+                                    slope * y + offset).sum(axis=0)
     # where |eta|^2 underflows to 0 the quotient reads inf, as it does in z_tilde
-    return _over_eta2(math.fsum(values.sum(axis=0)) / values.size, eta2)
+    return _over_eta2(math.fsum(sums) / (x.size * y.size), eta2)
 
 
 def _over_eta2(value: float, eta2: float) -> float:

@@ -131,6 +131,36 @@ def test_theta_usage_errors(capsys):
     assert main(["theta", "--level", "1", "--tau", "1"]) == 2
     assert main(["theta", "--level", "1", "--tau", "what"]) == 2
     capsys.readouterr()
+    # a flag after --tau is no complex literal, so --tau is left without its value
+    assert main(["theta", "--level", "1", "--tau", "--z", "0"]) == 2
+    assert "--tau: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau, error", [
+    ("1e300i", "FloatingPointError: squeeze at tau=1e+300j leaves double range: "
+               "matrix does not square to -I (deviation nan)"),
+    ("1e-300i", "FloatingPointError: squeeze at tau=1e-300j leaves double range: "
+                "matrix does not square to -I (deviation 1.000e+00)"),
+    ("1e308i", "FloatingPointError: squeeze at tau=1e+308j leaves double range: "
+               "squeeze angle must be finite, got nan"),
+    ("-4.437226654450582e-303+1.2427344271963375e-20i",
+     "FloatingPointError: squeeze at tau=(-4.437226654450582e-303+1.2427344271963375e-20j) "
+     "leaves double range"),
+    ("1e150i", "LinAlgError: Singular matrix"),
+])
+def test_squeeze_past_double_range_fails_with_one_error_line(capsys, tau, error):
+    # each tau is valid, so no value rounded out of range is a usage error:
+    # in process, where a RuntimeWarning is an error, the command names
+    # what left range and exits 1
+    assert main(["squeeze", "--tau=" + tau]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % error
+
+
+def test_render_names_a_type_it_cannot_render():
+    with pytest.raises(TypeError, match="cannot render <class 'set'>"):
+        cli._render({1})
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,6 +235,24 @@ def test_module_rows_pass_where_the_unscaled_window_overflows(capsys, m, n, tau)
         assert checks[name]["pass"], (name, checks[name])
     failing = {name for name, check in checks.items() if not check["pass"]}
     assert failing == {"partition_t_invariance", "partition_s_invariance"}
+    # the state norms read inf, so both rows fail with NaN and their usual notes
+    assert checks["partition_t_invariance"]["note"].startswith("holds by construction")
+    assert checks["partition_s_invariance"]["note"].startswith("s_residual nan against")
+    for name in failing:
+        assert math.isnan(checks[name]["residual"]), name
+
+
+def test_partition_past_double_range_reads_infinity_silently(capsys):
+    # both routes read the state norms past double range as inf, without a
+    # numpy warning, which in process is an error; the command prints its
+    # report and exits 1, as it does for any non-finite value
+    code = main(["partition", "--M", "1", "--N", "1", "--tau=300i", "--alpha1", "6"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    rep = json.loads(captured.out)
+    for key in ("z_tilde", "z_tilde_character_route", "z_tilde_closed_form"):
+        assert rep[key] == math.inf, key
+    assert math.isnan(rep["s_residual"]) and math.isnan(rep["t_residual"])
 
 
 def test_lll_csv_past_double_range_fails_with_one_error_line(capsys, tmp_path):

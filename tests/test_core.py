@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nctorus.core import (
+    ComplexStructure,
     Flux,
     ModularParameter,
     SqueezeParams,
@@ -112,6 +113,25 @@ def test_squeeze_inversion_roundtrip():
         assert abs(q.r - p.r) < 1e-12
         if p.r > 1e-8:
             assert abs((q.phi - p.phi + math.pi) % (2 * math.pi) - math.pi) < 1e-10
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Flux(1.5, 2), "flux must be a pair of integers"),
+    (lambda: ComplexStructure(np.eye(3)), "must be a 2x2 matrix"),
+    (lambda: ComplexStructure(np.eye(2)), "does not square to -I"),
+    (lambda: ComplexStructure(np.full((2, 2), np.nan)), r"does not square to -I \(deviation nan"),
+    (lambda: ComplexStructure([[0.0, math.inf], [-1e-300, 0.0]]), "does not square to -I"),
+    (lambda: SqueezeParams(math.nan, 0.0), "magnitude must be >= 0, got nan"),
+    (lambda: SqueezeParams(0.5, math.nan), "angle must be finite, got nan"),
+    (lambda: SqueezeParams(0.5, math.inf), "angle must be finite, got inf"),
+    (lambda: apply_modular_word(["X"], 1j), "unknown modular token 'X'"),
+], ids=["flux-float", "cs-3x3", "cs-identity", "cs-nan", "cs-inf", "squeeze-nan-r",
+        "squeeze-nan-phi", "squeeze-inf-phi", "modular-token"])
+def test_values_reject_what_they_cannot_hold(make, message):
+    # NaN fails every comparison, so each check is written to fail on it,
+    # and a non-finite matrix is rejected without a numpy warning
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_squeeze_params_normalization():

@@ -461,6 +461,9 @@ def test_cell_exponent_is_the_window_before_its_exponential():
     assert np.all(expo[~own] == -np.inf)
     nan_expo = with_terms(basis, {(0, 0, 0): np.nan}).field.cell_exponent(y)[1]
     assert np.isnan(nan_expo[own]).all() and np.all(nan_expo[~own] == -np.inf)
+    # a raised state has more terms than the one the table is built from
+    with pytest.raises(ValueError, match=r"needs the one term \(0, 0, 0\)"):
+        raise_level(basis, 0, 0).cell_exponent(y)
 
 
 def test_cell_window_is_zero_outside_each_columns_own_window():

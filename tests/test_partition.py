@@ -292,6 +292,18 @@ def test_both_routes_match_closed_form_where_raw_theta_overflows(mn, tau, nodes)
     assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
 
 
+@pytest.mark.parametrize("mn, tau", [((1, 1), 300j), ((3, 1), 1000j), ((2, 1), 1300j)])
+def test_both_routes_read_inf_past_double_range(mn, tau):
+    # at alpha1 = 6 the state norms themselves pass double range, though
+    # the module measures: both routes read inf, as the closed form does,
+    # in process, where numpy's overflow warning is an error
+    m, n = mn
+    basis = build_basis(Flux(n, m), tau, VacuumAngles(6.0, 0.0))
+    assert state_norm(basis) == [math.inf] * (m * n)
+    for route in (z_tilde, z_tilde_character_route, z_tilde_closed_form):
+        assert route(basis) == math.inf, route.__name__
+
+
 @pytest.mark.parametrize("mn", [(3, 2), (7, 5), (13, 7)])
 @pytest.mark.parametrize("im_tau", [0.01, 0.03, 10.0, 50.0, 200.0])
 def test_both_routes_match_closed_form_over_im_tau(mn, im_tau):

@@ -63,6 +63,8 @@ def test_spec_validation():
         TruncationPolicy(epsilon=2.0)
     with pytest.raises(ValueError):
         TruncationPolicy(epsilon=1e-12, max_terms=1)
+    with pytest.raises(ValueError, match="epsilon must lie in"):
+        truncation_bound(1, 0.0, 1j, 2.0)
 
 
 def test_worked_truncation_example():
@@ -264,6 +266,8 @@ def test_theta_derivative_orders():
     tau = 0.3 + 1.1j
     z = 0.21 + 0.13j
     assert theta_derivative(spec, z, tau, order=0) == theta(spec, z, tau)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        theta_derivative(spec, z, tau, order=-1)
     ref2 = naive_theta(3, 1, z, tau, deriv=2)
     assert abs(theta_derivative(spec, z, tau, order=2) - ref2) < 1e-10 * abs(ref2)
     # derivative consistency against central differences
@@ -845,3 +849,5 @@ def test_s_transform(level):
 def test_orthogonality_residual():
     for level in range(1, 25):
         assert orthogonality_residual(level) < 1e-12
+    with pytest.raises(ValueError, match="level must be positive"):
+        orthogonality_residual(0)

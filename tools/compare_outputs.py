@@ -55,8 +55,9 @@ def build_cases() -> list:
     of the three benchmark sweeps, ``verify`` and ``partition`` over
     fluxes, ``tau``, angles, ``--quad`` and ``--eps``, the other commands,
     usage errors, ``lll`` runs with their files, three more ``verify``
-    runs, and six runs whose states leave double range, each batch
-    appended so that the earlier cases keep their places."""
+    runs, six runs whose states leave double range, and a ``partition``
+    whose state norms and two ``squeeze`` runs whose values leave it, each
+    batch appended so that the earlier cases keep their places."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
@@ -126,6 +127,12 @@ def build_cases() -> list:
         ["lll", "--M", "1", "--N", "1", "--tau=1e5i", "--alpha1", "0.7", "--out", OUT],
         ["lll", "--M", "2", "--N", "1", "--tau=1e5i", *angles[1], "--out", OUT],
         ["theta", "--level", "1", "--tau=i", "--z=0+30i"],
+    ]
+    # state norms past double range, and squeeze at valid but extreme tau
+    cases += [
+        ["partition", "--M", "1", "--N", "1", "--tau=300i", "--alpha1", "6"],
+        ["squeeze", "--tau=1e300i"],
+        ["squeeze", "--tau=1e-300i"],
     ]
     return cases
 

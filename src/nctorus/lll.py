@@ -767,15 +767,15 @@ def eigenphase_table(basis: LLLBasis) -> dict:
 
 
 def _law_residual(measured, target, phase):
-    """``(deviation, defect, index)`` of one measured ``(L, defect)`` of
+    """``(deviation, defect, flat)`` of one measured ``(L, defect)`` of
     :func:`_project` against its law's monomial ``(target, phase)``: the
-    largest :func:`_law_deviation` and its ``(row, column)``, and the largest
-    Parseval defect.  Each law's ``|L - P|`` is reduced before the caller
-    forms the next, so a check holds one at a time."""
+    largest :func:`_law_deviation`, at the flat index ``flat`` of ``L``, and
+    the largest Parseval defect.  Each law's ``|L - P|`` is reduced before
+    the caller forms the next, so a check holds one at a time."""
     l_mat, defect = measured
     dev = _law_deviation(l_mat, target, phase)
-    index = np.unravel_index(int(np.argmax(dev)), dev.shape)  # a NaN is the first argmax
-    return float(dev[index]), float(np.max(defect)), index
+    flat = int(np.argmax(dev))  # a NaN is the first argmax, so it is the deviation
+    return float(dev.flat[flat]), float(defect.max()), flat
 
 
 def lemma_eigenphase_residual(basis: LLLBasis) -> float:
@@ -830,9 +830,10 @@ def bimodule_consistency(basis: LLLBasis) -> dict:
     deviations, mismatches = {}, []
     for name, measured in basis.translations.items():
         target, phase = predicted[name]
-        deviations[name], _, (row, col) = _law_residual(measured, target, phase)
+        deviations[name], _, flat = _law_residual(measured, target, phase)
         if not deviations[name] <= tol:  # a NaN deviation is a mismatch
-            mismatches.append({"operator": name, "index": (int(row), int(col)),
+            row, col = divmod(flat, len(target))
+            mismatches.append({"operator": name, "index": (row, col),
                                "measured": complex(measured[0][row, col]),
                                "predicted": complex(phase[col] if target[col] == row else 0.0)})
     # L R and R L of monomials: column s lands on one row with one phase

@@ -7,27 +7,26 @@ import numpy as np
 
 from nctorus import (
     Flux,
+    WeylAlgebra,
     WeylWord,
     bimodule_consistency,
     build_basis,
-    clock_matrix,
     commutant_dimension,
     dual_matrices,
     q_commutation_residual,
-    shift_matrix,
     uq_sl2_generators,
     weyl_element,
     weyl_span_dimension,
 )
 from nctorus.errors import DegenerateDeformationError
 
-# PART I -- the generators
+# PART I -- the generators, held with the Weyl words by the algebra
 m, n = 3, 2
-clock = clock_matrix(m, n)
-shift = shift_matrix(m)
+algebra = WeylAlgebra(m, n)
+clock, shift = algebra.clock, algebra.shift
 print("clock:\n", np.round(clock.entries, 6))
 print("shift:\n", shift.entries.real)
-print("q-commutation residual:", q_commutation_residual(m, n))
+print("q-commutation residual:", q_commutation_residual(algebra))
 
 # PART II -- Weyl words multiply up to a computable half-cell phase
 wa, wb = WeylWord(1, 1), WeylWord(-1, 2)
@@ -37,17 +36,17 @@ print("weyl word product well-defined:", prod.shape)
 # PART III -- irreducibility: nothing commutes with both generators,
 # while the words span the full matrix algebra
 print("commutant dimension:", commutant_dimension([clock, shift]))
-print("weyl span dimension:", weyl_span_dimension(m, n), "= %d^2" % m)
+print("weyl span dimension:", weyl_span_dimension(algebra), "= %d^2" % m)
 
 # PART IV -- the reciprocal-parameter copy on N x N matrices
-dc, ds = dual_matrices(m, n)
+dc, ds = dual_matrices(algebra)
 print("dual pair sizes:", dc.entries.shape, ds.entries.shape)
 
 # PART V -- quantum sl2 inside the torus algebra
-gens = uq_sl2_generators(5, 2)
+gens = uq_sl2_generators(WeylAlgebra(5, 2))
 print("u_q(sl2) residuals:", gens.residuals)
 try:
-    uq_sl2_generators(2, 1)
+    uq_sl2_generators(WeylAlgebra(2, 1))
 except DegenerateDeformationError as exc:
     print("degenerate case correctly refused:", exc)
 

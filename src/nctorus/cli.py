@@ -54,14 +54,13 @@ from .lll import (
     overlap_residual,
 )
 from .matrices import (
+    WeylAlgebra,
     WeylWord,
-    clock_matrix,
     commutant_and_span_residual,
     commutant_dimension,
     dual_matrices,
     holonomy_residual,
     q_commutation_residual,
-    shift_matrix,
     sine_algebra_residual,
     sine_structure_residual,
     uq_sl2_residual,
@@ -322,24 +321,22 @@ def cmd_lll(args) -> int:
 
 def cmd_matrices(args) -> int:
     cfg = _config_from(args)
-    m, n = cfg.m, cfg.n
-    angles = cfg.angles
-    clock = clock_matrix(m, n, angles.alpha1)
-    shift = shift_matrix(m, angles.alpha2)
-    dual_clock, dual_shift = dual_matrices(m, n, angles)
+    # this op's algebra and its dual: three phase tables, each built once
+    algebra = WeylAlgebra(cfg.m, cfg.n, cfg.angles)
+    dual_clock, dual_shift = dual_matrices(algebra)
     report = {
-        "clock": clock.entries,
-        "shift": shift.entries,
+        "clock": algebra.clock.entries,
+        "shift": algebra.shift.entries,
         "dual_clock": dual_clock.entries,
         "dual_shift": dual_shift.entries,
         "residuals": {
-            "dual_q_commutation": q_commutation_residual(n, m, angles),
-            "q_commutation": q_commutation_residual(m, n, angles),
-            "sine_structure": sine_structure_residual(m, n, WeylWord(1, 0), WeylWord(0, 1)),
-            "weyl_cocycle": weyl_cocycle_residual(m, n),
+            "dual_q_commutation": q_commutation_residual(algebra.dual),
+            "q_commutation": q_commutation_residual(algebra),
+            "sine_structure": sine_structure_residual(algebra, WeylWord(1, 0), WeylWord(0, 1)),
+            "weyl_cocycle": weyl_cocycle_residual(algebra),
         },
-        "commutant_dimension": commutant_dimension([clock, shift]),
-        "weyl_span_dimension": weyl_span_dimension(m, n),
+        "commutant_dimension": commutant_dimension([algebra.clock, algebra.shift]),
+        "weyl_span_dimension": weyl_span_dimension(algebra),
         "config": cfg.as_report(),
     }
     emit_json(report)
@@ -405,12 +402,13 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
     """Rows (name, call, tolerance); each call is one library call, which
     returns its residual or (residual, note), and only
     ``q_commutation_matrix`` adds a note of its own, the injected fault's.
-    The basis and the invariance report are built on first use and once,
-    so a failed build fails each check that needs it."""
-    flux, m, n = cfg.flux, cfg.m, cfg.n
+    The basis, the Weyl algebra and the invariance report are built on
+    first use and once, so a failed build fails each check that needs it."""
+    flux = cfg.flux
     tau = ModularParameter(cfg.tau.real, cfg.tau.imag)
     angles, policy = cfg.angles, cfg.policy
     basis = functools.cache(lambda: build_basis(flux, tau, angles, policy, cfg.quad))
+    algebra = functools.cache(lambda: WeylAlgebra(cfg.m, cfg.n, angles))
     invariance = functools.cache(lambda: modular_invariance_report(basis()))
     fault_note = "cocycle sign deliberately flipped" if inject_fault else None
     return [
@@ -418,21 +416,21 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
          1e-9),
         ("eta_functional_equations", lambda: eta_functional_residual(tau, policy), 1e-10),
         ("q_commutation_matrix",
-         lambda: (q_commutation_residual(m, n, angles, inject_fault=inject_fault), fault_note),
+         lambda: (q_commutation_residual(algebra(), inject_fault=inject_fault), fault_note),
          1e-13),
-        ("weyl_cocycle_matrix", lambda: weyl_cocycle_residual(m, n), 1e-12),
-        ("sine_algebra_matrix", lambda: sine_algebra_residual(m, n), 1e-12),
+        ("weyl_cocycle_matrix", lambda: weyl_cocycle_residual(algebra()), 1e-12),
+        ("sine_algebra_matrix", lambda: sine_algebra_residual(algebra()), 1e-12),
         ("sine_algebra_operator", lambda: sine_bracket_residual((1, 0), (0, 1), flux, tau), 1e-9),
         ("dual_commutation_operator",
          lambda: dual_commutation_residual((1, 0), (0, 1), flux, tau), 1e-9),
         ("holonomy_operator", lambda: plaquette_residual(flux, tau), 1e-10),
-        ("holonomy_matrix", lambda: holonomy_residual(m, n, angles), 1e-10),
+        ("holonomy_matrix", lambda: holonomy_residual(algebra()), 1e-10),
         ("center_eigenvalues", lambda: center_eigen_residual(basis()), 1e-10),
         ("lemma_eigenphases", lambda: lemma_eigenphase_residual(basis()), 1e-7),
         ("gram_rank", lambda: gram_rank_residual(basis()), 0.5),
         ("bimodule_consistency", lambda: bimodule_residual(basis()), 1e-6),
-        ("commutant_and_span", lambda: commutant_and_span_residual(m, n, angles), 0.5),
-        ("uq_sl2_relations", lambda: uq_sl2_residual(m, n), 1e-11),
+        ("commutant_and_span", lambda: commutant_and_span_residual(algebra()), 0.5),
+        ("uq_sl2_relations", lambda: uq_sl2_residual(algebra()), 1e-11),
         ("orthogonality", lambda: overlap_residual(basis()), 1e-12),
         ("partition_t_invariance", lambda: t_invariance_residual(invariance()), 1e-5),
         ("partition_s_invariance", lambda: s_invariance_residual(basis(), invariance()), 1e-3),

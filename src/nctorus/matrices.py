@@ -22,11 +22,21 @@ vector times a cyclic shift, ``W(m)[(j + m2) % M, j] = phases[j]``, and
 one routine builds the phases of any array of words in one numpy pass
 (the clock's and the shift's powers are the words ``(p, 0)`` and
 ``(0, p)``).  Each root of unity is formed from its integer argument
-reduced mod ``M`` (``2M`` for a half-angle) before the division.  The
-algebra checks, the U_q(sl2) relations included, compare phase vectors;
-dense matrices only for outputs and in :func:`commutant_dimension`.
-The dual pair is the N-dimensional clock/shift at parameter
-``e^{2*pi*i*M/N}``.
+reduced mod ``M`` (``2M`` for a half-angle) before the division, and a
+word's phases carry the same bits alone or among others.  The algebra
+checks, the U_q(sl2) relations included, compare phase vectors; dense
+matrices only for outputs and in :func:`commutant_dimension`.  The dual
+pair is the N-dimensional clock/shift at parameter ``e^{2*pi*i*M/N}``.
+
+One op's ideal algebra is a :class:`WeylAlgebra` (the counterpart of
+:class:`nctorus.lll.LLLBasis`), which the checks take: it builds, on
+first use and once, one zero-angle table of every word in ``[-4, max(M,
+5))^2`` (the span's, the cocycle's, the sine and the U_q(sl2) words) and
+the clock/shift pair at the op's angles, one phase-routine call each, and
+its ``dual`` is the algebra at ``(N, M)``.  It holds no cache beyond its
+own lifetime.  The span's full rank is certified by the Gershgorin discs
+of its blocks (:func:`nctorus.core.gershgorin_full_rank`) before any
+singular value is computed.
 
 On the ground states, with the labels ``(j, k)`` read as ``(-j mod M,
 -k mod N)``, the translations are ``kron(C, I_N)``, ``kron(S, I_N)`` and
@@ -38,6 +48,7 @@ re-exports under its old name.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import VacuumAngles
+from .core import VacuumAngles, gershgorin_full_rank
 from .errors import DegenerateDeformationError
 # re-exported: benchmarks/tracing.py times it as matrices.bimodule_consistency
 from .lll import bimodule_consistency
@@ -53,6 +64,7 @@ from .lll import bimodule_consistency
 __all__ = [
     "CSMatrix",
     "WeylWord",
+    "WeylAlgebra",
     "clock_matrix",
     "shift_matrix",
     "clock_power",
@@ -196,29 +208,85 @@ def weyl_element(word: WeylWord, m, n, angles: VacuumAngles = _NO_ANGLES) -> CSM
     return CSMatrix(_scatter(phases[0], shifts[0]))
 
 
-def q_commutation_residual(m, n, angles: VacuumAngles = _NO_ANGLES, *,
-                           inject_fault=False) -> float:
+@dataclass(frozen=True, eq=False)
+class WeylAlgebra:
+    """The ideal algebra of one op at flux N/M and ``angles``.  Its two
+    phase tables are cached properties, each one :func:`_weyl_phases`
+    call made on first use: :attr:`words`, every word of ``[-4, max(M,
+    5))^2`` at zero angles, and :attr:`pair`, the clock and the shift at
+    the angles.  Every phase keeps the bits of its word alone."""
+
+    m: int
+    n: int
+    angles: VacuumAngles = _NO_ANGLES
+
+    @functools.cached_property
+    def words(self) -> np.ndarray:
+        """Zero-angle phases, ``words[m1 + 4, m2 + 4]`` the phase vector of
+        W(m1, m2) (whose shift is ``m2 % M``) for m1, m2 in ``[-4, max(M,
+        5))``."""
+        # [-4, 4]^2 for the cocycle's products, [0, M)^2 for the span
+        size = max(self.m, 5) + 4
+        m1, m2 = np.array(np.divmod(np.arange(size * size), size)) - 4
+        return _weyl_phases(m1, m2, self.m, self.n)[0].reshape(size, size, self.m)
+
+    def phases(self, m1, m2) -> np.ndarray:
+        """Zero-angle phase vectors of the words ``(m1[w], m2[w])``: rows
+        of :attr:`words`, or one :func:`_weyl_phases` call where a word
+        lies outside it."""
+        m1, m2 = np.asarray(m1), np.asarray(m2)
+        words = np.concatenate([m1, m2])
+        if -4 <= words.min() and words.max() < max(self.m, 5):
+            return self.words[m1 + 4, m2 + 4]
+        return _weyl_phases(m1, m2, self.m, self.n)[0]
+
+    @functools.cached_property
+    def pair(self):
+        """Phase vectors ``(c, s)`` of the clock W(1, 0) and the shift
+        W(0, 1) at the angles."""
+        (c, s), _ = _weyl_phases([1, 0], [0, 1], self.m, self.n, self.angles)
+        return c, s
+
+    @functools.cached_property
+    def clock(self) -> CSMatrix:
+        """:func:`clock_matrix` at ``angles.alpha1``, bit for bit."""
+        return CSMatrix(_scatter(self.pair[0], 0))
+
+    @functools.cached_property
+    def shift(self) -> CSMatrix:
+        """:func:`shift_matrix` at ``angles.alpha2``, bit for bit."""
+        return CSMatrix(_scatter(self.pair[1], 1))
+
+    @functools.cached_property
+    def dual(self) -> "WeylAlgebra":
+        """The algebra at ``(N, M)``: the dual pair at the reciprocal
+        parameter, at the same angles."""
+        return WeylAlgebra(self.n, self.m, self.angles)
+
+
+def q_commutation_residual(algebra: WeylAlgebra, *, inject_fault=False) -> float:
     """Max-entry residual of C S = e^{2 pi i N/M} S C.  Both sides have
     shift 1, with phases ``c[(j + 1) % M] * s[j]`` and ``s[j] * c[j]``.  With
     ``inject_fault`` the sign of the phase is flipped (compared against
     -q), so the residual is 2 for every M: a check that must fail."""
-    (c, s), _ = _weyl_phases([1, 0], [0, 1], m, n, angles)
+    m, n = algebra.m, algebra.n
+    c, s = algebra.pair
     q = cmath.exp(2j * math.pi * (n % m) / m)
     if inject_fault:
         q = -q
     return float(np.max(np.abs(np.roll(c, -1) * s - q * (s * c))))
 
 
-def weyl_cocycle_residual(m, n) -> float:
+def weyl_cocycle_residual(algebra: WeylAlgebra) -> float:
     """Worst max-entry residual of W(a) W(b) = e^{i pi kappa (a x b)} W(a + b)
     over all words a, b with entries in [-2, 2] (angles 0).
 
     Both sides are monomial with shift sa + sb: W(a) W(b) has phases
     ``pa[(j + sb) % M] * pb[j]``, so the 25 x 25 pairs compare phase
     vectors, and every other entry is zero on both sides."""
+    m, n = algebra.m, algebra.n
     # table[a1 + 4, a2 + 4]: phases of W(a1, a2), every word and every sum a + b
-    a1, a2 = np.array(np.divmod(np.arange(81), 9)) - 4
-    table = _weyl_phases(a1, a2, m, n)[0].reshape(9, 9, m)
+    table = algebra.words
     u1, u2 = np.array(np.divmod(np.arange(25), 5)) - 2  # a, b in [-2, 2]^2
     pa = table[u1 + 4, u2 + 4]
     cols = (np.arange(m) + u2[:, None]) % m
@@ -229,46 +297,50 @@ def weyl_cocycle_residual(m, n) -> float:
     return float(np.max(np.abs(lhs - rhs)))  # np.max, unlike max, keeps a NaN
 
 
-def holonomy_residual(m, n, angles: VacuumAngles = _NO_ANGLES) -> float:
+def holonomy_residual(algebra: WeylAlgebra) -> float:
     """Max-entry residual of the plaquette holonomy
     C S C^+ S^+ = e^{2 pi i N/M} I: the diagonal (C S) (S C)^+, on the
     phase vectors of :func:`q_commutation_residual`."""
-    (c, s), _ = _weyl_phases([1, 0], [0, 1], m, n, angles)
+    m, n = algebra.m, algebra.n
+    c, s = algebra.pair
     hol = np.roll(c, -1) * s * np.conj(s * c)
     return float(np.max(np.abs(hol - cmath.exp(2j * math.pi * (n % m) / m))))
 
 
-def dual_matrices(m, n, angles: VacuumAngles = _NO_ANGLES):
+def dual_matrices(algebra: WeylAlgebra):
     """The N-dimensional clock/shift pair at the reciprocal parameter
-    e^{2 pi i M/N}."""
-    return clock_matrix(n, m, angles.alpha1), shift_matrix(n, angles.alpha2)
+    e^{2 pi i M/N}: the clock and the shift of ``algebra.dual``."""
+    return algebra.dual.clock, algebra.dual.shift
 
 
-def sine_structure_residual(m, n, word_a, word_b) -> float:
+def sine_structure_residual(algebra: WeylAlgebra, word_a, word_b) -> float:
     """Max-entry residual of
     [W(a), W(b)] = 2i sin(pi kappa (a x b)) W(a + b)  (angles 0).
 
-    The three words are one :func:`_weyl_phases` call.  All three terms
+    The three words are rows of the algebra's table.  All three terms
     are monomial with shift sa + sb, so, as in
     :func:`weyl_cocycle_residual`, the products compare phase vectors:
     W(a) W(b) has phases ``pa[(j + sb) % M] * pb[j]``.  That is the dense
     matrices' product summed entry by entry, bit for bit; a BLAS product,
     which rounds some entries with fused multiply-adds, lies a few ulps
     away."""
+    m, n = algebra.m, algebra.n
     word_ab = word_a + word_b
-    (pa, pb, pab), (sa, sb, _) = _weyl_phases(
-        [word_a.m1, word_b.m1, word_ab.m1], [word_a.m2, word_b.m2, word_ab.m2], m, n)
+    pa, pb, pab = algebra.phases([word_a.m1, word_b.m1, word_ab.m1],
+                                 [word_a.m2, word_b.m2, word_ab.m2])
+    sa, sb = word_a.m2 % m, word_b.m2 % m
     j = np.arange(m)
     coeff = 2j * math.sin(math.pi * (n * word_a.cross(word_b) % (2 * m)) / m)
     return float(np.max(np.abs(pa[(j + sb) % m] * pb - pb[(j + sa) % m] * pa - coeff * pab)))
 
 
-def sine_algebra_residual(m, n) -> float:
+def sine_algebra_residual(algebra: WeylAlgebra) -> float:
     """The larger :func:`sine_structure_residual` of the word pairs
     ``((1, 0), (0, 1))`` and ``((1, 1), (2, -1))``, taken by ``np.max``,
     which, unlike ``max``, keeps a NaN."""
-    return float(np.max([sine_structure_residual(m, n, WeylWord(1, 0), WeylWord(0, 1)),
-                         sine_structure_residual(m, n, WeylWord(1, 1), WeylWord(2, -1))]))
+    return float(np.max([
+        sine_structure_residual(algebra, WeylWord(1, 0), WeylWord(0, 1)),
+        sine_structure_residual(algebra, WeylWord(1, 1), WeylWord(2, -1))]))
 
 
 def commutant_dimension(generators) -> int:
@@ -290,7 +362,9 @@ def commutant_dimension(generators) -> int:
     eigenvalue gap lies in [0, 2] and, for a unitary V (the clock, or any
     unitary with distinct eigenvalues), every singular value of the
     stacked blocks of k generators lies in [0, 2 sqrt(k)].  A generator that is scalar
-    up to round-off therefore has all d^2 entries free.
+    up to round-off therefore has all d^2 entries free.  The rows of the
+    stacked system that are zero at every entry are dropped before its
+    singular values are taken, which leaves them unchanged.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -312,29 +386,39 @@ def commutant_dimension(generators) -> int:
         block[cols, a, :] = gv[b, :]
         block[cols, :, b] -= gv[:, a].T
         blocks.append(block.reshape(p, d * d).T)
-    s = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    system = np.vstack(blocks)
+    # an all-zero row adds nothing to system^H system: the nonzero singular
+    # values are those of the other rows (about 2M of M^2 for a monomial G')
+    system = system[np.any(system != 0, axis=1)]
+    s = np.linalg.svd(system, compute_uv=False)
     return p - int(np.sum(s > 1e-10))
 
 
-def weyl_span_dimension(m, n) -> int:
+def weyl_span_dimension(algebra: WeylAlgebra) -> int:
     """Dimension of the linear span of the Weyl words W(m1, m2) with
     0 <= m1, m2 < M (equals M^2 exactly when gcd(M, N) = 1).
 
     Words of different shift fill disjoint entries, so the M^2 x M^2 rank
     splits into M blocks; block m2 stacks the phase vectors of W(., m2).
-    The singular values are those of the full matrix, counted above
-    1e-10 times the largest."""
-    m2, m1 = np.divmod(np.arange(m * m), m)
-    blocks = _weyl_phases(m1, m2, m, n)[0].reshape(m, m, m)
+    The rank counts the singular values above 1e-10 times the largest.
+    That count is M^2 without a singular value wherever the Gershgorin
+    discs of the blocks' Gram matrices ``B B^H`` certify every eigenvalue
+    above 1e-20 times the largest (the threshold, squared), as they do
+    for every coprime (M, N), where ``B B^H = M I`` up to round-off."""
+    m = algebra.m
+    blocks = algebra.words[4:m + 4, 4:m + 4].swapaxes(0, 1)  # [m2, m1]
+    if gershgorin_full_rank(blocks @ blocks.conj().swapaxes(1, 2), 1e-20)[0]:
+        return m * m
     s = np.linalg.svd(blocks, compute_uv=False)
     return int(np.sum(s > 1e-10 * np.max(s)))
 
 
-def commutant_and_span_residual(m, n, angles: VacuumAngles):
+def commutant_and_span_residual(algebra: WeylAlgebra):
     """``(residual, note)``: how far the clock/shift commutant dimension is
     from 1 plus how far the Weyl span dimension is from M^2."""
-    dim = commutant_dimension([clock_matrix(m, n, angles.alpha1), shift_matrix(m, angles.alpha2)])
-    span = weyl_span_dimension(m, n)
+    m = algebra.m
+    dim = commutant_dimension([algebra.clock, algebra.shift])
+    span = weyl_span_dimension(algebra)
     return float(abs(dim - 1) + abs(span - m * m)), (
         "holds by construction: the ideal clock/shift matrices have commutant "
         "dimension 1 and Weyl span M^2 for every coprime (M, N)")
@@ -352,7 +436,7 @@ class UqSl2Generators(NamedTuple):
     residuals: dict
 
 
-def uq_sl2_generators(m, n) -> UqSl2Generators:
+def uq_sl2_generators(algebra: WeylAlgebra) -> UqSl2Generators:
     """Realize J+ = (W(1,1) - W(-1,1))/(q - 1/q),
     J- = (W(-1,-1) - W(1,-1))/(q - 1/q), q^{J3} = C at q = e^{2 pi i N/M}
     (formed from ``N mod M``, as the Weyl phases are), and measure the
@@ -366,15 +450,16 @@ def uq_sl2_generators(m, n) -> UqSl2Generators:
     of their nonzero entries: the dense matrices' products summed entry by
     entry, bit for bit.  The dense J+- are formed only to be returned.
     """
+    m, n = algebra.m, algebra.n
     if (2 * n) % m == 0:
         raise DegenerateDeformationError(
             "q^2 = 1 at flux %d/%d: the deformation parameter is degenerate" % (n, m)
         )
     q = cmath.exp(2j * math.pi * (n % m) / m)
     denom = q - 1.0 / q
-    # the four words of J+- and the clock powers 1, -1, 2, -2, in one call
-    (pp, mp, mm, pm, c, c_inv, c2, c2_inv), _ = _weyl_phases(
-        [1, -1, -1, 1, 1, -1, 2, -2], [1, 1, -1, -1, 0, 0, 0, 0], m, n)
+    # the four words of J+- and the clock powers 1, -1, 2, -2, from the table
+    pp, mp, mm, pm, c, c_inv, c2, c2_inv = algebra.phases(
+        [1, -1, -1, 1, 1, -1, 2, -2], [1, 1, -1, -1, 0, 0, 0, 0])
     # the one nonzero entry of column j: J+[j + 1, j] and J-[j - 1, j]
     jp, jm = (pp - mp) / denom, (mm - pm) / denom
     j = np.arange(m)
@@ -391,11 +476,11 @@ def uq_sl2_generators(m, n) -> UqSl2Generators:
     return UqSl2Generators(j_plus, j_minus, CSMatrix(np.diag(c)), res)
 
 
-def uq_sl2_residual(m, n):
+def uq_sl2_residual(algebra: WeylAlgebra):
     """Largest relation residual of :func:`uq_sl2_generators`, or
     ``(0.0, note)`` when ``q^2 = 1`` leaves no deformation to check."""
     try:
-        gens = uq_sl2_generators(m, n)
+        gens = uq_sl2_generators(algebra)
     except DegenerateDeformationError:
         return 0.0, "skipped: degenerate deformation parameter"
     return float(np.max(list(gens.residuals.values())))  # np.max, unlike max, keeps a NaN

@@ -55,7 +55,7 @@ from nctorus.fields import (
     plane_sample_grid,
 )
 from nctorus.lll import QuadratureSpec
-from nctorus.matrices import WeylWord
+from nctorus.matrices import WeylAlgebra, WeylWord
 from nctorus.theta import ThetaSpec
 
 TAU_GRID = (1j, 0.3 + 1.1j, 2j)
@@ -126,10 +126,11 @@ def test_criterion_03_quantum_torus_relations():
     )
     matrix_worst = 0.0
     for m, n in _coprime_pairs(12):
-        matrix_worst = max(matrix_worst, q_commutation_residual(m, n),
-                           weyl_cocycle_residual(m, n))
+        algebra = WeylAlgebra(m, n)
+        matrix_worst = max(matrix_worst, q_commutation_residual(algebra),
+                           weyl_cocycle_residual(algebra))
         for wa, wb in word_pairs:
-            matrix_worst = max(matrix_worst, sine_structure_residual(m, n, wa, wb))
+            matrix_worst = max(matrix_worst, sine_structure_residual(algebra, wa, wb))
     tau = 0.3 + 1.1j
     grid = plane_sample_grid(tau)
     field_worst = 0.0
@@ -162,7 +163,7 @@ def test_criterion_04_plaquette_holonomy():
         for tau in (1j, 0.3 + 1.1j):
             phase, spread = plaquette_phase(flux, tau)
             worst = max(worst, abs(phase - q), spread)
-        worst = max(worst, holonomy_residual(m, n))
+        worst = max(worst, holonomy_residual(WeylAlgebra(m, n)))
     _report(4, "plaquette holonomy e^{2 pi i N/M}", worst < 1e-10,
             "worst=%.3e tol=1e-10" % worst)
 
@@ -230,7 +231,7 @@ def test_criterion_07_commutant_and_bimodule():
             pair = [clock_matrix(m, n), shift_matrix(m)]
             if commutant_dimension(pair) != 1:
                 bad.append(("commutant", m, n))
-            if weyl_span_dimension(m, n) != m * m:
+            if weyl_span_dimension(WeylAlgebra(m, n)) != m * m:
                 bad.append(("span", m, n))
     rep = bimodule_consistency(build_basis(Flux(2, 3), 0.3 + 1.1j))
     exact = rep["left_right_commutator"] == 0.0
@@ -243,13 +244,13 @@ def test_criterion_07_commutant_and_bimodule():
 def test_criterion_08_uq_sl2_relations():
     worst = 0.0
     for m, n in ((3, 1), (5, 2)):
-        worst = max(worst, max(uq_sl2_generators(m, n).residuals.values()))
+        worst = max(worst, max(uq_sl2_generators(WeylAlgebra(m, n)).residuals.values()))
     # The reciprocal-parameter copy is non-degenerate only when the
     # squared parameter differs from 1: for flux 2/5 it lives on the 5x5
     # pair at e^{2 pi i 2/5}, while flux 2/5 itself degenerates.
     with pytest.raises(DegenerateDeformationError):
-        uq_sl2_generators(2, 5)
-    worst = max(worst, max(uq_sl2_generators(5, 2).residuals.values()))
+        uq_sl2_generators(WeylAlgebra(2, 5))
+    worst = max(worst, max(uq_sl2_generators(WeylAlgebra(5, 2)).residuals.values()))
     _report(8, "U_q(sl2) defining relations", worst < 1e-11,
             "(3,1), (5,2) and the reciprocal copy; worst=%.3e tol=1e-11" % worst)
 

@@ -32,6 +32,7 @@ from nctorus.lll import (
     overlap_residual,
 )
 from nctorus.matrices import (
+    WeylAlgebra,
     WeylWord,
     commutant_and_span_residual,
     holonomy_residual,
@@ -974,28 +975,29 @@ def _s_invariance():
 
 # every residual that matrices and verify report for _RUN, from the library
 _LIBRARY = [
-    ("matrices", "dual_q_commutation", lambda: q_commutation_residual(3, 5, _ANGLES)),
-    ("matrices", "q_commutation", lambda: q_commutation_residual(5, 3, _ANGLES)),
+    ("matrices", "dual_q_commutation", lambda: q_commutation_residual(WeylAlgebra(3, 5, _ANGLES))),
+    ("matrices", "q_commutation", lambda: q_commutation_residual(WeylAlgebra(5, 3, _ANGLES))),
     ("matrices", "sine_structure",
-     lambda: sine_structure_residual(5, 3, WeylWord(1, 0), WeylWord(0, 1))),
-    ("matrices", "weyl_cocycle", lambda: weyl_cocycle_residual(5, 3)),
+     lambda: sine_structure_residual(WeylAlgebra(5, 3), WeylWord(1, 0), WeylWord(0, 1))),
+    ("matrices", "weyl_cocycle", lambda: weyl_cocycle_residual(WeylAlgebra(5, 3))),
     ("verify", "theta_quasi_periodicity", lambda: quasi_periodicity_residual(15, _TAU)),
     ("verify", "eta_functional_equations", lambda: eta_functional_residual(_TAU)),
-    ("verify", "q_commutation_matrix", lambda: q_commutation_residual(5, 3, _ANGLES)),
-    ("verify", "weyl_cocycle_matrix", lambda: weyl_cocycle_residual(5, 3)),
-    ("verify", "sine_algebra_matrix", lambda: sine_algebra_residual(5, 3)),
+    ("verify", "q_commutation_matrix", lambda: q_commutation_residual(WeylAlgebra(5, 3, _ANGLES))),
+    ("verify", "weyl_cocycle_matrix", lambda: weyl_cocycle_residual(WeylAlgebra(5, 3))),
+    ("verify", "sine_algebra_matrix", lambda: sine_algebra_residual(WeylAlgebra(5, 3))),
     ("verify", "sine_algebra_operator",
      lambda: sine_bracket_residual((1, 0), (0, 1), _FLUX, _TAU)),
     ("verify", "dual_commutation_operator",
      lambda: dual_commutation_residual((1, 0), (0, 1), _FLUX, _TAU)),
     ("verify", "holonomy_operator", lambda: plaquette_residual(_FLUX, _TAU)),
-    ("verify", "holonomy_matrix", lambda: holonomy_residual(5, 3, _ANGLES)),
+    ("verify", "holonomy_matrix", lambda: holonomy_residual(WeylAlgebra(5, 3, _ANGLES))),
     ("verify", "center_eigenvalues", lambda: center_eigen_residual(_basis())),
     ("verify", "lemma_eigenphases", lambda: lemma_eigenphase_residual(_basis())),
     ("verify", "gram_rank", lambda: gram_rank_residual(_basis())),
     ("verify", "bimodule_consistency", lambda: bimodule_residual(_basis())),
-    ("verify", "commutant_and_span", lambda: commutant_and_span_residual(5, 3, _ANGLES)),
-    ("verify", "uq_sl2_relations", lambda: uq_sl2_residual(5, 3)),
+    ("verify", "commutant_and_span",
+     lambda: commutant_and_span_residual(WeylAlgebra(5, 3, _ANGLES))),
+    ("verify", "uq_sl2_relations", lambda: uq_sl2_residual(WeylAlgebra(5, 3))),
     ("verify", "orthogonality", lambda: overlap_residual(_basis())),
     ("verify", "partition_t_invariance",
      lambda: t_invariance_residual(modular_invariance_report(_basis()))),
@@ -1051,8 +1053,8 @@ def _nan_plaquette_spread(monkeypatch):
 
 def _nan_second_sine_word(monkeypatch):
     residual = matrices.sine_structure_residual
-    monkeypatch.setattr(matrices, "sine_structure_residual", lambda m, n, a, b: (
-        math.nan if a == WeylWord(1, 1) else residual(m, n, a, b)))
+    monkeypatch.setattr(matrices, "sine_structure_residual", lambda algebra, a, b: (
+        math.nan if a == WeylWord(1, 1) else residual(algebra, a, b)))
 
 
 def _nan_one_overlap(monkeypatch):
@@ -1068,8 +1070,8 @@ def _nan_one_overlap(monkeypatch):
 def _nan_last_uq_relation(monkeypatch):
     generators = matrices.uq_sl2_generators
 
-    def last_nan(m, n):
-        gens = generators(m, n)
+    def last_nan(algebra):
+        gens = generators(algebra)
         return gens._replace(residuals={**gens.residuals, list(gens.residuals)[-1]: math.nan})
 
     monkeypatch.setattr(matrices, "uq_sl2_generators", last_nan)

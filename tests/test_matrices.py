@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctorus import cli, lll, matrices, partition
-from nctorus.core import Flux, VacuumAngles
+from nctorus.core import Flux, VacuumAngles, gershgorin_full_rank
 from nctorus.errors import DegenerateDeformationError
 from nctorus.lll import bimodule_consistency, bimodule_residual, build_basis, eigenphase_table
 from nctorus.matrices import (
     CSMatrix,
+    WeylAlgebra,
     WeylWord,
     clock_matrix,
     clock_power,
@@ -142,7 +143,7 @@ def test_weyl_cocycle_all_small_words(mn):
 
 @pytest.mark.parametrize("mn", [(2, 1), (3, 2), (5, 3), (7, 2)])
 def test_weyl_cocycle_residual(mn):
-    assert weyl_cocycle_residual(*mn) < 1e-12
+    assert weyl_cocycle_residual(WeylAlgebra(*mn)) < 1e-12
 
 
 def _dense_cocycle_residual(m, n):
@@ -164,7 +165,7 @@ def _dense_cocycle_residual(m, n):
 def test_weyl_cocycle_residual_matches_dense_reference(mn):
     # the phase-vector products round differently from BLAS products of
     # the dense matrices, by at most a few ulp of the unit-modulus phases
-    monomial = weyl_cocycle_residual(*mn)
+    monomial = weyl_cocycle_residual(WeylAlgebra(*mn))
     dense = _dense_cocycle_residual(*mn)
     assert abs(monomial - dense) <= 1e-15
     assert monomial < 1e-12 and dense < 1e-12
@@ -179,7 +180,7 @@ def test_weyl_span_dimension_matches_dense_rank(mn):
         for m2 in range(m)
     ]
     s = np.linalg.svd(np.stack(rows), compute_uv=False)
-    assert weyl_span_dimension(m, n) == int(np.sum(s > 1e-10 * s[0]))
+    assert weyl_span_dimension(WeylAlgebra(m, n)) == int(np.sum(s > 1e-10 * s[0]))
 
 
 def test_weyl_element_matches_dense_product():
@@ -210,7 +211,7 @@ def test_weyl_span_dimension_rejects_non_unitary_phases(monkeypatch):
 
     monkeypatch.setattr(matrices, "_weyl_phases", nan_angle)
     with pytest.raises(ValueError, match="not unitary"):
-        weyl_span_dimension(3, 2)
+        weyl_span_dimension(WeylAlgebra(3, 2))
 
 
 def _scalar_clock_phases(m, n, alpha1, p):
@@ -293,26 +294,28 @@ def test_weyl_phases_match_30_digit_values(angles):
             want_clock = np.diag(dual[2 * m * k % (2 * n), 5, 4])
             want_shift = np.zeros((n, n), dtype=complex)
             want_shift[(k + 1) % n, k] = dual[0, 4, 5]
-            for got, want in zip(dual_matrices(m, n, angles), (want_clock, want_shift)):
+            for got, want in zip(dual_matrices(WeylAlgebra(m, n, angles)),
+                                 (want_clock, want_shift)):
                 worst = max(worst, np.max(np.abs(got.entries - want)))
     assert worst <= 4e-15
 
 
 @pytest.mark.parametrize("mn", [(2, 1), (3, 2), (5, 3), (7, 2)])
 def test_holonomy_residual(mn):
-    assert holonomy_residual(*mn) < 1e-10
-    assert holonomy_residual(*mn, ANGLES) < 1e-10
+    assert holonomy_residual(WeylAlgebra(*mn)) < 1e-10
+    assert holonomy_residual(WeylAlgebra(*mn, ANGLES)) < 1e-10
 
 
 def test_q_commutation_residuals():
-    assert q_commutation_residual(1, 1) == 0.0
-    assert q_commutation_residual(2, 1) < 1e-15
-    assert q_commutation_residual(5, 3) < 1e-13
-    assert q_commutation_residual(5, 3, ANGLES) < 1e-13
+    assert q_commutation_residual(WeylAlgebra(1, 1)) == 0.0
+    assert q_commutation_residual(WeylAlgebra(2, 1)) < 1e-15
+    assert q_commutation_residual(WeylAlgebra(5, 3)) < 1e-13
+    assert q_commutation_residual(WeylAlgebra(5, 3, ANGLES)) < 1e-13
     # the injected fault compares against -q, so it is seen also where
     # q = +-1 is real (M <= 2)
     for m, n in ((1, 1), (2, 1), (5, 3)):
-        assert abs(q_commutation_residual(m, n, ANGLES, inject_fault=True) - 2.0) < 1e-13
+        assert abs(q_commutation_residual(WeylAlgebra(m, n, ANGLES), inject_fault=True)
+                   - 2.0) < 1e-13
 
 
 @pytest.mark.parametrize("angles", [VacuumAngles(), ANGLES])
@@ -327,12 +330,13 @@ def test_commutation_and_holonomy_read_q_from_the_flux(monkeypatch, angles):
 
     monkeypatch.setattr(matrices, "_weyl_phases", doubled)
     want = 2 * math.sin(math.pi * 3 / 5)  # 1.90
-    assert q_commutation_residual(5, 3, angles) == pytest.approx(want, abs=1e-14)
-    assert holonomy_residual(5, 3, angles) == pytest.approx(want, abs=1e-14)
+    algebra = WeylAlgebra(5, 3, angles)
+    assert q_commutation_residual(algebra) == pytest.approx(want, abs=1e-14)
+    assert holonomy_residual(algebra) == pytest.approx(want, abs=1e-14)
 
 
 def test_dual_matrices():
-    dc, ds = dual_matrices(3, 2, ANGLES)
+    dc, ds = dual_matrices(WeylAlgebra(3, 2, ANGLES))
     assert dc.dim == 2 and ds.dim == 2
     # reciprocal parameter e^{2 pi i M/N} = e^{3 pi i} = -1
     q_dual = cmath.exp(2j * math.pi * 3 / 2)
@@ -346,9 +350,9 @@ def test_dual_matrices():
 
 def test_sine_structure_residuals():
     # parallel words commute
-    assert sine_structure_residual(5, 2, WeylWord(2, 2), WeylWord(1, 1)) < 1e-14
-    assert sine_structure_residual(3, 2, WeylWord(1, 0), WeylWord(0, 1)) < 1e-13
-    assert sine_structure_residual(5, 2, WeylWord(1, 1), WeylWord(2, -1)) < 1e-12
+    assert sine_structure_residual(WeylAlgebra(5, 2), WeylWord(2, 2), WeylWord(1, 1)) < 1e-14
+    assert sine_structure_residual(WeylAlgebra(3, 2), WeylWord(1, 0), WeylWord(0, 1)) < 1e-13
+    assert sine_structure_residual(WeylAlgebra(5, 2), WeylWord(1, 1), WeylWord(2, -1)) < 1e-12
 
 
 _COPRIME = [(m, n) for m in range(1, 25) for n in range(1, 14) if math.gcd(m, n) == 1]
@@ -372,8 +376,9 @@ def _entrywise(x, y):
 
 def test_sine_structure_is_the_dense_form_bit_for_bit():
     for m, n in _COPRIME:
+        algebra = WeylAlgebra(m, n)
         for a, b in _SINE_PAIRS:
-            got = sine_structure_residual(m, n, a, b)
+            got = sine_structure_residual(algebra, a, b)
             assert got == _dense_sine_residual(m, n, a, b, _entrywise), (m, n, a, b)
             # BLAS rounds some of its product entries with fused
             # multiply-adds, so on other pairs it can lie a few ulps away;
@@ -405,7 +410,7 @@ def test_uq_sl2_generators_are_the_dense_form_bit_for_bit():
     for m, n in _COPRIME:
         if (2 * n) % m == 0:
             continue
-        gens = uq_sl2_generators(m, n)
+        gens = uq_sl2_generators(WeylAlgebra(m, n))
         j_plus, j_minus, c, residuals = _dense_uq_sl2(m, n, _entrywise)
         for got, want in ((gens.j_plus, j_plus), (gens.j_minus, j_minus), (gens.q_j3.entries, c)):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -507,7 +512,8 @@ def test_commutant_dimension_matches_dense_reference_on_degenerate_spectra():
 
 def test_matrices_command_rank_systems_stay_small(monkeypatch, capsys):
     # a structural guard, not a timing: the commutant system in the clock's
-    # eigenbasis is M^2 x M, where the dense stacked system had 2 M^4 entries
+    # eigenbasis is M^2 x M, where the dense stacked system had 2 M^4 entries,
+    # and keeps at most 2M nonzero rows; the span's discs need no SVD
     m = 24
     sizes = []
     svd = np.linalg.svd
@@ -520,13 +526,11 @@ def test_matrices_command_rank_systems_stay_small(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert cli.main(["matrices", "--M", str(m), "--N", "7"]) == 0
     capsys.readouterr()
-    assert sizes and max(sizes) <= m**3
+    assert len(sizes) == 1 and sizes[0] <= 2 * m * m
 
 
-def test_weyl_words_are_built_in_one_call_per_check(monkeypatch):
-    # a structural guard, not a timing: the span's M^2 words, the
-    # cocycle's 9 x 9 table and each check's words are one evaluation of
-    # the phase routine
+def _count_weyl_phases(monkeypatch):
+    """The list of word counts of each ``_weyl_phases`` call from now on."""
     sizes = []
     weyl_phases = matrices._weyl_phases
 
@@ -535,30 +539,98 @@ def test_weyl_words_are_built_in_one_call_per_check(monkeypatch):
         return weyl_phases(m1, *args, **kwargs)
 
     monkeypatch.setattr(matrices, "_weyl_phases", counting)
-    weyl_span_dimension(24, 7)
-    assert sizes == [24 * 24]
-    sizes.clear()
-    weyl_cocycle_residual(24, 7)
-    assert sizes == [81]
-    # the three words of a sine check; the four words and four clock powers
-    # of the U_q(sl2) triple
-    sizes.clear()
-    sine_structure_residual(24, 7, WeylWord(1, 1), WeylWord(2, -1))
-    assert sizes == [3]
-    sizes.clear()
-    uq_sl2_generators(24, 7)
-    assert sizes == [8]
+    return sizes
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["matrices", "--M", "24", "--N", "7", "--alpha1", "0.7", "--alpha2", "-1.3"], 3),
+    (["matrices", "--M", "1", "--N", "1"], 3),
+    (["verify", "--M", "3", "--N", "2", "--alpha1", "0.7", "--alpha2", "-1.3"], 2),
+], ids=["matrices-24", "matrices-1", "verify-3"])
+def test_weyl_words_are_built_in_a_few_calls_per_op(monkeypatch, capsys, argv, calls):
+    # a structural guard, not a timing: a matrices op builds the word table
+    # and the clock/shift pairs of the algebra and its dual, a verify op the
+    # table and one pair; a second op in the same process counts afresh,
+    # so no table outlives its op
+    sizes = _count_weyl_phases(monkeypatch)
+    for _ in range(2):
+        sizes.clear()
+        cli.main(argv)
+        capsys.readouterr()
+        m = int(argv[2])
+        assert len(sizes) == calls and sizes.count(2) == calls - 1
+        assert (max(m, 5) + 4) ** 2 in sizes
+
+
+_MATRICES_BOX = [(m, n) for m in range(2, 25) for n in range(1, 8) if math.gcd(m, n) == 1]
+
+
+def _svd_span(algebra):
+    """The span's rank from the singular values of its M blocks."""
+    m = algebra.m
+    blocks = algebra.words[4:m + 4, 4:m + 4].swapaxes(0, 1)
+    s = np.linalg.svd(blocks, compute_uv=False)
+    return int(np.sum(s > 1e-10 * np.max(s)))
+
+
+def _span_svd_calls(monkeypatch):
+    """The count of the matrices module's singular value decompositions."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "nctorus.matrices":
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_span_of_every_coprime_flux_is_certified_by_its_discs(monkeypatch):
+    # the matrices sweep's box: the Gershgorin discs of the blocks' Gram
+    # matrices certify full rank, so no singular value is computed, and
+    # the count is the singular values' count
+    calls = _span_svd_calls(monkeypatch)
+    for m, n in _MATRICES_BOX:
+        algebra = WeylAlgebra(m, n)
+        assert weyl_span_dimension(algebra) == m * m == _svd_span(algebra), (m, n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mn, span", [((4, 2), 8), ((6, 4), 18), ((9, 6), 27)])
+def test_span_of_a_reducible_pair_falls_back_to_singular_values(monkeypatch, mn, span):
+    calls = _span_svd_calls(monkeypatch)
+    algebra = WeylAlgebra(*mn)
+    assert weyl_span_dimension(algebra) == span == _svd_span(algebra)
+    assert calls == [(mn[0],) * 3]
+
+
+def test_gershgorin_discs_certify_only_a_full_rank():
+    assert gershgorin_full_rank(3.0 * np.eye(4), 1e-8) == (True, 1.0)
+    # discs that reach 0 certify nothing, though the matrix has full rank
+    tight = np.full((3, 3), 0.6) + 0.4 * np.eye(3)  # eigenvalues 2.2, 0.4, 0.4
+    certified, margin = gershgorin_full_rank(tight, 1e-8)
+    assert not certified and margin == pytest.approx(-0.2 / 2.2)
+    assert gershgorin_full_rank(np.array([[1.0, 0.6], [0.6, 1.0]]), 1e-8) == (True, 0.25)
+    assert not gershgorin_full_rank(np.ones((3, 3)), 1e-8)[0]
+    # a stack is certified against its largest disc: each block alone passes
+    stack = np.array([np.eye(2), 1e-9 * np.eye(2)])
+    assert gershgorin_full_rank(stack, 1e-10)[0] and not gershgorin_full_rank(stack, 1e-8)[0]
+    for bad in (np.zeros((2, 2)), np.full((2, 2), np.nan)):
+        certified, margin = gershgorin_full_rank(bad, 1e-8)
+        assert not certified and math.isnan(margin)
 
 
 def test_weyl_span_dimension():
     for m, n in ((2, 1), (3, 2), (5, 3)):
-        assert weyl_span_dimension(m, n) == m * m
-    assert weyl_span_dimension(4, 2) < 16
+        assert weyl_span_dimension(WeylAlgebra(m, n)) == m * m
+    assert weyl_span_dimension(WeylAlgebra(4, 2)) < 16
 
 
 @pytest.mark.parametrize("mn", [(3, 1), (5, 2)])
 def test_uq_sl2_relations(mn):
-    gens = uq_sl2_generators(*mn)
+    gens = uq_sl2_generators(WeylAlgebra(*mn))
     assert max(gens.residuals.values()) < 1e-11
     assert gens.q_j3.dim == mn[0]
 
@@ -566,13 +638,13 @@ def test_uq_sl2_relations(mn):
 def test_uq_sl2_degenerate_cases():
     for m, n in ((1, 1), (2, 1), (2, 5)):
         with pytest.raises(DegenerateDeformationError):
-            uq_sl2_generators(m, n)
+            uq_sl2_generators(WeylAlgebra(m, n))
 
 
 def test_uq_sl2_dual_copy():
     # (M,N) = (2,5) is degenerate on the primal side but the dual copy
     # at the reciprocal parameter passes the same relations
-    gens = uq_sl2_generators(5, 2)
+    gens = uq_sl2_generators(WeylAlgebra(5, 2))
     assert max(gens.residuals.values()) < 1e-11
 
 
@@ -713,7 +785,7 @@ def test_predicted_translations_are_the_kron_matrices(angles):
                 continue
             j, k = np.arange(m)[:, None], np.arange(n)
             perm = ((-j % m) * n + (-k % n)).ravel()
-            dual_clock, dual_shift = dual_matrices(m, n, angles)
+            dual_clock, dual_shift = dual_matrices(WeylAlgebra(m, n, angles))
             want = {
                 "d1": np.kron(clock_matrix(m, n, angles.alpha1).entries, np.eye(n)),
                 "d2": np.kron(shift_matrix(m, angles.alpha2).entries, np.eye(n)),
@@ -728,5 +800,6 @@ def test_predicted_translations_are_the_kron_matrices(angles):
 
 
 def test_uq_sl2_residual_is_the_worst_relation_or_a_skip():
-    assert uq_sl2_residual(5, 3) == max(uq_sl2_generators(5, 3).residuals.values())
-    assert uq_sl2_residual(2, 1) == (0.0, "skipped: degenerate deformation parameter")
+    algebra = WeylAlgebra(5, 3)
+    assert uq_sl2_residual(algebra) == max(uq_sl2_generators(algebra).residuals.values())
+    assert uq_sl2_residual(WeylAlgebra(2, 1)) == (0.0, "skipped: degenerate deformation parameter")

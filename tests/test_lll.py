@@ -544,7 +544,19 @@ def test_gram_rank_full(mn):
     for tau in (1j, TAU_GEN):
         basis = build_basis(Flux(n, m), tau)
         assert gram_rank(basis) == m * n
-        assert gram_rank_residual(basis) == 0.0
+        residual, note = gram_rank_residual(basis)
+        assert residual == 0.0 and "certified by its Gershgorin discs" in note
+
+
+def test_gram_rank_computes_no_spectrum_on_a_measured_basis(monkeypatch):
+    basis = build_basis(Flux(8, 9), TAU_GEN, ANGLES)
+    basis.gram  # measured before eigvalsh is replaced
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    assert gram_rank(basis) == 72
 
 
 def test_gram_is_assembled_in_place():
@@ -632,6 +644,9 @@ def test_repeated_residue_fails_the_measured_orthogonality(mn):
     basis = build_basis(Flux(n, m), -0.2 + 1.7j, ANGLES)
     fault = repeated(basis, (0, 0), (0, 1))
     assert gram_rank(fault) == m * n - 1
+    # the two equal rows' discs reach 0, so the rank comes from the spectrum
+    residual, note = gram_rank_residual(fault)
+    assert residual == 1.0 and "from eigvalsh" in note
     assert abs(overlap_residual(fault)[0] - 1.0) < 1e-12
     assert overlap_residual(basis)[0] < 1e-12
     assert orthogonality_residual(m * n) < 1e-12

@@ -84,7 +84,7 @@ def z_tilde_character_route(basis: LLLBasis) -> float:
     slope = 2.0 * math.pi * klev * gamma.imag - a1 * b
     offset = math.pi * klev * gamma.imag**2 / b
     x, y = quadrature_nodes(basis)
-    # past double range a value reads inf, or NaN where inf meets a zero, unwarned
+    # past double range a value reads inf, unwarned (its lag products meet inf * 0)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _theta_residue_norms(klev, x, tau * y + gamma, t, basis.policy,
                                     slope * y + offset).sum(axis=0)

@@ -455,6 +455,9 @@ def _theta_residue_norms(level, x, c, tau, policy, log_scale):
             poly += np.multiply.outer(lags[d], omega[d - 1])
         np.multiply(poly.real, 2.0, out=values)
         values += lags[0].real[:, None]
+        # a column past double range is a sum of non-negative terms, so inf,
+        # where its lag products met inf * 0; np.max keeps a NaN row NaN
+        values[mag2.max(axis=1) == np.inf] = np.inf
     return out.T
 
 

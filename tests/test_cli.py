@@ -256,6 +256,15 @@ def test_partition_past_double_range_reads_infinity_silently(capsys):
     assert math.isnan(rep["s_residual"]) and math.isnan(rep["t_residual"])
 
 
+def test_partition_character_route_reads_infinity_past_double_range(capsys):
+    # its lag products met inf * 0 here and printed NaN next to an infinite z_tilde
+    code = main(["partition", "--M", "1", "--N", "1", "--tau=0.2+1i", "--alpha1", "100",
+                 "--alpha2", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert '"z_tilde":Infinity,"z_tilde_character_route":Infinity,' in captured.out
+
+
 def test_lll_csv_past_double_range_fails_with_one_error_line(capsys, tmp_path):
     # at K = 1 and 1e5i the module measures, but the states' pointwise
     # values on the CSV grid leave double range: the command names that,

@@ -304,6 +304,18 @@ def test_both_routes_read_inf_past_double_range(mn, tau):
         assert route(basis) == math.inf, route.__name__
 
 
+@pytest.mark.parametrize("mn, im_tau, alpha1", [((1, 1), 1.0, 100.0), ((2, 1), 10.0, 30.0),
+                                                ((3, 2), 3.0, 100.0), ((7, 5), 1.0, 1000.0)])
+def test_character_route_reads_inf_where_its_window_has_more_terms(mn, im_tau, alpha1):
+    # past double range at a window of more than one term, an infinite
+    # residue magnitude met a zero lag product (inf * 0) and read NaN; the
+    # sum of non-negative terms is inf, as the cell route reads it
+    m, n = mn
+    basis = build_basis(Flux(n, m), complex(0.2, im_tau), VacuumAngles(alpha1, 0.3))
+    assert z_tilde(basis) == math.inf
+    assert z_tilde_character_route(basis) == math.inf
+
+
 @pytest.mark.parametrize("mn", [(3, 2), (7, 5), (13, 7)])
 @pytest.mark.parametrize("im_tau", [0.01, 0.03, 10.0, 50.0, 200.0])
 def test_both_routes_match_closed_form_over_im_tau(mn, im_tau):

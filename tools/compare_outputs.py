@@ -55,9 +55,11 @@ def build_cases() -> list:
     of the three benchmark sweeps, ``verify`` and ``partition`` over
     fluxes, ``tau``, angles, ``--quad`` and ``--eps``, the other commands,
     usage errors, ``lll`` runs with their files, three more ``verify``
-    runs, six runs whose states leave double range, and a ``partition``
-    whose state norms and two ``squeeze`` runs whose values leave it, each
-    batch appended so that the earlier cases keep their places."""
+    runs, six runs whose states leave double range, a ``partition``
+    whose state norms and two ``squeeze`` runs whose values leave it, and
+    ``matrices`` at M = 24 and M = 1 with a ``partition`` whose character
+    route leaves it, each batch appended so that the earlier cases keep
+    their places."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
@@ -133,6 +135,14 @@ def build_cases() -> list:
         ["partition", "--M", "1", "--N", "1", "--tau=300i", "--alpha1", "6"],
         ["squeeze", "--tau=1e300i"],
         ["squeeze", "--tau=1e-300i"],
+    ]
+    # the matrices sweep's largest M (the largest word table) and M = 1, and
+    # the character route past double range at a window of several terms
+    cases += [
+        ["matrices", "--M", "24", "--N", "7", *angles[1]],
+        ["matrices", "--M", "24", "--N", "1"],
+        ["matrices", "--M", "1", "--N", "1"],
+        ["partition", "--M", "1", "--N", "1", "--tau=0.2+1i", "--alpha1", "100", "--alpha2", "0.3"],
     ]
     return cases
 

@@ -876,7 +876,8 @@ def gram_rank(basis: LLLBasis) -> int:
     1e-8), the rank is K without a spectrum; only where they do not does
     ``eigvalsh`` run.  On measured bases from (1,1) to (34,21), ``tau``
     from 1e-3i to 1300i, the discs' margin ``min(d - R)/max(d + R)`` lies
-    within 3e-12 of 1, so the spectrum runs only for a faulty basis."""
+    within 3e-12 of 1 at the default truncation and above 0.999998 at
+    ``epsilon`` 1e-6, so the spectrum runs only for a faulty basis."""
     if gershgorin_full_rank(basis.gram, 1e-8)[0]:
         return basis.level
     s = np.abs(np.linalg.eigvalsh(basis.gram))

@@ -1,0 +1,35 @@
+"""The timing comparison tool, ``tools/compare_timings.py``, on the tree
+under test against itself: the report's shape, not any ratio."""
+
+import importlib.util
+from pathlib import Path
+
+import nctorus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("compare_timings",
+                                                  ROOT / "tools" / "compare_timings.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_report_has_one_row_per_workload():
+    tool = _tool()
+    names = ["matrices --M 13 --N 7", "commutant_dimension(clock_matrix(24, 7), shift_matrix(24))"]
+    assert set(names) <= set(tool.WORKLOADS)
+    src = Path(nctorus.__file__).resolve().parents[1]
+    rows = tool.compare(src, src, rounds=3, warmup=1, names=names)
+    assert [row["name"] for row in rows] == names
+    for row in rows:
+        assert row["pairs"] == 3
+        assert 0 < row["low"] <= row["high"] and row["median"] > 0
+        assert row["peak_old"] > 0 and row["peak_new"] > 0
+    lines = tool.report(rows, "HEAD").splitlines()
+    assert len(lines) == len(names) + 2
+    assert lines[0].split()[:2] == ["workload", "ratio"]
+    assert [line.startswith(name) for line, name in zip(lines[1:], names)] == [True, True]
+    assert lines[-1] == "ratio: median of 3 pairs, the working tree's time over HEAD's"

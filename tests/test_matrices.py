@@ -515,31 +515,10 @@ def test_matrices_command_rank_systems_stay_small(monkeypatch, capsys):
     # eigenbasis is M^2 x M, where the dense stacked system had 2 M^4 entries,
     # and keeps at most 2M nonzero rows; the span's discs need no SVD
     m = 24
-    sizes = []
-    svd = np.linalg.svd
-
-    def counting_svd(a, *args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == "nctorus.matrices":
-            sizes.append(np.size(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    shapes = _svd_shapes(monkeypatch)
     assert cli.main(["matrices", "--M", str(m), "--N", "7"]) == 0
     capsys.readouterr()
-    assert len(sizes) == 1 and sizes[0] <= 2 * m * m
-
-
-def _count_weyl_phases(monkeypatch):
-    """The list of word counts of each ``_weyl_phases`` call from now on."""
-    sizes = []
-    weyl_phases = matrices._weyl_phases
-
-    def counting(m1, *args, **kwargs):
-        sizes.append(np.size(m1))
-        return weyl_phases(m1, *args, **kwargs)
-
-    monkeypatch.setattr(matrices, "_weyl_phases", counting)
-    return sizes
+    assert len(shapes) == 1 and np.prod(shapes[0]) <= 2 * m * m
 
 
 @pytest.mark.parametrize("argv, calls", [
@@ -552,7 +531,14 @@ def test_weyl_words_are_built_in_a_few_calls_per_op(monkeypatch, capsys, argv, c
     # and the clock/shift pairs of the algebra and its dual, a verify op the
     # table and one pair; a second op in the same process counts afresh,
     # so no table outlives its op
-    sizes = _count_weyl_phases(monkeypatch)
+    sizes = []
+    weyl_phases = matrices._weyl_phases
+
+    def counting(m1, *args, **kwargs):
+        sizes.append(np.size(m1))
+        return weyl_phases(m1, *args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_weyl_phases", counting)
     for _ in range(2):
         sizes.clear()
         cli.main(argv)
@@ -573,8 +559,9 @@ def _svd_span(algebra):
     return int(np.sum(s > 1e-10 * np.max(s)))
 
 
-def _span_svd_calls(monkeypatch):
-    """The count of the matrices module's singular value decompositions."""
+def _svd_shapes(monkeypatch):
+    """The shapes of the matrices module's singular value decompositions
+    from now on."""
     calls = []
     svd = np.linalg.svd
 
@@ -591,7 +578,7 @@ def test_span_of_every_coprime_flux_is_certified_by_its_discs(monkeypatch):
     # the matrices sweep's box: the Gershgorin discs of the blocks' Gram
     # matrices certify full rank, so no singular value is computed, and
     # the count is the singular values' count
-    calls = _span_svd_calls(monkeypatch)
+    calls = _svd_shapes(monkeypatch)
     for m, n in _MATRICES_BOX:
         algebra = WeylAlgebra(m, n)
         assert weyl_span_dimension(algebra) == m * m == _svd_span(algebra), (m, n)
@@ -600,7 +587,7 @@ def test_span_of_every_coprime_flux_is_certified_by_its_discs(monkeypatch):
 
 @pytest.mark.parametrize("mn, span", [((4, 2), 8), ((6, 4), 18), ((9, 6), 27)])
 def test_span_of_a_reducible_pair_falls_back_to_singular_values(monkeypatch, mn, span):
-    calls = _span_svd_calls(monkeypatch)
+    calls = _svd_shapes(monkeypatch)
     algebra = WeylAlgebra(*mn)
     assert weyl_span_dimension(algebra) == span == _svd_span(algebra)
     assert calls == [(mn[0],) * 3]

@@ -189,11 +189,18 @@ def run_cases(src, cases) -> list:
     return results
 
 
-def run_tree(src, cases_path, timeout=None) -> list:
-    """:func:`run_cases` of ``src`` in a child process with one BLAS thread."""
+def child_env() -> dict:
+    """The environment of a child process: one BLAS thread, and no
+    ``PYTHONPATH`` that could import another tree."""
     env = {key: value for key, value in os.environ.items()
            if key not in ("PYTHONPATH", "NCTORUS_THREADS")}
     env.update(_ONE_THREAD)
+    return env
+
+
+def run_tree(src, cases_path, timeout=None) -> list:
+    """:func:`run_cases` of ``src`` in a child process with one BLAS thread."""
+    env = child_env()
     with tempfile.TemporaryDirectory() as tmp:
         result = os.path.join(tmp, "result.json")
         subprocess.run([sys.executable, __file__, "--child", str(src), str(cases_path), result],

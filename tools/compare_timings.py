@@ -1,6 +1,6 @@
 """Time the nctorus library at a git revision against the working tree.
 
-    python tools/compare_timings.py <rev> [--rounds 100] [--warmup 10] [--seed 0]
+    python tools/compare_timings.py <rev> [--rounds 100] [--warmup 10]
 
 Run it from anywhere inside the repository.  The tree of ``<rev>`` is
 unpacked with ``compare_outputs.unpack``, and each tree is imported by
@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import random
 import statistics
 import subprocess
@@ -125,11 +124,9 @@ class Child:
     """A child process serving one tree."""
 
     def __init__(self, src):
-        env = {key: value for key, value in os.environ.items()
-               if key not in ("PYTHONPATH", "NCTORUS_THREADS")}
-        env.update(compare_outputs._ONE_THREAD)
-        self.proc = subprocess.Popen([sys.executable, __file__, "--child", str(src)], env=env,
-                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.proc = subprocess.Popen([sys.executable, __file__, "--child", str(src)],
+                                     env=compare_outputs.child_env(), stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
 
     def ask(self, request):
         self.proc.stdin.write(request + "\n")
@@ -151,11 +148,11 @@ def _bootstrap(ratios, rng, draws=2000):
     return medians[int(0.025 * draws)], medians[int(0.975 * draws) - 1]
 
 
-def compare(old_src, new_src, rounds, warmup, seed=0, names=None) -> list:
+def compare(old_src, new_src, rounds, warmup, names=None) -> list:
     """One row per workload: ``{"name", "median", "low", "high", "peak_old",
     "peak_new", "pairs"}``, the ratios new over old."""
     names = list(names or WORKLOADS)
-    rng = random.Random(seed)
+    rng = random.Random(0)  # the order of each pair, then the resamples
     children = {"old": Child(old_src), "new": Child(new_src)}
     try:
         for child in children.values():
@@ -200,7 +197,6 @@ def main(argv=None) -> int:
     parser.add_argument("rev", nargs="?", help="git revision to time the working tree against")
     parser.add_argument("--rounds", type=int, default=100)
     parser.add_argument("--warmup", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -211,7 +207,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         compare_outputs.unpack(args.rev, tmp)
         rows = compare(Path(tmp) / "src", compare_outputs.ROOT / "src", args.rounds,
-                       args.warmup, args.seed)
+                       args.warmup)
     print(report(rows, args.rev))
     return 0
 

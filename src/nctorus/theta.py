@@ -457,7 +457,9 @@ def _theta_residue_norms(level, x, c, tau, policy, log_scale):
         values += lags[0].real[:, None]
         # a column past double range is a sum of non-negative terms, so inf,
         # where its lag products met inf * 0; np.max keeps a NaN row NaN
-        values[mag2.max(axis=1) == np.inf] = np.inf
+        over = mag2.max(axis=1) == np.inf
+        if over.any():
+            values[over] = np.inf
     return out.T
 
 

@@ -33,8 +33,8 @@ One op's ideal algebra is a :class:`WeylAlgebra` (the counterpart of
 first use and once, one zero-angle table of every word in ``[-4, max(M,
 5))^2`` (the span's, the cocycle's, the sine and the U_q(sl2) words) and
 the clock/shift pair at the op's angles, one phase-routine call each, and
-its ``dual`` is the algebra at ``(N, M)``.  It holds no cache beyond its
-own lifetime.  The span's full rank is certified by the Gershgorin discs
+its ``dual`` is the algebra at ``(N, M)``.  Nothing is kept between
+algebras, so each op builds its tables afresh.  The span's full rank is certified by the Gershgorin discs
 of its blocks (:func:`nctorus.core.gershgorin_full_rank`) before any
 singular value is computed.
 

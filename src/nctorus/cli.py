@@ -222,11 +222,11 @@ def _render_array(arr) -> str:
     return text
 
 
-def emit_json(obj, stream=None) -> str:
-    """Serialize deterministically (sorted keys, %.17g floats) and print."""
+def emit_json(obj) -> str:
+    """Serialize deterministically (sorted keys, %.17g floats) and print
+    to stdout; files are written with :func:`_write_text`."""
     text = _render(obj) + "\n"
-    out = stream if stream is not None else sys.stdout
-    out.write(text)
+    sys.stdout.write(text)
     return text
 
 
@@ -295,22 +295,15 @@ def cmd_lll(args) -> int:
                                      "range" % (n, n))
     os.makedirs(cfg.output_dir, exist_ok=True)
     files = []
-    for (j, k), values in zip(basis.labels(), states):
-        lines = ["x,y,re,im,abs2"]
-        for i in range(w.size):
-            v = values[i]
-            lines.append(
-                ",".join(
-                    format(t, ".17g")
-                    for t in (x[i], y[i], v.real, v.imag, abs(v) ** 2)
-                )
-            )
+    xy = list(zip(x.tolist(), y.tolist()))
+    for (j, k), values in zip(basis.labels(), states.tolist()):
+        # abs(v) of the Python complex: numpy's abs differs in the last bit
+        rows = ["%.17g,%.17g,%.17g,%.17g,%.17g\n" % (xi, yi, v.real, v.imag, abs(v) ** 2)
+                for (xi, yi), v in zip(xy, values)]
         name = "psi_%d_%d.csv" % (j, k)
-        _write_text(os.path.join(cfg.output_dir, name), "\n".join(lines) + "\n")
+        _write_text(os.path.join(cfg.output_dir, name), "x,y,re,im,abs2\n" + "".join(rows))
         files.append(name)
-    with open(os.path.join(cfg.output_dir, "eigenphases.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        emit_json(report, fh)
+    _write_text(os.path.join(cfg.output_dir, "eigenphases.json"), _render(report) + "\n")
     files.append("eigenphases.json")
     emit_json({"config": cfg.as_report(), "files": files})
     return 0
@@ -402,45 +395,47 @@ def _verify_checks(cfg: RunConfig, inject_fault: bool):
     """Rows (name, call, tolerance); each call is one library call, which
     returns its residual or (residual, note), and only
     ``q_commutation_matrix`` adds a note of its own, the injected fault's.
-    The basis, the Weyl algebra and the invariance report are built on
-    first use and once, so a failed build fails each check that needs it."""
+    The basis and the Weyl algebra are built here, before the first row:
+    their builds store parameters, and each measures its tables on first
+    use, inside the first row that reads them, so a failed measurement
+    fails each row that needs it.  The invariance report is formed on
+    first use and once."""
     flux = cfg.flux
     tau = ModularParameter(cfg.tau.real, cfg.tau.imag)
-    angles, policy = cfg.angles, cfg.policy
-    basis = functools.cache(lambda: build_basis(flux, tau, angles, policy, cfg.quad))
-    algebra = functools.cache(lambda: WeylAlgebra(cfg.m, cfg.n, angles))
-    invariance = functools.cache(lambda: modular_invariance_report(basis()))
+    policy = cfg.policy
+    basis = build_basis(flux, tau, cfg.angles, policy, cfg.quad)
+    algebra = WeylAlgebra(cfg.m, cfg.n, cfg.angles)
+    invariance = functools.cache(lambda: modular_invariance_report(basis))
     fault_note = "cocycle sign deliberately flipped" if inject_fault else None
     return [
         ("theta_quasi_periodicity", lambda: quasi_periodicity_residual(flux.level, tau, policy),
          1e-9),
         ("eta_functional_equations", lambda: eta_functional_residual(tau, policy), 1e-10),
         ("q_commutation_matrix",
-         lambda: (q_commutation_residual(algebra(), inject_fault=inject_fault), fault_note),
+         lambda: (q_commutation_residual(algebra, inject_fault=inject_fault), fault_note),
          1e-13),
-        ("weyl_cocycle_matrix", lambda: weyl_cocycle_residual(algebra()), 1e-12),
-        ("sine_algebra_matrix", lambda: sine_algebra_residual(algebra()), 1e-12),
+        ("weyl_cocycle_matrix", lambda: weyl_cocycle_residual(algebra), 1e-12),
+        ("sine_algebra_matrix", lambda: sine_algebra_residual(algebra), 1e-12),
         ("sine_algebra_operator", lambda: sine_bracket_residual((1, 0), (0, 1), flux, tau), 1e-9),
         ("dual_commutation_operator",
          lambda: dual_commutation_residual((1, 0), (0, 1), flux, tau), 1e-9),
         ("holonomy_operator", lambda: plaquette_residual(flux, tau), 1e-10),
-        ("holonomy_matrix", lambda: holonomy_residual(algebra()), 1e-10),
-        ("center_eigenvalues", lambda: center_eigen_residual(basis()), 1e-10),
-        ("lemma_eigenphases", lambda: lemma_eigenphase_residual(basis()), 1e-7),
-        ("gram_rank", lambda: gram_rank_residual(basis()), 0.5),
-        ("bimodule_consistency", lambda: bimodule_residual(basis()), 1e-6),
-        ("commutant_and_span", lambda: commutant_and_span_residual(algebra()), 0.5),
-        ("uq_sl2_relations", lambda: uq_sl2_residual(algebra()), 1e-11),
-        ("orthogonality", lambda: overlap_residual(basis()), 1e-12),
+        ("holonomy_matrix", lambda: holonomy_residual(algebra), 1e-10),
+        ("center_eigenvalues", lambda: center_eigen_residual(basis), 1e-10),
+        ("lemma_eigenphases", lambda: lemma_eigenphase_residual(basis), 1e-7),
+        ("gram_rank", lambda: gram_rank_residual(basis), 0.5),
+        ("bimodule_consistency", lambda: bimodule_residual(basis), 1e-6),
+        ("commutant_and_span", lambda: commutant_and_span_residual(algebra), 0.5),
+        ("uq_sl2_relations", lambda: uq_sl2_residual(algebra), 1e-11),
+        ("orthogonality", lambda: overlap_residual(basis), 1e-12),
         ("partition_t_invariance", lambda: t_invariance_residual(invariance()), 1e-5),
-        ("partition_s_invariance", lambda: s_invariance_residual(basis(), invariance()), 1e-3),
+        ("partition_s_invariance", lambda: s_invariance_residual(basis, invariance()), 1e-3),
     ]
 
 
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
     checks = []
-    all_pass = True
     for name, fn, tol in _verify_checks(cfg, args.inject_fault):
         t0 = time.perf_counter()
         try:
@@ -450,10 +445,9 @@ def cmd_verify(args) -> int:
             out = math.nan, "%s: %s" % (type(exc).__name__, exc)
         dt = time.perf_counter() - t0
         residual, note = out if isinstance(out, tuple) else (out, None)
-        ok = bool(residual <= tol)
         entry = {
             "name": name,
-            "pass": ok,
+            "pass": bool(residual <= tol),
             "residual": float(residual),
             "tolerance": float(tol),
             "wall_time": dt,
@@ -461,9 +455,9 @@ def cmd_verify(args) -> int:
         if note:
             entry["note"] = note
         checks.append(entry)
-        all_pass = all_pass and ok
-    emit_json({"checks": checks, "config": cfg.as_report(), "pass": all_pass})
-    return 0 if all_pass else 1
+    verdict = all(entry["pass"] for entry in checks)
+    emit_json({"checks": checks, "config": cfg.as_report(), "pass": verdict})
+    return 0 if verdict else 1
 
 
 # ----------------------------------------------------------------- main

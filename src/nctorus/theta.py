@@ -260,8 +260,7 @@ def truncation_bound(level, z, tau, epsilon) -> int:
     t = as_tau(tau)
     zz = np.asarray(z, dtype=complex)
     h = float(np.max(np.abs(zz.imag))) if zz.size else 0.0
-    if not (0.0 < float(epsilon) < 1.0):
-        raise ValueError("epsilon must lie in (0, 1), got %r" % (epsilon,))
+    TruncationPolicy(epsilon=epsilon)  # raises on an epsilon outside (0, 1)
     return _nmax_certified(level, t.im, h, float(epsilon))
 
 
@@ -507,7 +506,8 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
     points (an array of their values).  The points' factors are laid end
     to end, with no padding, and each point's run is reduced in order by
     one ``multiply.reduceat``, so each value is the single point's product
-    bit for bit, and memory goes with the total factor count.  The first
+    bit for bit, and memory goes with the total factor count.  A point
+    whose ``q`` underflows to 0 has the one factor ``1 - 0 = 1``.  The first
     point, in order, that needs more than ``policy.max_terms`` factors or
     whose value underflows raises what it raises alone, as a loop over
     the points would.  No product is formed past a point that needs too
@@ -527,8 +527,9 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
     for t in points:
         q = cmath.exp(2j * math.pi * t)
         aq = abs(q)
-        # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0 the product is 1
-        nfac = 0 if aq == 0.0 else max(
+        # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0,
+        # the one factor 1 - 0 = 1
+        nfac = 1 if aq == 0.0 else max(
             1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - aq)) / math.log(aq)))
         lead = cmath.exp(1j * math.pi * t / 12.0)
         # a product over the cap, or a value that is its lead and underflows,
@@ -541,7 +542,7 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
                 bound=policy.epsilon,
             )
             break
-        if not nfac and abs(lead) < _TINY:
+        if aq == 0.0 and abs(lead) < _TINY:
             failure = FloatingPointError("eta(%r) underflows double range" % (t,))
             break
         qs.append(q)
@@ -555,12 +556,7 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
     factors = np.repeat(np.array(qs, dtype=complex), counts)
     np.power(factors, n, out=factors)
     np.subtract(1.0, factors, out=factors)
-    products = [1.0 + 0.0j] * len(counts)
-    runs = [i for i, count in enumerate(counts) if count]
-    if runs:
-        reduced = np.multiply.reduceat(factors, [starts[i] for i in runs]).tolist()
-        for i, product in zip(runs, reduced):
-            products[i] = product
+    products = np.multiply.reduceat(factors, starts).tolist()
     values = []
     for t, lead, product in zip(points, leads, products):
         value = lead * product

@@ -674,6 +674,26 @@ def test_lll_subcommand_writes_grids(tmp_path, capsys):
     assert before == after
 
 
+def test_lll_csv_rows_hold_the_states_values_bit_for_bit(tmp_path, capsys):
+    out, n, tau = tmp_path / "dump", 5, complex(-0.2, 1.4)
+    code, rep = run_json(capsys, ["lll", "--M", "3", "--N", "2", "--tau=-0.2+1.4i",
+                                  "--alpha1", "0.7", "--alpha2", "-1.3", "--grid", str(n),
+                                  "--out", str(out)])
+    assert code == 0
+    basis = build_basis(Flux(2, 3), tau, VacuumAngles(0.7, -1.3))
+    s = np.arange(n) / n
+    x, y = np.repeat(s, n), np.tile(s, n)
+    w = x + tau * y
+    states = basis.field.evaluate(w, np.conjugate(w))
+    assert len(rep["files"]) == len(states) + 1
+    for (j, k), values in zip(basis.labels(), states.tolist()):
+        lines = (out / ("psi_%d_%d.csv" % (j, k))).read_text().splitlines()
+        assert lines[0] == "x,y,re,im,abs2" and len(lines) == 1 + n * n
+        for i, (line, v) in enumerate(zip(lines[1:], values)):
+            expected = [s[i // n], s[i % n], v.real, v.imag, abs(v) ** 2]
+            assert [float(t).hex() for t in line.split(",")] == list(map(float.hex, expected))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lll_failed_fit_writes_nothing(tmp_path, capsys, monkeypatch):
     # with NaN states the fit samples are not finite: the fit cannot
@@ -894,16 +914,15 @@ def test_failed_fits_print_nothing_but_json(tmp_path, capfd, monkeypatch):
     assert err.startswith("error: LinAlgError: ")
 
 
-def test_non_finite_floats_render_as_json_reads_them():
-    stream = io.StringIO()
-    text = emit_json({"a": [math.nan, math.inf, -math.inf, 0.5]}, stream)
+def test_non_finite_floats_render_as_json_reads_them(capsys):
+    text = emit_json({"a": [math.nan, math.inf, -math.inf, 0.5]})
     assert text == '{"a":[NaN,Infinity,-Infinity,0.5]}\n'
-    assert stream.getvalue() == text
+    assert capsys.readouterr().out == text
     values = json.loads(text)["a"]
     assert math.isnan(values[0]) and values[1:] == [math.inf, -math.inf, 0.5]
 
 
-def test_render_covers_numpy_complex_and_non_finite_values():
+def test_render_covers_numpy_complex_and_non_finite_values(capsys):
     obj = {
         "f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-7),
         "neg_zero": -0.0, "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
@@ -912,7 +931,8 @@ def test_render_covers_numpy_complex_and_non_finite_values():
         "array": np.array([[1 + 2j, -0.0 + 0j], [complex(math.nan, 1.0), 3 - 1j]]),
         3: "int key", 2.5: [], (1, 2): {}, "k\u00e9": np.float64(math.nan),
     }
-    assert emit_json(obj, io.StringIO()) == (
+    emit_json(obj)
+    assert capsys.readouterr().out == (
         '{"(1, 2)":{},"2.5":[],"3":"int key",'
         '"array":[[{"im":2,"re":1},{"im":0,"re":0}],[{"im":1,"re":NaN},{"im":-1,"re":3}]],'
         '"f32":0.10000000149011612,"f64":0.10000000000000001,"i64":-7,"inf":Infinity,'
@@ -961,7 +981,7 @@ def test_arrays_render_as_their_lists(array):
 def test_matrices_json_renders_as_its_lists(monkeypatch, m, n):
     reports = []
     render = cli.emit_json
-    monkeypatch.setattr(cli, "emit_json", lambda obj, stream=None: reports.append(obj) or render(obj, stream))
+    monkeypatch.setattr(cli, "emit_json", lambda obj: reports.append(obj) or render(obj))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["matrices", "--M", str(m), "--N", str(n)]) == 0
     [report] = reports

@@ -25,11 +25,17 @@ def test_the_report_has_one_row_per_workload():
     rows = tool.compare(src, src, rounds=3, warmup=1, names=names)
     assert [row["name"] for row in rows] == names
     for row in rows:
-        assert row["pairs"] == 3
+        assert row["pairs"] == 3 and row["children"] == 1  # one child pair below 25 rounds
         assert 0 < row["low"] <= row["high"] and row["median"] > 0
+        assert row["child_low"] == row["child_high"] == row["median"]
         assert row["peak_old"] > 0 and row["peak_new"] > 0
     lines = tool.report(rows, "HEAD").splitlines()
     assert len(lines) == len(names) + 2
     assert lines[0].split()[:2] == ["workload", "ratio"]
+    assert "child medians" in lines[0]
     assert [line.startswith(name) for line, name in zip(lines[1:], names)] == [True, True]
-    assert lines[-1] == "ratio: median of 3 pairs, the working tree's time over HEAD's"
+    for line, row in zip(lines[1:], rows):  # the child medians follow the 95% interval
+        assert line.count("[") == 2
+        assert line.split("[")[2].startswith("%.3f, %.3f]" % (row["child_low"], row["child_high"]))
+    assert lines[-1] == ("ratio: median of 3 pairs, the working tree's time over HEAD's; "
+                         "child medians: least and largest median of 1 child pairs")

@@ -58,8 +58,8 @@ def build_cases() -> list:
     runs, six runs whose states leave double range, a ``partition``
     whose state norms and two ``squeeze`` runs whose values leave it, and
     ``matrices`` at M = 24 and M = 1 with a ``partition`` whose character
-    route leaves it, each batch appended so that the earlier cases keep
-    their places."""
+    route leaves it, and an ``lll`` run at K = 91 on a 12 x 12 grid,
+    each batch appended so that the earlier cases keep their places."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
@@ -144,6 +144,9 @@ def build_cases() -> list:
         ["matrices", "--M", "1", "--N", "1"],
         ["partition", "--M", "1", "--N", "1", "--tau=0.2+1i", "--alpha1", "100", "--alpha2", "0.3"],
     ]
+    # the CSV writer at scale: 91 files of 144 rows
+    cases.append(["lll", "--M", "13", "--N", "7", "--tau=-0.2+1.4i", *angles[1], "--grid", "12",
+                  "--out", OUT])
     return cases
 
 

@@ -10,8 +10,14 @@ asks the two children for one repetition of each workload, one child
 after the other in random order, and keeps the ratio of the two times,
 working tree over revision: below 1 the working tree is faster.
 
+The rounds are split over ``max(1, rounds // 25)`` child pairs, each
+started afresh with an unused padding variable of its own length in its
+environment: the environment's size moves the process's memory layout,
+and one layout can favour one tree for a whole pair.
+
 For each workload it prints the median ratio, a bootstrap 95% interval
-of that median, and each side's ``tracemalloc`` peak of one repetition.
+of that median, the least and the largest of the child pairs' medians,
+and each side's ``tracemalloc`` peak of one repetition.
 The workloads call only names that both trees must share: ``cli.main``
 on a few argvs, ``lll.gram_rank`` of a built basis and
 ``matrices.commutant_dimension`` of a clock/shift pair.  Only the
@@ -121,11 +127,13 @@ def serve(src):
 
 
 class Child:
-    """A child process serving one tree."""
+    """A child process serving one tree, with ``pad`` bytes of padding in
+    its environment."""
 
-    def __init__(self, src):
+    def __init__(self, src, pad=0):
+        env = dict(compare_outputs.child_env(), COMPARE_TIMINGS_PAD="x" * pad)
         self.proc = subprocess.Popen([sys.executable, __file__, "--child", str(src)],
-                                     env=compare_outputs.child_env(), stdin=subprocess.PIPE,
+                                     env=env, stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, text=True)
 
     def ask(self, request):
@@ -149,46 +157,61 @@ def _bootstrap(ratios, rng, draws=2000):
 
 
 def compare(old_src, new_src, rounds, warmup, names=None) -> list:
-    """One row per workload: ``{"name", "median", "low", "high", "peak_old",
-    "peak_new", "pairs"}``, the ratios new over old."""
+    """One row per workload: ``{"name", "median", "low", "high",
+    "child_low", "child_high", "peak_old", "peak_new", "pairs",
+    "children"}``, the ratios new over old; ``child_low`` and
+    ``child_high`` are the least and the largest median of one child
+    pair's ratios, and the peaks are the last child pair's."""
     names = list(names or WORKLOADS)
     rng = random.Random(0)  # the order of each pair, then the resamples
-    children = {"old": Child(old_src), "new": Child(new_src)}
-    try:
-        for child in children.values():
-            child.ask("warmup %d" % warmup)
-        ratios = {name: [] for name in names}
-        for _ in range(rounds):
-            for name in names:
-                order = ["old", "new"]
-                rng.shuffle(order)
-                times = {side: children[side].ask("time " + name) for side in order}
-                ratios[name].append(times["new"] / times["old"])
-        peaks = {side: {name: child.ask("peak " + name) for name in names}
-                 for side, child in children.items()}
-    finally:
-        for child in children.values():
-            child.close()
+    children = max(1, rounds // 25)
+    ratios = {name: [] for name in names}
+    child_medians = {name: [] for name in names}
+    for index in range(children):
+        # the pad's length differs by an odd count from one child pair to the next
+        pair = {side: Child(src, pad=97 * index) for side, src in (("old", old_src),
+                                                                   ("new", new_src))}
+        try:
+            for child in pair.values():
+                child.ask("warmup %d" % warmup)
+            share = {name: [] for name in names}
+            for _ in range(rounds // children + (index < rounds % children)):
+                for name in names:
+                    order = ["old", "new"]
+                    rng.shuffle(order)
+                    times = {side: pair[side].ask("time " + name) for side in order}
+                    share[name].append(times["new"] / times["old"])
+            peaks = {side: {name: child.ask("peak " + name) for name in names}
+                     for side, child in pair.items()}
+        finally:
+            for child in pair.values():
+                child.close()
+        for name in names:
+            ratios[name] += share[name]
+            child_medians[name].append(statistics.median(share[name]))
     rows = []
     for name in names:
         low, high = _bootstrap(ratios[name], rng)
         rows.append({"name": name, "median": statistics.median(ratios[name]), "low": low,
-                     "high": high, "peak_old": peaks["old"][name],
-                     "peak_new": peaks["new"][name], "pairs": len(ratios[name])})
+                     "high": high, "child_low": min(child_medians[name]),
+                     "child_high": max(child_medians[name]), "peak_old": peaks["old"][name],
+                     "peak_new": peaks["new"][name], "pairs": len(ratios[name]),
+                     "children": children})
     return rows
 
 
 def report(rows, label) -> str:
     """The table of :func:`compare`'s rows against the revision ``label``."""
     width = max(len(row["name"]) for row in rows)
-    lines = ["%-*s  %6s  %-17s  %12s  %12s" % (width, "workload", "ratio", "95% interval",
-                                               "peak rev", "peak tree")]
+    lines = ["%-*s  %6s  %-16s  %-16s  %12s  %12s" % (
+        width, "workload", "ratio", "95% interval", "child medians", "peak rev", "peak tree")]
     for row in rows:
-        lines.append("%-*s  %6.3f  [%.3f, %.3f]    %9.1f KB  %9.1f KB" % (
-            width, row["name"], row["median"], row["low"], row["high"],
-            row["peak_old"] / 1024, row["peak_new"] / 1024))
-    lines.append("ratio: median of %d pairs, the working tree's time over %s's"
-                 % (rows[0]["pairs"], label))
+        lines.append("%-*s  %6.3f  [%.3f, %.3f]    [%.3f, %.3f]    %9.1f KB  %9.1f KB" % (
+            width, row["name"], row["median"], row["low"], row["high"], row["child_low"],
+            row["child_high"], row["peak_old"] / 1024, row["peak_new"] / 1024))
+    lines.append("ratio: median of %d pairs, the working tree's time over %s's; child "
+                 "medians: least and largest median of %d child pairs"
+                 % (rows[0]["pairs"], label, rows[0]["children"]))
     return "\n".join(lines)
 
 

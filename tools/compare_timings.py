@@ -130,7 +130,7 @@ class Child:
     """A child process serving one tree, with ``pad`` bytes of padding in
     its environment."""
 
-    def __init__(self, src, pad=0):
+    def __init__(self, src, pad):
         env = dict(compare_outputs.child_env(), COMPARE_TIMINGS_PAD="x" * pad)
         self.proc = subprocess.Popen([sys.executable, __file__, "--child", str(src)],
                                      env=env, stdin=subprocess.PIPE,
@@ -168,9 +168,8 @@ def compare(old_src, new_src, rounds, warmup, names=None) -> list:
     ratios = {name: [] for name in names}
     child_medians = {name: [] for name in names}
     for index in range(children):
-        # the pad's length differs by an odd count from one child pair to the next
-        pair = {side: Child(src, pad=97 * index) for side, src in (("old", old_src),
-                                                                   ("new", new_src))}
+        pad = 97 * index  # an odd step: each pair's environment ends at another alignment
+        pair = {"old": Child(old_src, pad), "new": Child(new_src, pad)}
         try:
             for child in pair.values():
                 child.ask("warmup %d" % warmup)

@@ -8,15 +8,17 @@ __all__ = [
 
 
 class TruncationError(ArithmeticError):
-    """A certified series truncation cannot meet the requested tail bound
-    within the configured term cap.
+    """A certified truncation cannot meet the requested tail bound within
+    the term cap.
 
     Attributes
     ----------
-    required : int
-        Number of terms the certificate would need.
+    required : int or float
+        Number of terms the certificate would need; a float (inf where no
+        count certifies the bound) where it is past 2**53.
     cap : int
-        The configured ``max_terms`` ceiling.
+        The cap on every certified count, one million
+        (:class:`~nctorus.theta.TruncationPolicy`).
     bound : float
         The tail bound achieved at the cap.
     """

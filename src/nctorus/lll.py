@@ -65,8 +65,11 @@ size ``exp(-pi*k^2/(2*K*b))``.  So
 
 bound the relative aliasing error by ``eps``, the truncation ``epsilon``
 of the basis, as the theta cutoffs are bounded (:func:`cell_node_counts`).
-``n_x*n_y`` is about ``(2/pi)*K*ln(2/eps)`` whatever ``b``, and each axis
-takes at least the basis's node floor: one node set per basis,
+``n_x*n_y`` is about ``(2/pi)*K*ln(2/eps)`` whatever ``b``.  Each axis is
+held to the cap on every certified count, one million
+(:class:`~nctorus.theta.TruncationPolicy`): at ``eps = 1e-12`` that
+refuses ``K*b`` above about 5.5e10 and ``b/K`` below about 1.8e-11.  Each
+axis takes at least the basis's node floor: one node set per basis,
 :attr:`LLLBasis.cell_nodes`, which its module, norms and ``Z~`` all read.
 
 The module is measured on the nodes of that rule from the states' window
@@ -375,12 +378,16 @@ def cell_node_counts(level: int, im_tau: float, epsilon: float,
     """Nodes ``(n_x, n_y)`` of the midpoint rule whose aliasing error on
     a level-``level`` norm integrand at ``Im tau = im_tau`` is below
     ``epsilon`` relative to the integral, each at least
-    ``quad.nodes_per_axis``."""
+    ``quad.nodes_per_axis``.  An axis whose certified count is past the
+    cap of :class:`~nctorus.theta.TruncationPolicy` raises
+    :class:`~nctorus.errors.TruncationError`; the floor is never checked."""
+    policy = TruncationPolicy(epsilon)
     log = math.log(2.0 / epsilon)
     k, b = float(level), float(im_tau)
-    n_x = math.ceil(math.sqrt(2.0 * k * log / (math.pi * b)))
-    n_y = math.ceil(math.sqrt(2.0 * k * b * log / math.pi))
-    return max(n_x, quad.nodes_per_axis), max(n_y, quad.nodes_per_axis)
+    counts = math.sqrt(2.0 * k * log / (math.pi * b)), math.sqrt(2.0 * k * b * log / math.pi)
+    for n in counts:
+        policy.check_count(n, "cell rule needs %(count)s nodes on an axis, cap is %(cap)d")
+    return tuple(max(math.ceil(n), quad.nodes_per_axis) for n in counts)
 
 
 def quadrature_nodes(basis: LLLBasis):

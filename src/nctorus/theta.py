@@ -156,6 +156,9 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _TINY = np.finfo(float).tiny
+# the most terms, factors or nodes per axis that any count certified for
+# an epsilon may reach (TruncationPolicy.check_count)
+_TERM_CAP = 1_000_000
 # columns of one _theta_residue_norms block, times max(K*n, x.size): its
 # (columns, n, K) steps and its (columns, x) polynomial each hold at most
 # this many complex values, 64 KB.  Over the first 42 partition-sweep ops of
@@ -203,19 +206,33 @@ class ThetaSpec:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Tail bound ``epsilon`` and hard cap on the number of terms."""
+    """Tail bound ``epsilon`` of every certified truncation.  Each count
+    certified for it (theta's terms, eta's factors, the nodes on an axis
+    of the cell rule) is capped at one million, and :meth:`check_count`
+    raises every count past that cap."""
 
     epsilon: float = 1e-12
-    max_terms: int = 1_000_000
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1), got %r" % (self.epsilon,))
-        if self.max_terms < 3:
-            raise ValueError("max_terms must be at least 3")
+
+    def check_count(self, count, message):
+        """:class:`TruncationError` unless ``count``, certified for
+        :attr:`epsilon`, is at most the cap.  ``message`` is %-formatted with
+        the keys ``count``, ``cap`` and ``bound``.  A count may be a float,
+        checked before it is scanned, rounded or allocated; one past 2**53,
+        inf or NaN reads as that float."""
+        if not count <= _TERM_CAP:
+            count = math.ceil(count) if count < 2.0**53 else count
+            raise TruncationError(
+                message % {"count": count, "cap": _TERM_CAP, "bound": self.epsilon},
+                required=count, cap=_TERM_CAP, bound=self.epsilon)
 
 
 _DEFAULT_POLICY = TruncationPolicy()
+_THETA_CAP_MESSAGE = ("theta truncation needs %(count)s terms, cap is %(cap)d "
+                      "(tail bound %(bound).3e)")
 
 
 def _nmax_certified(level, im_tau, im_z, eps, deriv_order=0):
@@ -264,12 +281,13 @@ def truncation_bound(level, z, tau, epsilon) -> int:
     return _nmax_certified(level, t.im, h, float(epsilon))
 
 
-def _peak_window(level, im_tau, peak, eps, deriv_order=0):
+def _peak_window(level, im_tau, peak, policy, deriv_order=0):
     """Smallest count ``T`` of consecutive terms around each point's peak
-    whose omitted tail is below ``eps`` relative to the envelope (see the
-    module docstring); ``peak`` is the largest ``|a*|``."""
+    whose omitted tail is below ``policy.epsilon`` relative to the envelope
+    (see the module docstring); ``peak`` is the largest ``|a*|``.  A start
+    of the scan past the cap raises :class:`TruncationError`."""
     pkb = math.pi * level * im_tau
-    log_eps = math.log(eps)
+    log_eps = math.log(policy.epsilon)
     p = deriv_order
 
     def certified(count):
@@ -281,21 +299,12 @@ def _peak_window(level, im_tau, peak, eps, deriv_order=0):
         return log_tail < log_eps
 
     # the Gaussian factor alone needs pi*K*b*W**2 > log(2/eps); the rest only adds
-    count = max(1, math.ceil(2.0 * math.sqrt((_LOG2 - log_eps) / pkb)))
+    start = 2.0 * math.sqrt((_LOG2 - log_eps) / pkb)
+    policy.check_count(start, _THETA_CAP_MESSAGE)
+    count = max(1, math.ceil(start))
     while not certified(count):
         count += 1
     return count
-
-
-def _check_cap(count, policy):
-    if count > policy.max_terms:
-        raise TruncationError(
-            "theta truncation needs %d terms, cap is %d (tail bound %.3e)"
-            % (count, policy.max_terms, policy.epsilon),
-            required=count,
-            cap=policy.max_terms,
-            bound=policy.epsilon,
-        )
 
 
 def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
@@ -317,10 +326,10 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
         a_star = -zz.imag / t.im
         finite = np.isfinite(a_star)
         peak = float(np.max(np.abs(a_star), initial=0.0, where=finite))
-        count = _peak_window(k, t.im, peak, policy.epsilon, deriv_order)
+        count = _peak_window(k, t.im, peak, policy, deriv_order)
         # the first of the count terms n + r/K at or above a* - count/2
         start = np.ceil(a_star - r_k[..., 0] - 0.5 * count)[..., None]
-    _check_cap(count, policy)
+    policy.check_count(count, _THETA_CAP_MESSAGE)
     a = (start + np.arange(count, dtype=float)) + r_k
     # combine every exponent before exponentiating: the individual factors
     # can overflow even when the product is tame.
@@ -356,14 +365,14 @@ def _grid_exponent(spec, c, tau, policy, log_scale):
     r_k = np.atleast_1d(spec.residue)[:, None] / k
     a_star = -np.imag(c) / t.im
     # the values' window reads no peak: only a derivative's bound does
-    count = own = _peak_window(k, t.im, 0.0, policy.epsilon, 0)
+    count = own = _peak_window(k, t.im, 0.0, policy, 0)
     # per residue and column, the first term at or above a* - count/2;
     # rounding and ceil are monotone, so a residue's run starts at its
     # row's least first term, the least a*'s, and ends at the largest's window
     start = np.ceil(a_star - r_k - 0.5 * count)
     low = np.min(start, axis=1, keepdims=True)
     count += int(np.max(np.max(start, axis=1, keepdims=True) - low))
-    _check_cap(count, policy)
+    policy.check_count(count, _THETA_CAP_MESSAGE)
     a = (low + np.arange(count, dtype=float)) + r_k
     # built in place: the table is the largest array of a grid sum, and
     # every extra copy grows the heap
@@ -395,8 +404,8 @@ def _theta_residue_norms(level, x, c, tau, policy, log_scale):
     c = np.asarray(c, dtype=complex).ravel()
     twice_scale = np.full(c.size, 2.0 * np.real(log_scale))
     # the window rounded up to odd: every class centred on its term nearest the peak
-    count = _peak_window(k, b, 0.0, policy.epsilon) | 1
-    _check_cap(count, policy)
+    count = _peak_window(k, b, 0.0, policy) | 1
+    policy.check_count(count, _THETA_CAP_MESSAGE)
     j = np.arange(k)
     ones = np.ones(k)
     if count > 1:
@@ -507,11 +516,15 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
     to end, with no padding, and each point's run is reduced in order by
     one ``multiply.reduceat``, so each value is the single point's product
     bit for bit, and memory goes with the total factor count.  A point
-    whose ``q`` underflows to 0 has the one factor ``1 - 0 = 1``.  The first
-    point, in order, that needs more than ``policy.max_terms`` factors or
-    whose value underflows raises what it raises alone, as a loop over
-    the points would.  No product is formed past a point that needs too
-    many factors or whose value is its underflowed leading factor.
+    whose ``q`` underflows to 0 has the one factor ``1 - 0 = 1``.  A point
+    needs more factors than the cap of :class:`TruncationPolicy`, one
+    million, where ``Im tau`` is below about 6.1e-6 at ``eps = 1e-12``, and
+    where ``|q|`` rounds to 1 no count certifies it; either raises
+    :class:`TruncationError`.  The first point, in order, that needs more
+    factors than the cap or whose value underflows raises what it raises
+    alone, as a loop over the points would.  No product is formed past a
+    point that needs too many factors or whose value is its underflowed
+    leading factor.
     """
     scalar = np.ndim(tau) == 0
     if scalar:
@@ -528,19 +541,16 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
         q = cmath.exp(2j * math.pi * t)
         aq = abs(q)
         # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0,
-        # the one factor 1 - 0 = 1
-        nfac = 1 if aq == 0.0 else max(
+        # the one factor 1 - 0 = 1, and with |q| rounded to 1 no F
+        nfac = 1 if aq == 0.0 else math.inf if aq == 1.0 else max(
             1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - aq)) / math.log(aq)))
         lead = cmath.exp(1j * math.pi * t / 12.0)
         # a product over the cap, or a value that is its lead and underflows,
         # fails before any product is formed (raised after the points before it)
-        if nfac > policy.max_terms:
-            failure = TruncationError(
-                "eta product needs %d factors, cap is %d" % (nfac, policy.max_terms),
-                required=nfac,
-                cap=policy.max_terms,
-                bound=policy.epsilon,
-            )
+        try:
+            policy.check_count(nfac, "eta product needs %(count)s factors, cap is %(cap)d")
+        except TruncationError as error:
+            failure = error
             break
         if aq == 0.0 and abs(lead) < _TINY:
             failure = FloatingPointError("eta(%r) underflows double range" % (t,))

@@ -169,14 +169,31 @@ def test_render_names_a_type_it_cannot_render():
     ["theta", "--level", "3", "--tau=1i", "--z=1e300i"],
     ["eta", "--tau=1e-9i"],
     ["partition", "--tau=1e-7i"],
+    ["eta", "--tau=1e-300i"],
+    ["partition", "--tau=1e-300i"],
+    ["lll", "--tau=1e300i", "--out", "{out}"],
 ])
-def test_computations_that_cannot_finish_fail_with_one_error_line(capsys, argv):
-    assert main(argv) == 1
+def test_computations_that_cannot_finish_fail_with_one_error_line(capsys, tmp_path, argv):
+    assert main([str(tmp_path) if arg == "{out}" else arg for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: TruncationError: ")
+
+
+def test_verify_past_every_cap_fails_its_rows_with_nan(capsys):
+    # at 1e-300i the theta window, eta's |q| and the cell rule's x axis
+    # each need more than the cap: their rows fail with the error as a
+    # note, the rest still run, and nothing is a usage error
+    assert main(["verify", "--tau=1e-300i"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    failing = [c for c in json.loads(captured.out)["checks"] if not c["pass"]]
+    assert len(failing) == 9
+    for check in failing:
+        assert math.isnan(check["residual"]), check["name"]
+        assert check["note"].startswith("TruncationError: ") and "cap is 1000000" in check["note"]
 
 
 @pytest.mark.parametrize("tau", ["1e-4i", "3000i"])

@@ -18,6 +18,12 @@ def _tool():
     return module
 
 
+def test_the_committed_case_list_is_the_built_one():
+    # the list the tool reads is the one --write-cases builds, in order
+    tool = _tool()
+    assert json.loads(tool.CASES.read_text(encoding="utf-8")) == tool.build_cases()
+
+
 def test_the_tree_under_test_matches_itself(tmp_path, capsys):
     # a sweep op, a verify run (its wall times masked), a usage error and an
     # lll run (its output directory masked, its files read) of the committed

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nctorus import cli, lll, partition
 from nctorus.core import Flux, VacuumAngles, as_tau
+from nctorus.errors import TruncationError
 from nctorus.fields import Displacement, Field, ladder_apply
 from nctorus.lll import (
     LLLBasis,
@@ -289,6 +290,18 @@ def test_center_eigen_residual(mn):
         assert residual < 1e-12
         assert "(n_x, n_y) = (%d, %d)" % tuple(x.size for x in partition.quadrature_nodes(basis)) \
             in note
+
+
+def test_cell_node_counts_cap_each_axis_not_the_floor():
+    # at Im tau = 1e300 the y axis needs 1.5e150 nodes and at 1e-300 the x
+    # axis does: each is refused before any array is sized
+    for im_tau in (1e300, 1e-300):
+        with pytest.raises(TruncationError, match="^cell rule needs .* nodes on an axis, "
+                                                  "cap is 1000000$"):
+            lll.cell_node_counts(6, im_tau, 1e-12)
+    # K*b = 5e10 sits under the cap on one axis; the floor is never capped
+    assert lll.cell_node_counts(1, 5e10, 1e-12) == (8, 949519)
+    assert lll.cell_node_counts(1, 1.0, 1e-12, lll.QuadratureSpec(2_000_000)) == (2_000_000,) * 2
 
 
 def test_center_eigen_residual_fails_a_phase_error_in_the_step(monkeypatch):

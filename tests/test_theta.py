@@ -61,8 +61,6 @@ def test_spec_validation():
         ThetaSpec(0, 0)
     with pytest.raises(ValueError):
         TruncationPolicy(epsilon=2.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(epsilon=1e-12, max_terms=1)
     with pytest.raises(ValueError, match="epsilon must lie in"):
         truncation_bound(1, 0.0, 1j, 2.0)
 
@@ -153,11 +151,33 @@ def test_unbounded_cutoff_raises_truncation_error(im_z):
 
 
 def test_truncation_cap_raises():
-    pol = TruncationPolicy(epsilon=1e-12, max_terms=5)
     with pytest.raises(TruncationError) as exc:
-        theta(ThetaSpec(1, 0), 0.0, 0.01j, pol)
-    assert exc.value.required > 5
-    assert exc.value.cap == 5
+        theta(ThetaSpec(1, 0), 0.0, 1e-11j)
+    assert exc.value.required > exc.value.cap
+    assert exc.value.cap == 1_000_000
+
+
+@pytest.mark.parametrize("count, shown", [(1_000_001, "1000001"), (1e7 + 0.5, "10000001"),
+                                          (2.0**60, "1.152921504606847e+18"),
+                                          (math.inf, "inf"), (math.nan, "nan")])
+def test_a_count_past_the_cap_reads_in_its_own_message(count, shown):
+    # a count that is no integer rounds up; past 2**53, inf or NaN it is
+    # printed as the float it is, never converted to an int
+    message = "^needs %s, cap is 1000000$" % re.escape(shown)
+    with pytest.raises(TruncationError, match=message) as exc:
+        TruncationPolicy().check_count(count, "needs %(count)s, cap is %(cap)d")
+    assert str(exc.value.required) == shown and exc.value.bound == 1e-12
+    TruncationPolicy().check_count(1_000_000, "needs %(count)s")  # the cap itself passes
+
+
+@pytest.mark.parametrize("im_tau", [1e-300, 5e-324])
+def test_counts_past_the_cap_raise_before_they_scan(im_tau):
+    # the peak window's start is 6e150 terms at 1e-300 and inf at 5e-324,
+    # eta's |q| rounds to 1, so neither count reaches its scan or its log
+    with pytest.raises(TruncationError, match="^theta truncation needs .* terms, cap is 1000000"):
+        _peak_window(1, im_tau, 0.0, TruncationPolicy())
+    with pytest.raises(TruncationError, match="^eta product needs inf factors, cap is 1000000$"):
+        dedekind_eta(complex(0.0, im_tau))
 
 
 @pytest.mark.parametrize("level,residue", [(1, 0), (2, 1), (3, 2), (6, 2), (12, 7)])
@@ -340,7 +360,7 @@ def test_peak_window_tail_stays_below_its_stated_bound(epsilon, level, tau, orde
     want = [mp_scaled_theta(level, spec.residue, zi, tau, li, order)
             for zi, li in zip(z, log_scale)]
     peak = float(np.max(np.abs(z.imag / b)))
-    half = 0.5 * _peak_window(level, b, peak, epsilon, order)
+    half = 0.5 * _peak_window(level, b, peak, TruncationPolicy(epsilon), order)
     bound = (2.0 * math.factorial(order) * (peak + half + 1.0) ** order
              * math.exp(-math.pi * level * b * half**2)
              / (1.0 - math.exp(-2.0 * math.pi * level * b * half)) ** (order + 1))
@@ -453,7 +473,7 @@ def test_window_runs_span_the_columns_own_windows(case):
     spec, tau, c, epsilon = case
     a, expo = theta_module._grid_exponent(spec, c, tau, TruncationPolicy(epsilon), 0.0)
     a_star = -c.imag / tau.imag
-    own = _peak_window(spec.level, tau.imag, np.max(np.abs(a_star)), epsilon)
+    own = _peak_window(spec.level, tau.imag, np.max(np.abs(a_star)), TruncationPolicy(epsilon))
     r_k = np.array(spec.residue)[:, None] / spec.level
     start = np.ceil(a_star - r_k - 0.5 * own)
     low, high = start.min(axis=1), start.max(axis=1)
@@ -484,7 +504,7 @@ def test_residue_norms_are_the_per_residue_loop(level, tau, epsilon):
     # each side leaves out terms of modulus sum below epsilon (the envelope
     # is 1), the same terms or fewer on the kernel's side; and each term's
     # exponent, up to ``expo`` in size, rounds to an ulp of it on both sides
-    reach = np.abs(z.imag / tau.imag) + 0.5 * _peak_window(level, tau.imag, 0.0, epsilon) + 1.0
+    reach = np.abs(z.imag / tau.imag) + 0.5 * _peak_window(level, tau.imag, 0.0, policy) + 1.0
     expo = (math.pi * level * abs(tau) * reach**2 + 2.0 * math.pi * level * np.abs(z) * reach
             + np.abs(log_scale))
     truncation = 2.0 * epsilon * size.sum(axis=0) + level * epsilon**2
@@ -534,7 +554,7 @@ def test_residue_norms_on_a_tensor_grid_are_the_per_residue_loop(level, tau, eps
     size = np.array([theta(s, 1j * c.imag, 1j * tau.imag, policy, log_scale=log_scale.real).real
                      for s in specs])
     got = _theta_residue_norms(level, x, c, tau, policy, relative_scale(level, c, tau, log_scale))
-    reach = np.abs(c.imag / tau.imag) + 0.5 * _peak_window(level, tau.imag, 0.0, epsilon) + 1.0
+    reach = np.abs(c.imag / tau.imag) + 0.5 * _peak_window(level, tau.imag, 0.0, policy) + 1.0
     expo = (math.pi * level * abs(tau) * reach**2 + 2.0 * math.pi * level * np.abs(z) * reach
             + np.abs(log_scale))
     truncation = 2.0 * epsilon * size.sum(axis=0) + level * epsilon**2
@@ -574,7 +594,7 @@ def test_residue_norms_are_the_brute_force_sum(level, tau, epsilon, count):
     # windows take the one-exponential steps, pi*Im(tau)*(n//2) > 700;
     # the last two points' peaks lie next to a class's edge, where |V**s|
     # is largest
-    assert _peak_window(level, tau.imag, 0.0, epsilon) == count
+    assert _peak_window(level, tau.imag, 0.0, TruncationPolicy(epsilon)) == count
     n = count | 1
     rng = np.random.default_rng(count)
     y = np.append(rng.uniform(-0.2, 1.2, 5), (-0.5 + 1e-9, 0.5 - 1e-9))
@@ -623,9 +643,12 @@ def test_residue_norms_stay_in_range_at_every_window(epsilon, levels):
 
 def test_peak_window_counts_and_cap():
     # one term per point once K*b >= 37, two once K*b >= 9.1 (eps = 1e-12)
-    assert [_peak_window(k, 1.0, 0.5, 1e-12) for k in (37, 36, 10, 9)] == [1, 2, 2, 3]
-    with pytest.raises(TruncationError):
-        theta(ThetaSpec(1, 0), 0.1j, 0.05j, TruncationPolicy(max_terms=3), log_scale=0.0)
+    policy = TruncationPolicy()
+    assert [_peak_window(k, 1.0, 0.5, policy) for k in (37, 36, 10, 9)] == [1, 2, 2, 3]
+    # 1.9e6 terms at Im tau = 1e-11
+    with pytest.raises(TruncationError) as exc:
+        theta(ThetaSpec(1, 0), 0.1j, 1e-11j, log_scale=0.0)
+    assert exc.value.required > exc.value.cap == 1_000_000
 
 
 def test_quasi_periodicity_residual_covers_level_k():
@@ -795,12 +818,12 @@ def test_eta_array_where_q_underflows():
 
 
 def test_eta_array_raises_as_its_first_failing_point():
-    # 3000i underflows; at a cap of 100 factors 0.01i, ahead of it, is too long
-    batch = [1j, 0.01j, 3000j]
+    # 3000i underflows; 1e-6i, ahead of it, needs more factors than the cap
+    batch = [1j, 1e-6j, 3000j]
     with pytest.raises(FloatingPointError, match=re.escape("eta(3000j) underflows")):
+        dedekind_eta(batch[::2])
+    with pytest.raises(TruncationError, match="needs 6414232 factors, cap is 1000000"):
         dedekind_eta(batch)
-    with pytest.raises(TruncationError, match="needs 496 factors, cap is 100"):
-        dedekind_eta(batch, TruncationPolicy(max_terms=100))
     with pytest.raises(ValueError, match="Im"):
         dedekind_eta([1j, -1j])
 

@@ -58,8 +58,10 @@ def build_cases() -> list:
     runs, six runs whose states leave double range, a ``partition``
     whose state norms and two ``squeeze`` runs whose values leave it, and
     ``matrices`` at M = 24 and M = 1 with a ``partition`` whose character
-    route leaves it, and an ``lll`` run at K = 91 on a 12 x 12 grid,
-    each batch appended so that the earlier cases keep their places."""
+    route leaves it, an ``lll`` run at K = 91 on a 12 x 12 grid, and
+    eight runs whose certified counts reach the term cap or the theta
+    cutoff's guard, each batch appended so that the earlier cases keep
+    their places."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
@@ -147,6 +149,18 @@ def build_cases() -> list:
     # the CSV writer at scale: 91 files of 144 rows
     cases.append(["lll", "--M", "13", "--N", "7", "--tau=-0.2+1.4i", *angles[1], "--grid", "12",
                   "--out", OUT])
+    # counts past the term cap at extreme tau, and counts that meet the
+    # cap or the 2**52 guard of the theta cutoff
+    cases += [
+        ["verify", "--tau=1e-300i"],
+        ["verify", "--tau=1e300i"],
+        ["partition", "--tau=1e-300i"],
+        ["eta", "--tau=1e-300i"],
+        ["lll", "--tau=1e300i", "--out", OUT],
+        ["eta", "--tau=1e-6i"],
+        ["theta", "--level", "1", "--tau=1e-11i"],
+        ["theta", "--level", "3", "--tau=1i", "--z=1e300i"],
+    ]
     return cases
 
 

@@ -247,7 +247,9 @@ def _plane_probe(flux, tau, *vectors):
         g = f
         for d in reversed(displacements):
             g = displacement_apply(d, g)
-        return g.evaluate(z, zbar)
+        # at an extreme tau the Gaussian's exponents leave double range
+        with np.errstate(over="ignore", invalid="ignore"):
+            return g.evaluate(z, zbar)
 
     return [lattice_displacement(flux, t, m, dual) for m, dual in vectors], word
 

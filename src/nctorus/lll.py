@@ -382,7 +382,9 @@ def cell_node_counts(level: int, im_tau: float, epsilon: float,
     cap of :class:`~nctorus.theta.TruncationPolicy` raises
     :class:`~nctorus.errors.TruncationError`; the floor is never checked."""
     policy = TruncationPolicy(epsilon)
-    log = math.log(2.0 / epsilon)
+    # 2 / epsilon overflows below an epsilon of about 1.1e-308: log it in parts
+    quotient = 2.0 / epsilon
+    log = math.log(quotient) if quotient < math.inf else math.log(2.0) - math.log(epsilon)
     k, b = float(level), float(im_tau)
     counts = math.sqrt(2.0 * k * log / (math.pi * b)), math.sqrt(2.0 * k * b * log / math.pi)
     for n in counts:

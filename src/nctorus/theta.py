@@ -542,8 +542,13 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
         aq = abs(q)
         # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0,
         # the one factor 1 - 0 = 1, and with |q| rounded to 1 no F
-        nfac = 1 if aq == 0.0 else math.inf if aq == 1.0 else max(
-            1, math.ceil(math.log(0.5 * policy.epsilon * (1.0 - aq)) / math.log(aq)))
+        if aq == 0.0 or aq == 1.0:
+            nfac = 1 if aq == 0.0 else math.inf
+        else:  # a bound eps/2 * (1-aq) that underflows to 0 is logged in parts
+            bound = 0.5 * policy.epsilon * (1.0 - aq)
+            log_bound = math.log(bound) if bound > 0.0 else (
+                math.log(0.5) + math.log(policy.epsilon) + math.log1p(-aq))
+            nfac = max(1, math.ceil(log_bound / math.log(aq)))
         lead = cmath.exp(1j * math.pi * t / 12.0)
         # a product over the cap, or a value that is its lead and underflows,
         # fails before any product is formed (raised after the points before it)
@@ -663,10 +668,12 @@ def quasi_periodicity_residual(level, tau, policy=_DEFAULT_POLICY) -> float:
     zs = x + t.value * y
     f, f_1, f_tau = np.empty((3,) + zs.shape, dtype=complex)
     for i, (k, z) in enumerate(zip(levels[:, 0].tolist(), zs)):
-        # z, z + 1 and z + tau in one series
+        # z, z + 1 and z + tau in one series; at a huge Im tau the scale is -inf
         z = np.concatenate([z, z + 1.0, z + t.value])
+        with np.errstate(over="ignore"):
+            scale = -math.pi * k * z.imag**2 / b
         f[i], f_1[i], f_tau[i] = theta(ThetaSpec(k, k // 2), z, t, policy,
-                                       log_scale=-math.pi * k * z.imag**2 / b).reshape(3, -1)
+                                       log_scale=scale).reshape(3, -1)
     rhs = np.exp(-1j * math.pi * levels * t.re - 2j * math.pi * levels * zs.real) * f
     res = [_relative(np.max(np.abs(f_1 - f), axis=1), np.max(np.abs(f), axis=1)),
            _relative(np.max(np.abs(f_tau - rhs), axis=1), np.max(np.abs(rhs), axis=1))]

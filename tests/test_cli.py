@@ -196,6 +196,16 @@ def test_verify_past_every_cap_fails_its_rows_with_nan(capsys):
         assert check["note"].startswith("TruncationError: ") and "cap is 1000000" in check["note"]
 
 
+def test_verify_at_1e300i_writes_nothing_to_stderr(capfd):
+    # theta's scale z.imag**2 and the plane probes' Gaussian exponents leave
+    # double range there; no row fails on a numpy warning, and none is printed
+    assert main(["verify", "--tau=1e300i"]) == 1
+    out, err = capfd.readouterr()
+    assert err == ""
+    assert json.loads(out)["pass"] is False  # one JSON document and nothing else
+    assert "Warning" not in out
+
+
 @pytest.mark.parametrize("tau", ["1e-4i", "3000i"])
 def test_eta_underflow_fails_with_one_error_line(capsys, tau):
     assert main(["eta", "--tau=" + tau]) == 1

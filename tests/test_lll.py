@@ -304,6 +304,28 @@ def test_cell_node_counts_cap_each_axis_not_the_floor():
     assert lll.cell_node_counts(1, 1.0, 1e-12, lll.QuadratureSpec(2_000_000)) == (2_000_000,) * 2
 
 
+def test_cell_node_counts_below_the_smallest_normal_epsilon():
+    # 2 / epsilon overflows there; its log is taken in parts
+    assert lll.cell_node_counts(6, 1.1, 5e-324) == (51, 56)
+    assert lll.cell_node_counts(6, 1.1, 1e-310) == (50, 55)
+
+
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-300, 2e-308])
+def test_cell_node_counts_in_range_keep_their_expression(monkeypatch, epsilon):
+    # where 2 / epsilon is finite each axis's count is the one log of it,
+    # bit for bit
+    seen, check = [], lll.TruncationPolicy.check_count
+
+    def record(self, count, message):
+        seen.append(count)
+        check(self, count, message)
+
+    monkeypatch.setattr(lll.TruncationPolicy, "check_count", record)
+    lll.cell_node_counts(6, 1.1, epsilon)
+    log = math.log(2.0 / epsilon)
+    assert seen == [math.sqrt(12.0 * log / (math.pi * 1.1)), math.sqrt(12.0 * 1.1 * log / math.pi)]
+
+
 def test_center_eigen_residual_fails_a_phase_error_in_the_step(monkeypatch):
     # a step whose scale is 1e-9 off in phase puts its M-th power M*1e-9
     # off e^{i*alpha}, past the verify tolerance of 1e-10

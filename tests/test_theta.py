@@ -180,6 +180,34 @@ def test_counts_past_the_cap_raise_before_they_scan(im_tau):
         dedekind_eta(complex(0.0, im_tau))
 
 
+def test_eta_bound_past_double_range_takes_its_log_in_parts():
+    # eps/2 * (1 - |q|) underflows to 0: at 1e-16i the count is 1.1e18
+    # factors, past the cap, and at 0.3+0.11i a small one whose value sits
+    # within 1e-13 of the default epsilon's
+    with pytest.raises(TruncationError, match=r"^eta product needs 1125\d{15} factors, cap is"):
+        dedekind_eta(1e-16j, TruncationPolicy(1e-310))
+    value = dedekind_eta(0.3 + 0.11j, TruncationPolicy(5e-324))
+    assert 0.0 < abs(value / dedekind_eta(0.3 + 0.11j) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-300, 2e-308])
+def test_eta_counts_in_range_keep_their_expression(monkeypatch, epsilon):
+    # where eps/2 * (1 - |q|) is a positive double, even a subnormal one,
+    # each point's count is the one log of it, bit for bit
+    seen, check = [], TruncationPolicy.check_count
+
+    def record(self, count, message):
+        seen.append(count)
+        check(self, count, message)
+
+    monkeypatch.setattr(TruncationPolicy, "check_count", record)
+    points = [0.3 + 0.11j, 1j, 0.01j, 1e-3j, 1e-6j]
+    dedekind_eta(points[:-1], TruncationPolicy(epsilon))
+    with pytest.raises(TruncationError):
+        dedekind_eta(points[-1], TruncationPolicy(epsilon))
+    assert seen == [_eta_factor_count(t, epsilon) for t in points]
+
+
 @pytest.mark.parametrize("level,residue", [(1, 0), (2, 1), (3, 2), (6, 2), (12, 7)])
 def test_matches_naive_reference(level, residue):
     rng = np.random.default_rng(20)

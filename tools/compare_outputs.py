@@ -4,9 +4,9 @@
 
 Run it from anywhere inside the repository.  The tree of ``<rev>`` is
 unpacked with ``git archive`` into a temporary directory, and the case
-list ``tools/compare_cases.json`` runs through ``nctorus.cli.main`` in
-one child process per tree, in process and in order, with one BLAS
-thread.  A case is its argv; ``{out}`` in it stands for a fresh output
+list of :func:`build_cases` runs through ``nctorus.cli.main`` in one
+child process per tree, in process and in order, with one BLAS thread.
+A case is its argv; ``{out}`` in it stands for a fresh output
 directory, whose files are compared too.  Before comparing, each
 ``verify`` check's ``wall_time`` and the output directory's path are
 masked.
@@ -17,11 +17,6 @@ each number that moved and each ``pass`` that flipped.  The report ends
 with one line per moved number key: its largest move over all differing
 cases, the number of cases it moved in, and the case it came from.  The
 exit code is 0 when every case is identical and 1 otherwise.
-
-    python tools/compare_outputs.py --write-cases
-
-rebuilds the case list from ``benchmarks/workloads.py`` and the fixed
-grids below.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = Path(__file__).resolve().with_name("compare_cases.json")
 OUT = "{out}"
 _WALL_TIME = re.compile(r'"wall_time":[^,}]*')
 _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -58,10 +52,10 @@ def build_cases() -> list:
     runs, six runs whose states leave double range, a ``partition``
     whose state norms and two ``squeeze`` runs whose values leave it, and
     ``matrices`` at M = 24 and M = 1 with a ``partition`` whose character
-    route leaves it, an ``lll`` run at K = 91 on a 12 x 12 grid, and
-    eight runs whose certified counts reach the term cap or the theta
-    cutoff's guard, each batch appended so that the earlier cases keep
-    their places."""
+    route leaves it, an ``lll`` run at K = 91 on a 12 x 12 grid, eight
+    runs whose certified counts reach the term cap or the theta cutoff's
+    guard, and five runs whose ``--eps`` puts eta's tail bound or the cell
+    rule's ``2 / epsilon`` past double range."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
@@ -161,6 +155,14 @@ def build_cases() -> list:
         ["theta", "--level", "1", "--tau=1e-11i"],
         ["theta", "--level", "3", "--tau=1i", "--z=1e300i"],
     ]
+    # eta's tail bound and the cell rule's 2 / epsilon past double range
+    cases += [
+        ["eta", "--eps=1e-310", "--tau=1e-16i"],
+        ["eta", "--eps=5e-324", "--tau=0.3+0.11i"],
+        ["partition", "--eps=5e-324"],
+        ["verify", "--eps=1e-310", "--tau=0.3+0.11i"],
+        ["lll", "--eps=5e-324", "--out", OUT],
+    ]
     return cases
 
 
@@ -215,13 +217,14 @@ def child_env() -> dict:
     return env
 
 
-def run_tree(src, cases_path, timeout=None) -> list:
-    """:func:`run_cases` of ``src`` in a child process with one BLAS thread."""
-    env = child_env()
+def run_tree(src, cases, timeout=None) -> list:
+    """:func:`run_cases` of ``src`` in a child process with one BLAS
+    thread; the child reads ``cases`` as JSON on its stdin."""
     with tempfile.TemporaryDirectory() as tmp:
         result = os.path.join(tmp, "result.json")
-        subprocess.run([sys.executable, __file__, "--child", str(src), str(cases_path), result],
-                       env=env, check=True, timeout=timeout)
+        subprocess.run([sys.executable, __file__, "--child", str(src), result],
+                       input=json.dumps(cases), text=True, env=child_env(), check=True,
+                       timeout=timeout)
         with open(result, encoding="utf-8") as fh:
             return json.load(fh)
 
@@ -354,30 +357,21 @@ def unpack(rev, dest):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="git revision to compare the working tree with")
-    parser.add_argument("--write-cases", action="store_true",
-                        help="rebuild %s and exit" % CASES.name)
-    parser.add_argument("--child", nargs=3, metavar=("SRC", "CASES", "RESULT"),
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=2, metavar=("SRC", "RESULT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        src, cases_path, result = args.child
-        with open(cases_path, encoding="utf-8") as fh:
-            results = run_cases(src, json.load(fh))
+        src, result = args.child
+        results = run_cases(src, json.load(sys.stdin))
         with open(result, "w", encoding="utf-8") as fh:
             json.dump(results, fh)
         return 0
-    if args.write_cases:
-        with open(CASES, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("[\n" + ",\n".join(json.dumps(case) for case in build_cases()) + "\n]\n")
-        return 0
     if not args.rev:
-        parser.error("give a revision, or --write-cases")
-    with open(CASES, encoding="utf-8") as fh:
-        cases = json.load(fh)
+        parser.error("give a revision")
+    cases = build_cases()
     with tempfile.TemporaryDirectory() as tmp:
         unpack(args.rev, tmp)
-        old = run_tree(Path(tmp) / "src", CASES)
-    new = run_tree(ROOT / "src", CASES)
+        old = run_tree(Path(tmp) / "src", cases)
+    new = run_tree(ROOT / "src", cases)
     return 1 if compare(cases, old, new) else 0
 
 

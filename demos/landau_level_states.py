@@ -11,7 +11,6 @@ from nctorus import (
     eigenphase_table,
     gram_rank,
     raise_level,
-    unit_cell_grid,
 )
 
 flux = Flux(2, 3)                       # kappa = 2/3 -> 6 degenerate states

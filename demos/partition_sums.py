@@ -1,5 +1,3 @@
-import numpy as np
-
 from nctorus import Flux, build_basis
 from nctorus import QuadratureSpec, state_norm, z_tilde, z_tilde_character_route
 from nctorus import modular_invariance_report

@@ -213,17 +213,6 @@ def test_window_shift_invariance():
     assert abs(cell_integral(tau) - base) / base < 1e-9
 
 
-def test_two_routes_agree():
-    for tau, flux, angles in (
-        (1j, Flux(1, 1), VacuumAngles()),
-        (0.3 + 1.1j, Flux(2, 3), ANGLES),
-    ):
-        basis = build_basis(flux, tau, angles)
-        a = z_tilde(basis)
-        b = z_tilde_character_route(basis)
-        assert abs(a - b) / a < 1e-10
-
-
 def test_self_convergence_under_node_doubling():
     a, b = (z_tilde(build_basis(Flux(1, 2), 0.3 + 1.1j, quad=QuadratureSpec(n))) for n in (32, 64))
     assert abs(a - b) / b < 1e-6
@@ -261,35 +250,34 @@ def closed_form_z_tilde(k, tau, alpha1):
     return math.sqrt(k / (2.0 * b)) * math.exp(b * alpha1**2 / (2.0 * math.pi * k)) / eta**2
 
 
-@pytest.mark.parametrize("mn", [(1, 1), (3, 2), (2, 5)])
-@pytest.mark.parametrize("tau", [0.3 + 1.1j, -0.2 + 1.7j])
-@pytest.mark.parametrize("angles", [VacuumAngles(), ANGLES])
-def test_invariance_report_matches_closed_form(mn, tau, angles):
-    # the S residual is |exp((b' - b) a1^2/(2 pi K)) - 1| with b' = Im(-1/tau)
-    m, n = mn
-    k = m * n
-    b, b_s, a1 = tau.imag, (-1.0 / tau).imag, angles.alpha1
-    want = closed_form_z_tilde(k, tau, a1)
-    basis = build_basis(Flux(n, m), tau, angles)
-    report = modular_invariance_report(basis)
-    assert abs(report.z_tilde - want) <= 1e-11 * want
-    assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
-    ratio = math.exp((b_s - b) * a1**2 / (2.0 * math.pi * k))
-    assert abs(report.s_residual - abs(ratio - 1.0)) <= 1e-11 * ratio
+# (mn, tau, angles, node floor).  At 1.9i, 1.95i and 50i with a raised
+# floor K * Im tau is 137, 177 and 300: |theta|^2 alone leaves double
+# range on the cell, and only the Gaussian folded into each series keeps
+# both routes finite (128 nodes at 50i are more than the 8 x 74 the rule
+# asks for).  Elsewhere the rule sizes itself from (K, Im tau)
+_S_POINTS = [(mn, tau, angles, 8) for mn in ((1, 1), (3, 2), (2, 5))
+             for tau in (0.3 + 1.1j, -0.2 + 1.7j) for angles in (VacuumAngles(), ANGLES)]
+_CLOSED_FORM_POINTS = [((1, 1), 1j, VacuumAngles(), 8), *_S_POINTS,
+                       ((9, 8), 1.9j, ANGLES, 64), ((13, 7), 1.95j, ANGLES, 64),
+                       ((3, 2), 50j, ANGLES, 128)] + [
+    (mn, complex(0.2, im), ANGLES, 8) for mn in ((3, 2), (7, 5), (13, 7))
+    for im in (0.01, 0.03, 10.0, 50.0, 200.0)]
 
 
-@pytest.mark.parametrize("mn, tau, nodes", [((9, 8), 1.9j, 64), ((13, 7), 1.95j, 64),
-                                            ((3, 2), 50j, 128)])
-def test_both_routes_match_closed_form_where_raw_theta_overflows(mn, tau, nodes):
-    # K * Im tau is 137, 177 and 300: |theta|^2 alone leaves double range
-    # on the cell, and only the Gaussian folded into each series keeps
-    # both routes finite.  ``nodes`` is the per-axis floor; the 128 case
-    # integrates more points than the rule asks for at 50i (8 x 74).
-    m, n = mn
-    want = closed_form_z_tilde(m * n, tau, ANGLES.alpha1)
-    basis = build_basis(Flux(n, m), tau, ANGLES, quad=QuadratureSpec(nodes))
-    assert abs(z_tilde(basis) - want) <= 1e-11 * want
-    assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
+@pytest.mark.parametrize("point", _CLOSED_FORM_POINTS, ids=[
+    "%d,%d-%s-%s-%d" % (*mn, tau, "angles" if angles.alpha1 else "0", nodes)
+    for mn, tau, angles, nodes in _CLOSED_FORM_POINTS])
+def test_both_routes_match_closed_form(point):
+    (m, n), tau, angles, nodes = point
+    want = closed_form_z_tilde(m * n, tau, angles.alpha1)
+    basis = build_basis(Flux(n, m), tau, angles, quad=QuadratureSpec(nodes))
+    for route in (z_tilde, z_tilde_character_route, z_tilde_closed_form):
+        assert abs(route(basis) - want) <= 1e-11 * want, route.__name__
+    if point in _S_POINTS:
+        # the S residual is |exp((b' - b) a1^2/(2 pi K)) - 1| with b' = Im(-1/tau)
+        ratio = math.exp(((-1.0 / tau).imag - tau.imag) * angles.alpha1**2 / (2 * math.pi * m * n))
+        s_residual = modular_invariance_report(basis).s_residual
+        assert abs(s_residual - abs(ratio - 1.0)) <= 1e-11 * ratio
 
 
 @pytest.mark.parametrize("mn, tau", [((1, 1), 300j), ((3, 1), 1000j), ((2, 1), 1300j)])
@@ -314,19 +302,6 @@ def test_character_route_reads_inf_where_its_window_has_more_terms(mn, im_tau, a
     basis = build_basis(Flux(n, m), complex(0.2, im_tau), VacuumAngles(alpha1, 0.3))
     assert z_tilde(basis) == math.inf
     assert z_tilde_character_route(basis) == math.inf
-
-
-@pytest.mark.parametrize("mn", [(3, 2), (7, 5), (13, 7)])
-@pytest.mark.parametrize("im_tau", [0.01, 0.03, 10.0, 50.0, 200.0])
-def test_both_routes_match_closed_form_over_im_tau(mn, im_tau):
-    # the rule sizes itself from (K, Im tau): no floor beyond the default
-    m, n = mn
-    tau = complex(0.2, im_tau)
-    want = closed_form_z_tilde(m * n, tau, ANGLES.alpha1)
-    basis = build_basis(Flux(n, m), tau, ANGLES)
-    assert abs(z_tilde(basis) - want) <= 1e-11 * want
-    assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
-    assert abs(z_tilde_closed_form(basis) - want) <= 1e-11 * want
 
 
 @pytest.mark.parametrize("mn, tau, alpha1", [((13, 7), 1e3j, 0.0), ((11, 7), 1e3j, 0.0),

@@ -374,6 +374,33 @@ def test_verify_passes_over_the_range(capfd, m, n, tau, alpha1, alpha2):
         assert {"name", "residual", "tolerance", "pass", "wall_time"} <= set(check)
 
 
+# (3,2) at 50i, where the raw theta row once failed alone, keeps its own
+# three tests beside its _RANGE row
+@pytest.mark.parametrize("tau, alpha1", [("50i", "0")], ids=["50i"])
+def test_verify_passes_at_small_and_large_im_tau(capsys, tau, alpha1):
+    code, rep = run_json(capsys, ["verify", "--tau=" + tau, "--alpha1", alpha1])
+    assert code == 0, [c for c in rep["checks"] if not c["pass"]]
+
+
+def test_verify_at_large_im_tau_fails_only_the_raw_theta_check(capsys):
+    code, rep = run_json(capsys, ["verify", "--M", "3", "--N", "2", "--tau=50i"])
+    assert code == 0
+    assert [c for c in rep["checks"] if not c["pass"]] == []
+    theta = {c["name"]: c for c in rep["checks"]}["theta_quasi_periodicity"]
+    assert math.isfinite(theta["residual"]) and theta["residual"] <= theta["tolerance"]
+
+
+@pytest.mark.parametrize("tau", ["50i"])
+def test_verify_at_large_im_tau_passes_silently(capsys, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--M", "3", "--N", "2", "--tau=" + tau])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert json.loads(captured.out)["pass"] is True
+
+
 @pytest.mark.parametrize("fault", VERIFY_FAULTS.values(), ids=list(VERIFY_FAULTS))
 def test_named_fault_fails_exactly_its_rows(capsys, monkeypatch, fault):
     code, rep = run_json(capsys, ["verify", *fault.argv, *(fault.inject(monkeypatch) or [])])

@@ -39,3 +39,17 @@ def test_the_report_has_one_row_per_workload():
         assert line.split("[")[2].startswith("%.3f, %.3f]" % (row["child_low"], row["child_high"]))
     assert lines[-1] == ("ratio: median of 3 pairs, the working tree's time over HEAD's; "
                          "child medians: least and largest median of 1 child pairs")
+
+
+def test_every_layer_has_a_workload():
+    # aim 1's layers, each timed in a child of the tree under test
+    tool = _tool()
+    assert list(tool.LAYERS) == ["theta series", "eta", "eta, one point", "cell table", "module",
+                                 "state norms", "Weyl products", "JSON rendering"]
+    names = [name for name, _ in tool.LAYERS.values()]
+    assert set(tool.LAYERS.values()) <= set(tool.WORKLOADS.items())
+    src = Path(nctorus.__file__).resolve().parents[1]
+    rows = tool.compare(src, src, rounds=1, warmup=0, names=names)
+    assert [row["name"] for row in rows] == names
+    for row in rows:
+        assert row["median"] > 0 and row["peak_old"] > 0 and row["peak_new"] > 0

@@ -19,9 +19,11 @@ For each workload it prints the median ratio, a bootstrap 95% interval
 of that median, the least and the largest of the child pairs' medians,
 and each side's ``tracemalloc`` peak of one repetition.
 The workloads call only names that both trees must share: ``cli.main``
-on a few argvs, ``lll.gram_rank`` of a built basis and
-``matrices.commutant_dimension`` of a clock/shift pair.  Only the
-children are timed, and they never run at once.
+on a few argvs, ``lll.gram_rank`` of a built basis,
+``matrices.commutant_dimension`` of a clock/shift pair, and one workload
+per layer (``LAYERS``): the theta series, eta, the cell table, the
+module, the state norms, the Weyl products and the JSON rendering.  Only
+the children are timed, and they never run at once.
 """
 
 from __future__ import annotations
@@ -53,22 +55,39 @@ WORKLOADS = {
     "gram_rank(build_basis(Flux(8, 9)))": 20,
     "commutant_dimension(clock_matrix(24, 7), shift_matrix(24))": 20,
 }
+# layer -> (its workload, calls per repetition), each calling one layer's
+# names on (M, N) = (7, 5), tau = 0.2+1.4i, angles (0.7, -1.3)
+LAYERS = {
+    "theta series": ("quasi_periodicity_residual(35, 0.2+1.4i)", 4),
+    "eta": ("eta_functional_residual(0.2+1.4i)", 10),
+    "eta, one point": ("dedekind_eta(0.2+1.4i)", 100),
+    "cell table": ("ThetaField.cell_exponent(build_basis(Flux(5, 7)))", 20),
+    "module": ("lemma and centre of a fresh build_basis(Flux(5, 7))", 1),
+    "state norms": ("state_norm(build_basis(Flux(5, 7)))", 10),
+    "Weyl products": ("weyl_cocycle_residual(WeylAlgebra(7, 5))", 10),
+    "JSON rendering": ("_render(verify --M 7 --N 5)", 10),
+}
+WORKLOADS.update(LAYERS.values())
 
 
 # ------------------------------------------------------------ the child
 
 
 def _calls(src):
-    """``name -> call`` of every workload, built in the child: a basis and
-    a clock/shift pair are set up once, so a repetition times only its
-    call."""
+    """``name -> call`` of every workload, built in the child: the bases,
+    the Weyl algebra, a clock/shift pair and the verify report are set up
+    once, so a repetition times only its call; the module workload builds
+    its basis afresh, since a basis measures its module once."""
     from nctorus import cli
     from nctorus.core import Flux, VacuumAngles
 
     if Path(cli.__file__).resolve().parent != (Path(src) / "nctorus").resolve():
         raise SystemExit("imported nctorus from %s, not from %s" % (cli.__file__, src))
-    from nctorus.lll import build_basis, gram_rank
-    from nctorus.matrices import clock_matrix, commutant_dimension, shift_matrix
+    from nctorus.lll import (build_basis, center_eigen_residual, gram_rank,
+                             lemma_eigenphase_residual, quadrature_nodes, state_norm)
+    from nctorus.matrices import (WeylAlgebra, clock_matrix, commutant_dimension,
+                                  shift_matrix, weyl_cocycle_residual)
+    from nctorus.theta import dedekind_eta, eta_functional_residual, quasi_periodicity_residual
 
     def command(argv):
         def run():
@@ -84,6 +103,30 @@ def _calls(src):
     pair = [clock_matrix(24, 7), shift_matrix(24)]
     calls["commutant_dimension(clock_matrix(24, 7), shift_matrix(24))"] = (
         lambda: commutant_dimension(pair))
+
+    tau, angles = 0.2 + 1.4j, VacuumAngles(0.7, -1.3)
+    states = build_basis(Flux(5, 7), tau, angles)
+    y = quadrature_nodes(states)[1]
+    algebra = WeylAlgebra(7, 5)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli.main(["verify", "--M", "7", "--N", "5"])
+    report = json.loads(text.getvalue())
+
+    def module():
+        fresh = build_basis(Flux(5, 7), tau, angles)
+        lemma_eigenphase_residual(fresh)
+        center_eigen_residual(fresh)
+
+    calls.update(zip((name for name, _ in LAYERS.values()), (
+        lambda: quasi_periodicity_residual(35, tau),
+        lambda: eta_functional_residual(tau),
+        lambda: dedekind_eta(tau),
+        lambda: states.field.cell_exponent(y),
+        module,
+        lambda: state_norm(states),
+        lambda: weyl_cocycle_residual(algebra),
+        lambda: cli._render(report))))
     return calls
 
 

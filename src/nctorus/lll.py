@@ -874,7 +874,7 @@ def bimodule_residual(basis: LLLBasis):
         "the predicted actions holds by construction" % basis.cell_nodes)
 
 
-def gram_rank(basis: LLLBasis) -> int:
+def gram_rank(basis: LLLBasis, discs=None) -> int:
     """Numerical rank of :attr:`LLLBasis.gram`: its singular values (the
     moduli of its eigenvalues) above 1e-8 times the largest eigenvalue of
     ``G``, not of the normalised ``G_rs/sqrt(G_rr G_ss)``.  The two ranks
@@ -886,8 +886,10 @@ def gram_rank(basis: LLLBasis) -> int:
     ``eigvalsh`` run.  On measured bases from (1,1) to (34,21), ``tau``
     from 1e-3i to 1300i, the discs' margin ``min(d - R)/max(d + R)`` lies
     within 3e-12 of 1 at the default truncation and above 0.999998 at
-    ``epsilon`` 1e-6, so the spectrum runs only for a faulty basis."""
-    if gershgorin_full_rank(basis.gram, 1e-8)[0]:
+    ``epsilon`` 1e-6, so the spectrum runs only for a faulty basis.
+    ``discs`` is that function's ``(certified, margin)`` where the caller
+    has read it."""
+    if (discs or gershgorin_full_rank(basis.gram, 1e-8))[0]:
         return basis.level
     s = np.abs(np.linalg.eigvalsh(basis.gram))
     return int(np.sum(s > 1e-8 * s.max()))
@@ -897,9 +899,9 @@ def gram_rank_residual(basis: LLLBasis):
     """``(residual, note)``: ``|rank - K|`` of :func:`gram_rank`, 0 when
     the K states are independent; the note names the route that gave the
     rank and the discs' margin."""
-    certified, margin = gershgorin_full_rank(basis.gram, 1e-8)
+    discs = certified, margin = gershgorin_full_rank(basis.gram, 1e-8)
     route = "certified by its Gershgorin discs" if certified else "from eigvalsh"
-    return float(abs(gram_rank(basis) - basis.level)), (
+    return float(abs(gram_rank(basis, discs) - basis.level)), (
         "rank of the Gram matrix of the K states measured on the (n_x, n_y) = (%d, %d) "
         "cell rule, %s; disc margin min(d - R)/max(d + R) = %.15g"
         % (*basis.cell_nodes, route, margin))

@@ -129,7 +129,7 @@ t_{m0+j+s*K}/t_{m0+j}`` is one exponential of modulus at most 1.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -497,7 +497,7 @@ def theta_derivative(spec, z, tau, policy=_DEFAULT_POLICY, order=1, log_scale=No
     return _theta_sum(spec, z, tau, policy, order, log_scale)
 
 
-def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
+def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> complex:
     r"""Dedekind eta via the product (DLMF 27.14)
 
         eta(tau) = exp(2*pi*i*tau/24) * prod_{n>=1} (1 - q**n),
@@ -507,98 +507,75 @@ def dedekind_eta(tau, policy: TruncationPolicy = _DEFAULT_POLICY):
     *not* as a 24th root of ``q`` -- so the functional equations hold on
     the whole upper half-plane rather than only for ``|Re tau| < 1/2``.
     Truncation after ``F`` factors is certified by
-    ``|q|**(F+1) / (1 - |q|) < eps/2``.  A value that underflows to 0
-    or to a subnormal (``Im tau`` below about 3.7e-4 or above about 2700)
-    raises :class:`FloatingPointError`, since eta has no zero.
-
-    ``tau`` is a point (a complex value is returned) or an array of
-    points (an array of their values).  The points' factors are laid end
-    to end, with no padding, and each point's run is reduced in order by
-    one ``multiply.reduceat``, so each value is the single point's product
-    bit for bit, and memory goes with the total factor count.  A point
-    whose ``q`` underflows to 0 has the one factor ``1 - 0 = 1``.  A point
-    needs more factors than the cap of :class:`TruncationPolicy`, one
-    million, where ``Im tau`` is below about 6.1e-6 at ``eps = 1e-12``, and
-    where ``|q|`` rounds to 1 no count certifies it; either raises
-    :class:`TruncationError`.  The first point, in order, that needs more
-    factors than the cap or whose value underflows raises what it raises
-    alone, as a loop over the points would.  No product is formed past a
-    point that needs too many factors or whose value is its underflowed
-    leading factor.
+    ``|q|**(F+1) / (1 - |q|) < eps/2``, and the ``F`` factors ``1 - q**n``
+    are formed in one array and multiplied in order.  Where ``q``
+    underflows to 0 the product is the one factor ``1 - 0 = 1``.  A value
+    that underflows to 0 or to a subnormal (``Im tau`` below about 3.7e-4
+    or above about 2700) raises :class:`FloatingPointError`, since eta has
+    no zero, and where its leading factor alone underflows it raises
+    before any product is formed.  The product needs more factors than the cap of
+    :class:`TruncationPolicy`, one million, where ``Im tau`` is below
+    about 6.1e-6 at ``eps = 1e-12``, and where ``|q|`` rounds to 1 no count
+    certifies it; either raises :class:`TruncationError`.
     """
-    scalar = np.ndim(tau) == 0
-    if scalar:
-        points = [as_tau(tau).value]
-    else:
-        taus = np.asarray(tau, dtype=complex)
-        valid = (taus.imag > 0.0) & np.isfinite(taus)
-        if not valid.all():
-            as_tau(taus[~valid][0])  # raises the ValueError of the first such point
-        points = taus.ravel().tolist()
-    qs, counts, leads = [], [], []
-    failure = None  # the error of the first point that fails before its product
-    for t in points:
-        q = cmath.exp(2j * math.pi * t)
-        aq = abs(q)
-        # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0,
-        # the one factor 1 - 0 = 1, and with |q| rounded to 1 no F
-        if aq == 0.0 or aq == 1.0:
-            nfac = 1 if aq == 0.0 else math.inf
-        else:  # a bound eps/2 * (1-aq) that underflows to 0 is logged in parts
-            bound = 0.5 * policy.epsilon * (1.0 - aq)
-            log_bound = math.log(bound) if bound > 0.0 else (
-                math.log(0.5) + math.log(policy.epsilon) + math.log1p(-aq))
-            nfac = max(1, math.ceil(log_bound / math.log(aq)))
-        lead = cmath.exp(1j * math.pi * t / 12.0)
-        # a product over the cap, or a value that is its lead and underflows,
-        # fails before any product is formed (raised after the points before it)
-        try:
-            policy.check_count(nfac, "eta product needs %(count)s factors, cap is %(cap)d")
-        except TruncationError as error:
-            failure = error
-            break
-        if aq == 0.0 and abs(lead) < _TINY:
-            failure = FloatingPointError("eta(%r) underflows double range" % (t,))
-            break
-        qs.append(q)
-        counts.append(nfac)
-        leads.append(lead)
-    starts = [end - count for end, count in zip(itertools.accumulate(counts), counts)]
-    # each point's factors 1 - q**n, n = 1..F, as one run after the last
-    # point's, formed in place
-    n = np.arange(1, sum(counts) + 1)
-    n -= np.repeat(np.array(starts, dtype=int), counts)
-    factors = np.repeat(np.array(qs, dtype=complex), counts)
-    np.power(factors, n, out=factors)
+    t = as_tau(tau).value
+    q = cmath.exp(2j * math.pi * t)
+    aq = abs(q)
+    # smallest F with aq**(F+1)/(1-aq) < eps/2; with q underflowed to 0,
+    # the one factor 1 - 0 = 1, and with |q| rounded to 1 no F
+    if aq == 0.0 or aq == 1.0:
+        nfac = 1 if aq == 0.0 else math.inf
+    else:  # a bound eps/2 * (1-aq) that underflows to 0 is logged in parts
+        bound = 0.5 * policy.epsilon * (1.0 - aq)
+        log_bound = math.log(bound) if bound > 0.0 else (
+            math.log(0.5) + math.log(policy.epsilon) + math.log1p(-aq))
+        nfac = max(1, math.ceil(log_bound / math.log(aq)))
+    policy.check_count(nfac, "eta product needs %(count)s factors, cap is %(cap)d")
+    lead = cmath.exp(1j * math.pi * t / 12.0)
+    if aq == 0.0 and abs(lead) < _TINY:
+        raise FloatingPointError("eta(%r) underflows double range" % (t,))
+    # the factors 1 - q**n, n = 1..F, formed in place
+    factors = np.full(nfac, q)
+    np.power(factors, np.arange(1, nfac + 1), out=factors)
     np.subtract(1.0, factors, out=factors)
-    products = np.multiply.reduceat(factors, starts).tolist()
-    values = []
-    for t, lead, product in zip(points, leads, products):
-        value = lead * product
-        if abs(value) < _TINY:  # eta has no zero: a 0 or subnormal value underflowed
-            raise FloatingPointError("eta(%r) underflows double range" % (t,))
-        values.append(value)
-    if failure is not None:
-        raise failure
-    return values[0] if scalar else np.array(values, dtype=complex).reshape(taus.shape)
+    value = lead * complex(np.multiply.reduce(factors))
+    if abs(value) < _TINY:  # eta has no zero: a 0 or subnormal value underflowed
+        raise FloatingPointError("eta(%r) underflows double range" % (t,))
+    return value
+
+
+def _eta_relation_residuals(t, policy):
+    """The residuals of ``eta(t+1) = exp(i*pi/12) eta(t)`` and ``eta(-1/t)
+    = sqrt(-i*t) eta(t)``, each relative to its left side, from the etas
+    at ``t``, ``t + 1`` and ``-1/t`` in that order."""
+    e, shifted, e_inv = (dedekind_eta(s, policy) for s in (t, t + 1.0, -1.0 / t))
+    return (abs(shifted - cmath.exp(1j * math.pi / 12.0) * e) / abs(shifted),
+            abs(e_inv - cmath.sqrt(-1j * t) * e) / abs(e_inv))
+
+
+@functools.lru_cache
+def _seeded_eta_residuals(policy):
+    """The 40 residuals of :func:`_eta_relation_residuals` at the 20 seeded
+    points of :func:`eta_functional_residual`, in their order; they depend
+    on the policy alone, so they are formed once per policy."""
+    # (Re, Im) of each seeded point, drawn in that order
+    seeded = np.random.default_rng(0).uniform([-0.5, 1.0], [0.5, 2.5], size=(20, 2))
+    return tuple(r for t in seeded.tolist() for r in _eta_relation_residuals(complex(*t), policy))
 
 
 def eta_functional_residual(tau, policy: TruncationPolicy = _DEFAULT_POLICY) -> float:
     """Largest residual of ``eta(tau+1) = exp(i*pi/12) eta(tau)`` and
     ``eta(-1/tau) = sqrt(-i*tau) eta(tau)`` at 20 seeded points and at
     ``tau`` and ``-1/tau``, each relative to ``|eta|``, which is 4e-11 at
-    0.01i: an absolute residual there would pass any eta.  The 66 etas,
-    each point's ``tau``, ``tau + 1`` and ``-1/tau`` in the points' order,
-    are one :func:`dedekind_eta` call."""
+    0.01i: an absolute residual there would pass any eta.  Each point's
+    etas are those at ``tau``, ``tau + 1`` and ``-1/tau``, one
+    :func:`dedekind_eta` call each; the seeded points' 40 residuals are
+    formed once per policy, so a call forms the six etas of its own two
+    points."""
     t0 = as_tau(tau)
-    # (Re, Im) of each seeded point, drawn in that order
-    seeded = np.random.default_rng(0).uniform([-0.5, 1.0], [0.5, 2.5], size=(20, 2))
-    points = [complex(*t) for t in seeded.tolist()] + [t0.value, as_tau(-1.0 / t0.value).value]
-    etas = dedekind_eta([(t, t + 1.0, -1.0 / t) for t in points], policy).tolist()
-    res = []
-    for t, (e, shifted, e_inv) in zip(points, etas):
-        res.append(abs(shifted - cmath.exp(1j * math.pi / 12.0) * e) / abs(shifted))
-        res.append(abs(e_inv - cmath.sqrt(-1j * t) * e) / abs(e_inv))
+    res = list(_seeded_eta_residuals(policy))
+    for t in (t0.value, as_tau(-1.0 / t0.value).value):
+        res.extend(_eta_relation_residuals(t, policy))
     return float(np.max(res))  # np.max, unlike max, keeps a NaN
 
 
@@ -646,6 +623,16 @@ def s_transform_residual(spec, z, tau, policy=_DEFAULT_POLICY) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+@functools.cache
+def _cell_sample():
+    """The ``x`` and the ``y`` of :func:`quasi_periodicity_residual`'s
+    points, shape ``(2, 6, 25)``: each of its six levels' 25 ``x`` then 25
+    ``y``, in the levels' order, one draw, drawn once and read-only."""
+    sample = np.random.default_rng(0).random((6, 2, 25)).transpose(1, 0, 2)
+    sample.setflags(write=False)
+    return sample
+
+
 def quasi_periodicity_residual(level, tau, policy=_DEFAULT_POLICY) -> float:
     """Largest relative residual of the two quasi-periodicities
 
@@ -663,8 +650,7 @@ def quasi_periodicity_residual(level, tau, policy=_DEFAULT_POLICY) -> float:
     t = as_tau(tau)
     b = t.im
     levels = np.array([1, 2, 3, 6, 12, level])[:, None]
-    # each level's 25 x then 25 y, in the levels' order: one draw, the same stream
-    x, y = np.random.default_rng(0).random((len(levels), 2, 25)).transpose(1, 0, 2)
+    x, y = _cell_sample()
     zs = x + t.value * y
     f, f_1, f_tau = np.empty((3,) + zs.shape, dtype=complex)
     for i, (k, z) in enumerate(zip(levels[:, 0].tolist(), zs)):

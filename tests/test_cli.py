@@ -651,7 +651,7 @@ def test_partition_reports_closed_form_and_cell_nodes(capsys):
         "(n_x, n_y) = (10, 11) at tau, (12, 10) at -1/tau")
 
 
-def test_eta_check_sees_the_run_tau(capsys, monkeypatch):
+def test_eta_check_sees_the_run_tau(capsys, monkeypatch, fresh_eta_sample):
     # a relative eta fault of 1e-6 confined to Im tau < 0.05 misses the 20
     # seeded points (Im tau in [1, 2.5], their -1/tau above 0.15), and at
     # 0.01i, where |eta| is 4e-11, it is 4e-17 in absolute terms: only a
@@ -659,9 +659,8 @@ def test_eta_check_sees_the_run_tau(capsys, monkeypatch):
     eta = theta_module.dedekind_eta
 
     def faulty(tau, *args, **kwargs):
-        # the check's one array call, faulted point by point
         value = eta(tau, *args, **kwargs)
-        return value * np.where(np.imag(tau) < 0.05, 1.0 + 1e-6, 1.0)
+        return value * (1.0 + 1e-6) if tau.imag < 0.05 else value
 
     monkeypatch.setattr(theta_module, "dedekind_eta", faulty)
     code, rep = run_json(capsys, ["verify", "--tau=0.01i"])
@@ -1006,12 +1005,13 @@ def test_reported_residuals_are_the_library_values(reported, command, name, libr
 
 
 def _nan_eta_at_the_first_point(monkeypatch):
-    eta = theta_module.dedekind_eta
+    # the first eta the check forms is the first seeded point's; the
+    # test's fixture empties the cache of the seeded residuals
+    eta, calls = theta_module.dedekind_eta, []
 
     def first_nan(*args):
-        values = eta(*args)  # the check's one array call
-        values.flat[0] = complex("nan")
-        return values
+        calls.append(args)
+        return complex("nan") if len(calls) == 1 else eta(*args)
 
     monkeypatch.setattr(theta_module, "dedekind_eta", first_nan)
 
@@ -1055,7 +1055,7 @@ def _nan_last_uq_relation(monkeypatch):
     ("orthogonality", _nan_one_overlap),
     ("uq_sl2_relations", _nan_last_uq_relation),
 ])
-def test_one_nan_fails_its_verify_check(monkeypatch, name, inject):
+def test_one_nan_fails_its_verify_check(monkeypatch, fresh_eta_sample, name, inject):
     # a builtin max(x, nan) returns x: each of these folds once passed a NaN
     inject(monkeypatch)
     [(run, tol)] = [(fn, tol) for row, fn, tol in cli._verify_checks(RunConfig(), False)

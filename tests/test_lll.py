@@ -594,6 +594,20 @@ def test_gram_rank_computes_no_spectrum_on_a_measured_basis(monkeypatch):
     assert gram_rank(basis) == 72
 
 
+@pytest.mark.parametrize("fault", [False, True])
+def test_gram_rank_residual_reads_the_discs_once(monkeypatch, fault):
+    # on a measured basis the discs certify the rank; on one with a
+    # repeated residue they do not, and the spectrum gives it
+    basis = build_basis(Flux(5, 7), -0.2 + 1.7j, ANGLES)
+    if fault:
+        basis = repeated(basis, (0, 0), (0, 1))
+    want = gram_rank_residual(basis)
+    calls, discs = [], lll.gershgorin_full_rank
+    monkeypatch.setattr(lll, "gershgorin_full_rank", lambda *args: calls.append(args) or discs(*args))
+    assert gram_rank_residual(basis) == want
+    assert len(calls) == 1 and want[0] == float(fault)
+
+
 def test_gram_is_assembled_in_place():
     # the K x K sums, their scale and the Gram matrix share one buffer:
     # at K = 104 the Gram matrix peaks under 2.5 complex K x K matrices

@@ -2,6 +2,8 @@ import cmath
 import importlib
 import math
 import re
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -30,6 +32,7 @@ from nctorus.theta import (
     theta_dz,
     truncation_bound,
 )
+from test_acceptance import _child_env
 
 # value of eta(i), 50-digit oracle via the product (= Gamma(1/4)/(2*pi^(3/4)))
 ETA_I = 0.7682254223260566590025942
@@ -202,7 +205,8 @@ def test_eta_counts_in_range_keep_their_expression(monkeypatch, epsilon):
 
     monkeypatch.setattr(TruncationPolicy, "check_count", record)
     points = [0.3 + 0.11j, 1j, 0.01j, 1e-3j, 1e-6j]
-    dedekind_eta(points[:-1], TruncationPolicy(epsilon))
+    for t in points[:-1]:
+        dedekind_eta(t, TruncationPolicy(epsilon))
     with pytest.raises(TruncationError):
         dedekind_eta(points[-1], TruncationPolicy(epsilon))
     assert seen == [_eta_factor_count(t, epsilon) for t in points]
@@ -712,6 +716,16 @@ def _quasi_periodicity_loop(level, tau, policy=TruncationPolicy()):
     return float(np.max(res))
 
 
+def test_the_seeded_samples_are_drawn_on_first_use():
+    # importing the package draws nothing: numpy.random stays unloaded
+    code = "import sys, nctorus.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_child_env(), check=True).stdout
+    assert out == "False\n"
+    sample = theta_module._cell_sample()
+    assert sample is theta_module._cell_sample() and not sample.flags.writeable
+
+
 @pytest.mark.parametrize("level, tau", [(24, 0.2 + 1.4j), (2, 0.01j), (35, -0.3 + 0.85j),
                                         (77, 50j), (6, 1e5j)])
 def test_quasi_periodicity_is_one_theta_call_per_level(monkeypatch, level, tau):
@@ -823,49 +837,79 @@ def _bits(values):
 
 
 @pytest.mark.parametrize("tau, longest", [(0.2 + 1.4j, 12), (0.01j, 496), (1e-3j, 5316)])
-def test_eta_array_is_the_one_point_product_bit_for_bit(tau, longest):
+def test_eta_is_the_one_point_product_bit_for_bit(tau, longest):
     # the eta check's 66 moduli; their runs of factors differ in length,
     # from a handful up to the run's own tau
     points = _eta_check_points(tau)
     assert max(map(_eta_factor_count, points)) == longest
-    values = dedekind_eta(points)
-    assert values.shape == (66,)
-    np.testing.assert_array_equal(_bits(values), _bits([_one_point_eta(t) for t in points]))
-    np.testing.assert_array_equal(_bits(values), _bits([dedekind_eta(t) for t in points]))
-    stacked = dedekind_eta(np.reshape(points, (22, 3)))
-    assert stacked.shape == (22, 3)
-    np.testing.assert_array_equal(_bits(stacked.ravel()), _bits(values))
-
-
-def test_eta_array_where_q_underflows():
-    # at 120i and 0.3+500i the product has no factor, between points that have
-    points = [0.3 + 1.1j, 120j, 1j, 0.3 + 500j]
-    assert [_eta_factor_count(t) for t in points][1::2] == [0, 0]
-    np.testing.assert_array_equal(_bits(dedekind_eta(points)),
+    np.testing.assert_array_equal(_bits([dedekind_eta(t) for t in points]),
                                   _bits([_one_point_eta(t) for t in points]))
 
 
-def test_eta_array_raises_as_its_first_failing_point():
-    # 3000i underflows; 1e-6i, ahead of it, needs more factors than the cap
-    batch = [1j, 1e-6j, 3000j]
-    with pytest.raises(FloatingPointError, match=re.escape("eta(3000j) underflows")):
-        dedekind_eta(batch[::2])
-    with pytest.raises(TruncationError, match="needs 6414232 factors, cap is 1000000"):
-        dedekind_eta(batch)
-    with pytest.raises(ValueError, match="Im"):
-        dedekind_eta([1j, -1j])
+@pytest.mark.parametrize("tau", [120j, 0.3 + 500j])
+def test_eta_where_q_underflows_is_its_leading_factor(tau):
+    # the product has no factor: eta is exp(i*pi*tau/12) bit for bit
+    assert _eta_factor_count(tau) == 0
+    assert _bits([dedekind_eta(tau)]).tolist() == _bits([_one_point_eta(tau)]).tolist()
 
 
-def test_eta_check_is_one_array_call(monkeypatch):
-    shapes, eta = [], theta_module.dedekind_eta
+def test_eta_rejects_a_point_off_the_upper_half_plane():
+    with pytest.raises(ValueError, match=re.escape("must satisfy Im(tau) > 0")):
+        dedekind_eta(-1j)
+
+
+@pytest.mark.parametrize("tau, error, message", [
+    (1e-6j, TruncationError, "eta product needs 6414232 factors, cap is 1000000"),
+    (1e-5j, FloatingPointError, "eta(1e-05j) underflows double range"),
+    (3000j, FloatingPointError, "eta(3000j) underflows double range"),
+], ids=["1e-6i", "1e-5i", "3000i"])
+def test_eta_check_raises_its_first_failing_point(tau, error, message):
+    # the run's tau comes first: at 1e-6i it needs more factors than the
+    # cap, at 1e-5i its product underflows and at 3000i its leading factor,
+    # each ahead of -1/tau, where the value underflows too
+    with pytest.raises(error) as exc:
+        theta_module.eta_functional_residual(tau)
+    assert str(exc.value) == message
+
+
+def _eta_check_formula(tau):
+    """``eta_functional_residual`` at ``tau`` written out: the largest of
+    the two relative residuals of each of its 22 points, from the etas of
+    its 66 moduli."""
+    points = _eta_check_points(tau)
+    res = []
+    for i in range(0, len(points), 3):
+        t = points[i]
+        e, shifted, e_inv = (dedekind_eta(s) for s in points[i:i + 3])
+        res.append(abs(shifted - cmath.exp(1j * math.pi / 12.0) * e) / abs(shifted))
+        res.append(abs(e_inv - cmath.sqrt(-1j * t) * e) / abs(e_inv))
+    return np.max(res)
+
+
+@pytest.mark.parametrize("tau", [0.2 + 1.4j, 0.01j, 1e-3j, -0.45 + 0.9j])
+def test_eta_check_is_its_66_moduli_formula_bit_for_bit(tau):
+    want = _eta_check_formula(tau)
+    for _ in range(2):  # the seeded points' residuals, formed and then read
+        got = theta_module.eta_functional_residual(tau)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_eta_check_forms_its_seeded_sample_once_per_policy(fresh_eta_sample, monkeypatch):
+    calls, eta = [], theta_module.dedekind_eta
 
     def counting(tau, *args):
-        shapes.append(np.shape(tau))
+        calls.append(tau)
         return eta(tau, *args)
 
     monkeypatch.setattr(theta_module, "dedekind_eta", counting)
-    theta_module.eta_functional_residual(0.2 + 1.4j)
-    assert shapes == [(22, 3)]
+    counts = []
+    for tau, policy in [(0.2 + 1.4j, TruncationPolicy()), (0.01j, TruncationPolicy()),
+                        (0.01j, TruncationPolicy(1e-10)), (0.2 + 1.4j, TruncationPolicy(1e-10))]:
+        del calls[:]
+        theta_module.eta_functional_residual(tau, policy)
+        counts.append(len(calls))
+    assert counts == [66, 6, 66, 6]
+    assert calls == _eta_check_points(0.2 + 1.4j)[-6:]  # the run's own two points
 
 
 # --- characters and transforms ----------------------------------------------

@@ -91,8 +91,9 @@ class UsageError(ValueError):
     pass
 
 
-# a computation on valid arguments that cannot finish: overflow or a failed measurement
-_COMPUTE_ERRORS = (ArithmeticError, np.linalg.LinAlgError)
+# a computation on valid arguments that cannot finish: overflow, a failed
+# measurement or an allocation past memory
+_COMPUTE_ERRORS = (ArithmeticError, MemoryError, np.linalg.LinAlgError)
 
 
 def parse_complex(text: str) -> complex:
@@ -314,6 +315,7 @@ def cmd_lll(args) -> int:
 
 def cmd_matrices(args) -> int:
     cfg = _config_from(args)
+    cfg.policy.check_count(max(cfg.m, cfg.n), "matrices need dimension %(count)s, cap is %(cap)d")
     # this op's algebra and its dual: three phase tables, each built once
     algebra = WeylAlgebra(cfg.m, cfg.n, cfg.angles)
     dual_clock, dual_shift = dual_matrices(algebra)

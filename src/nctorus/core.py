@@ -47,6 +47,7 @@ __all__ = [
     "hyperbolic_conjugator",
     "squeeze_roundtrip_residual",
     "gershgorin_full_rank",
+    "phase_angle",
 ]
 
 
@@ -361,3 +362,22 @@ def gershgorin_full_rank(gram, rel) -> tuple:
     low, high = float(np.min(d - radius)), float(np.max(d + radius))
     margin = low / high if high > 0.0 else math.nan
     return bool(low > rel * high), margin
+
+
+# ---------------------------------------------------------------------------
+# roots of unity
+# ---------------------------------------------------------------------------
+
+def phase_angle(numerator, denominator):
+    """The angle ``pi*numerator/denominator`` reduced mod ``2*pi`` as an
+    integer, ``pi*(numerator mod 2*denominator)/denominator`` in ``[0,
+    2*pi)``, for an int or an integer array ``numerator`` and a positive
+    int ``denominator``.  The root of unity ``exp(2*pi*i*a/b)`` is
+    ``exp(1j*phase_angle(2*a, b))``: formed from the reduced integer, no
+    argument grows with ``a``, so the root lies within a few units in the
+    last place of its exact value however large ``a`` is.  Every root of
+    unity of the package with an integer argument reads this routine,
+    apart from two sites that keep their own forms: the clock's table of
+    roots in :mod:`nctorus.matrices` and the predicted phases of the
+    translation laws in :mod:`nctorus.lll`."""
+    return math.pi * (numerator % (2 * denominator)) / denominator

@@ -35,7 +35,14 @@ The operator probes (the cocycle, the sine bracket, the dual commutation
 and the plaquette) apply words of lattice displacements to the centred
 Gaussian and read them on the 7 x 7 :func:`plane_sample_grid`.  One
 harness builds the Gaussian, the displacements and the grid for each
-probe and applies its words, through the public helpers.
+probe and applies its words, through the public helpers.  Each probe's
+target phase, ``exp(i*pi*kappa*(m x n))`` or ``exp(2*pi*i*kappa)``, is
+formed from its integer numerator, ``N*(m x n)`` or ``2*N``, by
+:func:`nctorus.core.phase_angle`, the one home of the reduction rule, so no
+phase argument grows with ``N`` or the lattice vectors.  (The rule's two
+exceptions, the clock's table of roots in :mod:`nctorus.matrices` and the
+predicted phases of the translation laws in :mod:`nctorus.lll`, lie
+outside this module.)
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Flux, as_tau
+from .core import Flux, as_tau, phase_angle
 
 __all__ = [
     "Field",
@@ -226,14 +233,6 @@ def _cross(m, n):
     return m[0] * n[1] - m[1] * n[0]
 
 
-def _flux_angle(flux, cross) -> float:
-    """``pi*kappa*cross`` reduced mod ``2*pi`` as an integer, from ``(N*cross)
-    mod 2M`` (as :mod:`~nctorus.matrices` forms its roots), so no phase
-    argument grows with ``N`` or the lattice vectors."""
-    m = flux.denominator
-    return math.pi * (flux.numerator * cross % (2 * m)) / m
-
-
 def _plane_probe(flux, tau, *vectors):
     """The operator probes' harness: the :func:`lattice_displacement` of
     each ``(m, dual)`` of ``vectors``, and ``word(*ds)``, the values of
@@ -260,7 +259,7 @@ def displacement_cocycle_residual(m, n, flux, tau) -> float:
     :func:`plane_sample_grid`."""
     (dm, dn, dmn), word = _plane_probe(flux, tau, (m, False), (n, False),
                                        ((m[0] + n[0], m[1] + n[1]), False))
-    phase = cmath.exp(1j * _flux_angle(flux, _cross(m, n)))
+    phase = cmath.exp(1j * phase_angle(flux.numerator * _cross(m, n), flux.denominator))
     return float(np.max(np.abs(word(dm, dn) - phase * word(dmn))))
 
 
@@ -273,7 +272,7 @@ def sine_bracket_residual(m, n, flux, tau) -> float:
     :func:`plane_sample_grid`."""
     (dm, dn, dmn), word = _plane_probe(flux, tau, (m, False), (n, False),
                                        ((m[0] + n[0], m[1] + n[1]), False))
-    coeff = 2j * math.sin(_flux_angle(flux, _cross(m, n)))
+    coeff = 2j * math.sin(phase_angle(flux.numerator * _cross(m, n), flux.denominator))
     return float(np.max(np.abs(word(dm, dn) - word(dn, dm) - coeff * word(dmn))))
 
 
@@ -303,7 +302,8 @@ def plaquette_phase(flux, tau, dual=False):
 
 def plaquette_residual(flux, tau) -> float:
     """Larger of the :func:`plaquette_phase` deviation from the flux phase
-    ``e^{2 pi i N/M}``, formed from ``N mod M``, and its pointwise spread."""
+    ``e^{2 pi i N/M}``, formed by :func:`~nctorus.core.phase_angle`, and its
+    pointwise spread."""
     phase, spread = plaquette_phase(flux, tau)
-    dev = abs(phase - cmath.exp(1j * _flux_angle(flux, 2)))
+    dev = abs(phase - cmath.exp(1j * phase_angle(2 * flux.numerator, flux.denominator)))
     return float(np.max([dev, spread]))  # np.max, unlike max, keeps a NaN

@@ -157,7 +157,9 @@ def _predicted_translations(basis: LLLBasis) -> dict:
     :attr:`LLLBasis.translations`, as monomials ``(target, phase)``:
     ``T Psi_s = phase[s] * Psi_{target[s]}`` in :meth:`LLLBasis.labels`
     order.  ``j*N mod M`` and ``k*M mod N`` are reduced as integers, so no
-    phase argument grows with the label."""
+    phase argument grows with the label.  Each phase is one exponential of
+    ``(alpha1 - 2*pi*(j*N mod M))/M``, the form the law rows compare
+    against, so it does not read :func:`nctorus.core.phase_angle`."""
     m, n = basis.flux.denominator, basis.flux.numerator
     a1, a2 = basis.angles.alpha1, basis.angles.alpha2
     s = np.arange(m * n)
@@ -644,9 +646,12 @@ def build_basis(flux: Flux, tau, angles: VacuumAngles = VacuumAngles(),
                 quad: QuadratureSpec = QuadratureSpec()) -> LLLBasis:
     """Construct the MN ground states Psi_jk on ``tau`` with the given
     vacuum angles, as one stacked :class:`ThetaField` that holds the angles
-    and ``policy``, measured on the cell rule of node floor ``quad``."""
+    and ``policy``, measured on the cell rule of node floor ``quad``.  A
+    level past the cap of ``policy`` raises :class:`TruncationError`
+    before any array is sized by it."""
     t = as_tau(tau)
     k_level, n = flux.level, flux.numerator
+    policy.check_count(k_level, "basis needs %(count)s states, cap is %(cap)d")
     j, k = np.divmod(np.arange(k_level), n)  # the labels, j major and k minor
     residues = ((j * n + k * flux.denominator) % k_level).tolist()
     field = ThetaField({(0, 0, 0): 1.0}, k_level, residues, t, angles, policy)

@@ -22,11 +22,17 @@ vector times a cyclic shift, ``W(m)[(j + m2) % M, j] = phases[j]``, and
 one routine builds the phases of any array of words in one numpy pass
 (the clock's and the shift's powers are the words ``(p, 0)`` and
 ``(0, p)``).  Each root of unity is formed from its integer argument
-reduced mod ``M`` (``2M`` for a half-angle) before the division, and a
-word's phases carry the same bits alone or among others.  The algebra
-checks, the U_q(sl2) relations included, compare phase vectors; dense
-matrices only for outputs and in :func:`commutant_dimension`.  The dual
-pair is the N-dimensional clock/shift at parameter ``e^{2*pi*i*M/N}``.
+reduced before the division by :func:`nctorus.core.phase_angle`, the one
+home of that rule, and a word's phases carry the same bits alone or among
+others.  The clock's table ``exp(2*pi*i*j/M)`` is one of the rule's two
+exceptions: its ``j`` is already reduced, and its complex division differs
+from the routine's angle in the last bit of some entries, which every
+output of this module reads.  The other is the predicted phases of the
+translation laws in :mod:`nctorus.lll`, one exponential of ``alpha1`` and
+the reduced integer each.  The algebra checks, the U_q(sl2) relations
+included, compare phase vectors; dense matrices only for outputs and in
+:func:`commutant_dimension`.  The dual pair is the N-dimensional
+clock/shift at parameter ``e^{2*pi*i*M/N}``.
 
 One op's ideal algebra is a :class:`WeylAlgebra` (the counterpart of
 :class:`nctorus.lll.LLLBasis`), which the checks take: it builds, on
@@ -56,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import VacuumAngles, gershgorin_full_rank
+from .core import VacuumAngles, gershgorin_full_rank, phase_angle
 from .errors import DegenerateDeformationError
 # re-exported: benchmarks/tracing.py times it as matrices.bimodule_consistency
 from .lll import bimodule_consistency
@@ -177,7 +183,10 @@ def _weyl_phases(m1, m2, m, n, angles: VacuumAngles = _NO_ANGLES):
     ``2 pi i r / M`` (a complex division), ``-pi s / M`` and
     ``alpha m / M`` (real divisions), the exponential of each pure phase,
     and the product ``q^{-m1 m2/2} * (C^{m1}[rows] * S-phase)``.  The
-    clock's rows are gathered from one table of the roots ``exp(2 pi i r / M)``.
+    prefactor's angle is :func:`~nctorus.core.phase_angle` of ``s``, negated.
+    The clock's rows are gathered from one table of the roots ``exp(2 pi i
+    r / M)``, kept in its complex-division form, whose bits every output
+    of this module reads.
 
     Raises ``ValueError`` when a phase is off the unit circle by more than
     1e-12 (or is NaN): the unitarity guarantee of :class:`CSMatrix`, in
@@ -192,7 +201,7 @@ def _weyl_phases(m1, m2, m, n, angles: VacuumAngles = _NO_ANGLES):
     roots = np.exp(2j * math.pi * j / m)
     clock = (roots[n % m * (m1[:, None] % m) % m * rows % m]
              * np.exp(1j * (angles.alpha1 * m1 / m))[:, None])
-    pref = np.exp(1j * (-math.pi * (n % h * (m1 % h) % h * (m2 % h) % h) / m))
+    pref = np.exp(1j * -phase_angle(n % h * (m1 % h) % h * (m2 % h), m))
     s_phase = np.exp(1j * (angles.alpha2 * m2 / m))
     phases = pref[:, None] * (clock * s_phase[:, None])
     dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
@@ -271,7 +280,7 @@ def q_commutation_residual(algebra: WeylAlgebra, *, inject_fault=False) -> float
     -q), so the residual is 2 for every M: a check that must fail."""
     m, n = algebra.m, algebra.n
     c, s = algebra.pair
-    q = cmath.exp(2j * math.pi * (n % m) / m)
+    q = cmath.exp(1j * phase_angle(2 * n, m))
     if inject_fault:
         q = -q
     return float(np.max(np.abs(np.roll(c, -1) * s - q * (s * c))))
@@ -292,7 +301,7 @@ def weyl_cocycle_residual(algebra: WeylAlgebra) -> float:
     cols = (np.arange(m) + u2[:, None]) % m
     lhs = pa[:, cols] * pa  # [a, b, j] = pa[a, (j + sb) % M] * pb[j]
     cross = u1[:, None] * u2 - u2[:, None] * u1
-    rhs = (np.exp(1j * (math.pi * (n * cross % (2 * m)) / m))[:, :, None]
+    rhs = (np.exp(1j * phase_angle(n * cross, m))[:, :, None]
            * table[u1[:, None] + u1 + 4, u2[:, None] + u2 + 4])
     return float(np.max(np.abs(lhs - rhs)))  # np.max, unlike max, keeps a NaN
 
@@ -304,7 +313,7 @@ def holonomy_residual(algebra: WeylAlgebra) -> float:
     m, n = algebra.m, algebra.n
     c, s = algebra.pair
     hol = np.roll(c, -1) * s * np.conj(s * c)
-    return float(np.max(np.abs(hol - cmath.exp(2j * math.pi * (n % m) / m))))
+    return float(np.max(np.abs(hol - cmath.exp(1j * phase_angle(2 * n, m)))))
 
 
 def dual_matrices(algebra: WeylAlgebra):
@@ -330,7 +339,7 @@ def sine_structure_residual(algebra: WeylAlgebra, word_a, word_b) -> float:
                                  [word_a.m2, word_b.m2, word_ab.m2])
     sa, sb = word_a.m2 % m, word_b.m2 % m
     j = np.arange(m)
-    coeff = 2j * math.sin(math.pi * (n * word_a.cross(word_b) % (2 * m)) / m)
+    coeff = 2j * math.sin(phase_angle(n * word_a.cross(word_b), m))
     return float(np.max(np.abs(pa[(j + sb) % m] * pb - pb[(j + sa) % m] * pa - coeff * pab)))
 
 
@@ -439,8 +448,8 @@ class UqSl2Generators(NamedTuple):
 def uq_sl2_generators(algebra: WeylAlgebra) -> UqSl2Generators:
     """Realize J+ = (W(1,1) - W(-1,1))/(q - 1/q),
     J- = (W(-1,-1) - W(1,-1))/(q - 1/q), q^{J3} = C at q = e^{2 pi i N/M}
-    (formed from ``N mod M``, as the Weyl phases are), and measure the
-    relation residuals
+    (formed by :func:`~nctorus.core.phase_angle`, as the Weyl phases are),
+    and measure the relation residuals
 
         q^{J3} J+- q^{-J3} = q^{+-1} J+-,
         [J+, J-] = (q^{2 J3} - q^{-2 J3})/(q - 1/q).
@@ -455,7 +464,7 @@ def uq_sl2_generators(algebra: WeylAlgebra) -> UqSl2Generators:
         raise DegenerateDeformationError(
             "q^2 = 1 at flux %d/%d: the deformation parameter is degenerate" % (n, m)
         )
-    q = cmath.exp(2j * math.pi * (n % m) / m)
+    q = cmath.exp(1j * phase_angle(2 * n, m))
     denom = q - 1.0 / q
     # the four words of J+- and the clock powers 1, -1, 2, -2, from the table
     pp, mp, mm, pm, c, c_inv, c2, c2_inv = algebra.phases(

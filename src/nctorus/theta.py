@@ -124,6 +124,16 @@ which holds for every ``K >= 5`` at any ``eps`` and for every ``K`` at
 ``eps >= 1e-60``.  Beyond (``K <= 4``, ``Im tau`` above 230 and ``eps`` at
 or below 1e-100, where ``n = 3``) each step ``e[s, j] =
 t_{m0+j+s*K}/t_{m0+j}`` is one exponential of modulus at most 1.
+
+Roots of unity
+--------------
+The transforms' roots ``exp(2*pi*i*r*r'/K)``, the T-phase
+``exp(2*pi*i*(r**2/(2K) - 1/24))`` and eta's ``exp(i*pi/12)`` are formed
+from their integer arguments reduced by :func:`nctorus.core.phase_angle`,
+the one home of that rule, so their error does not grow with ``r*r'``.
+Two sites outside this module keep their own forms: the clock's table of
+roots in :mod:`nctorus.matrices` and the predicted phases of the
+translation laws in :mod:`nctorus.lll`.
 """
 
 from __future__ import annotations
@@ -136,7 +146,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_tau
+from .core import as_tau, phase_angle
 from .errors import TruncationError, UnsupportedConventionError
 
 __all__ = [
@@ -549,7 +559,7 @@ def _eta_relation_residuals(t, policy):
     = sqrt(-i*t) eta(t)``, each relative to its left side, from the etas
     at ``t``, ``t + 1`` and ``-1/t`` in that order."""
     e, shifted, e_inv = (dedekind_eta(s, policy) for s in (t, t + 1.0, -1.0 / t))
-    return (abs(shifted - cmath.exp(1j * math.pi / 12.0) * e) / abs(shifted),
+    return (abs(shifted - cmath.exp(1j * phase_angle(1, 12)) * e) / abs(shifted),
             abs(e_inv - cmath.sqrt(-1j * t) * e) / abs(e_inv))
 
 
@@ -598,7 +608,8 @@ def t_transform_residual(spec, z, tau, policy=_DEFAULT_POLICY) -> float:
         )
     t = as_tau(tau)
     lhs = character(spec, z, t.value + 1.0, policy)
-    phase = cmath.exp(2j * math.pi * (spec.residue**2 / (2.0 * spec.level) - 1.0 / 24.0))
+    # 2*pi*(r**2/(2K) - 1/24) = pi*(12*r**2 - K)/(12*K)
+    phase = cmath.exp(1j * phase_angle(12 * spec.residue**2 - spec.level, 12 * spec.level))
     rhs = phase * character(spec, z, t.value, policy)
     return float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))
 
@@ -617,7 +628,7 @@ def s_transform_residual(spec, z, tau, policy=_DEFAULT_POLICY) -> float:
     )
     rhs = np.zeros_like(zz)
     for rp in range(k):
-        coeff = cmath.exp(-2j * math.pi * spec.residue * rp / k)
+        coeff = cmath.exp(1j * phase_angle(-2 * spec.residue * rp, k))
         rhs = rhs + coeff * np.asarray(character(ThetaSpec(k, rp), zz, t.value, policy))
     rhs = rhs / math.sqrt(k)
     return float(np.max(np.abs(lhs - rhs)))
@@ -677,11 +688,11 @@ def _relative(residual, size):
 
 def orthogonality_residual(level: int) -> float:
     """Max deviation of (1/K) sum_mu exp(-2 pi i mu' mu / K) exp(2 pi i mu mu'' / K)
-    from the identity matrix delta_{mu' mu''}."""
+    from the identity matrix delta_{mu' mu''}; each root is formed from
+    ``mu*mu'`` reduced mod ``K``, as the transforms' are."""
     if level < 1:
         raise ValueError("level must be positive")
     mu = np.arange(level)
-    f = np.exp(-2j * math.pi * np.outer(mu, mu) / level)
-    g = np.exp(2j * math.pi * np.outer(mu, mu) / level)
-    prod = f @ g / level
+    g = np.exp(1j * phase_angle(2 * np.outer(mu, mu), level))
+    prod = np.conj(g) @ g / level
     return float(np.max(np.abs(prod - np.eye(level))))

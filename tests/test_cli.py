@@ -160,6 +160,11 @@ def test_render_names_a_type_it_cannot_render():
     ["eta", "--tau=1e-300i"],
     ["partition", "--tau=1e-300i"],
     ["lll", "--tau=1e300i", "--out", "{out}"],
+    # valid fluxes whose level, or matrices' dimension, is past the cap
+    ["verify", "--M", "5", "--N", "4611686018427387907"],
+    ["partition", "--M", "3", "--N", "4611686018427387904"],
+    ["lll", "--M", "3", "--N", "4611686018427387904", "--out", "{out}"],
+    ["matrices", "--M", "5", "--N", "4611686018427387907"],
 ])
 def test_computations_that_cannot_finish_fail_with_one_error_line(capsys, tmp_path, argv):
     assert main([str(tmp_path) if arg == "{out}" else arg for arg in argv]) == 1
@@ -168,6 +173,18 @@ def test_computations_that_cannot_finish_fail_with_one_error_line(capsys, tmp_pa
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: TruncationError: ")
+
+
+def test_an_allocation_past_memory_fails_with_one_error_line(capsys, monkeypatch):
+    # a MemoryError is a computation that cannot finish, not a usage error
+    def no_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the basis")
+
+    monkeypatch.setattr(cli, "build_basis", no_memory)
+    assert main(["partition"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError: cannot allocate the basis\n"
 
 
 def test_verify_past_every_cap_fails_its_rows_with_nan(capsys):

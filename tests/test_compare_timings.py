@@ -19,7 +19,7 @@ def _tool():
 
 def test_the_report_has_one_row_per_workload():
     tool = _tool()
-    names = ["matrices --M 13 --N 7", "commutant_dimension(clock_matrix(24, 7), shift_matrix(24))"]
+    names = ["matrices --M 13 --N 7", "commutant_dimension(WeylAlgebra(24, 7).clock, .shift)"]
     assert set(names) <= set(tool.WORKLOADS)
     src = Path(nctorus.__file__).resolve().parents[1]
     rows = tool.compare(src, src, rounds=3, warmup=1, names=names)

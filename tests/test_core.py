@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from nctorus.core import (
     eigenbasis_change,
     hyperbolic_conjugator,
     in_fundamental_domain,
+    phase_angle,
     reduce_to_fundamental_domain,
     squeeze_from_tau,
     squeeze_roundtrip_residual,
@@ -235,3 +237,24 @@ def test_reduction_against_bfs_oracle(tau):
     oracle = _bfs_reduce(tau)
     # interior points have a unique representative
     assert abs(red.value - oracle) < 1e-9
+
+
+def test_phase_angle_reduces_its_integer_before_the_division():
+    # pi*(a mod 2b)/b in [0, 2*pi), for an int and, elementwise with the
+    # same bits, for an integer array
+    assert phase_angle(3, 4) == math.pi * 3 / 4
+    assert phase_angle(-1, 4) == math.pi * 7 / 4
+    assert phase_angle(8 * 10**30 + 3, 4) == phase_angle(3, 4)  # no argument grows with a
+    a = np.arange(-60, 61)
+    angles = phase_angle(a, 7)
+    assert angles.dtype == np.float64
+    assert angles.tolist() == [phase_angle(v, 7) for v in a.tolist()]
+    assert np.all((0.0 <= angles) & (angles < 2.0 * math.pi))
+
+
+def test_roots_of_unity_keep_the_bits_of_their_reduced_division():
+    # exp(2*pi*i*n/m) as exp(1j*phase_angle(2*n, m)) carries the bits of the
+    # complex division from n mod m, for every n < m < 400
+    for m in range(1, 400):
+        for n in range(m):
+            assert cmath.exp(1j * phase_angle(2 * n, m)) == cmath.exp(2j * math.pi * n / m), (n, m)

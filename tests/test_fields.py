@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nctorus import fields
-from nctorus.core import Flux
+from nctorus.core import Flux, phase_angle
 from nctorus.fields import (
     Displacement,
     Field,
@@ -229,27 +229,26 @@ def test_flux_phases_are_reduced_before_they_are_formed(monkeypatch):
                 if math.gcd(m, n) != 1:
                     continue
                 for cross in range(-6, 7):
-                    angle = fields._flux_angle(Flux(n, m), cross)
+                    angle = phase_angle(n * cross, m)
                     turns = mpmath.mpf(n * cross) / m
                     phase_err = max(phase_err, float(abs(
                         mpmath.mpc(cmath.exp(1j * angle)) - mpmath.expjpi(turns))))
                     sine_err = max(sine_err, float(abs(
                         2.0 * math.sin(angle) - 2 * mpmath.sinpi(turns))))
     assert phase_err <= 8 * 2.0**-52 and sine_err <= 16 * 2.0**-52
-    # each probe forms its phase from that angle, at its own cross product
-    crosses = []
-    angle_of = fields._flux_angle
+    # each probe forms its phase from that angle, at N times its own cross product
+    arguments = []
 
-    def recorded(flux, cross):
-        crosses.append(cross)
-        return angle_of(flux, cross)
+    def recorded(numerator, denominator):
+        arguments.append((numerator, denominator))
+        return phase_angle(numerator, denominator)
 
-    monkeypatch.setattr(fields, "_flux_angle", recorded)
+    monkeypatch.setattr(fields, "phase_angle", recorded)
     flux = Flux(23, 1)
     assert displacement_cocycle_residual((1, 1), (-1, 1), flux, TAU) < 1e-9
     assert sine_bracket_residual((1, 1), (2, -1), flux, TAU) < 1e-9
     assert plaquette_residual(flux, TAU) < 1e-10
-    assert crosses == [2, -3, 2]
+    assert arguments == [(23 * 2, 1), (23 * -3, 1), (23 * 2, 1)]
 
 
 def test_dual_commutation():

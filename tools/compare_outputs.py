@@ -54,8 +54,10 @@ def build_cases() -> list:
     ``matrices`` at M = 24 and M = 1 with a ``partition`` whose character
     route leaves it, an ``lll`` run at K = 91 on a 12 x 12 grid, eight
     runs whose certified counts reach the term cap or the theta cutoff's
-    guard, and five runs whose ``--eps`` puts eta's tail bound or the cell
-    rule's ``2 / epsilon`` past double range."""
+    guard, five runs whose ``--eps`` puts eta's tail bound or the cell
+    rule's ``2 / epsilon`` past double range, a ``partition`` whose
+    character route takes each step as one exponential, and four runs at a
+    valid flux too large to build."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
@@ -162,6 +164,15 @@ def build_cases() -> list:
         ["partition", "--eps=5e-324"],
         ["verify", "--eps=1e-310", "--tau=0.3+0.11i"],
         ["lll", "--eps=5e-324", "--out", OUT],
+    ]
+    # the character route's steps as one exponential each (K <= 4, Im tau
+    # above 230, eps at or below 1e-100), and valid fluxes too large to build
+    cases += [
+        ["partition", "--M", "1", "--N", "1", "--tau=241i", "--eps", "1e-100"],
+        ["verify", "--M", "5", "--N", "4611686018427387907"],
+        ["partition", "--M", "3", "--N", "4611686018427387904"],
+        ["lll", "--M", "3", "--N", "4611686018427387904", "--out", OUT],
+        ["matrices", "--M", "5", "--N", "4611686018427387907"],
     ]
     return cases
 

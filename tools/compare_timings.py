@@ -20,10 +20,10 @@ of that median, the least and the largest of the child pairs' medians,
 and each side's ``tracemalloc`` peak of one repetition.
 The workloads call only names that both trees must share: ``cli.main``
 on a few argvs, ``lll.gram_rank`` of a built basis,
-``matrices.commutant_dimension`` of a clock/shift pair, and one workload
-per layer (``LAYERS``): the theta series, eta, the cell table, the
-module, the state norms, the Weyl products and the JSON rendering.  Only
-the children are timed, and they never run at once.
+``matrices.commutant_dimension`` of a ``WeylAlgebra``'s clock and shift,
+and one workload per layer (``LAYERS``): the theta series, eta, the cell
+table, the module, the state norms, the Weyl products and the JSON
+rendering.  Only the children are timed, and they never run at once.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ WORKLOADS = {
     "verify --M 9 --N 8": 1,
     "partition --M 7 --N 5 --alpha1 0.7 --alpha2 -1.3": 1,
     "gram_rank(build_basis(Flux(8, 9)))": 20,
-    "commutant_dimension(clock_matrix(24, 7), shift_matrix(24))": 20,
+    "commutant_dimension(WeylAlgebra(24, 7).clock, .shift)": 20,
 }
 # layer -> (its workload, calls per repetition), each calling one layer's
 # names on (M, N) = (7, 5), tau = 0.2+1.4i, angles (0.7, -1.3)
@@ -85,8 +85,7 @@ def _calls(src):
         raise SystemExit("imported nctorus from %s, not from %s" % (cli.__file__, src))
     from nctorus.lll import (build_basis, center_eigen_residual, gram_rank,
                              lemma_eigenphase_residual, quadrature_nodes, state_norm)
-    from nctorus.matrices import (WeylAlgebra, clock_matrix, commutant_dimension,
-                                  shift_matrix, weyl_cocycle_residual)
+    from nctorus.matrices import WeylAlgebra, commutant_dimension, weyl_cocycle_residual
     from nctorus.theta import dedekind_eta, eta_functional_residual, quasi_periodicity_residual
 
     def command(argv):
@@ -100,8 +99,9 @@ def _calls(src):
     basis = build_basis(Flux(8, 9), 0.3 + 1.1j, VacuumAngles(0.7, -1.3))
     basis.gram  # measured once, as a verify op measures it before its rank
     calls["gram_rank(build_basis(Flux(8, 9)))"] = lambda: gram_rank(basis)
-    pair = [clock_matrix(24, 7), shift_matrix(24)]
-    calls["commutant_dimension(clock_matrix(24, 7), shift_matrix(24))"] = (
+    big = WeylAlgebra(24, 7)
+    pair = [big.clock, big.shift]
+    calls["commutant_dimension(WeylAlgebra(24, 7).clock, .shift)"] = (
         lambda: commutant_dimension(pair))
 
     tau, angles = 0.2 + 1.4j, VacuumAngles(0.7, -1.3)

@@ -363,9 +363,10 @@ def commutant_dimension(generators) -> int:
     pairs with ``|lam_a - lam_b| <= 1e-10``.  Each other generator
     ``G' = V^-1 G V`` restricts ``Y G' - G' Y = 0`` to those entries, a
     d^2 x p block whose column ``(a, b)`` holds ``G'[b, :]`` in row ``a``
-    minus ``G'[:, a]`` in column ``b``; the dimension is p minus the number
-    of singular values of the stacked blocks above 1e-10.  For the clock,
-    V = I and p = M, so the system is M^2 x M.
+    minus ``G'[:, a]`` in column ``b``, with ``G'[b, b] - G'[a, a]`` where
+    the two meet; the dimension is p minus the number of singular values
+    of the stacked blocks above 1e-10.  For the clock, V = I and p = M, so
+    the system is M^2 x M.
 
     Both thresholds are absolute: the generators are unitary, so every
     eigenvalue gap lies in [0, 2] and, for a unitary V (the clock, or any
@@ -373,7 +374,9 @@ def commutant_dimension(generators) -> int:
     stacked blocks of k generators lies in [0, 2 sqrt(k)].  A generator that is scalar
     up to round-off therefore has all d^2 entries free.  The rows of the
     stacked system that are zero at every entry are dropped before its
-    singular values are taken, which leaves them unchanged.
+    singular values are taken, which leaves them unchanged: each block
+    forms only the rows that its 2*p*d entries meet, in ascending order, so
+    no d^2 x p block is allocated.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -387,18 +390,32 @@ def commutant_dimension(generators) -> int:
     p = a.size
     if len(generators) == 1:
         return p
-    cols = np.arange(p)
+    cols = np.arange(p)[:, None]
     blocks = []
     for g in generators[1:]:
         gv = np.linalg.solve(v, g.entries @ v)
-        block = np.zeros((p, d, d), dtype=complex)
-        block[cols, a, :] = gv[b, :]
-        block[cols, :, b] -= gv[:, a].T
-        blocks.append(block.reshape(p, d * d).T)
+        # column (a, b) holds G'[b, j] in row (a, j) and -G'[i, a] in row (i, b)
+        first, second = gv[b, :], gv[:, a].T
+        # an all-zero row adds nothing to system^H system: the nonzero
+        # singular values are those of the other rows (about 2M of M^2 for
+        # a monomial G'), so only the rows (i, j) that a nonzero entry meets
+        # are formed, numbered 1, 2, ... in ascending order; row 0 takes the
+        # others' zeros
+        used = np.zeros((d, d), dtype=bool)
+        k, j = np.nonzero(first)
+        used[a[k], j] = True
+        k, i = np.nonzero(second)
+        used[i, b[k]] = True
+        position = np.cumsum(used).reshape(d, d)
+        count = position[-1, -1]
+        position *= used
+        block = np.zeros((count + 1, p), dtype=complex)
+        block[position[a], cols] = first
+        block[position[:, b].T, cols] -= second  # G'[b, b] - G'[a, a] where they meet
+        blocks.append(block[1:])
     system = np.vstack(blocks)
-    # an all-zero row adds nothing to system^H system: the nonzero singular
-    # values are those of the other rows (about 2M of M^2 for a monomial G')
-    system = system[np.any(system != 0, axis=1)]
+    # a row whose entries cancelled where they meet is zero too
+    system = system[system.any(axis=1)]
     s = np.linalg.svd(system, compute_uv=False)
     return p - int(np.sum(s > 1e-10))
 

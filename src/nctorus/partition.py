@@ -18,9 +18,21 @@ module that ``LLLBasis`` measures from the states' window table.
 
 ``Z~`` is computed by two deliberately independent routes.  The
 per-state route sums the K norms of :func:`~nctorus.lll.state_norm`,
-the diagonal of the module's Gram matrix, folded from the exponents of
-the states' window table as "The cell rule" of :mod:`nctorus.lll`
-describes: no value on the grid and no complex exponential is formed.
+the diagonal of the module's Gram matrix, folded from a real table of
+the states' squared window magnitudes as "The cell rule" of
+:mod:`nctorus.lll` describes.  With ``g = gamma/tau`` and ``v = a + y`` on
+the columns the table holds
+
+    2*Re E = -2*pi*K*v*(Im tau*(v + 2*Re g) + 2*Re tau*Im g) + 2*log|coeff|,
+
+held as ``-2*pi*K*Im tau*(v - v*)**2`` below its peak, ``v* = -Im
+gamma/Im tau``, and only the terms that alias mod ``n_x`` read the pair
+phase ``Im E_m - Im E_{m+d} = pi*K*d*(2*Im tau*Im g - Re tau*(2*(v_m + Re
+g) + d))``: no value on the grid and no complex number is formed.
+Against 40-digit sums of the same windows the norms read 1.7e-16 at
+(M, N) = (5, 2), ``tau = 0.336+472.1i`` on 128 nodes a side, and 1.9e-16
+at (3, 2), ``0.3+1000i``, where the complex table of exponents it
+replaced read 1.1e-14 and 1.2e-14.
 The character route forms ``sum_r |theta_r|^2`` at every node of the
 same rule and sums the values over ``|eta|^2``, with the square
 completed in ``y``: ``theta``'s private residue sum takes all K residues

@@ -78,13 +78,16 @@ window takes ``exp(E)``.  Each residue sums one run ``a = a0 + m`` of
 consecutive terms, the union of its columns' peak windows certified for
 the values: ``ceil`` and the rounding of ``a* - r/K - T/2`` are monotone
 in ``a*``, so the run starts at the first term of the least ``a*`` and
-ends with the window of the largest.  Each column keeps its own window,
-and the rest of the union, which reaches subnormal range, is ``-inf``
-there, set one term at a time; ``exp(-inf)`` is exactly 0 in the window.
-The table is laid out ``(residue, m, column)``: a run holds a few terms
-and a cell rule tens of columns, so the columns ride innermost and every
-broadcast runs along them.  The sums of such tables over the cell
-rule's nodes live in :mod:`nctorus.lll` ("The cell rule").
+ends with the window of the largest, read off those two columns.  Each
+column keeps its own window, and the rest of the union, which reaches
+subnormal range, is ``-inf`` there, set one term at a time;
+``exp(-inf)`` is exactly 0 in the window.  The table is laid out
+``(residue, m, column)``: a run holds a few terms and a cell rule tens
+of columns, so the columns ride innermost and every broadcast runs along
+them.  That geometry has one home, which takes the table's builder: the
+complex table of exponents here, and the real table of ``2*Re E`` from
+which :mod:`nctorus.lll` folds the state norms.  The sums of such tables
+over the cell rule's nodes live in :mod:`nctorus.lll` ("The cell rule").
 
 Residue sums
 ------------
@@ -354,51 +357,67 @@ def _theta_sum(spec, z, tau, policy, deriv_order, log_scale=None):
     return complex(out[()]) if scalar and not residue.ndim else out
 
 
-def _grid_exponent(spec, c, tau, policy, log_scale):
-    """The peak-centred terms of theta on the tensor grids ``x + c`` of
-    the columns ``c``, certified for its values: the run
-    ``a`` of consecutive ``a = a0 + m`` of each residue, shape
-    ``(residue, m)``, and the table of exponents
-    ``i*pi*tau*K*(a + c/tau)**2 + log_scale``, shape ``(residue, m, c)``,
-    of the factors that carry every term's magnitude (see "Cell grids" in
-    the module docstring).
+def _grid_window(spec, im_c, im_tau, policy, build):
+    """The window geometry of the cell grids (see "Cell grids" in the
+    module docstring) on columns of imaginary parts ``im_c``: the run
+    ``a`` of consecutive ``a = a0 + m`` of each residue, shape ``(residue,
+    m)``, and the table ``build(a)``, shape ``(residue, m, column)``, with
+    every entry outside its column's own certified window set to ``-inf``.
 
-    A column's peak ``a*`` depends only on ``Im c``: each residue sums
-    the union of its columns' windows, from the least ``a*``'s first term
-    to the largest's last, and each column keeps its own certified
-    window; the rest of the union, which reaches subnormal range, is
-    ``-inf`` in that column, set one term slice at a time.  The columns
-    ride on the innermost axis, so every broadcast runs along them, not
-    along the window's few terms."""
-    t = as_tau(tau)
+    A column's peak ``a* = -im_c / im_tau`` depends only on ``Im c``: each
+    residue sums the union of its columns' windows, from the least
+    ``a*``'s first term to the largest's last, and each column keeps its
+    own certified window; the rest of the union, which reaches subnormal
+    range, is ``-inf`` in that column, set one term slice at a time.  The
+    run's length is held to the term cap before ``a`` or the table is
+    allocated.  The columns ride on the innermost axis, so every
+    broadcast runs along them, not along the window's few terms."""
     k = spec.level
     r_k = np.atleast_1d(spec.residue)[:, None] / k
-    a_star = -np.imag(c) / t.im
+    a_star = -im_c / im_tau
     # the values' window reads no peak: only a derivative's bound does
-    count = own = _peak_window(k, t.im, 0.0, policy, 0)
+    count = own = _peak_window(k, im_tau, 0.0, policy, 0)
     # per residue and column, the first term at or above a* - count/2;
     # rounding and ceil are monotone, so a residue's run starts at its
     # row's least first term, the least a*'s, and ends at the largest's window
     start = np.ceil(a_star - r_k - 0.5 * count)
-    low = np.min(start, axis=1, keepdims=True)
-    count += int(np.max(np.max(start, axis=1, keepdims=True) - low))
+    least = int(np.argmin(a_star))
+    low = start[:, least:least + 1]
+    count += int((start[:, np.argmax(a_star)] - low[:, 0]).max())
     policy.check_count(count, _THETA_CAP_MESSAGE)
     a = (low + np.arange(count, dtype=float)) + r_k
-    # built in place: the table is the largest array of a grid sum, and
-    # every extra copy grows the heap
-    expo = a[:, :, None] + c / t.value
-    expo *= expo
-    expo *= 1j * math.pi * k * t.value
-    expo += log_scale
+    table = build(a)
     # a column's window is the terms offset <= m < offset + own of its
     # residue's run, 0 <= offset <= count - own
     offset = start - low
     for m in range(count):
         if m < count - own:
-            np.copyto(expo[:, m], -np.inf, where=offset > m)
+            np.copyto(table[:, m], -np.inf, where=offset > m)
         if m >= own:
-            np.copyto(expo[:, m], -np.inf, where=offset <= m - own)
-    return a, expo
+            np.copyto(table[:, m], -np.inf, where=offset <= m - own)
+    return a, table
+
+
+def _grid_exponent(spec, c, tau, policy, log_scale):
+    """The peak-centred terms of theta on the tensor grids ``x + c`` of
+    the columns ``c``, certified for its values, on the window geometry
+    of :func:`_grid_window`: the run ``a`` of each residue, shape
+    ``(residue, m)``, and the table of exponents
+    ``i*pi*tau*K*(a + c/tau)**2 + log_scale``, shape ``(residue, m, c)``,
+    of the factors that carry every term's magnitude (see "Cell grids" in
+    the module docstring), ``-inf`` outside each column's own window."""
+    t = as_tau(tau)
+
+    def build(a):
+        # built in place: the table is the largest array of a grid sum, and
+        # every extra copy grows the heap
+        expo = a[:, :, None] + c / t.value
+        expo *= expo
+        expo *= 1j * math.pi * spec.level * t.value
+        expo += log_scale
+        return expo
+
+    return _grid_window(spec, np.imag(c), t.im, policy, build)
 
 
 def _theta_residue_norms(level, x, c, tau, policy, log_scale):
@@ -599,7 +618,9 @@ def t_transform_residual(spec, z, tau, policy=_DEFAULT_POLICY) -> float:
 
     ``chi_r(z, tau+1) = exp(2*pi*i*(r**2/(2K) - 1/24)) * chi_r(z, tau)``
     holds for even ``K``; odd levels mix in a half-period shift and are
-    rejected with :class:`UnsupportedConventionError`.
+    rejected with :class:`UnsupportedConventionError`.  A spec with a
+    tuple of residues is checked row by row, and its residual is the
+    largest over its rows.
     """
     if spec.level % 2 != 0:
         raise UnsupportedConventionError(
@@ -607,11 +628,13 @@ def t_transform_residual(spec, z, tau, policy=_DEFAULT_POLICY) -> float:
             % spec.level
         )
     t = as_tau(tau)
-    lhs = character(spec, z, t.value + 1.0, policy)
+    k = spec.level
+    rows, residue = _residue_rows(spec, z)
+    lhs = character(rows, z, t.value + 1.0, policy)
     # 2*pi*(r**2/(2K) - 1/24) = pi*(12*r**2 - K)/(12*K)
-    phase = cmath.exp(1j * phase_angle(12 * spec.residue**2 - spec.level, 12 * spec.level))
-    rhs = phase * character(spec, z, t.value, policy)
-    return float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))
+    phase = np.exp(1j * phase_angle(12 * residue**2 - k, 12 * k))
+    rhs = phase * character(rows, z, t.value, policy)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def s_transform_residual(spec, z, tau, policy=_DEFAULT_POLICY) -> float:
@@ -619,19 +642,33 @@ def s_transform_residual(spec, z, tau, policy=_DEFAULT_POLICY) -> float:
 
         exp(-i*pi*K*z**2/tau) * chi_r(z/tau, -1/tau)
             = K**(-1/2) * sum_{r'} exp(-2*pi*i*r*r'/K) * chi_{r'}(z, tau).
+
+    A spec with a tuple of residues is checked row by row, and its
+    residual is the largest over its rows.
     """
     t = as_tau(tau)
     k = spec.level
     zz = np.asarray(z, dtype=complex)
-    lhs = np.exp(-1j * math.pi * k * zz**2 / t.value) * np.asarray(
-        character(spec, zz / t.value, -1.0 / t.value, policy)
-    )
-    rhs = np.zeros_like(zz)
+    rows, residue = _residue_rows(spec, zz)
+    lhs = np.exp(-1j * math.pi * k * zz**2 / t.value) * character(
+        rows, zz / t.value, -1.0 / t.value, policy)
+    rhs = np.zeros(lhs.shape, dtype=complex)
     for rp in range(k):
-        coeff = cmath.exp(1j * phase_angle(-2 * spec.residue * rp, k))
+        coeff = np.exp(1j * phase_angle(-2 * residue * rp, k))
         rhs = rhs + coeff * np.asarray(character(ThetaSpec(k, rp), zz, t.value, policy))
     rhs = rhs / math.sqrt(k)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def _residue_rows(spec, z):
+    """``(rows, residue)``: ``spec`` with its residue or residues as a
+    tuple, whose :func:`character` at ``z`` has one row per residue ahead
+    of ``z``'s axes, and those residues as an integer array that
+    broadcasts against it.  A single residue is one row, so its values are
+    those of a row of any tuple, bit for bit."""
+    residue = np.atleast_1d(spec.residue)
+    return (ThetaSpec(spec.level, tuple(residue.tolist())),
+            residue.reshape(residue.shape + (1,) * np.ndim(z)))
 
 
 @functools.cache

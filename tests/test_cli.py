@@ -547,13 +547,13 @@ def test_partition_where_the_state_norms_alias(capsys, monkeypatch):
     # 3: the per-state route sums the products of the aliasing terms, there
     # at round-off, and meets the closed form to the last digit
     rows = []
-    norms = lll._grid_exponent_norms
+    fold = lll._alias_fold
 
-    def recorded(freq, expo, n_x, step, power=0):
-        rows.append((expo.shape[1], n_x // math.gcd(step, n_x)))
-        return norms(freq, expo, n_x, step, power)
+    def recorded(freq, twice, n_x, step, pair_phase):
+        rows.append((twice.shape[1], n_x // math.gcd(step, n_x)))
+        return fold(freq, twice, n_x, step, pair_phase)
 
-    monkeypatch.setattr(lll, "_grid_exponent_norms", recorded)
+    monkeypatch.setattr(lll, "_alias_fold", recorded)
     code, rep = run_json(capsys, ["partition", "--M", "1", "--N", "8", "--tau=0.17+0.8i",
                                   "--alpha1", "0.4", "--alpha2", "1.1", "--quad", "16"])
     assert code == 0

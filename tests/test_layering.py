@@ -78,8 +78,8 @@ def test_the_cell_rule_lives_in_lll():
     assert partition.quadrature_nodes is lll.quadrature_nodes
     # the cell rule's sums and the states' norms are defined in lll alone
     theta = importlib.import_module("nctorus.theta")
-    for name in ("_grid_classes", "_grid_overlaps", "_grid_exponent_norms", "_scale_power",
-                 "_scaled_exp", "state_norm"):
+    for name in ("_grid_classes", "_grid_overlaps", "_grid_exponent_norms", "_alias_fold",
+                 "_scale_power", "_scaled_exp", "state_norm"):
         assert getattr(lll, name).__module__ == "nctorus.lll", name
         assert not hasattr(theta, name), name
     assert partition.state_norm is lll.state_norm
@@ -92,7 +92,7 @@ def test_private_names_cross_modules_only_where_listed():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 crossing |= {(path.stem, node.module, alias.name) for alias in node.names
                              if alias.name.startswith("_")}
-    assert crossing == {("lll", "theta", "_grid_exponent"),
+    assert crossing == {("lll", "theta", "_grid_exponent"), ("lll", "theta", "_grid_window"),
                         ("partition", "theta", "_theta_residue_norms")}
 
 

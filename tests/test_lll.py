@@ -501,6 +501,31 @@ def test_cell_exponent_is_the_window_before_its_exponential():
         raise_level(basis, 0, 0).cell_exponent(y)
 
 
+@pytest.mark.parametrize("mn, tau", [((3, 2), TAU_GEN), ((7, 5), 0.01j), ((13, 3), -0.2 + 1.7j),
+                                     ((3, 2), 50j), ((1, 1), 0.001j)])
+def test_cell_norm_exponent_is_twice_the_real_part_of_the_window(mn, tau):
+    # the state norms' real table, on the complex table's frequencies and
+    # windows: 2*Re E less the log of its power of two, which puts its
+    # largest entry in [-2*log 2, 0), and the pair phases are the
+    # differences of Im E, mod 2*pi
+    m, n = mn
+    basis = build_basis(Flux(n, m), tau, ANGLES)
+    y = partition.quadrature_nodes(basis)[1]
+    freq, expo = basis.field.cell_exponent(y)
+    norm_freq, table, pair_phase, power = basis.field.cell_norm_exponent(y)
+    own = table > -np.inf
+    assert table.dtype == float and table.flags.c_contiguous
+    assert np.array_equal(norm_freq, freq) and np.array_equal(own, expo.real > -np.inf)
+    want = 2.0 * expo.real[own]
+    got = table[own] + 2 * power * math.log(2.0)
+    assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+    assert -2.0 * math.log(2.0) <= np.max(table) < 0.0
+    for d in range(1, table.shape[1]):
+        pairs = own[:, :-d] & own[:, d:]
+        gap = pair_phase(d)[pairs] - (expo.imag[:, :-d] - expo.imag[:, d:])[pairs]
+        assert np.max(np.abs(np.angle(np.exp(1j * gap))), initial=0.0) <= 1e-12, d
+
+
 def test_cell_window_is_zero_outside_each_columns_own_window():
     # exp(-inf) is exactly 0: a column's own terms, the same count in every
     # column, are nonzero, and the rest of its residue's run reads 0.0; a
@@ -803,16 +828,18 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
     # serves the Gram matrix and the translations along 1 through its
     # per-class products, so the states and the two steps along tau each
     # build one table, and only the steps along tau overlap the states
-    # with a table of their own.  The state norms build one more.  All
-    # four translations are projected at every flux, M = N = 1 included
+    # with a table of their own.  The state norms build one real table
+    # and no complex one.  All four translations are projected at every
+    # flux, M = N = 1 included
     calls = {"svd": 0, "translation": 0, "eval": 0, "window": 0, "overlaps": 0,
-             "state_norm": 0}
+             "norm window": 0, "state_norm": 0}
     monkeypatch.setattr(np.linalg, "svd", _counted(calls, "svd", np.linalg.svd))
     monkeypatch.setattr(lll, "elementary_translation",
                         _counted(calls, "translation", lll.elementary_translation))
     monkeypatch.setattr(lll, "_eval_terms", _counted(calls, "eval", lll._eval_terms))
     monkeypatch.setattr(lll, "_grid_exponent", _counted(calls, "window", lll._grid_exponent))
     monkeypatch.setattr(lll, "_grid_overlaps", _counted(calls, "overlaps", lll._grid_overlaps))
+    monkeypatch.setattr(lll, "_grid_window", _counted(calls, "norm window", lll._grid_window))
     for mn in ((3, 5), (1, 1), (7, 5)):
         calls.update(dict.fromkeys(calls, 0))
         basis = build_basis(Flux(mn[1], mn[0]), TAU_GEN, ANGLES)
@@ -821,9 +848,9 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
         assert overlap_residual(basis)[0] < 1e-12
         assert bimodule_consistency(basis)["pass"]
         assert calls == {"svd": 0, "translation": 4, "eval": 0, "window": 3,
-                         "overlaps": 2, "state_norm": 0}, mn
+                         "overlaps": 2, "norm window": 0, "state_norm": 0}, mn
         partition.state_norm(basis)
-        assert calls["window"] == 4, mn
+        assert (calls["window"], calls["norm window"]) == (3, 1), mn
     # partition --M 3 --N 2 integrates each of its three bases in one call
     monkeypatch.setattr(partition, "state_norm",
                         _counted(calls, "state_norm", partition.state_norm))
@@ -834,38 +861,43 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
 
 
 def test_verify_builds_each_window_table_once(monkeypatch, capsys):
-    # every table of exponents is fresh and its caller's: the module's
-    # basis builds its states' table once, on the cell rule's own columns,
-    # for the Gram matrix and the steps along 1, and one table per step
-    # along tau (the centre's D2^M on the columns y - 1 and the two
-    # steps); the state norms at tau, tau+1 and -1/tau build one each.
-    # Seven tables in all, each writable and none returned twice
-    tables, grid_exponent = [], lll._grid_exponent
+    # every table is fresh and its caller's: the module's basis builds its
+    # states' complex table of exponents once, on the cell rule's own
+    # columns, for the Gram matrix and the steps along 1, and one complex
+    # table per step along tau (the centre's D2^M on the columns y - 1 and
+    # the two steps); the state norms at tau, tau+1 and -1/tau build one
+    # real table each.  Four complex tables and three real ones, each
+    # writable and none returned twice
+    tables, grid_exponent, grid_window = [], lll._grid_exponent, lll._grid_window
 
-    def recorded(*args):
-        a, expo = grid_exponent(*args)
-        tables.append(expo)
-        return a, expo
+    def recorded(build):
+        def wrapped(*args):
+            a, table = build(*args)
+            tables.append(table)
+            return a, table
+        return wrapped
 
-    monkeypatch.setattr(lll, "_grid_exponent", recorded)
+    monkeypatch.setattr(lll, "_grid_exponent", recorded(grid_exponent))
+    monkeypatch.setattr(lll, "_grid_window", recorded(grid_window))
     assert cli.main(["verify", "--M", "3", "--N", "5", "--tau=0.2+1.4i",
                      "--alpha1", "0.7", "--alpha2", "-1.3"]) == 0
     capsys.readouterr()
-    assert len(tables) == 7 and len({id(expo) for expo in tables}) == 7
-    assert all(expo.flags.writeable for expo in tables)
+    assert len(tables) == 7 and len({id(table) for table in tables}) == 7
+    assert all(table.flags.writeable for table in tables)
+    assert [table.dtype.kind for table in tables].count("c") == 4
     # the module's sequence on one basis: its states' table first, then
     # one table per step along tau, each exponentiated in place (no -inf
-    # is left); the norms then read a table of their own, unwritten, bit
-    # for bit a fresh basis's
+    # is left); the norms then read a real table of their own, which
+    # they exponentiate in place too, bit for bit a fresh basis's
     basis = build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES)
     tables.clear()
     center_eigen_residual(basis)
     assert basis.translations
-    assert len(tables) == 4
-    assert not any(np.isneginf(expo.real).any() for expo in tables)
+    assert len(tables) == 4 and all(table.dtype == complex for table in tables)
+    assert not any(np.isneginf(table.real).any() for table in tables)
     norms = partition.state_norm(basis)
-    assert len(tables) == 5 and len({id(expo) for expo in tables}) == 5
-    assert np.isneginf(tables[4].real).any()
+    assert len(tables) == 5 and len({id(table) for table in tables}) == 5
+    assert tables[4].dtype == float and not np.isneginf(tables[4]).any()
     assert norms == partition.state_norm(build_basis(Flux(5, 3), 0.2 + 1.4j, ANGLES))
 
 

@@ -510,6 +510,58 @@ def test_commutant_dimension_matches_dense_reference_on_degenerate_spectra():
     assert compared > 50
 
 
+def _block_system(generators):
+    """The stacked system of :func:`commutant_dimension` assembled as one
+    dense ``(p, d, d)`` block per generator, its all-zero rows dropped."""
+    lam, v = np.linalg.eig(generators[0].entries)
+    a, b = np.nonzero(np.abs(lam[:, None] - lam) <= 1e-10)
+    p, d = a.size, generators[0].dim
+    cols, blocks = np.arange(p), []
+    for g in generators[1:]:
+        gv = np.linalg.solve(v, g.entries @ v)
+        block = np.zeros((p, d, d), dtype=complex)
+        block[cols, a, :] = gv[b, :]
+        block[cols, :, b] -= gv[:, a].T
+        blocks.append(block.reshape(p, d * d).T)
+    system = np.vstack(blocks)
+    return system[np.any(system != 0, axis=1)]
+
+
+def test_commutant_system_is_the_dense_blocks_nonzero_rows(monkeypatch):
+    # only the nonzero rows are assembled, each generator's in ascending
+    # order, with the meeting entry formed as G'[b, b] - G'[a, a]: the SVD
+    # sees the dense blocks' filtered system bit for bit
+    systems = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda x, **kw: systems.append(x) or svd(x, **kw))
+    rng = np.random.default_rng(11)
+    cases = [[clock_matrix(m, n, 0.7), shift_matrix(m, -1.3)]
+             for m in range(1, 13) for n in (1, 2, 5) if math.gcd(m, n) == 1]
+    cases += [pair[::-1] for pair in cases]
+    cases += [[CSMatrix(_random_unitary(rng, d)) for _ in range(3)] for d in (2, 3, 5)]
+    cases.append([CSMatrix(np.eye(4)), shift_matrix(4), clock_matrix(4, 1)])
+    for gens in cases:
+        systems.clear()
+        commutant_dimension(gens)
+        [system] = systems
+        want = _block_system(gens)
+        assert system.shape == want.shape and np.array_equal(system, want), gens[0].dim
+
+
+def test_commutant_forms_no_dense_block():
+    # a (p, d, d) block per generator is M**3 values for the clock/shift
+    # pair, 28 MB traced at M = 96; the nonzero rows alone peak at 1.1 MB
+    algebra = WeylAlgebra(96, 5)
+    pair = [algebra.clock, algebra.shift]
+    tracemalloc.start()
+    try:
+        assert commutant_dimension(pair) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def test_matrices_command_rank_systems_stay_small(monkeypatch, capsys):
     # a structural guard, not a timing: the commutant system in the clock's
     # eigenbasis is M^2 x M, where the dense stacked system had 2 M^4 entries,

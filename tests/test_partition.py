@@ -152,31 +152,89 @@ def test_state_norm_equals_the_per_label_loop(mn, tau, nodes):
 
 
 def test_state_norm_is_the_gram_diagonal_without_subnormal_terms(monkeypatch):
-    # the table of exponents state_norm sums keeps each column's own
+    # the real table of 2*Re E that state_norm sums keeps each column's own
     # certified window, -inf elsewhere: the residue-wide union reached
     # subnormal range here (135 of 11880 entries at (11,9), 107 of 10192 at
     # (13,7)); its sums are the diagonal of the Gram matrix on the same nodes
     tables = []
 
-    def recorded(exponent_of):
-        def wrapped(*args):
-            a, expo = exponent_of(*args)
-            tables.append(expo)  # state_norm does not write the table
-            return a, expo
-        return wrapped
+    def recorded(*args):
+        a, table = grid_window(*args)
+        tables.append(table.copy())  # state_norm exponentiates its table in place
+        return a, table
 
-    for owner in (theta_module, lll):
-        monkeypatch.setattr(owner, "_grid_exponent", recorded(owner._grid_exponent))
+    grid_window = lll._grid_window
+    monkeypatch.setattr(lll, "_grid_window", recorded)
     for (m, n), tau in (((11, 9), 0.2 + 2j), ((13, 7), -0.3 + 1.9j)):
         tables.clear()
         basis = build_basis(Flux(n, m), tau)
         norms = np.array(state_norm(basis))
-        [expo] = tables
-        own = expo.real > -np.inf
-        assert np.all(np.exp(expo.real[own]) >= np.finfo(float).tiny), (m, n)
+        [table] = tables
+        assert table.dtype == float
+        own = table > -np.inf
+        assert np.all(np.exp(0.5 * table[own]) >= np.finfo(float).tiny), (m, n)
         scale = 2.0 ** basis._cell_states[2]
         gram = scale**2 * basis.gram.diagonal().real
         assert np.max(np.abs(norms - gram) / gram) <= 1e-14
+
+
+def _mp_window_norms(basis):
+    """The state norms folded at 40 digits from the window's exponents
+    ``E = i*pi*K*tau*(a + c/tau)**2 - i*pi*K*gamma**2/tau``, ``c = tau*y +
+    gamma``, on the windows and frequencies of the cell rule: each own
+    term's ``exp(2*Re E)`` plus, for the terms that alias mod ``n_x``,
+    ``2*s*s'*exp(Re E + Re E')*cos(Im E - Im E')``, over the node count."""
+    x, y = quadrature_nodes(basis)
+    freq, table = basis.field.cell_norm_exponent(y)[:2]
+    own = np.isfinite(table)
+    k, n_x = basis.level, x.size
+    with mpmath.workdps(40):
+        tau = mpmath.mpc(basis.tau.re, basis.tau.im)
+        gamma = (tau * basis.angles.alpha1 - basis.angles.alpha2) / (2 * mpmath.pi * k)
+        norms = []
+        for r, row in enumerate(freq.tolist()):
+            total = mpmath.mpf(0)
+            for j in range(y.size):
+                c = tau * mpmath.mpf(float(y[j])) + gamma
+                terms = [(f, 1j * mpmath.pi * k * tau * (mpmath.mpf(f) / k + c / tau) ** 2
+                          - 1j * mpmath.pi * k * gamma**2 / tau)
+                         for f, keep in zip(row, own[r, :, j]) if keep]
+                for i, (f, e) in enumerate(terms):
+                    total += mpmath.exp(2 * e.real)
+                    for f2, e2 in terms[i + 1:]:
+                        if (f2 - f) % n_x == 0:
+                            sign = (-1) ** (f // n_x + f2 // n_x)
+                            total += 2 * sign * mpmath.exp(e.real + e2.real) * mpmath.cos(
+                                e.imag - e2.imag)
+            norms.append(float(total / y.size))
+        return np.array(norms)
+
+
+@pytest.mark.parametrize("mn, tau, nodes", [((5, 2), 0.336 + 472.1j, 128),
+                                             ((3, 2), 0.3 + 1000j, 8)])
+def test_state_norm_holds_40_digit_window_sums_at_large_im_tau(mn, tau, nodes):
+    # the real table forms v = a + y, not c/tau = (tau*y + gamma)/tau,
+    # whose rounding at large Im tau cost the complex table 1.1e-14 and
+    # 1.2e-14 here: the norms now read 2e-16 against 40 digits
+    m, n = mn
+    basis = build_basis(Flux(n, m), tau, quad=QuadratureSpec(nodes))
+    want = _mp_window_norms(basis)
+    assert np.max(np.abs(np.array(state_norm(basis)) - want) / want) <= 2e-15
+
+
+def test_state_norm_where_its_terms_alias_holds_40_digits():
+    # (1,1) at 0.001i: 194 terms per row on n_x = 135 nodes, so terms 135
+    # apart alias; the pair phases are formed in real arithmetic from v.
+    # Against 40 digits (1.6e-16) and against the per-label pointwise loop
+    # (3.8e-15), which the complex table met to 5.1e-14
+    basis = build_basis(Flux(1, 1), 0.001j, ANGLES)
+    x, y = quadrature_nodes(basis)
+    table = basis.field.cell_norm_exponent(y)[1]
+    assert table.shape[1] > x.size // math.gcd(basis.level, x.size)
+    got = np.array(state_norm(basis))
+    want = _mp_window_norms(basis)
+    assert np.max(np.abs(got - want) / want) <= 2e-15
+    assert np.max(np.abs(got - _per_label_state_norms(basis)) / want) <= 1.2e-14
 
 
 def test_z_tilde_frozen_values():
@@ -336,10 +394,12 @@ def test_the_two_routes_share_no_summation(monkeypatch):
     with monkeypatch.context() as patch:
         for owner in (theta_module, lll):
             patch.setattr(owner, "_grid_exponent", unreachable)
-        for name in ("_scaled_exp", "_grid_classes", "_grid_overlaps", "_grid_exponent_norms"):
+        for name in ("_grid_window", "_scaled_exp", "_grid_classes", "_grid_overlaps",
+                     "_grid_exponent_norms", "_alias_fold"):
             patch.setattr(lll, name, unreachable)
         patch.setattr(lll.LLLBasis, "_cell_states", property(unreachable))
-        patch.setattr(lll.ThetaField, "cell_exponent", unreachable)
+        for method in ("cell_exponent", "cell_norm_exponent"):
+            patch.setattr(lll.ThetaField, method, unreachable)
         assert abs(z_tilde_character_route(basis) - want) <= 1e-11 * want
     for owner in (theta_module, partition):
         monkeypatch.setattr(owner, "_theta_residue_norms", unreachable)
@@ -347,10 +407,10 @@ def test_the_two_routes_share_no_summation(monkeypatch):
 
 
 def test_the_per_state_route_forms_no_complex_window(monkeypatch):
-    # state_norm reads the exponents of the states' window and no complex
-    # table: with the scaled exponential and the module's table
-    # unreachable the norms and Z~ are as before, bit for bit, and Z~
-    # still matches the closed form
+    # state_norm reads a real table of 2*Re E and forms no complex one:
+    # with the complex window table, its exponents, the scaled exponential
+    # and the module's table unreachable the norms and Z~ are as before,
+    # bit for bit, and Z~ still matches the closed form
     tau = -0.2 + 1.7j
     want_norms = state_norm(build_basis(Flux(5, 7), tau, ANGLES))
     want_z = z_tilde(build_basis(Flux(5, 7), tau, ANGLES))
@@ -358,7 +418,11 @@ def test_the_per_state_route_forms_no_complex_window(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the per-state route formed a complex window table")
 
-    monkeypatch.setattr(lll, "_scaled_exp", unreachable)
+    for owner in (theta_module, lll):
+        monkeypatch.setattr(owner, "_grid_exponent", unreachable)
+    for name in ("_scaled_exp", "_grid_exponent_norms"):
+        monkeypatch.setattr(lll, name, unreachable)
+    monkeypatch.setattr(lll.ThetaField, "cell_exponent", unreachable)
     monkeypatch.setattr(lll.LLLBasis, "_cell_states", property(unreachable))
     assert state_norm(build_basis(Flux(5, 7), tau, ANGLES)) == want_norms
     assert z_tilde(build_basis(Flux(5, 7), tau, ANGLES)) == want_z

@@ -941,6 +941,20 @@ def test_s_transform(level):
             assert s_transform_residual(ThetaSpec(level, r), z, tau) < 1e-11
 
 
+@pytest.mark.parametrize("z", [0.1 - 0.05j, np.array([0.1, 0.2 + 0.1j, -0.3j])])
+@pytest.mark.parametrize("level, residues", [(4, (1, 2)), (6, (5, 0, 3)), (12, tuple(range(12)))])
+def test_transforms_check_a_stacked_spec_row_by_row(level, residues, z):
+    # ThetaSpec takes a tuple of residues and theta sums it row by row; so
+    # does each transform, whose residual is the largest over the rows
+    stacked = ThetaSpec(level, residues)
+    for check in (t_transform_residual, s_transform_residual):
+        rows = [check(ThetaSpec(level, r), z, 0.3 + 1.1j) for r in residues]
+        assert check(stacked, z, 0.3 + 1.1j) == max(rows), check.__name__
+        assert max(rows) < 1e-12, check.__name__
+    with pytest.raises(UnsupportedConventionError):
+        t_transform_residual(ThetaSpec(level + 1, residues), z, 0.3 + 1.1j)
+
+
 def test_orthogonality_residual():
     for level in range(1, 25):
         assert orthogonality_residual(level) < 1e-12
@@ -956,5 +970,5 @@ def test_orthogonality_roots_are_formed_from_reduced_products():
 
 def test_s_transform_roots_are_formed_from_reduced_products():
     # at (12, 11), z = 0, tau = i the roots of the unreduced r*r' read 3.5e-15;
-    # reduced mod K they read 4.7e-16, three times below the bound
+    # reduced mod K they read 6.9e-16, twice below the bound
     assert s_transform_residual(ThetaSpec(12, 11), 0.0, 1j) < 1.5e-15

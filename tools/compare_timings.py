@@ -52,6 +52,7 @@ WORKLOADS = {
     "verify --M 5 --N 8": 1,
     "verify --M 9 --N 8": 1,
     "partition --M 7 --N 5 --alpha1 0.7 --alpha2 -1.3": 1,
+    "partition --M 7 --N 5 --alpha1 0.7 --alpha2 -1.3 --quad 128": 1,
     "gram_rank(build_basis(Flux(8, 9)))": 20,
     "commutant_dimension(WeylAlgebra(24, 7).clock, .shift)": 20,
 }

@@ -30,9 +30,13 @@ from the routine's angle in the last bit of some entries, which every
 output of this module reads.  The other is the predicted phases of the
 translation laws in :mod:`nctorus.lll`, one exponential of ``alpha1`` and
 the reduced integer each.  The algebra checks, the U_q(sl2) relations
-included, compare phase vectors; dense matrices only for outputs and in
-:func:`commutant_dimension`.  The dual pair is the N-dimensional
-clock/shift at parameter ``e^{2*pi*i*M/N}``.
+included, compare phase vectors.  The clock/shift pairs and ``q^{J3}``
+are scattered from their phase vectors by :meth:`CSMatrix.monomial`,
+which checks them in O(M); a dense product runs only where a general
+:class:`CSMatrix` is checked and in the rank system of
+:func:`commutant_dimension`, whose first generator, the diagonal clock,
+is its own eigenbasis.  The dual pair is the N-dimensional clock/shift at
+parameter ``e^{2*pi*i*M/N}``.
 
 One op's ideal algebra is a :class:`WeylAlgebra` (the counterpart of
 :class:`nctorus.lll.LLLBasis`), which the checks take: it builds, on
@@ -96,7 +100,12 @@ _NO_ANGLES = VacuumAngles()
 
 @dataclass(frozen=True, eq=False)
 class CSMatrix:
-    """Unitary matrix representing a quantum-torus element."""
+    """Unitary matrix representing a quantum-torus element.
+
+    ``CSMatrix(entries)`` checks general input with the dense product
+    ``e e^H - I``; :meth:`monomial` builds a phase vector times a cyclic
+    shift, which is unitary exactly when every phase lies on the unit
+    circle, and checks that in O(M) instead."""
 
     entries: np.ndarray
 
@@ -104,7 +113,19 @@ class CSMatrix:
         e = np.array(self.entries, dtype=complex)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError("entries must be a square matrix")
-        dev = np.max(np.abs(e @ e.conj().T - np.eye(e.shape[0])))
+        self._seal(e, np.max(np.abs(e @ e.conj().T - np.eye(e.shape[0]))))
+
+    @classmethod
+    def monomial(cls, phases, shift) -> "CSMatrix":
+        """The monomial matrix ``e[(j + shift) % M, j] = phases[j]``.  Its
+        ``e e^H`` is ``diag(|p|^2)``, so the deviation is the largest
+        ``| |p|^2 - 1 |`` over the M phases, and no dense product is formed."""
+        p = np.asarray(phases, dtype=complex)
+        matrix = object.__new__(cls)
+        matrix._seal(_scatter(p, shift), np.max(np.abs(p.real ** 2 + p.imag ** 2 - 1.0)))
+        return matrix
+
+    def _seal(self, e, dev):
         if not dev <= 1e-12:  # NaN entries fail too
             raise ValueError("matrix is not unitary (deviation %.3e)" % dev)
         e.setflags(write=False)
@@ -186,7 +207,10 @@ def _weyl_phases(m1, m2, m, n, angles: VacuumAngles = _NO_ANGLES):
     prefactor's angle is :func:`~nctorus.core.phase_angle` of ``s``, negated.
     The clock's rows are gathered from one table of the roots ``exp(2 pi i
     r / M)``, kept in its complex-division form, whose bits every output
-    of this module reads.
+    of this module reads; the rows ``(j + s) % M`` of every shift ``s``
+    come from one M x M table.  No angle factor is formed where its angle
+    ``alpha m / M`` is 0: that factor is ``1 + 0j``, whose product keeps
+    every phase's bits, so a zero-angle table takes none.
 
     Raises ``ValueError`` when a phase is off the unit circle by more than
     1e-12 (or is NaN): the unitarity guarantee of :class:`CSMatrix`, in
@@ -196,14 +220,17 @@ def _weyl_phases(m1, m2, m, n, angles: VacuumAngles = _NO_ANGLES):
     m2 = np.asarray(m2)
     j = np.arange(m)
     shifts = m2 % m
-    rows = (j + shifts[:, None]) % m
+    rows = (j + j[:, None]) % m  # rows[s, j] = (j + s) % M
     h = 2 * m  # every factor is reduced before a product, so none overflows int64
     roots = np.exp(2j * math.pi * j / m)
-    clock = (roots[n % m * (m1[:, None] % m) % m * rows % m]
-             * np.exp(1j * (angles.alpha1 * m1 / m))[:, None])
+    clock = roots[n % m * (m1[:, None] % m) % m * rows[shifts] % m]
+    for alpha, p in ((angles.alpha1, m1), (angles.alpha2, m2)):
+        if alpha:  # a NaN angle is nonzero
+            angle = alpha * p / m
+            w = np.nonzero(angle)[0]
+            clock[w] = clock[w] * np.exp(1j * angle[w])[:, None]
     pref = np.exp(1j * -phase_angle(n % h * (m1 % h) % h * (m2 % h), m))
-    s_phase = np.exp(1j * (angles.alpha2 * m2 / m))
-    phases = pref[:, None] * (clock * s_phase[:, None])
+    phases = pref[:, None] * clock
     dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
     if not dev <= 1e-12:
         raise ValueError("Weyl word is not unitary (deviation %.3e)" % dev)
@@ -259,12 +286,12 @@ class WeylAlgebra:
     @functools.cached_property
     def clock(self) -> CSMatrix:
         """:func:`clock_matrix` at ``angles.alpha1``, bit for bit."""
-        return CSMatrix(_scatter(self.pair[0], 0))
+        return CSMatrix.monomial(self.pair[0], 0)
 
     @functools.cached_property
     def shift(self) -> CSMatrix:
         """:func:`shift_matrix` at ``angles.alpha2``, bit for bit."""
-        return CSMatrix(_scatter(self.pair[1], 1))
+        return CSMatrix.monomial(self.pair[1], 1)
 
     @functools.cached_property
     def dual(self) -> "WeylAlgebra":
@@ -357,7 +384,9 @@ def commutant_dimension(generators) -> int:
     :class:`CSMatrix` generators of one dimension d.
 
     The commutant is taken in the first generator's eigenbasis,
-    ``G_0 = V diag(lam) V^-1`` (a unitary is diagonalizable).  ``X``
+    ``G_0 = V diag(lam) V^-1`` (a unitary is diagonalizable); a diagonal
+    ``G_0``, such as the clock, is its own, so ``V = I``, ``lam`` is its
+    diagonal and neither an eigensolver nor a solve runs.  ``X``
     commutes with ``G_0`` exactly when ``Y = V^-1 X V`` vanishes at every
     entry ``(a, b)`` with ``lam_a != lam_b``, so the p free entries are the
     pairs with ``|lam_a - lam_b| <= 1e-10``.  Each other generator
@@ -365,8 +394,8 @@ def commutant_dimension(generators) -> int:
     d^2 x p block whose column ``(a, b)`` holds ``G'[b, :]`` in row ``a``
     minus ``G'[:, a]`` in column ``b``, with ``G'[b, b] - G'[a, a]`` where
     the two meet; the dimension is p minus the number of singular values
-    of the stacked blocks above 1e-10.  For the clock, V = I and p = M, so
-    the system is M^2 x M.
+    of the stacked blocks above 1e-10.  For the clock, ``G' = G`` and
+    p = M, so the system is M^2 x M.
 
     Both thresholds are absolute: the generators are unitary, so every
     eigenvalue gap lies in [0, 2] and, for a unitary V (the clock, or any
@@ -385,7 +414,12 @@ def commutant_dimension(generators) -> int:
     d = generators[0].dim
     if any(g.dim != d for g in generators):
         raise ValueError("generators must share one dimension")
-    lam, v = np.linalg.eig(generators[0].entries)
+    g0 = generators[0].entries
+    diagonal = np.count_nonzero(g0) == np.count_nonzero(g0.diagonal())
+    if diagonal:  # its own eigenbasis: V = I
+        lam = g0.diagonal()
+    else:
+        lam, v = np.linalg.eig(g0)
     a, b = np.nonzero(np.abs(lam[:, None] - lam) <= 1e-10)
     p = a.size
     if len(generators) == 1:
@@ -393,7 +427,7 @@ def commutant_dimension(generators) -> int:
     cols = np.arange(p)[:, None]
     blocks = []
     for g in generators[1:]:
-        gv = np.linalg.solve(v, g.entries @ v)
+        gv = g.entries if diagonal else np.linalg.solve(v, g.entries @ v)
         # column (a, b) holds G'[b, j] in row (a, j) and -G'[i, a] in row (i, b)
         first, second = gv[b, :], gv[:, a].T
         # an all-zero row adds nothing to system^H system: the nonzero
@@ -499,7 +533,7 @@ def uq_sl2_generators(algebra: WeylAlgebra) -> UqSl2Generators:
     }
     j_plus = (_scatter(pp, 1) - _scatter(mp, 1)) / denom
     j_minus = (_scatter(mm, -1) - _scatter(pm, -1)) / denom
-    return UqSl2Generators(j_plus, j_minus, CSMatrix(np.diag(c)), res)
+    return UqSl2Generators(j_plus, j_minus, CSMatrix.monomial(c, 0), res)
 
 
 def uq_sl2_residual(algebra: WeylAlgebra):

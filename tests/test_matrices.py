@@ -51,6 +51,24 @@ def test_csmatrix_validation():
         m.entries[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("bad", [math.sqrt(1 + 2e-12) * cmath.exp(0.3j), math.nan])
+def test_monomial_rejects_a_phase_off_the_unit_circle(bad):
+    # the monomial's O(M) check keeps the dense check's bound: |p|^2 - 1 at
+    # 2e-12 fails, and so does a NaN; 0.5e-12 passes
+    assert abs(abs(bad) ** 2 - 1 - 2e-12) < 1e-15 or math.isnan(bad.real)
+    phases = np.exp(2j * np.pi * np.arange(3) / 3)
+    phases[1] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        CSMatrix.monomial(phases, 1)
+    with pytest.raises(ValueError, match="not unitary"):
+        CSMatrix(matrices._scatter(phases, 1))
+    phases[1] = math.sqrt(1 + 0.5e-12)
+    m = CSMatrix.monomial(phases, 1)
+    assert np.array_equal(m.entries, matrices._scatter(phases, 1))
+    with pytest.raises(ValueError):
+        m.entries[1, 0] = 5.0
+
+
 def test_csmatrix_adjoint_and_product():
     c = clock_matrix(3, 2, 0.4)
     prod = c @ c.adjoint()
@@ -348,6 +366,23 @@ def test_dual_matrices():
     assert abs(q_dual**2 - 1.0) < 1e-14
 
 
+def test_algebra_pairs_are_the_closed_form_matrices_bit_for_bit():
+    # the monomial constructor scatters the phase vectors that weyl_element's
+    # dense-checked matrices hold, for the pair and the dual pair
+    for m in range(1, 25):
+        for n in range(1, 8):
+            if math.gcd(m, n) != 1:
+                continue
+            for angles in (VacuumAngles(), ANGLES, VacuumAngles(5.9, 3.3)):
+                algebra = WeylAlgebra(m, n, angles)
+                for got, want in (
+                        (algebra.clock, clock_matrix(m, n, angles.alpha1)),
+                        (algebra.shift, shift_matrix(m, angles.alpha2)),
+                        (algebra.dual.clock, clock_matrix(n, m, angles.alpha1)),
+                        (algebra.dual.shift, shift_matrix(n, angles.alpha2))):
+                    assert np.array_equal(_bits(got.entries), _bits(want.entries)), (m, n, angles)
+
+
 def test_sine_structure_residuals():
     # parallel words commute
     assert sine_structure_residual(WeylAlgebra(5, 2), WeylWord(2, 2), WeylWord(1, 1)) < 1e-14
@@ -510,6 +545,44 @@ def test_commutant_dimension_matches_dense_reference_on_degenerate_spectra():
     assert compared > 50
 
 
+def _eig_shapes(monkeypatch):
+    """The shapes that ``np.linalg.eig`` is called on from now on."""
+    shapes = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(np.shape(a)) or eig(a))
+    return shapes
+
+
+def test_commutant_of_the_clock_takes_no_eigenbasis(monkeypatch):
+    # the clock is diagonal, its own eigenbasis; the same pair conjugated by
+    # a random unitary takes the eigenbasis path and gives the same dimension
+    rng = np.random.default_rng(2021)
+    shapes = _eig_shapes(monkeypatch)
+    for m in range(1, 25):
+        u = _random_unitary(rng, m)
+        for n in range(1, 8):
+            if math.gcd(m, n) != 1:
+                continue
+            algebra = WeylAlgebra(m, n, ANGLES)
+            pair = [algebra.clock, algebra.shift]
+            shapes.clear()
+            assert commutant_dimension(pair) == 1, (m, n)
+            assert shapes == []
+            rotated = [CSMatrix(u @ g.entries @ u.conj().T) for g in pair]
+            assert commutant_dimension(rotated) == 1, (m, n)
+            assert shapes == ([(m, m)] if m > 1 else []), (m, n)  # 1 x 1 is diagonal
+
+
+def test_commutant_of_a_diagonal_with_a_repeated_eigenvalue(monkeypatch):
+    shapes = _eig_shapes(monkeypatch)
+    first = CSMatrix(np.diag([1.0, 1.0, -1.0]))
+    assert commutant_dimension([first]) == 5 == _dense_commutant_dimension([first])
+    for gens in ([first, shift_matrix(3)], [first, shift_matrix(3), clock_matrix(3, 1)],
+                 [first, CSMatrix(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))]):
+        assert commutant_dimension(gens) == _dense_commutant_dimension(gens)
+    assert shapes == []
+
+
 def _block_system(generators):
     """The stacked system of :func:`commutant_dimension` assembled as one
     dense ``(p, d, d)`` block per generator, its all-zero rows dropped."""
@@ -571,6 +644,33 @@ def test_matrices_command_rank_systems_stay_small(monkeypatch, capsys):
     assert cli.main(["matrices", "--M", str(m), "--N", "7"]) == 0
     capsys.readouterr()
     assert len(shapes) == 1 and np.prod(shapes[0]) <= 2 * m * m
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrices", "--M", "24", "--N", "7", "--alpha1", "0.7", "--alpha2", "-1.3"],
+    ["verify", "--M", "3", "--N", "2"],
+], ids=["matrices-24", "verify-3"])
+def test_clock_shift_pairs_take_no_dense_check_and_no_eigenbasis(monkeypatch, capsys, argv):
+    # a structural guard, not a timing: the clock/shift pairs are checked
+    # by their phases, not by a dense e e^H - I, and the clock is its own
+    # eigenbasis, so the commutant calls neither eig nor solve
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(CSMatrix, "__post_init__", counting("dense check", CSMatrix.__post_init__))
+    CSMatrix(np.eye(2))
+    assert calls == ["dense check"]
+    calls.clear()
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv, calls", [

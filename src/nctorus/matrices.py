@@ -32,11 +32,11 @@ translation laws in :mod:`nctorus.lll`, one exponential of ``alpha1`` and
 the reduced integer each.  The algebra checks, the U_q(sl2) relations
 included, compare phase vectors.  The clock/shift pairs and ``q^{J3}``
 are scattered from their phase vectors by :meth:`CSMatrix.monomial`,
-which checks them in O(M); a dense product runs only where a general
-:class:`CSMatrix` is checked and in the rank system of
-:func:`commutant_dimension`, whose first generator, the diagonal clock,
-is its own eigenbasis.  The dual pair is the N-dimensional clock/shift at
-parameter ``e^{2*pi*i*M/N}``.
+which checks them in O(M).  A dense product runs only in the check of a
+general :class:`CSMatrix` and in :func:`commutant_dimension`'s change of
+basis for a first generator that is not diagonal; the clock is its own
+eigenbasis.  The dual pair is the N-dimensional clock/shift at parameter
+``e^{2*pi*i*M/N}``.
 
 One op's ideal algebra is a :class:`WeylAlgebra` (the counterpart of
 :class:`nctorus.lll.LLLBasis`), which the checks take: it builds, on

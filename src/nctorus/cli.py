@@ -494,22 +494,25 @@ def _config_from(args) -> RunConfig:
 
 
 # flags whose values are parse_complex literals, which may begin with a minus
-_COMPLEX_FLAGS = ("--tau", "--z")
+# the flags whose value may start with "-", each with the parser of its value
+_SIGNED_FLAGS = {"--tau": parse_complex, "--z": parse_complex,
+                 "--alpha1": float, "--alpha2": float, "--eps": float}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``--tau -0.4+2i`` as ``--tau=-0.4+2i``: argparse takes a
-    value that starts with ``-`` for a flag unless it is a plain negative
-    real number.  Subparsers are built with the same class."""
+    """Reads ``--tau -0.4+2i`` as ``--tau=-0.4+2i`` and ``--alpha2 -1e-3``
+    as ``--alpha2=-1e-3``: argparse takes a value that starts with ``-``
+    for a flag unless it is a plain negative real number without an
+    exponent.  Subparsers are built with the same class."""
 
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
         joined = []
         for arg in args:
-            if joined and joined[-1] in _COMPLEX_FLAGS and arg.startswith("-"):
+            if joined and joined[-1] in _SIGNED_FLAGS and arg.startswith("-"):
                 try:
-                    parse_complex(arg)
-                except UsageError:
+                    _SIGNED_FLAGS[joined[-1]](arg)
+                except ValueError:  # UsageError included
                     pass
                 else:
                     joined[-1] += "=" + arg

@@ -8,7 +8,8 @@ carries the modular parameter it lives on and a positive weight ``w``
 ``Im tau`` for plane fields, ``Im tau / (2*pi*M*N)`` for the rescaled
 lowest-level fields.
 
-Displacement by ``u`` acts as
+A displacement is its complex number ``u``; its antiholomorphic slot is
+``conj(u)``.  Displacement by ``u`` acts as
 
     (D(u) f)(z, zbar) = exp((conj(u)*z - u*zbar)/(4*w)) * f(z - u, zbar - conj(u))
 
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .core import Flux, as_tau, phase_angle
 
 __all__ = [
     "Field",
-    "Displacement",
     "displacement_apply",
     "ladder_apply",
     "coherent_state",
@@ -110,26 +109,8 @@ class Field:
         self.d_zbar = d_zbar
 
 
-@dataclass(frozen=True)
-class Displacement:
-    """Displacement vector ``u``; its antiholomorphic slot is ``conj(u)``."""
-
-    u: complex
-
-    @property
-    def ubar(self) -> complex:
-        return self.u.conjugate()
-
-    @classmethod
-    def from_vector(cls, u) -> "Displacement":
-        return cls(complex(u))
-
-    def __neg__(self) -> "Displacement":
-        return Displacement(-self.u)
-
-
-def lattice_displacement(flux: Flux, tau, m, dual=False) -> Displacement:
-    """Displacement along ``m1*e1 + m2*e2`` of the crystal lattice, or
+def lattice_displacement(flux: Flux, tau, m, dual=False) -> complex:
+    """The displacement ``u`` along ``m1*e1 + m2*e2`` of the crystal lattice, or
     along the dual lattice ``e*_i = (M/N)*e_i`` when ``dual`` is true.
 
     The embedding uses the cell-adapted frame ``e1 = sqrt(2*pi*kappa)``,
@@ -141,14 +122,14 @@ def lattice_displacement(flux: Flux, tau, m, dual=False) -> Displacement:
     scale = math.sqrt(2.0 * math.pi * flux.kappa)
     if dual:
         scale *= flux.denominator / flux.numerator
-    u = scale * (m1 + m2 * t.value)
-    return Displacement.from_vector(u)
+    return scale * (m1 + m2 * t.value)
 
 
-def displacement_apply(d: Displacement, f: Field) -> Field:
-    """Apply the displacement ``d`` to ``f`` (weight read off the field)."""
+def displacement_apply(u, f: Field) -> Field:
+    """Apply the displacement by the complex number ``u`` to ``f``, with
+    ``conj(u)`` in the antiholomorphic slot (weight read off the field)."""
     w4 = 4.0 * f.im_tau_weight
-    u, ubar = d.u, d.ubar
+    ubar = u.conjugate()
 
     def exponent(z, zbar):  # of the prefactor, linear in (z, zbar)
         return (ubar * z - u * zbar) / w4

@@ -95,7 +95,8 @@ exponents (:func:`_grid_exponent_norms`) and for :func:`state_norm` from
 a real table.  Every complex table is one of exponents, fresh and its
 caller's (:meth:`ThetaField.cell_exponent`).  Each reader divides it by
 the power of two above its largest entry ``exp(Re E)``
-(:func:`_scale_power`), subtracting the log before any exponential
+(:func:`_power_above`), subtracting its log, in the two parts of one
+routine (:func:`_less_log2`), before any exponential
 (:func:`_scaled_exp`), so a table is measured wherever its scaled
 products are in range.
 
@@ -142,7 +143,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .core import Flux, ModularParameter, VacuumAngles, as_tau, gershgorin_full_rank
-from .fields import Displacement, Field, displacement_apply
+from .fields import Field, displacement_apply
 from .theta import (ThetaSpec, TruncationPolicy, _grid_exponent, _grid_window, dedekind_eta,
                     theta_derivative)
 
@@ -325,7 +326,7 @@ class ThetaField(Field):
         a, expo = _grid_exponent(self.spec, tau * y + self.gamma, tau, self.policy,
                                  -1j * math.pi * k * self.gamma**2 / tau
                                  + cmath.log(self.terms[(0, 0, 0)]))
-        return np.rint(k * a).astype(int), expo
+        return _frequencies(k, a), expo
 
     def cell_norm_exponent(self, y):
         """The squared magnitudes of :meth:`cell_exponent`'s window in
@@ -340,14 +341,20 @@ class ThetaField(Field):
         = -Im gamma/Im tau``, and ``c`` is the peak ``2*pi*K*(Im
         gamma)**2/Im tau + 2*log|coeff|`` less ``2*power*log 2``, in
         ``[-2*log 2, 0)``.  ``v - v*`` is each term's distance ``a - a*``
-        from its column's peak; no complex number is formed."""
+        from its column's peak; no complex number is formed.  Where
+        ``4**power`` leaves the exponent range, ``2*power`` at or past 2098
+        or a peak of ``+inf``, no table is built and the first three are
+        ``None``: any positive double times ``2**2098`` is past double
+        range."""
         if set(self.terms) != {(0, 0, 0)}:
             raise ValueError("a cell window needs the one term (0, 0, 0)")
         k, tau, gamma = self.level, self.tau, self.gamma
         log_coeff = math.log(abs(self.terms[(0, 0, 0)]))
         peak = math.pi * k * gamma.imag * gamma.imag / tau.imag + log_coeff  # max Re E
         power = _power_above(peak)
-        constant = 2.0 * peak - 2 * power * _LN2_HI - 2 * power * _LN2_LO
+        if peak == math.inf or 2 * power >= 2098:
+            return None, None, None, power
+        constant = _less_log2(2.0 * peak, 2 * power)
         centre = gamma.imag / tau.imag
 
         def build(a):
@@ -365,7 +372,7 @@ class ThetaField(Field):
             return -math.pi * k * d * (tau.real * (2.0 * (a[:, :-d, None] + y) + d)
                                        + 2.0 * gamma.real)
 
-        return np.rint(k * a).astype(int), table, pair_phase, power
+        return _frequencies(k, a), table, pair_phase, power
 
 
 class _Translated(Field):
@@ -373,20 +380,20 @@ class _Translated(Field):
     :func:`~nctorus.fields.displacement_apply` and on the cell rule from
     ``f``'s :meth:`cell_exponent` table, as is every composition of them."""
 
-    __slots__ = ("base", "displacement", "scale", "basis")
+    __slots__ = ("base", "u", "scale", "basis")
 
-    def __init__(self, base, displacement, scale, basis):
-        g = displacement_apply(displacement, base)
+    def __init__(self, base, u, scale, basis):
+        g = displacement_apply(u, base)
         ev, dz, dzbar = g.evaluate, g.d_z, g.d_zbar
         super().__init__(lambda w, wbar: scale * ev(w, wbar), base.tau, base.im_tau_weight,
                          d_z=lambda w, wbar: scale * dz(w, wbar),
                          d_zbar=lambda w, wbar: scale * dzbar(w, wbar))
-        self.base, self.displacement, self.scale, self.basis = base, displacement, scale, basis
+        self.base, self.u, self.scale, self.basis = base, u, scale, basis
 
     def _shift(self):
         """``(u_x, u_y)`` of the displacement ``u = u_x + tau*u_y``."""
-        uy = self.displacement.u.imag / self.tau.imag
-        return self.displacement.u.real - self.tau.real * uy, uy
+        uy = self.u.imag / self.tau.imag
+        return self.u.real - self.tau.real * uy, uy
 
     def _term_factors(self, freq):
         """``(const, phase)``: on the cell rule each term of the image is
@@ -566,33 +573,47 @@ def _grid_exponent_norms(freq, expo, n_x, step, power=0):
     real buffer, and the pair phases are differences of ``Im E``."""
     _, twice = _column_major(expo.shape)
     np.multiply(expo.real, 2.0, out=twice)
-    # log(4**power) in two parts, the first exact: the shift rounds no log 2
-    twice -= 2 * power * _LN2_HI
-    twice -= 2 * power * _LN2_LO
+    _less_log2(twice, 2 * power)
     im = expo.imag
     return _alias_fold(freq, twice, n_x, step, lambda d: im[:, :-d] - im[:, d:])
 
 
-def _scale_power(expo) -> int:
-    """The power of two above the largest entry ``exp(Re E)`` of a table
-    of exponents ``expo`` (0 where no entry is finite): each reader of a
-    cell table divides it by this power before it sums or exponentiates."""
-    return _power_above(float(np.max(expo.real)))
+def _frequencies(level, a):
+    """The integer frequencies ``rint(K*a)`` of a window's run ``a``;
+    ``ArithmeticError`` where one passes 2**53, before the cast.  Every
+    row of a run rises by 1 from within 1 of ``a[0, 0]``
+    (``theta._grid_window``), so its two corners clear a run far below
+    2**53, and only one near it, or NaN, reads every entry."""
+    freq = np.rint(level * a)
+    if not level * (abs(a[0, 0]) + abs(a[-1, -1]) + 1.0) < 2.0**53:
+        top = abs(freq).max()
+        if not top <= 2.0**53:  # a NaN is refused too
+            raise ArithmeticError("a cell window's integer frequencies pass 2**53, up to %r"
+                                  % (float(top),))
+    return freq.astype(int)
 
 
 def _power_above(top) -> int:
-    """The power of two above ``exp(top)``, 0 where ``top`` is not finite."""
+    """The power of two above ``exp(top)``, 0 where ``top`` is not finite:
+    each reader of a cell table divides it by the power above its largest
+    entry ``exp(Re E)`` before it sums or exponentiates."""
     return math.floor(top / _LN2_HI) + 1 if math.isfinite(top) else 0
+
+
+def _less_log2(x, power):
+    """``x - power*log(2)``, in place where ``x`` is an array: ``log 2``
+    in two parts, the first exact, so the shift rounds no ``log 2``."""
+    x -= power * _LN2_HI
+    x -= power * _LN2_LO
+    return x
 
 
 def _scaled_exp(expo, power):
     """``exp(expo) / 2**power``, formed in ``expo`` in place: the shift by
-    ``power*log(2)`` is subtracted from the exponents, as in
-    :func:`_grid_exponent_norms`, before the one exponential, so no entry
-    overflows where its scaled value is in range."""
-    re = expo.real
-    re -= power * _LN2_HI
-    re -= power * _LN2_LO
+    ``power*log(2)`` is subtracted from the exponents (:func:`_less_log2`)
+    before the one exponential, so no entry overflows where its scaled
+    value is in range."""
+    _less_log2(expo.real, power)
     with np.errstate(invalid="ignore"):  # a NaN exponent reads NaN, which the module reports
         return np.exp(expo, out=expo)
 
@@ -608,9 +629,13 @@ def state_norm(basis: LLLBasis) -> list[float]:
     of its own.  The table is exponentiated in place, and the norms are
     multiplied by the square of its power of two in one ``np.ldexp``, which
     keeps every bit in range and reads a norm past double range as
-    ``inf``; no complex number is formed."""
+    ``inf``; no complex number is formed.  Where that square itself leaves
+    the exponent range, the field builds no table, and every norm reads
+    ``inf``, exactly, as each scaled norm is positive."""
     x, y = quadrature_nodes(basis)
     freq, twice, pair_phase, power = basis.field.cell_norm_exponent(y)
+    if twice is None:
+        return [math.inf] * basis.level
     norms = _alias_fold(freq, twice, x.size, basis.level, pair_phase) / (x.size * y.size)
     with np.errstate(over="ignore"):
         return np.ldexp(norms, 2 * power).tolist()
@@ -677,16 +702,16 @@ class LLLBasis:
     def _cell_states(self):
         """``(n_x, y, power, classes, products)`` of the module: the node
         count in ``x`` and the ``y`` nodes of :func:`quadrature_nodes`,
-        ``power``, the :func:`_scale_power` of the states'
-        :meth:`ThetaField.cell_exponent` table on those columns, the
-        :func:`_grid_classes` ``u`` of that table's :func:`_scaled_exp` by
-        ``2**power``, and their per-class products ``conj(u_c) @ u_c.T``,
+        ``power``, the power of two above the largest entry ``exp(Re E)``
+        of the states' :meth:`ThetaField.cell_exponent` table on those
+        columns (:func:`_power_above`), the :func:`_grid_classes` ``u`` of
+        that table's :func:`_scaled_exp` by ``2**power``, and their per-class products ``conj(u_c) @ u_c.T``,
         which the Gram matrix and every step along 1 read.  The states reach
         ``exp(Im(tau)*alpha1**2/(4*pi*K))``, but they are scaled before they
         are exponentiated."""
         x, y = quadrature_nodes(self)
         freq, expo = self.field.cell_exponent(y)
-        power = _scale_power(expo)
+        power = _power_above(float(np.max(expo.real)))
         classes = _grid_classes(freq, _scaled_exp(expo, power), x.size)
         values = classes[0]
         return x.size, y, power, classes, np.conjugate(values) @ values.transpose(0, 2, 1)
@@ -787,11 +812,11 @@ def elementary_translation(basis: LLLBasis, index, dual=False):
     div = basis.flux.numerator if dual else basis.flux.denominator
     step, alpha = ((1.0, basis.angles.alpha1) if index == 1
                    else (basis.tau.value, basis.angles.alpha2))
-    d = Displacement(step / div)
+    u = step / div
     scale = cmath.exp(2j * alpha / div)
 
     def op(f: Field) -> Field:
-        return _Translated(f, d, scale, basis)
+        return _Translated(f, u, scale, basis)
 
     return op
 
@@ -813,7 +838,7 @@ def _project(basis: LLLBasis, image):
     :meth:`~_Translated.cell_exponent` table, read at the states' power."""
     n_x, y, power, states, products = basis._cell_states
     norms = basis.gram.diagonal().real
-    if getattr(image, "base", None) is basis.field and not image.displacement.u.imag:
+    if getattr(image, "base", None) is basis.field and not image.u.imag:
         _, rows, freqs, size = states
         const, phase = image._term_factors(freqs)
         weights = np.exp(phase)
@@ -895,8 +920,7 @@ def center_eigen_residual(basis: LLLBasis):
     res = []
     for index, alpha in ((1, basis.angles.alpha1), (2, basis.angles.alpha2)):
         step = elementary_translation(basis, index)(basis.field)
-        power = _Translated(basis.field, Displacement(m * step.displacement.u), step.scale**m,
-                            basis)
+        power = _Translated(basis.field, m * step.u, step.scale**m, basis)
         res += _law_residual(_project(basis, power), np.arange(basis.level),
                              cmath.exp(1j * alpha))[:2]
     return float(np.max(res)), (  # np.max, unlike max, keeps a NaN

@@ -94,8 +94,11 @@ def z_tilde_character_route(basis: LLLBasis) -> float:
     # the square completed in y, -pi*K*b*y**2 - a1*b*y + pi*K*(b*y + Im
     # gamma)**2/b, so no term of size pi*K*b is formed and cancelled
     slope = 2.0 * math.pi * klev * gamma.imag - a1 * b
-    offset = math.pi * klev * gamma.imag**2 / b
     x, y = quadrature_nodes(basis)
+    try:
+        offset = math.pi * klev * gamma.imag**2 / b
+    except OverflowError:  # the envelope, and with it every value, is past double range
+        return _over_eta2(math.inf, eta2)
     # past double range a value reads inf, unwarned (its lag products meet inf * 0)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = _theta_residue_norms(klev, x, tau * y + gamma, t, basis.policy,

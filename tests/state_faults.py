@@ -83,8 +83,8 @@ def nan_states(monkeypatch):
 class _WithoutScale(lll._Translated):
     """Fault: a translation without its ``exp(2i*alpha/div)`` factor."""
 
-    def __init__(self, base, displacement, scale, *args):
-        super().__init__(base, displacement, 1.0, *args)
+    def __init__(self, base, u, scale, *args):
+        super().__init__(base, u, 1.0, *args)
 
 
 class _ShiftedStepAlongTau(lll._Translated):
@@ -92,7 +92,7 @@ class _ShiftedStepAlongTau(lll._Translated):
 
     def cell_exponent(self, y):
         freq, expo = super().cell_exponent(y)
-        return (freq + 1 if self.displacement.u.imag else freq), expo
+        return (freq + 1 if self.u.imag else freq), expo
 
 
 def _flipped_cocycle_sign(monkeypatch):

@@ -290,6 +290,40 @@ def test_partition_character_route_reads_infinity_past_double_range(capsys):
     assert '"z_tilde":Infinity,"z_tilde_character_route":Infinity,' in captured.out
 
 
+@pytest.mark.parametrize("alpha1", ["1e10", "1e17", "1e200"])
+def test_partition_at_a_huge_angle_reads_infinity_silently(capsys, alpha1):
+    # the state norms' power of two leaves the exponent range: np.ldexp's
+    # exponent passed a C int at 1e10 and a C long at 1e17, and at 1e200 the
+    # character route's square overflowed; the report prints, as for any
+    # non-finite value, and exits 1
+    code = main(["partition", "--alpha1", alpha1])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    rep = json.loads(captured.out)
+    for key in ("z_tilde", "z_tilde_character_route", "z_tilde_closed_form"):
+        assert rep[key] == math.inf, key
+    assert math.isnan(rep["s_residual"]) and math.isnan(rep["t_residual"])
+
+
+@pytest.mark.parametrize("command", ["verify", "lll"])
+def test_a_huge_angle_fails_without_a_warning(capfd, tmp_path, command):
+    # at 1e200 the window's integer frequencies pass 2**53: the module
+    # refuses them before their cast, which warned, and the rows that read
+    # it fail with that error as a note
+    argv = [command, "--alpha1", "1e200"] + (["--out", str(tmp_path)] if command == "lll" else [])
+    assert main(argv) == 1
+    out, err = capfd.readouterr()
+    assert "Warning" not in out + err
+    refused = "ArithmeticError: a cell window's integer frequencies pass 2**53"
+    if command == "lll":
+        assert out == "" and err.startswith("error: " + refused) and err.count("\n") == 1
+    else:
+        assert err == ""
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in _MODULE_ROWS:
+            assert checks[name]["note"].startswith(refused), name
+
+
 def test_lll_csv_past_double_range_fails_with_one_error_line(capsys, tmp_path):
     # at K = 1 and 1e5i the module measures, but the states' pointwise
     # values on the CSV grid leave double range: the command names that,
@@ -718,6 +752,27 @@ def test_complex_flag_values_may_start_with_a_minus(tmp_path, capsys, argv):
         assert captured.err == ""
         outputs.append(re.sub(r'"wall_time":[^,}]*', "", captured.out))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--alpha1", "-2.5e-1"],
+    ["matrices", "--M", "3", "--N", "2", "--alpha2", "-1e-3"],
+], ids=lambda argv: argv[0])
+def test_signed_exponents_may_follow_an_angle_flag(capsys, argv):
+    # argparse reads "-1e-3" as a flag; "--alpha2 -1e-3" is "--alpha2=-1e-3"
+    outputs = []
+    for args in (argv, argv[:-2] + ["=".join(argv[-2:])]):
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_signed_eps_reads_the_range_error(capsys):
+    assert main(["partition", "--eps", "-1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: epsilon must lie in (0, 1), got -0.001\n"
 
 
 def test_lll_subcommand_writes_grids(tmp_path, capsys):

@@ -79,7 +79,7 @@ def test_the_cell_rule_lives_in_lll():
     # the cell rule's sums and the states' norms are defined in lll alone
     theta = importlib.import_module("nctorus.theta")
     for name in ("_grid_classes", "_grid_overlaps", "_grid_exponent_norms", "_alias_fold",
-                 "_scale_power", "_scaled_exp", "state_norm"):
+                 "_less_log2", "_scaled_exp", "state_norm"):
         assert getattr(lll, name).__module__ == "nctorus.lll", name
         assert not hasattr(theta, name), name
     assert partition.state_norm is lll.state_norm

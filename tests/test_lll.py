@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nctorus import cli, lll, partition
 from nctorus.core import Flux, VacuumAngles, as_tau
 from nctorus.errors import TruncationError
-from nctorus.fields import Displacement, Field, ladder_apply
+from nctorus.fields import Field, ladder_apply
 from nctorus.lll import (
     LLLBasis,
     ThetaField,
@@ -337,7 +337,7 @@ def test_center_eigen_residual_fails_a_phase_error_in_the_step(monkeypatch):
 
         def faulty(f):
             g = op(f)
-            return lll._Translated(g.base, g.displacement, g.scale * cmath.exp(1e-9j), g.basis)
+            return lll._Translated(g.base, g.u, g.scale * cmath.exp(1e-9j), g.basis)
 
         return faulty
 
@@ -501,6 +501,17 @@ def test_cell_exponent_is_the_window_before_its_exponential():
         raise_level(basis, 0, 0).cell_exponent(y)
 
 
+def test_window_frequencies_past_2_53_raise_before_their_cast():
+    edge = np.array([[2.0**53, -(2.0**53)]])
+    assert lll._frequencies(1, edge).tolist() == [[2**53, -(2**53)]]
+    for a in (2.0**53 + 2, -(2.0**53) - 2, 1e199, math.inf, math.nan):
+        with pytest.raises(ArithmeticError, match="pass 2"):
+            lll._frequencies(1, np.array([[0.5, a]]))
+    # at alpha1 = 1e17 the states' frequencies reach 1.6e16: the module refuses them
+    with pytest.raises(ArithmeticError, match="pass 2"):
+        build_basis(Flux(2, 3), TAU_GEN, VacuumAngles(1e17, 0.0)).gram
+
+
 @pytest.mark.parametrize("mn, tau", [((3, 2), TAU_GEN), ((7, 5), 0.01j), ((13, 3), -0.2 + 1.7j),
                                      ((3, 2), 50j), ((1, 1), 0.001j)])
 def test_cell_norm_exponent_is_twice_the_real_part_of_the_window(mn, tau):
@@ -535,7 +546,7 @@ def test_cell_window_is_zero_outside_each_columns_own_window():
     # exp(E) itself overflows, the module measures to round-off
     def scaled_window(basis):
         expo = basis.field.cell_exponent(partition.quadrature_nodes(basis)[1])[1]
-        power = lll._scale_power(expo)
+        power = lll._power_above(float(np.max(expo.real)))
         return expo.copy(), power, lll._scaled_exp(expo, power)
 
     basis = build_basis(Flux(2, 3), TAU_GEN, ANGLES)
@@ -907,8 +918,7 @@ def _steps_along_one(basis):
     d1, dual1 = (elementary_translation(basis, 1, dual=dual) for dual in (False, True))
     step = d1(basis.field)
     return {"d1": d1, "dual1": dual1,
-            "d1^M": lambda f: lll._Translated(f, Displacement(m * step.displacement.u),
-                                              step.scale**m, basis)}
+            "d1^M": lambda f: lll._Translated(f, m * step.u, step.scale**m, basis)}
 
 
 def _field_copy(basis):

@@ -350,6 +350,22 @@ def test_both_routes_read_inf_past_double_range(mn, tau):
         assert route(basis) == math.inf, route.__name__
 
 
+@pytest.mark.parametrize("alpha1", [1e10, 1e17, 1e200])
+def test_state_norms_past_the_exponent_range_build_no_table(monkeypatch, alpha1):
+    # 2*power passes the exponent range (at 1e200 the peak itself is inf):
+    # every norm is inf, exactly, and no table is built; the character
+    # route reads inf there too, where its envelope overflowed
+    basis = build_basis(Flux(2, 3), 0.3 + 1.1j, VacuumAngles(alpha1, 0.0))
+
+    def refuse(*args):
+        raise AssertionError("a norm table was built")
+
+    monkeypatch.setattr(lll, "_grid_window", refuse)
+    assert state_norm(basis) == [math.inf] * 6
+    assert basis.field.cell_norm_exponent(quadrature_nodes(basis)[1])[:3] == (None,) * 3
+    assert z_tilde_character_route(basis) == math.inf
+
+
 @pytest.mark.parametrize("mn, im_tau, alpha1", [((1, 1), 1.0, 100.0), ((2, 1), 10.0, 30.0),
                                                 ((3, 2), 3.0, 100.0), ((7, 5), 1.0, 1000.0)])
 def test_character_route_reads_inf_where_its_window_has_more_terms(mn, im_tau, alpha1):

@@ -442,7 +442,7 @@ def test_grid_norms_fold_the_grid_values_on_midpoint_nodes(level, tau, n_x):
     log_scale = unit_envelope(level, c, tau)
     a, expo = theta_module._grid_exponent(spec, c, tau, TruncationPolicy(),
                                           log_scale - 1j * math.pi * level * c**2 / tau)
-    power = lll._scale_power(expo)
+    power = lll._power_above(float(np.max(expo.real)))
     got = lll._grid_exponent_norms(np.rint(level * a).astype(int), expo, n_x, level, power)
     got *= 4.0**power
     z = x[:, None] + c

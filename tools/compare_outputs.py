@@ -56,8 +56,10 @@ def build_cases() -> list:
     runs whose certified counts reach the term cap or the theta cutoff's
     guard, five runs whose ``--eps`` puts eta's tail bound or the cell
     rule's ``2 / epsilon`` past double range, a ``partition`` whose
-    character route takes each step as one exponential, and four runs at a
-    valid flux too large to build."""
+    character route takes each step as one exponential, four runs at a
+    valid flux too large to build, five runs at angles whose state norms
+    leave the exponent range, and two signed values with an exponent after
+    their flag."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
     import workloads
 
@@ -173,6 +175,15 @@ def build_cases() -> list:
         ["partition", "--M", "3", "--N", "4611686018427387904"],
         ["lll", "--M", "3", "--N", "4611686018427387904", "--out", OUT],
         ["matrices", "--M", "5", "--N", "4611686018427387907"],
+    ]
+    # angles whose state norms' power of two leaves the exponent range, and
+    # at 1e200 window frequencies past 2**53; signed exponents after a flag
+    cases += [["partition", "--alpha1", alpha1] for alpha1 in ("1e10", "1e17", "1e200")]
+    cases += [
+        ["verify", "--alpha1", "1e200"],
+        ["lll", "--alpha1", "1e200", "--out", OUT],
+        ["matrices", "--M", "3", "--N", "2", "--alpha2", "-1e-3"],
+        ["partition", "--eps", "-1e-3"],
     ]
     return cases
 

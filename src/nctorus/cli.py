@@ -493,8 +493,7 @@ def _config_from(args) -> RunConfig:
                         for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)})
 
 
-# flags whose values are parse_complex literals, which may begin with a minus
-# the flags whose value may start with "-", each with the parser of its value
+# the flags whose value may begin with a minus, each with the parser of its value
 _SIGNED_FLAGS = {"--tau": parse_complex, "--z": parse_complex,
                  "--alpha1": float, "--alpha2": float, "--eps": float}
 

@@ -110,8 +110,9 @@ class Field:
 
 
 def lattice_displacement(flux: Flux, tau, m, dual=False) -> complex:
-    """The displacement ``u`` along ``m1*e1 + m2*e2`` of the crystal lattice, or
-    along the dual lattice ``e*_i = (M/N)*e_i`` when ``dual`` is true.
+    """The displacement ``u`` along ``m1*e1 + m2*e2`` of the crystal
+    lattice, or along the dual lattice ``e*_i = (M/N)*e_i`` when ``dual``
+    is true.
 
     The embedding uses the cell-adapted frame ``e1 = sqrt(2*pi*kappa)``,
     ``e2 = sqrt(2*pi*kappa)*tau`` (see the module docstring), which makes

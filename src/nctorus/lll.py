@@ -705,8 +705,9 @@ class LLLBasis:
         ``power``, the power of two above the largest entry ``exp(Re E)``
         of the states' :meth:`ThetaField.cell_exponent` table on those
         columns (:func:`_power_above`), the :func:`_grid_classes` ``u`` of
-        that table's :func:`_scaled_exp` by ``2**power``, and their per-class products ``conj(u_c) @ u_c.T``,
-        which the Gram matrix and every step along 1 read.  The states reach
+        that table's :func:`_scaled_exp` by ``2**power``, and their
+        per-class products ``conj(u_c) @ u_c.T``, which the Gram matrix and
+        every step along 1 read.  The states reach
         ``exp(Im(tau)*alpha1**2/(4*pi*K))``, but they are scaled before they
         are exponentiated."""
         x, y = quadrature_nodes(self)

@@ -31,11 +31,9 @@ so the states are a bimodule: ``D1``, ``D2`` act on ``j`` and the dual
 pair, their commutant, on ``k``.  The three law rows live here: the
 lemma (:func:`lemma_eigenphase_residual`), the centre
 (:func:`center_eigen_residual`) and the bimodule check
-(:func:`bimodule_consistency`).  They read these laws as monomials
-``(target, phase)`` from one helper, :func:`_predicted_translations`, and
-compare each measured matrix with its monomial through one routine,
-:func:`_law_residual`, which forms no dense law (:func:`_law_deviation`)
-and reduces each ``|L - P|`` before the next is formed.
+(:func:`bimodule_consistency`).  Each reads these laws as monomials
+(:func:`_predicted_translations`) and compares each measured matrix with
+its monomial in :func:`_law_residual`, forming no dense law.
 
 States are stored as exact term families
 ``sum_t c_t * w^a * wbar^c * exp(G) * theta^{(p)}(w + gamma)`` so that
@@ -83,22 +81,18 @@ integer frequencies ``F`` and ``F'`` agree mod ``n_x``: one small matrix
 product per class (:func:`_grid_overlaps`).  That gives the Gram matrix
 ``G`` and, for each translation ``T``, ``L = diag(G)^-1 P`` with ``P_rs =
 <Psi_r, T Psi_s>``.  A family's own norms are the diagonal of that
-product: the terms of each class, signed by ``(-1)**(F // n_x)``, fold
-onto one value, and a column's norm is ``n_x`` times the sum of their
-``|.|**2``, every alias of the midpoint rule kept.  From ``2*Re E`` and
-the pair phases alone that norm is each term's squared magnitude
-``exp(2*Re E)`` plus, for every pair of terms of one class, the product
-``2*exp(Re E + Re E')*cos(Im E - Im E')`` with its signs; a row whose
-terms do not alias reads no phase.  One routine folds it
-(:func:`_alias_fold`), for each image's own complex table from its
-exponents (:func:`_grid_exponent_norms`) and for :func:`state_norm` from
-a real table.  Every complex table is one of exponents, fresh and its
-caller's (:meth:`ThetaField.cell_exponent`).  Each reader divides it by
-the power of two above its largest entry ``exp(Re E)``
-(:func:`_power_above`), subtracting its log, in the two parts of one
-routine (:func:`_less_log2`), before any exponential
-(:func:`_scaled_exp`), so a table is measured wherever its scaled
-products are in range.
+product: each term's squared magnitude ``exp(2*Re E)`` plus, for every
+pair of terms of one class, ``2*exp(Re E + Re E')*cos(Im E - Im E')``
+signed by ``(-1)**(F // n_x)``, every alias of the midpoint rule kept; a
+row whose terms do not alias reads no phase.  One routine folds it
+(:func:`_alias_fold`), for each image's complex table
+(:func:`_grid_exponent_norms`) and for :func:`state_norm` from a real
+table.  Every complex table is one of exponents, fresh and its caller's
+(:meth:`ThetaField.cell_exponent`).  Each reader divides it by the power
+of two above its largest entry ``exp(Re E)`` (:func:`_power_above`),
+subtracting its log in two parts (:func:`_less_log2`) before any
+exponential (:func:`_scaled_exp`), so a table is measured wherever its
+scaled products are in range.
 
 The state norms need only ``|Psi|**2``, so their table is real
 (:meth:`ThetaField.cell_norm_exponent`), on the same window geometry.  On
@@ -114,11 +108,13 @@ the second read only by the terms that alias.  ``Im(tau*g) = Im gamma``
 makes the first ``-2*pi*K*Im tau*(v - v*)**2`` plus its peak
 ``2*pi*K*(Im gamma)**2/Im tau + 2*log|coeff|``, ``v* = -Im gamma/Im tau``,
 and the peak rides with the power of two, so every entry is at most 0.
-No complex number is formed, and ``c/tau``, whose rounding at large ``Im
-tau`` cost the complex table its last digits, is not: against 40-digit
-``mpmath`` sums of the same windows the norms read 1.7e-16 at (M, N) =
-(5, 2), ``tau = 0.336+472.1i`` on 128 nodes a side, and 1.9e-16 at (3, 2),
-``0.3+1000i``, where the complex table read 1.1e-14 and 1.2e-14.
+Only the phases read ``Re tau``: the norms at ``tau + 1`` share the
+table (:func:`state_norms_at`).  No complex number is formed, and
+``c/tau``, whose rounding at large ``Im tau`` cost the complex table its
+last digits, is not: against 40-digit ``mpmath`` sums of the same
+windows the norms read 1.7e-16 at (M, N) = (5, 2), ``tau =
+0.336+472.1i`` on 128 nodes a side, and 1.9e-16 at (3, 2), ``0.3+1000i``,
+where the complex table read 1.1e-14 and 1.2e-14.
 
 The basis keeps the states' per-class products ``conj(u_c) @ u_c.T``,
 and ``G`` is their sum onto the rows (:func:`_class_sums`).  A step along
@@ -152,6 +148,7 @@ __all__ = [
     "cell_node_counts",
     "quadrature_nodes",
     "state_norm",
+    "state_norms_at",
     "LLLBasis",
     "ThetaField",
     "build_basis",
@@ -259,6 +256,11 @@ def _dwbar_terms(terms, level, b):
     return out
 
 
+def _gamma(tau: complex, angles: VacuumAngles, level: int) -> complex:
+    """``gamma`` of a field, and of :func:`state_norms_at`'s points."""
+    return (tau * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * level)
+
+
 class ThetaField(Field):
     """Field in the exact theta-term family (see module docstring).
 
@@ -284,7 +286,7 @@ class ThetaField(Field):
         self.spec = ThetaSpec(self.level, residue)
         self.residue = self.spec.residue
         self.angles = angles
-        self.gamma = (tv * angles.alpha1 - angles.alpha2) / (2.0 * math.pi * self.level)
+        self.gamma = _gamma(tv, angles, self.level)
         self.policy = policy
 
         # the evaluators hold no reference to self: a field is freed as
@@ -334,18 +336,16 @@ class ThetaField(Field):
         module docstring): the integer frequencies ``F``, shape ``(residue,
         m)``; the table ``2*Re E - 2*power*log 2 = -2*pi*K*Im tau*(v -
         v*)**2 + c``, shape ``(residue, m, y)``, C-contiguous, fresh and the
-        caller's, ``-inf`` outside each column's own window; ``pair_phase(d)
-        = Im E_m - Im E_{m+d} = -pi*K*d*(Re tau*(2*v_m + d) + 2*Re gamma)``,
-        shape ``(residue, m - d, y)``; and ``power``, the power of two above
-        the peak ``exp(max Re E)``.  Here ``v = a + y`` on the columns, ``v*
-        = -Im gamma/Im tau``, and ``c`` is the peak ``2*pi*K*(Im
-        gamma)**2/Im tau + 2*log|coeff|`` less ``2*power*log 2``, in
-        ``[-2*log 2, 0)``.  ``v - v*`` is each term's distance ``a - a*``
-        from its column's peak; no complex number is formed.  Where
-        ``4**power`` leaves the exponent range, ``2*power`` at or past 2098
-        or a peak of ``+inf``, no table is built and the first three are
-        ``None``: any positive double times ``2**2098`` is past double
-        range."""
+        caller's, ``-inf`` outside each column's own window; ``pair_phase(d,
+        tau=tau, gamma=gamma) = Im E_m - Im E_{m+d} = -pi*K*d*(Re tau*(2*v_m +
+        d) + 2*Re gamma)``, shape ``(residue, m - d, y)``, also at a point
+        of the same ``Im tau`` and ``Im gamma``; and ``power``, the power of
+        two above the peak ``exp(max Re E)``.  ``v``, ``v*`` and the peak
+        are those of "The cell rule", and ``c``, the peak less ``2*power*log
+        2``, is in ``[-2*log 2, 0)``.  Where ``4**power`` leaves the exponent
+        range, ``2*power`` at or past 2098 or a peak of ``+inf``, no table is
+        built and the first three are ``None``: any positive double times
+        ``2**2098`` is past double range."""
         if set(self.terms) != {(0, 0, 0)}:
             raise ValueError("a cell window needs the one term (0, 0, 0)")
         k, tau, gamma = self.level, self.tau, self.gamma
@@ -368,7 +368,7 @@ class ThetaField(Field):
 
         a, table = _grid_window(self.spec, tau.imag * y + gamma.imag, tau.imag, self.policy, build)
 
-        def pair_phase(d):
+        def pair_phase(d, tau=tau, gamma=gamma):
             return -math.pi * k * d * (tau.real * (2.0 * (a[:, :-d, None] + y) + d)
                                        + 2.0 * gamma.real)
 
@@ -526,10 +526,11 @@ def _column_major(shape):
     return table, table.transpose(0, 2, 1)
 
 
-def _alias_fold(freq, twice, n_x, step, pair_phase):
+def _alias_fold(freq, twice, n_x, step, pair_phases):
     """``sum_{i,j} |u_r[i, j]|**2`` for every row, the diagonal of
     :func:`_grid_overlaps`, from a table ``twice`` of ``2*Re E`` and the
-    pair phases ``pair_phase(d) = Im E_m - Im E_{m+d}`` alone.
+    pair phases ``pair_phase(d) = Im E_m - Im E_{m+d}`` alone: one row of
+    norms per ``pair_phases`` function, the squares summed once.
     ``|exp(E)|**2 = exp(2*Re E)``, and the fold's only cross terms pair the
     terms ``m`` and ``m + d`` of a row that alias, ``d`` a multiple of the
     period ``p = n_x / gcd(step, n_x)`` of a row whose ``freq`` rise by
@@ -542,25 +543,27 @@ def _alias_fold(freq, twice, n_x, step, pair_phase):
     summed over the columns, with ``s = (-1)**(freq // n_x)``.  ``twice``
     is laid out ``(row, m, column)``, C-contiguous or the view of a
     :func:`_column_major` buffer, and is exponentiated in place; each row
-    sums in the buffer's order.  The shifts by ``d`` run along its axis 1.
-    Where a row has no more terms than the period the cross sum is empty,
-    and no phase is read."""
+    sums in the buffer's order.  Where a row has no more terms than the
+    period the cross sum is empty, and no phase is read."""
     period = n_x // math.gcd(step, n_x)
     crosses = []  # read before twice is exponentiated in place, added after the squares
     if twice.shape[1] > period:  # terms alias onto each other
         sign = 1 - 2 * (freq // n_x % 2)
         for d in range(period, twice.shape[1], period):
-            pair_table, cross = _column_major(twice[:, d:].shape)
-            np.add(twice[:, :-d], twice[:, d:], out=cross)
-            cross *= 0.5
-            np.exp(pair_table, out=pair_table)
-            cross *= np.cos(pair_phase(d))
-            cross *= (sign[:, :-d] * sign[:, d:])[:, :, None]
-            crosses.append(2.0 * pair_table.reshape(len(pair_table), -1).sum(axis=1))
+            pairs, halves = _column_major(twice[:, d:].shape)
+            np.add(twice[:, :-d], twice[:, d:], out=halves)
+            halves *= 0.5
+            np.exp(pairs, out=pairs)
+            halves *= (sign[:, :-d] * sign[:, d:])[:, :, None]  # +-1: exact in any order
+            crosses.append([])
+            for pair_phase in pair_phases:
+                pair_table, cross = _column_major(halves.shape)
+                np.multiply(halves, np.cos(pair_phase(d)), out=cross)
+                crosses[-1].append(2.0 * pair_table.reshape(len(pair_table), -1).sum(axis=1))
     table = np.exp(twice, out=twice)
     if not table.flags.c_contiguous:
         table = table.transpose(0, 2, 1)  # the (row, column, m) buffer
-    norms = table.reshape(len(table), -1).sum(axis=1)
+    norms = np.tile(table.reshape(len(table), -1).sum(axis=1), (len(pair_phases), 1))
     for cross in crosses:
         norms += cross
     return n_x * norms
@@ -575,7 +578,7 @@ def _grid_exponent_norms(freq, expo, n_x, step, power=0):
     np.multiply(expo.real, 2.0, out=twice)
     _less_log2(twice, 2 * power)
     im = expo.imag
-    return _alias_fold(freq, twice, n_x, step, lambda d: im[:, :-d] - im[:, d:])
+    return _alias_fold(freq, twice, n_x, step, [lambda d: im[:, :-d] - im[:, d:]])[0]
 
 
 def _frequencies(level, a):
@@ -619,24 +622,30 @@ def _scaled_exp(expo, power):
 
 
 def state_norm(basis: LLLBasis) -> list[float]:
-    """Squared cell norms of the K ground states, in the order of
-    :meth:`LLLBasis.labels`, folded on the columns of
-    :func:`quadrature_nodes` from the real table of ``2*Re E`` less its
-    peak's power of two (:meth:`ThetaField.cell_norm_exponent`, see "The
-    cell rule"): each row's squared magnitudes plus the products of its
-    terms that alias mod ``n_x`` (:func:`_alias_fold`), the diagonal of
-    :attr:`LLLBasis.gram`, which reads the same nodes from a complex table
-    of its own.  The table is exponentiated in place, and the norms are
-    multiplied by the square of its power of two in one ``np.ldexp``, which
-    keeps every bit in range and reads a norm past double range as
-    ``inf``; no complex number is formed.  Where that square itself leaves
-    the exponent range, the field builds no table, and every norm reads
-    ``inf``, exactly, as each scaled norm is positive."""
+    """Squared cell norms of the K ground states in :meth:`LLLBasis.labels`
+    order, the diagonal of :attr:`LLLBasis.gram`, folded from the real
+    table of :meth:`ThetaField.cell_norm_exponent` (see "The cell rule")
+    and scaled back in one ``np.ldexp``: a norm past double range, or
+    every norm where no table is built, reads ``inf``."""
+    return state_norms_at(basis, basis.tau)[0]
+
+
+def state_norms_at(basis: LLLBasis, *taus) -> list[list[float]]:
+    """:func:`state_norm` of ``basis`` read at each of ``taus`` of its ``Im
+    tau``, such as ``tau + 1``, from its one table: only the pair phases of
+    aliasing terms are a point's own (see "The cell rule"), bit for bit a
+    basis built there.  ``ValueError`` for a point off that ``Im tau``."""
+    taus = [as_tau(tau) for tau in taus]
+    if any(tau.im != basis.tau.im for tau in taus):
+        raise ValueError("a point off Im tau = %r" % basis.tau.im)
     x, y = quadrature_nodes(basis)
     freq, twice, pair_phase, power = basis.field.cell_norm_exponent(y)
     if twice is None:
-        return [math.inf] * basis.level
-    norms = _alias_fold(freq, twice, x.size, basis.level, pair_phase) / (x.size * y.size)
+        return [[math.inf] * basis.level for _ in taus]
+    phases = [functools.partial(pair_phase, tau=tau.value,
+                                gamma=_gamma(tau.value, basis.angles, basis.level))
+              for tau in taus]
+    norms = _alias_fold(freq, twice, x.size, basis.level, phases) / (x.size * y.size)
     with np.errstate(over="ignore"):
         return np.ldexp(norms, 2 * power).tolist()
 
@@ -673,9 +682,10 @@ class LLLBasis:
     def policy(self) -> TruncationPolicy:
         return self.field.policy
 
-    @property
+    @functools.cached_property
     def cell_nodes(self) -> tuple[int, int]:
-        """``(n_x, n_y)`` of the basis's cell rule (:func:`cell_node_counts`)."""
+        """``(n_x, n_y)`` of the basis's cell rule (:func:`cell_node_counts`),
+        counted once."""
         return cell_node_counts(self.level, self.tau.im, self.policy.epsilon, self.quad)
 
     @functools.cached_property
@@ -707,9 +717,9 @@ class LLLBasis:
         columns (:func:`_power_above`), the :func:`_grid_classes` ``u`` of
         that table's :func:`_scaled_exp` by ``2**power``, and their
         per-class products ``conj(u_c) @ u_c.T``, which the Gram matrix and
-        every step along 1 read.  The states reach
-        ``exp(Im(tau)*alpha1**2/(4*pi*K))``, but they are scaled before they
-        are exponentiated."""
+        every step along 1 read.  The states, up to
+        ``exp(Im(tau)*alpha1**2/(4*pi*K))``, are scaled before the
+        exponential."""
         x, y = quadrature_nodes(self)
         freq, expo = self.field.cell_exponent(y)
         power = _power_above(float(np.max(expo.real)))
@@ -720,8 +730,7 @@ class LLLBasis:
     @functools.cached_property
     def gram(self):
         """``G_rs = <Psi_r, Psi_s>`` on the cell rule, per label, over
-        ``4**power`` of ``_cell_states`` (the states reach
-        ``exp(Im(tau)*alpha1**2/(4*pi*K))``; all measured is a ratio): its
+        ``4**power`` of ``_cell_states`` (all measured is a ratio): its
         per-class products summed onto their rows (:func:`_class_sums`).
         ``LinAlgError`` unless finite with a positive diagonal."""
         n_x, y, _, (_, rows, _, size), products = self._cell_states

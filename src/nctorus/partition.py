@@ -19,28 +19,17 @@ module that ``LLLBasis`` measures from the states' window table.
 ``Z~`` is computed by two deliberately independent routes.  The
 per-state route sums the K norms of :func:`~nctorus.lll.state_norm`,
 the diagonal of the module's Gram matrix, folded from a real table of
-the states' squared window magnitudes as "The cell rule" of
-:mod:`nctorus.lll` describes.  With ``g = gamma/tau`` and ``v = a + y`` on
-the columns the table holds
-
-    2*Re E = -2*pi*K*v*(Im tau*(v + 2*Re g) + 2*Re tau*Im g) + 2*log|coeff|,
-
-held as ``-2*pi*K*Im tau*(v - v*)**2`` below its peak, ``v* = -Im
-gamma/Im tau``, and only the terms that alias mod ``n_x`` read the pair
-phase ``Im E_m - Im E_{m+d} = pi*K*d*(2*Im tau*Im g - Re tau*(2*(v_m + Re
-g) + d))``: no value on the grid and no complex number is formed.
-Against 40-digit sums of the same windows the norms read 1.7e-16 at
-(M, N) = (5, 2), ``tau = 0.336+472.1i`` on 128 nodes a side, and 1.9e-16
-at (3, 2), ``0.3+1000i``, where the complex table of exponents it
-replaced read 1.1e-14 and 1.2e-14.
-The character route forms ``sum_r |theta_r|^2`` at every node of the
-same rule and sums the values over ``|eta|^2``, with the square
-completed in ``y``: ``theta``'s private residue sum takes all K residues
-as the classes mod K of one series around each column's peak, at K
-squared magnitudes and a trigonometric polynomial's coefficients per
-column, one phase table per row and the polynomial per node.  It never
-touches ``Field``, the window table or the comb and alias sums over
-``x``.  Their agreement checks both summations.  Parseval in ``x``
+the states' squared window magnitudes (see "The cell rule" of
+:mod:`nctorus.lll`): only the terms that alias mod ``n_x`` read a pair
+phase.  That table reads only ``Im tau`` and ``Im gamma``, so ``Z~(tau +
+1)`` shares the squares of ``Z~(tau)``: only its alias pair phases and
+``eta(tau + 1)`` are its own (:func:`modular_invariance_report`).
+The character route sums ``sum_r |theta_r|^2`` over every node of the
+same rule and over ``|eta|^2``, the square completed in ``y``:
+``theta``'s private residue sum takes all K residues as the classes mod
+K of one series around each column's peak.  It never touches ``Field``,
+the window table or the comb and alias sums over ``x``, so their
+agreement checks both summations.  Parseval in ``x``
 collapses the cell integral to a full Gaussian in ``y``, which gives
 :func:`z_tilde_closed_form`; neither route reads it.
 """
@@ -52,8 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lll import LLLBasis, build_basis, quadrature_nodes, state_norm
-from .theta import _theta_residue_norms
+from .core import as_tau
+from .lll import LLLBasis, build_basis, quadrature_nodes, state_norm, state_norms_at
+from .theta import _theta_residue_norms, dedekind_eta
 
 __all__ = [
     "z_tilde",
@@ -75,13 +65,11 @@ def z_tilde(basis: LLLBasis) -> float:
 
 
 def z_tilde_character_route(basis: LLLBasis) -> float:
-    """Eta-normalized state sum, single-integrand character route: the
-    residue sum of |theta|^2 is evaluated from the series directly (no
-    Field machinery) at every node of the :func:`quadrature_nodes` grid,
-    all K residues from the terms nearest each column's peak, at the
-    level, angles and truncation policy of ``basis``; ``Z~`` is the
-    ``math.fsum`` of the value table's column sums over the node count and
-    ``|eta|^2``."""
+    """Eta-normalized state sum, single-integrand character route (see
+    the module docstring): the residue sum of |theta|^2 at every node of
+    the :func:`quadrature_nodes` grid, at the level, angles and policy of
+    ``basis``; ``Z~`` is the ``math.fsum`` of its column sums over the node
+    count and ``|eta|^2``."""
     t = basis.tau
     tau = t.value
     b = t.im
@@ -118,7 +106,7 @@ def _over_eta2(value: float, eta2: float) -> float:
 
 def _gaussian_exponent(level, im_tau, alpha1) -> float:
     """Exponent ``b a1^2/(2 pi K)`` of the Gaussian factor of ``Z~``."""
-    return im_tau * alpha1**2 / (2.0 * math.pi * level)
+    return im_tau * (alpha1 * alpha1) / (2.0 * math.pi * level)
 
 
 def z_tilde_closed_form(basis: LLLBasis) -> float:
@@ -137,7 +125,8 @@ def z_tilde_closed_form(basis: LLLBasis) -> float:
 
 class ModularInvariance(NamedTuple):
     """``cell_nodes``: the ``(n_x, n_y)`` each ``Z~`` ran on, keyed
-    ``"tau"``, ``"tau+1"`` and ``"-1/tau"``."""
+    ``"tau"``, ``"tau+1"`` and ``"-1/tau"``; T shares the squares, so the
+    nodes, of ``"tau"``."""
 
     t_residual: float
     s_residual: float
@@ -148,16 +137,21 @@ class ModularInvariance(NamedTuple):
 def modular_invariance_report(basis: LLLBasis) -> ModularInvariance:
     """Relative deviation of Z~ under tau -> tau+1 and tau -> -1/tau.
 
-    ``z_tilde`` is the per-state Z~ of ``basis`` itself; the two
-    transformed bases are built from its flux, angles, truncation policy
-    and node floor, so all three values share one policy and one floor,
-    and each sizes its cell rule from its own ``Im tau``."""
+    ``z_tilde`` is the per-state Z~ of ``basis`` itself.  Z~ at ``tau +
+    1`` shares its table and squares (:func:`~nctorus.lll.state_norms_at`):
+    only the alias pair phases and ``eta(tau + 1)`` are its own, bit for
+    bit a ``tau + 1`` basis's.  The ``-1/tau`` basis takes the flux,
+    angles, policy and node floor of ``basis`` and sizes its cell rule
+    from its own ``Im tau``."""
     tau = basis.tau.value
-    bases = {"tau": basis,
-             "tau+1": build_basis(basis.flux, tau + 1.0, basis.angles, basis.policy, basis.quad),
-             "-1/tau": build_basis(basis.flux, -1.0 / tau, basis.angles, basis.policy, basis.quad)}
-    z0, zt, zs = (z_tilde(b) for b in bases.values())
-    nodes = {label: b.cell_nodes for label, b in bases.items()}
+    shifted = as_tau(tau + 1.0)
+    s_basis = build_basis(basis.flux, -1.0 / tau, basis.angles, basis.policy, basis.quad)
+    eta = basis.eta  # first, as in z_tilde: a failure names the same step
+    norms = state_norms_at(basis, basis.tau, shifted)
+    etas = eta, dedekind_eta(shifted, basis.policy)
+    z0, zt = (_over_eta2(math.fsum(n), abs(e) ** 2) for n, e in zip(norms, etas))
+    zs = z_tilde(s_basis)
+    nodes = {"tau": basis.cell_nodes, "tau+1": basis.cell_nodes, "-1/tau": s_basis.cell_nodes}
     return ModularInvariance(abs(zt - z0) / z0, abs(zs - z0) / z0, z0, nodes)
 
 

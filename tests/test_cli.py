@@ -322,6 +322,11 @@ def test_a_huge_angle_fails_without_a_warning(capfd, tmp_path, command):
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         for name in _MODULE_ROWS:
             assert checks[name]["note"].startswith(refused), name
+        # the closed-form S factor squares alpha1 past double range to inf,
+        # where a float power raised OverflowError: the row reads its NaN
+        s_row = checks["partition_s_invariance"]
+        assert math.isnan(s_row["residual"]) and not s_row["pass"]
+        assert s_row["note"].startswith("s_residual nan against the closed-form S factor")
 
 
 def test_lll_csv_past_double_range_fails_with_one_error_line(capsys, tmp_path):
@@ -563,35 +568,42 @@ def test_partition_subcommand(capsys):
 
 
 def test_partition_computes_each_z_tilde_once(capsys, monkeypatch):
-    # the per-state route runs at tau, tau+1 and -1/tau only: one call
-    # for the K state norms each, and the printed z_tilde is the one at tau
+    # the per-state route reads two tables: one call reads the K state
+    # norms at tau and at tau+1 from the run's basis, and one call those of
+    # the -1/tau basis; the printed z_tilde is the one at tau
     calls = []
-    state_norm = partition.state_norm
-    monkeypatch.setattr(partition, "state_norm", lambda *a, **kw: calls.append(a) or state_norm(*a, **kw))
+    for name in ("state_norm", "state_norms_at"):
+        fn = getattr(partition, name)
+        monkeypatch.setattr(partition, name, lambda *a, fn=fn, name=name: (
+            calls.append((name, a)) or fn(*a)))
     code, rep = run_json(capsys, ["partition", "--M", "3", "--N", "2"])
     assert code == 0
-    assert len(calls) == 3
+    [(first, (basis, *taus)), (second, (s_basis,))] = calls
+    assert (first, second) == ("state_norms_at", "state_norm")
+    assert [as_tau(tau).value for tau in taus] == [0.3 + 1.1j, 1.3 + 1.1j]
+    assert basis.tau.value == 0.3 + 1.1j and s_basis.tau.value == -1.0 / (0.3 + 1.1j)
     monkeypatch.undo()
     assert rep["z_tilde"] == z_tilde(build_basis(Flux(2, 3), 0.3 + 1.1j))
 
 
 def test_partition_where_the_state_norms_alias(capsys, monkeypatch):
     # on 16 x 16 nodes at level 8 a row's terms repeat their class mod n_x
-    # every 2 terms, and the windows at tau, tau+1 and -1/tau hold 4, 4 and
-    # 3: the per-state route sums the products of the aliasing terms, there
-    # at round-off, and meets the closed form to the last digit
+    # every 2 terms, and the windows at tau and -1/tau hold 4 and 3; tau's
+    # table folds the pair phases at tau and at tau+1: the per-state route
+    # sums the products of the aliasing terms, there at round-off, and meets
+    # the closed form to the last digit
     rows = []
     fold = lll._alias_fold
 
-    def recorded(freq, twice, n_x, step, pair_phase):
-        rows.append((twice.shape[1], n_x // math.gcd(step, n_x)))
-        return fold(freq, twice, n_x, step, pair_phase)
+    def recorded(freq, twice, n_x, step, pair_phases):
+        rows.append((twice.shape[1], n_x // math.gcd(step, n_x), len(pair_phases)))
+        return fold(freq, twice, n_x, step, pair_phases)
 
     monkeypatch.setattr(lll, "_alias_fold", recorded)
     code, rep = run_json(capsys, ["partition", "--M", "1", "--N", "8", "--tau=0.17+0.8i",
                                   "--alpha1", "0.4", "--alpha2", "1.1", "--quad", "16"])
     assert code == 0
-    assert rows == [(4, 2), (4, 2), (3, 2)]
+    assert rows == [(4, 2, 2), (3, 2, 1)]
     assert rep["cell_nodes"] == {"tau": [16, 16], "-1/tau": [16, 16]}
     want = rep["z_tilde_closed_form"]
     assert abs(rep["z_tilde"] - want) <= 2.0**-52 * want
@@ -604,7 +616,7 @@ def test_partition_where_the_state_norms_alias(capsys, monkeypatch):
     code, rep = run_json(capsys, ["partition", "--M", "1", "--N", "8", "--tau=0.17+0.8i",
                                   "--alpha1", "0.4", "--alpha2", "1.1", "--eps", "1e-4"])
     assert code == 0
-    assert rep["cell_nodes"]["tau"] == [8, 8] and [period for _, period in rows] == [1, 1, 1]
+    assert rep["cell_nodes"]["tau"] == [8, 8] and [period for _, period, _ in rows] == [1, 1]
     assert abs(rep["z_tilde"] - rep["z_tilde_closed_form"]) > 1e-5 * rep["z_tilde"]
     assert abs(rep["z_tilde"] - rep["z_tilde_character_route"]) <= 1e-9 * rep["z_tilde"]
 
@@ -1165,7 +1177,8 @@ def test_verify_reports_deterministic_up_to_wall_time(capsys):
 
 def test_one_basis_has_one_node_set(capsys, monkeypatch):
     # every cell rule of a run reads the nodes of its basis: the module
-    # once, and the state norms of the three Z~ of the invariance report
+    # once, and the state norms of the invariance report's two bases, the
+    # run's (Z~ at tau and tau+1) and the -1/tau basis
     nodes, calls = lll.quadrature_nodes, []
 
     def spy(basis):
@@ -1177,7 +1190,7 @@ def test_one_basis_has_one_node_set(capsys, monkeypatch):
         monkeypatch.setattr(module, "quadrature_nodes", spy)
     code, rep = run_json(capsys, ["verify", "--quad", "16"])
     assert code == 0
-    assert [size for _, size in calls] == [(16, 16)] * 4
+    assert [size for _, size in calls] == [(16, 16)] * 3
     assert all(basis.cell_nodes == size for basis, size in calls)
     notes = {c["name"]: c.get("note", "") for c in rep["checks"]}
     for name in ("center_eigenvalues", "orthogonality", "bimodule_consistency"):

@@ -45,7 +45,8 @@ def test_every_layer_has_a_workload():
     # aim 1's layers, each timed in a child of the tree under test
     tool = _tool()
     assert list(tool.LAYERS) == ["theta series", "eta", "eta, one point", "cell table", "module",
-                                 "state norms", "Weyl products", "JSON rendering"]
+                                 "state norms", "invariance report", "Weyl products",
+                                 "JSON rendering"]
     names = [name for name, _ in tool.LAYERS.values()]
     assert set(tool.LAYERS.values()) <= set(tool.WORKLOADS.items())
     src = Path(nctorus.__file__).resolve().parents[1]

@@ -862,13 +862,16 @@ def test_module_is_measured_once_per_basis(monkeypatch, capsys):
                          "overlaps": 2, "norm window": 0, "state_norm": 0}, mn
         partition.state_norm(basis)
         assert (calls["window"], calls["norm window"]) == (3, 1), mn
-    # partition --M 3 --N 2 integrates each of its three bases in one call
+    # partition --M 3 --N 2 integrates each of its two bases in one call:
+    # the run's at tau and tau+1, and the -1/tau basis's
     monkeypatch.setattr(partition, "state_norm",
                         _counted(calls, "state_norm", partition.state_norm))
-    calls.update(dict.fromkeys(calls, 0))
+    monkeypatch.setattr(partition, "state_norms_at",
+                        _counted(calls, "state_norms_at", partition.state_norms_at))
+    calls.update(dict.fromkeys(calls, 0), state_norms_at=0)
     assert cli.main(["partition", "--M", "3", "--N", "2"]) == 0
     capsys.readouterr()
-    assert calls["state_norm"] == 3
+    assert (calls["state_norms_at"], calls["state_norm"], calls["norm window"]) == (1, 1, 2)
 
 
 def test_verify_builds_each_window_table_once(monkeypatch, capsys):
@@ -876,9 +879,9 @@ def test_verify_builds_each_window_table_once(monkeypatch, capsys):
     # states' complex table of exponents once, on the cell rule's own
     # columns, for the Gram matrix and the steps along 1, and one complex
     # table per step along tau (the centre's D2^M on the columns y - 1 and
-    # the two steps); the state norms at tau, tau+1 and -1/tau build one
-    # real table each.  Four complex tables and three real ones, each
-    # writable and none returned twice
+    # the two steps); the state norms build one real table at tau, which
+    # Z~ at tau+1 reads too, and one at -1/tau.  Four complex tables and two
+    # real ones, each writable and none returned twice
     tables, grid_exponent, grid_window = [], lll._grid_exponent, lll._grid_window
 
     def recorded(build):
@@ -893,7 +896,7 @@ def test_verify_builds_each_window_table_once(monkeypatch, capsys):
     assert cli.main(["verify", "--M", "3", "--N", "5", "--tau=0.2+1.4i",
                      "--alpha1", "0.7", "--alpha2", "-1.3"]) == 0
     capsys.readouterr()
-    assert len(tables) == 7 and len({id(table) for table in tables}) == 7
+    assert len(tables) == 6 and len({id(table) for table in tables}) == 6
     assert all(table.flags.writeable for table in tables)
     assert [table.dtype.kind for table in tables].count("c") == 4
     # the module's sequence on one basis: its states' table first, then

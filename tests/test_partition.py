@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from nctorus import lll, partition
 from nctorus.core import Flux, VacuumAngles
-from nctorus.lll import QuadratureSpec, build_basis, cell_node_counts, quadrature_nodes, state_norm
+from nctorus.lll import (QuadratureSpec, build_basis, cell_node_counts, quadrature_nodes,
+                         state_norm, state_norms_at)
 from nctorus.partition import (
     ModularInvariance,
     modular_invariance_report,
@@ -19,6 +20,7 @@ from nctorus.partition import (
     z_tilde_character_route,
     z_tilde_closed_form,
 )
+from nctorus.theta import TruncationPolicy
 from test_lll import _pointwise_density, _rounding_allowance
 
 # by module path: the package namespace re-exports a function named theta
@@ -59,14 +61,17 @@ def test_quadrature_nodes(monkeypatch):
     x, y = quadrature_nodes(build_basis(Flux(2, 3), 0.3 + 1.1j, ANGLES, quad=QuadratureSpec(16)))
     assert (x.size, y.size) == (16, 16)
     assert np.all((x > 0.0) & (x < 1.0))
-    # the invariance report carries the nodes each of its three Z~ ran on
+    # the invariance report carries the nodes each of its three Z~ ran on:
+    # Z~ at tau+1 reads the table of tau, on its nodes
     ran = []
     nodes = lll.quadrature_nodes
     monkeypatch.setattr(lll, "quadrature_nodes",
                         lambda *a: ran.append(tuple(map(len, nodes(*a)))) or nodes(*a))
     report = modular_invariance_report(basis)
-    assert ran == list(report.cell_nodes.values()) == [(10, 11), (10, 11), (12, 10)]
+    assert ran == [(10, 11), (12, 10)]
+    assert list(report.cell_nodes.values()) == [(10, 11), (10, 11), (12, 10)]
     assert list(report.cell_nodes) == ["tau", "tau+1", "-1/tau"]
+    assert report.cell_nodes["tau+1"] is report.cell_nodes["tau"] is basis.cell_nodes
 
 
 @pytest.mark.parametrize("level, im_tau, counts", [
@@ -287,6 +292,66 @@ def test_invariance_residuals(flux):
     report = modular_invariance_report(build_basis(flux, 0.3 + 1.1j))
     assert report.t_residual < 1e-5
     assert report.s_residual < 1e-3
+
+
+# (M, N), tau, --eps, --quad, (alpha1, alpha2), whether the terms alias
+# mod n_x.  Z~ at tau+1 reads the table of tau and only its own pair
+# phases; at 1e200 every norm reads inf and both residuals NaN
+_T_POINTS = [
+    ((1, 1), 0.3 + 1.1j, 1e-12, 8, (0.7, -1.3), False),
+    ((3, 2), -3.0 + 1.1j, 1e-12, 16, (0.0, 0.0), False),
+    ((3, 2), 3.0 + 0.03j, 1e-8, 8, (0.7, -1.3), False),
+    ((7, 5), -0.2 + 1.4j, 1e-8, 64, (0.7, -1.3), False),
+    ((13, 7), 2.5 + 0.7j, 1e-12, 64, (-2.1, 1.1), False),
+    ((13, 7), 0.4 + 0.03j, 1e-12, 8, (0.0, -1.3), False),
+    ((11, 3), -1.7 + 30j, 1e-4, 16, (0.4, 0.0), False),
+    ((3, 2), 0.3 + 1.1j, 1e-12, 8, (1e200, 0.0), False),
+    ((8, 1), -0.559 + 1.3518j, 1e-4, 8, (-2.1, -1.3), True),
+    ((2, 7), 1.171 + 0.915j, 1e-8, 8, (-2.1, -1.3), True),
+    ((7, 1), 0.077 + 0.0368j, 1e-8, 8, (0.0, -1.3), True),
+    ((2, 3), 1.383 + 0.2715j, 1e-4, 8, (0.0, -1.3), True),
+    ((9, 2), 1.49 + 0.0424j, 1e-8, 8, (-2.1, 0.0), True),
+    ((5, 7), -0.805 + 0.1803j, 1e-4, 8, (0.7, 0.0), True),
+    ((1, 2), -0.922 + 0.093j, 1e-4, 8, (0.4, 1.1), True),
+]
+
+
+@pytest.mark.parametrize("mn, tau, eps, quad, angles, aliases", _T_POINTS)
+def test_z_tilde_at_tau_plus_one_is_a_built_bases_bit_for_bit(mn, tau, eps, quad, angles, aliases):
+    # the report builds no basis at tau+1: its norms, nodes and t_residual
+    # are those of one built there, and where the terms alias its own pair
+    # phases move the norms off tau's
+    m, n = mn
+    rest = VacuumAngles(*angles), TruncationPolicy(eps), QuadratureSpec(quad)
+    basis, shifted = (build_basis(Flux(n, m), t, *rest) for t in (tau, tau + 1.0))
+    norms, t_norms = state_norms_at(basis, basis.tau, tau + 1.0)
+    assert norms == state_norm(build_basis(Flux(n, m), tau, *rest))
+    assert t_norms == state_norm(shifted) and (norms != t_norms) == aliases
+    report = modular_invariance_report(basis)
+    z0, zt = z_tilde(basis), z_tilde(shifted)
+    assert np.array_equal([report.z_tilde, report.t_residual], [z0, abs(zt - z0) / z0],
+                          equal_nan=True)
+    assert report.cell_nodes["tau+1"] == shifted.cell_nodes
+    assert math.isnan(report.t_residual) == (angles[0] == 1e200)
+
+
+def test_t_residual_where_every_term_aliases():
+    # on n_x = K = 8 nodes every term of a row aliases onto its neighbours,
+    # so the pair phases at tau+1 move Z~: read with tau's phases the
+    # residual would be exactly 0
+    args = VacuumAngles(0.4, 1.1), TruncationPolicy(1e-4)
+    basis = build_basis(Flux(8, 1), 0.17 + 0.8j, *args)
+    report = modular_invariance_report(basis)
+    assert basis.cell_nodes == (8, 8)
+    z0, zt = z_tilde(basis), z_tilde(build_basis(Flux(8, 1), 1.17 + 0.8j, *args))
+    assert report.t_residual == abs(zt - z0) / z0
+    assert 6e-5 < report.t_residual < 7e-5
+
+
+def test_state_norms_are_read_only_on_their_im_tau():
+    basis = build_basis(Flux(2, 3), 0.3 + 1.1j)
+    with pytest.raises(ValueError, match="Im tau"):
+        state_norms_at(basis, 0.3 + 1.2j)
 
 
 def test_refinement_decreases_s_residual():

@@ -22,8 +22,9 @@ The workloads call only names that both trees must share: ``cli.main``
 on a few argvs, ``lll.gram_rank`` of a built basis,
 ``matrices.commutant_dimension`` of a ``WeylAlgebra``'s clock and shift,
 and one workload per layer (``LAYERS``): the theta series, eta, the cell
-table, the module, the state norms, the Weyl products and the JSON
-rendering.  Only the children are timed, and they never run at once.
+table, the module, the state norms, the invariance report, the Weyl
+products and the JSON rendering.  Only the children are timed, and they
+never run at once.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ LAYERS = {
     "cell table": ("ThetaField.cell_exponent(build_basis(Flux(5, 7)))", 20),
     "module": ("lemma and centre of a fresh build_basis(Flux(5, 7))", 1),
     "state norms": ("state_norm(build_basis(Flux(5, 7)))", 10),
+    "invariance report": ("modular_invariance_report(build_basis(Flux(5, 7)))", 4),
     "Weyl products": ("weyl_cocycle_residual(WeylAlgebra(7, 5))", 10),
     "JSON rendering": ("_render(verify --M 7 --N 5)", 10),
 }
@@ -87,6 +89,7 @@ def _calls(src):
     from nctorus.lll import (build_basis, center_eigen_residual, gram_rank,
                              lemma_eigenphase_residual, quadrature_nodes, state_norm)
     from nctorus.matrices import WeylAlgebra, commutant_dimension, weyl_cocycle_residual
+    from nctorus.partition import modular_invariance_report
     from nctorus.theta import dedekind_eta, eta_functional_residual, quasi_periodicity_residual
 
     def command(argv):
@@ -126,6 +129,7 @@ def _calls(src):
         lambda: states.field.cell_exponent(y),
         module,
         lambda: state_norm(states),
+        lambda: modular_invariance_report(states),
         lambda: weyl_cocycle_residual(algebra),
         lambda: cli._render(report))))
     return calls

@@ -563,7 +563,7 @@ def _alias_fold(freq, twice, n_x, step, pair_phases):
     table = np.exp(twice, out=twice)
     if not table.flags.c_contiguous:
         table = table.transpose(0, 2, 1)  # the (row, column, m) buffer
-    norms = np.tile(table.reshape(len(table), -1).sum(axis=1), (len(pair_phases), 1))
+    norms = np.array([table.reshape(len(table), -1).sum(axis=1)] * len(pair_phases))
     for cross in crosses:
         norms += cross
     return n_x * norms
